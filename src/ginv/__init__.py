@@ -4,11 +4,13 @@ Subpackages
 -----------
 ::
 
- linalg        -- SVD rank/norm, numerical Jacobians, joint kernels
+ linalg        -- SVD rank/norm with one relative cutoff, exact linear-map
+                  matrices, joint kernels
  algebra       -- block matrix *-algebras and classification predicates
  geninv        -- Moore-Penrose inversion, reflexive inverse pairs
  groupoid      -- groupoid instances, composition, axiom verification
- geometry      -- tangent spaces, anchors, isotropy, orbit decomposition
+ geometry      -- tangent spaces, anchors, isotropy and orbit decomposition
+                  from exact chart differentials
  paths         -- admissible paths on projections, reparametrization
  continuity    -- pseudo-inverse continuity experiments
  serialization -- JSON wire format for elements

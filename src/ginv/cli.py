@@ -38,7 +38,7 @@ from .linalg import ToleranceConfig
 from .paths import orbit_path, reparametrize_lift
 from .reports import CheckRecord, ExperimentReport
 from .serialization import element_to_dict, parse_element
-from .suite import run_acceptance
+from .suite import ENDPOINT_TOL, LIFT_TOL, reparametrized_bound, run_acceptance
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -253,15 +253,17 @@ def _cmd_path(args, tol, seed) -> ExperimentReport:
     path = orbit_path(p, q, steps=args.steps, tol=tol)
     smooth = reparametrize_lift(path, lambda t: 3 * t * t - 2 * t**3, tol)
     report = ExperimentReport(suite="projection-path", config=_config_echo(args, tol, seed))
+    end_gap = path.end.distance(q)
     report.add(CheckRecord(name="endpoint", anchor="path ends at the requested projection",
-                           passed=path.end.distance(q) <= 1e-6, value=path.end.distance(q)))
+                           passed=end_gap <= ENDPOINT_TOL, value=end_gap))
     report.add(CheckRecord(name="lift residual", anchor="anchor of the lift matches the velocity",
-                           passed=path.max_lift_residual <= 1e-4, value=path.max_lift_residual))
+                           passed=path.max_lift_residual <= LIFT_TOL,
+                           value=path.max_lift_residual))
     report.add(
         CheckRecord(
             name="reparametrized residual",
             anchor="(alpha . phi) phi' lifts c . phi",
-            passed=smooth.max_lift_residual <= 10 * path.max_lift_residual + 1e-6,
+            passed=smooth.max_lift_residual <= reparametrized_bound(path.max_lift_residual),
             value=smooth.max_lift_residual,
         )
     )

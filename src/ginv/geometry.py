@@ -1,42 +1,35 @@
 """Numerical differential geometry of the groupoid instances.
 
-Tangent spaces of the idempotent and projection manifolds are computed as
-numerical kernels of the linearized defining equations.  Arrow-space
-geometry (source-fiber tangents, the anchor map, isotropy dimensions,
-submersion ranks) is computed through exponential conjugation charts: each
-instance admits a smooth overparametrization of a neighborhood of any
-arrow that lands exactly on the arrow manifold and whose differential is
-onto the arrow tangent space, so every downstream quantity is a rank or a
-dimension and therefore chart-independent.
+Tangent spaces of the idempotent and projection manifolds are the kernels
+of the linearized defining equations.  Arrow-space geometry (source-fiber
+tangents, the anchor map, isotropy dimensions, submersion ranks) is read
+off the exact differentials of exponential conjugation charts: each
+groupoid instance builds, at any arrow, the differential of a smooth
+overparametrization of a neighbourhood of the arrow that lands exactly on
+the arrow manifold and is onto the arrow tangent space, together with the
+differentials of its source and target maps.  Every downstream quantity is
+a rank or a dimension and therefore chart-independent.  Each rank decision
+on a piece of a chart differential uses the one relative cutoff, measured
+against the norm of the whole differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraElement, classify, expm_element
+from .algebra import AlgebraElement, classify
 from .errors import InputError, PreconditionError
-from .groupoid import (
-    ActionGroupoid,
-    DisjointUnionGroupoid,
-    GInvGroupoid,
-    Groupoid,
-    PairGroupoid,
-    PartialIsometryGroupoid,
-)
+from .groupoid import GInvGroupoid, Groupoid, PartialIsometryGroupoid
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    finite_diff_jacobian,
     kernel_basis,
     numerical_rank,
     operator_norm,
     orthonormal_range,
-    realvec_to_herm,
 )
 from .reports import CheckRecord, ExperimentReport
 
@@ -92,9 +85,8 @@ def tangent_basis(
     """Tangent space of the idempotent manifold (``"Q"``) or the projection
     manifold (``"P"``) at ``x``.
 
-    Solves ``{v : xv + vx - v = 0}`` (plus ``v* = v`` for projections) by a
-    brute-force kernel computation in real coordinates; the returned basis
-    is orthonormal.
+    Solves ``{v : xv + vx - v = 0}`` (plus ``v* = v`` for projections) as
+    the kernel of its exact real matrix; the returned basis is orthonormal.
     """
     if manifold not in ("Q", "P"):
         raise InputError("manifold must be 'Q' or 'P'")
@@ -104,206 +96,17 @@ def tangent_basis(
     if manifold == "P" and not cls.projection:
         raise PreconditionError("point is not an orthogonal projection")
 
-    dim = x.real_coords().size
-    rows_q, rows_sa = [], []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        v = AlgebraElement.from_real_coords(x.shape, e)
-        rows_q.append((x @ v + v @ x - v).real_coords())
-        if manifold == "P":
-            rows_sa.append((v.adjoint() - v).real_coords())
-    system = np.column_stack(rows_q) if manifold == "Q" else np.vstack(
-        [np.column_stack(rows_q), np.column_stack(rows_sa)]
-    )
-    coords = kernel_basis(system, tol)
-    vectors = tuple(
-        AlgebraElement.from_real_coords(x.shape, coords[:, j]) for j in range(coords.shape[1])
-    )
+    G = GInvGroupoid(x.shape, tol) if manifold == "Q" else PartialIsometryGroupoid(x.shape, tol)
+    coords = G.base_tangent(x, tol)
+    vectors = tuple(AlgebraElement.from_real_coords(x.shape, col) for col in coords.T)
     return TangentBasis(base_point=x, vectors=vectors, real_dim=len(vectors), coords=coords)
 
 
-def base_tangent_matrix(G: Groupoid, x, tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis (columns) of the base tangent space in ambient coordinates."""
-    if isinstance(G, GInvGroupoid):
-        return tangent_basis("Q", x, tol).coords
-    if isinstance(G, PartialIsometryGroupoid):
-        return tangent_basis("P", x, tol).coords
-    if isinstance(G, ActionGroupoid):
-        return np.eye(G.n)
-    if isinstance(G, PairGroupoid):
-        return np.eye(G.dim)
-    if isinstance(G, DisjointUnionGroupoid):
-        index, point = x
-        return base_tangent_matrix(G.parts[index], point, tol)
-    raise InputError(f"no base tangent model for groupoid kind {G.kind!r}")
-
-
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    return base_tangent_matrix(G, x, tol).shape[1]
+    return G.base_tangent(x, tol).shape[1]
 
 
-# -- charts --------------------------------------------------------------------------
-
-
-@dataclass
-class _Chart:
-    """Local parametrization of the arrow space around a fixed arrow.
-
-    ``combined`` maps chart parameters to the concatenation of ambient
-    arrow coordinates, source coordinates and target coordinates; slices
-    pick the pieces apart.  ``ambient_target`` is the target map in ambient
-    arrow coordinates, used to express the anchor on a fiber basis.
-    """
-
-    param_dim: int
-    arrow_dim: int
-    base_dim: int
-    combined: Callable[[np.ndarray], np.ndarray]
-    ambient_target: Callable[[np.ndarray], np.ndarray]
-    arrow_coords0: np.ndarray
-    decode_tangent: Callable[[np.ndarray], object]
-
-
-def _chart_at(G: Groupoid, arrow) -> _Chart:
-    if isinstance(G, GInvGroupoid):
-        return _ginv_chart(G, arrow)
-    if isinstance(G, PartialIsometryGroupoid):
-        return _isometry_chart(G, arrow)
-    if isinstance(G, ActionGroupoid):
-        return _action_chart(G, arrow)
-    if isinstance(G, PairGroupoid):
-        return _pair_chart(G, arrow)
-    if isinstance(G, DisjointUnionGroupoid):
-        inner = _chart_at(G.parts[arrow.index], arrow.inner)
-        return inner
-    raise InputError(f"no chart construction for groupoid kind {G.kind!r}")
-
-
-def _ginv_chart(G: GInvGroupoid, arrow) -> _Chart:
-    a0, b0 = arrow.pair.a, arrow.pair.b
-    shape = a0.shape
-    d = a0.real_coords().size
-
-    def decode(params: np.ndarray):
-        u = AlgebraElement.from_real_coords(shape, params[:d])
-        w = AlgebraElement.from_real_coords(shape, params[d:])
-        return u, w
-
-    def combined(params: np.ndarray) -> np.ndarray:
-        u, w = decode(params)
-        a = expm_element(u) @ a0 @ expm_element(w)
-        b = expm_element(-1.0 * w) @ b0 @ expm_element(-1.0 * u)
-        return np.concatenate(
-            [a.real_coords(), b.real_coords(), (b @ a).real_coords(), (a @ b).real_coords()]
-        )
-
-    def ambient_target(flat: np.ndarray) -> np.ndarray:
-        a = AlgebraElement.from_real_coords(shape, flat[:d])
-        b = AlgebraElement.from_real_coords(shape, flat[d:])
-        return (a @ b).real_coords()
-
-    def decode_tangent(col: np.ndarray):
-        return (
-            AlgebraElement.from_real_coords(shape, col[:d]),
-            AlgebraElement.from_real_coords(shape, col[d:]),
-        )
-
-    return _Chart(
-        param_dim=2 * d,
-        arrow_dim=2 * d,
-        base_dim=d,
-        combined=combined,
-        ambient_target=ambient_target,
-        arrow_coords0=np.concatenate([a0.real_coords(), b0.real_coords()]),
-        decode_tangent=decode_tangent,
-    )
-
-
-def _isometry_chart(G: PartialIsometryGroupoid, arrow) -> _Chart:
-    u0 = arrow.u
-    shape = u0.shape
-    herm_dims = [n * n for n in shape]
-    h_total = sum(herm_dims)
-    d = u0.real_coords().size
-
-    def herm_element(params: np.ndarray) -> AlgebraElement:
-        blocks, pos = [], 0
-        for n, span in zip(shape, herm_dims):
-            blocks.append(realvec_to_herm(params[pos : pos + span], n))
-            pos += span
-        return AlgebraElement(shape, tuple(blocks))
-
-    def combined(params: np.ndarray) -> np.ndarray:
-        h1 = herm_element(params[:h_total])
-        h2 = herm_element(params[h_total:])
-        u = expm_element(1j * h1) @ u0 @ expm_element(1j * h2)
-        return np.concatenate(
-            [u.real_coords(), (u.adjoint() @ u).real_coords(), (u @ u.adjoint()).real_coords()]
-        )
-
-    def ambient_target(flat: np.ndarray) -> np.ndarray:
-        u = AlgebraElement.from_real_coords(shape, flat)
-        return (u @ u.adjoint()).real_coords()
-
-    return _Chart(
-        param_dim=2 * h_total,
-        arrow_dim=d,
-        base_dim=d,
-        combined=combined,
-        ambient_target=ambient_target,
-        arrow_coords0=u0.real_coords(),
-        decode_tangent=lambda col: AlgebraElement.from_real_coords(shape, col),
-    )
-
-
-def _action_chart(G: ActionGroupoid, arrow) -> _Chart:
-    n = G.n
-    x0 = arrow.point_array
-    g0 = arrow.g_array
-
-    def combined(params: np.ndarray) -> np.ndarray:
-        dx = params[:n]
-        v = params[n:].reshape(n, n)
-        g = scipy.linalg.expm(v) @ g0
-        x = x0 + dx
-        return np.concatenate([x, g.ravel(), x, g @ x])
-
-    def ambient_target(flat: np.ndarray) -> np.ndarray:
-        x = flat[:n]
-        g = flat[n:].reshape(n, n)
-        return g @ x
-
-    return _Chart(
-        param_dim=n + n * n,
-        arrow_dim=n + n * n,
-        base_dim=n,
-        combined=combined,
-        ambient_target=ambient_target,
-        arrow_coords0=np.concatenate([x0, g0.ravel()]),
-        decode_tangent=lambda col: (col[:n].copy(), col[n:].reshape(n, n).copy()),
-    )
-
-
-def _pair_chart(G: PairGroupoid, arrow) -> _Chart:
-    k = G.dim
-    x0 = np.asarray(arrow.x, dtype=float)
-    y0 = np.asarray(arrow.y, dtype=float)
-
-    def combined(params: np.ndarray) -> np.ndarray:
-        x = x0 + params[:k]
-        y = y0 + params[k:]
-        return np.concatenate([x, y, x, y])
-
-    return _Chart(
-        param_dim=2 * k,
-        arrow_dim=2 * k,
-        base_dim=k,
-        combined=combined,
-        ambient_target=lambda flat: flat[k:].copy(),
-        arrow_coords0=np.concatenate([x0, y0]),
-        decode_tangent=lambda col: (col[:k].copy(), col[k:].copy()),
-    )
+# -- chart differentials -------------------------------------------------------------
 
 
 def _identity_arrow(G: Groupoid, x):
@@ -313,14 +116,14 @@ def _identity_arrow(G: Groupoid, x):
         raise PreconditionError(str(exc)) from exc
 
 
-def _chart_jacobians(G: Groupoid, arrow, tol: ToleranceConfig):
-    chart = _chart_at(G, arrow)
-    jac = finite_diff_jacobian(chart.combined, np.zeros(chart.param_dim), tol)
-    j_arrow = jac[: chart.arrow_dim]
-    j_s = jac[chart.arrow_dim : chart.arrow_dim + chart.base_dim]
-    j_t = jac[chart.arrow_dim + chart.base_dim :]
-    floor = tol.jacobian_noise_floor(operator_norm(jac))
-    return chart, j_arrow, j_s, j_t, floor
+def _differentials(G: Groupoid, arrow):
+    """Chart, source and target differentials at ``arrow``, the ambient target
+    differential, and the norm of the whole chart differential
+    ``[j_arrow; j_s; j_t]``, the scale of every rank decision on its pieces."""
+    j_arrow, ds, dt = G.chart_differential(arrow)
+    j_s, j_t = ds @ j_arrow, dt @ j_arrow
+    scale = operator_norm(np.vstack([j_arrow, j_s, j_t]))
+    return j_arrow, j_s, j_t, dt, scale
 
 
 # -- fiber, anchor, isotropy, submersion -------------------------------------------
@@ -336,21 +139,19 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
     orthonormal basis of the base tangent space.
     """
     one_x = _identity_arrow(G, x)
-    chart, j_arrow, j_s, _, floor = _chart_jacobians(G, one_x, tol)
+    j_arrow, j_s, _, dt, scale = _differentials(G, one_x)
 
-    k_source = kernel_basis(j_s, tol, floor)
+    k_source = kernel_basis(j_s, tol, scale)
     fiber_cols = j_arrow @ k_source
-    fiber_dim = numerical_rank(fiber_cols, tol, floor)
-    fiber_hat = orthonormal_range(fiber_cols, tol, floor)
+    fiber_dim = numerical_rank(fiber_cols, tol, scale)
+    fiber_hat = orthonormal_range(fiber_cols, tol, scale)
 
-    j_target_ambient = finite_diff_jacobian(chart.ambient_target, chart.arrow_coords0, tol)
-    base = base_tangent_matrix(G, x, tol)
-    anchor_matrix = base.T @ (j_target_ambient @ fiber_hat)
-    anchor_rank = numerical_rank(anchor_matrix, tol, floor)
+    anchor_matrix = G.base_tangent(x, tol).T @ (dt @ fiber_hat)
+    anchor_rank = numerical_rank(anchor_matrix, tol, scale)
 
     basis = TangentBasis(
         base_point=x,
-        vectors=tuple(chart.decode_tangent(fiber_hat[:, j]) for j in range(fiber_hat.shape[1])),
+        vectors=tuple(G.tangent_vector(one_x, col) for col in fiber_hat.T),
         real_dim=fiber_dim,
         coords=fiber_hat,
     )
@@ -363,9 +164,9 @@ def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Dimension of the joint kernel of the source and target differentials
     at the identity arrow over ``x``, measured in ambient arrow coordinates."""
     one_x = _identity_arrow(G, x)
-    _, j_arrow, j_s, j_t, floor = _chart_jacobians(G, one_x, tol)
-    joint = kernel_basis(np.vstack([j_s, j_t]), tol, floor)
-    return numerical_rank(j_arrow @ joint, tol, floor)
+    j_arrow, j_s, j_t, _, scale = _differentials(G, one_x)
+    joint = kernel_basis(np.vstack([j_s, j_t]), tol, scale)
+    return numerical_rank(j_arrow @ joint, tol, scale)
 
 
 def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
@@ -376,8 +177,8 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     """
     G.validate_arrow(g)
-    _, _, j_s, j_t, floor = _chart_jacobians(G, g, tol)
-    rank = numerical_rank(np.vstack([j_s, j_t]), tol, floor)
+    _, j_s, j_t, _, scale = _differentials(G, g)
+    rank = numerical_rank(np.vstack([j_s, j_t]), tol, scale)
     dims = base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
     return rank, dims
 
@@ -392,16 +193,7 @@ def orbit_signature(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL):
     isometry instances; zero versus nonzero for the tautological GL(n)
     action; a single class for the pair groupoid.
     """
-    if isinstance(G, (GInvGroupoid, PartialIsometryGroupoid)):
-        return tuple(numerical_rank(b, tol) for b in x.blocks)
-    if isinstance(G, ActionGroupoid):
-        return "zero" if float(np.linalg.norm(np.asarray(x, dtype=float))) <= tol.residual_tol else "nonzero"
-    if isinstance(G, PairGroupoid):
-        return "all"
-    if isinstance(G, DisjointUnionGroupoid):
-        index, point = x
-        return (index, orbit_signature(G.parts[index], point, tol))
-    raise InputError(f"no orbit invariant for groupoid kind {G.kind!r}")
+    return G.orbit_signature(x, tol)
 
 
 def orbit_decompose(

@@ -17,11 +17,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import AlgebraElement, classify, expm_element, validate_shape
 from .errors import CompositionError, GinvError, InputError, PreconditionError
 from .geninv import GInvPair, is_ginv_pair
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    adjoint_matrix,
+    kernel_basis,
+    numerical_rank,
+    operator_norm,
+    sandwich_matrix,
+)
 from .reports import CheckRecord, ExperimentReport
 from . import sampling
 
@@ -146,6 +155,40 @@ class Groupoid:
         if mismatch > self._composability_threshold(g1, g2):
             raise CompositionError(mismatch)
 
+    # geometry, in the fixed real coordinates of arrows and base points
+    def chart_differential(self, g):
+        """Exact differentials at the arrow ``g``, as real matrices
+        ``(j_arrow, ds, dt)``.
+
+        ``j_arrow`` is the differential at 0 of an exponential chart around
+        ``g``: a smooth map from parameters onto a neighbourhood of ``g`` in
+        the arrow manifold whose differential is onto the arrow tangent
+        space.  ``ds`` and ``dt`` are the differentials of the source and
+        target maps in ambient arrow coordinates, so ``ds @ j_arrow`` and
+        ``dt @ j_arrow`` are the source and target differentials in the chart.
+        """
+        raise NotImplementedError
+
+    def tangent_vector(self, g, coords: np.ndarray):
+        """Structured arrow tangent vector at ``g`` from ambient arrow coordinates."""
+        raise NotImplementedError
+
+    def base_tangent(self, x, tol: ToleranceConfig) -> np.ndarray:
+        """Orthonormal basis (columns) of the base tangent space at ``x``."""
+        raise NotImplementedError
+
+    def orbit_signature(self, x, tol: ToleranceConfig):
+        """Complete orbit invariant of the base point ``x``."""
+        raise NotImplementedError
+
+
+def _idempotent_linearization(x: AlgebraElement) -> np.ndarray:
+    """Real matrix of ``v -> xv + vx - v``, whose kernel is the tangent space
+    of the idempotent manifold at ``x``."""
+    one = AlgebraElement.identity(x.shape).blocks
+    m = sandwich_matrix(x.blocks, one) + sandwich_matrix(one, x.blocks)
+    return m - np.eye(m.shape[0])
+
 
 class GInvGroupoid(Groupoid):
     """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra."""
@@ -230,6 +273,30 @@ class GInvGroupoid(Groupoid):
         b = expm_element(-1.0 * w) @ x @ expm_element(-1.0 * u)
         return GInvArrow(GInvPair.create(a, b, self.tol))
 
+    def chart_differential(self, g: GInvArrow):
+        self._check_structure(g)
+        a, b = g.pair.a.blocks, g.pair.b.blocks
+        one = AlgebraElement.identity(self.shape).blocks
+        # chart (U, W) -> (e^U a e^W, e^-W b e^-U); at 0: (U a + a W, -W b - b U)
+        j_arrow = np.block([
+            [sandwich_matrix(one, a), sandwich_matrix(a, one)],
+            [-sandwich_matrix(b, one), -sandwich_matrix(one, b)],
+        ])
+        ds = np.hstack([sandwich_matrix(b, one), sandwich_matrix(one, a)])  # b dA + dB a
+        dt = np.hstack([sandwich_matrix(one, b), sandwich_matrix(a, one)])  # dA b + a dB
+        return j_arrow, ds, dt
+
+    def tangent_vector(self, g, coords):
+        d = coords.size // 2
+        return (AlgebraElement.from_real_coords(self.shape, coords[:d]),
+                AlgebraElement.from_real_coords(self.shape, coords[d:]))
+
+    def base_tangent(self, x, tol):
+        return kernel_basis(_idempotent_linearization(x), tol)
+
+    def orbit_signature(self, x, tol):
+        return tuple(numerical_rank(b, tol) for b in x.blocks)
+
 
 class PartialIsometryGroupoid(Groupoid):
     """Partial isometries over the orthogonal projections of the algebra."""
@@ -302,6 +369,31 @@ class PartialIsometryGroupoid(Groupoid):
         h2 = p @ h0 @ p + (one - p) @ h0 @ (one - p)  # Hermitian, commutes with p
         u = expm_element(1j * h1) @ p @ expm_element(1j * h2)
         return IsometryArrow(u)
+
+    def chart_differential(self, g: IsometryArrow):
+        self._check_structure(g)
+        u, uh = g.u.blocks, g.u.adjoint().blocks
+        one = AlgebraElement.identity(self.shape).blocks
+        adj = adjoint_matrix(self.shape)
+        hermitian_part = 0.5 * (np.eye(adj.shape[0]) + adj)
+        # chart (H1, H2) -> e^{iH1} u e^{iH2} over Hermitian parts; at 0: i(H1 u + u H2)
+        i_one, i_u = [1j * b for b in one], [1j * b for b in u]
+        j_arrow = np.hstack([sandwich_matrix(i_one, u) @ hermitian_part,
+                             sandwich_matrix(i_u, one) @ hermitian_part])
+        ds = sandwich_matrix(one, u) @ adj + sandwich_matrix(uh, one)  # du* u + u* du
+        dt = sandwich_matrix(one, uh) + sandwich_matrix(u, one) @ adj  # du u* + u du*
+        return j_arrow, ds, dt
+
+    def tangent_vector(self, g, coords):
+        return AlgebraElement.from_real_coords(self.shape, coords)
+
+    def base_tangent(self, p, tol):
+        adj = adjoint_matrix(self.shape)
+        system = np.vstack([_idempotent_linearization(p), adj - np.eye(adj.shape[0])])
+        return kernel_basis(system, tol)
+
+    def orbit_signature(self, p, tol):
+        return tuple(numerical_rank(b, tol) for b in p.blocks)
 
 
 class ActionGroupoid(Groupoid):
@@ -380,6 +472,26 @@ class ActionGroupoid(Groupoid):
 
     def arrow_from(self, x, rng) -> ActionArrow:
         return ActionArrow.of(np.asarray(x, dtype=float), sampling.random_invertible(rng, self.n))
+
+    def chart_differential(self, g: ActionArrow):
+        self._check_structure(g)
+        x, h, eye = g.point_array, g.g_array, np.eye(self.n)
+        # chart (dx, V) -> (x + dx, e^V h); at 0: (dx, V h), row-major in V
+        j_arrow = scipy.linalg.block_diag(eye, np.kron(eye, h.T))
+        ds = np.hstack([eye, np.zeros((self.n, self.n * self.n))])
+        dt = np.hstack([h, np.kron(eye, x[None, :])])  # h dx + dh x
+        return j_arrow, ds, dt
+
+    def tangent_vector(self, g, coords):
+        n = self.n
+        return coords[:n].copy(), coords[n:].reshape(n, n).copy()
+
+    def base_tangent(self, x, tol):
+        return np.eye(self.n)
+
+    def orbit_signature(self, x, tol):
+        norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
+        return "zero" if norm <= tol.residual_tol else "nonzero"
 
 
 class PairGroupoid(Groupoid):
@@ -462,6 +574,20 @@ class PairGroupoid(Groupoid):
     def arrow_from(self, x, rng) -> PairArrow:
         return PairArrow.of(np.asarray(x, dtype=float), self.sample_base_point(rng))
 
+    def chart_differential(self, g: PairArrow):
+        self.validate_arrow(g)
+        eye, zero = np.eye(self.dim), np.zeros((self.dim, self.dim))
+        return np.eye(2 * self.dim), np.hstack([eye, zero]), np.hstack([zero, eye])
+
+    def tangent_vector(self, g, coords):
+        return coords[: self.dim].copy(), coords[self.dim :].copy()
+
+    def base_tangent(self, x, tol):
+        return np.eye(self.dim)
+
+    def orbit_signature(self, x, tol):
+        return "all"
+
 
 class DisjointUnionGroupoid(Groupoid):
     """Disjoint union of groupoids; composition never crosses components."""
@@ -532,6 +658,20 @@ class DisjointUnionGroupoid(Groupoid):
     def arrow_from(self, x, rng) -> TaggedArrow:
         index, point = x
         return TaggedArrow(index, self._part(index).arrow_from(point, rng))
+
+    def chart_differential(self, g: TaggedArrow):
+        return self._part(g.index).chart_differential(g.inner)
+
+    def tangent_vector(self, g: TaggedArrow, coords):
+        return self._part(g.index).tangent_vector(g.inner, coords)
+
+    def base_tangent(self, x, tol):
+        index, point = x
+        return self._part(index).base_tangent(point, tol)
+
+    def orbit_signature(self, x, tol):
+        index, point = x
+        return (index, self._part(index).orbit_signature(point, tol))
 
 
 def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Groupoid:

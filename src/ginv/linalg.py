@@ -1,9 +1,11 @@
 """Dense complex matrix primitives.
 
-SVD-backed rank and norm, numerical Jacobians of maps between
-real-coordinatized spaces, and joint kernel dimensions.  Everything here is
-a pure function; matrices are plain ``numpy`` arrays of ``complex128`` (or
-``float64`` for real-coordinate work).
+SVD-backed rank and norm with a single relative cutoff, joint kernel
+dimensions, the fixed real coordinatization of block matrices and the exact
+real matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
+central-difference Jacobian kept as an independent reference.  Everything
+here is a pure function; matrices are plain ``numpy`` arrays of
+``complex128`` (or ``float64`` for real-coordinate work).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import EvaluationError, InputError
 
@@ -26,7 +29,8 @@ class ToleranceConfig:
 
     rank_cutoff_factor
         Relative singular-value cutoff; a singular value counts toward the
-        rank when it exceeds ``rank_cutoff_factor * max(rows, cols) * sigma_max``.
+        rank when it exceeds ``rank_cutoff_factor * max(rows, cols) * sigma_max``
+        (or times the norm of the enclosing map, see :func:`numerical_rank`).
     residual_tol
         Baseline for all residual tests (scaled by powers of the operand
         norms at each call site).
@@ -42,17 +46,6 @@ class ToleranceConfig:
         for name in ("rank_cutoff_factor", "residual_tol", "fd_step_scale"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be strictly positive")
-
-    def jacobian_noise_floor(self, scale: float = 1.0) -> float:
-        """Absolute singular-value floor for finite-difference Jacobians.
-
-        Central differences carry an O(h^2) truncation error, so singular
-        values below a multiple of ``fd_step_scale**2`` (times the natural
-        scale of the map) are differentiation noise, not rank.  Tying the
-        floor to the step keeps dimension answers consistent whenever the
-        step changes.
-        """
-        return 100.0 * self.fd_step_scale**2 * max(scale, 1.0)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -73,18 +66,19 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _rank_cutoff(shape, smax: float, tol: ToleranceConfig, floor: float) -> float:
-    return max(tol.rank_cutoff_factor * max(shape) * smax, floor)
+def _rank_cutoff(shape, smax: float, tol: ToleranceConfig, scale: float) -> float:
+    return tol.rank_cutoff_factor * max(shape) * max(smax, scale)
 
 
 def numerical_rank(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0
+    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> int:
     """Count singular values above the relative cutoff; the zero matrix has rank 0.
 
-    ``floor`` is an optional absolute cutoff on top of the relative one;
-    finite-difference Jacobians need it because their noise scale is set by
-    the step size, not by the largest singular value.
+    The cutoff is relative to ``max(sigma_max, scale)``.  A matrix that is a
+    piece of a larger linear map passes that map's norm as ``scale``: a piece
+    that vanishes up to rounding then has rank 0 instead of reading its own
+    rounding noise as rank.
     """
     m = ensure_finite(m)
     if m.size == 0:
@@ -93,7 +87,7 @@ def numerical_rank(
     smax = s[0]
     if smax == 0.0:
         return 0
-    cutoff = _rank_cutoff(m.shape, smax, tol, floor)
+    cutoff = _rank_cutoff(m.shape, smax, tol, scale)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -104,9 +98,10 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def kernel_basis(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0
+    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a real matrix."""
+    """Orthonormal basis (columns) of the numerical kernel of a real matrix;
+    ``scale`` as in :func:`numerical_rank`."""
     m = ensure_finite(m)
     cols = m.shape[1]
     if m.size == 0:
@@ -116,14 +111,15 @@ def kernel_basis(
     if smax == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, floor)))
+        rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, scale)))
     return vh[rank:].conj().T
 
 
 def orthonormal_range(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0
+    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space of a real matrix."""
+    """Orthonormal basis (columns) of the numerical column space of a real
+    matrix; ``scale`` as in :func:`numerical_rank`."""
     m = ensure_finite(m)
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
@@ -131,7 +127,7 @@ def orthonormal_range(
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.zeros((m.shape[0], 0))
-    rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, floor)))
+    rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, scale)))
     return u[:, :rank]
 
 
@@ -189,8 +185,9 @@ def joint_kernel_dim(
 # -- real coordinatization ---------------------------------------------------
 #
 # The basis order is fixed once and for all: real parts row-major, then
-# imaginary parts row-major.  Every Jacobian-based dimension in the package
-# relies on this convention being used consistently.
+# imaginary parts row-major, block by block.  Every differential-based
+# dimension in the package relies on this convention being used
+# consistently.
 
 
 def mat_to_realvec(m: np.ndarray) -> np.ndarray:
@@ -207,22 +204,26 @@ def realvec_to_mat(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndar
     return v[:n].reshape(rows, cols) + 1j * v[n:].reshape(rows, cols)
 
 
-def herm_to_realvec(m: np.ndarray) -> np.ndarray:
-    """Coordinates of a Hermitian matrix: diagonal, then upper re/im pairs."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([m.diagonal().real, m[iu].real, m[iu].imag])
+def _realify(m: np.ndarray) -> np.ndarray:
+    """Real matrix of the complex-linear map ``m`` in the fixed coordinatization."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-def realvec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.size != n * n:
-        raise InputError(f"expected {n * n} coordinates for Hermitian {n}x{n}")
-    k = n * (n - 1) // 2
-    m = np.diag(v[:n].astype(complex))
-    iu = np.triu_indices(n, k=1)
-    upper = v[n : n + k] + 1j * v[n + k :]
-    m[iu] = upper
-    m[(iu[1], iu[0])] = upper.conj()
-    return m
+def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
+    """Real matrix of ``X -> A X B`` on a direct sum of square blocks.
+
+    ``left`` and ``right`` hold one ``A`` and one ``B`` per block.  Row-major
+    vectorization turns ``A X B`` into ``kron(A, B^T) vec(X)``.
+    """
+    return scipy.linalg.block_diag(
+        *(_realify(np.kron(a, np.transpose(b))) for a, b in zip(left, right))
+    )
+
+
+def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:
+    """Real matrix of ``X -> X*`` on a direct sum of square blocks of the given sizes."""
+    mats = []
+    for n in sizes:
+        transpose = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
+        mats.append(scipy.linalg.block_diag(transpose, -transpose))
+    return scipy.linalg.block_diag(*mats)

@@ -31,6 +31,11 @@ def serialize_element(a: AlgebraElement) -> str:
     return json.dumps(element_to_dict(a), separators=(",", ":")) + "\n"
 
 
+def _is_number(value, types) -> bool:
+    """JSON ``true``/``false`` parse as ``bool``, a subclass of ``int``; they are no numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def element_from_dict(doc: dict) -> AlgebraElement:
     if not isinstance(doc, dict):
         raise WireFormatError("document must be a JSON object")
@@ -39,7 +44,7 @@ def element_from_dict(doc: dict) -> AlgebraElement:
             raise WireFormatError(f"missing field {key!r}")
     shape = doc["shape"]
     blocks_doc = doc["blocks"]
-    if not isinstance(shape, list) or not all(isinstance(n, int) for n in shape):
+    if not isinstance(shape, list) or not all(_is_number(n, int) for n in shape):
         raise WireFormatError("'shape' must be a list of integers")
     if not isinstance(blocks_doc, list) or len(blocks_doc) != len(shape):
         raise WireFormatError(
@@ -58,7 +63,7 @@ def element_from_dict(doc: dict) -> AlgebraElement:
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)
+                    or not all(_is_number(v, (int, float)) for v in entry)
                 ):
                     raise WireFormatError(
                         f"entry ({r}, {c}) must be a [re, im] pair of numbers", context

@@ -52,6 +52,12 @@ LIFT_TOL = 1e-4
 KNOT_DERIV_TOL = 1e-8
 
 
+def reparametrized_bound(path_residual: float) -> float:
+    """Largest lift residual a time change may leave on a path whose own lift
+    residual is ``path_residual``."""
+    return 10.0 * path_residual + 1e-6
+
+
 def _record(name, anchor, passed, value, details=""):
     return CheckRecord(name=name, anchor=anchor, passed=bool(passed), value=value, details=details)
 
@@ -362,7 +368,7 @@ def check_reparametrization(tol: ToleranceConfig, seed: int) -> CheckRecord:
         p = sampling.random_projection(rng, (n,), ranks=(r,))
         q = sampling.random_projection(rng, (n,), ranks=(r,))
         path = orbit_path(p, q, steps=16, tol=tol)
-        bound = 10.0 * path.max_lift_residual + 1e-6
+        bound = reparametrized_bound(path.max_lift_residual)
         for name, phi in maps:
             res = reparametrize_lift(path, phi, tol).max_lift_residual
             if res > bound:

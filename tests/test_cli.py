@@ -39,9 +39,14 @@ class TestPinv:
 
     def test_malformed_document_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"shape":[2],"blocks":[[[[1,0]]]]}')
-        code, _ = run(["pinv", "--in", str(bad), "--no-timestamp"], capsys)
-        assert code == 2
+        for doc in ('{"shape":[2],"blocks":[[[[1,0]]]]}',
+                    '{"shape":[true],"blocks":[[[[1,0]]]]}',
+                    '{"shape":[1],"blocks":[[[[true,false]]]]}'):
+            bad.write_text(doc)
+            code, out = run(["pinv", "--in", str(bad), "--no-timestamp"], capsys)
+            assert code == 2, doc
+            record = json.loads(out)["records"][0]
+            assert record["name"] == "error" and record["value"] == "WireFormatError"
 
 
 class TestCheckGroupoid:

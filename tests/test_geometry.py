@@ -20,11 +20,41 @@ from ginv.groupoid import (
     PairGroupoid,
     PartialIsometryGroupoid,
 )
-from ginv.sampling import random_idempotent, random_projection
+from ginv.sampling import random_idempotent, random_projection, random_unitary
 
 
 def mat(entries):
     return AlgebraElement.from_blocks([np.array(entries, dtype=complex)])
+
+
+#: (manifold, shape, ranks, condition number of the conjugator or None): every
+#: rank in M2 and M3; rank 1 and 2 idempotents in M3 conjugated by an
+#: ill-conditioned similarity; rank 0 and full rank at 8x8 and on multi-block
+#: shapes.
+DIMENSION_CASES = (
+    [(m, (n,), (r,), None) for m in "QP" for n in (2, 3) for r in range(n + 1)]
+    + [("Q", (3,), (r,), cond) for cond in (1e4, 1e5, 1e6) for r in (1, 2)]
+    + [(m, shape, ranks, None) for m in "QP" for shape in ((8,), (2, 3), (1, 2, 3))
+       for ranks in ((0,) * len(shape), shape)]
+)
+
+
+def base_point(rng, manifold, shape, ranks, cond):
+    if manifold == "P":
+        return random_projection(rng, shape, ranks=ranks)
+    if cond is None:
+        return random_idempotent(rng, shape, ranks=ranks)
+    (n,), (r,) = shape, ranks
+    s = (random_unitary(rng, n) * np.geomspace(1.0, cond, n)) @ random_unitary(rng, n).conj().T
+    return mat(s @ np.diag((np.arange(n) < r).astype(complex)) @ np.linalg.inv(s))
+
+
+def closed_form_dims(manifold, shape, ranks):
+    """dim T(Q) = 4r(n-r) and isotropy GL(r) (2r^2); dim T(P) = 2r(n-r) and
+    isotropy U(r) (r^2); summed over blocks."""
+    tangent_c, iso_c = (4, 2) if manifold == "Q" else (2, 1)
+    return (sum(tangent_c * r * (n - r) for n, r in zip(shape, ranks)),
+            sum(iso_c * r * r for r in ranks))
 
 
 class TestTangentBasis:
@@ -48,12 +78,9 @@ class TestTangentBasis:
             assert tangent_basis("P", x).real_dim == 0
 
     def test_closed_forms_all_ranks(self, rng):
-        for n in (2, 3):
-            for r in range(n + 1):
-                q = random_idempotent(rng, (n,), ranks=(r,))
-                p = random_projection(rng, (n,), ranks=(r,))
-                assert tangent_basis("Q", q).real_dim == 4 * r * (n - r)
-                assert tangent_basis("P", p).real_dim == 2 * r * (n - r)
+        for case in DIMENSION_CASES:
+            x = base_point(rng, *case)
+            assert tangent_basis(case[0], x).real_dim == closed_form_dims(*case[:3])[0], case
 
     def test_membership_enforced(self, rng):
         with pytest.raises(PreconditionError):
@@ -84,14 +111,18 @@ class TestFiberAndAnchor:
         assert fiber_and_anchor(G, np.zeros(4)).anchor_rank == 4
 
     def test_fiber_minus_anchor_is_isotropy(self, rng):
-        for G, x in [
-            (GInvGroupoid((2,)), random_idempotent(rng, (2,), ranks=(1,))),
-            (PartialIsometryGroupoid((3,)), random_projection(rng, (3,), ranks=(2,))),
-            (ActionGroupoid(2), rng.standard_normal(2)),
-        ]:
+        # also: the anchor is onto T(base) and (s, t) has rank 2 dim T(base)
+        cases = [(ActionGroupoid(2), rng.standard_normal(2), (2, 2), "action")]
+        for case in DIMENSION_CASES:
+            G = (GInvGroupoid if case[0] == "Q" else PartialIsometryGroupoid)(case[1])
+            cases.append((G, base_point(rng, *case), closed_form_dims(*case[:3]), case))
+        for G, x, (dim_t, dim_iso), case in cases:
             data = fiber_and_anchor(G, x)
             iso = isotropy_tangent_dim(G, x)
-            assert data.fiber_basis.real_dim - data.anchor_rank == iso
+            rank, want = submersion_rank_st(G, G.identity_at(x))
+            assert data.fiber_basis.real_dim - data.anchor_rank == iso, case
+            assert (data.anchor_rank, iso) == (dim_t, dim_iso), case
+            assert rank == want == 2 * dim_t, case
 
     def test_membership_error(self):
         with pytest.raises(PreconditionError):
@@ -247,3 +278,71 @@ class TestIsotropyFiberStructure:
             solved = g.u.adjoint() @ h.u
             assert (p @ solved @ p).distance(solved) <= 1e-10
             assert solved.distance(k.u) <= 1e-8
+
+
+def exponential_chart(G, g):
+    """The exponential chart around ``g`` and the ambient source and target
+    maps, as maps between flat real coordinate vectors."""
+    from ginv.algebra import expm_element
+    from scipy.linalg import expm
+
+    if isinstance(G, GInvGroupoid):
+        a0, b0, shape = g.pair.a, g.pair.b, G.shape
+        d = a0.real_coords().size
+        elem = lambda v: AlgebraElement.from_real_coords(shape, v)  # noqa: E731
+
+        def chart(p):
+            u, w = elem(p[:d]), elem(p[d:])
+            a = expm_element(u) @ a0 @ expm_element(w)
+            b = expm_element(-1.0 * w) @ b0 @ expm_element(-1.0 * u)
+            return np.concatenate([a.real_coords(), b.real_coords()])
+
+        def source(v):
+            return (elem(v[d:]) @ elem(v[:d])).real_coords()
+
+        def target(v):
+            return (elem(v[:d]) @ elem(v[d:])).real_coords()
+
+        return chart, source, target, 2 * d, 2 * d
+    if isinstance(G, PartialIsometryGroupoid):
+        u0, shape = g.u, G.shape
+        d = u0.real_coords().size
+        elem = lambda v: AlgebraElement.from_real_coords(shape, v)  # noqa: E731
+
+        def chart(p):
+            h1, h2 = elem(p[:d]), elem(p[d:])
+            h1, h2 = 0.5 * (h1 + h1.adjoint()), 0.5 * (h2 + h2.adjoint())
+            return (expm_element(1j * h1) @ u0 @ expm_element(1j * h2)).real_coords()
+
+        return (chart, lambda v: (elem(v).adjoint() @ elem(v)).real_coords(),
+                lambda v: (elem(v) @ elem(v).adjoint()).real_coords(), 2 * d, d)
+    if isinstance(G, ActionGroupoid):
+        n, x0, g0 = G.n, g.point_array, g.g_array
+        return (lambda p: np.concatenate([x0 + p[:n], (expm(p[n:].reshape(n, n)) @ g0).ravel()]),
+                lambda v: v[:n].copy(),
+                lambda v: v[n:].reshape(n, n) @ v[:n], n + n * n, n + n * n)
+    k = G.dim
+    x0 = np.concatenate([np.asarray(g.x), np.asarray(g.y)])
+    return lambda p: x0 + p, lambda v: v[:k].copy(), lambda v: v[k:].copy(), 2 * k, 2 * k
+
+
+class TestChartDifferentials:
+    def test_match_finite_differences(self, rng):
+        # the finite-difference Jacobian stays as the independent reference
+        from ginv.linalg import finite_diff_jacobian
+
+        def close(exact, approx):
+            assert np.max(np.abs(exact - approx)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+        for G in (GInvGroupoid((2, 1)), PartialIsometryGroupoid((3,)), ActionGroupoid(3),
+                  PairGroupoid(2)):
+            arrows = [G.identity_at(G.sample_base_point(rng)),
+                      G.arrow_from(G.sample_base_point(rng), rng), G.sample_arrow(rng)]
+            for g in arrows:
+                j_arrow, ds, dt = G.chart_differential(g)
+                chart, source, target, param_dim, arrow_dim = exponential_chart(G, g)
+                assert j_arrow.shape == (arrow_dim, param_dim)
+                close(j_arrow, finite_diff_jacobian(chart, np.zeros(param_dim)))
+                v0 = chart(np.zeros(param_dim))
+                close(ds, finite_diff_jacobian(source, v0))
+                close(dt, finite_diff_jacobian(target, v0))

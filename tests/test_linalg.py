@@ -39,10 +39,13 @@ class TestNumericalRank:
             m = random_complex(rng, 4, 6)
             assert numerical_rank(m) == numerical_rank(m.conj().T)
 
-    def test_absolute_floor(self):
+    def test_scale_of_enclosing_map(self):
+        # a piece of a map of norm 1e3 whose entries are 1e-11 is rounding noise
         noise = 1e-11 * np.eye(3)
         assert numerical_rank(noise) == 3
-        assert numerical_rank(noise, floor=1e-9) == 0
+        assert numerical_rank(noise, scale=1e3) == 0
+        # a scale below the piece's own norm leaves the cutoff unchanged
+        assert numerical_rank(np.diag([3.0, 1e-14]), scale=1e-3) == 1
 
 
 class TestOperatorNorm:

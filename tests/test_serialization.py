@@ -20,8 +20,10 @@ class TestParse:
         assert np.array_equal(a.blocks[0], want)
 
     def test_block_dimension_mismatch(self):
-        with pytest.raises(WireFormatError):
-            parse_element('{"shape":[2],"blocks":[[[[1,0]]]]}')
+        for doc in ('{"shape":[2],"blocks":[[[[1,0]]]]}',
+                    '{"shape":[true],"blocks":[[[[1,0]]]]}'):
+            with pytest.raises(WireFormatError):
+                parse_element(doc)
 
     def test_invalid_json_carries_location(self):
         with pytest.raises(WireFormatError) as err:
@@ -33,8 +35,10 @@ class TestParse:
             parse_element('{"shape":[1]}')
 
     def test_bad_entry(self):
-        with pytest.raises(WireFormatError):
-            parse_element('{"shape":[1],"blocks":[[[["x",0]]]]}')
+        for doc in ('{"shape":[1],"blocks":[[[["x",0]]]]}',
+                    '{"shape":[1],"blocks":[[[[true,false]]]]}'):
+            with pytest.raises(WireFormatError):
+                parse_element(doc)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(WireFormatError):
