@@ -67,8 +67,9 @@ class AlgebraElement:
     def _trusted(cls, shape: tuple, blocks: tuple) -> "AlgebraElement":
         """Wrap already-validated complex blocks without copying.
 
-        Internal fast path for batch pipelines that produce thousands of
-        elements from finite arithmetic; the public constructors validate.
+        No library code calls it: batch pipelines keep stacked arrays (see
+        ``paths.APath``).  It stays only while ``perfbench/tracing.py``
+        binds it by name; the public constructors validate.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "shape", shape)

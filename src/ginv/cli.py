@@ -12,10 +12,11 @@ Subcommands dispatch to the library and emit machine-readable reports:
     suite           the full acceptance battery
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input or
-configuration.  Identical configuration (including ``--seed``) produces
-byte-identical reports; ``--no-timestamp`` suppresses the only
-non-deterministic field.  The environment variable ``GINV_SEED`` supplies
-the default seed when ``--seed`` is not given.
+configuration, or any other error; every exit-2 failure is reported as an
+``error`` record, never as a traceback.  Identical configuration (including
+``--seed``) produces byte-identical reports; ``--no-timestamp`` suppresses
+the only non-deterministic field.  The environment variable ``GINV_SEED``
+supplies the default seed when ``--seed`` is not given.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +350,11 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         tol = _resolve_tol(args)
         report = _HANDLERS[args.command](args, tol, seed)
-    except GinvError as exc:
+    except Exception as exc:  # every failure leaves as a record, never as a traceback
+        details = str(exc)
+        if not isinstance(exc, GinvError):
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            details += f" (raised at {Path(frame.filename).name}:{frame.lineno} in {frame.name})"
         error_report = ExperimentReport(
             suite=f"{args.command}-error",
             config={"command": args.command},
@@ -359,7 +365,7 @@ def main(argv=None) -> int:
                 anchor="input and configuration must satisfy the documented contracts",
                 passed=False,
                 value=type(exc).__name__,
-                details=str(exc),
+                details=details,
             )
         )
         _emit(error_report, args)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class GInvPair:
 
 def _pinv_block(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     u, s, vh = np.linalg.svd(m)
-    r = numerical_rank(m, tol)
+    r = rank_from_singular_values(s, m.shape, tol)
     if r == 0:
         return np.zeros_like(m.conj().T)
     inv = np.zeros_like(s)

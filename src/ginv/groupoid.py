@@ -717,8 +717,10 @@ def verify_axioms(
     Checks, per sampled chain of three composable arrows: sources and
     targets land in the base, associativity, the left and right identity
     laws, both inverse laws and ``s(g^-1) = t(g)``.  Violations become
-    failing records rather than exceptions; ``extra_arrows`` lets a caller
-    inject deliberately corrupted arrows as a negative control.
+    failing records rather than exceptions: a sample whose arrows cannot be
+    drawn or composed (any :class:`GinvError`) fails a ``law evaluation``
+    record that names it.  ``extra_arrows`` lets a caller inject
+    deliberately corrupted arrows as a negative control.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -741,7 +743,7 @@ def verify_axioms(
         if residual > threshold:
             failures.append(f"{law} violated ({residual:.3e} > {threshold:.3e}) at {context}")
 
-    for k in range(n_samples):
+    def check_sample(k: int):
         x0 = G.sample_base_point(rng)
         g1 = G.arrow_from(x0, rng)
         g2 = G.arrow_from(G.target(g1), rng)
@@ -791,6 +793,13 @@ def verify_axioms(
             )
             record("G4 source of inverse", G.base_distance(G.source(inv), t), thr, f"sample {k}")
 
+    sample_errors: list[str] = []
+    for k in range(n_samples):
+        try:
+            check_sample(k)
+        except GinvError as exc:
+            sample_errors.append(f"sample {k}: {type(exc).__name__}: {exc}")
+
     injected_failures: list[str] = []
     for j, g in enumerate(extra_arrows or []):
         context = f"injected arrow {j}"
@@ -826,6 +835,16 @@ def verify_axioms(
                 passed=not law_failures[name],
                 value=worst[name],
                 details="; ".join(law_failures[name][:3]),
+            )
+        )
+    if sample_errors:
+        report.add(
+            CheckRecord(
+                name="law evaluation",
+                anchor="every sampled chain and its law checks evaluate without error",
+                passed=False,
+                value=len(sample_errors),
+                details="; ".join(sample_errors[:3]),
             )
         )
     if extra_arrows:

@@ -1,11 +1,12 @@
 """Dense complex matrix primitives.
 
 SVD-backed rank and norm with a single relative cutoff, joint kernel
-dimensions, the fixed real coordinatization of block matrices and the exact
-real matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
-central-difference Jacobian kept as an independent reference.  Everything
-here is a pure function; matrices are plain ``numpy`` arrays of
-``complex128`` (or ``float64`` for real-coordinate work).
+dimensions, the fixed real coordinatization of block matrices (one matrix,
+or ``N`` stacked at once) and the exact real matrices of the linear maps
+``X -> A X B`` and ``X -> X*`` in it, and a central-difference Jacobian kept
+as an independent reference.  Everything here is a pure function; matrices
+are plain ``numpy`` arrays of ``complex128`` (or ``float64`` for
+real-coordinate work).
 """
 
 from __future__ import annotations
@@ -66,8 +67,16 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _rank_cutoff(shape, smax: float, tol: ToleranceConfig, scale: float) -> float:
-    return tol.rank_cutoff_factor * max(shape) * max(smax, scale)
+def rank_from_singular_values(
+    s: np.ndarray, shape, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
+) -> int:
+    """Count the singular values ``s`` (descending, of a matrix of the given
+    shape) above ``rank_cutoff_factor * max(shape) * max(sigma_max, scale)``;
+    the one place the relative rank cutoff is applied."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    cutoff = tol.rank_cutoff_factor * max(shape) * max(s[0], scale)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def numerical_rank(
@@ -81,14 +90,7 @@ def numerical_rank(
     rounding noise as rank.
     """
     m = ensure_finite(m)
-    if m.size == 0:
-        return 0
-    s = singular_values(m)
-    smax = s[0]
-    if smax == 0.0:
-        return 0
-    cutoff = _rank_cutoff(m.shape, smax, tol, scale)
-    return int(np.count_nonzero(s > cutoff))
+    return rank_from_singular_values(singular_values(m), m.shape, tol, scale)
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -106,13 +108,8 @@ def kernel_basis(
     cols = m.shape[1]
     if m.size == 0:
         return np.eye(cols)
-    u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, scale)))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(m)
+    return vh[rank_from_singular_values(s, m.shape, tol, scale):].conj().T
 
 
 def orthonormal_range(
@@ -124,11 +121,7 @@ def orthonormal_range(
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.zeros((m.shape[0], 0))
-    rank = int(np.count_nonzero(s > _rank_cutoff(m.shape, smax, tol, scale)))
-    return u[:, :rank]
+    return u[:, : rank_from_singular_values(s, m.shape, tol, scale)]
 
 
 def finite_diff_jacobian(
@@ -202,6 +195,31 @@ def realvec_to_mat(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndar
     if v.size != 2 * n:
         raise InputError(f"expected {2 * n} real coordinates, got {v.size}")
     return v[:n].reshape(rows, cols) + 1j * v[n:].reshape(rows, cols)
+
+
+def stacks_to_realvecs(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinates of ``N`` elements at once: one ``(N, n, n)`` complex array
+    per block in, one ``(N, D)`` real array out, row ``i`` in the fixed order."""
+    parts = []
+    for b in stacks:
+        count, rows, cols = b.shape
+        parts += [b.real.reshape(count, rows * cols), b.imag.reshape(count, rows * cols)]
+    return np.concatenate(parts, axis=1)
+
+
+def realvecs_to_stacks(v: np.ndarray, sizes: Sequence[int]) -> tuple:
+    """Inverse of :func:`stacks_to_realvecs` for square blocks of the given sizes."""
+    v = np.asarray(v, dtype=float)
+    dim = sum(2 * n * n for n in sizes)
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise InputError(f"expected rows of {dim} real coordinates, got shape {v.shape}")
+    stacks, pos = [], 0
+    for n in sizes:
+        span = n * n
+        re, im = v[:, pos : pos + span], v[:, pos + span : pos + 2 * span]
+        stacks.append(re.reshape(-1, n, n) + 1j * im.reshape(-1, n, n))
+        pos += 2 * span
+    return tuple(stacks)
 
 
 def _realify(m: np.ndarray) -> np.ndarray:

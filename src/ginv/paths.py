@@ -6,38 +6,41 @@ velocity of ``c``.  Paths between same-rank projections are built from the
 canonical direct-rotation unitary and interpolated through its principal
 logarithm; a quintic time profile flattens the velocity at the endpoints so
 concatenated legs stay admissible.
+
+A sampled path is stored struct-of-arrays: per algebra block, one read-only
+``(N, n, n)`` complex array of base samples and one of lift samples.  Path
+construction, the lift residual and reparametrization work on these stacks
+(and on their ``(N, D)`` real coordinates) throughout; ``APath.base(i)`` and
+``APath.lift(i)`` build single elements on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
 
-from .algebra import AlgebraElement, classify
+from .algebra import AlgebraElement, classify, validate_shape
 from .errors import (
     DegenerateInterpolationError,
     InputError,
     OrbitError,
     PreconditionError,
+    ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    ensure_finite,
+    numerical_rank,
+    realvecs_to_stacks,
+    stacks_to_realvecs,
+)
 
 _WAYPOINT_SEED = 0x5EED
-
-
-def _element_from_coords_fast(shape: tuple, v: np.ndarray) -> AlgebraElement:
-    blocks, pos = [], 0
-    for n in shape:
-        span = n * n
-        blocks.append(
-            v[pos : pos + span].reshape(n, n) + 1j * v[pos + span : pos + 2 * span].reshape(n, n)
-        )
-        pos += 2 * span
-    return AlgebraElement._trusted(shape, tuple(blocks))
 
 
 def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
@@ -75,57 +78,98 @@ def _velocity_samples(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return vel
 
 
-@dataclass(frozen=True)
+def _frozen_stacks(stacks, shape: tuple, count: int, what: str) -> tuple:
+    """Read-only ``(count, n, n)`` complex copies of one sample stack per block."""
+    if len(stacks) != len(shape):
+        raise InputError(f"expected {len(shape)} {what} stacks, got {len(stacks)}")
+    frozen = []
+    for n, b in zip(shape, stacks):
+        b = np.array(b, dtype=complex)
+        if b.ndim != 3 or b.shape[1:] != (n, n):
+            raise InputError(f"{what} stack of shape {b.shape} does not hold {n}x{n} blocks")
+        if len(b) != count:
+            raise InputError("sample counts of times, bases and lifts must match")
+        ensure_finite(b, f"{what} stack")
+        b.setflags(write=False)
+        frozen.append(b)
+    return tuple(frozen)
+
+
+@dataclass(frozen=True, eq=False)
 class APath:
     """Sampled admissible path: base projections plus a fiber lift.
 
-    ``max_lift_residual`` is the worst mismatch between the anchor image of
+    ``base_blocks`` and ``lift_blocks`` hold one read-only ``(N, n, n)``
+    complex array per block of ``shape``, sample ``i`` in row ``i``.  The
+    constructor validates them against ``sample_times`` and computes
+    ``max_lift_residual``: the worst mismatch between the anchor image of
     the lift and the central-difference velocity of the base samples, so it
     carries an O(h^2) floor from the sample spacing.
     """
 
-    sample_times: tuple
-    base_samples: tuple
-    lift_samples: tuple
-    max_lift_residual: float
+    sample_times: np.ndarray
+    shape: tuple
+    base_blocks: tuple
+    lift_blocks: tuple
+    max_lift_residual: float = field(init=False)
+
+    def __post_init__(self):
+        times = np.array(self.sample_times, dtype=float)
+        if times.ndim != 1:
+            raise InputError("sample times must be a flat sequence")
+        shape = validate_shape(self.shape)
+        bases = _frozen_stacks(self.base_blocks, shape, len(times), "base")
+        lifts = _frozen_stacks(self.lift_blocks, shape, len(times), "lift")
+        if np.any(np.diff(times) <= 0):
+            raise InputError("sample times must be strictly increasing")
+        if len(times) and (times[0] < -1e-12 or times[-1] > 1 + 1e-12):
+            raise InputError("sample times must lie in [0, 1]")
+        vel = realvecs_to_stacks(_velocity_samples(times, stacks_to_realvecs(bases)), shape)
+        residual = 0.0
+        for cb, ab, cdot in zip(bases, lifts, vel):
+            rho = ab @ cb + cb @ ab.conj().transpose(0, 2, 1)
+            svals = np.linalg.svd(rho - cdot, compute_uv=False)
+            residual = max(residual, float(np.max(svals)))
+        times.setflags(write=False)
+        object.__setattr__(self, "sample_times", times)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "base_blocks", bases)
+        object.__setattr__(self, "lift_blocks", lifts)
+        object.__setattr__(self, "max_lift_residual", residual)
 
     @classmethod
     def create(cls, times, bases, lifts) -> "APath":
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or len(times) != len(bases) or len(times) != len(lifts):
-            raise InputError("sample counts of times, bases and lifts must match")
-        if np.any(np.diff(times) <= 0):
-            raise InputError("sample times must be strictly increasing")
-        if times[0] < -1e-12 or times[-1] > 1 + 1e-12:
-            raise InputError("sample times must lie in [0, 1]")
-        coords = np.array([b.real_coords() for b in bases])
-        vel = _velocity_samples(times, coords)
+        """Path through sequences of elements, one base and one lift per time."""
+        if not bases or len(bases) != len(lifts):
+            raise InputError("need matching, non-empty sequences of bases and lifts")
         shape = bases[0].shape
-        residual, offset = 0.0, 0
-        for bi, n in enumerate(shape):
-            span = n * n
-            cb = np.stack([b.blocks[bi] for b in bases])
-            ab = np.stack([a.blocks[bi] for a in lifts])
-            rho = ab @ cb + cb @ ab.conj().transpose(0, 2, 1)
-            cdot = (
-                vel[:, offset : offset + span].reshape(-1, n, n)
-                + 1j * vel[:, offset + span : offset + 2 * span].reshape(-1, n, n)
-            )
-            svals = np.linalg.svd(rho - cdot, compute_uv=False)
-            residual = max(residual, float(np.max(svals)))
-            offset += 2 * span
-        return cls(tuple(times), tuple(bases), tuple(lifts), residual)
+        if any(x.shape != shape for x in (*bases, *lifts)):
+            raise ShapeMismatchError("bases and lifts must share one algebra shape")
+        return cls(
+            times,
+            shape,
+            tuple(np.stack([b.blocks[i] for b in bases]) for i in range(len(shape))),
+            tuple(np.stack([a.blocks[i] for a in lifts]) for i in range(len(shape))),
+        )
 
     def __len__(self):
         return len(self.sample_times)
 
+    def base(self, i: int) -> AlgebraElement:
+        """Base projection at sample ``i``."""
+        return AlgebraElement(self.shape, tuple(b[i] for b in self.base_blocks))
+
+    def lift(self, i: int) -> AlgebraElement:
+        """Fiber lift at sample ``i``."""
+        return AlgebraElement(self.shape, tuple(a[i] for a in self.lift_blocks))
+
     @property
     def start(self) -> AlgebraElement:
-        return self.base_samples[0]
+        return self.base(0)
 
     @property
     def end(self) -> AlgebraElement:
-        return self.base_samples[-1]
+        return self.base(-1)
 
 
 # -- projection retraction and rotations -------------------------------------------
@@ -206,25 +250,16 @@ def _conjugation_frames(k: AlgebraElement):
 
 def _sample_leg(start: AlgebraElement, k: AlgebraElement, phis: np.ndarray,
                 dphis: np.ndarray):
-    """Projections ``e^(phi K) p e^(-phi K)`` and lifts ``phi' K c`` on a grid."""
-    frames = _conjugation_frames(k)
-    n_samples = len(phis)
+    """Projections ``e^(phi K) p e^(-phi K)`` and lifts ``phi' K c`` on a grid,
+    as one ``(len(phis), n, n)`` stack per block each."""
     base_blocks, lift_blocks = [], []
-    for bi, (evals, vecs) in enumerate(frames):
+    for bi, (evals, vecs) in enumerate(_conjugation_frames(k)):
         phases = np.exp(-1j * np.outer(phis, evals))
         u = (vecs[None, :, :] * phases[:, None, :]) @ vecs.conj().T
         c = u @ start.blocks[bi][None] @ u.conj().transpose(0, 2, 1)
         base_blocks.append(c)
         lift_blocks.append(dphis[:, None, None] * (k.blocks[bi][None] @ c))
-    bases = [
-        AlgebraElement._trusted(start.shape, tuple(bb[i] for bb in base_blocks))
-        for i in range(n_samples)
-    ]
-    lifts = [
-        AlgebraElement._trusted(start.shape, tuple(lb[i] for lb in lift_blocks))
-        for i in range(n_samples)
-    ]
-    return bases, lifts
+    return base_blocks, lift_blocks
 
 
 def orbit_path(
@@ -290,10 +325,15 @@ def orbit_path(
         leg_bases, leg_lifts = _sample_leg(
             start, k, _quintic(taus), n_legs * _quintic_deriv(taus)
         )
-        times.extend((j + taus) / n_legs)
-        bases.extend(leg_bases)
-        lifts.extend(leg_lifts)
-    return APath.create(np.asarray(times), bases, lifts)
+        times.append((j + taus) / n_legs)
+        bases.append(leg_bases)
+        lifts.append(leg_lifts)
+    return APath(
+        np.concatenate(times),
+        p.shape,
+        tuple(np.concatenate(legs) for legs in zip(*bases)),
+        tuple(np.concatenate(legs) for legs in zip(*lifts)),
+    )
 
 
 # -- reparametrization ---------------------------------------------------------------
@@ -306,7 +346,7 @@ def reparametrize_lift(path: APath, phi, tol: ToleranceConfig = DEFAULT_TOL) -> 
     The new path is resampled on the original grid; values of the old path
     between samples are spline-interpolated in real coordinates.
     """
-    times = np.asarray(path.sample_times)
+    times = path.sample_times
     ph = np.asarray([float(phi(t)) for t in times])
     if abs(ph[0]) > 1e-9 or abs(ph[-1] - 1.0) > 1e-9:
         raise InputError("phi must map 0 to 0 and 1 to 1")
@@ -323,17 +363,19 @@ def reparametrize_lift(path: APath, phi, tol: ToleranceConfig = DEFAULT_TOL) -> 
         else:
             dph[i] = (phi(t + h) - phi(t - h)) / (2 * h)
 
-    shape = path.base_samples[0].shape
-    base_coords = np.array([b.real_coords() for b in path.base_samples])
-    lift_coords = np.array([a.real_coords() for a in path.lift_samples])
+    base_coords = stacks_to_realvecs(path.base_blocks)
+    lift_coords = stacks_to_realvecs(path.lift_blocks)
     queries = np.clip(ph, times[0], times[-1])
     # cubic interpolation keeps the resampling error an order below the
     # finite-difference floor of the residual
     base_new = scipy.interpolate.CubicSpline(times, base_coords, axis=0)(queries)
     lift_new = dph[:, None] * scipy.interpolate.CubicSpline(times, lift_coords, axis=0)(queries)
-    new_bases = [_element_from_coords_fast(shape, row) for row in base_new]
-    new_lifts = [_element_from_coords_fast(shape, row) for row in lift_new]
-    return APath.create(times, new_bases, new_lifts)
+    return APath(
+        times,
+        path.shape,
+        realvecs_to_stacks(base_new, path.shape),
+        realvecs_to_stacks(lift_new, path.shape),
+    )
 
 
 def smooth_reparametrizer(knots=()):

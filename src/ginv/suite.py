@@ -431,9 +431,7 @@ def check_source_criterion(tol: ToleranceConfig, seed: int) -> CheckRecord:
                 tail = norms[len(norms) // 2 :]
                 if verdict.pair_converges or np.any(np.diff(tail) <= 0):
                     failures.append(f"{shape} family {i}: norm trace not diverging")
-                if norms[-1] * float(
-                    np.array([t.distance(fam.limit) for t in fam.terms()[-1:]])[0]
-                ) < 1e-2:
+                if norms[-1] * fam.generator(fam.horizon).distance(fam.limit) < 1e-2:
                     failures.append(f"{shape} family {i}: norms grow slower than 1/distance")
     return _record(
         "12 source criterion",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ginv.algebra import AlgebraElement
+from ginv import cli
 from ginv.cli import main
 from ginv.serialization import serialize_element
 
@@ -47,6 +48,19 @@ class TestPinv:
             assert code == 2, doc
             record = json.loads(out)["records"][0]
             assert record["name"] == "error" and record["value"] == "WireFormatError"
+
+    def test_unexpected_exception_is_error_record(self, element_file, capsys, monkeypatch):
+        def singular(args, tol, seed):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._HANDLERS, "pinv", singular)
+        code = main(["pinv", "--in", str(element_file), "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        record = json.loads(captured.out)["records"][0]
+        assert record["name"] == "error" and record["value"] == "LinAlgError"
+        assert record["details"].startswith("SVD did not converge")
 
 
 class TestCheckGroupoid:

@@ -266,6 +266,23 @@ class TestVerifyAxioms:
         assert control and control[0].passed
         assert "membership" in control[0].details or "violated" in control[0].details
 
+    def test_raising_compose_becomes_failing_record(self):
+        class RefusesThirdSample(PairGroupoid):
+            def sample_arrow(self, rng):  # drawn once per sample
+                self.sampled = getattr(self, "sampled", 0) + 1
+                return super().sample_arrow(rng)
+
+            def compose(self, g1, g2):
+                if self.sampled == 3:
+                    raise CompositionError(0.5)
+                return super().compose(g1, g2)
+
+        rep = verify_axioms(RefusesThirdSample(3, pool_size=5), seed=0, n_samples=5)
+        failing = [r for r in rep.records if not r.passed]
+        assert [r.name for r in failing] == ["law evaluation"]
+        assert failing[0].value == 1
+        assert failing[0].details.startswith("sample 2: CompositionError: arrows not composable")
+
 
 def test_make_groupoid_factory():
     assert make_groupoid("ginv", shape=(2,)).kind == "ginv"

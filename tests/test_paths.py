@@ -8,6 +8,7 @@ from ginv.errors import (
     OrbitError,
     PreconditionError,
 )
+from ginv.linalg import realvecs_to_stacks, stacks_to_realvecs
 from ginv.paths import (
     APath,
     direct_rotation,
@@ -91,7 +92,7 @@ class TestOrbitPath:
         assert path.end.distance(q) <= 1e-6
         assert path.max_lift_residual <= 1e-4
         # every sample stays on the projection manifold
-        mid = path.base_samples[len(path) // 2]
+        mid = path.base(len(path) // 2)
         assert (mid @ mid - mid).norm() <= 1e-10
         assert (mid.adjoint() - mid).norm() <= 1e-10
 
@@ -114,12 +115,12 @@ class TestOrbitPath:
         q = random_projection(rng, (2,), ranks=(1,))
         path = orbit_path(p, q, steps=8)
         i = len(path) // 3
-        alpha, c = path.lift_samples[i], path.base_samples[i]
+        alpha, c = path.lift(i), path.base(i)
         rho = fiber_anchor_image(alpha, c)
         # compare against a one-sided analytic slope over a tiny window
         j = i + 1
         dt = path.sample_times[j] - path.sample_times[i]
-        slope = (path.base_samples[j] - c) * (1.0 / dt)
+        slope = (path.base(j) - c) * (1.0 / dt)
         assert (rho - slope).norm() <= 5e-3
 
 
@@ -135,7 +136,7 @@ class TestReparametrize:
     def test_identity_map_is_noop(self):
         out = reparametrize_lift(self.path, lambda t: t)
         assert abs(out.max_lift_residual - self.path.max_lift_residual) <= 1e-8
-        assert out.base_samples[0].distance(self.path.base_samples[0]) <= 1e-12
+        assert out.start.distance(self.path.start) <= 1e-12
 
     @pytest.mark.parametrize("phi", [lambda t: t * t, lambda t: 3 * t * t - 2 * t**3])
     def test_residual_bound(self, phi):
@@ -187,6 +188,40 @@ class TestSmoothReparametrizer:
         assert out.max_lift_residual <= 1e-3
 
 
+class TestStackedSamples:
+    @pytest.mark.parametrize("shape, ranks", [((2,), (1,)), ((3,), (2,)), ((2, 3), (1, 2))])
+    def test_rows_are_element_coordinates(self, rng, shape, ranks):
+        path = orbit_path(random_projection(rng, shape, ranks=ranks),
+                          random_projection(rng, shape, ranks=ranks), steps=8)
+        base_coords = stacks_to_realvecs(path.base_blocks)
+        lift_coords = stacks_to_realvecs(path.lift_blocks)
+        for i in range(len(path)):
+            assert np.array_equal(base_coords[i], path.base(i).real_coords())
+            assert np.array_equal(lift_coords[i], path.lift(i).real_coords())
+        assert not any(b.flags.writeable for b in path.base_blocks + path.lift_blocks)
+
+    def test_coordinate_round_trip_is_exact(self, rng):
+        shape = (2, 3)
+        v = rng.standard_normal((5, 26))
+        stacks = realvecs_to_stacks(v, shape)
+        assert [b.shape for b in stacks] == [(5, 2, 2), (5, 3, 3)]
+        assert np.array_equal(stacks_to_realvecs(stacks), v)
+        again = realvecs_to_stacks(stacks_to_realvecs(stacks), shape)
+        assert all(np.array_equal(a, b) for a, b in zip(again, stacks))
+        with pytest.raises(InputError):
+            realvecs_to_stacks(v[:, :-1], shape)
+
+    def test_elements_and_stacks_give_one_residual(self, rng):
+        path = orbit_path(random_projection(rng, (2, 3), ranks=(1, 2)),
+                          random_projection(rng, (2, 3), ranks=(1, 2)), steps=8)
+        rebuilt = APath.create(
+            path.sample_times,
+            [path.base(i) for i in range(len(path))],
+            [path.lift(i) for i in range(len(path))],
+        )
+        assert rebuilt.max_lift_residual == path.max_lift_residual
+
+
 class TestAPathValidation:
     def test_count_mismatch(self, rng):
         p = random_projection(rng, (2,), ranks=(1,))
@@ -198,3 +233,14 @@ class TestAPathValidation:
         z = AlgebraElement.zeros((2,))
         with pytest.raises(InputError):
             APath.create([0.0, 0.5, 0.5], [p, p, p], [z, z, z])
+
+    def test_stacked_count_mismatch(self, rng):
+        p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
+        with pytest.raises(InputError):
+            APath([0.0, 0.5, 1.0], (2,), (np.stack([p, p]),), (np.stack([p, p, p]),))
+
+    def test_stacked_times_must_increase(self, rng):
+        p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
+        stack = np.stack([p, p, p])
+        with pytest.raises(InputError):
+            APath([0.0, 0.5, 0.5], (2,), (stack,), (np.zeros_like(stack),))
