@@ -5,10 +5,21 @@ square complex matrix per block.  Elementwise *-algebra operations live
 here together with the classification predicates for the distinguished
 subsets: idempotents, orthogonal projections, partial isometries and
 regular elements.
+
+An element may also be a stack of ``N`` elements: every block is then an
+``(N, n, n)`` array, with the same ``N`` in every block.  Products, sums,
+scalar multiples and adjoints act row by row (and broadcast a single
+element against a stack), and :meth:`AlgebraElement.norm` returns an
+``(N,)`` array of C*-norms.  Row ``i`` of every result equals, bit for bit,
+the result of the same operation on the single elements of row ``i``.
+Coordinates and the wire format stay single-element.  :func:`emax`,
+:func:`epow` and :func:`first_excess` give threshold arithmetic that reads
+the same on a norm and on an array of norms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +32,6 @@ from .linalg import (
     ToleranceConfig,
     ensure_finite,
     mat_to_realvec,
-    operator_norm,
     realvec_to_mat,
 )
 
@@ -39,7 +49,8 @@ def validate_shape(shape: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """One square complex matrix per block of the algebra."""
+    """One square complex matrix per block of the algebra, or one ``(N, n, n)``
+    stack per block for ``N`` elements at once."""
 
     shape: tuple
     blocks: tuple
@@ -53,8 +64,12 @@ class AlgebraElement:
         frozen = []
         for n, b in zip(shape, self.blocks):
             b = np.array(b, dtype=complex)
-            if b.shape != (n, n):
+            if b.ndim not in (2, 3) or b.shape[-2:] != (n, n):
                 raise InputError(f"block of size {b.shape} does not match {n}x{n}")
+            if frozen and b.shape[:-2] != frozen[0].shape[:-2]:
+                raise InputError(
+                    f"blocks stack {frozen[0].shape[:-2]} and {b.shape[:-2]} elements"
+                )
             ensure_finite(b, "block")
             b.setflags(write=False)
             frozen.append(b)
@@ -79,7 +94,17 @@ class AlgebraElement:
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "AlgebraElement":
         blocks = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in blocks]
-        return cls(tuple(b.shape[0] for b in blocks), tuple(blocks))
+        return cls(tuple(b.shape[-1] for b in blocks), tuple(blocks))
+
+    @classmethod
+    def stack(cls, elements: Sequence["AlgebraElement"]) -> "AlgebraElement":
+        """The stack of single elements of one shape, row ``i`` being ``elements[i]``."""
+        first = elements[0]
+        for e in elements:
+            first._check_shape(e)
+            if e.is_stack:
+                raise InputError("only single elements can be stacked")
+        return cls(first.shape, tuple(np.stack(b) for b in zip(*(e.blocks for e in elements))))
 
     @classmethod
     def identity(cls, shape: Sequence[int]) -> "AlgebraElement":
@@ -118,28 +143,43 @@ class AlgebraElement:
         return AlgebraElement(self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(b.conj().T for b in self.blocks))
+        return AlgebraElement(self.shape, tuple(np.swapaxes(b, -1, -2).conj() for b in self.blocks))
 
     @property
     def h(self) -> "AlgebraElement":
         return self.adjoint()
 
+    @property
+    def is_stack(self) -> bool:
+        return self.blocks[0].ndim == 3
+
+    def _require_single(self, what: str):
+        if self.is_stack:
+            raise InputError(f"{what} takes a single element, not a stack")
+
     # -- metrics and coordinates ------------------------------------------------
 
-    def norm(self) -> float:
-        """C*-norm: the largest operator norm over the blocks."""
-        return max(operator_norm(b) for b in self.blocks)
+    def norm(self):
+        """C*-norm: the largest operator norm over the blocks; an ``(N,)``
+        array of them for a stack.  Blocks are finite by construction, so the
+        SVD runs without a second finiteness scan."""
+        if self.is_stack:
+            return np.max([np.linalg.svd(b, compute_uv=False)[:, 0] for b in self.blocks], axis=0)
+        return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in self.blocks)
 
-    def distance(self, other: "AlgebraElement") -> float:
+    def distance(self, other: "AlgebraElement"):
         return (self - other).norm()
 
     def real_coords(self) -> np.ndarray:
+        self._require_single("real_coords")
         return np.concatenate([mat_to_realvec(b) for b in self.blocks])
 
     @classmethod
     def from_real_coords(cls, shape: Sequence[int], v: np.ndarray) -> "AlgebraElement":
         shape = validate_shape(shape)
         v = np.asarray(v, dtype=float)
+        if v.ndim != 1:
+            raise InputError(f"coordinates must be one flat vector, got shape {v.shape}")
         blocks, pos = [], 0
         for n in shape:
             span = 2 * n * n
@@ -154,6 +194,33 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape})"
+
+
+def emax(*values):
+    """The largest of ``values``: a float for norms, row by row once any of
+    them is the ``(N,)`` array of a stack."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return functools.reduce(np.maximum, values)
+    return max(values)
+
+
+def epow(x, k: int):
+    """``x ** k`` in Python floats, row by row on an ``(N,)`` array.
+
+    ``numpy.power`` rounds some of these powers differently from Python's
+    ``float ** int``, so a stacked threshold would not equal the single one.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([v**k for v in x.tolist()])
+    return x**k
+
+
+def first_excess(residual, bound):
+    """The first residual above its bound (row by row on stacks), or ``None``."""
+    if isinstance(residual, np.ndarray):
+        over = np.flatnonzero(residual > bound)
+        return float(residual[over[0]]) if over.size else None
+    return residual if residual > bound else None
 
 
 def real_dimension(shape: Sequence[int]) -> int:
@@ -205,6 +272,7 @@ def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementCl
     polynomial degree of each defining equation, so elements of norm >> 1
     are not misclassified.
     """
+    a._require_single("classify")
     nrm = a.norm()
     r_idem = (a @ a - a).norm()
     r_sa = (a.adjoint() - a).norm()

@@ -13,7 +13,8 @@ Subcommands dispatch to the library and emit machine-readable reports:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input or
 configuration, or any other error; every exit-2 failure is reported as an
-``error`` record, never as a traceback.  Identical configuration (including
+``error`` record, never as a traceback.  When the ``--out`` path cannot be
+written, that record goes to stdout.  Identical configuration (including
 ``--seed``) produces byte-identical reports; ``--no-timestamp`` suppresses
 the only non-deterministic field.  The environment variable ``GINV_SEED``
 supplies the default seed when ``--seed`` is not given.
@@ -343,6 +344,31 @@ def _emit(report: ExperimentReport, args) -> None:
         sys.stdout.buffer.flush()
 
 
+def _emit_error(exc: Exception, args) -> None:
+    details = str(exc)
+    if not isinstance(exc, GinvError):
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        details += f" (raised at {Path(frame.filename).name}:{frame.lineno} in {frame.name})"
+    error_report = ExperimentReport(
+        suite=f"{args.command}-error",
+        config={"command": args.command},
+    )
+    error_report.add(
+        CheckRecord(
+            name="error",
+            anchor="input and configuration must satisfy the documented contracts",
+            passed=False,
+            value=type(exc).__name__,
+            details=details,
+        )
+    )
+    try:
+        _emit(error_report, args)
+    except OSError:  # the --out path cannot be written: the record goes to stdout
+        args.out = None
+        _emit(error_report, args)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -350,27 +376,10 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         tol = _resolve_tol(args)
         report = _HANDLERS[args.command](args, tol, seed)
+        _emit(report, args)
     except Exception as exc:  # every failure leaves as a record, never as a traceback
-        details = str(exc)
-        if not isinstance(exc, GinvError):
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            details += f" (raised at {Path(frame.filename).name}:{frame.lineno} in {frame.name})"
-        error_report = ExperimentReport(
-            suite=f"{args.command}-error",
-            config={"command": args.command},
-        )
-        error_report.add(
-            CheckRecord(
-                name="error",
-                anchor="input and configuration must satisfy the documented contracts",
-                passed=False,
-                value=type(exc).__name__,
-                details=details,
-            )
-        )
-        _emit(error_report, args)
+        _emit_error(exc, args)
         return EXIT_INPUT_ERROR
-    _emit(report, args)
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILURE
 
 

@@ -54,10 +54,12 @@ class SequenceFamily:
         return [self.generator(n) for n in range(1, self.horizon + 1)]
 
     def distances(self) -> np.ndarray:
-        return np.array([t.distance(self.limit) for t in self.terms()])
+        return _distances(self.terms(), self.limit)
 
     def validate(self):
-        d = self.distances()
+        self._validate_distances(self.distances())
+
+    def _validate_distances(self, d: np.ndarray):
         if not np.all(np.isfinite(d)):
             raise InputError("family terms must stay finite")
         dmax = float(np.max(d)) if d.size else 0.0
@@ -71,6 +73,10 @@ class SequenceFamily:
             raise InputError(
                 f"final distance {d[-1]:.3e} is inconsistent with convergence to the limit"
             )
+
+
+def _distances(terms: list, limit: AlgebraElement) -> np.ndarray:
+    return np.array([t.distance(limit) for t in terms])
 
 
 @dataclass(frozen=True)
@@ -177,18 +183,20 @@ def continuity_experiment(
     agree, and a disagreement raises :class:`ConsistencyError` because it
     would falsify the source criterion the experiment exists to check.
     """
-    fam.validate()
+    terms = fam.terms()
+    distances = _distances(terms, fam.limit)
+    fam._validate_distances(distances)
     if fam.limit.norm() == 0.0:
         raise InputError("the experiment requires a nonzero limit")
     limit_dagger = moore_penrose(fam.limit, tol)
     limit_source = limit_dagger @ fam.limit
 
     d_pair, d_source, mp_norms = [], [], []
-    for a_n in fam.terms():
+    for a_n, d_n in zip(terms, distances.tolist()):
         if a_n.norm() == 0.0:
             raise InputError("family terms must stay nonzero")
         dagger = moore_penrose(a_n, tol)
-        d_pair.append(max(a_n.distance(fam.limit), dagger.distance(limit_dagger)))
+        d_pair.append(max(d_n, dagger.distance(limit_dagger)))
         d_source.append((dagger @ a_n).distance(limit_source))
         mp_norms.append(dagger.norm())
 

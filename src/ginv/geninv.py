@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, epow, first_excess
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 
@@ -52,19 +52,33 @@ class GInvPair:
     def create(
         cls, a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
     ) -> "GInvPair":
-        if a.shape != b.shape:
-            raise ShapeMismatchError("pair components must share the algebra shape")
-        r_aba = (a @ b @ a - a).norm()
-        r_bab = (b @ a @ b - b).norm()
-        na, nb = a.norm(), b.norm()
-        if r_aba > tol.residual_tol * (1.0 + na**2 * nb):
-            raise InputError(f"aba = a fails with residual {r_aba:.3e}")
-        if r_bab > tol.residual_tol * (1.0 + nb**2 * na):
-            raise InputError(f"bab = b fails with residual {r_bab:.3e}")
+        """Validated pair; on stacks of ``a`` and ``b`` a stack of pairs whose
+        residuals are ``(N,)`` arrays, raising when any row fails."""
+        r_aba, r_bab, excess_aba, excess_bab = _reflexivity(a, b, tol)
+        if excess_aba is not None:
+            raise InputError(f"aba = a fails with residual {excess_aba:.3e}")
+        if excess_bab is not None:
+            raise InputError(f"bab = b fails with residual {excess_bab:.3e}")
         return cls(a, b, r_aba, r_bab)
 
     def swap(self) -> "GInvPair":
         return GInvPair(self.b, self.a, self.residual_bab, self.residual_aba)
+
+
+def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
+    """``||aba - a||`` and ``||bab - b||`` with the first of each above its
+    norm-scaled bound (``None`` when none is), row by row on stacks."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError("pair components must share the algebra shape")
+    r_aba = (a @ b @ a - a).norm()
+    r_bab = (b @ a @ b - b).norm()
+    na, nb = a.norm(), b.norm()
+    return (
+        r_aba,
+        r_bab,
+        first_excess(r_aba, tol.residual_tol * (1.0 + epow(na, 2) * nb)),
+        first_excess(r_bab, tol.residual_tol * (1.0 + epow(nb, 2) * na)),
+    )
 
 
 def _pinv_block(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -130,19 +144,15 @@ def penrose_residuals(a: AlgebraElement, b: AlgebraElement) -> PenroseResidual:
 def is_ginv_pair(
     a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """True when both reflexivity residuals pass.
+    """True when both reflexivity residuals pass (in every row of stacks).
 
     The two symmetry conditions are deliberately not required: the set of
     reflexive pairs is strictly larger than the Moore-Penrose graph.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError("operands must share the algebra shape")
-    r = penrose_residuals(a, b)
-    na, nb = a.norm(), b.norm()
-    return (
-        r.r1 <= tol.residual_tol * (1.0 + na**2 * nb)
-        and r.r2 <= tol.residual_tol * (1.0 + nb**2 * na)
-    )
+    _, _, excess_aba, excess_bab = _reflexivity(a, b, tol)
+    return excess_aba is None and excess_bab is None
 
 
 def sample_ginv_pairs(

@@ -54,7 +54,7 @@ DEFAULT_TOL = ToleranceConfig()
 
 def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
-    if not np.all(np.isfinite(m)):  # a complex entry is finite iff both parts are
+    if not np.isfinite(m).all():  # a complex entry is finite iff both parts are
         raise InputError(f"{what} has non-finite entries")
     return m
 

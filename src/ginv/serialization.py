@@ -18,6 +18,8 @@ from .errors import WireFormatError
 
 
 def element_to_dict(a: AlgebraElement) -> dict:
+    if a.is_stack:
+        raise WireFormatError("a stack of elements has no wire document")
     return {
         "shape": [int(n) for n in a.shape],
         "blocks": [

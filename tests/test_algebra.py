@@ -12,6 +12,7 @@ from ginv.algebra import (
 from ginv.errors import InputError, PreconditionError, ShapeMismatchError
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import random_element
+from ginv.serialization import serialize_element
 
 SHAPES = [(1,), (2,), (3,), (2, 3)]
 
@@ -168,3 +169,63 @@ class TestCornerCompress:
 
         q = random_idempotent(rng, (3,), ranks=(2,))
         assert corner_compress(q, q).distance(q) <= 1e-12 * (1 + q.norm() ** 3)
+
+
+STACKS = [(2,), (3,), (2, 3)]
+
+
+def stack_of(rng, shape, count=4):
+    rows = [random_element(rng, shape) for _ in range(count)]
+    return rows, AlgebraElement.stack(rows)
+
+
+def row(stack, i):
+    return AlgebraElement(stack.shape, tuple(b[i] for b in stack.blocks))
+
+
+def same_bits(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    def test_operations_match_rows_bit_for_bit(self, rng, shape):
+        xs, x = stack_of(rng, shape)
+        ys, y = stack_of(rng, shape)
+        prod, diff, adj, norms = x @ y, x - y, x.adjoint(), (x @ y - x).norm()
+        assert prod.is_stack and norms.shape == (len(xs),)
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            assert same_bits(row(prod, i), xi @ yi)
+            assert same_bits(row(diff, i), xi - yi)
+            assert same_bits(row(adj, i), xi.adjoint())
+            single = (xi @ yi - xi).norm()
+            assert isinstance(single, float) and norms[i] == single
+
+    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    def test_single_broadcasts_against_stack(self, rng, shape):
+        xs, x = stack_of(rng, shape)
+        one = AlgebraElement.identity(shape)
+        for i, xi in enumerate(xs):
+            assert same_bits(row(one - x, i), one - xi)
+
+    def test_mixed_leading_shapes_rejected(self, rng):
+        with pytest.raises(InputError):
+            AlgebraElement((2, 3), (np.zeros((4, 2, 2)), np.zeros((3, 3, 3))))
+        with pytest.raises(InputError):
+            AlgebraElement((2, 3), (np.zeros((4, 2, 2)), np.zeros((3, 3))))
+
+    def test_nonfinite_row_rejected(self):
+        blocks = np.zeros((3, 2, 2), dtype=complex)
+        blocks[1, 0, 1] = np.nan
+        with pytest.raises(InputError):
+            AlgebraElement((2,), (blocks,))
+
+    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    def test_coordinates_are_single_element(self, rng, shape):
+        _, x = stack_of(rng, shape)
+        with pytest.raises(InputError):
+            x.real_coords()
+        with pytest.raises(InputError):
+            AlgebraElement.from_real_coords(shape, np.zeros((2, sum(2 * n * n for n in shape))))
+        with pytest.raises(InputError):
+            serialize_element(x)

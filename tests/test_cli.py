@@ -173,3 +173,13 @@ class TestOtherCommands:
         )
         assert code == 0 and printed == ""
         assert json.loads(out_file.read_text())["suite"] == "orbit-decompose-pair"
+
+    def test_unwritable_out_is_error_record_on_stdout(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "x.json"
+        code = main(["orbits", "--seed", "0", "--no-timestamp", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        record = json.loads(captured.out)["records"][0]
+        assert record["name"] == "error" and record["value"] == "FileNotFoundError"
+        assert not out_file.exists()

@@ -290,3 +290,114 @@ def test_make_groupoid_factory():
     assert make_groupoid("pair", dim=2, pool_size=4).pool.shape == (4, 2)
     with pytest.raises(InputError):
         make_groupoid("nope")
+
+
+def one_at_a_time(cls):
+    """The same kind with stacking switched off: every sample is drawn and checked alone."""
+    return type(f"Single{cls.__name__}", (cls,), {"stack_arrows": None})
+
+
+class MarksThirdChain(GInvGroupoid):
+    """Remembers the first arrow of the third chain (the 7th ``arrow_from`` draw)."""
+
+    def arrow_from(self, x, rng):
+        g = super().arrow_from(x, rng)
+        self.drawn = getattr(self, "drawn", 0) + 1
+        if self.drawn == 7:
+            self.marked = g.pair.a.blocks[0]
+        return g
+
+    def holds_marked(self, g):
+        """Whether the arrow (or each row of a stacked arrow) is the marked one."""
+        marked = getattr(self, "marked", None)
+        hit = np.all(g.pair.a.blocks[0] == marked, axis=(-2, -1)) if marked is not None else False
+        return hit
+
+
+class ComposeRefusesThirdChain(MarksThirdChain):
+    def compose(self, g1, g2):
+        if np.any(self.holds_marked(g1)) or np.any(self.holds_marked(g2)):
+            raise CompositionError(0.5)
+        return super().compose(g1, g2)
+
+
+class DistanceOffOnThirdChain(MarksThirdChain):
+    def arrow_distance(self, g1, g2):
+        d = super().arrow_distance(g1, g2)
+        hit = self.holds_marked(g2)
+        if isinstance(d, np.ndarray):
+            return np.where(hit, d + 1.0, d)
+        return d + 1.0 if hit else d
+
+
+class TestStackedAxioms:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "cls, shape",
+        [
+            pytest.param(GInvGroupoid, (2,), id="ginv-2"),
+            pytest.param(GInvGroupoid, (3,), id="ginv-3"),
+            pytest.param(GInvGroupoid, (2, 3), id="ginv-2,3"),
+            pytest.param(PartialIsometryGroupoid, (2,), id="partial_isometry-2"),
+            pytest.param(PartialIsometryGroupoid, (3,), id="partial_isometry-3"),
+        ],
+    )
+    def test_stacked_equals_one_at_a_time(self, cls, shape, seed):
+        stacked = verify_axioms(cls(shape), seed=seed, n_samples=40).to_json_bytes()
+        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=40).to_json_bytes()
+        assert stacked == single
+
+    @pytest.mark.parametrize(
+        "cls, shape, seed, passes",
+        [
+            # sample 160 composes to a pair off bab = b at 1.8e-3: the stacked
+            # pass raises and the first chunk is checked one sample at a time
+            pytest.param(GInvGroupoid, (2, 3), 0, False, id="ginv-2,3-rerun"),
+            # sample 226 cannot be drawn (an arrow target misses the base at
+            # 1.2e-3): its error stays out of the stack
+            pytest.param(GInvGroupoid, (3,), 1, False, id="ginv-3-draw-error"),
+            pytest.param(PartialIsometryGroupoid, (2,), 1, True, id="partial_isometry-2"),
+        ],
+    )
+    def test_two_chunks_equal_one_at_a_time(self, cls, shape, seed, passes):
+        stacked = verify_axioms(cls(shape), seed=seed, n_samples=300)
+        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=300)
+        assert stacked.all_passed == passes
+        assert stacked.to_json_bytes() == single.to_json_bytes()
+
+    def test_raising_compose_in_stack_names_the_sample(self):
+        G = ComposeRefusesThirdChain((2,))
+        rep = verify_axioms(G, seed=1, n_samples=5)
+        assert np.any(G.marked)  # a zero arrow would mark every rank-0 arrow too
+        failing = [r for r in rep.records if not r.passed]
+        assert [r.name for r in failing] == ["law evaluation"]
+        assert failing[0].value == 1
+        assert failing[0].details.startswith("sample 2: CompositionError")
+        twin = verify_axioms(one_at_a_time(ComposeRefusesThirdChain)((2,)), seed=1, n_samples=5)
+        assert rep.to_json_bytes() == twin.to_json_bytes()
+
+    def test_broken_law_in_stack_gives_single_sample_details(self):
+        G = DistanceOffOnThirdChain((2,))
+        rep = verify_axioms(G, seed=1, n_samples=5)
+        assert np.any(G.marked)
+        twin = verify_axioms(one_at_a_time(DistanceOffOnThirdChain)((2,)), seed=1, n_samples=5)
+        failing = [r for r in rep.records if not r.passed]
+        assert {r.name for r in failing} == {"G3 right identity", "G3 left identity"}
+        assert all("at sample 2" in r.details for r in failing)
+        assert [(r.name, r.value, r.details) for r in rep.records] == [
+            (r.name, r.value, r.details) for r in twin.records
+        ]
+        assert rep.to_json_bytes() == twin.to_json_bytes()
+
+    def test_stacked_arrow_checks_every_row(self):
+        G = PartialIsometryGroupoid((2,))
+        rng = np.random.default_rng(0)
+        arrows = [G.sample_arrow(rng) for _ in range(3)]
+        stacked = G.stack_arrows(arrows)
+        G.validate_arrow(stacked)
+        scales = G.arrow_scale(stacked)
+        assert scales.shape == (3,)
+        assert scales.tolist() == [G.arrow_scale(g) for g in arrows]
+        bad = G.stack_arrows(arrows[:2] + [IsometryArrow(2.0 * arrows[2].u)])
+        with pytest.raises(InputError, match="not a partial isometry"):
+            G.validate_arrow(bad)
