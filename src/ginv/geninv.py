@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, epow, first_excess
+from .algebra import AlgebraElement, emax, epow, first_excess
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 
@@ -23,6 +23,8 @@ class PenroseResidual:
     """Norm residuals of the four Moore-Penrose equations.
 
     r1: ||aba - a||   r2: ||bab - b||   r3: ||(ba)* - ba||   r4: ||(ab)* - ab||
+
+    On stacks each residual is an ``(N,)`` array, and so is :meth:`max`.
     """
 
     r1: float
@@ -30,8 +32,8 @@ class PenroseResidual:
     r3: float
     r4: float
 
-    def max(self) -> float:
-        return max(self.r1, self.r2, self.r3, self.r4)
+    def max(self):
+        return emax(self.r1, self.r2, self.r3, self.r4)
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,25 @@ def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
 
 
 def _pinv_block(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Pseudo-inverse of one block or of an ``(N, n, n)`` stack of them, each
+    row at its own rank; rank-0 rows are exact ``+0.0``."""
     u, s, vh = np.linalg.svd(m)
-    r = rank_from_singular_values(s, m.shape, tol)
-    if r == 0:
-        return np.zeros_like(m.conj().T)
-    inv = np.zeros_like(s)
-    inv[:r] = 1.0 / s[:r]
-    return (vh.conj().T * inv) @ u.conj().T
+    ranks = np.array(
+        [rank_from_singular_values(row, m.shape[-2:], tol) for row in s.reshape(-1, s.shape[-1])]
+    ).reshape(s.shape[:-1])
+    kept = np.arange(s.shape[-1]) < ranks[..., None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    out = (np.swapaxes(vh, -1, -2).conj() * inv[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
+    return np.where(ranks[..., None, None] == 0, 0.0, out)
 
 
 def moore_penrose(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraElement:
-    """Blockwise SVD pseudo-inverse.
+    """Blockwise SVD pseudo-inverse, of one element or row by row of a stack.
 
     The rank decision is delegated entirely to the shared relative cutoff,
     so rank-drop experiments have a single knob.  The output is independent
-    of SVD sign and phase conventions.
+    of SVD sign and phase conventions, and row ``i`` of a stack's result
+    equals, bit for bit, the pseudo-inverse of row ``i`` alone.
     """
     return AlgebraElement(a.shape, tuple(_pinv_block(b, tol) for b in a.blocks))
 

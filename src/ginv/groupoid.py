@@ -11,9 +11,10 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 * ``disjoint_union``    -- a tagged union of instances, no cross composition.
 
 The ``ginv`` and ``partial_isometry`` structure maps also take stacked
-arrows (see :class:`Groupoid`), and :func:`verify_axioms` uses them to check
-up to 256 sampled chains in one stacked pass, going back to one sample at a
-time only for a chunk in which a law breaks or a check raises.
+arrows (see :class:`Groupoid`), and their ``arrow_at`` builds stacks of
+drawn arrows from stacked noise.  :func:`verify_axioms` uses them to draw
+and check up to 256 sampled chains in one stacked pass, going back to one
+sample at a time only for a chunk in which a law breaks or a check raises.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
-    classify,
     emax,
     epow,
     expm_element,
@@ -172,6 +172,16 @@ class Groupoid:
         """Random arrow whose source is exactly ``x``."""
         raise NotImplementedError
 
+    def arrow_noise(self, rng: np.random.Generator) -> tuple:
+        """The random inputs of one :meth:`arrow_from` draw (kinds with stacks)."""
+        raise NotImplementedError
+
+    def arrow_at(self, x, noise: tuple):
+        """The arrow :meth:`arrow_from` builds at the base point ``x`` from
+        ``noise``; row by row when ``x`` and the parts of ``noise`` are stacks.
+        ``x`` is taken as a base point, unchecked."""
+        raise NotImplementedError
+
     def _composability_threshold(self, g1, g2) -> float:
         return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
 
@@ -300,9 +310,15 @@ class GInvGroupoid(Groupoid):
 
     def arrow_from(self, x: AlgebraElement, rng) -> GInvArrow:
         self.check_base(x)
+        return self.arrow_at(x, self.arrow_noise(rng))
+
+    def arrow_noise(self, rng) -> tuple:
+        return (sampling.random_element(rng, self.shape, scale=0.35),
+                sampling.random_element(rng, self.shape, scale=0.35))
+
+    def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvArrow:
         one = AlgebraElement.identity(self.shape)
-        u = sampling.random_element(rng, self.shape, scale=0.35)
-        w0 = sampling.random_element(rng, self.shape, scale=0.35)
+        u, w0 = noise
         w = x @ w0 @ x + (one - x) @ w0 @ (one - x)  # commutes with x
         a = expm_element(u) @ x @ expm_element(w)
         b = expm_element(-1.0 * w) @ x @ expm_element(-1.0 * u)
@@ -331,6 +347,13 @@ class GInvGroupoid(Groupoid):
 
     def orbit_signature(self, x, tol):
         return tuple(numerical_rank(b, tol) for b in x.blocks)
+
+
+def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
+    """``||u u* u - u||`` when it exceeds ``residual_tol * (1 + ||u||^3)``
+    (in the first such row of a stack), else ``None``."""
+    residual = (u @ u.adjoint() @ u - u).norm()
+    return first_excess(residual, tol.residual_tol * (1.0 + epow(u.norm(), 3)))
 
 
 class PartialIsometryGroupoid(Groupoid):
@@ -372,9 +395,7 @@ class PartialIsometryGroupoid(Groupoid):
 
     def validate_arrow(self, g):
         self._check_structure(g)
-        u = g.u
-        residual = (u @ u.adjoint() @ u - u).norm()
-        if first_excess(residual, self.tol.residual_tol * (1.0 + epow(u.norm(), 3))) is not None:
+        if _isometry_excess(g.u, self.tol) is not None:
             raise InputError("arrow is not a partial isometry")
 
     def base_membership_residual(self, x: AlgebraElement):
@@ -405,9 +426,15 @@ class PartialIsometryGroupoid(Groupoid):
 
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
+        return self.arrow_at(p, self.arrow_noise(rng))
+
+    def arrow_noise(self, rng) -> tuple:
+        return (sampling.random_hermitian_element(rng, self.shape, scale=0.4),
+                sampling.random_hermitian_element(rng, self.shape, scale=0.4))
+
+    def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
-        h1 = sampling.random_hermitian_element(rng, self.shape, scale=0.4)
-        h0 = sampling.random_hermitian_element(rng, self.shape, scale=0.4)
+        h1, h0 = noise
         h2 = p @ h0 @ p + (one - p) @ h0 @ (one - p)  # Hermitian, commutes with p
         u = expm_element(1j * h1) @ p @ expm_element(1j * h2)
         return IsometryArrow(u)
@@ -735,12 +762,15 @@ def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Gr
 
 
 def isometry_to_ginv(u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> GInvArrow:
-    """Embed a partial isometry as the reflexive pair (u, u*).
+    """Embed a partial isometry as the reflexive pair (u, u*); row by row,
+    into a stack of pairs, for a stack of partial isometries.
 
     This map is an injective groupoid morphism: it commutes with source,
-    target, composition and inversion.
+    target, composition and inversion.  ``u`` passes the same test as a
+    ``partial_isometry`` arrow, else :class:`PreconditionError` (on a stack,
+    when any row fails).
     """
-    if not classify(u, tol).partial_isometry:
+    if _isometry_excess(u, tol) is not None:
         raise PreconditionError("isometry_to_ginv needs a partial isometry")
     return GInvArrow(GInvPair.create(u, u.adjoint(), tol))
 
@@ -773,6 +803,29 @@ def _draw_chain(G: Groupoid, rng: np.random.Generator) -> tuple:
     g2 = G.arrow_from(G.target(g1), rng)
     g3 = G.arrow_from(G.target(g2), rng)
     return g1, g2, g3, G.sample_arrow(rng)
+
+
+def _draw_chains(G: Groupoid, rng: np.random.Generator, count: int) -> tuple:
+    """``count`` chains as one stacked chain ``g1, g2, g3, loose``.
+
+    Each chain's random inputs are drawn in the order :func:`_draw_chain`
+    uses them (base point, three arrow noises, loose arrow), so when no draw
+    raises the generator ends where ``count`` calls of it would, and row
+    ``i`` is the chain the ``i``-th call would draw.  Raises when any row's
+    arrow cannot be built.
+    """
+    points, noises, loose = [], ([], [], []), []
+    for _ in range(count):
+        points.append(G.sample_base_point(rng))
+        for drawn in noises:
+            drawn.append(G.arrow_noise(rng))
+        loose.append(G.sample_arrow(rng))
+    x, arrows = AlgebraElement.stack(points), []
+    for drawn in noises:
+        G.check_base(x)
+        arrows.append(G.arrow_at(x, tuple(map(AlgebraElement.stack, zip(*drawn)))))
+        x = G.target(arrows[-1])
+    return (*arrows, G.stack_arrows(loose))
 
 
 def _check_chain(G: Groupoid, chain: tuple, record, violation):
@@ -809,9 +862,9 @@ def _check_chain(G: Groupoid, chain: tuple, record, violation):
         record("G4 source of inverse", G.base_distance(G.source(inv), t), thr)
 
 
-def _stacked_worst(G: Groupoid, chains: list) -> Optional[dict]:
-    """Per-law worst residuals of ``chains`` from one stacked pass, or
-    ``None`` when any row breaks a law or the pass raises."""
+def _stacked_worst(G: Groupoid, rng: np.random.Generator, count: int) -> Optional[dict]:
+    """Per-law worst residuals of ``count`` chains drawn and checked in one
+    stacked pass, or ``None`` when any row breaks a law or the pass raises."""
     worst = dict.fromkeys(_LAWS, 0.0)
 
     def record(law, residual, threshold):
@@ -823,8 +876,7 @@ def _stacked_worst(G: Groupoid, chains: list) -> Optional[dict]:
         raise _LawBroken from exc
 
     try:
-        stacked = tuple(G.stack_arrows(role) for role in zip(*chains))
-        _check_chain(G, stacked, record, violation)
+        _check_chain(G, _draw_chains(G, rng, count), record, violation)
     except (GinvError, _LawBroken):
         return None
     return worst
@@ -847,13 +899,14 @@ def verify_axioms(
     deliberately corrupted arrows as a negative control.
 
     For a kind with ``stack_arrows``, samples go in chunks of at most 256:
-    all chains of a chunk are drawn in order from the one generator, then
-    checked in one stacked pass that yields only the per-law worst
-    residuals.  If any row breaks a law or the pass raises, the chunk's
-    samples are checked again one at a time, which writes the failure
-    texts.  Either way the report equals, byte for byte, the one that
-    checking every sample alone would give.  Other kinds draw and check one
-    sample at a time.
+    the random inputs of a chunk's chains are drawn in the one-sample order
+    (:func:`_draw_chains`), and the arrows are built and checked in one
+    stacked pass that yields only the per-law worst residuals.  If any row
+    breaks a law or the pass raises, the generator goes back to its state at
+    the start of the chunk and the chunk's samples are drawn and checked
+    again one at a time, which writes the failure texts.  Either way the
+    report equals, byte for byte, the one that checking every sample alone
+    would give.  Other kinds draw and check one sample at a time.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -875,31 +928,22 @@ def verify_axioms(
             lambda exc: failures.append(f"G1 base membership violated at {context}: {exc}"),
         )
 
-    def sample_error(k: int, exc: GinvError) -> str:
-        return f"sample {k}: {type(exc).__name__}: {exc}"
-
-    chunk = 1 if G.stack_arrows is None else _CHUNK
     sample_errors: list[str] = []
-    for start in range(0, n_samples, chunk):
-        drawn = []  # (k, chain or None, error text or None)
-        for k in range(start, min(start + chunk, n_samples)):
+    for start in range(0, n_samples, _CHUNK):
+        samples = range(start, min(start + _CHUNK, n_samples))
+        if G.stack_arrows is not None:
+            state = rng.bit_generator.state
+            stacked = _stacked_worst(G, rng, len(samples))
+            if stacked is not None:
+                for law, value in stacked.items():
+                    worst[law] = max(worst[law], value)
+                continue
+            rng.bit_generator.state = state
+        for k in samples:
             try:
-                drawn.append((k, _draw_chain(G, rng), None))
+                check_sample(k, _draw_chain(G, rng))
             except GinvError as exc:
-                drawn.append((k, None, sample_error(k, exc)))
-        chains = [chain for _, chain, _ in drawn if chain is not None]
-        stacked = _stacked_worst(G, chains) if chunk > 1 and chains else None
-        if stacked is not None:
-            for law, value in stacked.items():
-                worst[law] = max(worst[law], value)
-        for k, chain, error in drawn:
-            if chain is not None and stacked is None:
-                try:
-                    check_sample(k, chain)
-                except GinvError as exc:
-                    error = sample_error(k, exc)
-            if error:
-                sample_errors.append(error)
+                sample_errors.append(f"sample {k}: {type(exc).__name__}: {exc}")
 
     injected_failures: list[str] = []
     for j, g in enumerate(extra_arrows or []):

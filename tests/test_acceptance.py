@@ -6,8 +6,10 @@ Each test prints one ``PASS``/``FAIL`` line; run with ``pytest -s`` (or
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from ginv.linalg import DEFAULT_TOL
 from ginv.suite import ALL_CRITERIA
 
 SEED = 0
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(criterion, k):
@@ -33,6 +36,15 @@ def test_criterion(k, criterion):
     assert record.passed, f"{record.name}: {record.details} (value {record.value})"
 
 
+def child_env() -> dict:
+    """The caller's environment with this checkout's ``src`` first on
+    ``PYTHONPATH`` and OpenBLAS at one thread unless the caller chose."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return env
+
+
 def test_cli_suite_determinism(tmp_path):
     """Two CLI runs of the full battery: exit code 0, byte-identical reports."""
     outs = []
@@ -43,6 +55,7 @@ def test_cli_suite_determinism(tmp_path):
              "--no-timestamp", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr or proc.stdout
         outs.append(out.read_bytes())

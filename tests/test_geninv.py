@@ -16,6 +16,7 @@ from ginv.geninv import (
 )
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import (
+    random_block_ranks,
     random_partial_isometry,
     well_conditioned_element,
 )
@@ -55,6 +56,21 @@ class TestMoorePenrose:
         d1 = moore_penrose(a)
         d2 = moore_penrose(a * 1.0)
         assert d1.distance(d2) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (8,), (2, 3)])
+def test_stacked_moore_penrose_equals_each_row_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    ranks = [(0,) * len(shape), tuple(n - 1 for n in shape), shape]  # zero, deficient, full
+    ranks += [random_block_ranks(rng, shape) for _ in range(9)]     # mixed
+    elements = [well_conditioned_element(rng, shape, ranks=r) for r in ranks]
+    stacked = moore_penrose(AlgebraElement.stack(elements))
+    for i, a in enumerate(elements):
+        single = moore_penrose(a)
+        for stacked_block, block in zip(stacked.blocks, single.blocks):
+            assert stacked_block[i].tobytes() == block.tobytes()
+    for block in stacked.blocks:  # the rank-0 row is exact +0.0
+        assert not np.signbit(block[0].view(float)).any() and not block[0].any()
 
 
 @given(conditioned())

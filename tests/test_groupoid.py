@@ -15,6 +15,8 @@ from ginv.groupoid import (
     PairGroupoid,
     PartialIsometryGroupoid,
     isometry_to_ginv,
+    _draw_chain,
+    _draw_chains,
     make_groupoid,
     verify_axioms,
 )
@@ -298,13 +300,24 @@ def one_at_a_time(cls):
 
 
 class MarksThirdChain(GInvGroupoid):
-    """Remembers the first arrow of the third chain (the 7th ``arrow_from`` draw)."""
+    """Remembers the first arrow of the third chain: the one built from the
+    7th ``arrow_noise`` draw, which single and stacked draws make in the same
+    order."""
 
-    def arrow_from(self, x, rng):
-        g = super().arrow_from(x, rng)
+    def arrow_noise(self, rng):
+        noise = super().arrow_noise(rng)
         self.drawn = getattr(self, "drawn", 0) + 1
         if self.drawn == 7:
-            self.marked = g.pair.a.blocks[0]
+            self.marked_noise = noise[0].blocks[0]
+        return noise
+
+    def arrow_at(self, x, noise):
+        g = super().arrow_at(x, noise)
+        if hasattr(self, "marked_noise") and not hasattr(self, "marked"):
+            hit = np.all(noise[0].blocks[0] == self.marked_noise, axis=(-2, -1))
+            if np.any(hit):
+                a = g.pair.a.blocks[0]
+                self.marked = a[np.argmax(hit)] if a.ndim == 3 else a
         return g
 
     def holds_marked(self, g):
@@ -401,3 +414,43 @@ class TestStackedAxioms:
         bad = G.stack_arrows(arrows[:2] + [IsometryArrow(2.0 * arrows[2].u)])
         with pytest.raises(InputError, match="not a partial isometry"):
             G.validate_arrow(bad)
+
+
+def arrow_bytes(g, row=None):
+    """The bytes of every block of an arrow's elements (of one row of a stack)."""
+    elements = (g.pair.a, g.pair.b) if isinstance(g, GInvArrow) else (g.u,)
+    return [(b if row is None else b[row]).tobytes() for e in elements for b in e.blocks]
+
+
+STACKED_KINDS = [
+    pytest.param(GInvGroupoid, (2,), id="ginv-2"),
+    pytest.param(GInvGroupoid, (2, 3), id="ginv-2,3"),
+    pytest.param(PartialIsometryGroupoid, (3,), id="partial_isometry-3"),
+]
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_arrow_at_on_stacks_equals_each_arrow_from(self, cls, shape):
+        G = cls(shape)
+        rng = np.random.default_rng(3)
+        points = [G.sample_base_point(rng) for _ in range(6)]
+        state = rng.bit_generator.state
+        singles = [G.arrow_from(x, rng) for x in points]
+        rng.bit_generator.state = state
+        noises = [G.arrow_noise(rng) for _ in points]
+        stacked = G.arrow_at(AlgebraElement.stack(points),
+                             tuple(map(AlgebraElement.stack, zip(*noises))))
+        for i, g in enumerate(singles):
+            assert arrow_bytes(stacked, i) == arrow_bytes(g)
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_draw_chains_match_single_draws_and_generator_state(self, cls, shape):
+        G = cls(shape)
+        stacked_rng, single_rng = np.random.default_rng(4), np.random.default_rng(4)
+        stacked = _draw_chains(G, stacked_rng, 12)
+        singles = [_draw_chain(G, single_rng) for _ in range(12)]
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+        for i, chain in enumerate(singles):
+            for stacked_arrow, g in zip(stacked, chain):
+                assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)

@@ -1,0 +1,125 @@
+"""Stacked criteria against one-at-a-time references.
+
+Criteria 03, 05 and 12 draw their inputs in a fixed order and then compute on
+stacks.  The references below draw and compute one element at a time with
+``arrow_from`` and per-term pseudo-inverses; both must give the same record,
+or raise the same error.
+"""
+
+import numpy as np
+import pytest
+
+from ginv import suite
+from ginv.continuity import ContinuityVerdict, _trend_converges, continuity_experiment
+from ginv.errors import ConsistencyError, GinvError, InputError
+from ginv.geninv import is_ginv_pair, moore_penrose, mp_pair
+from ginv.groupoid import GInvGroupoid, PartialIsometryGroupoid, isometry_to_ginv
+from ginv.linalg import DEFAULT_TOL
+
+
+def closure_one_at_a_time(tol, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(2,), (3,), (2, 3)]
+    worst = 0.0
+    for i in range(500):
+        G = GInvGroupoid(shapes[i % len(shapes)], tol)
+        x = G.sample_base_point(rng)
+        g2 = G.arrow_from(x, rng)
+        g1 = G.arrow_from(G.target(g2), rng)
+        g = G.compose(g1, g2)
+        if not is_ginv_pair(g.pair.a, g.pair.b, tol):
+            return suite._record("03 composition closure", "composites satisfy aba = a, bab = b",
+                                 False, float("nan"), f"pair {i} failed the reflexivity check")
+        for e in (G.source(g), G.target(g)):
+            worst = max(worst, (e @ e - e).norm() / (suite.CLOSURE_TOL * (1.0 + e.norm() ** 2)))
+    return suite._record(
+        "03 composition closure",
+        "(ab)^2 = ab and (ba)^2 = ba for composed pairs",
+        worst <= 1.0,
+        worst,
+        "500 composable pairs, worst idempotency residual/bound",
+    )
+
+
+def morphism_laws_one_at_a_time(tol, seed):
+    rng = np.random.default_rng(seed)
+    U = PartialIsometryGroupoid((2,), tol)
+    Gp = GInvGroupoid((2,), tol)
+    worst = 0.0
+    for _ in range(200):
+        v = U.arrow_from(U.sample_base_point(rng), rng)
+        u = U.arrow_from(U.target(v), rng)
+        ju, jv = isometry_to_ginv(u.u, tol), isometry_to_ginv(v.u, tol)
+        juv = isometry_to_ginv(U.compose(u, v).u, tol)
+        worst = max(worst, Gp.arrow_distance(juv, Gp.compose(ju, jv)))
+        worst = max(worst, Gp.source(ju).distance(U.source(u)))
+        worst = max(worst, Gp.target(ju).distance(U.target(u)))
+        worst = max(worst, Gp.arrow_distance(Gp.invert(ju), isometry_to_ginv(U.invert(u).u, tol)))
+        worst = max(worst, mp_pair(u.u, tol).b.distance(ju.pair.b))
+    return suite._record(
+        "05 morphism laws",
+        "u -> (u, u*) preserves s, t, composition and inversion",
+        worst <= suite.MORPHISM_TOL,
+        worst,
+        f"200 isometries, worst law residual (tol {suite.MORPHISM_TOL})",
+    )
+
+
+def continuity_one_term_at_a_time(fam, tol=DEFAULT_TOL):
+    terms = fam.terms()
+    distances = np.array([t.distance(fam.limit) for t in terms])
+    fam._validate_distances(distances)
+    if fam.limit.norm() == 0.0:
+        raise InputError("the experiment requires a nonzero limit")
+    limit_dagger = moore_penrose(fam.limit, tol)
+    limit_source = limit_dagger @ fam.limit
+    d_pair, d_source, mp_norms = [], [], []
+    for a_n, d_n in zip(terms, distances.tolist()):
+        if a_n.norm() == 0.0:
+            raise InputError("family terms must stay nonzero")
+        dagger = moore_penrose(a_n, tol)
+        d_pair.append(max(d_n, dagger.distance(limit_dagger)))
+        d_source.append((dagger @ a_n).distance(limit_source))
+        mp_norms.append(dagger.norm())
+    pair_ok = _trend_converges(np.array(d_pair))
+    source_ok = _trend_converges(np.array(d_source))
+    if pair_ok != source_ok:
+        raise ConsistencyError("paired convergence and source convergence disagree")
+    return ContinuityVerdict(pair_ok, source_ok, tuple(d_pair), tuple(d_source), tuple(mp_norms))
+
+
+def outcome(criterion, seed):
+    """A record as comparable values (``nan`` included), or the error it raised."""
+    try:
+        r = criterion(DEFAULT_TOL, seed)
+    except GinvError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return (r.name, r.anchor, r.passed, repr(r.value), r.details)
+
+
+# 1003 raises (a drawn arrow misses aba = a), 3003 and 5003 exceed the bound
+@pytest.mark.parametrize("seed", [3, 1003, 3003, 5003])
+def test_closure_equals_one_at_a_time(seed):
+    assert outcome(suite.check_closure, seed) == outcome(closure_one_at_a_time, seed)
+
+
+@pytest.mark.parametrize("seed", [5, 1005])
+def test_morphism_laws_equal_one_at_a_time(seed):
+    assert outcome(suite.check_morphism_laws, seed) == outcome(morphism_laws_one_at_a_time, seed)
+
+
+@pytest.mark.parametrize("seed", [12, 1012])
+def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
+    compared = []
+
+    def both(fam, tol):
+        stacked = continuity_experiment(fam, tol)
+        assert stacked == continuity_one_term_at_a_time(fam, tol)
+        assert all(type(v) is float for v in stacked.distances_pair + stacked.mp_norms)
+        compared.append(fam.kind)
+        return stacked
+
+    stacked = outcome(suite.check_source_criterion, seed)
+    monkeypatch.setattr(suite, "continuity_experiment", both)
+    assert outcome(suite.check_source_criterion, seed) == stacked
+    assert len(compared) == 60
