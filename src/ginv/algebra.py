@@ -134,6 +134,9 @@ class AlgebraElement:
         return AlgebraElement(self.shape, tuple(-b for b in self.blocks))
 
     def __mul__(self, scalar) -> "AlgebraElement":
+        """Scaling by a number, or row by row on a stack by an ``(N,)`` array."""
+        if isinstance(scalar, np.ndarray):
+            scalar = scalar[:, None, None]
         return AlgebraElement(self.shape, tuple(scalar * b for b in self.blocks))
 
     __rmul__ = __mul__

@@ -254,7 +254,7 @@ def _cmd_path(args, tol, seed) -> ExperimentReport:
         p = sampling.random_projection(rng, shape, ranks=ranks)
         q = sampling.random_projection(rng, shape, ranks=ranks)
     path = orbit_path(p, q, steps=args.steps, tol=tol)
-    smooth = reparametrize_lift(path, lambda t: 3 * t * t - 2 * t**3, tol)
+    smooth = reparametrize_lift(path, lambda t: 3 * t * t - 2 * t**3)
     report = ExperimentReport(suite="projection-path", config=_config_echo(args, tol, seed))
     end_gap = path.end.distance(q)
     report.add(CheckRecord(name="endpoint", anchor="path ends at the requested projection",

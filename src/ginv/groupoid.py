@@ -320,6 +320,9 @@ class GInvGroupoid(Groupoid):
         one = AlgebraElement.identity(self.shape)
         u, w0 = noise
         w = x @ w0 @ x + (one - x) @ w0 @ (one - x)  # commutes with x
+        # that projection onto the commutant of x has norm up to about |x|^2;
+        # bound the exponent by |w0| so expm(w) stays well conditioned
+        w = w * np.minimum(1.0, w0.norm() / np.maximum(w.norm(), np.finfo(float).tiny))
         a = expm_element(u) @ x @ expm_element(w)
         b = expm_element(-1.0 * w) @ x @ expm_element(-1.0 * u)
         return GInvArrow(GInvPair.create(a, b, self.tol))

@@ -36,7 +36,8 @@ class ToleranceConfig:
         Baseline for all residual tests (scaled by powers of the operand
         norms at each call site).
     fd_step_scale
-        Central-difference step is ``fd_step_scale * (1 + |x|_inf)``.
+        Central-difference step of :func:`finite_diff_jacobian`, its only
+        reader: ``fd_step_scale * (1 + |x|_inf)``.
     """
 
     rank_cutoff_factor: float = 1e-12

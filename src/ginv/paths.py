@@ -12,6 +12,12 @@ A sampled path is stored struct-of-arrays: per algebra block, one read-only
 construction, the lift residual and reparametrization work on these stacks
 (and on their ``(N, D)`` real coordinates) throughout; ``APath.base(i)`` and
 ``APath.lift(i)`` build single elements on demand.
+
+Every derivative and every value between samples comes from a quintic
+interpolating spline through the samples (de Boor, *A Practical Guide to
+Splines*): the base velocity, the derivative of a time change and the
+resampled path.  Its error falls like ``h^5`` in the sample spacing and it
+reproduces polynomials of degree up to 5, so a leg of 257 samples suffices.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ from .linalg import (
 )
 
 _WAYPOINT_SEED = 0x5EED
+#: Sample intervals per leg of an :func:`orbit_path` at the least.  At 128,
+#: criterion 11's bound, which shrinks with the path's own lift residual,
+#: falls below the resampling error of a time change.
+_LEG_INTERVALS = 256
+_SPLINE_DEGREE = 5
+
+
+def _spline(times: np.ndarray, values: np.ndarray):
+    """Quintic interpolating spline through ``values`` (first axis) at ``times``."""
+    return scipy.interpolate.make_interp_spline(times, values, k=_SPLINE_DEGREE, axis=0)
 
 
 def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
@@ -50,32 +66,6 @@ def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraEleme
     at the identity arrow over ``c`` sends ``alpha`` to ``alpha c + c alpha*``.
     """
     return alpha @ c + c @ alpha.adjoint()
-
-
-def _velocity_samples(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Second-order velocity estimates on a (possibly nonuniform) grid."""
-    n = len(times)
-    if n < 3:
-        raise InputError("need at least three samples to estimate velocities")
-    vel = np.empty_like(coords)
-    h = np.diff(times)
-    h1, h2 = h[:-1, None], h[1:, None]
-    vel[1:-1] = (
-        h1**2 * coords[2:] + (h2**2 - h1**2) * coords[1:-1] - h2**2 * coords[:-2]
-    ) / (h1 * h2 * (h1 + h2))
-    a1, a2 = times[1] - times[0], times[2] - times[1]
-    vel[0] = (
-        -(2 * a1 + a2) / (a1 * (a1 + a2)) * coords[0]
-        + (a1 + a2) / (a1 * a2) * coords[1]
-        - a1 / (a2 * (a1 + a2)) * coords[2]
-    )
-    b1, b2 = times[-2] - times[-3], times[-1] - times[-2]
-    vel[-1] = (
-        b2 / (b1 * (b1 + b2)) * coords[-3]
-        - (b1 + b2) / (b1 * b2) * coords[-2]
-        + (b1 + 2 * b2) / (b2 * (b1 + b2)) * coords[-1]
-    )
-    return vel
 
 
 def _frozen_stacks(stacks, shape: tuple, count: int, what: str) -> tuple:
@@ -102,9 +92,10 @@ class APath:
     ``base_blocks`` and ``lift_blocks`` hold one read-only ``(N, n, n)``
     complex array per block of ``shape``, sample ``i`` in row ``i``.  The
     constructor validates them against ``sample_times`` and computes
-    ``max_lift_residual``: the worst mismatch between the anchor image of
-    the lift and the central-difference velocity of the base samples, so it
-    carries an O(h^2) floor from the sample spacing.
+    ``max_lift_residual``: the worst spectral norm of the anchor image of the
+    lift minus the base velocity, taken from the derivative of the quintic
+    spline through the base samples.  That velocity is accurate to O(h^5),
+    so a path needs at least six samples.
     """
 
     sample_times: np.ndarray
@@ -122,9 +113,13 @@ class APath:
         lifts = _frozen_stacks(self.lift_blocks, shape, len(times), "lift")
         if np.any(np.diff(times) <= 0):
             raise InputError("sample times must be strictly increasing")
-        if len(times) and (times[0] < -1e-12 or times[-1] > 1 + 1e-12):
+        if len(times) <= _SPLINE_DEGREE:
+            raise InputError(
+                f"need at least {_SPLINE_DEGREE + 1} samples for the velocity spline")
+        if times[0] < -1e-12 or times[-1] > 1 + 1e-12:
             raise InputError("sample times must lie in [0, 1]")
-        vel = realvecs_to_stacks(_velocity_samples(times, stacks_to_realvecs(bases)), shape)
+        vel = _spline(times, stacks_to_realvecs(bases)).derivative()(times)
+        vel = realvecs_to_stacks(vel, shape)
         residual = 0.0
         for cb, ab, cdot in zip(bases, lifts, vel):
             rho = ab @ cb + cb @ ab.conj().transpose(0, 2, 1)
@@ -274,8 +269,9 @@ def orbit_path(
     are not joinable and raise :class:`OrbitError`.  Generic pairs use the
     direct-rotation unitary directly; antipodal pairs are routed through a
     seeded random same-signature waypoint.  ``steps`` is a lower bound on
-    the sample grid; the default grid is fine enough (about 2k samples per
-    leg) to keep the central-difference residual floor well under 1e-4.
+    the sample grid; each leg has at least 256 sample intervals, which keeps
+    the lift residual of the spline velocity near 1e-8 (257 samples for one
+    leg, 513 for two).
     """
     if steps < 2:
         raise InputError("steps must be >= 2")
@@ -316,7 +312,7 @@ def orbit_path(
             )
 
     n_legs = len(generators)
-    per_leg = max(2048, int(np.ceil(steps / n_legs)))
+    per_leg = max(_LEG_INTERVALS, int(np.ceil(steps / n_legs)))
     times, bases, lifts = [], [], []
     for j, (start, k) in enumerate(zip(starts, generators)):
         taus = np.linspace(0.0, 1.0, per_leg + 1)
@@ -339,12 +335,15 @@ def orbit_path(
 # -- reparametrization ---------------------------------------------------------------
 
 
-def reparametrize_lift(path: APath, phi, tol: ToleranceConfig = DEFAULT_TOL) -> APath:
+def reparametrize_lift(path: APath, phi) -> APath:
     """Precompose a path with a time change: base ``c . phi``, lift ``(alpha . phi) phi'``.
 
-    ``phi`` must be monotone on the sample grid with endpoint values 0 and 1.
-    The new path is resampled on the original grid; values of the old path
-    between samples are spline-interpolated in real coordinates.
+    ``phi`` is any scalar callable, monotone on the sample grid with endpoint
+    values 0 and 1; it is called once per sample.  ``phi'`` is the derivative
+    of the quintic spline through those values, exact up to rounding when
+    ``phi`` is a polynomial of degree at most 5.  The new path is resampled
+    on the original grid; values of the old path between samples come from
+    quintic splines through its real coordinates.
     """
     times = path.sample_times
     ph = np.asarray([float(phi(t)) for t in times])
@@ -353,23 +352,12 @@ def reparametrize_lift(path: APath, phi, tol: ToleranceConfig = DEFAULT_TOL) -> 
     if np.any(np.diff(ph) < -1e-12):
         raise InputError("phi is not monotone on the sample grid")
 
-    h = tol.fd_step_scale
-    dph = np.empty_like(ph)
-    for i, t in enumerate(times):
-        if t - h < times[0]:
-            dph[i] = (-3 * phi(t) + 4 * phi(t + h) - phi(t + 2 * h)) / (2 * h)
-        elif t + h > times[-1]:
-            dph[i] = (3 * phi(t) - 4 * phi(t - h) + phi(t - 2 * h)) / (2 * h)
-        else:
-            dph[i] = (phi(t + h) - phi(t - h)) / (2 * h)
-
+    dph = _spline(times, ph).derivative()(times)
     base_coords = stacks_to_realvecs(path.base_blocks)
     lift_coords = stacks_to_realvecs(path.lift_blocks)
     queries = np.clip(ph, times[0], times[-1])
-    # cubic interpolation keeps the resampling error an order below the
-    # finite-difference floor of the residual
-    base_new = scipy.interpolate.CubicSpline(times, base_coords, axis=0)(queries)
-    lift_new = dph[:, None] * scipy.interpolate.CubicSpline(times, lift_coords, axis=0)(queries)
+    base_new = _spline(times, base_coords)(queries)
+    lift_new = dph[:, None] * _spline(times, lift_coords)(queries)
     return APath(
         times,
         path.shape,

@@ -14,7 +14,6 @@ from .continuity import continuity_experiment, make_family
 from .errors import GinvError, OrbitError
 from .geninv import (
     GInvPair,
-    is_ginv_pair,
     moore_penrose,
     mp_pair,
     newton_schulz,
@@ -73,21 +72,13 @@ def _stack(rows: list) -> tuple:
 
 def _stacked_or_in_order(run, stacks: list, rows: list) -> list:
     """``run(*stack)`` for each of ``stacks``; when one of those raises a
-    :class:`GinvError` or gives ``None``, ``run(*row)`` on the ``rows`` alone
-    in draw order, up to the first ``None``.  So the first row that raises or
-    fails decides, as it does when every row is run alone."""
+    :class:`GinvError`, ``run(*row)`` on the ``rows`` alone in draw order.
+    So the first row that raises decides, as it does when every row is run
+    alone."""
     try:
-        results = [run(*stack) for stack in stacks]
-        if all(r is not None for r in results):
-            return results
+        return [run(*stack) for stack in stacks]
     except GinvError:
-        pass
-    results = []
-    for row in rows:
-        results.append(run(*row))
-        if results[-1] is None:
-            break
-    return results
+        return [run(*row) for row in rows]
 
 
 def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
@@ -141,14 +132,12 @@ def check_route_agreement(tol: ToleranceConfig, seed: int) -> CheckRecord:
 def _closure_ratios(G: GInvGroupoid, x, noise2, noise1):
     """Idempotency residual/bound of the source and target of ``g1 g2``, where
     ``g2`` is drawn from ``x`` and ``g1`` from the target of ``g2`` (row by row
-    on stacks), or ``None`` when a composite is not a reflexive pair."""
+    on stacks).  ``compose`` validates the composite as a reflexive pair."""
     G.check_base(x)
     g2 = G.arrow_at(x, noise2)
     t = G.target(g2)
     G.check_base(t)
     g = G.compose(G.arrow_at(t, noise1), g2)
-    if not is_ginv_pair(g.pair.a, g.pair.b, G.tol):
-        return None
     return emax(*(
         (e @ e - e).norm() / (CLOSURE_TOL * (1.0 + epow(e.norm(), 2)))
         for e in (G.source(g), G.target(g))
@@ -169,9 +158,6 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
     stacks = [(G, *_stack([r[1:] for r in rows[j::len(groupoids)]]))
               for j, G in enumerate(groupoids)]
     ratios = _stacked_or_in_order(_closure_ratios, stacks, rows)
-    if ratios[-1] is None:
-        return _record("03 composition closure", "composites satisfy aba = a, bab = b",
-                       False, float("nan"), f"pair {len(ratios) - 1} failed the reflexivity check")
     worst, n = max(float(np.max(r)) for r in ratios), len(rows)
     return _record(
         "03 composition closure",
@@ -426,7 +412,7 @@ def check_reparametrization(tol: ToleranceConfig, seed: int) -> CheckRecord:
         path = orbit_path(p, q, steps=16, tol=tol)
         bound = reparametrized_bound(path.max_lift_residual)
         for name, phi in maps:
-            res = reparametrize_lift(path, phi, tol).max_lift_residual
+            res = reparametrize_lift(path, phi).max_lift_residual
             if res > bound:
                 failures.append(f"path {i} under {name}: {res:.2e} > {bound:.2e}")
 
@@ -533,7 +519,11 @@ ALL_CRITERIA = (
 
 
 def run_acceptance(tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> ExperimentReport:
-    """Run the full battery; one record per criterion."""
+    """Run the full battery; one record per criterion.
+
+    A criterion that raises a :class:`GinvError` cannot be evaluated, so it
+    fails with that error as its record; the other criteria still run.
+    """
     report = ExperimentReport(
         suite="acceptance",
         config={
@@ -544,5 +534,10 @@ def run_acceptance(tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Experim
         },
     )
     for k, criterion in enumerate(ALL_CRITERIA, start=1):
-        report.add(criterion(tol, seed * 1000 + k))
+        try:
+            record = criterion(tol, seed * 1000 + k)
+        except GinvError as exc:
+            record = _record(f"{k:02d} {criterion.__name__}", "the criterion runs to completion",
+                             False, type(exc).__name__, str(exc))
+        report.add(record)
     return report

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginv.algebra import AlgebraElement
 from ginv.errors import CompositionError, InputError, PreconditionError
@@ -23,6 +24,7 @@ from ginv.groupoid import (
 from ginv.sampling import (
     random_idempotent,
     random_partial_isometry,
+    random_projection,
     random_unitary,
     well_conditioned_element,
 )
@@ -88,6 +90,21 @@ class TestGInvInstance:
             g = GInvArrow(pair)
             assert self.G.source(g).distance(one) > 0.4
             assert self.G.target(g).distance(one) > 0.4
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.floats(0.0, 6.0))
+@settings(max_examples=40, deadline=None)
+def test_arrow_from_skewed_idempotent_is_a_reflexive_pair(seed, n, log_skew):
+    # x = p + k with k = p y (1 - p) nilpotent and ||k|| = 10**log_skew.  Drawn
+    # from 160 such x per skew, unbounded exponents raised from skew 10 on
+    # (46 of 160 at skew 30); bounded ones raised at none up to skew 1e7.
+    rng = np.random.default_rng(seed)
+    p = random_projection(rng, (n,), ranks=(1 + seed % (n - 1),)).blocks[0]
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = p @ y @ (np.eye(n) - p)
+    x = AlgebraElement((n,), (p + k * (10.0**log_skew / np.linalg.norm(k, 2)),))
+    g = GInvGroupoid((n,)).arrow_from(x, rng)
+    GInvPair.create(g.pair.a, g.pair.b)
 
 
 class TestIsometryInstance:
@@ -302,12 +319,15 @@ def one_at_a_time(cls):
 class MarksThirdChain(GInvGroupoid):
     """Remembers the first arrow of the third chain: the one built from the
     7th ``arrow_noise`` draw, which single and stacked draws make in the same
-    order."""
+    order.  A subclass marks the first arrow of chain ``k`` with
+    ``marked_draw = 3 * k + 1``."""
+
+    marked_draw = 7
 
     def arrow_noise(self, rng):
         noise = super().arrow_noise(rng)
         self.drawn = getattr(self, "drawn", 0) + 1
-        if self.drawn == 7:
+        if self.drawn == self.marked_draw:
             self.marked_noise = noise[0].blocks[0]
         return noise
 
@@ -343,6 +363,22 @@ class DistanceOffOnThirdChain(MarksThirdChain):
         return d + 1.0 if hit else d
 
 
+class ComposeRefusesChain160(ComposeRefusesThirdChain):
+    marked_draw = 3 * 160 + 1
+
+
+class DrawFailsAtChain226(MarksThirdChain):
+    """The first arrow of chain 226 cannot be built."""
+
+    marked_draw = 3 * 226 + 1
+
+    def arrow_at(self, x, noise):
+        marked = getattr(self, "marked_noise", None)
+        if marked is not None and np.any(np.all(noise[0].blocks[0] == marked, axis=(-2, -1))):
+            raise InputError("injected draw failure")
+        return super().arrow_at(x, noise)
+
+
 class TestStackedAxioms:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize(
@@ -363,12 +399,11 @@ class TestStackedAxioms:
     @pytest.mark.parametrize(
         "cls, shape, seed, passes",
         [
-            # sample 160 composes to a pair off bab = b at 1.8e-3: the stacked
-            # pass raises and the first chunk is checked one sample at a time
-            pytest.param(GInvGroupoid, (2, 3), 0, False, id="ginv-2,3-rerun"),
-            # sample 226 cannot be drawn (an arrow target misses the base at
-            # 1.2e-3): its error stays out of the stack
-            pytest.param(GInvGroupoid, (3,), 1, False, id="ginv-3-draw-error"),
+            # sample 160 composed to a pair off bab = b at 1.8e-3, and sample 226
+            # could not be drawn, until arrow exponents were bounded; the
+            # injected cases below keep both paths exercised
+            pytest.param(GInvGroupoid, (2, 3), 0, True, id="ginv-2,3-rerun"),
+            pytest.param(GInvGroupoid, (3,), 1, True, id="ginv-3-draw-error"),
             pytest.param(PartialIsometryGroupoid, (2,), 1, True, id="partial_isometry-2"),
         ],
     )
@@ -376,6 +411,25 @@ class TestStackedAxioms:
         stacked = verify_axioms(cls(shape), seed=seed, n_samples=300)
         single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=300)
         assert stacked.all_passed == passes
+        assert stacked.to_json_bytes() == single.to_json_bytes()
+
+    @pytest.mark.parametrize(
+        "cls, shape, seed, details",
+        [
+            # the stacked pass raises and the first chunk is checked one sample at a time
+            pytest.param(ComposeRefusesChain160, (3,), 1, "sample 160: CompositionError",
+                         id="ginv-3-injected-rerun"),
+            # sample 226 cannot be drawn: its error stays out of the stack
+            pytest.param(DrawFailsAtChain226, (3,), 1, "sample 226: InputError: injected",
+                         id="ginv-3-injected-draw-error"),
+        ],
+    )
+    def test_injected_fault_in_two_chunks_equals_one_at_a_time(self, cls, shape, seed, details):
+        stacked = verify_axioms(cls(shape), seed=seed, n_samples=300)
+        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=300)
+        failing = [r for r in stacked.records if not r.passed]
+        assert [r.name for r in failing] == ["law evaluation"]
+        assert failing[0].value == 1 and failing[0].details.startswith(details)
         assert stacked.to_json_bytes() == single.to_json_bytes()
 
     def test_raising_compose_in_stack_names_the_sample(self):

@@ -113,7 +113,7 @@ class TestOrbitPath:
     def test_lift_anchors_velocity(self, rng):
         p = random_projection(rng, (2,), ranks=(1,))
         q = random_projection(rng, (2,), ranks=(1,))
-        path = orbit_path(p, q, steps=8)
+        path = orbit_path(p, q, steps=2048)
         i = len(path) // 3
         alpha, c = path.lift(i), path.base(i)
         rho = fiber_anchor_image(alpha, c)
@@ -122,6 +122,16 @@ class TestOrbitPath:
         dt = path.sample_times[j] - path.sample_times[i]
         slope = (path.base(j) - c) * (1.0 / dt)
         assert (rho - slope).norm() <= 5e-3
+
+    def test_default_grid_and_steps_lower_bound(self, rng):
+        p = random_projection(rng, (3,), ranks=(1,))
+        q = random_projection(rng, (3,), ranks=(1,))
+        assert len(orbit_path(p, q)) == 257
+        assert len(orbit_path(p, q, steps=16)) == 257
+        assert len(orbit_path(P0, P1, steps=16)) == 513  # antipodal: two legs
+        for a, b in ((p, q), (P0, P1)):
+            assert len(orbit_path(a, b, steps=1000)) >= 1000
+            assert len(orbit_path(a, b, steps=1001)) >= 1001
 
 
 class TestReparametrize:
@@ -151,6 +161,29 @@ class TestReparametrize:
     def test_endpoint_values_enforced(self):
         with pytest.raises(InputError):
             reparametrize_lift(self.path, lambda t: 0.5 * t)
+
+    def test_phi_called_once_per_sample(self):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return t * t
+
+        reparametrize_lift(self.path, counted)
+        assert len(calls) == len(self.path)
+
+    @pytest.mark.parametrize("phi, dphi", [
+        (lambda t: t, lambda t: np.ones_like(t)),
+        (lambda t: t * t, lambda t: 2 * t),
+        (lambda t: 3 * t * t - 2 * t**3, lambda t: 6 * t - 6 * t * t),
+    ])
+    def test_phi_derivative_is_exact_for_polynomials(self, phi, dphi):
+        # a constant base and the constant lift 1: the new lift is phi' itself
+        times = self.path.sample_times
+        base = np.repeat(P0.blocks[0][None], len(times), axis=0)
+        lift = np.repeat(np.eye(2, dtype=complex)[None], len(times), axis=0)
+        out = reparametrize_lift(APath(times, (2,), (base,), (lift,)), phi)
+        assert np.max(np.abs(out.lift_blocks[0][:, 0, 0] - dphi(times))) <= 1e-12
 
 
 class TestSmoothReparametrizer:
@@ -238,6 +271,17 @@ class TestAPathValidation:
         p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
         with pytest.raises(InputError):
             APath([0.0, 0.5, 1.0], (2,), (np.stack([p, p]),), (np.stack([p, p, p]),))
+
+    def test_six_samples_at_least(self, rng):
+        p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
+        for count in (1, 5, 6):
+            stack = np.repeat(p[None], count, axis=0)
+            times = np.linspace(0.0, 1.0, count)
+            if count < 6:
+                with pytest.raises(InputError, match="at least 6 samples"):
+                    APath(times, (2,), (stack,), (np.zeros_like(stack),))
+            else:
+                assert APath(times, (2,), (stack,), (np.zeros_like(stack),)).max_lift_residual <= 1e-12
 
     def test_stacked_times_must_increase(self, rng):
         p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
