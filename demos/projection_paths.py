@@ -38,7 +38,7 @@ q = AlgebraElement.from_blocks([np.diag([0.0, 1.0])])
 path = orbit_path(p, q, steps=16)
 print(f"  endpoint error {path.end.distance(q):.2e}, "
       f"lift residual {path.max_lift_residual:.2e}, {len(path)} samples")
-mid = path.base(len(path) // 2)
+mid = path.bases[len(path) // 2]
 print(f"  midpoint is itself a projection: |m^2 - m| = {(mid @ mid - mid).norm():.2e}")
 
 print()

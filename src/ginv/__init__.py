@@ -23,8 +23,6 @@ from .algebra import (
     ElementClass,
     classify,
     corner_compress,
-    element_adjoint,
-    element_product,
     expm_element,
 )
 from .continuity import (
@@ -50,7 +48,6 @@ from .errors import (
 from .geninv import (
     GInvPair,
     PenroseResidual,
-    first_element,
     is_ginv_pair,
     moore_penrose,
     mp_pair,

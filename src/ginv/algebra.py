@@ -3,8 +3,8 @@
 An algebra is a direct sum of full matrix blocks; an element stores one
 square complex matrix per block.  Elementwise *-algebra operations live
 here together with the classification predicates for the distinguished
-subsets: idempotents, orthogonal projections, partial isometries and
-regular elements.
+subsets: idempotents, orthogonal projections and partial isometries (every
+element of a finite-dimensional algebra is regular).
 
 An element may also be a stack of ``N`` elements: every block is then an
 ``(N, n, n)`` array, with the same ``N`` in every block.  Products, sums,
@@ -12,9 +12,12 @@ scalar multiples and adjoints act row by row (and broadcast a single
 element against a stack), and :meth:`AlgebraElement.norm` returns an
 ``(N,)`` array of C*-norms.  Row ``i`` of every result equals, bit for bit,
 the result of the same operation on the single elements of row ``i``.
-Coordinates and the wire format stay single-element.  :func:`emax`,
-:func:`epow` and :func:`first_excess` give threshold arithmetic that reads
-the same on a norm and on an array of norms.
+The coordinates of a stack are an ``(N, D)`` array in the same fixed order,
+row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
+:func:`stack_rows` stacks rows of drawn inputs.  Classification and the
+wire format stay single-element.  :func:`emax`, :func:`epow` and
+:func:`first_excess` give threshold arithmetic that reads the same on a
+norm and on an array of norms.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ class AlgebraElement:
     def _trusted(cls, shape: tuple, blocks: tuple) -> "AlgebraElement":
         """Wrap already-validated complex blocks without copying.
 
-        No library code calls it: batch pipelines keep stacked arrays (see
-        ``paths.APath``).  It stays only while ``perfbench/tracing.py``
-        binds it by name; the public constructors validate.
+        No library code calls it: batches are stacked elements (see
+        ``paths.APath``), built through the validating constructors.  It
+        stays only while ``perfbench/tracing.py`` binds it by name.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "shape", shape)
@@ -160,6 +163,12 @@ class AlgebraElement:
         if self.is_stack:
             raise InputError(f"{what} takes a single element, not a stack")
 
+    def __getitem__(self, i) -> "AlgebraElement":
+        """Row ``i`` of a stack."""
+        if not self.is_stack:
+            raise InputError("a single element has no rows")
+        return AlgebraElement(self.shape, tuple(b[i] for b in self.blocks))
+
     # -- metrics and coordinates ------------------------------------------------
 
     def norm(self):
@@ -174,22 +183,25 @@ class AlgebraElement:
         return (self - other).norm()
 
     def real_coords(self) -> np.ndarray:
-        self._require_single("real_coords")
-        return np.concatenate([mat_to_realvec(b) for b in self.blocks])
+        """Real coordinates in the fixed order: a ``(D,)`` vector, or an
+        ``(N, D)`` array for a stack, row ``i`` being those of row ``i``."""
+        return np.concatenate([mat_to_realvec(b) for b in self.blocks], axis=-1)
 
     @classmethod
     def from_real_coords(cls, shape: Sequence[int], v: np.ndarray) -> "AlgebraElement":
+        """Inverse of :meth:`real_coords`: a ``(D,)`` vector gives one
+        element, an ``(N, D)`` array a stack of ``N``."""
         shape = validate_shape(shape)
         v = np.asarray(v, dtype=float)
-        if v.ndim != 1:
-            raise InputError(f"coordinates must be one flat vector, got shape {v.shape}")
+        if v.ndim not in (1, 2):
+            raise InputError(f"coordinates must be a vector or rows of them, not {v.shape}")
         blocks, pos = [], 0
         for n in shape:
             span = 2 * n * n
-            blocks.append(realvec_to_mat(v[pos : pos + span], n))
+            blocks.append(realvec_to_mat(v[..., pos : pos + span], n))
             pos += span
-        if pos != v.size:
-            raise InputError(f"coordinate vector has {v.size} entries, expected {pos}")
+        if pos != v.shape[-1]:
+            raise InputError(f"coordinate vectors have {v.shape[-1]} entries, expected {pos}")
         return cls(shape, tuple(blocks))
 
     def is_close(self, other: "AlgebraElement", atol: float) -> bool:
@@ -226,19 +238,18 @@ def first_excess(residual, bound):
     return residual if residual > bound else None
 
 
+def stack_rows(rows: Sequence) -> tuple:
+    """Rows of single elements, or of nested tuples of them such as arrow
+    noise, as one row of stacks: part ``j`` stacks part ``j`` of every row."""
+    return tuple(
+        AlgebraElement.stack(part) if isinstance(part[0], AlgebraElement) else stack_rows(part)
+        for part in zip(*rows)
+    )
+
+
 def real_dimension(shape: Sequence[int]) -> int:
     """Real dimension of the algebra in the fixed coordinatization."""
     return sum(2 * n * n for n in validate_shape(shape))
-
-
-def element_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Blockwise matrix product (associative up to rounding)."""
-    return a @ b
-
-
-def element_adjoint(a: AlgebraElement) -> AlgebraElement:
-    """Blockwise conjugate transpose; involutive, (ab)* = b*a*."""
-    return a.adjoint()
 
 
 def expm_element(a: AlgebraElement) -> AlgebraElement:
@@ -250,22 +261,18 @@ def expm_element(a: AlgebraElement) -> AlgebraElement:
 class ElementClass:
     """Membership report for the distinguished subsets of the algebra.
 
-    ``regular`` is hard-coded true: every matrix has a rank factorization,
-    so every element of a finite-dimensional algebra is regular.  The field
-    exists so reports can still speak about the regular set.
+    The regular set needs no field: every matrix has a rank factorization,
+    so every element of a finite-dimensional algebra is regular.
     """
 
     idempotent: bool
     projection: bool
     partial_isometry: bool
-    regular: bool
     max_residual: float
 
     def __post_init__(self):
         if self.projection and not self.idempotent:
             raise InputError("projection implies idempotent")
-        if self.partial_isometry and not self.regular:
-            raise InputError("partial isometry implies regular")
 
 
 def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementClass:
@@ -287,7 +294,6 @@ def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementCl
         idempotent=idempotent,
         projection=projection,
         partial_isometry=partial_isometry,
-        regular=True,
         max_residual=max(r_idem, r_sa, r_pi),
     )
 

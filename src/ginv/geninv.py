@@ -210,8 +210,3 @@ def sample_ginv_pairs(
 def mp_pair(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> GInvPair:
     """Pair an element with its Moore-Penrose inverse: ``a -> (a, a+)``."""
     return GInvPair.create(a, moore_penrose(a, tol), tol)
-
-
-def first_element(pair: GInvPair) -> AlgebraElement:
-    """First component of a pair; left inverse of :func:`mp_pair` (exact)."""
-    return pair.a

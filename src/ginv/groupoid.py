@@ -31,6 +31,7 @@ from .algebra import (
     epow,
     expm_element,
     first_excess,
+    stack_rows,
     validate_shape,
 )
 from .errors import CompositionError, GinvError, InputError, PreconditionError
@@ -817,16 +818,15 @@ def _draw_chains(G: Groupoid, rng: np.random.Generator, count: int) -> tuple:
     ``i`` is the chain the ``i``-th call would draw.  Raises when any row's
     arrow cannot be built.
     """
-    points, noises, loose = [], ([], [], []), []
+    rows, loose = [], []
     for _ in range(count):
-        points.append(G.sample_base_point(rng))
-        for drawn in noises:
-            drawn.append(G.arrow_noise(rng))
+        rows.append((G.sample_base_point(rng), *(G.arrow_noise(rng) for _ in range(3))))
         loose.append(G.sample_arrow(rng))
-    x, arrows = AlgebraElement.stack(points), []
-    for drawn in noises:
+    x, *noises = stack_rows(rows)
+    arrows = []
+    for noise in noises:
         G.check_base(x)
-        arrows.append(G.arrow_at(x, tuple(map(AlgebraElement.stack, zip(*drawn)))))
+        arrows.append(G.arrow_at(x, noise))
         x = G.target(arrows[-1])
     return (*arrows, G.stack_arrows(loose))
 

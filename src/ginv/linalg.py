@@ -1,12 +1,12 @@
 """Dense complex matrix primitives.
 
 SVD-backed rank and norm with a single relative cutoff, joint kernel
-dimensions, the fixed real coordinatization of block matrices (one matrix,
-or ``N`` stacked at once) and the exact real matrices of the linear maps
-``X -> A X B`` and ``X -> X*`` in it, and a central-difference Jacobian kept
-as an independent reference.  Everything here is a pure function; matrices
-are plain ``numpy`` arrays of ``complex128`` (or ``float64`` for
-real-coordinate work).
+dimensions, the fixed real coordinatization of block matrices (of one
+matrix, or of each matrix of a stack along the last axes) and the exact real
+matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
+central-difference Jacobian kept as an independent reference.  Everything
+here is a pure function; matrices are plain ``numpy`` arrays of
+``complex128`` (or ``float64`` for real-coordinate work).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("rank_cutoff_factor", "residual_tol", "fd_step_scale"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -185,42 +186,23 @@ def joint_kernel_dim(
 
 
 def mat_to_realvec(m: np.ndarray) -> np.ndarray:
+    """Real coordinates of a matrix; of each one, along the last axis, for an
+    ``(N, rows, cols)`` stack."""
     m = np.asarray(m, dtype=complex)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    lead = m.shape[:-2]
+    return np.concatenate([m.real.reshape(*lead, -1), m.imag.reshape(*lead, -1)], axis=-1)
 
 
 def realvec_to_mat(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
+    """Inverse of :func:`mat_to_realvec`: a ``(2 rows cols,)`` vector gives one
+    matrix, an ``(N, 2 rows cols)`` array a stack of ``N``."""
     cols = rows if cols is None else cols
     v = np.asarray(v, dtype=float)
     n = rows * cols
-    if v.size != 2 * n:
-        raise InputError(f"expected {2 * n} real coordinates, got {v.size}")
-    return v[:n].reshape(rows, cols) + 1j * v[n:].reshape(rows, cols)
-
-
-def stacks_to_realvecs(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinates of ``N`` elements at once: one ``(N, n, n)`` complex array
-    per block in, one ``(N, D)`` real array out, row ``i`` in the fixed order."""
-    parts = []
-    for b in stacks:
-        count, rows, cols = b.shape
-        parts += [b.real.reshape(count, rows * cols), b.imag.reshape(count, rows * cols)]
-    return np.concatenate(parts, axis=1)
-
-
-def realvecs_to_stacks(v: np.ndarray, sizes: Sequence[int]) -> tuple:
-    """Inverse of :func:`stacks_to_realvecs` for square blocks of the given sizes."""
-    v = np.asarray(v, dtype=float)
-    dim = sum(2 * n * n for n in sizes)
-    if v.ndim != 2 or v.shape[1] != dim:
-        raise InputError(f"expected rows of {dim} real coordinates, got shape {v.shape}")
-    stacks, pos = [], 0
-    for n in sizes:
-        span = n * n
-        re, im = v[:, pos : pos + span], v[:, pos + span : pos + 2 * span]
-        stacks.append(re.reshape(-1, n, n) + 1j * im.reshape(-1, n, n))
-        pos += 2 * span
-    return tuple(stacks)
+    if v.shape[-1:] != (2 * n,):
+        raise InputError(f"expected {2 * n} real coordinates, got shape {v.shape}")
+    lead = v.shape[:-1]
+    return v[..., :n].reshape(*lead, rows, cols) + 1j * v[..., n:].reshape(*lead, rows, cols)
 
 
 def _realify(m: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ canonical direct-rotation unitary and interpolated through its principal
 logarithm; a quintic time profile flattens the velocity at the endpoints so
 concatenated legs stay admissible.
 
-A sampled path is stored struct-of-arrays: per algebra block, one read-only
-``(N, n, n)`` complex array of base samples and one of lift samples.  Path
+A sampled path stores its base samples and its lift samples as two stacked
+elements (see :mod:`ginv.algebra`), sample ``i`` in row ``i``.  Path
 construction, the lift residual and reparametrization work on these stacks
-(and on their ``(N, D)`` real coordinates) throughout; ``APath.base(i)`` and
-``APath.lift(i)`` build single elements on demand.
+(and on their ``(N, D)`` real coordinates) throughout; ``path.bases[i]`` is
+the base projection at sample ``i``.
 
 Every derivative and every value between samples comes from a quintic
 interpolating spline through the samples (de Boor, *A Practical Guide to
@@ -29,7 +29,7 @@ import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
 
-from .algebra import AlgebraElement, classify, validate_shape
+from .algebra import AlgebraElement, classify
 from .errors import (
     DegenerateInterpolationError,
     InputError,
@@ -37,14 +37,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    ensure_finite,
-    numerical_rank,
-    realvecs_to_stacks,
-    stacks_to_realvecs,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 
 _WAYPOINT_SEED = 0x5EED
 #: Sample intervals per leg of an :func:`orbit_path` at the least.  At 128,
@@ -64,53 +57,39 @@ def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraEleme
 
     The target map on partial isometries is ``u -> u u*``; its differential
     at the identity arrow over ``c`` sends ``alpha`` to ``alpha c + c alpha*``.
+    Row by row on stacks.
     """
     return alpha @ c + c @ alpha.adjoint()
-
-
-def _frozen_stacks(stacks, shape: tuple, count: int, what: str) -> tuple:
-    """Read-only ``(count, n, n)`` complex copies of one sample stack per block."""
-    if len(stacks) != len(shape):
-        raise InputError(f"expected {len(shape)} {what} stacks, got {len(stacks)}")
-    frozen = []
-    for n, b in zip(shape, stacks):
-        b = np.array(b, dtype=complex)
-        if b.ndim != 3 or b.shape[1:] != (n, n):
-            raise InputError(f"{what} stack of shape {b.shape} does not hold {n}x{n} blocks")
-        if len(b) != count:
-            raise InputError("sample counts of times, bases and lifts must match")
-        ensure_finite(b, f"{what} stack")
-        b.setflags(write=False)
-        frozen.append(b)
-    return tuple(frozen)
 
 
 @dataclass(frozen=True, eq=False)
 class APath:
     """Sampled admissible path: base projections plus a fiber lift.
 
-    ``base_blocks`` and ``lift_blocks`` hold one read-only ``(N, n, n)``
-    complex array per block of ``shape``, sample ``i`` in row ``i``.  The
-    constructor validates them against ``sample_times`` and computes
-    ``max_lift_residual``: the worst spectral norm of the anchor image of the
-    lift minus the base velocity, taken from the derivative of the quintic
-    spline through the base samples.  That velocity is accurate to O(h^5),
-    so a path needs at least six samples.
+    ``bases`` and ``lifts`` are stacked elements of one shape, sample ``i``
+    in row ``i``.  The constructor checks them against ``sample_times`` and
+    computes ``max_lift_residual``: the worst C*-norm of the anchor image of
+    the lift minus the base velocity, taken from the derivative of the
+    quintic spline through the base samples.  That velocity is accurate to
+    O(h^5), so a path needs at least six samples.
     """
 
     sample_times: np.ndarray
-    shape: tuple
-    base_blocks: tuple
-    lift_blocks: tuple
+    bases: AlgebraElement
+    lifts: AlgebraElement
     max_lift_residual: float = field(init=False)
 
     def __post_init__(self):
         times = np.array(self.sample_times, dtype=float)
         if times.ndim != 1:
             raise InputError("sample times must be a flat sequence")
-        shape = validate_shape(self.shape)
-        bases = _frozen_stacks(self.base_blocks, shape, len(times), "base")
-        lifts = _frozen_stacks(self.lift_blocks, shape, len(times), "lift")
+        bases, lifts = self.bases, self.lifts
+        if bases.shape != lifts.shape:
+            raise ShapeMismatchError("bases and lifts must share one algebra shape")
+        if not (bases.is_stack and lifts.is_stack):
+            raise InputError("bases and lifts must be stacks of samples")
+        if not len(bases.blocks[0]) == len(lifts.blocks[0]) == len(times):
+            raise InputError("sample counts of times, bases and lifts must match")
         if np.any(np.diff(times) <= 0):
             raise InputError("sample times must be strictly increasing")
         if len(times) <= _SPLINE_DEGREE:
@@ -118,53 +97,23 @@ class APath:
                 f"need at least {_SPLINE_DEGREE + 1} samples for the velocity spline")
         if times[0] < -1e-12 or times[-1] > 1 + 1e-12:
             raise InputError("sample times must lie in [0, 1]")
-        vel = _spline(times, stacks_to_realvecs(bases)).derivative()(times)
-        vel = realvecs_to_stacks(vel, shape)
-        residual = 0.0
-        for cb, ab, cdot in zip(bases, lifts, vel):
-            rho = ab @ cb + cb @ ab.conj().transpose(0, 2, 1)
-            svals = np.linalg.svd(rho - cdot, compute_uv=False)
-            residual = max(residual, float(np.max(svals)))
+        velocity = AlgebraElement.from_real_coords(
+            bases.shape, _spline(times, bases.real_coords()).derivative()(times))
+        residual = (fiber_anchor_image(lifts, bases) - velocity).norm()
         times.setflags(write=False)
         object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "base_blocks", bases)
-        object.__setattr__(self, "lift_blocks", lifts)
-        object.__setattr__(self, "max_lift_residual", residual)
-
-    @classmethod
-    def create(cls, times, bases, lifts) -> "APath":
-        """Path through sequences of elements, one base and one lift per time."""
-        if not bases or len(bases) != len(lifts):
-            raise InputError("need matching, non-empty sequences of bases and lifts")
-        shape = bases[0].shape
-        if any(x.shape != shape for x in (*bases, *lifts)):
-            raise ShapeMismatchError("bases and lifts must share one algebra shape")
-        return cls(
-            times,
-            shape,
-            tuple(np.stack([b.blocks[i] for b in bases]) for i in range(len(shape))),
-            tuple(np.stack([a.blocks[i] for a in lifts]) for i in range(len(shape))),
-        )
+        object.__setattr__(self, "max_lift_residual", float(np.max(residual)))
 
     def __len__(self):
         return len(self.sample_times)
 
-    def base(self, i: int) -> AlgebraElement:
-        """Base projection at sample ``i``."""
-        return AlgebraElement(self.shape, tuple(b[i] for b in self.base_blocks))
-
-    def lift(self, i: int) -> AlgebraElement:
-        """Fiber lift at sample ``i``."""
-        return AlgebraElement(self.shape, tuple(a[i] for a in self.lift_blocks))
-
     @property
     def start(self) -> AlgebraElement:
-        return self.base(0)
+        return self.bases[0]
 
     @property
     def end(self) -> AlgebraElement:
-        return self.base(-1)
+        return self.bases[-1]
 
 
 # -- projection retraction and rotations -------------------------------------------
@@ -326,9 +275,8 @@ def orbit_path(
         lifts.append(leg_lifts)
     return APath(
         np.concatenate(times),
-        p.shape,
-        tuple(np.concatenate(legs) for legs in zip(*bases)),
-        tuple(np.concatenate(legs) for legs in zip(*lifts)),
+        AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*bases))),
+        AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*lifts))),
     )
 
 
@@ -353,16 +301,14 @@ def reparametrize_lift(path: APath, phi) -> APath:
         raise InputError("phi is not monotone on the sample grid")
 
     dph = _spline(times, ph).derivative()(times)
-    base_coords = stacks_to_realvecs(path.base_blocks)
-    lift_coords = stacks_to_realvecs(path.lift_blocks)
     queries = np.clip(ph, times[0], times[-1])
-    base_new = _spline(times, base_coords)(queries)
-    lift_new = dph[:, None] * _spline(times, lift_coords)(queries)
+    base_new = _spline(times, path.bases.real_coords())(queries)
+    lift_new = dph[:, None] * _spline(times, path.lifts.real_coords())(queries)
+    shape = path.bases.shape
     return APath(
         times,
-        path.shape,
-        realvecs_to_stacks(base_new, path.shape),
-        realvecs_to_stacks(lift_new, path.shape),
+        AlgebraElement.from_real_coords(shape, base_new),
+        AlgebraElement.from_real_coords(shape, lift_new),
     )
 
 

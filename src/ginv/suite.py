@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, emax, epow
+from .algebra import AlgebraElement, emax, epow, stack_rows
 from .continuity import continuity_experiment, make_family
 from .errors import GinvError, OrbitError
 from .geninv import (
@@ -59,15 +59,6 @@ def reparametrized_bound(path_residual: float) -> float:
 
 def _record(name, anchor, passed, value, details=""):
     return CheckRecord(name=name, anchor=anchor, passed=bool(passed), value=value, details=details)
-
-
-def _stack(rows: list) -> tuple:
-    """Rows of drawn inputs (elements, or tuples of elements such as arrow
-    noise) as one row of stacks."""
-    return tuple(
-        AlgebraElement.stack(part) if isinstance(part[0], AlgebraElement) else _stack(part)
-        for part in zip(*rows)
-    )
 
 
 def _stacked_or_in_order(run, stacks: list, rows: list) -> list:
@@ -155,7 +146,7 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
         x = G.sample_base_point(rng)
         noise2 = G.arrow_noise(rng)
         rows.append((G, x, noise2, G.arrow_noise(rng)))
-    stacks = [(G, *_stack([r[1:] for r in rows[j::len(groupoids)]]))
+    stacks = [(G, *stack_rows([r[1:] for r in rows[j::len(groupoids)]]))
               for j, G in enumerate(groupoids)]
     ratios = _stacked_or_in_order(_closure_ratios, stacks, rows)
     worst, n = max(float(np.max(r)) for r in ratios), len(rows)
@@ -233,7 +224,7 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
         p = U.sample_base_point(rng)
         noise_v = U.arrow_noise(rng)
         rows.append((p, noise_v, U.arrow_noise(rng)))
-    results = _stacked_or_in_order(residuals, [_stack(rows)], rows)
+    results = _stacked_or_in_order(residuals, [stack_rows(rows)], rows)
     worst, n = max(float(np.max(r)) for r in results), len(rows)
     return _record(
         "05 morphism laws",

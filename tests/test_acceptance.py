@@ -18,6 +18,7 @@ from ginv.suite import ALL_CRITERIA
 
 SEED = 0
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
 def _run(criterion, k):
@@ -63,3 +64,11 @@ def test_cli_suite_determinism(tmp_path):
     assert outs[0] == outs[1]
     report = json.loads(outs[0])
     assert report["summary"]["total"] == len(ALL_CRITERIA)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs_clean(demo):
+    """Each narrative script in ``demos/`` exits 0 and writes nothing to stderr."""
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

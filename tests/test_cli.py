@@ -64,6 +64,20 @@ class TestPinv:
 
 
 class TestCheckGroupoid:
+    def test_nonfinite_tolerance_is_input_error(self, capsys):
+        code, out = run(
+            ["check-groupoid", "--kind", "ginv", "--samples", "2", "--tol-residual", "inf",
+             "--no-timestamp"],
+            capsys,
+        )
+        assert code == 2
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        record = json.loads(out, parse_constant=reject)["records"][0]
+        assert record["name"] == "error" and record["value"] == "InputError"
+
     def test_pair_kind_passes(self, capsys):
         code, out = run(
             ["check-groupoid", "--kind", "pair", "--points", "5", "--seed", "1",

@@ -159,5 +159,6 @@ def test_tolerance_config_accepts_positive(residual, cutoff):
 
 @pytest.mark.parametrize("field", ["rank_cutoff_factor", "residual_tol", "fd_step_scale"])
 def test_tolerance_config_rejects_nonpositive(field):
-    with pytest.raises(InputError):
-        ToleranceConfig(**{field: 0.0})
+    for value in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InputError):
+            ToleranceConfig(**{field: value})

@@ -8,7 +8,6 @@ from ginv.errors import (
     OrbitError,
     PreconditionError,
 )
-from ginv.linalg import realvecs_to_stacks, stacks_to_realvecs
 from ginv.paths import (
     APath,
     direct_rotation,
@@ -24,6 +23,11 @@ from ginv.sampling import random_projection
 
 def mat(entries):
     return AlgebraElement.from_blocks([np.array(entries, dtype=complex)])
+
+
+def stacked(blocks):
+    """A stack of 2x2 elements from one ``(N, 2, 2)`` array (or list of rows)."""
+    return AlgebraElement((2,), (np.stack(blocks),))
 
 
 P0 = mat([[1, 0], [0, 0]])
@@ -92,7 +96,7 @@ class TestOrbitPath:
         assert path.end.distance(q) <= 1e-6
         assert path.max_lift_residual <= 1e-4
         # every sample stays on the projection manifold
-        mid = path.base(len(path) // 2)
+        mid = path.bases[len(path) // 2]
         assert (mid @ mid - mid).norm() <= 1e-10
         assert (mid.adjoint() - mid).norm() <= 1e-10
 
@@ -115,12 +119,12 @@ class TestOrbitPath:
         q = random_projection(rng, (2,), ranks=(1,))
         path = orbit_path(p, q, steps=2048)
         i = len(path) // 3
-        alpha, c = path.lift(i), path.base(i)
+        alpha, c = path.lifts[i], path.bases[i]
         rho = fiber_anchor_image(alpha, c)
         # compare against a one-sided analytic slope over a tiny window
         j = i + 1
         dt = path.sample_times[j] - path.sample_times[i]
-        slope = (path.base(j) - c) * (1.0 / dt)
+        slope = (path.bases[j] - c) * (1.0 / dt)
         assert (rho - slope).norm() <= 5e-3
 
     def test_default_grid_and_steps_lower_bound(self, rng):
@@ -182,8 +186,8 @@ class TestReparametrize:
         times = self.path.sample_times
         base = np.repeat(P0.blocks[0][None], len(times), axis=0)
         lift = np.repeat(np.eye(2, dtype=complex)[None], len(times), axis=0)
-        out = reparametrize_lift(APath(times, (2,), (base,), (lift,)), phi)
-        assert np.max(np.abs(out.lift_blocks[0][:, 0, 0] - dphi(times))) <= 1e-12
+        out = reparametrize_lift(APath(times, stacked(base), stacked(lift)), phi)
+        assert np.max(np.abs(out.lifts.blocks[0][:, 0, 0] - dphi(times))) <= 1e-12
 
 
 class TestSmoothReparametrizer:
@@ -226,31 +230,31 @@ class TestStackedSamples:
     def test_rows_are_element_coordinates(self, rng, shape, ranks):
         path = orbit_path(random_projection(rng, shape, ranks=ranks),
                           random_projection(rng, shape, ranks=ranks), steps=8)
-        base_coords = stacks_to_realvecs(path.base_blocks)
-        lift_coords = stacks_to_realvecs(path.lift_blocks)
+        base_coords = path.bases.real_coords()
+        lift_coords = path.lifts.real_coords()
         for i in range(len(path)):
-            assert np.array_equal(base_coords[i], path.base(i).real_coords())
-            assert np.array_equal(lift_coords[i], path.lift(i).real_coords())
-        assert not any(b.flags.writeable for b in path.base_blocks + path.lift_blocks)
+            assert np.array_equal(base_coords[i], path.bases[i].real_coords())
+            assert np.array_equal(lift_coords[i], path.lifts[i].real_coords())
+        assert not any(b.flags.writeable for b in path.bases.blocks + path.lifts.blocks)
 
     def test_coordinate_round_trip_is_exact(self, rng):
         shape = (2, 3)
         v = rng.standard_normal((5, 26))
-        stacks = realvecs_to_stacks(v, shape)
-        assert [b.shape for b in stacks] == [(5, 2, 2), (5, 3, 3)]
-        assert np.array_equal(stacks_to_realvecs(stacks), v)
-        again = realvecs_to_stacks(stacks_to_realvecs(stacks), shape)
-        assert all(np.array_equal(a, b) for a, b in zip(again, stacks))
+        x = AlgebraElement.from_real_coords(shape, v)
+        assert [b.shape for b in x.blocks] == [(5, 2, 2), (5, 3, 3)]
+        assert np.array_equal(x.real_coords(), v)
+        again = AlgebraElement.from_real_coords(shape, x.real_coords())
+        assert all(np.array_equal(a, b) for a, b in zip(again.blocks, x.blocks))
         with pytest.raises(InputError):
-            realvecs_to_stacks(v[:, :-1], shape)
+            AlgebraElement.from_real_coords(shape, v[:, :-1])
 
     def test_elements_and_stacks_give_one_residual(self, rng):
         path = orbit_path(random_projection(rng, (2, 3), ranks=(1, 2)),
                           random_projection(rng, (2, 3), ranks=(1, 2)), steps=8)
-        rebuilt = APath.create(
+        rebuilt = APath(
             path.sample_times,
-            [path.base(i) for i in range(len(path))],
-            [path.lift(i) for i in range(len(path))],
+            AlgebraElement.stack([path.bases[i] for i in range(len(path))]),
+            AlgebraElement.stack([path.lifts[i] for i in range(len(path))]),
         )
         assert rebuilt.max_lift_residual == path.max_lift_residual
 
@@ -259,18 +263,19 @@ class TestAPathValidation:
     def test_count_mismatch(self, rng):
         p = random_projection(rng, (2,), ranks=(1,))
         with pytest.raises(InputError):
-            APath.create([0.0, 0.5, 1.0], [p, p], [p, p])
+            APath([0.0, 0.5, 1.0], AlgebraElement.stack([p, p]), AlgebraElement.stack([p, p]))
 
     def test_times_must_increase(self, rng):
         p = random_projection(rng, (2,), ranks=(1,))
         z = AlgebraElement.zeros((2,))
         with pytest.raises(InputError):
-            APath.create([0.0, 0.5, 0.5], [p, p, p], [z, z, z])
+            APath([0.0, 0.5, 0.5], AlgebraElement.stack([p, p, p]),
+                  AlgebraElement.stack([z, z, z]))
 
     def test_stacked_count_mismatch(self, rng):
         p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
         with pytest.raises(InputError):
-            APath([0.0, 0.5, 1.0], (2,), (np.stack([p, p]),), (np.stack([p, p, p]),))
+            APath([0.0, 0.5, 1.0], stacked([p, p]), stacked([p, p, p]))
 
     def test_six_samples_at_least(self, rng):
         p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
@@ -279,12 +284,13 @@ class TestAPathValidation:
             times = np.linspace(0.0, 1.0, count)
             if count < 6:
                 with pytest.raises(InputError, match="at least 6 samples"):
-                    APath(times, (2,), (stack,), (np.zeros_like(stack),))
+                    APath(times, stacked(stack), stacked(np.zeros_like(stack)))
             else:
-                assert APath(times, (2,), (stack,), (np.zeros_like(stack),)).max_lift_residual <= 1e-12
+                path = APath(times, stacked(stack), stacked(np.zeros_like(stack)))
+                assert path.max_lift_residual <= 1e-12
 
     def test_stacked_times_must_increase(self, rng):
         p = random_projection(rng, (2,), ranks=(1,)).blocks[0]
         stack = np.stack([p, p, p])
         with pytest.raises(InputError):
-            APath([0.0, 0.5, 0.5], (2,), (stack,), (np.zeros_like(stack),))
+            APath([0.0, 0.5, 0.5], stacked(stack), stacked(np.zeros_like(stack)))
