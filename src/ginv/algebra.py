@@ -17,7 +17,8 @@ row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
 :func:`stack_rows` stacks rows of drawn inputs.  Classification and the
 wire format stay single-element.  :func:`emax`, :func:`epow` and
 :func:`first_excess` give threshold arithmetic that reads the same on a
-norm and on an array of norms.
+norm and on an array of norms.  Only :func:`expm_element` needs scipy, and
+it imports ``scipy.linalg`` when called.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, PreconditionError, ShapeMismatchError
 from .linalg import (
@@ -254,6 +254,8 @@ def real_dimension(shape: Sequence[int]) -> int:
 
 def expm_element(a: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix exponential."""
+    import scipy.linalg
+
     return AlgebraElement(a.shape, tuple(scipy.linalg.expm(b) for b in a.blocks))
 
 

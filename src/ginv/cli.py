@@ -41,7 +41,6 @@ from .linalg import ToleranceConfig
 from .paths import orbit_path, reparametrize_lift
 from .reports import CheckRecord, ExperimentReport
 from .serialization import element_to_dict, parse_element
-from .suite import ENDPOINT_TOL, LIFT_TOL, reparametrized_bound, run_acceptance
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -243,6 +242,8 @@ def _cmd_geometry(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_path(args, tol, seed) -> ExperimentReport:
+    from .suite import ENDPOINT_TOL, LIFT_TOL, reparametrized_bound
+
     if (args.p_file is None) != (args.q_file is None):
         raise InputError("--p and --q must be given together")
     if args.p_file is not None:
@@ -306,6 +307,8 @@ def _cmd_continuity(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_suite(args, tol, seed) -> ExperimentReport:
+    from .suite import run_acceptance
+
     report = run_acceptance(tol, seed)
     report.config.update(_config_echo(args, tol, seed))
     return report

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -40,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint_matrix,
+    block_diag,
     kernel_basis,
     numerical_rank,
     operator_norm,
@@ -550,7 +550,7 @@ class ActionGroupoid(Groupoid):
         self._check_structure(g)
         x, h, eye = g.point_array, g.g_array, np.eye(self.n)
         # chart (dx, V) -> (x + dx, e^V h); at 0: (dx, V h), row-major in V
-        j_arrow = scipy.linalg.block_diag(eye, np.kron(eye, h.T))
+        j_arrow = block_diag(eye, np.kron(eye, h.T))
         ds = np.hstack([eye, np.zeros((self.n, self.n * self.n))])
         dt = np.hstack([h, np.kron(eye, x[None, :])])  # h dx + dh x
         return j_arrow, ds, dt

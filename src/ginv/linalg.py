@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EvaluationError, InputError
 
@@ -210,15 +209,24 @@ def _realify(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of the 2-d ``mats``, of their common result dtype."""
+    rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
     """Real matrix of ``X -> A X B`` on a direct sum of square blocks.
 
     ``left`` and ``right`` hold one ``A`` and one ``B`` per block.  Row-major
     vectorization turns ``A X B`` into ``kron(A, B^T) vec(X)``.
     """
-    return scipy.linalg.block_diag(
-        *(_realify(np.kron(a, np.transpose(b))) for a, b in zip(left, right))
-    )
+    return block_diag(*(_realify(np.kron(a, np.transpose(b))) for a, b in zip(left, right)))
 
 
 def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:
@@ -226,5 +234,5 @@ def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:
     mats = []
     for n in sizes:
         transpose = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
-        mats.append(scipy.linalg.block_diag(transpose, -transpose))
-    return scipy.linalg.block_diag(*mats)
+        mats.append(block_diag(transpose, -transpose))
+    return block_diag(*mats)

@@ -18,6 +18,8 @@ interpolating spline through the samples (de Boor, *A Practical Guide to
 Splines*): the base velocity, the derivative of a time change and the
 resampled path.  Its error falls like ``h^5`` in the sample spacing and it
 reproduces polynomials of degree up to 5, so a leg of 257 samples suffices.
+The splines (``scipy.interpolate``) and the Schur form behind the principal
+logarithm (``scipy.linalg``) are imported by the functions that call them.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.interpolate
-import scipy.linalg
 
 from .algebra import AlgebraElement, classify
 from .errors import (
@@ -49,6 +48,8 @@ _SPLINE_DEGREE = 5
 
 def _spline(times: np.ndarray, values: np.ndarray):
     """Quintic interpolating spline through ``values`` (first axis) at ``times``."""
+    import scipy.interpolate
+
     return scipy.interpolate.make_interp_spline(times, values, k=_SPLINE_DEGREE, axis=0)
 
 
@@ -163,6 +164,8 @@ def direct_rotation(
 
 def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
     """Skew-Hermitian principal logarithm of a unitary element."""
+    import scipy.linalg
+
     blocks = []
     for b in u.blocks:
         t, z = scipy.linalg.schur(b, output="complex")
@@ -327,6 +330,8 @@ def smooth_reparametrizer(knots=()):
     if not knots:
         return lambda t: t
 
+    import scipy.interpolate
+
     grid = np.linspace(0.0, 1.0, 8193)
     with np.errstate(divide="ignore", under="ignore"):
         weight = np.ones_like(grid)
@@ -336,7 +341,8 @@ def smooth_reparametrizer(knots=()):
             positive = d > 0
             w[positive] = np.exp(-1.0 / d[positive])
             weight *= w
-    cumulative = scipy.integrate.cumulative_trapezoid(weight, grid, initial=0.0)
+    trapezoids = np.diff(grid) * (weight[1:] + weight[:-1]) / 2.0
+    cumulative = np.concatenate(([0.0], np.cumsum(trapezoids)))
     cumulative /= cumulative[-1]
     spline = scipy.interpolate.CubicSpline(grid, cumulative)
 

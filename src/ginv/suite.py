@@ -2,12 +2,18 @@
 
 Each function returns a :class:`CheckRecord`; the CLI ``suite`` subcommand
 and the acceptance test module both run this battery, so a report and the
-test suite can never drift apart.
+test suite can never drift apart.  Unlike the rest of the package, this
+module loads ``scipy.linalg`` and ``scipy.interpolate`` when imported, so a
+battery's first criterion does not pay for that import.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The criteria call expm and the path splines: load scipy here, not in criterion 01's time.
+import scipy.interpolate  # noqa: F401
+import scipy.linalg  # noqa: F401
 
 from .algebra import AlgebraElement, emax, epow, stack_rows
 from .continuity import continuity_experiment, make_family

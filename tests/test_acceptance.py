@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ginv import sampling
 from ginv.linalg import DEFAULT_TOL
+from ginv.serialization import serialize_element
 from ginv.suite import ALL_CRITERIA
 
 SEED = 0
@@ -72,3 +75,34 @@ def test_demo_runs_clean(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+_COLD_PATH = """
+import json, sys
+import ginv, ginv.cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.interpolate", "scipy.integrate") if m in sys.modules]
+
+after_import = loaded()
+rc = ginv.cli.main(["pinv", "--in", sys.argv[1], "--no-timestamp"])
+after_pinv = loaded()
+import ginv.suite
+print(json.dumps([rc, after_import, after_pinv, loaded()]))
+"""
+
+
+def test_cold_path_loads_no_scipy(tmp_path):
+    """Importing ``ginv`` and running ``pinv`` load no scipy submodule, and
+    importing ``ginv.suite`` loads the two the battery calls, so the battery
+    pays for them at set-up rather than in its first criterion."""
+    doc = tmp_path / "a.json"
+    rng = np.random.default_rng(0)
+    doc.write_text(serialize_element(sampling.well_conditioned_element(rng, (2, 3), ranks=(1, 2))))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PATH, str(doc)], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.stderr == "", proc.stderr
+    rc, after_import, after_pinv, after_suite = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert after_import == [] and after_pinv == []
+    assert after_suite == ["scipy.linalg", "scipy.interpolate"]

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ginv.errors import EvaluationError, InputError
+from ginv.groupoid import ActionGroupoid
 from ginv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _realify,
+    adjoint_matrix,
+    block_diag,
     finite_diff_jacobian,
     joint_kernel_dim,
     kernel_basis,
     numerical_rank,
     operator_norm,
+    sandwich_matrix,
 )
 
 
@@ -162,3 +168,37 @@ def test_tolerance_config_rejects_nonpositive(field):
     for value in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(InputError):
             ToleranceConfig(**{field: value})
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+class TestBlockDiag:
+    """``block_diag`` equals ``scipy.linalg.block_diag`` bit for bit, dtype
+    included, on the blocks the library passes it."""
+
+    def test_real_and_complex_blocks(self, rng):
+        real = [rng.standard_normal((n, m)) for n, m in ((2, 2), (1, 3), (4, 2))]
+        cplx = [random_complex(rng, n, m) for n, m in ((3, 3), (2, 1))]
+        for mats in (real, cplx, real + cplx, real[:1]):
+            _assert_same(block_diag(*mats), scipy.linalg.block_diag(*mats))
+
+    @pytest.mark.parametrize("shape", [(2,), (8,), (1, 2, 3)])
+    def test_sandwich_and_adjoint_matrices(self, rng, shape):
+        left = [random_complex(rng, n) for n in shape]
+        right = [random_complex(rng, n) for n in shape]
+        realified = [_realify(np.kron(a, b.T)) for a, b in zip(left, right)]
+        _assert_same(sandwich_matrix(left, right), scipy.linalg.block_diag(*realified))
+        transposes = [np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()] for n in shape]
+        want = scipy.linalg.block_diag(*(scipy.linalg.block_diag(t, -t) for t in transposes))
+        _assert_same(adjoint_matrix(shape), want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_action_chart_differential(self, rng, n):
+        G = ActionGroupoid(n)
+        g = G.sample_arrow(rng)
+        j_arrow = G.chart_differential(g)[0]
+        eye = np.eye(n)
+        _assert_same(j_arrow, scipy.linalg.block_diag(eye, np.kron(eye, g.g_array.T)))
