@@ -14,10 +14,10 @@ element against a stack), and :meth:`AlgebraElement.norm` returns an
 the result of the same operation on the single elements of row ``i``.
 The coordinates of a stack are an ``(N, D)`` array in the same fixed order,
 row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
-:func:`stack_rows` stacks rows of drawn inputs.  Classification and the
-wire format stay single-element.  :func:`emax`, :func:`epow` and
-:func:`first_excess` give threshold arithmetic that reads the same on a
-norm and on an array of norms.  Only :func:`expm_element` needs scipy, and
+:func:`stack_rows` stacks rows of drawn inputs (elements and plain arrays).
+Classification and the wire format stay single-element.  :func:`emax`,
+:func:`epow` and :func:`first_excess` give threshold arithmetic that reads
+the same on a norm and on an array of norms.  Only :func:`expm_element` needs scipy, and
 it imports ``scipy.linalg`` when called.
 """
 
@@ -239,12 +239,17 @@ def first_excess(residual, bound):
 
 
 def stack_rows(rows: Sequence) -> tuple:
-    """Rows of single elements, or of nested tuples of them such as arrow
-    noise, as one row of stacks: part ``j`` stacks part ``j`` of every row."""
-    return tuple(
-        AlgebraElement.stack(part) if isinstance(part[0], AlgebraElement) else stack_rows(part)
-        for part in zip(*rows)
-    )
+    """Rows of single elements or arrays, or of nested tuples of them such as
+    arrow noise, as one row of stacks: part ``j`` stacks part ``j`` of every
+    row (an array part along a new leading axis)."""
+    def stack(part):
+        if isinstance(part[0], AlgebraElement):
+            return AlgebraElement.stack(part)
+        if isinstance(part[0], np.ndarray):
+            return np.stack(part)
+        return stack_rows(part)
+
+    return tuple(stack(part) for part in zip(*rows))
 
 
 def real_dimension(shape: Sequence[int]) -> int:

@@ -13,7 +13,9 @@ Subcommands dispatch to the library and emit machine-readable reports:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input or
 configuration, or any other error; every exit-2 failure is reported as an
-``error`` record, never as a traceback.  When the ``--out`` path cannot be
+``error`` record, never as a traceback.  Input past the desk scale is bad
+input: block sizes and ``--dim`` above 8, more than 8 blocks, and the
+counts above :data:`SCALE_LIMITS`.  When the ``--out`` path cannot be
 written, that record goes to stdout.  Identical configuration (including
 ``--seed``) produces byte-identical reports; ``--no-timestamp`` suppresses
 the only non-deterministic field.  The environment variable ``GINV_SEED``
@@ -45,6 +47,19 @@ from .serialization import element_to_dict, parse_element
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+
+#: The largest block size, and the most blocks, of an algebra the CLI takes.
+MAX_BLOCK_SIZE = 8
+MAX_BLOCKS = 8
+#: The largest value of each size flag; checked before any work starts.
+SCALE_LIMITS = {
+    "dim": 8,
+    "samples": 10_000,
+    "count": 1_000,
+    "steps": 1_024,
+    "horizon": 1_024,
+    "points": 10_000,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,11 +129,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_scale(args) -> None:
+    for name, limit in SCALE_LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            raise InputError(f"--{name} {value} is past the limit of {limit}")
+
+
+def _check_blocks(shape: tuple) -> tuple:
+    if len(shape) > MAX_BLOCKS:
+        raise InputError(f"{len(shape)} blocks are past the limit of {MAX_BLOCKS}")
+    if any(n > MAX_BLOCK_SIZE for n in shape):
+        raise InputError(f"block size {max(shape)} is past the limit of {MAX_BLOCK_SIZE}")
+    return shape
+
+
 def _parse_shape(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        shape = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise InputError(f"bad shape {text!r}: {exc}") from exc
+    return _check_blocks(shape)
 
 
 def _resolve_seed(args) -> int:
@@ -147,7 +178,9 @@ def _read_element(path: Path) -> AlgebraElement:
         text = path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_element(text)
+    element = parse_element(text)
+    _check_blocks(element.shape)
+    return element
 
 
 def _instance(args, tol: ToleranceConfig):
@@ -376,6 +409,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_scale(args)
         seed = _resolve_seed(args)
         tol = _resolve_tol(args)
         report = _HANDLERS[args.command](args, tol, seed)

@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import AlgebraElement, emax, epow, first_excess
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
+from .sampling import random_element
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,27 @@ def is_ginv_pair(
     return excess_aba is None and excess_bab is None
 
 
+def reflexive_inverse(
+    a: AlgebraElement, dagger: AlgebraElement, u: AlgebraElement, v: AlgebraElement
+) -> AlgebraElement:
+    """The reflexive inverse ``g_u a g_v`` of ``a``, row by row on stacks.
+
+    ``dagger`` is the pseudo-inverse ``a+``.  The inner inverses
+    ``g_w = a+ + s w - a+ a (s w) a a+`` form an affine family, and products
+    of two of them sweep the reflexive inverses.  ``s = 1 / (1 + norm(a+))``
+    keeps residual scaling uniform across test matrices.
+    """
+    scale = 1.0 / (1.0 + dagger.norm())
+    proj_left = dagger @ a   # a+ a
+    proj_right = a @ dagger  # a a+
+
+    def inner_inverse(w: AlgebraElement) -> AlgebraElement:
+        w = w * scale  # AlgebraElement.__mul__: scale may be an (N,) array
+        return dagger + w - proj_left @ w @ proj_right
+
+    return inner_inverse(u) @ a @ inner_inverse(v)
+
+
 def sample_ginv_pairs(
     a: AlgebraElement,
     seed: int,
@@ -169,35 +191,18 @@ def sample_ginv_pairs(
 ) -> list:
     """Reflexive-inverse pairs of ``a`` drawn from the classical parametrization.
 
-    Inner inverses of ``a`` form the affine family ``a+ + U - a+ a U a a+``;
-    products ``G1 a G2`` of two inner inverses sweep the reflexive inverses.
-    ``U`` and ``V`` get independent standard normal real and imaginary
-    parts, scaled by ``1 / (1 + norm(a+))`` to keep residual scaling uniform
-    across test matrices.  Deterministic for a fixed seed.
+    Each pair is :func:`reflexive_inverse` at ``u`` and ``v`` with
+    independent standard normal real and imaginary parts, drawn block by
+    block, ``u`` first.  Deterministic for a fixed seed.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     rng = np.random.default_rng(seed)
     dagger = moore_penrose(a, tol)
-    proj_left = dagger @ a   # a+ a
-    proj_right = a @ dagger  # a a+
-    scale = 1.0 / (1.0 + dagger.norm())
-
-    def inner_inverse(u: AlgebraElement) -> AlgebraElement:
-        return dagger + u - proj_left @ u @ proj_right
-
-    def random_element() -> AlgebraElement:
-        blocks = [
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in a.shape
-        ]
-        return AlgebraElement(a.shape, tuple(blocks))
-
     pairs = []
     for _ in range(count):
-        g1 = inner_inverse(random_element())
-        g2 = inner_inverse(random_element())
-        b = g1 @ a @ g2
+        u, v = random_element(rng, a.shape), random_element(rng, a.shape)
+        b = reflexive_inverse(a, dagger, u, v)
         try:
             pairs.append(GInvPair.create(a, b, tol))
         except InputError as exc:

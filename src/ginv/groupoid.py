@@ -10,11 +10,12 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 * ``pair``              -- the pair groupoid of a Euclidean space;
 * ``disjoint_union``    -- a tagged union of instances, no cross composition.
 
-The ``ginv`` and ``partial_isometry`` structure maps also take stacked
-arrows (see :class:`Groupoid`), and their ``arrow_at`` builds stacks of
-drawn arrows from stacked noise.  :func:`verify_axioms` uses them to draw
-and check up to 256 sampled chains in one stacked pass, going back to one
-sample at a time only for a chunk in which a law breaks or a check raises.
+The structure maps of every kind but ``disjoint_union`` also take stacked
+arrows (see :class:`Groupoid`), and their ``arrow_at`` and ``sample_at``
+build stacks of drawn arrows from stacked noise.  :func:`verify_axioms`
+uses them to draw and check up to 256 sampled chains in one stacked pass,
+going back to one sample at a time only for a chunk in which a law breaks
+or a check raises.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ from .algebra import (
     stack_rows,
     validate_shape,
 )
-from .errors import CompositionError, GinvError, InputError, PreconditionError
-from .geninv import GInvPair, is_ginv_pair
+from .errors import (
+    CompositionError,
+    ConsistencyError,
+    GinvError,
+    InputError,
+    PreconditionError,
+)
+from .geninv import GInvPair, is_ginv_pair, moore_penrose, reflexive_inverse
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -44,6 +51,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     sandwich_matrix,
+    vector_norm,
 )
 from .reports import CheckRecord, ExperimentReport
 from . import sampling
@@ -62,34 +70,37 @@ class IsometryArrow:
     u: AlgebraElement
 
 
+def _freeze_floats(arrow, *fields):
+    """Store the named fields of a frozen arrow as read-only float arrays."""
+    for name in fields:
+        value = np.array(getattr(arrow, name), dtype=float)
+        value.setflags(write=False)
+        object.__setattr__(arrow, name, value)
+
+
 @dataclass(frozen=True)
 class ActionArrow:
-    point: tuple  # base point, as a tuple of floats
-    g: tuple      # invertible matrix, as nested tuples
+    """The arrow from ``point`` to ``g @ point``: an ``(n,)`` point and an
+    ``(n, n)`` invertible matrix, or ``(N, n)`` and ``(N, n, n)`` for ``N``
+    arrows."""
 
-    @property
-    def point_array(self) -> np.ndarray:
-        return np.asarray(self.point, dtype=float)
+    point: np.ndarray
+    g: np.ndarray
 
-    @property
-    def g_array(self) -> np.ndarray:
-        return np.asarray(self.g, dtype=float)
-
-    @classmethod
-    def of(cls, point: np.ndarray, g: np.ndarray) -> "ActionArrow":
-        return cls(tuple(float(v) for v in np.asarray(point).ravel()),
-                   tuple(tuple(float(v) for v in row) for row in np.asarray(g)))
+    def __post_init__(self):
+        _freeze_floats(self, "point", "g")
 
 
 @dataclass(frozen=True)
 class PairArrow:
-    x: tuple
-    y: tuple
+    """The arrow from ``x`` to ``y``: two ``(k,)`` points, or two ``(N, k)``
+    stacks of them for ``N`` arrows."""
 
-    @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray) -> "PairArrow":
-        return cls(tuple(float(v) for v in np.asarray(x).ravel()),
-                   tuple(float(v) for v in np.asarray(y).ravel()))
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        _freeze_floats(self, "x", "y")
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,12 @@ class TaggedArrow:
 class Groupoid:
     """Common interface; concrete kinds fill in the structure maps.
 
-    A kind whose arrows hold algebra elements (``ginv``, ``partial_isometry``)
-    also takes *stacked* arrows, ``N`` arrows held as one arrow of stacked
-    elements built by ``stack_arrows``: every structure map, metric and
-    membership check then works row by row, metrics return ``(N,)`` arrays,
-    and a check raises when any row fails.  Kinds without stacks leave
-    ``stack_arrows`` as ``None``.
+    Every kind but ``disjoint_union`` also takes *stacked* arrows, ``N``
+    arrows held as one arrow of stacked elements or arrays built by
+    ``stack_arrows``; base points stack the same way.  Every structure map,
+    metric and membership check then works row by row, metrics return
+    ``(N,)`` arrays, and a check raises when any row fails.  Kinds without
+    stacks leave ``stack_arrows`` as ``None``.
     """
 
     kind: str = "abstract"
@@ -167,7 +178,18 @@ class Groupoid:
         raise NotImplementedError
 
     def sample_arrow(self, rng: np.random.Generator):
-        raise NotImplementedError
+        """Random arrow, anywhere in the groupoid."""
+        return self.sample_at(self.sample_noise(rng))
+
+    def sample_noise(self, rng: np.random.Generator) -> tuple:
+        """The random inputs of one :meth:`sample_arrow` draw (kinds with
+        stacks); by default a base point and the noise of an arrow from it."""
+        return (self.sample_base_point(rng), *self.arrow_noise(rng))
+
+    def sample_at(self, noise: tuple):
+        """The arrow :meth:`sample_arrow` builds from ``noise``; row by row
+        when the parts of ``noise`` are stacks."""
+        return self.arrow_at(noise[0], noise[1:])
 
     def arrow_from(self, x, rng: np.random.Generator):
         """Random arrow whose source is exactly ``x``."""
@@ -298,16 +320,30 @@ class GInvGroupoid(Groupoid):
     def sample_base_point(self, rng) -> AlgebraElement:
         return sampling.random_idempotent(rng, self.shape)
 
-    def sample_arrow(self, rng) -> GInvArrow:
-        a = sampling.well_conditioned_element(
-            rng, self.shape, ranks=sampling.random_block_ranks(rng, self.shape)
-        )
-        if a.norm() == 0.0:  # all ranks zero: the only reflexive pair is (0, 0)
-            return GInvArrow(GInvPair.create(a, a, self.tol))
-        from .geninv import sample_ginv_pairs
+    def sample_noise(self, rng) -> tuple:
+        """``(a, u, v)``: an element ``a`` of random block ranks, and the
+        noise that :func:`~ginv.geninv.sample_ginv_pairs` draws for one pair
+        of ``a`` from a seed drawn here; zeros, and no seed, when ``a`` is 0."""
+        ranks = sampling.random_block_ranks(rng, self.shape)
+        a = sampling.well_conditioned_element(rng, self.shape, ranks=ranks)
+        if not any(ranks):
+            zero = AlgebraElement.zeros(self.shape)
+            return a, zero, zero
+        pair_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
+        return (a, sampling.random_element(pair_rng, self.shape),
+                sampling.random_element(pair_rng, self.shape))
 
-        seed = int(rng.integers(0, 2**63))
-        return GInvArrow(sample_ginv_pairs(a, seed, 1, self.tol)[0])
+    def sample_at(self, noise: tuple) -> GInvArrow:
+        a, u, v = noise
+        b = reflexive_inverse(a, moore_penrose(a, self.tol), u, v)
+        # all ranks zero: the only reflexive pair is (0, 0), taken as (a, a)
+        zero = np.asarray(a.norm() == 0.0)[..., None, None]
+        b = AlgebraElement(self.shape, tuple(
+            np.where(zero, x, y) for x, y in zip(a.blocks, b.blocks)))
+        try:
+            return GInvArrow(GInvPair.create(a, b, self.tol))
+        except InputError as exc:
+            raise ConsistencyError(f"sampled reflexive inverse failed validation: {exc}") from exc
 
     def arrow_from(self, x: AlgebraElement, rng) -> GInvArrow:
         self.check_base(x)
@@ -425,8 +461,11 @@ class PartialIsometryGroupoid(Groupoid):
     def sample_base_point(self, rng) -> AlgebraElement:
         return sampling.random_projection(rng, self.shape)
 
-    def sample_arrow(self, rng) -> IsometryArrow:
-        return IsometryArrow(sampling.random_partial_isometry(rng, self.shape))
+    def sample_noise(self, rng) -> tuple:
+        return (sampling.random_partial_isometry(rng, self.shape),)
+
+    def sample_at(self, noise: tuple) -> IsometryArrow:
+        return IsometryArrow(noise[0])
 
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
@@ -469,6 +508,15 @@ class PartialIsometryGroupoid(Groupoid):
         return tuple(numerical_rank(b, tol) for b in p.blocks)
 
 
+def _vector_membership(x, n: int):
+    """0 for a point of R^n, else inf; row by row, as an ``(N,)`` array, for
+    an ``(N, n)`` stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == n:
+        return np.zeros(len(x))
+    return 0.0 if x.shape == (n,) else float("inf")
+
+
 class ActionGroupoid(Groupoid):
     """Action groupoid of the tautological GL(n, R) action on R^n.
 
@@ -487,68 +535,76 @@ class ActionGroupoid(Groupoid):
     def _check_structure(self, g):
         if not isinstance(g, ActionArrow):
             raise InputError(f"foreign arrow of type {type(g).__name__}")
-        if np.asarray(g.g).shape != (self.n, self.n) or len(g.point) != self.n:
+        n = self.n
+        if (g.point.ndim not in (1, 2) or g.point.shape[-1:] != (n,)
+                or g.g.shape != g.point.shape[:-1] + (n, n)):
             raise InputError("arrow dimensions do not match the configured action")
 
     def source(self, g: ActionArrow) -> np.ndarray:
         self._check_structure(g)
-        return g.point_array
+        return g.point
 
     def target(self, g: ActionArrow) -> np.ndarray:
         self._check_structure(g)
-        return g.g_array @ g.point_array
+        if g.point.ndim == 2:
+            return (g.g @ g.point[:, :, None])[:, :, 0]
+        return g.g @ g.point
 
     def compose(self, g1: ActionArrow, g2: ActionArrow) -> ActionArrow:
         self._check_structure(g1)
         self._check_structure(g2)
         self.require_composable(g1, g2)
-        return ActionArrow.of(g2.point_array, g1.g_array @ g2.g_array)
+        return ActionArrow(g2.point, g1.g @ g2.g)
 
     def invert(self, g: ActionArrow) -> ActionArrow:
-        self._check_structure(g)
-        ginv = np.linalg.inv(g.g_array)
-        return ActionArrow.of(g.g_array @ g.point_array, ginv)
+        return ActionArrow(self.target(g), np.linalg.inv(g.g))
 
     def identity_at(self, x) -> ActionArrow:
         x = np.asarray(x, dtype=float)
         self.check_base(x)
-        return ActionArrow.of(x, np.eye(self.n))
+        return ActionArrow(x, np.broadcast_to(np.eye(self.n), x.shape[:-1] + (self.n, self.n)))
 
     def validate_arrow(self, g):
         self._check_structure(g)
-        if numerical_rank(g.g_array, self.tol) < self.n:
+        if np.any(numerical_rank(g.g, self.tol) < self.n):
             raise InputError("group component is numerically singular")
 
-    def base_membership_residual(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.0 if x.shape == (self.n,) else float("inf")
+    def base_membership_residual(self, x):
+        return _vector_membership(x, self.n)
 
-    def base_distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
+    def base_distance(self, x, y):
+        return vector_norm(np.asarray(x) - np.asarray(y))
 
-    def arrow_distance(self, g1, g2) -> float:
-        return max(
-            float(np.linalg.norm(g1.point_array - g2.point_array)),
-            operator_norm(g1.g_array - g2.g_array),
-        )
+    def arrow_distance(self, g1, g2):
+        return emax(vector_norm(g1.point - g2.point), operator_norm(g1.g - g2.g))
 
-    def arrow_scale(self, g) -> float:
-        return max(float(np.linalg.norm(g.point_array)), operator_norm(g.g_array))
+    def arrow_scale(self, g):
+        return emax(vector_norm(g.point), operator_norm(g.g))
+
+    def stack_arrows(self, arrows) -> ActionArrow:
+        for g in arrows:
+            self._check_structure(g)
+        return ActionArrow(np.stack([g.point for g in arrows]), np.stack([g.g for g in arrows]))
 
     def sample_base_point(self, rng) -> np.ndarray:
         return rng.standard_normal(self.n)
 
-    def sample_arrow(self, rng) -> ActionArrow:
-        return ActionArrow.of(
-            rng.standard_normal(self.n), sampling.random_invertible(rng, self.n)
-        )
-
     def arrow_from(self, x, rng) -> ActionArrow:
-        return ActionArrow.of(np.asarray(x, dtype=float), sampling.random_invertible(rng, self.n))
+        return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
+
+    def arrow_noise(self, rng) -> tuple:
+        return (rng.standard_normal((self.n, self.n)),)
+
+    def arrow_at(self, x, noise: tuple) -> ActionArrow:
+        """The group part is ``expm(w / 2)`` for the Gaussian noise ``w``: a
+        well-conditioned invertible matrix."""
+        import scipy.linalg
+
+        return ActionArrow(x, scipy.linalg.expm(0.5 * noise[0]))
 
     def chart_differential(self, g: ActionArrow):
         self._check_structure(g)
-        x, h, eye = g.point_array, g.g_array, np.eye(self.n)
+        x, h, eye = g.point, g.g, np.eye(self.n)
         # chart (dx, V) -> (x + dx, e^V h); at 0: (dx, V h), row-major in V
         j_arrow = block_diag(eye, np.kron(eye, h.T))
         ds = np.hstack([eye, np.zeros((self.n, self.n * self.n))])
@@ -563,8 +619,7 @@ class ActionGroupoid(Groupoid):
         return np.eye(self.n)
 
     def orbit_signature(self, x, tol):
-        norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
-        return "zero" if norm <= tol.residual_tol else "nonzero"
+        return "zero" if vector_norm(x) <= tol.residual_tol else "nonzero"
 
 
 class PairGroupoid(Groupoid):
@@ -596,11 +651,11 @@ class PairGroupoid(Groupoid):
 
     def source(self, g: PairArrow) -> np.ndarray:
         self.validate_arrow(g)
-        return np.asarray(g.x, dtype=float)
+        return g.x
 
     def target(self, g: PairArrow) -> np.ndarray:
         self.validate_arrow(g)
-        return np.asarray(g.y, dtype=float)
+        return g.y
 
     def compose(self, g1: PairArrow, g2: PairArrow) -> PairArrow:
         self.validate_arrow(g1)
@@ -615,37 +670,41 @@ class PairGroupoid(Groupoid):
     def identity_at(self, x) -> PairArrow:
         x = np.asarray(x, dtype=float)
         self.check_base(x)
-        return PairArrow.of(x, x)
+        return PairArrow(x, x)
 
     def validate_arrow(self, g):
         if not isinstance(g, PairArrow):
             raise InputError(f"foreign arrow of type {type(g).__name__}")
-        if len(g.x) != self.dim or len(g.y) != self.dim:
+        if g.x.ndim not in (1, 2) or g.x.shape[-1:] != (self.dim,) or g.y.shape != g.x.shape:
             raise InputError("arrow dimensions do not match the configured space")
 
-    def base_membership_residual(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.0 if x.shape == (self.dim,) else float("inf")
+    def base_membership_residual(self, x):
+        return _vector_membership(x, self.dim)
 
-    def base_distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
+    def base_distance(self, x, y):
+        return vector_norm(np.asarray(x) - np.asarray(y))
 
-    def arrow_distance(self, g1, g2) -> float:
-        return max(
-            float(np.linalg.norm(np.asarray(g1.x) - np.asarray(g2.x))),
-            float(np.linalg.norm(np.asarray(g1.y) - np.asarray(g2.y))),
-        )
+    def arrow_distance(self, g1, g2):
+        return emax(vector_norm(g1.x - g2.x), vector_norm(g1.y - g2.y))
+
+    def stack_arrows(self, arrows) -> PairArrow:
+        for g in arrows:
+            self.validate_arrow(g)
+        return PairArrow(np.stack([g.x for g in arrows]), np.stack([g.y for g in arrows]))
 
     def sample_base_point(self, rng) -> np.ndarray:
         if self.pool is not None:
             return self.pool[int(rng.integers(0, len(self.pool)))]
         return rng.standard_normal(self.dim)
 
-    def sample_arrow(self, rng) -> PairArrow:
-        return PairArrow.of(self.sample_base_point(rng), self.sample_base_point(rng))
-
     def arrow_from(self, x, rng) -> PairArrow:
-        return PairArrow.of(np.asarray(x, dtype=float), self.sample_base_point(rng))
+        return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
+
+    def arrow_noise(self, rng) -> tuple:
+        return (self.sample_base_point(rng),)
+
+    def arrow_at(self, x, noise: tuple) -> PairArrow:
+        return PairArrow(x, noise[0])
 
     def chart_differential(self, g: PairArrow):
         self.validate_arrow(g)
@@ -813,22 +872,22 @@ def _draw_chains(G: Groupoid, rng: np.random.Generator, count: int) -> tuple:
     """``count`` chains as one stacked chain ``g1, g2, g3, loose``.
 
     Each chain's random inputs are drawn in the order :func:`_draw_chain`
-    uses them (base point, three arrow noises, loose arrow), so when no draw
-    raises the generator ends where ``count`` calls of it would, and row
-    ``i`` is the chain the ``i``-th call would draw.  Raises when any row's
-    arrow cannot be built.
+    uses them (base point, three arrow noises, the loose arrow's noise), so
+    when no draw raises the generator ends where ``count`` calls of it
+    would, and row ``i`` is the chain the ``i``-th call would draw.  Raises
+    when any row's arrow cannot be built.
     """
-    rows, loose = [], []
-    for _ in range(count):
-        rows.append((G.sample_base_point(rng), *(G.arrow_noise(rng) for _ in range(3))))
-        loose.append(G.sample_arrow(rng))
-    x, *noises = stack_rows(rows)
+    rows = [
+        (G.sample_base_point(rng), *(G.arrow_noise(rng) for _ in range(3)), G.sample_noise(rng))
+        for _ in range(count)
+    ]
+    x, *noises, loose = stack_rows(rows)
     arrows = []
     for noise in noises:
         G.check_base(x)
         arrows.append(G.arrow_at(x, noise))
         x = G.target(arrows[-1])
-    return (*arrows, G.stack_arrows(loose))
+    return (*arrows, G.sample_at(loose))
 
 
 def _check_chain(G: Groupoid, chain: tuple, record, violation):
@@ -909,7 +968,8 @@ def verify_axioms(
     the start of the chunk and the chunk's samples are drawn and checked
     again one at a time, which writes the failure texts.  Either way the
     report equals, byte for byte, the one that checking every sample alone
-    would give.  Other kinds draw and check one sample at a time.
+    would give.  Every kind but ``disjoint_union`` has ``stack_arrows``; a
+    disjoint union draws and checks one sample at a time.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")

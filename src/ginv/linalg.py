@@ -1,6 +1,8 @@
 """Dense complex matrix primitives.
 
-SVD-backed rank and norm with a single relative cutoff, joint kernel
+SVD-backed rank and norm with a single relative cutoff (row by row on
+``(N, rows, cols)`` stacks), the Euclidean norm of vectors or of the rows
+of an ``(N, n)`` stack, joint kernel
 dimensions, the fixed real coordinatization of block matrices (of one
 matrix, or of each matrix of a stack along the last axes) and the exact real
 matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
@@ -82,22 +84,43 @@ def rank_from_singular_values(
 
 def numerical_rank(
     m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
-) -> int:
+):
     """Count singular values above the relative cutoff; the zero matrix has rank 0.
 
     The cutoff is relative to ``max(sigma_max, scale)``.  A matrix that is a
     piece of a larger linear map passes that map's norm as ``scale``: a piece
     that vanishes up to rounding then has rank 0 instead of reading its own
-    rounding noise as rank.
+    rounding noise as rank.  An ``(N, rows, cols)`` stack gives an ``(N,)``
+    array, the rank of each matrix.
     """
     m = ensure_finite(m)
-    return rank_from_singular_values(singular_values(m), m.shape, tol, scale)
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
     s = singular_values(m)
+    if m.ndim == 3:
+        return np.array([rank_from_singular_values(row, m.shape[1:], tol, scale) for row in s])
+    return rank_from_singular_values(s, m.shape, tol, scale)
+
+
+def operator_norm(m: np.ndarray):
+    """Largest singular value; an ``(N,)`` array of them for an
+    ``(N, rows, cols)`` stack, row ``i`` bit for bit that of matrix ``i``."""
+    s = singular_values(m)
+    if m.ndim == 3:
+        return s[:, 0]
     return float(s[0]) if s.size else 0.0
+
+
+def vector_norm(x: np.ndarray):
+    """Euclidean norm of an ``(n,)`` vector as a float, or of each row of an
+    ``(N, n)`` stack as an ``(N,)`` array.
+
+    Row ``i`` equals ``float(np.linalg.norm(x[i]))`` bit for bit.  The
+    stacked ``np.linalg.norm(x, axis=-1)`` sums in another order and does
+    not; a stacked row-times-column product does.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    return float(np.linalg.norm(x))
 
 
 def kernel_basis(

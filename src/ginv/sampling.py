@@ -119,10 +119,3 @@ def random_hermitian_element(
         m = random_matrix(rng, n, scale)
         blocks.append(0.5 * (m + m.conj().T))
     return AlgebraElement(shape, tuple(blocks))
-
-
-def random_invertible(rng: np.random.Generator, n: int, spread: float = 0.5) -> np.ndarray:
-    """Well-conditioned invertible real matrix (exponential of a scaled Gaussian)."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(spread * rng.standard_normal((n, n)))

@@ -197,3 +197,57 @@ class TestOtherCommands:
         record = json.loads(captured.out)["records"][0]
         assert record["name"] == "error" and record["value"] == "FileNotFoundError"
         assert not out_file.exists()
+
+
+class TestScaleLimits:
+    """Each limit is tested by its rejection message; no oversized case runs."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check-groupoid", "--kind", "action", "--dim", "9"], "--dim 9 is past the limit of 8"),
+            (["check-groupoid", "--samples", "10001"], "--samples 10001 is past the limit of 10000"),
+            (["orbits", "--count", "1001"], "--count 1001 is past the limit of 1000"),
+            (["geometry", "--count", "1001"], "--count 1001 is past the limit of 1000"),
+            (["path", "--steps", "1025"], "--steps 1025 is past the limit of 1024"),
+            (["continuity", "--horizon", "1025"], "--horizon 1025 is past the limit of 1024"),
+            (["check-groupoid", "--kind", "pair", "--points", "10001"],
+             "--points 10001 is past the limit of 10000"),
+        ],
+    )
+    def test_size_flag_past_its_limit(self, args, message, capsys, monkeypatch):
+        def never(*_):
+            raise AssertionError("an oversized command started")
+
+        monkeypatch.setitem(cli._HANDLERS, args[0], never)
+        code, out = run([*args, "--no-timestamp"], capsys)
+        assert code == 2
+        record = json.loads(out)["records"][0]
+        assert record["value"] == "InputError" and record["details"] == message
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check-groupoid", "--kind", "ginv", "--shape", "9", "--samples", "1"],
+             "block size 9 is past the limit of 8"),
+            (["geometry", "--shape", "2,9", "--count", "1"], "block size 9 is past the limit of 8"),
+            (["continuity", "--shape", ",".join(["1"] * 9), "--count", "1"],
+             "9 blocks are past the limit of 8"),
+        ],
+    )
+    def test_shape_past_its_limit(self, args, message, capsys):
+        code, out = run([*args, "--no-timestamp"], capsys)
+        assert code == 2
+        assert json.loads(out)["records"][0]["details"] == message
+
+    def test_element_file_past_the_block_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(serialize_element(AlgebraElement.identity((9,))))
+        code, out = run(["pinv", "--in", str(path), "--no-timestamp"], capsys)
+        assert code == 2
+        assert json.loads(out)["records"][0]["details"] == "block size 9 is past the limit of 8"
+
+    def test_limits_admit_the_upper_end(self, capsys):
+        code, _ = run(["check-groupoid", "--kind", "pair", "--dim", "8", "--samples", "2",
+                       "--no-timestamp"], capsys)
+        assert code == 0

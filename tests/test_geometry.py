@@ -152,9 +152,9 @@ class TestSubmersion:
 
     def test_action_rank_deficit_at_origin(self):
         G = ActionGroupoid(2)
-        rank, want = submersion_rank_st(G, ActionArrow.of(np.zeros(2), np.eye(2)))
+        rank, want = submersion_rank_st(G, ActionArrow(np.zeros(2), np.eye(2)))
         assert rank < want
-        rank, want = submersion_rank_st(G, ActionArrow.of(np.array([1.0, 2.0]), np.eye(2)))
+        rank, want = submersion_rank_st(G, ActionArrow(np.array([1.0, 2.0]), np.eye(2)))
         assert rank == want == 4
 
     def test_pair_is_always_submersion(self):
@@ -317,12 +317,12 @@ def exponential_chart(G, g):
         return (chart, lambda v: (elem(v).adjoint() @ elem(v)).real_coords(),
                 lambda v: (elem(v) @ elem(v).adjoint()).real_coords(), 2 * d, d)
     if isinstance(G, ActionGroupoid):
-        n, x0, g0 = G.n, g.point_array, g.g_array
+        n, x0, g0 = G.n, g.point, g.g
         return (lambda p: np.concatenate([x0 + p[:n], (expm(p[n:].reshape(n, n)) @ g0).ravel()]),
                 lambda v: v[:n].copy(),
                 lambda v: v[n:].reshape(n, n) @ v[:n], n + n * n, n + n * n)
     k = G.dim
-    x0 = np.concatenate([np.asarray(g.x), np.asarray(g.y)])
+    x0 = np.concatenate([g.x, g.y])
     return lambda p: x0 + p, lambda v: v[:k].copy(), lambda v: v[k:].copy(), 2 * k, 2 * k
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginv.algebra import AlgebraElement
+from ginv.algebra import AlgebraElement, stack_rows
 from ginv.errors import CompositionError, InputError, PreconditionError
-from ginv.geninv import GInvPair, is_ginv_pair, mp_pair
+from ginv.geninv import GInvPair, is_ginv_pair, mp_pair, sample_ginv_pairs
 from ginv.groupoid import (
     ActionArrow,
     ActionGroupoid,
@@ -22,6 +22,7 @@ from ginv.groupoid import (
     verify_axioms,
 )
 from ginv.sampling import (
+    random_block_ranks,
     random_idempotent,
     random_partial_isometry,
     random_projection,
@@ -148,36 +149,36 @@ class TestActionInstance:
 
     def test_documented_composition(self):
         # first arrow (x=2, g=3); second must end at 2, e.g. (x=1, g=2)
-        g1 = ActionArrow.of(np.array([2.0]), np.array([[3.0]]))
-        g2 = ActionArrow.of(np.array([1.0]), np.array([[2.0]]))
+        g1 = ActionArrow(np.array([2.0]), np.array([[3.0]]))
+        g2 = ActionArrow(np.array([1.0]), np.array([[2.0]]))
         out = self.G.compose(g1, g2)
-        assert out.point == (1.0,)
-        assert out.g == ((6.0,),)
+        assert np.array_equal(out.point, [1.0])
+        assert np.array_equal(out.g, [[6.0]])
 
     def test_inversion(self):
-        g = ActionArrow.of(np.array([2.0]), np.array([[4.0]]))
+        g = ActionArrow(np.array([2.0]), np.array([[4.0]]))
         gi = self.G.invert(g)
-        assert gi.point == (8.0,)
-        assert gi.g == ((0.25,),)
+        assert np.array_equal(gi.point, [8.0])
+        assert np.array_equal(gi.g, [[0.25]])
 
     def test_singular_group_element_rejected(self):
         with pytest.raises(InputError):
-            self.G.validate_arrow(ActionArrow.of(np.array([1.0]), np.array([[0.0]])))
+            self.G.validate_arrow(ActionArrow(np.array([1.0]), np.array([[0.0]])))
 
 
 class TestPairInstance:
     def test_source_target(self):
         G = PairGroupoid(2)
         g = PairArrow((0.0, 1.0), (2.0, 3.0))
-        assert tuple(G.source(g)) == (0.0, 1.0)
-        assert tuple(G.target(g)) == (2.0, 3.0)
+        assert np.array_equal(G.source(g), [0.0, 1.0])
+        assert np.array_equal(G.target(g), [2.0, 3.0])
 
     def test_compose_chains_points(self):
         G = PairGroupoid(1)
         g1 = PairArrow((1.0,), (2.0,))  # 1 -> 2
         g0 = PairArrow((0.0,), (1.0,))  # 0 -> 1
         out = G.compose(g1, g0)
-        assert out.x == (0.0,) and out.y == (2.0,)
+        assert np.array_equal(out.x, [0.0]) and np.array_equal(out.y, [2.0])
 
     def test_pool_is_deterministic(self):
         a = PairGroupoid(2, pool_size=5)
@@ -287,6 +288,8 @@ class TestVerifyAxioms:
 
     def test_raising_compose_becomes_failing_record(self):
         class RefusesThirdSample(PairGroupoid):
+            stack_arrows = None  # counts draws in the one-sample order
+
             def sample_arrow(self, rng):  # drawn once per sample
                 self.sampled = getattr(self, "sampled", 0) + 1
                 return super().sample_arrow(rng)
@@ -316,11 +319,22 @@ def one_at_a_time(cls):
     return type(f"Single{cls.__name__}", (cls,), {"stack_arrows": None})
 
 
-class MarksThirdChain(GInvGroupoid):
-    """Remembers the first arrow of the third chain: the one built from the
-    7th ``arrow_noise`` draw, which single and stacked draws make in the same
-    order.  A subclass marks the first arrow of chain ``k`` with
-    ``marked_draw = 3 * k + 1``."""
+def noise_key(noise):
+    """The matrix (or stack of them) that identifies a draw of arrow noise."""
+    first = noise[0]
+    return first.blocks[0] if isinstance(first, AlgebraElement) else first
+
+
+def arrow_key(g):
+    """The matrix (or stack of them) that identifies a ``ginv`` or ``action`` arrow."""
+    return g.pair.a.blocks[0] if isinstance(g, GInvArrow) else g.g
+
+
+class MarksThirdChain:
+    """Mixin for a kind with stacks that remembers the first arrow of the
+    third chain: the one built from the 7th ``arrow_noise`` draw, which
+    single and stacked draws make in the same order.  A subclass marks the
+    first arrow of chain ``k`` with ``marked_draw = 3 * k + 1``."""
 
     marked_draw = 7
 
@@ -328,33 +342,41 @@ class MarksThirdChain(GInvGroupoid):
         noise = super().arrow_noise(rng)
         self.drawn = getattr(self, "drawn", 0) + 1
         if self.drawn == self.marked_draw:
-            self.marked_noise = noise[0].blocks[0]
+            self.marked_noise = noise_key(noise)
         return noise
 
     def arrow_at(self, x, noise):
         g = super().arrow_at(x, noise)
         if hasattr(self, "marked_noise") and not hasattr(self, "marked"):
-            hit = np.all(noise[0].blocks[0] == self.marked_noise, axis=(-2, -1))
+            hit = np.all(noise_key(noise) == self.marked_noise, axis=(-2, -1))
             if np.any(hit):
-                a = g.pair.a.blocks[0]
+                a = arrow_key(g)
                 self.marked = a[np.argmax(hit)] if a.ndim == 3 else a
         return g
 
     def holds_marked(self, g):
         """Whether the arrow (or each row of a stacked arrow) is the marked one."""
         marked = getattr(self, "marked", None)
-        hit = np.all(g.pair.a.blocks[0] == marked, axis=(-2, -1)) if marked is not None else False
+        hit = np.all(arrow_key(g) == marked, axis=(-2, -1)) if marked is not None else False
         return hit
 
 
-class ComposeRefusesThirdChain(MarksThirdChain):
+class RefusesMarked(MarksThirdChain):
     def compose(self, g1, g2):
         if np.any(self.holds_marked(g1)) or np.any(self.holds_marked(g2)):
             raise CompositionError(0.5)
         return super().compose(g1, g2)
 
 
-class DistanceOffOnThirdChain(MarksThirdChain):
+class ComposeRefusesThirdChain(RefusesMarked, GInvGroupoid):
+    pass
+
+
+class ActionComposeRefusesChain160(RefusesMarked, ActionGroupoid):
+    marked_draw = 4 * 160 + 1  # the loose arrow's noise is an arrow_noise draw too
+
+
+class DistanceOffOnThirdChain(MarksThirdChain, GInvGroupoid):
     def arrow_distance(self, g1, g2):
         d = super().arrow_distance(g1, g2)
         hit = self.holds_marked(g2)
@@ -367,7 +389,7 @@ class ComposeRefusesChain160(ComposeRefusesThirdChain):
     marked_draw = 3 * 160 + 1
 
 
-class DrawFailsAtChain226(MarksThirdChain):
+class DrawFailsAtChain226(MarksThirdChain, GInvGroupoid):
     """The first arrow of chain 226 cannot be built."""
 
     marked_draw = 3 * 226 + 1
@@ -422,6 +444,9 @@ class TestStackedAxioms:
             # sample 226 cannot be drawn: its error stays out of the stack
             pytest.param(DrawFailsAtChain226, (3,), 1, "sample 226: InputError: injected",
                          id="ginv-3-injected-draw-error"),
+            # the same rerun for array-backed arrows
+            pytest.param(ActionComposeRefusesChain160, 2, 1, "sample 160: CompositionError",
+                         id="action-2-injected-rerun"),
         ],
     )
     def test_injected_fault_in_two_chunks_equals_one_at_a_time(self, cls, shape, seed, details):
@@ -430,6 +455,24 @@ class TestStackedAxioms:
         failing = [r for r in stacked.records if not r.passed]
         assert [r.name for r in failing] == ["law evaluation"]
         assert failing[0].value == 1 and failing[0].details.startswith(details)
+        assert stacked.to_json_bytes() == single.to_json_bytes()
+
+    @pytest.mark.parametrize("n_samples", [40, 300])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "cls, dim, config",
+        [
+            pytest.param(ActionGroupoid, 1, {}, id="action-1"),
+            pytest.param(ActionGroupoid, 2, {}, id="action-2"),
+            pytest.param(ActionGroupoid, 3, {}, id="action-3"),
+            pytest.param(PairGroupoid, 3, {"pool_size": 5}, id="pair-3-pool"),
+            pytest.param(PairGroupoid, 3, {}, id="pair-3"),
+        ],
+    )
+    def test_array_kinds_equal_one_at_a_time(self, cls, dim, config, seed, n_samples):
+        stacked = verify_axioms(cls(dim, **config), seed=seed, n_samples=n_samples)
+        single = verify_axioms(one_at_a_time(cls)(dim, **config), seed=seed, n_samples=n_samples)
+        assert stacked.all_passed
         assert stacked.to_json_bytes() == single.to_json_bytes()
 
     def test_raising_compose_in_stack_names_the_sample(self):
@@ -469,17 +512,38 @@ class TestStackedAxioms:
         with pytest.raises(InputError, match="not a partial isometry"):
             G.validate_arrow(bad)
 
+    def test_stacked_action_arrow_checks_every_row(self):
+        G = ActionGroupoid(2)
+        rng = np.random.default_rng(0)
+        arrows = [G.sample_arrow(rng) for _ in range(3)]
+        stacked = G.stack_arrows(arrows)
+        G.validate_arrow(stacked)
+        assert G.arrow_scale(stacked).tolist() == [G.arrow_scale(g) for g in arrows]
+        assert np.array_equal(G.target(stacked), [G.target(g) for g in arrows])
+        bad = G.stack_arrows(arrows[:2] + [ActionArrow(arrows[2].point, np.zeros((2, 2)))])
+        with pytest.raises(InputError, match="numerically singular"):
+            G.validate_arrow(bad)
+
 
 def arrow_bytes(g, row=None):
-    """The bytes of every block of an arrow's elements (of one row of a stack)."""
-    elements = (g.pair.a, g.pair.b) if isinstance(g, GInvArrow) else (g.u,)
-    return [(b if row is None else b[row]).tobytes() for e in elements for b in e.blocks]
+    """The bytes of every array of an arrow (of one row of a stack)."""
+    if isinstance(g, GInvArrow):
+        arrays = g.pair.a.blocks + g.pair.b.blocks
+    elif isinstance(g, IsometryArrow):
+        arrays = g.u.blocks
+    elif isinstance(g, ActionArrow):
+        arrays = (g.point, g.g)
+    else:
+        arrays = (g.x, g.y)
+    return [(b if row is None else b[row]).tobytes() for b in arrays]
 
 
 STACKED_KINDS = [
     pytest.param(GInvGroupoid, (2,), id="ginv-2"),
     pytest.param(GInvGroupoid, (2, 3), id="ginv-2,3"),
     pytest.param(PartialIsometryGroupoid, (3,), id="partial_isometry-3"),
+    pytest.param(ActionGroupoid, 3, id="action-3"),
+    pytest.param(PairGroupoid, 3, id="pair-3"),
 ]
 
 
@@ -492,9 +556,8 @@ class TestStackedDraws:
         state = rng.bit_generator.state
         singles = [G.arrow_from(x, rng) for x in points]
         rng.bit_generator.state = state
-        noises = [G.arrow_noise(rng) for _ in points]
-        stacked = G.arrow_at(AlgebraElement.stack(points),
-                             tuple(map(AlgebraElement.stack, zip(*noises))))
+        x, noise = stack_rows([(x, G.arrow_noise(rng)) for x in points])
+        stacked = G.arrow_at(x, noise)
         for i, g in enumerate(singles):
             assert arrow_bytes(stacked, i) == arrow_bytes(g)
 
@@ -508,3 +571,48 @@ class TestStackedDraws:
         for i, chain in enumerate(singles):
             for stacked_arrow, g in zip(stacked, chain):
                 assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
+
+
+class TestLooseDraws:
+    # seeds whose 12 draws include a row with every block rank 0
+    @pytest.mark.parametrize("shape, seed", [((2,), 0), ((2, 3), 3)])
+    def test_stacked_ginv_arrows_equal_each_draw(self, shape, seed):
+        G = GInvGroupoid(shape)
+        rng = np.random.default_rng(seed)
+        stacked = G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(12)]))
+        single_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        zero_rows = []
+        for i in range(12):
+            assert arrow_bytes(stacked, i) == arrow_bytes(G.sample_arrow(single_rng))
+            # the reference draw: a pair of a from sample_ginv_pairs, or (0, 0)
+            a = well_conditioned_element(
+                reference_rng, shape, ranks=random_block_ranks(reference_rng, shape))
+            if a.norm() == 0.0:
+                pair = GInvPair.create(a, a)
+                zero_rows.append(i)
+            else:
+                pair = sample_ginv_pairs(a, int(reference_rng.integers(0, 2**63)), 1)[0]
+            assert arrow_bytes(stacked, i) == arrow_bytes(GInvArrow(pair))
+            assert stacked.pair.residual_aba[i] == pair.residual_aba
+            assert stacked.pair.residual_bab[i] == pair.residual_bab
+        assert zero_rows
+        for i in zero_rows:
+            assert stacked.pair.residual_aba[i] == stacked.pair.residual_bab[i] == 0.0
+            assert all(not np.any(b[i]) for b in stacked.pair.b.blocks)
+        assert single_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            pytest.param(PairGroupoid(3), id="pair-3"),
+            pytest.param(PairGroupoid(3, pool_size=5), id="pair-3-pool"),
+            pytest.param(ActionGroupoid(2), id="action-2"),
+            pytest.param(PartialIsometryGroupoid((2,)), id="partial_isometry-2"),
+        ],
+    )
+    def test_stacked_arrows_equal_each_sample_arrow(self, G):
+        rng, single_rng = np.random.default_rng(0), np.random.default_rng(0)
+        stacked = G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(12)]))
+        for i in range(12):
+            assert arrow_bytes(stacked, i) == arrow_bytes(G.sample_arrow(single_rng))
+        assert single_rng.bit_generator.state == rng.bit_generator.state

@@ -17,6 +17,7 @@ from ginv.linalg import (
     numerical_rank,
     operator_norm,
     sandwich_matrix,
+    vector_norm,
 )
 
 
@@ -53,6 +54,12 @@ class TestNumericalRank:
         # a scale below the piece's own norm leaves the cutoff unchanged
         assert numerical_rank(np.diag([3.0, 1e-14]), scale=1e-3) == 1
 
+    def test_stack_gives_each_rank(self):
+        stack = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([3.0, 1e-14, 1.0])])
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [3, 0, 2]
+        assert ranks.tolist() == [numerical_rank(m) for m in stack]
+
 
 class TestOperatorNorm:
     def test_identity(self):
@@ -63,6 +70,23 @@ class TestOperatorNorm:
 
     def test_nilpotent_elementary(self):
         assert operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
+
+    def test_stack_equals_each_matrix(self, rng):
+        stack = rng.standard_normal((40, 3, 3))
+        norms = operator_norm(stack)
+        assert norms.shape == (40,)
+        assert norms.tolist() == [operator_norm(m) for m in stack]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vector_norm_of_rows_equals_each_row_norm(rng, n):
+    # rows over twelve decades, compared exactly
+    x = rng.standard_normal((300, n)) * 10.0 ** rng.uniform(-6, 6, (300, 1))
+    norms = vector_norm(x)
+    assert norms.shape == (300,)
+    assert all(v == float(np.linalg.norm(row)) for v, row in zip(norms, x))
+    assert all(vector_norm(row) == float(np.linalg.norm(row)) for row in x[:5])
+    assert isinstance(vector_norm(x[0]), float)
 
 
 def test_svd_reconstruction_residual(rng):
@@ -201,4 +225,4 @@ class TestBlockDiag:
         g = G.sample_arrow(rng)
         j_arrow = G.chart_differential(g)[0]
         eye = np.eye(n)
-        _assert_same(j_arrow, scipy.linalg.block_diag(eye, np.kron(eye, g.g_array.T)))
+        _assert_same(j_arrow, scipy.linalg.block_diag(eye, np.kron(eye, g.g.T)))
