@@ -13,13 +13,16 @@ Subcommands dispatch to the library and emit machine-readable reports:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input or
 configuration, or any other error; every exit-2 failure is reported as an
-``error`` record, never as a traceback.  Input past the desk scale is bad
-input: block sizes and ``--dim`` above 8, more than 8 blocks, and the
-counts above :data:`SCALE_LIMITS`.  When the ``--out`` path cannot be
-written, that record goes to stdout.  Identical configuration (including
-``--seed``) produces byte-identical reports; ``--no-timestamp`` suppresses
-the only non-deterministic field.  The environment variable ``GINV_SEED``
-supplies the default seed when ``--seed`` is not given.
+``error`` record, never as a traceback.  That includes a malformed
+command line, whose record goes to stdout under the command ``usage``.
+Input past the desk scale is bad input: block sizes and ``--dim`` above
+8, more than 8 blocks, and the counts outside :data:`SCALE_LIMITS`, such
+as a ``--count`` of 0, which would check nothing.  When the ``--out``
+path cannot be written, that record goes to stdout.  Identical
+configuration (including ``--seed``) produces byte-identical reports;
+``--no-timestamp`` suppresses the only non-deterministic field.  The
+environment variable ``GINV_SEED`` supplies the default seed when
+``--seed`` is not given.
 """
 
 from __future__ import annotations
@@ -51,24 +54,33 @@ EXIT_INPUT_ERROR = 2
 #: The largest block size, and the most blocks, of an algebra the CLI takes.
 MAX_BLOCK_SIZE = 8
 MAX_BLOCKS = 8
-#: The largest value of each size flag; checked before any work starts.
+#: The ``(lowest, highest)`` value of each size flag, ``None`` where the
+#: library checks that end itself; checked before any work starts.
 SCALE_LIMITS = {
-    "dim": 8,
-    "samples": 10_000,
-    "count": 1_000,
-    "steps": 1_024,
-    "horizon": 1_024,
-    "points": 10_000,
+    "dim": (None, 8),
+    "samples": (None, 10_000),
+    "count": (1, 1_000),
+    "steps": (None, 1_024),
+    "horizon": (None, 1_024),
+    "points": (None, 10_000),
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors raise :class:`InputError`, so that they leave
+    as an ``error`` record instead of usage text on stderr."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ginv",
         description="Generalized-inverse groupoids: pseudo-inversion, groupoid "
         "law checks and numerical geometry reports.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--tol-residual", type=float, default=None,
                         help="override the residual tolerance (default 1e-8)")
     common.add_argument("--tol-rank-factor", type=float, default=None,
@@ -130,10 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_scale(args) -> None:
-    for name, limit in SCALE_LIMITS.items():
+    for name, (lowest, highest) in SCALE_LIMITS.items():
         value = getattr(args, name, None)
-        if value is not None and value > limit:
-            raise InputError(f"--{name} {value} is past the limit of {limit}")
+        if value is None:
+            continue
+        if lowest is not None and value < lowest:
+            raise InputError(f"--{name} {value} is below the lower limit of {lowest}")
+        if value > highest:
+            raise InputError(f"--{name} {value} is past the limit of {highest}")
 
 
 def _check_blocks(shape: tuple) -> tuple:
@@ -406,8 +422,14 @@ def _emit_error(exc: Exception, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except InputError as exc:  # a malformed command line; its own flags are not trusted
+        usage = argparse.Namespace(command="usage", format="json", out=None,
+                                   no_timestamp="--no-timestamp" in argv)
+        _emit_error(exc, usage)
+        return EXIT_INPUT_ERROR
     try:
         _check_scale(args)
         seed = _resolve_seed(args)

@@ -11,10 +11,23 @@ differentials of its source and target maps.  Every downstream quantity is
 a rank or a dimension and therefore chart-independent.  Each rank decision
 on a piece of a chart differential uses the one relative cutoff, measured
 against the norm of the whole differential.
+
+Every caller asks for several of these quantities at one point, all on the
+same identity arrow.  So the module keeps two one-entry memos: the
+linearization at the last arrow (chart, source and target differentials
+and their norm) and the base tangent basis at the last base point.  Each
+is keyed by a digest of the groupoid's class, its defining parameters and
+the exact bytes of the arrow or point, plus the tolerance for the base
+tangent basis, the only one of the two that holds a rank decision.  A hit
+returns the very arrays a fresh computation would, so no answer depends on
+call history; every membership and precondition check still runs on every
+call, and cached arrays are read-only.  Only the last entry is kept, so
+nothing carries over from one point to the next.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +47,13 @@ from .linalg import (
 from .reports import CheckRecord, ExperimentReport
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A read-only view of ``m``; ``m`` itself stays as it was."""
+    view = np.asarray(m).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class TangentBasis:
     """Orthonormal basis of a real tangent space.
@@ -51,6 +71,7 @@ class TangentBasis:
     def __post_init__(self):
         if self.real_dim != len(self.vectors):
             raise InputError("real_dim must equal the number of basis vectors")
+        object.__setattr__(self, "coords", _read_only(self.coords))
 
 
 @dataclass(frozen=True)
@@ -69,11 +90,94 @@ class AnchorData:
     anchor_rank: int
 
     def __post_init__(self):
+        object.__setattr__(self, "anchor_matrix", _read_only(self.anchor_matrix))
         if self.anchor_matrix.shape[1] != self.fiber_basis.real_dim:
             raise InputError("anchor matrix columns must match the fiber dimension")
         rows, cols = self.anchor_matrix.shape
         if self.anchor_rank > min(rows, cols):
             raise InputError("anchor rank exceeds the matrix dimensions")
+
+
+# -- one-entry memos -----------------------------------------------------------------
+
+
+class _LastResult:
+    """The result for the last key only.
+
+    The entry is one ``(key, value)`` tuple, read and replaced whole, so a
+    reader never pairs one key with another key's value.
+    """
+
+    def __init__(self):
+        self._entry = (None, None)
+
+    def get(self, key: bytes, compute):
+        last_key, value = self._entry
+        if last_key != key:
+            value = compute()
+            self._entry = (key, value)
+        return value
+
+
+_LINEARIZATION = _LastResult()
+_BASE_TANGENT = _LastResult()
+
+
+def _leaf(h, tag: bytes, data: bytes) -> None:
+    h.update(tag + len(data).to_bytes(8, "little") + data)
+
+
+def _feed(h, item) -> None:
+    """Feed ``item`` to the hash ``h``, each leaf tagged and length-prefixed:
+    arrays and numpy scalars by dtype, shape and bytes, other scalars by
+    their exact ``repr``, dataclasses (arrows, elements, tolerances) by
+    class and fields, and sequences item by item."""
+    if isinstance(item, (np.ndarray, np.generic)):
+        if item.dtype.hasobject:  # its bytes would be addresses, not content
+            raise TypeError("cannot key geometry on an object array")
+        _leaf(h, b"a", f"{item.dtype.str}{item.shape}".encode())
+        _leaf(h, b"b", np.ascontiguousarray(item).tobytes())
+    elif item is None or isinstance(item, (str, int, float)):
+        _leaf(h, b"r", repr(item).encode())
+    elif isinstance(item, (tuple, list)):
+        _leaf(h, b"(", str(len(item)).encode())
+        for part in item:
+            _feed(h, part)
+    elif dataclasses.is_dataclass(item):
+        _leaf(h, b"d", f"{type(item).__module__}.{type(item).__qualname__}".encode())
+        for f in dataclasses.fields(item):
+            _feed(h, getattr(item, f.name))
+    else:
+        raise TypeError(f"cannot key geometry on a {type(item).__name__}")
+
+
+def _digest(G: Groupoid, item, *extra) -> bytes:
+    import hashlib  # here, not at import: it loads OpenSSL, a cost every CLI start would pay
+
+    h = hashlib.blake2b(digest_size=32)
+    _feed(h, (G.geometry_key(item), extra))
+    return h.digest()
+
+
+def _base_tangent(G: Groupoid, x, tol: ToleranceConfig) -> np.ndarray:
+    """``G.base_tangent(x, tol)``, read-only, through the one-entry memo."""
+    return _BASE_TANGENT.get(_digest(G, x, tol), lambda: _read_only(G.base_tangent(x, tol)))
+
+
+def _linearization(G: Groupoid, arrow):
+    """Chart differential, source differential, stacked source and target
+    differentials (all in the chart), the ambient target differential, and
+    the norm of the whole chart differential ``[j_arrow; j_s; j_t]``, the
+    scale of every rank decision on its pieces; through the one-entry memo.
+    ``arrow`` must have passed ``G``'s checks."""
+    def compute():
+        j_arrow, ds, dt = G.chart_differential(arrow)
+        j_st = np.vstack([ds @ j_arrow, dt @ j_arrow])
+        scale = operator_norm(np.vstack([j_arrow, j_st]))
+        j_s = j_st[: ds.shape[0]]
+        return (*(_read_only(m) for m in (j_arrow, j_s, j_st, dt)), scale)
+
+    return _LINEARIZATION.get(_digest(G, arrow), compute)
 
 
 # -- tangent spaces of the base manifolds ------------------------------------------
@@ -97,16 +201,16 @@ def tangent_basis(
         raise PreconditionError("point is not an orthogonal projection")
 
     G = GInvGroupoid(x.shape, tol) if manifold == "Q" else PartialIsometryGroupoid(x.shape, tol)
-    coords = G.base_tangent(x, tol)
+    coords = _base_tangent(G, x, tol)
     vectors = tuple(AlgebraElement.from_real_coords(x.shape, col) for col in coords.T)
     return TangentBasis(base_point=x, vectors=vectors, real_dim=len(vectors), coords=coords)
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    return G.base_tangent(x, tol).shape[1]
+    return _base_tangent(G, x, tol).shape[1]
 
 
-# -- chart differentials -------------------------------------------------------------
+# -- fiber, anchor, isotropy, submersion -------------------------------------------
 
 
 def _identity_arrow(G: Groupoid, x):
@@ -114,19 +218,6 @@ def _identity_arrow(G: Groupoid, x):
         return G.identity_at(x)
     except InputError as exc:
         raise PreconditionError(str(exc)) from exc
-
-
-def _differentials(G: Groupoid, arrow):
-    """Chart, source and target differentials at ``arrow``, the ambient target
-    differential, and the norm of the whole chart differential
-    ``[j_arrow; j_s; j_t]``, the scale of every rank decision on its pieces."""
-    j_arrow, ds, dt = G.chart_differential(arrow)
-    j_s, j_t = ds @ j_arrow, dt @ j_arrow
-    scale = operator_norm(np.vstack([j_arrow, j_s, j_t]))
-    return j_arrow, j_s, j_t, dt, scale
-
-
-# -- fiber, anchor, isotropy, submersion -------------------------------------------
 
 
 def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> AnchorData:
@@ -139,20 +230,18 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
     orthonormal basis of the base tangent space.
     """
     one_x = _identity_arrow(G, x)
-    j_arrow, j_s, _, dt, scale = _differentials(G, one_x)
+    j_arrow, j_s, _, dt, scale = _linearization(G, one_x)
 
     k_source = kernel_basis(j_s, tol, scale)
-    fiber_cols = j_arrow @ k_source
-    fiber_dim = numerical_rank(fiber_cols, tol, scale)
-    fiber_hat = orthonormal_range(fiber_cols, tol, scale)
+    fiber_hat = orthonormal_range(j_arrow @ k_source, tol, scale)
 
-    anchor_matrix = G.base_tangent(x, tol).T @ (dt @ fiber_hat)
+    anchor_matrix = _base_tangent(G, x, tol).T @ (dt @ fiber_hat)
     anchor_rank = numerical_rank(anchor_matrix, tol, scale)
 
     basis = TangentBasis(
         base_point=x,
         vectors=tuple(G.tangent_vector(one_x, col) for col in fiber_hat.T),
-        real_dim=fiber_dim,
+        real_dim=fiber_hat.shape[1],
         coords=fiber_hat,
     )
     return AnchorData(
@@ -164,8 +253,8 @@ def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Dimension of the joint kernel of the source and target differentials
     at the identity arrow over ``x``, measured in ambient arrow coordinates."""
     one_x = _identity_arrow(G, x)
-    j_arrow, j_s, j_t, _, scale = _differentials(G, one_x)
-    joint = kernel_basis(np.vstack([j_s, j_t]), tol, scale)
+    j_arrow, _, j_st, _, scale = _linearization(G, one_x)
+    joint = kernel_basis(j_st, tol, scale)
     return numerical_rank(j_arrow @ joint, tol, scale)
 
 
@@ -177,8 +266,8 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     """
     G.validate_arrow(g)
-    _, j_s, j_t, _, scale = _differentials(G, g)
-    rank = numerical_rank(np.vstack([j_s, j_t]), tol, scale)
+    _, _, j_st, _, scale = _linearization(G, g)
+    rank = numerical_rank(j_st, tol, scale)
     dims = base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
     return rank, dims
 

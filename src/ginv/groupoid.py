@@ -242,6 +242,13 @@ class Groupoid:
         """Complete orbit invariant of the base point ``x``."""
         raise NotImplementedError
 
+    def geometry_key(self, item) -> tuple:
+        """Everything the chart differential at the arrow ``item``, or the
+        base tangent space at the point ``item``, depends on: the class, its
+        defining parameters (every attribute but ``tol``) and ``item``."""
+        params = tuple(sorted((k, v) for k, v in vars(self).items() if k != "tol"))
+        return (type(self).__module__, type(self).__qualname__, params, item)
+
 
 def _idempotent_linearization(x: AlgebraElement) -> np.ndarray:
     """Real matrix of ``v -> xv + vx - v``, whose kernel is the tangent space
@@ -804,6 +811,10 @@ class DisjointUnionGroupoid(Groupoid):
     def orbit_signature(self, x, tol):
         index, point = x
         return (index, self._part(index).orbit_signature(point, tol))
+
+    def geometry_key(self, item) -> tuple:
+        index, inner = (item.index, item.inner) if isinstance(item, TaggedArrow) else item
+        return self._part(index).geometry_key(inner)
 
 
 def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Groupoid:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,94 @@ class TestScaleLimits:
         code, _ = run(["check-groupoid", "--kind", "pair", "--dim", "8", "--samples", "2",
                        "--no-timestamp"], capsys)
         assert code == 0
+
+
+class TestCountLowerLimit:
+    """A count of points or families below 1 would pass with nothing checked."""
+
+    @pytest.mark.parametrize("command", ["geometry", "continuity", "orbits"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_input_error(self, command, count, capsys, monkeypatch):
+        def never(*_):
+            raise AssertionError("a command with nothing to check started")
+
+        monkeypatch.setitem(cli._HANDLERS, command, never)
+        code, out = run([command, "--count", count, "--no-timestamp"], capsys)
+        assert code == 2
+        record = json.loads(out)["records"][0]
+        assert record["value"] == "InputError"
+        assert record["details"] == f"--count {count} is below the lower limit of 1"
+
+    def test_count_of_one_runs(self, capsys):
+        code, out = run(["orbits", "--kind", "pair", "--count", "1", "--no-timestamp"], capsys)
+        assert code == 0 and json.loads(out)["summary"]["total"] == 2
+
+
+class TestArgumentErrors:
+    """A malformed command line leaves as an error record, not usage text."""
+
+    @pytest.mark.parametrize(
+        "args, details",
+        [
+            (["--bogus"], "ginv: the following arguments are required: command"),
+            (["orbits", "--bogus"], "ginv: unrecognized arguments: --bogus"),
+            (["suite", "--seed", "abc"], "ginv suite: argument --seed: invalid int value: 'abc'"),
+            (["pinv"], "ginv pinv: the following arguments are required: --in"),
+            (["geometry", "--kind", "spiral"],
+             "ginv geometry: argument --kind: invalid choice: 'spiral' "
+             "(choose from 'ginv', 'partial_isometry', 'action', 'pair')"),
+        ],
+    )
+    def test_parser_error_is_error_record(self, args, details, capsys):
+        code = main([*args, "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["suite"] == "usage-error" and "timestamp" not in doc
+        record = doc["records"][0]
+        assert record["name"] == "error" and record["value"] == "InputError"
+        assert record["details"] == details
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: ginv" in capsys.readouterr().out
+
+
+_LAUNCH = """
+import json, os, sys
+import ginv_launcher
+
+numpy_before_main = "numpy" in sys.modules
+sys.argv = ["ginv", "orbits", "--kind", "pair", "--count", "2", "--no-timestamp"]
+code = ginv_launcher.main()
+print(json.dumps([code, numpy_before_main, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+class TestLauncher:
+    """The console script pins OpenBLAS to one thread before numpy loads,
+    unless the user chose a thread count."""
+
+    @pytest.mark.parametrize("user_value, seen", [(None, "1"), ("2", "2"), ("", "")])
+    def test_blas_threads(self, user_value, seen):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        proc = subprocess.run([sys.executable, "-c", _LAUNCH], capture_output=True, text=True,
+                              env=env)
+        assert proc.stderr == "", proc.stderr
+        code, numpy_before_main, value = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and not numpy_before_main
+        assert value == seen
+
+    def test_console_script_is_the_launcher(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert config["project"]["scripts"]["ginv"] == "ginv_launcher:main"
+        assert "ginv_launcher" in config["tool"]["setuptools"]["py-modules"]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ginv import geometry
 from ginv.algebra import AlgebraElement
-from ginv.errors import PreconditionError
+from ginv.errors import InputError, PreconditionError
 from ginv.geometry import (
     base_tangent_dim,
     fiber_and_anchor,
@@ -20,6 +21,7 @@ from ginv.groupoid import (
     PairGroupoid,
     PartialIsometryGroupoid,
 )
+from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import random_idempotent, random_projection, random_unitary
 
 
@@ -346,3 +348,137 @@ class TestChartDifferentials:
                 v0 = chart(np.zeros(param_dim))
                 close(ds, finite_diff_jacobian(source, v0))
                 close(dt, finite_diff_jacobian(target, v0))
+
+
+#: The geometry calls at one point, in the order of a benchmark point.
+POINT_STEPS = (
+    lambda G, x: fiber_and_anchor(G, x),
+    lambda G, x: submersion_rank_st(G, G.identity_at(x)),
+    lambda G, x: tangent_basis("Q" if G.kind == "ginv" else "P", x),
+    lambda G, x: isotropy_tangent_dim(G, x),
+)
+
+
+def answer_bytes(data, submersion, tangent, iso):
+    """The answers of :data:`POINT_STEPS`, arrays as bytes, so that equal
+    answers are equal bit for bit."""
+    return (data.fiber_basis.real_dim, data.anchor_rank, data.anchor_matrix.tobytes(),
+            data.fiber_basis.coords.tobytes(), *submersion, tangent.coords.tobytes(), iso)
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty geometry memos, so that a test sees every computation it causes."""
+    monkeypatch.setattr(geometry, "_LINEARIZATION", geometry._LastResult())
+    monkeypatch.setattr(geometry, "_BASE_TANGENT", geometry._LastResult())
+
+
+def spy(monkeypatch, cls, name):
+    """Count the calls of the method ``cls.name``."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestOneEntryReuse:
+    """The linearization and the base tangent basis are reused across the
+    calls at one point, and no answer depends on what was called before."""
+
+    def points(self, rng):
+        return [(GInvGroupoid((3,)), random_idempotent(rng, (3,), ranks=(1,))),
+                (PartialIsometryGroupoid((2, 3)), random_projection(rng, (2, 3), ranks=(1, 2))),
+                (GInvGroupoid((4,)), random_idempotent(rng, (4,), ranks=(2,)))]
+
+    def test_answers_do_not_depend_on_call_history(self, rng, monkeypatch):
+        cases = self.points(rng)
+        in_order = [answer_bytes(*(step(G, x) for step in POINT_STEPS)) for G, x in cases]
+
+        def alone(step, G, x):
+            monkeypatch.setattr(geometry, "_LINEARIZATION", geometry._LastResult())
+            monkeypatch.setattr(geometry, "_BASE_TANGENT", geometry._LastResult())
+            return step(G, x)
+
+        assert in_order == [answer_bytes(*(alone(step, G, x) for step in POINT_STEPS))
+                            for G, x in cases]
+        # interleaved: every call at one point comes between calls at the others
+        by_step = [[step(G, x) for G, x in cases] for step in POINT_STEPS]
+        assert in_order == [answer_bytes(*results) for results in zip(*by_step)]
+
+    def test_one_chart_differential_per_point(self, rng, monkeypatch, fresh_memos):
+        G = GInvGroupoid((3,))
+        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        for expected in (1, 2):
+            x = random_idempotent(rng, (3,), ranks=(1,))
+            fiber_and_anchor(G, x)
+            isotropy_tangent_dim(G, x)
+            submersion_rank_st(G, G.identity_at(x))
+            assert len(built) == expected
+
+    def test_kinds_at_one_projection_share_no_entry(self, rng, monkeypatch, fresh_memos):
+        p = random_projection(rng, (3,), ranks=(1,))
+        built = [spy(monkeypatch, cls, "chart_differential")
+                 for cls in (GInvGroupoid, PartialIsometryGroupoid)]
+        solved = [spy(monkeypatch, cls, "base_tangent")
+                  for cls in (GInvGroupoid, PartialIsometryGroupoid)]
+        assert fiber_and_anchor(GInvGroupoid((3,)), p).anchor_rank == 8
+        assert fiber_and_anchor(PartialIsometryGroupoid((3,)), p).anchor_rank == 4
+        assert tangent_basis("Q", p).real_dim == 8 and tangent_basis("P", p).real_dim == 4
+        assert [len(c) for c in built] == [1, 1]
+        assert [len(c) for c in solved] == [2, 2]
+
+    def test_unions_with_different_parts_share_no_entry(self, rng, monkeypatch, fresh_memos):
+        from ginv.groupoid import DisjointUnionGroupoid
+
+        x = rng.standard_normal(2)
+        action = DisjointUnionGroupoid([ActionGroupoid(2)])
+        pair = DisjointUnionGroupoid([PairGroupoid(2)])
+        built = [spy(monkeypatch, cls, "chart_differential")
+                 for cls in (ActionGroupoid, PairGroupoid)]
+        assert fiber_and_anchor(action, (0, x)).fiber_basis.real_dim == 4  # GL(2)
+        assert fiber_and_anchor(pair, (0, x)).fiber_basis.real_dim == 2
+        assert [len(c) for c in built] == [1, 1]
+        # two unions of equal parts do share it: the key goes through the part
+        fiber_and_anchor(DisjointUnionGroupoid([PairGroupoid(2)]), (0, x))
+        assert [len(c) for c in built] == [1, 1]
+
+    def test_tolerances_share_no_base_tangent(self, rng, monkeypatch, fresh_memos):
+        from ginv.linalg import ToleranceConfig
+
+        q = random_idempotent(rng, (2,), ranks=(1,))
+        solved = spy(monkeypatch, GInvGroupoid, "base_tangent")
+        coarse = ToleranceConfig(rank_cutoff_factor=0.1)
+        assert tangent_basis("Q", q).real_dim == 4
+        assert tangent_basis("Q", q, coarse).real_dim == 4
+        assert tangent_basis("Q", q).real_dim == 4
+        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse, DEFAULT_TOL]
+
+    def test_returned_arrays_are_read_only(self, rng):
+        G = GInvGroupoid((2,))
+        q = random_idempotent(rng, (2,), ranks=(1,))
+        data = fiber_and_anchor(G, q)
+        for m in (data.anchor_matrix, data.fiber_basis.coords, tangent_basis("Q", q).coords):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+        # the second call is a hit and hands out the same, unchanged answer
+        assert fiber_and_anchor(G, q).anchor_matrix.tobytes() == data.anchor_matrix.tobytes()
+
+    def test_checks_still_run_after_a_hit(self, rng):
+        G = PartialIsometryGroupoid((2,))
+        p = random_projection(rng, (2,), ranks=(1,))
+        g = G.identity_at(p)
+        assert submersion_rank_st(G, g) == submersion_rank_st(G, g)
+        with pytest.raises(InputError):
+            submersion_rank_st(G, IsometryArrow(mat([[2, 0], [0, 0]])))  # not a partial isometry
+        with pytest.raises(InputError):
+            submersion_rank_st(G, ActionArrow(np.zeros(2), np.eye(2)))
+        fiber_and_anchor(G, p)
+        with pytest.raises(PreconditionError):
+            fiber_and_anchor(G, mat([[1, 1], [0, 0]]))  # idempotent, not Hermitian
+        with pytest.raises(PreconditionError):
+            tangent_basis("P", mat([[1, 1], [0, 0]]))
