@@ -192,7 +192,7 @@ def _resolve_tol(args) -> ToleranceConfig:
 def _read_element(path: Path) -> AlgebraElement:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
     element = parse_element(text)
     _check_blocks(element.shape)
@@ -416,8 +416,8 @@ def _emit_error(exc: Exception, args) -> None:
     )
     try:
         _emit(error_report, args)
-    except OSError:  # the --out path cannot be written: the record goes to stdout
-        args.out = None
+    except (OSError, ValueError):  # an --out path that cannot be written, or holds a NUL
+        args.out = None  # the record goes to stdout
         _emit(error_report, args)
 
 

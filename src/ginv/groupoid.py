@@ -13,9 +13,9 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 The structure maps of every kind but ``disjoint_union`` also take stacked
 arrows (see :class:`Groupoid`), and their ``arrow_at`` and ``sample_at``
 build stacks of drawn arrows from stacked noise.  :func:`verify_axioms`
-uses them to draw and check up to 256 sampled chains in one stacked pass,
-going back to one sample at a time only for a chunk in which a law breaks
-or a check raises.
+draws the random inputs of each sampled chain once and checks up to
+``axiom_chunk`` chains in one stacked pass that writes its own failure
+texts; a pass that raises is split into one-row passes over the same inputs.
 """
 
 from __future__ import annotations
@@ -116,16 +116,17 @@ class Groupoid:
     """Common interface; concrete kinds fill in the structure maps.
 
     Every kind but ``disjoint_union`` also takes *stacked* arrows, ``N``
-    arrows held as one arrow of stacked elements or arrays built by
-    ``stack_arrows``; base points stack the same way.  Every structure map,
-    metric and membership check then works row by row, metrics return
-    ``(N,)`` arrays, and a check raises when any row fails.  Kinds without
-    stacks leave ``stack_arrows`` as ``None``.
+    arrows held as one arrow of stacked elements or arrays, such as
+    ``arrow_at`` and ``sample_at`` build from stacked noise; base points
+    stack the same way.  Every structure map, metric and membership check
+    then works row by row, metrics return ``(N,)`` arrays, and a check raises
+    when any row fails.
     """
 
     kind: str = "abstract"
-    #: ``stack_arrows(arrows)``: one stacked arrow, row ``i`` being ``arrows[i]``
-    stack_arrows = None
+    #: chains that :func:`verify_axioms` builds and checks as one stacked pass;
+    #: a fixed bound, so memory stays bounded for any sample count (1: no stacks)
+    axiom_chunk: int = 256
 
     def __init__(self, tol: ToleranceConfig = DEFAULT_TOL):
         self.tol = tol
@@ -182,8 +183,8 @@ class Groupoid:
         return self.sample_at(self.sample_noise(rng))
 
     def sample_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one :meth:`sample_arrow` draw (kinds with
-        stacks); by default a base point and the noise of an arrow from it."""
+        """The random inputs of one :meth:`sample_arrow` draw; by default a
+        base point and the noise of an arrow from it."""
         return (self.sample_base_point(rng), *self.arrow_noise(rng))
 
     def sample_at(self, noise: tuple):
@@ -204,6 +205,13 @@ class Groupoid:
         ``noise``; row by row when ``x`` and the parts of ``noise`` are stacks.
         ``x`` is taken as a base point, unchecked."""
         raise NotImplementedError
+
+    def chain_noise(self, rng: np.random.Generator) -> tuple:
+        """The random inputs of one chain that :func:`verify_axioms` checks:
+        a base point, the noise of three arrows drawn one from the target of
+        the last, and the noise of a loose arrow, in this order."""
+        return (self.sample_base_point(rng), *(self.arrow_noise(rng) for _ in range(3)),
+                self.sample_noise(rng))
 
     def _composability_threshold(self, g1, g2) -> float:
         return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
@@ -316,13 +324,6 @@ class GInvGroupoid(Groupoid):
 
     def arrow_scale(self, g):
         return epow(emax(g.pair.a.norm(), g.pair.b.norm()), 2)
-
-    def stack_arrows(self, arrows) -> GInvArrow:
-        for g in arrows:
-            self._check_structure(g)
-        a = AlgebraElement.stack([g.pair.a for g in arrows])
-        b = AlgebraElement.stack([g.pair.b for g in arrows])
-        return GInvArrow(GInvPair.create(a, b, self.tol))
 
     def sample_base_point(self, rng) -> AlgebraElement:
         return sampling.random_idempotent(rng, self.shape)
@@ -460,11 +461,6 @@ class PartialIsometryGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(g.u.norm(), 1.0)
 
-    def stack_arrows(self, arrows) -> IsometryArrow:
-        for g in arrows:
-            self._check_structure(g)
-        return IsometryArrow(AlgebraElement.stack([g.u for g in arrows]))
-
     def sample_base_point(self, rng) -> AlgebraElement:
         return sampling.random_projection(rng, self.shape)
 
@@ -588,11 +584,6 @@ class ActionGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(vector_norm(g.point), operator_norm(g.g))
 
-    def stack_arrows(self, arrows) -> ActionArrow:
-        for g in arrows:
-            self._check_structure(g)
-        return ActionArrow(np.stack([g.point for g in arrows]), np.stack([g.g for g in arrows]))
-
     def sample_base_point(self, rng) -> np.ndarray:
         return rng.standard_normal(self.n)
 
@@ -694,11 +685,6 @@ class PairGroupoid(Groupoid):
     def arrow_distance(self, g1, g2):
         return emax(vector_norm(g1.x - g2.x), vector_norm(g1.y - g2.y))
 
-    def stack_arrows(self, arrows) -> PairArrow:
-        for g in arrows:
-            self.validate_arrow(g)
-        return PairArrow(np.stack([g.x for g in arrows]), np.stack([g.y for g in arrows]))
-
     def sample_base_point(self, rng) -> np.ndarray:
         if self.pool is not None:
             return self.pool[int(rng.integers(0, len(self.pool)))]
@@ -729,9 +715,13 @@ class PairGroupoid(Groupoid):
 
 
 class DisjointUnionGroupoid(Groupoid):
-    """Disjoint union of groupoids; composition never crosses components."""
+    """Disjoint union of groupoids; composition never crosses components.
+
+    Its arrows do not stack, so :func:`verify_axioms` checks one chain per pass.
+    """
 
     kind = "disjoint_union"
+    axiom_chunk = 1
 
     def __init__(self, parts: Sequence[Groupoid], tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(tol)
@@ -773,6 +763,10 @@ class DisjointUnionGroupoid(Groupoid):
         index, point = x
         return self._part(index).base_membership_residual(point)
 
+    def check_base(self, x):
+        index, point = x
+        self._part(index).check_base(point)
+
     def base_distance(self, x, y) -> float:
         if x[0] != y[0]:
             return float("inf")
@@ -790,13 +784,28 @@ class DisjointUnionGroupoid(Groupoid):
         index = int(rng.integers(0, len(self.parts)))
         return (index, self.parts[index].sample_base_point(rng))
 
-    def sample_arrow(self, rng) -> TaggedArrow:
+    def sample_noise(self, rng) -> tuple:
+        """``(index, noise)``: a component and the noise of its arrow."""
         index = int(rng.integers(0, len(self.parts)))
-        return TaggedArrow(index, self.parts[index].sample_arrow(rng))
+        return index, self.parts[index].sample_noise(rng)
+
+    def sample_at(self, noise: tuple) -> TaggedArrow:
+        index, inner = noise
+        return TaggedArrow(index, self._part(index).sample_at(inner))
 
     def arrow_from(self, x, rng) -> TaggedArrow:
         index, point = x
         return TaggedArrow(index, self._part(index).arrow_from(point, rng))
+
+    def arrow_at(self, x, noise: tuple) -> TaggedArrow:
+        index, point = x
+        return TaggedArrow(index, self._part(index).arrow_at(point, noise))
+
+    def chain_noise(self, rng) -> tuple:
+        """As for any kind, with arrow noise from the base point's component."""
+        x = self.sample_base_point(rng)
+        part = self.parts[x[0]]
+        return (x, *(part.arrow_noise(rng) for _ in range(3)), self.sample_noise(rng))
 
     def chart_differential(self, g: TaggedArrow):
         return self._part(g.index).chart_differential(g.inner)
@@ -851,10 +860,6 @@ def isometry_to_ginv(u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> G
 
 # -- axiom verification ----------------------------------------------------------
 
-#: Samples drawn and checked as one stacked pass; a fixed bound, so memory
-#: stays bounded for any sample count.
-_CHUNK = 256
-
 _LAWS = {
     "G1 base membership": "s(g) and t(g) are base points",
     "G2 associativity": "(g3*g2)*g1 = g3*(g2*g1)",
@@ -866,37 +871,16 @@ _LAWS = {
 }
 
 
-class _LawBroken(Exception):
-    """A row of a stacked pass broke a law; its chunk is checked one sample at a time."""
-
-
-def _draw_chain(G: Groupoid, rng: np.random.Generator) -> tuple:
-    """Three composable arrows ``g1, g2, g3`` and one loose arrow."""
-    x0 = G.sample_base_point(rng)
-    g1 = G.arrow_from(x0, rng)
-    g2 = G.arrow_from(G.target(g1), rng)
-    g3 = G.arrow_from(G.target(g2), rng)
-    return g1, g2, g3, G.sample_arrow(rng)
-
-
-def _draw_chains(G: Groupoid, rng: np.random.Generator, count: int) -> tuple:
-    """``count`` chains as one stacked chain ``g1, g2, g3, loose``.
-
-    Each chain's random inputs are drawn in the order :func:`_draw_chain`
-    uses them (base point, three arrow noises, the loose arrow's noise), so
-    when no draw raises the generator ends where ``count`` calls of it
-    would, and row ``i`` is the chain the ``i``-th call would draw.  Raises
-    when any row's arrow cannot be built.
-    """
-    rows = [
-        (G.sample_base_point(rng), *(G.arrow_noise(rng) for _ in range(3)), G.sample_noise(rng))
-        for _ in range(count)
-    ]
-    x, *noises, loose = stack_rows(rows)
+def _build_chain(G: Groupoid, noise: tuple) -> tuple:
+    """The chain ``g1, g2, g3, loose`` built from the inputs that
+    :meth:`Groupoid.chain_noise` drew, or row by row from a stack of them:
+    ``g1`` starts at the drawn base point and each next arrow at the target
+    of the last.  Raises when an arrow (of any row) cannot be built."""
+    x, *noises, loose = noise
     arrows = []
-    for noise in noises:
+    for arrow_noise in noises:
         G.check_base(x)
-        arrows.append(G.arrow_at(x, noise))
+        arrows.append(G.arrow_at(x, arrow_noise))
         x = G.target(arrows[-1])
     return (*arrows, G.sample_at(loose))
 
@@ -935,24 +919,21 @@ def _check_chain(G: Groupoid, chain: tuple, record, violation):
         record("G4 source of inverse", G.base_distance(G.source(inv), t), thr)
 
 
-def _stacked_worst(G: Groupoid, rng: np.random.Generator, count: int) -> Optional[dict]:
-    """Per-law worst residuals of ``count`` chains drawn and checked in one
-    stacked pass, or ``None`` when any row breaks a law or the pass raises."""
-    worst = dict.fromkeys(_LAWS, 0.0)
+def _recorder(worst: dict, texts: list, where):
+    """The ``record(law, residual, threshold)`` of :func:`_check_chain`, for
+    one residual or one per row: it folds the residuals into ``worst[law]``
+    and adds ``(row, text)`` to ``texts`` for each row above its threshold,
+    ``where(row)`` naming the row in the text."""
 
     def record(law, residual, threshold):
-        if np.any(residual > threshold):
-            raise _LawBroken
-        worst[law] = max(worst[law], float(np.max(residual)))
+        residual, threshold = np.broadcast_arrays(np.ravel(residual), np.ravel(threshold))
+        # fmax, like max() over one row at a time, passes over a NaN residual
+        worst[law] = float(np.fmax.reduce(residual, initial=worst[law]))
+        for i in np.flatnonzero(residual > threshold):
+            texts.append((i, f"{law} violated ({residual[i]:.3e} > {threshold[i]:.3e}) "
+                             f"at {where(i)}"))
 
-    def violation(exc):
-        raise _LawBroken from exc
-
-    try:
-        _check_chain(G, _draw_chains(G, rng, count), record, violation)
-    except (GinvError, _LawBroken):
-        return None
-    return worst
+    return record
 
 
 def verify_axioms(
@@ -967,20 +948,21 @@ def verify_axioms(
     targets land in the base, associativity, the left and right identity
     laws, both inverse laws and ``s(g^-1) = t(g)``.  Violations become
     failing records rather than exceptions: a sample whose arrows cannot be
-    drawn or composed (any :class:`GinvError`) fails a ``law evaluation``
-    record that names it.  ``extra_arrows`` lets a caller inject
-    deliberately corrupted arrows as a negative control.
+    built or composed (any :class:`GinvError`) fails a ``law evaluation``
+    record that names it, and the samples after it are drawn as if it had
+    not failed.  ``extra_arrows`` lets a caller inject deliberately
+    corrupted arrows as a negative control.
 
-    For a kind with ``stack_arrows``, samples go in chunks of at most 256:
-    the random inputs of a chunk's chains are drawn in the one-sample order
-    (:func:`_draw_chains`), and the arrows are built and checked in one
-    stacked pass that yields only the per-law worst residuals.  If any row
-    breaks a law or the pass raises, the generator goes back to its state at
-    the start of the chunk and the chunk's samples are drawn and checked
-    again one at a time, which writes the failure texts.  Either way the
-    report equals, byte for byte, the one that checking every sample alone
-    would give.  Every kind but ``disjoint_union`` has ``stack_arrows``; a
-    disjoint union draws and checks one sample at a time.
+    Samples go in chunks of at most ``G.axiom_chunk``.  Each chain's random
+    inputs are drawn once (:meth:`Groupoid.chain_noise`), and a chunk's
+    chains are built and checked in one pass on stacks, which records every
+    row's residuals and writes a failure text for every row that breaks a
+    law.  When that pass raises or an arrow of it fails validation, its
+    rows are checked again from the same inputs, each as a one-row pass on
+    single elements: there a failed validation is a failure text and the
+    chain's other checks go on, and an error ends only its own chain.  So
+    the report equals, byte for byte, the one that checking every sample
+    alone would give.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -988,57 +970,55 @@ def verify_axioms(
 
     worst = dict.fromkeys(_LAWS, 0.0)
     failures: list[str] = []
-
-    def record(law: str, residual: float, threshold: float, context: str):
-        worst[law] = max(worst[law], residual)
-        if residual > threshold:
-            failures.append(f"{law} violated ({residual:.3e} > {threshold:.3e}) at {context}")
-
-    def check_sample(k: int, chain: tuple):
-        context = f"sample {k}"
-        _check_chain(
-            G, chain,
-            lambda law, residual, threshold: record(law, residual, threshold, context),
-            lambda exc: failures.append(f"G1 base membership violated at {context}: {exc}"),
-        )
-
     sample_errors: list[str] = []
-    for start in range(0, n_samples, _CHUNK):
-        samples = range(start, min(start + _CHUNK, n_samples))
-        if G.stack_arrows is not None:
-            state = rng.bit_generator.state
-            stacked = _stacked_worst(G, rng, len(samples))
-            if stacked is not None:
-                for law, value in stacked.items():
-                    worst[law] = max(worst[law], value)
-                continue
-            rng.bit_generator.state = state
-        for k in samples:
-            try:
-                check_sample(k, _draw_chain(G, rng))
-            except GinvError as exc:
-                sample_errors.append(f"sample {k}: {type(exc).__name__}: {exc}")
+
+    def check_pass(first: int, noises: list):
+        """Build and check the chains of samples ``first, first + 1, ...``
+        from their drawn ``noises``, stacked when there is more than one."""
+        stacked = len(noises) > 1
+        seen, texts = dict.fromkeys(_LAWS, 0.0), []
+
+        def violation(exc):
+            if stacked:
+                raise exc
+            texts.append((0, f"G1 base membership violated at sample {first}: {exc}"))
+
+        try:
+            chain = _build_chain(G, stack_rows(noises) if stacked else noises[0])
+            _check_chain(G, chain, _recorder(seen, texts, lambda i: f"sample {first + i}"),
+                         violation)
+        except GinvError as exc:
+            if stacked:
+                for i, noise in enumerate(noises):
+                    check_pass(first + i, [noise])
+                return
+            sample_errors.append(f"sample {first}: {type(exc).__name__}: {exc}")
+        for law, value in seen.items():
+            worst[law] = max(worst[law], value)
+        failures.extend(text for _, text in sorted(texts, key=lambda item: item[0]))
+
+    for first in range(0, n_samples, G.axiom_chunk):
+        count = min(G.axiom_chunk, n_samples - first)
+        check_pass(first, [G.chain_noise(rng) for _ in range(count)])
 
     injected_failures: list[str] = []
     for j, g in enumerate(extra_arrows or []):
         context = f"injected arrow {j}"
+        texts = []
+        record = _recorder(worst, texts, lambda i: context)
         try:
             G.validate_arrow(g)
             s, t = G.source(g), G.target(g)
             thr = G.tol.residual_tol * (1.0 + G.arrow_scale(g) ** 3)
-            before = len(failures)
             record("G1 base membership",
-                   max(G.base_membership_residual(s), G.base_membership_residual(t)),
-                   thr, context)
-            record("G3 right identity",
-                   G.arrow_distance(G.compose(g, G.identity_at(s)), g), thr, context)
+                   max(G.base_membership_residual(s), G.base_membership_residual(t)), thr)
+            record("G3 right identity", G.arrow_distance(G.compose(g, G.identity_at(s)), g), thr)
             record("G4 right inverse",
-                   G.arrow_distance(G.compose(g, G.invert(g)), G.identity_at(t)), thr, context)
-            injected_failures.extend(failures[before:])
+                   G.arrow_distance(G.compose(g, G.invert(g)), G.identity_at(t)), thr)
+            injected_failures.extend(text for _, text in texts)
         except GinvError as exc:
-            injected_failures.append(
-                f"arrow membership violated at {context}: {exc}"
-            )
+            injected_failures.append(f"arrow membership violated at {context}: {exc}")
+        failures.extend(text for _, text in texts)
 
     report = ExperimentReport(
         suite=f"groupoid-axioms-{G.kind}",

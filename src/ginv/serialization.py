@@ -48,7 +48,9 @@ def element_from_dict(doc: dict) -> AlgebraElement:
     blocks_doc = doc["blocks"]
     if not isinstance(shape, list) or not all(_is_number(n, int) for n in shape):
         raise WireFormatError("'shape' must be a list of integers")
-    if not isinstance(blocks_doc, list) or len(blocks_doc) != len(shape):
+    if not isinstance(blocks_doc, list):
+        raise WireFormatError(f"'blocks' must be a list of {len(shape)} blocks")
+    if len(blocks_doc) != len(shape):
         raise WireFormatError(
             f"'blocks' must list exactly {len(shape)} blocks", f"got {len(blocks_doc)}"
         )
@@ -70,7 +72,12 @@ def element_from_dict(doc: dict) -> AlgebraElement:
                     raise WireFormatError(
                         f"entry ({r}, {c}) must be a [re, im] pair of numbers", context
                     )
-                mat[r, c] = complex(entry[0], entry[1])
+                try:
+                    mat[r, c] = complex(entry[0], entry[1])
+                except OverflowError as exc:  # an integer literal past the double range
+                    raise WireFormatError(
+                        f"entry ({r}, {c}) is out of the double range", context
+                    ) from exc
         blocks.append(mat)
     try:
         return AlgebraElement(tuple(shape), tuple(blocks))
@@ -86,4 +93,8 @@ def parse_element(text: str) -> AlgebraElement:
         raise WireFormatError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise WireFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WireFormatError("invalid JSON: arrays or objects nest too deeply") from exc
     return element_from_dict(doc)

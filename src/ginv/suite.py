@@ -67,17 +67,6 @@ def _record(name, anchor, passed, value, details=""):
     return CheckRecord(name=name, anchor=anchor, passed=bool(passed), value=value, details=details)
 
 
-def _stacked_or_in_order(run, stacks: list, rows: list) -> list:
-    """``run(*stack)`` for each of ``stacks``; when one of those raises a
-    :class:`GinvError`, ``run(*row)`` on the ``rows`` alone in draw order.
-    So the first row that raises decides, as it does when every row is run
-    alone."""
-    try:
-        return [run(*stack) for stack in stacks]
-    except GinvError:
-        return [run(*row) for row in rows]
-
-
 def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """200 seeded elements across four shapes: the four defining equations
     of the pseudo-inverse and the involution identity, at 1e-8 scaled."""
@@ -146,15 +135,14 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
     and targets are idempotent at 1e-8 scaled."""
     rng = np.random.default_rng(seed)
     groupoids = [GInvGroupoid(shape, tol) for shape in [(2,), (3,), (2, 3)]]
-    rows = []  # per pair: its groupoid, base point and the noises of g2 and g1
+    rows = []  # per pair: the base point and the noises of g2 and g1
     for i in range(500):
         G = groupoids[i % len(groupoids)]
         x = G.sample_base_point(rng)
         noise2 = G.arrow_noise(rng)
-        rows.append((G, x, noise2, G.arrow_noise(rng)))
-    stacks = [(G, *stack_rows([r[1:] for r in rows[j::len(groupoids)]]))
-              for j, G in enumerate(groupoids)]
-    ratios = _stacked_or_in_order(_closure_ratios, stacks, rows)
+        rows.append((x, noise2, G.arrow_noise(rng)))
+    stacks = [(G, *stack_rows(rows[j::len(groupoids)])) for j, G in enumerate(groupoids)]
+    ratios = [_closure_ratios(*stack) for stack in stacks]
     worst, n = max(float(np.max(r)) for r in ratios), len(rows)
     return _record(
         "03 composition closure",
@@ -230,8 +218,7 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
         p = U.sample_base_point(rng)
         noise_v = U.arrow_noise(rng)
         rows.append((p, noise_v, U.arrow_noise(rng)))
-    results = _stacked_or_in_order(residuals, [stack_rows(rows)], rows)
-    worst, n = max(float(np.max(r)) for r in results), len(rows)
+    worst, n = float(np.max(residuals(*stack_rows(rows)))), len(rows)
     return _record(
         "05 morphism laws",
         "u -> (u, u*) preserves s, t, composition and inversion",

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ginv.algebra import AlgebraElement
 from ginv import cli
 from ginv.cli import main
 from ginv.serialization import serialize_element
+from test_serialization import wire_texts
 
 
 @pytest.fixture
@@ -46,12 +48,28 @@ class TestPinv:
         bad = tmp_path / "bad.json"
         for doc in ('{"shape":[2],"blocks":[[[[1,0]]]]}',
                     '{"shape":[true],"blocks":[[[[1,0]]]]}',
-                    '{"shape":[1],"blocks":[[[[true,false]]]]}'):
+                    '{"shape":[1],"blocks":[[[[true,false]]]]}',
+                    '{"shape":[1],"blocks":null}',
+                    '{"shape":[1],"blocks":[[[[1' + "0" * 400 + ',0]]]]}'):
             bad.write_text(doc)
             code, out = run(["pinv", "--in", str(bad), "--no-timestamp"], capsys)
             assert code == 2, doc
             record = json.loads(out)["records"][0]
             assert record["name"] == "error" and record["value"] == "WireFormatError"
+
+    @pytest.mark.parametrize("flag, value", [("--in", "InputError"), ("--out", "ValueError")])
+    def test_path_with_a_nul_is_error_record_on_stdout(self, element_file, capsys, flag, value):
+        code = main(["pinv", "--in", str(element_file), "--no-timestamp", flag, "a\x00b"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert record["name"] == "error" and record["value"] == value
+
+    def test_document_not_in_utf8_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"shape":[1],"blocks":[[[[1,0]]]]}\xff')
+        code, out = run(["pinv", "--in", str(bad), "--no-timestamp"], capsys)
+        assert code == 2
+        assert json.loads(out)["records"][0]["value"] == "InputError"
 
     def test_unexpected_exception_is_error_record(self, element_file, capsys, monkeypatch):
         def singular(args, tol, seed):
@@ -309,6 +327,27 @@ class TestArgumentErrors:
             main(["--help"])
         assert exit_info.value.code == 0
         assert "usage: ginv" in capsys.readouterr().out
+
+
+#: extra command-line tokens: the pinv flags and values, or any text without a
+#: "/", so that an --out path stays in the working directory; help requests
+#: leave through argparse's SystemExit(0) by design
+argv_tokens = st.sampled_from(
+    ["--in", "--out", "--format", "csv", "--seed", "-1", "--tol-residual", "nan", "1e-300",
+     "--tol-rank-factor", "--no-timestamp", "pinv", "--"]
+) | st.text(st.characters(blacklist_characters="/"), max_size=8).filter(
+    lambda token: not token.startswith(("-h", "--h")))
+
+
+@given(doc=wire_texts, extra=st.lists(argv_tokens, max_size=3))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pinv_on_any_document_exits_0_1_or_2(doc, extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert cli.main(["pinv", "--in", str(path), "--no-timestamp", *extra]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 _LAUNCH = """

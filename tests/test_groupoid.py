@@ -11,13 +11,14 @@ from ginv.groupoid import (
     DisjointUnionGroupoid,
     GInvArrow,
     GInvGroupoid,
+    Groupoid,
     IsometryArrow,
     PairArrow,
     PairGroupoid,
     PartialIsometryGroupoid,
+    TaggedArrow,
     isometry_to_ginv,
-    _draw_chain,
-    _draw_chains,
+    _build_chain,
     make_groupoid,
     verify_axioms,
 )
@@ -206,6 +207,15 @@ class TestDisjointUnion:
         rep = verify_axioms(self.G, seed=2, n_samples=40)
         assert rep.all_passed
 
+    def test_check_base_takes_the_part_threshold(self):
+        # |x x - x| = 1e-6 passes the ginv bound, scaled by |x|^2 = 1e8, alone
+        x = mat([[1, 1e4], [1e-10, 0]])
+        G = DisjointUnionGroupoid([GInvGroupoid((2,))])
+        G.parts[0].check_base(x)
+        G.check_base((0, x))
+        with pytest.raises(InputError):  # the unscaled bound of the base class
+            Groupoid.check_base(G, (0, x))
+
 
 class TestMorphism:
     def test_unitary_maps_to_invertible_pair(self, rng):
@@ -288,11 +298,11 @@ class TestVerifyAxioms:
 
     def test_raising_compose_becomes_failing_record(self):
         class RefusesThirdSample(PairGroupoid):
-            stack_arrows = None  # counts draws in the one-sample order
+            axiom_chunk = 1  # each chain is checked before the next is drawn
 
-            def sample_arrow(self, rng):  # drawn once per sample
+            def sample_noise(self, rng):  # drawn once per chain
                 self.sampled = getattr(self, "sampled", 0) + 1
-                return super().sample_arrow(rng)
+                return super().sample_noise(rng)
 
             def compose(self, g1, g2):
                 if self.sampled == 3:
@@ -315,8 +325,24 @@ def test_make_groupoid_factory():
 
 
 def one_at_a_time(cls):
-    """The same kind with stacking switched off: every sample is drawn and checked alone."""
-    return type(f"Single{cls.__name__}", (cls,), {"stack_arrows": None})
+    """The same kind with stacking switched off: every sample is checked alone."""
+    return type(f"Single{cls.__name__}", (cls,), {"axiom_chunk": 1})
+
+
+def chunked(cls):
+    """The same kind checking 16 chains per stacked pass, so that 40 samples
+    take three passes."""
+    return type(f"Chunked{cls.__name__}", (cls,), {"axiom_chunk": 16})
+
+
+def draw_chain(G, rng):
+    """The lazy reference draw: three composable arrows ``g1, g2, g3`` and
+    one loose arrow, the random inputs of each drawn as it is built."""
+    x0 = G.sample_base_point(rng)
+    g1 = G.arrow_from(x0, rng)
+    g2 = G.arrow_from(G.target(g1), rng)
+    g3 = G.arrow_from(G.target(g2), rng)
+    return g1, g2, g3, G.sample_arrow(rng)
 
 
 def noise_key(noise):
@@ -385,14 +411,24 @@ class DistanceOffOnThirdChain(MarksThirdChain, GInvGroupoid):
         return d + 1.0 if hit else d
 
 
-class ComposeRefusesChain160(ComposeRefusesThirdChain):
-    marked_draw = 3 * 160 + 1
+class ValidationRefusesThirdChain(DistanceOffOnThirdChain):
+    """Validation refuses the marked arrow, alone or in a stack; its
+    distances are off as well, so the laws it enters still fail."""
+
+    def validate_arrow(self, g):
+        if np.any(self.holds_marked(g)):
+            raise InputError("injected refusal")
+        super().validate_arrow(g)
 
 
-class DrawFailsAtChain226(MarksThirdChain, GInvGroupoid):
-    """The first arrow of chain 226 cannot be built."""
+class ComposeRefusesChain20(ComposeRefusesThirdChain):
+    marked_draw = 3 * 20 + 1
 
-    marked_draw = 3 * 226 + 1
+
+class DrawFailsAtChain26(MarksThirdChain, GInvGroupoid):
+    """The first arrow of chain 26 cannot be built."""
+
+    marked_draw = 3 * 26 + 1
 
     def arrow_at(self, x, noise):
         marked = getattr(self, "marked_noise", None)
@@ -421,37 +457,39 @@ class TestStackedAxioms:
     @pytest.mark.parametrize(
         "cls, shape, seed, passes",
         [
-            # sample 160 composed to a pair off bab = b at 1.8e-3, and sample 226
-            # could not be drawn, until arrow exponents were bounded; the
-            # injected cases below keep both paths exercised
+            # at 300 samples in chunks of 256, sample 160 composed to a pair off
+            # bab = b at 1.8e-3, and sample 226 could not be drawn, until arrow
+            # exponents were bounded; the injected cases below put both faults
+            # back, in the second of three chunks
             pytest.param(GInvGroupoid, (2, 3), 0, True, id="ginv-2,3-rerun"),
             pytest.param(GInvGroupoid, (3,), 1, True, id="ginv-3-draw-error"),
             pytest.param(PartialIsometryGroupoid, (2,), 1, True, id="partial_isometry-2"),
         ],
     )
     def test_two_chunks_equal_one_at_a_time(self, cls, shape, seed, passes):
-        stacked = verify_axioms(cls(shape), seed=seed, n_samples=300)
-        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=300)
+        stacked = verify_axioms(chunked(cls)(shape), seed=seed, n_samples=40)
+        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=40)
         assert stacked.all_passed == passes
         assert stacked.to_json_bytes() == single.to_json_bytes()
 
     @pytest.mark.parametrize(
-        "cls, shape, seed, details",
+        "cls, shape, seed, n_samples, details",
         [
-            # the stacked pass raises and the first chunk is checked one sample at a time
-            pytest.param(ComposeRefusesChain160, (3,), 1, "sample 160: CompositionError",
-                         id="ginv-3-injected-rerun"),
-            # sample 226 cannot be drawn: its error stays out of the stack
-            pytest.param(DrawFailsAtChain226, (3,), 1, "sample 226: InputError: injected",
-                         id="ginv-3-injected-draw-error"),
-            # the same rerun for array-backed arrows
-            pytest.param(ActionComposeRefusesChain160, 2, 1, "sample 160: CompositionError",
-                         id="action-2-injected-rerun"),
+            # the second pass raises and is split into one-row passes
+            pytest.param(chunked(ComposeRefusesChain20), (3,), 1, 40,
+                         "sample 20: CompositionError", id="ginv-3-injected-rerun"),
+            # sample 26 cannot be built; the samples after it are drawn all the same
+            pytest.param(chunked(DrawFailsAtChain26), (3,), 1, 40,
+                         "sample 26: InputError: injected", id="ginv-3-injected-draw-error"),
+            # the same split for array-backed arrows, in the first chunk of 256
+            pytest.param(ActionComposeRefusesChain160, 2, 1, 300,
+                         "sample 160: CompositionError", id="action-2-injected-rerun"),
         ],
     )
-    def test_injected_fault_in_two_chunks_equals_one_at_a_time(self, cls, shape, seed, details):
-        stacked = verify_axioms(cls(shape), seed=seed, n_samples=300)
-        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=300)
+    def test_injected_fault_in_two_chunks_equals_one_at_a_time(
+            self, cls, shape, seed, n_samples, details):
+        stacked = verify_axioms(cls(shape), seed=seed, n_samples=n_samples)
+        single = verify_axioms(one_at_a_time(cls)(shape), seed=seed, n_samples=n_samples)
         failing = [r for r in stacked.records if not r.passed]
         assert [r.name for r in failing] == ["law evaluation"]
         assert failing[0].value == 1 and failing[0].details.startswith(details)
@@ -499,16 +537,41 @@ class TestStackedAxioms:
         ]
         assert rep.to_json_bytes() == twin.to_json_bytes()
 
+    def test_law_broken_in_every_row_lists_failures_in_sample_order(self):
+        class DistanceOff(GInvGroupoid):
+            def arrow_distance(self, g1, g2):
+                return super().arrow_distance(g1, g2) + 1.0
+
+        rep = verify_axioms(DistanceOff((2,)), seed=1, n_samples=5)
+        twin = verify_axioms(one_at_a_time(DistanceOff)((2,)), seed=1, n_samples=5)
+        details = next(r.details for r in rep.records if r.name == "G3 right identity")
+        # g1 and g2 of each chain fail in turn
+        assert [text.rsplit(" ", 1)[1] for text in details.split("; ")] == ["0", "0", "1"]
+        assert rep.to_json_bytes() == twin.to_json_bytes()
+
+    def test_refused_arrow_in_stack_gives_single_sample_details(self):
+        G = ValidationRefusesThirdChain((2,))
+        rep = verify_axioms(G, seed=1, n_samples=5)
+        assert np.any(G.marked)
+        twin = verify_axioms(one_at_a_time(ValidationRefusesThirdChain)((2,)), seed=1, n_samples=5)
+        failing = {r.name: r.details for r in rep.records if not r.passed}
+        assert failing["G1 base membership"].startswith(
+            "G1 base membership violated at sample 2: injected refusal")
+        # the refused arrow's chain goes on to the laws, which its distances fail
+        assert set(failing) == {"G1 base membership", "G3 right identity", "G3 left identity"}
+        assert all("at sample 2" in details for details in failing.values())
+        assert rep.to_json_bytes() == twin.to_json_bytes()
+
     def test_stacked_arrow_checks_every_row(self):
         G = PartialIsometryGroupoid((2,))
         rng = np.random.default_rng(0)
         arrows = [G.sample_arrow(rng) for _ in range(3)]
-        stacked = G.stack_arrows(arrows)
+        stacked = IsometryArrow(AlgebraElement.stack([g.u for g in arrows]))
         G.validate_arrow(stacked)
         scales = G.arrow_scale(stacked)
         assert scales.shape == (3,)
         assert scales.tolist() == [G.arrow_scale(g) for g in arrows]
-        bad = G.stack_arrows(arrows[:2] + [IsometryArrow(2.0 * arrows[2].u)])
+        bad = IsometryArrow(AlgebraElement.stack([g.u for g in arrows[:2]] + [2.0 * arrows[2].u]))
         with pytest.raises(InputError, match="not a partial isometry"):
             G.validate_arrow(bad)
 
@@ -516,17 +579,19 @@ class TestStackedAxioms:
         G = ActionGroupoid(2)
         rng = np.random.default_rng(0)
         arrows = [G.sample_arrow(rng) for _ in range(3)]
-        stacked = G.stack_arrows(arrows)
+        stacked = ActionArrow(np.stack([g.point for g in arrows]), np.stack([g.g for g in arrows]))
         G.validate_arrow(stacked)
         assert G.arrow_scale(stacked).tolist() == [G.arrow_scale(g) for g in arrows]
         assert np.array_equal(G.target(stacked), [G.target(g) for g in arrows])
-        bad = G.stack_arrows(arrows[:2] + [ActionArrow(arrows[2].point, np.zeros((2, 2)))])
+        bad = ActionArrow(stacked.point, np.concatenate([stacked.g[:2], np.zeros((1, 2, 2))]))
         with pytest.raises(InputError, match="numerically singular"):
             G.validate_arrow(bad)
 
 
 def arrow_bytes(g, row=None):
     """The bytes of every array of an arrow (of one row of a stack)."""
+    if isinstance(g, TaggedArrow):
+        return [g.index, *arrow_bytes(g.inner, row)]
     if isinstance(g, GInvArrow):
         arrays = g.pair.a.blocks + g.pair.b.blocks
     elif isinstance(g, IsometryArrow):
@@ -547,6 +612,10 @@ STACKED_KINDS = [
 ]
 
 
+def two_part_union(_):
+    return DisjointUnionGroupoid([GInvGroupoid((2,)), ActionGroupoid(2)])
+
+
 class TestStackedDraws:
     @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_arrow_at_on_stacks_equals_each_arrow_from(self, cls, shape):
@@ -561,16 +630,24 @@ class TestStackedDraws:
         for i, g in enumerate(singles):
             assert arrow_bytes(stacked, i) == arrow_bytes(g)
 
-    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS + [
+        pytest.param(two_part_union, None, id="disjoint_union")])
     def test_draw_chains_match_single_draws_and_generator_state(self, cls, shape):
         G = cls(shape)
-        stacked_rng, single_rng = np.random.default_rng(4), np.random.default_rng(4)
-        stacked = _draw_chains(G, stacked_rng, 12)
-        singles = [_draw_chain(G, single_rng) for _ in range(12)]
-        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
-        for i, chain in enumerate(singles):
-            for stacked_arrow, g in zip(stacked, chain):
-                assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
+        rng, lazy_rng = np.random.default_rng(4), np.random.default_rng(4)
+        noises = [G.chain_noise(rng) for _ in range(12)]
+        lazy = [draw_chain(G, lazy_rng) for _ in range(12)]
+        assert rng.bit_generator.state == lazy_rng.bit_generator.state
+        for noise, chain in zip(noises, lazy):
+            assert [arrow_bytes(g) for g in _build_chain(G, noise)] == [
+                arrow_bytes(g) for g in chain]
+        if G.axiom_chunk > 1:
+            stacked = _build_chain(G, stack_rows(noises))
+            for i, chain in enumerate(lazy):
+                for stacked_arrow, g in zip(stacked, chain):
+                    assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
+        else:  # the draws reach both components
+            assert {g.index for chain in lazy for g in chain[::3]} == {0, 1}
 
 
 class TestLooseDraws:

@@ -2,8 +2,9 @@
 
 Criteria 03, 05 and 12 draw their inputs in a fixed order and then compute on
 stacks.  The references below draw and compute one element at a time with
-``arrow_from`` and per-term pseudo-inverses; both must give the same record,
-or raise the same error.
+``arrow_from`` and per-term pseudo-inverses; both must give the same record.
+A stacked criterion that raises names the first row that fails at the first
+failing step, which need not be the error the references raise first.
 """
 
 import json
