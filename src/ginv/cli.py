@@ -17,8 +17,8 @@ configuration, or any other error; every exit-2 failure is reported as an
 command line, whose record goes to stdout under the command ``usage``.
 Input past the desk scale is bad input: block sizes and ``--dim`` above
 8, more than 8 blocks, and the counts outside :data:`SCALE_LIMITS`, such
-as a ``--count`` of 0, which would check nothing.  When the ``--out``
-path cannot be written, that record goes to stdout.  Identical
+as a ``--count`` of 0, which would check nothing.  So is an ``--out``
+path that cannot be written; that record goes to stdout.  Identical
 configuration (including ``--seed``) produces byte-identical reports;
 ``--no-timestamp`` suppresses the only non-deterministic field.  The
 environment variable ``GINV_SEED`` supplies the default seed when
@@ -390,7 +390,10 @@ def _emit(report: ExperimentReport, args) -> None:
         report.stamp()
     payload = report.to_json_bytes() if args.format == "json" else report.to_csv_text().encode()
     if args.out is not None:
-        args.out.write_bytes(payload)
+        try:
+            args.out.write_bytes(payload)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -416,7 +419,7 @@ def _emit_error(exc: Exception, args) -> None:
     )
     try:
         _emit(error_report, args)
-    except (OSError, ValueError):  # an --out path that cannot be written, or holds a NUL
+    except InputError:  # an --out path that cannot be written
         args.out = None  # the record goes to stdout
         _emit(error_report, args)
 

@@ -13,23 +13,27 @@ on a piece of a chart differential uses the one relative cutoff, measured
 against the norm of the whole differential.
 
 Every caller asks for several of these quantities at one point, all on the
-same identity arrow.  So the module keeps two one-entry memos: the
-linearization at the last arrow (chart, source and target differentials
-and their norm) and the base tangent basis at the last base point.  Each
-is keyed by a digest of the groupoid's class, its defining parameters and
-the exact bytes of the arrow or point, plus the tolerance for the base
-tangent basis, the only one of the two that holds a rank decision.  A hit
-returns the very arrays a fresh computation would, so no answer depends on
-call history; every membership and precondition check still runs on every
-call, and cached arrays are read-only.  Only the last entry is kept, so
-nothing carries over from one point to the next.
+same identity arrow.  So the module keeps two small memos.  One holds the
+linearization at the last arrow: the chart, source and target
+differentials, their norm, and the one singular value decomposition of the
+stacked source and target differentials, which the isotropy and submersion
+answers both read.  The other holds the base tangent bases at the last
+three base points, which cover a point ``x`` and the source and target of
+the identity arrow over it (equal to ``x`` but not always in its bytes).
+Each entry is keyed by a digest of the groupoid's class, its defining
+parameters and the exact bytes of the arrow or point, plus the tolerance
+for the base tangent basis, the only one of the two that holds a rank
+decision.  A hit returns the very arrays a fresh computation would, so no
+answer depends on call history; every membership and precondition check
+still runs on every call, and cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Sequence
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     orthonormal_range,
+    rank_from_singular_values,
 )
 from .reports import CheckRecord, ExperimentReport
 
@@ -58,20 +63,27 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 class TangentBasis:
     """Orthonormal basis of a real tangent space.
 
-    ``vectors`` holds structured tangent vectors (elements, or component
-    tuples for arrow spaces whose points are tuples); ``coords`` holds the
-    same basis as columns in the fixed real coordinatization.
+    ``coords`` holds the basis as columns in the fixed real
+    coordinatization.  ``vectors`` holds the same basis as structured
+    tangent vectors (elements, or component tuples for arrow spaces whose
+    points are tuples); ``to_vector`` builds them from the columns of
+    ``coords`` on first access, since most callers need only the dimension.
     """
 
     base_point: object
-    vectors: tuple
-    real_dim: int
     coords: np.ndarray
+    to_vector: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.real_dim != len(self.vectors):
-            raise InputError("real_dim must equal the number of basis vectors")
         object.__setattr__(self, "coords", _read_only(self.coords))
+
+    @property
+    def real_dim(self) -> int:
+        return self.coords.shape[1]
+
+    @functools.cached_property
+    def vectors(self) -> tuple:
+        return tuple(self.to_vector(col) for col in self.coords.T)
 
 
 @dataclass(frozen=True)
@@ -98,29 +110,32 @@ class AnchorData:
             raise InputError("anchor rank exceeds the matrix dimensions")
 
 
-# -- one-entry memos -----------------------------------------------------------------
+# -- memos -------------------------------------------------------------------------
 
 
 class _LastResult:
-    """The result for the last key only.
+    """The results for the last ``size`` keys computed.
 
-    The entry is one ``(key, value)`` tuple, read and replaced whole, so a
-    reader never pairs one key with another key's value.
+    The entries are one tuple of ``(key, value)`` pairs, newest first, read
+    and replaced whole, so a reader never pairs one key with another key's
+    value.
     """
 
-    def __init__(self):
-        self._entry = (None, None)
+    def __init__(self, size: int):
+        self.size = size
+        self._entries = ()
 
     def get(self, key: bytes, compute):
-        last_key, value = self._entry
-        if last_key != key:
-            value = compute()
-            self._entry = (key, value)
+        for last_key, value in self._entries:
+            if last_key == key:
+                return value
+        value = compute()
+        self._entries = ((key, value), *self._entries[: self.size - 1])
         return value
 
 
-_LINEARIZATION = _LastResult()
-_BASE_TANGENT = _LastResult()
+_LINEARIZATION = _LastResult(1)
+_BASE_TANGENT = _LastResult(3)  # a point x and the source and target of 1_x
 
 
 def _leaf(h, tag: bytes, data: bytes) -> None:
@@ -160,22 +175,43 @@ def _digest(G: Groupoid, item, *extra) -> bytes:
 
 
 def _base_tangent(G: Groupoid, x, tol: ToleranceConfig) -> np.ndarray:
-    """``G.base_tangent(x, tol)``, read-only, through the one-entry memo."""
+    """``G.base_tangent(x, tol)``, read-only, through its memo."""
     return _BASE_TANGENT.get(_digest(G, x, tol), lambda: _read_only(G.base_tangent(x, tol)))
 
 
-def _linearization(G: Groupoid, arrow):
-    """Chart differential, source differential, stacked source and target
-    differentials (all in the chart), the ambient target differential, and
-    the norm of the whole chart differential ``[j_arrow; j_s; j_t]``, the
-    scale of every rank decision on its pieces; through the one-entry memo.
+class _Linearization(NamedTuple):
+    """The differentials at one arrow, read-only, in the chart unless
+    stated: the chart differential ``j_arrow``, the source differential
+    ``j_s``, the stacked source and target differentials ``j_st``, the
+    ambient target differential ``dt``, the norm ``scale`` of the whole chart
+    differential ``[j_arrow; j_st]`` (the scale of every rank decision on its
+    pieces), and the full singular value decomposition ``st_singular``,
+    ``st_vh`` of ``j_st``."""
+
+    j_arrow: np.ndarray
+    j_s: np.ndarray
+    j_st: np.ndarray
+    dt: np.ndarray
+    scale: float
+    st_singular: np.ndarray
+    st_vh: np.ndarray
+
+    def st_rank(self, tol: ToleranceConfig) -> int:
+        """Numerical rank of ``j_st``."""
+        return rank_from_singular_values(self.st_singular, self.j_st.shape, tol, self.scale)
+
+
+def _linearization(G: Groupoid, arrow) -> _Linearization:
+    """The linearization at ``arrow``, through the one-entry memo.
     ``arrow`` must have passed ``G``'s checks."""
     def compute():
         j_arrow, ds, dt = G.chart_differential(arrow)
         j_st = np.vstack([ds @ j_arrow, dt @ j_arrow])
         scale = operator_norm(np.vstack([j_arrow, j_st]))
-        j_s = j_st[: ds.shape[0]]
-        return (*(_read_only(m) for m in (j_arrow, j_s, j_st, dt)), scale)
+        _, st_singular, st_vh = np.linalg.svd(j_st)
+        j_arrow, j_st, dt, st_singular, st_vh = map(
+            _read_only, (j_arrow, j_st, dt, st_singular, st_vh))
+        return _Linearization(j_arrow, j_st[: ds.shape[0]], j_st, dt, scale, st_singular, st_vh)
 
     return _LINEARIZATION.get(_digest(G, arrow), compute)
 
@@ -201,9 +237,8 @@ def tangent_basis(
         raise PreconditionError("point is not an orthogonal projection")
 
     G = GInvGroupoid(x.shape, tol) if manifold == "Q" else PartialIsometryGroupoid(x.shape, tol)
-    coords = _base_tangent(G, x, tol)
-    vectors = tuple(AlgebraElement.from_real_coords(x.shape, col) for col in coords.T)
-    return TangentBasis(base_point=x, vectors=vectors, real_dim=len(vectors), coords=coords)
+    return TangentBasis(base_point=x, coords=_base_tangent(G, x, tol),
+                        to_vector=functools.partial(AlgebraElement.from_real_coords, x.shape))
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -230,20 +265,16 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
     orthonormal basis of the base tangent space.
     """
     one_x = _identity_arrow(G, x)
-    j_arrow, j_s, _, dt, scale = _linearization(G, one_x)
+    lin = _linearization(G, one_x)
 
-    k_source = kernel_basis(j_s, tol, scale)
-    fiber_hat = orthonormal_range(j_arrow @ k_source, tol, scale)
+    k_source = kernel_basis(lin.j_s, tol, lin.scale)
+    fiber_hat = orthonormal_range(lin.j_arrow @ k_source, tol, lin.scale)
 
-    anchor_matrix = _base_tangent(G, x, tol).T @ (dt @ fiber_hat)
-    anchor_rank = numerical_rank(anchor_matrix, tol, scale)
+    anchor_matrix = _base_tangent(G, x, tol).T @ (lin.dt @ fiber_hat)
+    anchor_rank = numerical_rank(anchor_matrix, tol, lin.scale)
 
-    basis = TangentBasis(
-        base_point=x,
-        vectors=tuple(G.tangent_vector(one_x, col) for col in fiber_hat.T),
-        real_dim=fiber_hat.shape[1],
-        coords=fiber_hat,
-    )
+    basis = TangentBasis(base_point=x, coords=fiber_hat,
+                         to_vector=functools.partial(G.tangent_vector, one_x))
     return AnchorData(
         base_point=x, fiber_basis=basis, anchor_matrix=anchor_matrix, anchor_rank=anchor_rank
     )
@@ -252,10 +283,9 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
 def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the joint kernel of the source and target differentials
     at the identity arrow over ``x``, measured in ambient arrow coordinates."""
-    one_x = _identity_arrow(G, x)
-    j_arrow, _, j_st, _, scale = _linearization(G, one_x)
-    joint = kernel_basis(j_st, tol, scale)
-    return numerical_rank(j_arrow @ joint, tol, scale)
+    lin = _linearization(G, _identity_arrow(G, x))
+    joint = lin.st_vh[lin.st_rank(tol):].conj().T  # the kernel of j_st
+    return numerical_rank(lin.j_arrow @ joint, tol, lin.scale)
 
 
 def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
@@ -266,8 +296,7 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     """
     G.validate_arrow(g)
-    _, _, j_st, _, scale = _linearization(G, g)
-    rank = numerical_rank(j_st, tol, scale)
+    rank = _linearization(G, g).st_rank(tol)
     dims = base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
     return rank, dims
 

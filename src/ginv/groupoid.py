@@ -922,14 +922,14 @@ def _check_chain(G: Groupoid, chain: tuple, record, violation):
 def _recorder(worst: dict, texts: list, where):
     """The ``record(law, residual, threshold)`` of :func:`_check_chain`, for
     one residual or one per row: it folds the residuals into ``worst[law]``
-    and adds ``(row, text)`` to ``texts`` for each row above its threshold,
-    ``where(row)`` naming the row in the text."""
+    and adds ``(row, text)`` to ``texts`` for each row above its threshold
+    or NaN, ``where(row)`` naming the row in the text."""
 
     def record(law, residual, threshold):
         residual, threshold = np.broadcast_arrays(np.ravel(residual), np.ravel(threshold))
-        # fmax, like max() over one row at a time, passes over a NaN residual
-        worst[law] = float(np.fmax.reduce(residual, initial=worst[law]))
-        for i in np.flatnonzero(residual > threshold):
+        # a NaN residual breaks its law, and makes the law's worst value NaN
+        worst[law] = float(np.maximum.reduce(residual, initial=worst[law]))
+        for i in np.flatnonzero(~(residual <= threshold)):
             texts.append((i, f"{law} violated ({residual[i]:.3e} > {threshold[i]:.3e}) "
                              f"at {where(i)}"))
 
@@ -994,7 +994,7 @@ def verify_axioms(
                 return
             sample_errors.append(f"sample {first}: {type(exc).__name__}: {exc}")
         for law, value in seen.items():
-            worst[law] = max(worst[law], value)
+            worst[law] = float(np.maximum(worst[law], value))
         failures.extend(text for _, text in sorted(texts, key=lambda item: item[0]))
 
     for first in range(0, n_samples, G.axiom_chunk):

@@ -144,7 +144,7 @@ def orthonormal_range(
     m = ensure_finite(m)
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, : rank_from_singular_values(s, m.shape, tol, scale)]
 
 

@@ -1,7 +1,13 @@
-import numpy as np
-import pytest
+import os
 
-from ginv.linalg import DEFAULT_TOL
+# One BLAS thread, as the ``ginv`` launcher pins it: set before numpy loads,
+# so that it takes effect; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ginv.linalg import DEFAULT_TOL  # noqa: E402
 
 
 @pytest.fixture

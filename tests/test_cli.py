@@ -57,12 +57,19 @@ class TestPinv:
             record = json.loads(out)["records"][0]
             assert record["name"] == "error" and record["value"] == "WireFormatError"
 
-    @pytest.mark.parametrize("flag, value", [("--in", "InputError"), ("--out", "ValueError")])
+    @pytest.mark.parametrize("flag, value", [("--in", "InputError"), ("--out", "InputError")])
     def test_path_with_a_nul_is_error_record_on_stdout(self, element_file, capsys, flag, value):
         code = main(["pinv", "--in", str(element_file), "--no-timestamp", flag, "a\x00b"])
         assert code == 2
         record = json.loads(capsys.readouterr().out)["records"][0]
         assert record["name"] == "error" and record["value"] == value
+
+    def test_empty_out_path_is_input_error(self, element_file, capsys):
+        code = main(["pinv", "--in", str(element_file), "--no-timestamp", "--out", ""])
+        assert code == 2
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert record["name"] == "error" and record["value"] == "InputError"
+        assert record["details"].startswith("cannot write ") and "raised at" not in record["details"]
 
     def test_document_not_in_utf8_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
@@ -217,7 +224,8 @@ class TestOtherCommands:
         assert code == 2
         assert captured.err == ""
         record = json.loads(captured.out)["records"][0]
-        assert record["name"] == "error" and record["value"] == "FileNotFoundError"
+        assert record["name"] == "error" and record["value"] == "InputError"
+        assert record["details"].startswith("cannot write ") and "raised at" not in record["details"]
         assert not out_file.exists()
 
 

@@ -366,11 +366,16 @@ def answer_bytes(data, submersion, tangent, iso):
             data.fiber_basis.coords.tobytes(), *submersion, tangent.coords.tobytes(), iso)
 
 
+def empty_memos(monkeypatch):
+    """Replace the geometry memos by empty ones of the same sizes."""
+    for name in ("_LINEARIZATION", "_BASE_TANGENT"):
+        monkeypatch.setattr(geometry, name, geometry._LastResult(getattr(geometry, name).size))
+
+
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Empty geometry memos, so that a test sees every computation it causes."""
-    monkeypatch.setattr(geometry, "_LINEARIZATION", geometry._LastResult())
-    monkeypatch.setattr(geometry, "_BASE_TANGENT", geometry._LastResult())
+    empty_memos(monkeypatch)
 
 
 def spy(monkeypatch, cls, name):
@@ -387,7 +392,7 @@ def spy(monkeypatch, cls, name):
 
 
 class TestOneEntryReuse:
-    """The linearization and the base tangent basis are reused across the
+    """The linearization and the base tangent bases are reused across the
     calls at one point, and no answer depends on what was called before."""
 
     def points(self, rng):
@@ -400,8 +405,7 @@ class TestOneEntryReuse:
         in_order = [answer_bytes(*(step(G, x) for step in POINT_STEPS)) for G, x in cases]
 
         def alone(step, G, x):
-            monkeypatch.setattr(geometry, "_LINEARIZATION", geometry._LastResult())
-            monkeypatch.setattr(geometry, "_BASE_TANGENT", geometry._LastResult())
+            empty_memos(monkeypatch)
             return step(G, x)
 
         assert in_order == [answer_bytes(*(alone(step, G, x) for step in POINT_STEPS))
@@ -430,7 +434,7 @@ class TestOneEntryReuse:
         assert fiber_and_anchor(PartialIsometryGroupoid((3,)), p).anchor_rank == 4
         assert tangent_basis("Q", p).real_dim == 8 and tangent_basis("P", p).real_dim == 4
         assert [len(c) for c in built] == [1, 1]
-        assert [len(c) for c in solved] == [2, 2]
+        assert [len(c) for c in solved] == [1, 1]  # each kind's basis at p, solved once
 
     def test_unions_with_different_parts_share_no_entry(self, rng, monkeypatch, fresh_memos):
         from ginv.groupoid import DisjointUnionGroupoid
@@ -455,8 +459,8 @@ class TestOneEntryReuse:
         coarse = ToleranceConfig(rank_cutoff_factor=0.1)
         assert tangent_basis("Q", q).real_dim == 4
         assert tangent_basis("Q", q, coarse).real_dim == 4
-        assert tangent_basis("Q", q).real_dim == 4
-        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse, DEFAULT_TOL]
+        assert tangent_basis("Q", q).real_dim == 4  # still held beside the coarse entry
+        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse]
 
     def test_returned_arrays_are_read_only(self, rng):
         G = GInvGroupoid((2,))
@@ -482,3 +486,115 @@ class TestOneEntryReuse:
             fiber_and_anchor(G, mat([[1, 1], [0, 0]]))  # idempotent, not Hermitian
         with pytest.raises(PreconditionError):
             tangent_basis("P", mat([[1, 1], [0, 0]]))
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's point mixes (``perfbench/workloads.py``)."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def point_instance(p):
+    return (GInvGroupoid if p.kind == "ginv" else PartialIsometryGroupoid)(p.shape)
+
+
+class TestFactoredOnce:
+    """Each point's stacked source and target differential ``j_st`` is
+    factored once, and its one decomposition gives the same rank decisions
+    as factoring it afresh."""
+
+    def test_ranks_equal_fresh_factorizations(self, workloads):
+        from ginv.linalg import kernel_basis, numerical_rank
+
+        points = [p for p in workloads.geometry_points(0)
+                  if p.shape in ((2,), (3,), (8,)) or len(p.shape) > 1]
+        points += workloads.conditioned_points(0, 1e4) + workloads.conditioned_points(0, 1e6)
+        for p in points:
+            G = point_instance(p)
+            one_x = G.identity_at(p.x)
+            rank, _ = submersion_rank_st(G, one_x)
+            lin = geometry._linearization(G, one_x)
+            joint = kernel_basis(lin.j_st, DEFAULT_TOL, lin.scale)
+            assert rank == numerical_rank(lin.j_st, DEFAULT_TOL, lin.scale), p
+            assert lin.st_vh.shape[0] - lin.st_rank(DEFAULT_TOL) == joint.shape[1], p
+            assert isotropy_tangent_dim(G, p.x) == numerical_rank(
+                lin.j_arrow @ joint, DEFAULT_TOL, lin.scale), p
+
+    def test_seed_0_pass_solves_and_factors(self, workloads, monkeypatch, fresh_memos):
+        import hashlib
+        from collections import Counter
+
+        kinds = (GInvGroupoid, PartialIsometryGroupoid)
+        solved = [spy(monkeypatch, cls, "base_tangent") for cls in kinds]
+        built = [spy(monkeypatch, cls, "chart_differential") for cls in kinds]
+
+        def digest(m):
+            m = np.ascontiguousarray(m)
+            return m.shape, hashlib.blake2b(m.tobytes()).digest()
+
+        factored = Counter()
+        svd = np.linalg.svd
+
+        def counted_svd(m, *args, **kwargs):
+            factored[digest(m)] += 1
+            return svd(m, *args, **kwargs)
+
+        points = workloads.geometry_points(0)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for p in points:
+            workloads.analyse_point(p, DEFAULT_TOL)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert len(points) == 60
+        assert sum(map(len, solved)) <= 128  # was 182 with a one-entry memo
+        assert sum(map(len, built)) == 60
+        # the zero j_st at rank 0 is left out: other products vanish there too
+        j_st = [geometry._linearization(G, G.identity_at(p.x)).j_st
+                for G, p in ((point_instance(p), p) for p in points)]
+        want = Counter(digest(m) for m in j_st if m.any())
+        assert len(want) > 40 and {d: factored[d] for d in want} == want
+
+    def test_memo_keeps_the_last_keys(self):
+        memo, computed = geometry._LastResult(3), []
+
+        def compute(key):
+            computed.append(key)
+            return key.upper()
+
+        for key in (b"x", b"s", b"t", b"x", b"s", b"y", b"x", b"t"):
+            assert memo.get(key, lambda: compute(key)) == key.upper()
+        assert computed == [b"x", b"s", b"t", b"y", b"x"]
+
+
+class TestVectorsOnDemand:
+    def test_built_on_first_read_as_before(self, rng, monkeypatch):
+        built = []
+        original = AlgebraElement.from_real_coords.__func__
+
+        def counted(cls, shape, v):
+            built.append(shape)
+            return original(cls, shape, v)
+
+        G = GInvGroupoid((3,))
+        q = random_idempotent(rng, (3,), ranks=(1,))
+        monkeypatch.setattr(AlgebraElement, "from_real_coords", classmethod(counted))
+        fiber = fiber_and_anchor(G, q).fiber_basis
+        tangent = tangent_basis("Q", q)
+        assert built == [] and (fiber.real_dim, tangent.real_dim) == (10, 8)
+
+        def as_bytes(vectors):  # a ginv arrow tangent vector is a pair of elements
+            return [[e.blocks[0].tobytes() for e in (v if isinstance(v, tuple) else (v,))]
+                    for v in vectors]
+
+        one_q = G.identity_at(q)
+        eager = ([G.tangent_vector(one_q, col) for col in fiber.coords.T],
+                 [AlgebraElement.from_real_coords((3,), col) for col in tangent.coords.T])
+        for basis, want in zip((fiber, tangent), eager):
+            assert as_bytes(basis.vectors) == as_bytes(want)
+            assert basis.vectors is basis.vectors  # built once
+        with pytest.raises(AttributeError):
+            tangent.vectors = ()

@@ -549,6 +549,24 @@ class TestStackedAxioms:
         assert [text.rsplit(" ", 1)[1] for text in details.split("; ")] == ["0", "0", "1"]
         assert rep.to_json_bytes() == twin.to_json_bytes()
 
+    def test_nan_residual_breaks_its_law(self):
+        class DistanceNaN(PairGroupoid):
+            def arrow_distance(self, g1, g2):
+                return super().arrow_distance(g1, g2) * np.nan
+
+        stacked = verify_axioms(DistanceNaN(3), seed=0, n_samples=10)
+        twin = verify_axioms(one_at_a_time(DistanceNaN)(3), seed=0, n_samples=10)
+        by_distance = {"G2 associativity", "G3 left identity", "G3 right identity",
+                       "G4 left inverse", "G4 right inverse"}
+        for rep in (stacked, twin):
+            for r in rep.records:
+                if r.name in by_distance:
+                    assert not r.passed and np.isnan(r.value), r
+                    assert r.details.startswith(f"{r.name} violated (nan > "), r
+                else:
+                    assert r.passed and r.value == 0.0, r
+        assert stacked.to_json_bytes() == twin.to_json_bytes()
+
     def test_refused_arrow_in_stack_gives_single_sample_details(self):
         G = ValidationRefusesThirdChain((2,))
         rep = verify_axioms(G, seed=1, n_samples=5)
