@@ -14,11 +14,13 @@ element against a stack), and :meth:`AlgebraElement.norm` returns an
 the result of the same operation on the single elements of row ``i``.
 The coordinates of a stack are an ``(N, D)`` array in the same fixed order,
 row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
-:func:`stack_rows` stacks rows of drawn inputs (elements and plain arrays).
-Classification and the wire format stay single-element.  :func:`emax`,
-:func:`epow` and :func:`first_excess` give threshold arithmetic that reads
-the same on a norm and on an array of norms.  Only :func:`expm_element` needs scipy, and
-it imports ``scipy.linalg`` when called.
+:func:`stack_rows` stacks rows of drawn inputs (plain arrays, or elements).
+Classification and the wire format stay single-element.  Elements are
+immutable: equality compares shapes and blocks exactly, and the first
+:meth:`AlgebraElement.norm` call stores its value for the later ones.
+:func:`emax`, :func:`epow` and :func:`first_excess` give threshold
+arithmetic that reads the same on a norm and on an array of norms.  Only
+:func:`expm_element` needs scipy, and it imports ``scipy.linalg`` when called.
 """
 
 from __future__ import annotations
@@ -50,10 +52,14 @@ def validate_shape(shape: Sequence[int]) -> tuple:
     return shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """One square complex matrix per block of the algebra, or one ``(N, n, n)``
-    stack per block for ``N`` elements at once."""
+    stack per block for ``N`` elements at once.
+
+    Two elements are equal when they have the same shape and the same
+    blocks, exactly; elements are not hashable.
+    """
 
     shape: tuple
     blocks: tuple
@@ -78,6 +84,14 @@ class AlgebraElement:
             frozen.append(b)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", tuple(frozen))
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.shape == other.shape and all(
+            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+
+    __hash__ = None
 
     # -- constructors --------------------------------------------------------
 
@@ -172,12 +186,21 @@ class AlgebraElement:
     # -- metrics and coordinates ------------------------------------------------
 
     def norm(self):
-        """C*-norm: the largest operator norm over the blocks; an ``(N,)``
-        array of them for a stack.  Blocks are finite by construction, so the
-        SVD runs without a second finiteness scan."""
-        if self.is_stack:
-            return np.max([np.linalg.svd(b, compute_uv=False)[:, 0] for b in self.blocks], axis=0)
-        return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in self.blocks)
+        """C*-norm: the largest operator norm over the blocks; a read-only
+        ``(N,)`` array of them for a stack.  Blocks are finite by
+        construction, so the SVD runs without a second finiteness scan.  The
+        blocks never change, so the first call stores the value and later
+        calls return it; it takes no part in equality."""
+        value = self.__dict__.get("_norm")
+        if value is None:
+            if self.is_stack:
+                value = np.max(
+                    [np.linalg.svd(b, compute_uv=False)[:, 0] for b in self.blocks], axis=0)
+                value.setflags(write=False)
+            else:
+                value = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in self.blocks)
+            object.__setattr__(self, "_norm", value)
+        return value
 
     def distance(self, other: "AlgebraElement"):
         return (self - other).norm()

@@ -59,7 +59,18 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+def _same(x, y) -> bool:
+    """Exact value equality of base points: arrays entry by entry, tuples
+    part by part, anything else (elements included) by ``==``."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
+    if isinstance(x, tuple) or isinstance(y, tuple):
+        return (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)
+                and all(_same(a, b) for a, b in zip(x, y)))
+    return x == y
+
+
+@dataclass(frozen=True, eq=False)
 class TangentBasis:
     """Orthonormal basis of a real tangent space.
 
@@ -68,14 +79,24 @@ class TangentBasis:
     tangent vectors (elements, or component tuples for arrow spaces whose
     points are tuples); ``to_vector`` builds them from the columns of
     ``coords`` on first access, since most callers need only the dimension.
+    Two bases are equal when their base points and ``coords`` are, exactly;
+    bases are not hashable.
     """
 
     base_point: object
     coords: np.ndarray
-    to_vector: Callable = field(repr=False, compare=False)
+    to_vector: Callable = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _read_only(self.coords))
+
+    def __eq__(self, other):
+        if not isinstance(other, TangentBasis):
+            return NotImplemented
+        return _same(self.base_point, other.base_point) and np.array_equal(
+            self.coords, other.coords)
+
+    __hash__ = None
 
     @property
     def real_dim(self) -> int:

@@ -11,11 +11,15 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 * ``disjoint_union``    -- a tagged union of instances, no cross composition.
 
 The structure maps of every kind but ``disjoint_union`` also take stacked
-arrows (see :class:`Groupoid`), and their ``arrow_at`` and ``sample_at``
-build stacks of drawn arrows from stacked noise.  :func:`verify_axioms`
-draws the random inputs of each sampled chain once and checks up to
-``axiom_chunk`` chains in one stacked pass that writes its own failure
-texts; a pass that raises is split into one-row passes over the same inputs.
+arrows (see :class:`Groupoid`).  Every random draw is split in two, as in
+:mod:`ginv.sampling`: ``base_noise``, ``arrow_noise`` and ``sample_noise``
+make the generator calls and return the raw noise (plain arrays for the
+algebra kinds), and ``base_at``, ``arrow_at`` and ``sample_at`` build the
+base point or arrow from it, row by row from stacked noise.
+:func:`verify_axioms` draws the random inputs of each sampled chain once
+and checks up to ``axiom_chunk`` chains in one stacked pass that writes its
+own failure texts; a pass that raises is split into one-row passes over the
+same inputs.
 """
 
 from __future__ import annotations
@@ -118,9 +122,9 @@ class Groupoid:
     Every kind but ``disjoint_union`` also takes *stacked* arrows, ``N``
     arrows held as one arrow of stacked elements or arrays, such as
     ``arrow_at`` and ``sample_at`` build from stacked noise; base points
-    stack the same way.  Every structure map, metric and membership check
-    then works row by row, metrics return ``(N,)`` arrays, and a check raises
-    when any row fails.
+    stack the same way, as ``base_at`` builds them.  Every structure map,
+    metric and membership check then works row by row, metrics return
+    ``(N,)`` arrays, and a check raises when any row fails.
     """
 
     kind: str = "abstract"
@@ -176,7 +180,17 @@ class Groupoid:
 
     # sampling
     def sample_base_point(self, rng: np.random.Generator):
+        """Random base point."""
+        return self.base_at(self.base_noise(rng))
+
+    def base_noise(self, rng: np.random.Generator):
+        """The random inputs of one :meth:`sample_base_point` draw."""
         raise NotImplementedError
+
+    def base_at(self, noise):
+        """The base point :meth:`sample_base_point` builds from ``noise``; row
+        by row when ``noise`` is stacked.  By default the noise is the point."""
+        return noise
 
     def sample_arrow(self, rng: np.random.Generator):
         """Random arrow, anywhere in the groupoid."""
@@ -208,9 +222,9 @@ class Groupoid:
 
     def chain_noise(self, rng: np.random.Generator) -> tuple:
         """The random inputs of one chain that :func:`verify_axioms` checks:
-        a base point, the noise of three arrows drawn one from the target of
-        the last, and the noise of a loose arrow, in this order."""
-        return (self.sample_base_point(rng), *(self.arrow_noise(rng) for _ in range(3)),
+        the noise of a base point, of three arrows drawn one from the target
+        of the last, and of a loose arrow, in this order."""
+        return (self.base_noise(rng), *(self.arrow_noise(rng) for _ in range(3)),
                 self.sample_noise(rng))
 
     def _composability_threshold(self, g1, g2) -> float:
@@ -325,24 +339,29 @@ class GInvGroupoid(Groupoid):
     def arrow_scale(self, g):
         return epow(emax(g.pair.a.norm(), g.pair.b.norm()), 2)
 
-    def sample_base_point(self, rng) -> AlgebraElement:
-        return sampling.random_idempotent(rng, self.shape)
+    def base_noise(self, rng) -> tuple:
+        return sampling.idempotent_noise(rng, self.shape)
+
+    def base_at(self, noise: tuple) -> AlgebraElement:
+        return sampling.idempotent_from(noise)
 
     def sample_noise(self, rng) -> tuple:
-        """``(a, u, v)``: an element ``a`` of random block ranks, and the
-        noise that :func:`~ginv.geninv.sample_ginv_pairs` draws for one pair
-        of ``a`` from a seed drawn here; zeros, and no seed, when ``a`` is 0."""
+        """The draws of ``(a, u, v)``: an element ``a`` of random block ranks,
+        and the noise that :func:`~ginv.geninv.sample_ginv_pairs` draws for
+        one pair of ``a`` from a seed drawn here; zeros, and no seed, when
+        ``a`` is 0."""
         ranks = sampling.random_block_ranks(rng, self.shape)
-        a = sampling.well_conditioned_element(rng, self.shape, ranks=ranks)
+        a = sampling.well_conditioned_noise(rng, self.shape, ranks=ranks)
         if not any(ranks):
-            zero = AlgebraElement.zeros(self.shape)
+            zero = tuple(np.zeros((n, n), dtype=complex) for n in self.shape)
             return a, zero, zero
         pair_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
-        return (a, sampling.random_element(pair_rng, self.shape),
-                sampling.random_element(pair_rng, self.shape))
+        return (a, sampling.element_noise(pair_rng, self.shape),
+                sampling.element_noise(pair_rng, self.shape))
 
     def sample_at(self, noise: tuple) -> GInvArrow:
-        a, u, v = noise
+        a = sampling.well_conditioned_from(noise[0])
+        u, v = (sampling.element_from(w) for w in noise[1:])
         b = reflexive_inverse(a, moore_penrose(a, self.tol), u, v)
         # all ranks zero: the only reflexive pair is (0, 0), taken as (a, a)
         zero = np.asarray(a.norm() == 0.0)[..., None, None]
@@ -358,12 +377,12 @@ class GInvGroupoid(Groupoid):
         return self.arrow_at(x, self.arrow_noise(rng))
 
     def arrow_noise(self, rng) -> tuple:
-        return (sampling.random_element(rng, self.shape, scale=0.35),
-                sampling.random_element(rng, self.shape, scale=0.35))
+        return (sampling.element_noise(rng, self.shape, scale=0.35),
+                sampling.element_noise(rng, self.shape, scale=0.35))
 
     def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvArrow:
         one = AlgebraElement.identity(self.shape)
-        u, w0 = noise
+        u, w0 = (sampling.element_from(w) for w in noise)
         w = x @ w0 @ x + (one - x) @ w0 @ (one - x)  # commutes with x
         # that projection onto the commutant of x has norm up to about |x|^2;
         # bound the exponent by |w0| so expm(w) stays well conditioned
@@ -461,26 +480,29 @@ class PartialIsometryGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(g.u.norm(), 1.0)
 
-    def sample_base_point(self, rng) -> AlgebraElement:
-        return sampling.random_projection(rng, self.shape)
+    def base_noise(self, rng) -> tuple:
+        return sampling.projection_noise(rng, self.shape)
+
+    def base_at(self, noise: tuple) -> AlgebraElement:
+        return sampling.projection_from(noise)
 
     def sample_noise(self, rng) -> tuple:
-        return (sampling.random_partial_isometry(rng, self.shape),)
+        return (sampling.partial_isometry_noise(rng, self.shape),)
 
     def sample_at(self, noise: tuple) -> IsometryArrow:
-        return IsometryArrow(noise[0])
+        return IsometryArrow(sampling.partial_isometry_from(noise[0]))
 
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
         return self.arrow_at(p, self.arrow_noise(rng))
 
     def arrow_noise(self, rng) -> tuple:
-        return (sampling.random_hermitian_element(rng, self.shape, scale=0.4),
-                sampling.random_hermitian_element(rng, self.shape, scale=0.4))
+        return (sampling.element_noise(rng, self.shape, scale=0.4),
+                sampling.element_noise(rng, self.shape, scale=0.4))
 
     def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
-        h1, h0 = noise
+        h1, h0 = (sampling.hermitian_from(m) for m in noise)
         h2 = p @ h0 @ p + (one - p) @ h0 @ (one - p)  # Hermitian, commutes with p
         u = expm_element(1j * h1) @ p @ expm_element(1j * h2)
         return IsometryArrow(u)
@@ -584,7 +606,7 @@ class ActionGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(vector_norm(g.point), operator_norm(g.g))
 
-    def sample_base_point(self, rng) -> np.ndarray:
+    def base_noise(self, rng) -> np.ndarray:
         return rng.standard_normal(self.n)
 
     def arrow_from(self, x, rng) -> ActionArrow:
@@ -685,7 +707,7 @@ class PairGroupoid(Groupoid):
     def arrow_distance(self, g1, g2):
         return emax(vector_norm(g1.x - g2.x), vector_norm(g1.y - g2.y))
 
-    def sample_base_point(self, rng) -> np.ndarray:
+    def base_noise(self, rng) -> np.ndarray:
         if self.pool is not None:
             return self.pool[int(rng.integers(0, len(self.pool)))]
         return rng.standard_normal(self.dim)
@@ -694,7 +716,7 @@ class PairGroupoid(Groupoid):
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
     def arrow_noise(self, rng) -> tuple:
-        return (self.sample_base_point(rng),)
+        return (self.base_noise(rng),)
 
     def arrow_at(self, x, noise: tuple) -> PairArrow:
         return PairArrow(x, noise[0])
@@ -780,7 +802,7 @@ class DisjointUnionGroupoid(Groupoid):
     def arrow_scale(self, g) -> float:
         return self._part(g.index).arrow_scale(g.inner)
 
-    def sample_base_point(self, rng):
+    def base_noise(self, rng):
         index = int(rng.integers(0, len(self.parts)))
         return (index, self.parts[index].sample_base_point(rng))
 
@@ -803,7 +825,7 @@ class DisjointUnionGroupoid(Groupoid):
 
     def chain_noise(self, rng) -> tuple:
         """As for any kind, with arrow noise from the base point's component."""
-        x = self.sample_base_point(rng)
+        x = self.base_noise(rng)
         part = self.parts[x[0]]
         return (x, *(part.arrow_noise(rng) for _ in range(3)), self.sample_noise(rng))
 
@@ -876,8 +898,8 @@ def _build_chain(G: Groupoid, noise: tuple) -> tuple:
     :meth:`Groupoid.chain_noise` drew, or row by row from a stack of them:
     ``g1`` starts at the drawn base point and each next arrow at the target
     of the last.  Raises when an arrow (of any row) cannot be built."""
-    x, *noises, loose = noise
-    arrows = []
+    x_noise, *noises, loose = noise
+    x, arrows = G.base_at(x_noise), []
     for arrow_noise in noises:
         G.check_base(x)
         arrows.append(G.arrow_at(x, arrow_noise))

@@ -6,7 +6,20 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+import math
 from datetime import datetime, timezone
+
+
+def _strict(value):
+    """``value`` with every non-finite float, at any depth, as the string
+    that names it, so the JSON holds no bare ``NaN`` or ``Infinity`` token."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 @dataclass
@@ -91,9 +104,12 @@ class ExperimentReport:
         return d
 
     def to_json_bytes(self) -> bytes:
-        """Canonical JSON: sorted keys, fixed separators, trailing newline."""
+        """Canonical strict JSON: sorted keys, fixed separators, trailing
+        newline, and each non-finite float written as the string ``"NaN"``,
+        ``"Infinity"`` or ``"-Infinity"``."""
         return (
-            json.dumps(self.to_dict(), sort_keys=True, indent=2, separators=(",", ": "))
+            json.dumps(_strict(self.to_dict()), sort_keys=True, indent=2,
+                       separators=(",", ": "), allow_nan=False)
             + "\n"
         ).encode()
 

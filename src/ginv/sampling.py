@@ -2,6 +2,17 @@
 
 Everything takes an explicit ``numpy.random.Generator`` so callers control
 determinism; nothing here keeps state.
+
+Each sampler is two steps.  The *draw* (``*_noise``) makes the sampler's
+generator calls, block by block in a fixed order, and returns plain
+arrays: one tuple per block.  The *build* (``*_from``) turns a draw into
+the element: the QR with phase fix, the products, the inverse or the
+Hermitian part.  A build takes one draw or a stack of ``N`` draws made by
+:func:`~ginv.algebra.stack_rows` (every array with a leading ``N`` axis),
+and row ``i`` of a stacked build equals, bit for bit, the build of draw
+``i`` alone.  So a caller that needs many elements draws them all first,
+in the one-at-a-time order, and builds them in one pass.  Each public
+sampler ``random_*`` is its build applied to its draw.
 """
 
 from __future__ import annotations
@@ -15,63 +26,146 @@ def random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.nd
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def unitary_from(m: np.ndarray) -> np.ndarray:
+    """Haar unitary from a complex Gaussian ``(..., n, n)`` matrix: its QR
+    factor ``q`` with the phase of ``diag(r)`` moved into the columns
+    (Mezzadri, Notices AMS 2007), matrix by matrix on a stack."""
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-like unitary via QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(random_matrix(rng, n))
-    # fix the phase convention so the distribution is Haar
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return unitary_from(random_matrix(rng, n))
 
 
-def well_conditioned_matrix(
-    rng: np.random.Generator, n: int, rank: int | None = None,
-    sv_range: tuple = (0.5, 2.0),
-) -> np.ndarray:
-    """Random matrix with singular values drawn from ``sv_range``; optional rank."""
-    r = n if rank is None else int(rank)
-    s = np.zeros(n)
-    s[:r] = rng.uniform(*sv_range, size=r)
-    return (random_unitary(rng, n) * s) @ random_unitary(rng, n)
-
-
-def random_element(
-    rng: np.random.Generator, shape, scale: float = 1.0
-) -> AlgebraElement:
-    shape = validate_shape(shape)
-    return AlgebraElement(shape, tuple(random_matrix(rng, n, scale) for n in shape))
-
-
-def well_conditioned_element(
-    rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
-) -> AlgebraElement:
-    """Element whose blocks have controlled singular values and optional ranks."""
-    shape = validate_shape(shape)
-    if ranks is None:
-        ranks = [None] * len(shape)
-    blocks = tuple(
-        well_conditioned_matrix(rng, n, rank=r, sv_range=sv_range)
-        for n, r in zip(shape, ranks)
-    )
-    return AlgebraElement(shape, blocks)
+def _rank_diagonal(n: int, rank) -> np.ndarray:
+    d = np.zeros(n)
+    d[: int(rank)] = 1.0
+    return d
 
 
 def random_block_ranks(rng: np.random.Generator, shape) -> tuple:
     return tuple(int(rng.integers(0, n + 1)) for n in validate_shape(shape))
 
 
+# -- draws: generator calls only, plain arrays out ----------------------------------
+
+
+def element_noise(rng: np.random.Generator, shape, scale: float = 1.0) -> tuple:
+    """One complex Gaussian matrix per block, scaled by ``scale``."""
+    return tuple(random_matrix(rng, n, scale) for n in validate_shape(shape))
+
+
+def well_conditioned_noise(
+    rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
+) -> tuple:
+    """Per block: the singular values (zero past the rank) and the Gaussian
+    matrices of the two unitary factors."""
+    shape = validate_shape(shape)
+    blocks = []
+    for n, r in zip(shape, [None] * len(shape) if ranks is None else ranks):
+        r = n if r is None else int(r)
+        s = np.zeros(n)
+        s[:r] = rng.uniform(*sv_range, size=r)
+        blocks.append((s, random_matrix(rng, n), random_matrix(rng, n)))
+    return tuple(blocks)
+
+
+def projection_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
+    """Per block: the rank diagonal and the Gaussian matrix of the unitary."""
+    shape = validate_shape(shape)
+    if ranks is None:
+        ranks = random_block_ranks(rng, shape)
+    return tuple((_rank_diagonal(n, r), random_matrix(rng, n)) for n, r in zip(shape, ranks))
+
+
+def idempotent_noise(
+    rng: np.random.Generator, shape, ranks=None, skew: float = 0.25
+) -> tuple:
+    """Per block: the rank diagonal and the Gaussian offset of the conjugator."""
+    shape = validate_shape(shape)
+    if ranks is None:
+        ranks = random_block_ranks(rng, shape)
+    return tuple((_rank_diagonal(n, r), random_matrix(rng, n, skew)) for n, r in zip(shape, ranks))
+
+
+def partial_isometry_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
+    """Per block: the rank diagonal and the Gaussian matrices of the two unitaries."""
+    shape = validate_shape(shape)
+    if ranks is None:
+        ranks = random_block_ranks(rng, shape)
+    return tuple((_rank_diagonal(n, r), random_matrix(rng, n), random_matrix(rng, n))
+                 for n, r in zip(shape, ranks))
+
+
+# -- builds: one draw or a stack of them -------------------------------------------------
+
+
+def element_from(noise: tuple) -> AlgebraElement:
+    """The element whose blocks are the drawn matrices."""
+    return AlgebraElement.from_blocks(noise)
+
+
+def hermitian_from(noise: tuple) -> AlgebraElement:
+    """The Hermitian part ``(m + m*) / 2`` of each drawn matrix."""
+    return AlgebraElement.from_blocks(0.5 * (m + _adjoint(m)) for m in noise)
+
+
+def well_conditioned_from(noise: tuple) -> AlgebraElement:
+    return AlgebraElement.from_blocks(
+        (unitary_from(m1) * s[..., None, :]) @ unitary_from(m2) for s, m1, m2 in noise)
+
+
+def projection_from(noise: tuple) -> AlgebraElement:
+    def block(d, m):
+        w = unitary_from(m)
+        return (w * d[..., None, :]) @ _adjoint(w)
+
+    return AlgebraElement.from_blocks(block(*b) for b in noise)
+
+
+def idempotent_from(noise: tuple) -> AlgebraElement:
+    def block(d, m):
+        n = d.shape[-1]
+        s = np.eye(n, dtype=complex) + m
+        model = (d[..., None, :] * np.eye(n)).astype(complex)  # diag(d), row by row
+        return s @ model @ np.linalg.inv(s)
+
+    return AlgebraElement.from_blocks(block(*b) for b in noise)
+
+
+def partial_isometry_from(noise: tuple) -> AlgebraElement:
+    return AlgebraElement.from_blocks(
+        (unitary_from(m1) * d[..., None, :]) @ _adjoint(unitary_from(m2)) for d, m1, m2 in noise)
+
+
+# -- samplers: a build of a draw ---------------------------------------------------------
+
+
+def random_element(
+    rng: np.random.Generator, shape, scale: float = 1.0
+) -> AlgebraElement:
+    return element_from(element_noise(rng, shape, scale))
+
+
+def well_conditioned_element(
+    rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
+) -> AlgebraElement:
+    """Element whose blocks have controlled singular values and optional ranks."""
+    return well_conditioned_from(well_conditioned_noise(rng, shape, ranks, sv_range))
+
+
 def random_projection(
     rng: np.random.Generator, shape, ranks=None
 ) -> AlgebraElement:
     """Orthogonal projection with the given (or random) per-block ranks."""
-    shape = validate_shape(shape)
-    if ranks is None:
-        ranks = random_block_ranks(rng, shape)
-    blocks = []
-    for n, r in zip(shape, ranks):
-        w = random_unitary(rng, n)
-        d = np.zeros(n)
-        d[: int(r)] = 1.0
-        blocks.append((w * d) @ w.conj().T)
-    return AlgebraElement(shape, tuple(blocks))
+    return projection_from(projection_noise(rng, shape, ranks))
 
 
 def random_idempotent(
@@ -83,39 +177,17 @@ def random_idempotent(
     default keeps elements well conditioned so chart-based rank computations
     stay clean.
     """
-    shape = validate_shape(shape)
-    if ranks is None:
-        ranks = random_block_ranks(rng, shape)
-    blocks = []
-    for n, r in zip(shape, ranks):
-        s = np.eye(n, dtype=complex) + random_matrix(rng, n, skew)
-        d = np.zeros(n)
-        d[: int(r)] = 1.0
-        blocks.append(s @ np.diag(d).astype(complex) @ np.linalg.inv(s))
-    return AlgebraElement(shape, tuple(blocks))
+    return idempotent_from(idempotent_noise(rng, shape, ranks, skew))
 
 
 def random_partial_isometry(
     rng: np.random.Generator, shape, ranks=None
 ) -> AlgebraElement:
     """Partial isometry ``W diag(1..1,0..0) V*`` from two Haar-like unitaries."""
-    shape = validate_shape(shape)
-    if ranks is None:
-        ranks = random_block_ranks(rng, shape)
-    blocks = []
-    for n, r in zip(shape, ranks):
-        d = np.zeros(n)
-        d[: int(r)] = 1.0
-        blocks.append((random_unitary(rng, n) * d) @ random_unitary(rng, n).conj().T)
-    return AlgebraElement(shape, tuple(blocks))
+    return partial_isometry_from(partial_isometry_noise(rng, shape, ranks))
 
 
 def random_hermitian_element(
     rng: np.random.Generator, shape, scale: float = 1.0
 ) -> AlgebraElement:
-    shape = validate_shape(shape)
-    blocks = []
-    for n in shape:
-        m = random_matrix(rng, n, scale)
-        blocks.append(0.5 * (m + m.conj().T))
-    return AlgebraElement(shape, tuple(blocks))
+    return hermitian_from(element_noise(rng, shape, scale))

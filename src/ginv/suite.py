@@ -74,11 +74,11 @@ def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     shapes = [(2,), (3,), (8,), (2, 3)]
     worst, n = 0.0, 0
     for shape in shapes:
-        a = AlgebraElement.stack([
-            sampling.well_conditioned_element(
+        a = sampling.well_conditioned_from(stack_rows([
+            sampling.well_conditioned_noise(
                 rng, shape, ranks=sampling.random_block_ranks(rng, shape))
             for _ in range(50)
-        ])
+        ]))
         dagger = moore_penrose(a, tol)
         bound = PENROSE_TOL * (1.0 + a.norm())
         res = penrose_residuals(a, dagger).max()
@@ -135,14 +135,16 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
     and targets are idempotent at 1e-8 scaled."""
     rng = np.random.default_rng(seed)
     groupoids = [GInvGroupoid(shape, tol) for shape in [(2,), (3,), (2, 3)]]
-    rows = []  # per pair: the base point and the noises of g2 and g1
+    rows = []  # per pair: the noises of the base point, g2 and g1
     for i in range(500):
         G = groupoids[i % len(groupoids)]
-        x = G.sample_base_point(rng)
+        x = G.base_noise(rng)
         noise2 = G.arrow_noise(rng)
         rows.append((x, noise2, G.arrow_noise(rng)))
-    stacks = [(G, *stack_rows(rows[j::len(groupoids)])) for j, G in enumerate(groupoids)]
-    ratios = [_closure_ratios(*stack) for stack in stacks]
+    ratios = []
+    for j, G in enumerate(groupoids):
+        x, noise2, noise1 = stack_rows(rows[j::len(groupoids)])
+        ratios.append(_closure_ratios(G, G.base_at(x), noise2, noise1))
     worst, n = max(float(np.max(r)) for r in ratios), len(rows)
     return _record(
         "03 composition closure",
@@ -213,12 +215,13 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
             mp_pair(u.u, tol).b.distance(ju.pair.b),
         )
 
-    rows = []  # per isometry: the base point and the noises of v and u
+    rows = []  # per isometry: the noises of the base point, v and u
     for _ in range(200):
-        p = U.sample_base_point(rng)
+        p = U.base_noise(rng)
         noise_v = U.arrow_noise(rng)
         rows.append((p, noise_v, U.arrow_noise(rng)))
-    worst, n = float(np.max(residuals(*stack_rows(rows)))), len(rows)
+    p, noise_v, noise_u = stack_rows(rows)
+    worst, n = float(np.max(residuals(U.base_at(p), noise_v, noise_u))), len(rows)
     return _record(
         "05 morphism laws",
         "u -> (u, u*) preserves s, t, composition and inversion",
@@ -231,11 +234,12 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
 def check_isometry_pseudoinverse(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """For partial isometries the pseudo-inverse is the adjoint (<= 1e-8)."""
     rng = np.random.default_rng(seed)
+    shapes = [(2,), (3,), (2, 3)]
+    noises = [sampling.partial_isometry_noise(rng, shapes[i % 3]) for i in range(100)]
     worst = 0.0
-    for i in range(100):
-        shape = [(2,), (3,), (2, 3)][i % 3]
-        u = sampling.random_partial_isometry(rng, shape)
-        worst = max(worst, moore_penrose(u, tol).distance(u.adjoint()))
+    for j in range(len(shapes)):
+        u = sampling.partial_isometry_from(stack_rows(noises[j::len(shapes)]))
+        worst = max(worst, float(np.max(moore_penrose(u, tol).distance(u.adjoint()))))
     return _record(
         "06 isometry pseudo-inverse",
         "u+ = u* on partial isometries",

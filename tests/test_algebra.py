@@ -230,3 +230,45 @@ class TestStacks:
         assert same_bits(x[1], xs[1]) and same_bits(x[-1], xs[-1])
         with pytest.raises(InputError):
             xs[0][0]
+
+
+class TestNormCache:
+    def test_second_call_returns_the_stored_value(self, rng, monkeypatch):
+        x = random_element(rng, (2, 3))
+        first = x.norm()
+        monkeypatch.setattr(np.linalg, "svd", None)  # a second SVD would raise
+        assert x.norm() == first and isinstance(first, float)
+
+    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    def test_stacked_norms_are_read_only_and_equal_each_row(self, rng, shape):
+        xs, x = stack_of(rng, shape)
+        norms = x.norm()
+        assert x.norm() is norms and not norms.flags.writeable
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+        assert norms.tolist() == [xi.norm() for xi in xs]
+
+    def test_norm_takes_no_part_in_equality(self, rng):
+        x = random_element(rng, (2,))
+        y = AlgebraElement(x.shape, tuple(b.copy() for b in x.blocks))
+        x.norm()
+        assert x == y and y == x
+
+
+class TestEquality:
+    def test_equal_values_in_distinct_arrays(self, rng):
+        x = random_element(rng, (2, 3))
+        y = AlgebraElement.from_blocks([b.copy() for b in x.blocks])
+        assert x is not y and x == y and not x != y
+
+    def test_unequal_values_shapes_and_stacks(self, rng):
+        x = random_element(rng, (2, 3))
+        assert x != x + AlgebraElement.identity((2, 3)) * 1e-15
+        assert mat([[1, 0], [0, 0]]) != AlgebraElement.identity((1, 1))
+        assert x != AlgebraElement.stack([x, x])
+        assert AlgebraElement.stack([x, x]) == AlgebraElement.stack([x, x])
+        assert (x == 1.0) is False
+
+    def test_not_hashable(self, rng):
+        with pytest.raises(TypeError):
+            hash(random_element(rng, (2,)))

@@ -358,6 +358,52 @@ def test_pinv_on_any_document_exits_0_1_or_2(doc, extra, tmp_path, monkeypatch, 
     capsys.readouterr()
 
 
+#: tokens for the other subcommands: their flags, good and bad values, and
+#: any text without a "/"; no --out and no csv, so that stdout holds one JSON
+#: document, and no help request
+command_tokens = st.sampled_from(
+    ["--kind", "ginv", "partial_isometry", "action", "pair", "spiral", "--shape", "2,3", "9",
+     "1,,2", "--dim", "--points", "--samples", "--count", "--steps", "--horizon", "--p", "--q",
+     "--seed", "--tol-residual", "--tol-rank-factor", "nan", "inf", "1e-300", "0", "-1",
+     "10001", "--format", "json", "xml", "--no-timestamp", "--"]
+) | st.text(st.characters(blacklist_characters="/"), max_size=8).filter(
+    lambda token: not token.startswith(("-h", "--h", "--o", "--f")))
+
+def refuse_constant(token):
+    raise ValueError(f"bare {token} token")
+
+
+STUBBED = ["check-groupoid", "continuity", "geometry", "orbits", "path", "suite"]
+
+
+def stub(args, tol, seed):
+    """A handler that checks the shape flag, as the real ones do first, and
+    computes nothing."""
+    if hasattr(args, "shape"):
+        cli._parse_shape(args.shape)
+    report = cli.ExperimentReport(suite=f"{args.command}-stub",
+                                  config=cli._config_echo(args, tol, seed))
+    report.add(cli.CheckRecord(name="stub", anchor="no computation", passed=True))
+    return report
+
+
+@pytest.mark.parametrize("command", STUBBED)
+@given(extra=st.lists(command_tokens, max_size=4))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_other_commands_on_any_argv_exit_0_1_or_2(command, extra, monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GINV_SEED", raising=False)
+    for name in STUBBED:
+        monkeypatch.setitem(cli._HANDLERS, name, stub)
+    code = cli.main([command, *extra])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2) and captured.err == ""
+    doc = json.loads(captured.out, parse_constant=refuse_constant)  # one strict JSON document
+    assert len(doc["records"]) == 1
+    assert doc["records"][0]["name"] == ("error" if code == 2 else "stub")
+
+
 _LAUNCH = """
 import json, os, sys
 import ginv_launcher

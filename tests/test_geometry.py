@@ -95,6 +95,23 @@ class TestTangentBasis:
         for v in tangent_basis("Q", q).vectors:
             assert (q @ v + v @ q - v).norm() <= 1e-8
 
+    def test_equal_bases_compare_equal(self, rng):
+        q = random_idempotent(rng, (3,), ranks=(1,))
+        twin = AlgebraElement.from_blocks([b.copy() for b in q.blocks])
+        basis = tangent_basis("Q", q)
+        basis.vectors  # a built cache takes no part in equality
+        assert basis == tangent_basis("Q", twin) and basis != tangent_basis("P", mat([[1, 0], [0, 0]]))
+        assert basis != tangent_basis("Q", random_idempotent(rng, (3,), ranks=(1,)))
+        with pytest.raises(TypeError):
+            hash(basis)
+
+    def test_array_base_points_compare_by_value(self):
+        G = ActionGroupoid(2)
+        x = np.array([1.0, 2.0])
+        a, b = fiber_and_anchor(G, x), fiber_and_anchor(G, x.copy())
+        assert a.fiber_basis == b.fiber_basis
+        assert a.fiber_basis != fiber_and_anchor(G, np.zeros(2)).fiber_basis
+
 
 class TestFiberAndAnchor:
     def test_ginv_anchor_is_onto(self):

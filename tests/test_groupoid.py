@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,9 +348,11 @@ def draw_chain(G, rng):
 
 
 def noise_key(noise):
-    """The matrix (or stack of them) that identifies a draw of arrow noise."""
+    """The matrix (or stack of them) that identifies a draw of arrow noise:
+    the first block's matrix of an element kind's raw noise, or the first
+    array of an array kind's."""
     first = noise[0]
-    return first.blocks[0] if isinstance(first, AlgebraElement) else first
+    return first[0] if isinstance(first, tuple) else first
 
 
 def arrow_key(g):
@@ -432,7 +436,7 @@ class DrawFailsAtChain26(MarksThirdChain, GInvGroupoid):
 
     def arrow_at(self, x, noise):
         marked = getattr(self, "marked_noise", None)
-        if marked is not None and np.any(np.all(noise[0].blocks[0] == marked, axis=(-2, -1))):
+        if marked is not None and np.any(np.all(noise_key(noise) == marked, axis=(-2, -1))):
             raise InputError("injected draw failure")
         return super().arrow_at(x, noise)
 
@@ -567,6 +571,19 @@ class TestStackedAxioms:
                     assert r.passed and r.value == 0.0, r
         assert stacked.to_json_bytes() == twin.to_json_bytes()
 
+    def test_nan_worst_value_is_strict_json(self):
+        class DistanceNaN(PairGroupoid):
+            def arrow_distance(self, g1, g2):
+                return super().arrow_distance(g1, g2) * np.nan
+
+        def refuse(token):
+            raise ValueError(f"bare {token} token")
+
+        rep = verify_axioms(DistanceNaN(3), seed=0, n_samples=10)
+        doc = json.loads(rep.to_json_bytes(), parse_constant=refuse)
+        values = {r["name"]: r["value"] for r in doc["records"]}
+        assert values["G2 associativity"] == "NaN" and values["G1 base membership"] == 0.0
+
     def test_refused_arrow_in_stack_gives_single_sample_details(self):
         G = ValidationRefusesThirdChain((2,))
         rep = verify_axioms(G, seed=1, n_samples=5)
@@ -666,6 +683,39 @@ class TestStackedDraws:
                     assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
         else:  # the draws reach both components
             assert {g.index for chain in lazy for g in chain[::3]} == {0, 1}
+
+
+def holds_element(noise) -> bool:
+    if isinstance(noise, tuple):
+        return any(holds_element(part) for part in noise)
+    return isinstance(noise, AlgebraElement)
+
+
+class TestRawNoise:
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS[:3])
+    def test_chain_noise_holds_plain_arrays(self, cls, shape):
+        G = cls(shape)
+        rng = np.random.default_rng(0)
+        assert not any(holds_element(G.chain_noise(rng)) for _ in range(8))
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS + [
+        pytest.param(two_part_union, None, id="disjoint_union")])
+    def test_base_at_of_base_noise_is_sample_base_point(self, cls, shape):
+        G = cls(shape)
+        rng, reference = np.random.default_rng(2), np.random.default_rng(2)
+        noises = [G.base_noise(rng) for _ in range(6)]
+        points = [G.sample_base_point(reference) for _ in range(6)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        if G.axiom_chunk > 1:
+            stacked = G.base_at(stack_rows([(x,) for x in noises])[0])
+        for i, (noise, x) in enumerate(zip(noises, points)):
+            if isinstance(x, AlgebraElement):
+                assert G.base_at(noise) == x
+                assert [b[i].tobytes() for b in stacked.blocks] == [b.tobytes() for b in x.blocks]
+            elif G.axiom_chunk > 1:
+                assert np.array_equal(G.base_at(noise), x) and stacked[i].tobytes() == x.tobytes()
+            else:
+                assert G.base_at(noise) is noise and noise[0] == x[0]
 
 
 class TestLooseDraws:
