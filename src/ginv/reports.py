@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 import math
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 
