@@ -25,6 +25,7 @@ arithmetic that reads the same on a norm and on an array of norms.  Only
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -50,6 +51,32 @@ def validate_shape(shape: Sequence[int]) -> tuple:
     if any(n < 1 for n in shape):
         raise InputError("every block size must be >= 1")
     return shape
+
+
+def same_value(x, y) -> bool:
+    """Exact value equality: arrays entry by entry, tuples part by part,
+    anything else (elements included) by ``==``."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
+    if isinstance(x, tuple) or isinstance(y, tuple):
+        return (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)
+                and all(same_value(a, b) for a, b in zip(x, y)))
+    return bool(x == y)
+
+
+class ExactEquality:
+    """Exact value equality of a dataclass's fields, by :func:`same_value`,
+    for dataclasses that may hold arrays; such values are not hashable.
+    Declare the dataclass with ``eq=False``, or its generated ``__eq__``
+    replaces this one."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(same_value(getattr(self, f.name), getattr(other, f.name))
+                   for f in dataclasses.fields(self))
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)

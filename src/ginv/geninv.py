@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, emax, epow, first_excess
+from .algebra import AlgebraElement, ExactEquality, emax, epow, first_excess
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 from .sampling import random_element
@@ -37,13 +37,14 @@ class PenroseResidual:
         return emax(self.r1, self.r2, self.r3, self.r4)
 
 
-@dataclass(frozen=True)
-class GInvPair:
+@dataclass(frozen=True, eq=False)
+class GInvPair(ExactEquality):
     """An ordered pair (a, b) with aba = a and bab = b, residuals attached.
 
     Construct through :meth:`create`, which enforces both reflexivity
     residuals; the raw constructor is reserved for deliberately invalid
-    pairs in negative-control tests.
+    pairs in negative-control tests.  Two pairs are equal when their
+    elements and residuals are, exactly; pairs are not hashable.
     """
 
     a: AlgebraElement

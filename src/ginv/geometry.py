@@ -12,20 +12,31 @@ a rank or a dimension and therefore chart-independent.  Each rank decision
 on a piece of a chart differential uses the one relative cutoff, measured
 against the norm of the whole differential.
 
+The source differential ``j_s`` and the target differential ``j_t`` are
+read through one singular value decomposition of ``j_s`` and one of
+``j_t K``, the target differential on ``K = ker j_s``.  ``K`` spans the
+source fiber in the chart; the stacked ``[j_s; j_t]`` has rank
+``rank j_s + rank(j_t K)``, the submersion rank, and kernel
+``K ker(j_t K)``, the joint kernel that the isotropy dimension is read
+from.  The norm of the whole differential ``[j_arrow; j_s; j_t]`` is the
+square root of the top eigenvalue of its Gram matrix.  Base tangent
+dimensions (at the source and target of an arrow) come from the singular
+values of the kind's linear system alone; only the tangent space itself
+needs a kernel basis.
+
 Every caller asks for several of these quantities at one point, all on the
 same identity arrow.  So the module keeps two small memos.  One holds the
-linearization at the last arrow: the chart, source and target
-differentials, their norm, and the one singular value decomposition of the
-stacked source and target differentials, which the isotropy and submersion
-answers both read.  The other holds the base tangent bases at the last
-three base points, which cover a point ``x`` and the source and target of
-the identity arrow over it (equal to ``x`` but not always in its bytes).
-Each entry is keyed by a digest of the groupoid's class, its defining
-parameters and the exact bytes of the arrow or point, plus the tolerance
-for the base tangent basis, the only one of the two that holds a rank
-decision.  A hit returns the very arrays a fresh computation would, so no
-answer depends on call history; every membership and precondition check
-still runs on every call, and cached arrays are read-only.
+linearization at the last arrow and tolerance: the chart differential, the
+ambient target differential, the norm, the source kernel, the submersion
+rank and the joint kernel, all built when the entry is made.  The other
+holds the base tangent bases at the last two base points, so that a caller
+may ask for the tangent spaces at two points before it reads the anchors
+there.  Each entry is keyed by a digest of the groupoid's class, its
+defining parameters, the exact bytes of the arrow or point, and the
+tolerance, since both hold rank decisions.  A hit returns the very arrays
+a fresh computation would, so no answer depends on call history; every
+membership and precondition check still runs on every call, and cached
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, classify
+from .algebra import AlgebraElement, classify, same_value
 from .errors import InputError, PreconditionError
 from .groupoid import GInvGroupoid, Groupoid, PartialIsometryGroupoid
 from .linalg import (
@@ -45,7 +56,6 @@ from .linalg import (
     ToleranceConfig,
     kernel_basis,
     numerical_rank,
-    operator_norm,
     orthonormal_range,
     rank_from_singular_values,
 )
@@ -57,17 +67,6 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     view = np.asarray(m).view()
     view.setflags(write=False)
     return view
-
-
-def _same(x, y) -> bool:
-    """Exact value equality of base points: arrays entry by entry, tuples
-    part by part, anything else (elements included) by ``==``."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
-    if isinstance(x, tuple) or isinstance(y, tuple):
-        return (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)
-                and all(_same(a, b) for a, b in zip(x, y)))
-    return x == y
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +92,7 @@ class TangentBasis:
     def __eq__(self, other):
         if not isinstance(other, TangentBasis):
             return NotImplemented
-        return _same(self.base_point, other.base_point) and np.array_equal(
+        return same_value(self.base_point, other.base_point) and np.array_equal(
             self.coords, other.coords)
 
     __hash__ = None
@@ -156,7 +155,7 @@ class _LastResult:
 
 
 _LINEARIZATION = _LastResult(1)
-_BASE_TANGENT = _LastResult(3)  # a point x and the source and target of 1_x
+_BASE_TANGENT = _LastResult(2)  # two points, such as a q and a p read in turn
 
 
 def _leaf(h, tag: bytes, data: bytes) -> None:
@@ -201,40 +200,48 @@ def _base_tangent(G: Groupoid, x, tol: ToleranceConfig) -> np.ndarray:
 
 
 class _Linearization(NamedTuple):
-    """The differentials at one arrow, read-only, in the chart unless
-    stated: the chart differential ``j_arrow``, the source differential
-    ``j_s``, the stacked source and target differentials ``j_st``, the
-    ambient target differential ``dt``, the norm ``scale`` of the whole chart
-    differential ``[j_arrow; j_st]`` (the scale of every rank decision on its
-    pieces), and the full singular value decomposition ``st_singular``,
-    ``st_vh`` of ``j_st``."""
+    """What the answers at one arrow read, for one tolerance, read-only, in
+    the chart unless stated: the chart differential ``j_arrow``, the ambient
+    target differential ``dt``, the norm ``scale`` of the whole chart
+    differential ``[j_arrow; j_s; j_t]`` (the scale of every rank decision
+    on its pieces), the kernel ``source_kernel`` of the source differential
+    ``j_s``, the rank ``st_rank`` of the stacked source and target
+    differentials ``[j_s; j_t]``, and their joint kernel ``joint_kernel``.
+
+    With ``K = source_kernel``, ``[j_s; j_t]`` has rank
+    ``rank j_s + rank(j_t K)`` and kernel ``K ker(j_t K)``: the
+    factorizations of ``j_s`` and of ``j_t K`` give all three, and the
+    rank of ``j_t K`` is decided at the cutoff of ``[j_s; j_t]``.  Neither
+    the stack nor any factor past these is kept."""
 
     j_arrow: np.ndarray
-    j_s: np.ndarray
-    j_st: np.ndarray
     dt: np.ndarray
     scale: float
-    st_singular: np.ndarray
-    st_vh: np.ndarray
-
-    def st_rank(self, tol: ToleranceConfig) -> int:
-        """Numerical rank of ``j_st``."""
-        return rank_from_singular_values(self.st_singular, self.j_st.shape, tol, self.scale)
+    source_kernel: np.ndarray
+    st_rank: int
+    joint_kernel: np.ndarray
 
 
-def _linearization(G: Groupoid, arrow) -> _Linearization:
-    """The linearization at ``arrow``, through the one-entry memo.
-    ``arrow`` must have passed ``G``'s checks."""
+def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
+    """The linearization at ``arrow`` for ``tol``, through the one-entry
+    memo.  ``arrow`` must have passed ``G``'s checks."""
     def compute():
         j_arrow, ds, dt = G.chart_differential(arrow)
-        j_st = np.vstack([ds @ j_arrow, dt @ j_arrow])
-        scale = operator_norm(np.vstack([j_arrow, j_st]))
-        _, st_singular, st_vh = np.linalg.svd(j_st)
-        j_arrow, j_st, dt, st_singular, st_vh = map(
-            _read_only, (j_arrow, j_st, dt, st_singular, st_vh))
-        return _Linearization(j_arrow, j_st[: ds.shape[0]], j_st, dt, scale, st_singular, st_vh)
+        j_s, j_t = ds @ j_arrow, dt @ j_arrow
+        # the top singular value of the stack, from the top eigenvalue of its Gram matrix
+        gram = j_arrow.T @ j_arrow + j_s.T @ j_s + j_t.T @ j_t
+        scale = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+        k_source = kernel_basis(j_s, tol, scale)
+        # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff
+        _, t_singular, t_vh = np.linalg.svd(j_t @ k_source)
+        t_rank = rank_from_singular_values(
+            t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), tol, scale)
+        st_rank = j_s.shape[1] - k_source.shape[1] + t_rank
+        joint = k_source @ t_vh[t_rank:].conj().T
+        j_arrow, dt, k_source, joint = map(_read_only, (j_arrow, dt, k_source, joint))
+        return _Linearization(j_arrow, dt, scale, k_source, st_rank, joint)
 
-    return _LINEARIZATION.get(_digest(G, arrow), compute)
+    return _LINEARIZATION.get(_digest(G, arrow, tol), compute)
 
 
 # -- tangent spaces of the base manifolds ------------------------------------------
@@ -263,7 +270,10 @@ def tangent_basis(
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    return _base_tangent(G, x, tol).shape[1]
+    """Dimension of the base tangent space at ``x``: the nullity of the
+    kind's linear system, from its singular values alone."""
+    system = G.base_tangent_system(x)
+    return system.shape[1] - numerical_rank(system, tol)
 
 
 # -- fiber, anchor, isotropy, submersion -------------------------------------------
@@ -286,10 +296,8 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
     orthonormal basis of the base tangent space.
     """
     one_x = _identity_arrow(G, x)
-    lin = _linearization(G, one_x)
-
-    k_source = kernel_basis(lin.j_s, tol, lin.scale)
-    fiber_hat = orthonormal_range(lin.j_arrow @ k_source, tol, lin.scale)
+    lin = _linearization(G, one_x, tol)
+    fiber_hat = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
 
     anchor_matrix = _base_tangent(G, x, tol).T @ (lin.dt @ fiber_hat)
     anchor_rank = numerical_rank(anchor_matrix, tol, lin.scale)
@@ -304,9 +312,8 @@ def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> Anch
 def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the joint kernel of the source and target differentials
     at the identity arrow over ``x``, measured in ambient arrow coordinates."""
-    lin = _linearization(G, _identity_arrow(G, x))
-    joint = lin.st_vh[lin.st_rank(tol):].conj().T  # the kernel of j_st
-    return numerical_rank(lin.j_arrow @ joint, tol, lin.scale)
+    lin = _linearization(G, _identity_arrow(G, x), tol)
+    return numerical_rank(lin.j_arrow @ lin.joint_kernel, tol, lin.scale)
 
 
 def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
@@ -317,7 +324,7 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     """
     G.validate_arrow(g)
-    rank = _linearization(G, g).st_rank(tol)
+    rank = _linearization(G, g, tol).st_rank
     dims = base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
     return rank, dims
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    ExactEquality,
     emax,
     epow,
     expm_element,
@@ -62,15 +63,18 @@ from . import sampling
 
 
 # -- arrows -------------------------------------------------------------------
+#
+# Two arrows are equal when they are of one class and their fields are equal,
+# exactly (stacked arrows row for row); arrows are not hashable.
 
 
-@dataclass(frozen=True)
-class GInvArrow:
+@dataclass(frozen=True, eq=False)
+class GInvArrow(ExactEquality):
     pair: GInvPair
 
 
-@dataclass(frozen=True)
-class IsometryArrow:
+@dataclass(frozen=True, eq=False)
+class IsometryArrow(ExactEquality):
     u: AlgebraElement
 
 
@@ -82,8 +86,8 @@ def _freeze_floats(arrow, *fields):
         object.__setattr__(arrow, name, value)
 
 
-@dataclass(frozen=True)
-class ActionArrow:
+@dataclass(frozen=True, eq=False)
+class ActionArrow(ExactEquality):
     """The arrow from ``point`` to ``g @ point``: an ``(n,)`` point and an
     ``(n, n)`` invertible matrix, or ``(N, n)`` and ``(N, n, n)`` for ``N``
     arrows."""
@@ -95,8 +99,8 @@ class ActionArrow:
         _freeze_floats(self, "point", "g")
 
 
-@dataclass(frozen=True)
-class PairArrow:
+@dataclass(frozen=True, eq=False)
+class PairArrow(ExactEquality):
     """The arrow from ``x`` to ``y``: two ``(k,)`` points, or two ``(N, k)``
     stacks of them for ``N`` arrows."""
 
@@ -107,8 +111,8 @@ class PairArrow:
         _freeze_floats(self, "x", "y")
 
 
-@dataclass(frozen=True)
-class TaggedArrow:
+@dataclass(frozen=True, eq=False)
+class TaggedArrow(ExactEquality):
     index: int
     inner: object
 
@@ -256,9 +260,14 @@ class Groupoid:
         """Structured arrow tangent vector at ``g`` from ambient arrow coordinates."""
         raise NotImplementedError
 
+    def base_tangent_system(self, x) -> np.ndarray:
+        """Real matrix of the linearized defining equations of the base at
+        ``x``, whose kernel is the base tangent space there."""
+        raise NotImplementedError
+
     def base_tangent(self, x, tol: ToleranceConfig) -> np.ndarray:
         """Orthonormal basis (columns) of the base tangent space at ``x``."""
-        raise NotImplementedError
+        return kernel_basis(self.base_tangent_system(x), tol)
 
     def orbit_signature(self, x, tol: ToleranceConfig):
         """Complete orbit invariant of the base point ``x``."""
@@ -409,8 +418,8 @@ class GInvGroupoid(Groupoid):
         return (AlgebraElement.from_real_coords(self.shape, coords[:d]),
                 AlgebraElement.from_real_coords(self.shape, coords[d:]))
 
-    def base_tangent(self, x, tol):
-        return kernel_basis(_idempotent_linearization(x), tol)
+    def base_tangent_system(self, x):
+        return _idempotent_linearization(x)
 
     def orbit_signature(self, x, tol):
         return tuple(numerical_rank(b, tol) for b in x.blocks)
@@ -524,10 +533,9 @@ class PartialIsometryGroupoid(Groupoid):
     def tangent_vector(self, g, coords):
         return AlgebraElement.from_real_coords(self.shape, coords)
 
-    def base_tangent(self, p, tol):
+    def base_tangent_system(self, p):
         adj = adjoint_matrix(self.shape)
-        system = np.vstack([_idempotent_linearization(p), adj - np.eye(adj.shape[0])])
-        return kernel_basis(system, tol)
+        return np.vstack([_idempotent_linearization(p), adj - np.eye(adj.shape[0])])
 
     def orbit_signature(self, p, tol):
         return tuple(numerical_rank(b, tol) for b in p.blocks)
@@ -635,8 +643,8 @@ class ActionGroupoid(Groupoid):
         n = self.n
         return coords[:n].copy(), coords[n:].reshape(n, n).copy()
 
-    def base_tangent(self, x, tol):
-        return np.eye(self.n)
+    def base_tangent_system(self, x):
+        return np.zeros((0, self.n))  # an open subset of R^n
 
     def orbit_signature(self, x, tol):
         return "zero" if vector_norm(x) <= tol.residual_tol else "nonzero"
@@ -729,8 +737,8 @@ class PairGroupoid(Groupoid):
     def tangent_vector(self, g, coords):
         return coords[: self.dim].copy(), coords[self.dim :].copy()
 
-    def base_tangent(self, x, tol):
-        return np.eye(self.dim)
+    def base_tangent_system(self, x):
+        return np.zeros((0, self.dim))  # all of R^k
 
     def orbit_signature(self, x, tol):
         return "all"
@@ -835,9 +843,9 @@ class DisjointUnionGroupoid(Groupoid):
     def tangent_vector(self, g: TaggedArrow, coords):
         return self._part(g.index).tangent_vector(g.inner, coords)
 
-    def base_tangent(self, x, tol):
+    def base_tangent_system(self, x):
         index, point = x
-        return self._part(index).base_tangent(point, tol)
+        return self._part(index).base_tangent_system(point)
 
     def orbit_signature(self, x, tol):
         index, point = x

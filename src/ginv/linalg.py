@@ -127,12 +127,16 @@ def kernel_basis(
     m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a real matrix;
-    ``scale`` as in :func:`numerical_rank`."""
+    ``scale`` as in :func:`numerical_rank`.
+
+    The kernel is read from the rows of ``V*`` past the rank, so a wide
+    matrix needs all of them; a tall one has them all in its thin factors
+    and skips the full ``U``."""
     m = ensure_finite(m)
-    cols = m.shape[1]
+    rows, cols = m.shape
     if m.size == 0:
         return np.eye(cols)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     return vh[rank_from_singular_values(s, m.shape, tol, scale):].conj().T
 
 
@@ -227,11 +231,6 @@ def realvec_to_mat(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndar
     return v[..., :n].reshape(*lead, rows, cols) + 1j * v[..., n:].reshape(*lead, rows, cols)
 
 
-def _realify(m: np.ndarray) -> np.ndarray:
-    """Real matrix of the complex-linear map ``m`` in the fixed coordinatization."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
-
 def block_diag(*mats: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix of the 2-d ``mats``, of their common result dtype."""
     rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
@@ -247,9 +246,26 @@ def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> 
     """Real matrix of ``X -> A X B`` on a direct sum of square blocks.
 
     ``left`` and ``right`` hold one ``A`` and one ``B`` per block.  Row-major
-    vectorization turns ``A X B`` into ``kron(A, B^T) vec(X)``.
+    vectorization turns ``A X B`` into ``K vec(X)`` with ``K = kron(A, B^T)``,
+    whose real matrix in the fixed coordinatization is
+    ``[[K.real, -K.imag], [K.imag, K.real]]``; each block's is written
+    straight into its place on the diagonal.
     """
-    return block_diag(*(_realify(np.kron(a, np.transpose(b))) for a, b in zip(left, right)))
+    krons = []
+    for a, b in zip(left, right):
+        a, bt = np.asarray(a), np.transpose(b)
+        k = np.multiply(a[:, None, :, None], bt[None, :, None, :])  # the entries of kron(a, bt)
+        krons.append(k.reshape(a.shape[0] * bt.shape[0], a.shape[1] * bt.shape[1]))
+    rows, cols = 2 * sum(k.shape[0] for k in krons), 2 * sum(k.shape[1] for k in krons)
+    out = np.zeros((rows, cols), dtype=np.result_type(*(k.real for k in krons)))
+    r = c = 0
+    for k in krons:
+        m, n = k.shape
+        out[r:r + m, c:c + n] = out[r + m:r + 2 * m, c + n:c + 2 * n] = k.real
+        out[r + m:r + 2 * m, c:c + n] = k.imag
+        np.negative(k.imag, out=out[r:r + m, c + n:c + 2 * n])
+        r, c = r + 2 * m, c + 2 * n
+    return out
 
 
 def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:

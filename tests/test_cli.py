@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -358,16 +361,25 @@ def test_pinv_on_any_document_exits_0_1_or_2(doc, extra, tmp_path, monkeypatch, 
     capsys.readouterr()
 
 
-#: tokens for the other subcommands: their flags, good and bad values, and
-#: any text without a "/"; no --out and no csv, so that stdout holds one JSON
-#: document, and no help request
+#: tokens for the other subcommands: their flags, good and bad values, both
+#: formats, and any text without a "/", so that an --out path stays in the
+#: working directory; no help request
 command_tokens = st.sampled_from(
     ["--kind", "ginv", "partial_isometry", "action", "pair", "spiral", "--shape", "2,3", "9",
      "1,,2", "--dim", "--points", "--samples", "--count", "--steps", "--horizon", "--p", "--q",
      "--seed", "--tol-residual", "--tol-rank-factor", "nan", "inf", "1e-300", "0", "-1",
-     "10001", "--format", "json", "xml", "--no-timestamp", "--"]
+     "10001", "--format", "json", "csv", "xml", "--out", "--no-timestamp", "--"]
 ) | st.text(st.characters(blacklist_characters="/"), max_size=8).filter(
-    lambda token: not token.startswith(("-h", "--h", "--o", "--f")))
+    lambda token: not token.startswith(("-h", "--h")))
+
+#: command lines of those tokens (none in about half of them, so that most
+#: lines parse), then the csv format or not, then an output file, the working
+#: directory (which cannot be written as a file) or neither
+command_argvs = st.tuples(
+    st.just(()) | st.lists(command_tokens, max_size=4),
+    st.sampled_from([(), ("--format", "csv")]),
+    st.sampled_from([(), ("--out", "report.out"), ("--out", ".")]),
+).map(lambda parts: [token for part in parts for token in part])
 
 def refuse_constant(token):
     raise ValueError(f"bare {token} token")
@@ -387,21 +399,45 @@ def stub(args, tol, seed):
     return report
 
 
+def record_names(text: str, fmt: str) -> list:
+    """The record names of ``text``, which must be exactly one report
+    document in the format ``fmt``."""
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=refuse_constant)  # one strict JSON document
+        return [record["name"] for record in doc["records"]]
+    rows = list(csv.reader(io.StringIO(text)))
+    header = ["suite", "check", "anchor", "verdict", "value"]
+    assert rows and rows[0] == header
+    assert all(len(row) == 5 and row != header for row in rows[1:])  # one header, one table
+    return [row[1] for row in rows[1:] if not row[0].startswith("#")]
+
+
 @pytest.mark.parametrize("command", STUBBED)
-@given(extra=st.lists(command_tokens, max_size=4))
+@given(extra=command_argvs)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_other_commands_on_any_argv_exit_0_1_or_2(command, extra, monkeypatch, capsys, tmp_path):
-    monkeypatch.chdir(tmp_path)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # the examples share tmp_path
+    monkeypatch.chdir(work)
     monkeypatch.delenv("GINV_SEED", raising=False)
     for name in STUBBED:
         monkeypatch.setitem(cli._HANDLERS, name, stub)
     code = cli.main([command, *extra])
     captured = capsys.readouterr()
     assert code in (0, 1, 2) and captured.err == ""
-    doc = json.loads(captured.out, parse_constant=refuse_constant)  # one strict JSON document
-    assert len(doc["records"]) == 1
-    assert doc["records"][0]["name"] == ("error" if code == 2 else "stub")
+    try:
+        args = cli._build_parser().parse_args([command, *extra])
+        fmt, out = args.format, args.out
+    except cli.InputError:  # a malformed command line leaves as JSON on stdout
+        fmt, out = "json", None
+    written = os.listdir(work)
+    if out is not None and written:  # the report went to the chosen file, and only there
+        assert written == [str(out)] and captured.out == ""
+        text = (work / out).read_text()
+    else:  # to stdout: asked for, or the file could not be written
+        assert written == [] and (out is None or code == 2)
+        text = captured.out
+    assert record_names(text, fmt) == ["error" if code == 2 else "stub"]
 
 
 _LAUNCH = """

@@ -520,27 +520,46 @@ def point_instance(p):
     return (GInvGroupoid if p.kind == "ginv" else PartialIsometryGroupoid)(p.shape)
 
 
+def dense_answers(G, g):
+    """The submersion rank, joint-kernel dimension, isotropy dimension and
+    norm at the arrow ``g``, from fresh dense factorizations of the stacked
+    ``[j_s; j_t]`` and ``[j_arrow; j_s; j_t]``."""
+    from ginv.linalg import kernel_basis, numerical_rank, operator_norm
+
+    j_arrow, ds, dt = G.chart_differential(g)
+    j_st = np.vstack([ds @ j_arrow, dt @ j_arrow])
+    scale = operator_norm(np.vstack([j_arrow, j_st]))
+    joint = kernel_basis(j_st, DEFAULT_TOL, scale)
+    return (numerical_rank(j_st, DEFAULT_TOL, scale), joint.shape[1],
+            numerical_rank(j_arrow @ joint, DEFAULT_TOL, scale), scale)
+
+
 class TestFactoredOnce:
-    """Each point's stacked source and target differential ``j_st`` is
-    factored once, and its one decomposition gives the same rank decisions
-    as factoring it afresh."""
+    """The linearization reads every rank from the factorizations of ``j_s``
+    and ``j_t K`` (``K = ker j_s``), with the answers of dense factorizations
+    of the stacked differentials, and factors each ``j_s`` once."""
 
     def test_ranks_equal_fresh_factorizations(self, workloads):
-        from ginv.linalg import kernel_basis, numerical_rank
+        from ginv.linalg import numerical_rank
 
-        points = [p for p in workloads.geometry_points(0)
-                  if p.shape in ((2,), (3,), (8,)) or len(p.shape) > 1]
-        points += workloads.conditioned_points(0, 1e4) + workloads.conditioned_points(0, 1e6)
-        for p in points:
-            G = point_instance(p)
-            one_x = G.identity_at(p.x)
-            rank, _ = submersion_rank_st(G, one_x)
-            lin = geometry._linearization(G, one_x)
-            joint = kernel_basis(lin.j_st, DEFAULT_TOL, lin.scale)
-            assert rank == numerical_rank(lin.j_st, DEFAULT_TOL, lin.scale), p
-            assert lin.st_vh.shape[0] - lin.st_rank(DEFAULT_TOL) == joint.shape[1], p
-            assert isotropy_tangent_dim(G, p.x) == numerical_rank(
-                lin.j_arrow @ joint, DEFAULT_TOL, lin.scale), p
+        rng = np.random.default_rng(0)
+        points = (workloads.geometry_points(0) + workloads.conditioned_points(0, 1e4)
+                  + workloads.conditioned_points(0, 1e6))
+        # (groupoid, arrow, base point of an identity arrow or None)
+        arrows = [(G, G.identity_at(p.x), p.x) for G, p in ((point_instance(p), p) for p in points)]
+        for cls in (GInvGroupoid, PartialIsometryGroupoid):
+            for shape in ((2,), (3,), (8,), (2, 3), (1, 2, 3)):
+                G = cls(shape)
+                arrows += [(G, G.arrow_from(G.sample_base_point(rng), rng), None) for _ in range(2)]
+        for G, g, x in arrows:
+            rank, joint_dim, iso, scale = dense_answers(G, g)
+            lin = geometry._linearization(G, g, DEFAULT_TOL)
+            assert submersion_rank_st(G, g)[0] == lin.st_rank == rank, g
+            assert lin.joint_kernel.shape[1] == joint_dim, g
+            assert numerical_rank(lin.j_arrow @ lin.joint_kernel, DEFAULT_TOL, lin.scale) == iso
+            assert abs(lin.scale - scale) <= 1e-12 * scale, g
+            if x is not None:
+                assert isotropy_tangent_dim(G, x) == iso, g
 
     def test_seed_0_pass_solves_and_factors(self, workloads, monkeypatch, fresh_memos):
         import hashlib
@@ -554,12 +573,14 @@ class TestFactoredOnce:
             m = np.ascontiguousarray(m)
             return m.shape, hashlib.blake2b(m.tobytes()).digest()
 
-        factored = Counter()
+        factored, full_u_of_tall = Counter(), []
         svd = np.linalg.svd
 
-        def counted_svd(m, *args, **kwargs):
+        def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
             factored[digest(m)] += 1
-            return svd(m, *args, **kwargs)
+            if compute_uv and full_matrices and m.shape[-2] > m.shape[-1]:
+                full_u_of_tall.append(m.shape)
+            return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
         points = workloads.geometry_points(0)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
@@ -567,12 +588,20 @@ class TestFactoredOnce:
             workloads.analyse_point(p, DEFAULT_TOL)
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert len(points) == 60
-        assert sum(map(len, solved)) <= 128  # was 182 with a one-entry memo
+        assert sum(map(len, solved)) == 60  # the basis at x; dimensions need none
         assert sum(map(len, built)) == 60
-        # the zero j_st at rank 0 is left out: other products vanish there too
-        j_st = [geometry._linearization(G, G.identity_at(p.x)).j_st
-                for G, p in ((point_instance(p), p) for p in points)]
-        want = Counter(digest(m) for m in j_st if m.any())
+        assert full_u_of_tall == []
+        want, j_st = Counter(), set()
+        for p in points:
+            G = point_instance(p)
+            j_arrow, ds, dt = G.chart_differential(G.identity_at(p.x))
+            j_s, j_t = ds @ j_arrow, dt @ j_arrow
+            # the zero j_s and j_st at rank 0 are left out: other products vanish there too
+            if j_s.any():
+                want[digest(j_s)] += 1
+            if j_s.any() or j_t.any():
+                j_st.add(digest(np.vstack([j_s, j_t])))
+        assert len(j_st) > 40 and not any(factored[d] for d in j_st)
         assert len(want) > 40 and {d: factored[d] for d in want} == want
 
     def test_memo_keeps_the_last_keys(self):

@@ -685,6 +685,49 @@ class TestStackedDraws:
             assert {g.index for chain in lazy for g in chain[::3]} == {0, 1}
 
 
+class TestArrowEquality:
+    """Arrows, single or stacked, are equal when their values are, exactly,
+    and are not hashable."""
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_single_and_stacked_arrows(self, cls, shape):
+        G = cls(shape)
+
+        def draw(seed, count=None):
+            rng = np.random.default_rng(seed)
+            if count is None:
+                return G.sample_arrow(rng)
+            return G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(count)]))
+
+        for count in (None, 4):
+            g, twin, other = draw(0, count), draw(0, count), draw(1, count)
+            assert g is not twin and g == twin and not g != twin
+            assert g != other and not g == other
+            with pytest.raises(TypeError):
+                hash(g)
+        assert draw(0) != draw(0, 4) and draw(0, 4) != draw(0, 5)
+        assert draw(0) != TaggedArrow(0, draw(0)) and draw(0) != "arrow"
+
+    def test_exact_values(self):
+        point = np.ones(2)
+        assert ActionArrow(point, np.eye(2)) == ActionArrow(point.copy(), np.eye(2))
+        assert ActionArrow(point, np.eye(2)) != ActionArrow(np.nextafter(point, 2.0), np.eye(2))
+        assert PairArrow(point, -point) == PairArrow(point, -point)
+        assert PairArrow(point, -point) != PairArrow(-point, point)
+        assert PairArrow(point, point) != ActionArrow(point, np.eye(2))
+        e = mat([[1, 0], [0, 0]])
+        pair = GInvPair.create(e, e)
+        assert GInvArrow(pair) == GInvArrow(GInvPair.create(e, e))
+        assert GInvArrow(pair) != GInvArrow(GInvPair(e, e, pair.residual_aba + 1.0,
+                                                    pair.residual_bab))
+        assert IsometryArrow(e) == IsometryArrow(mat([[1, 0], [0, 0]]))
+        assert TaggedArrow(1, PairArrow(point, point)) == TaggedArrow(1, PairArrow(point, point))
+        assert TaggedArrow(1, PairArrow(point, point)) != TaggedArrow(0, PairArrow(point, point))
+        for arrow in (GInvArrow(pair), IsometryArrow(e), TaggedArrow(0, IsometryArrow(e))):
+            with pytest.raises(TypeError):
+                hash(arrow)
+
+
 def holds_element(noise) -> bool:
     if isinstance(noise, tuple):
         return any(holds_element(part) for part in noise)

@@ -8,7 +8,6 @@ from ginv.groupoid import ActionGroupoid
 from ginv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _realify,
     adjoint_matrix,
     block_diag,
     finite_diff_jacobian,
@@ -199,6 +198,17 @@ def _assert_same(got, want):
     np.testing.assert_array_equal(got, want)
 
 
+def _realify(m):
+    """The real matrix of the complex-linear map ``m``: ``[[Re, -Im], [Im, Re]]``."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+def kron_sandwich(left, right):
+    """The reference real matrix of ``X -> A X B``: the realified
+    ``kron(A, B^T)`` of each block, on a block diagonal."""
+    return block_diag(*(_realify(np.kron(a, np.transpose(b))) for a, b in zip(left, right)))
+
+
 class TestBlockDiag:
     """``block_diag`` equals ``scipy.linalg.block_diag`` bit for bit, dtype
     included, on the blocks the library passes it."""
@@ -218,6 +228,30 @@ class TestBlockDiag:
         transposes = [np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()] for n in shape]
         want = scipy.linalg.block_diag(*(scipy.linalg.block_diag(t, -t) for t in transposes))
         _assert_same(adjoint_matrix(shape), want)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (8,), (2, 3), (1, 2, 3)])
+    def test_sandwich_matrix_is_byte_identical_to_kron(self, rng, shape):
+        """Byte for byte, so the sign of every zero too: zero imaginary parts
+        of real and identity factors, and factors holding signed zeros."""
+
+        def signed_zeros(n):
+            m = random_complex(rng, n)
+            m[rng.random((n, n)) < 0.3] = -0.0
+            m.imag[rng.random((n, n)) < 0.3] = -0.0
+            return m
+
+        factors = {
+            "real": [rng.standard_normal((n, n)) for n in shape],
+            "complex": [random_complex(rng, n) for n in shape],
+            "identity": [np.eye(n, dtype=complex) for n in shape],
+            "real identity": [np.eye(n) for n in shape],
+            "signed zeros": [signed_zeros(n) for n in shape],
+        }
+        for left in factors.values():
+            for right in factors.values():
+                got, want = sandwich_matrix(left, right), kron_sandwich(left, right)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_action_chart_differential(self, rng, n):
