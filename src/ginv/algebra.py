@@ -19,8 +19,9 @@ Classification and the wire format stay single-element.  Elements are
 immutable: equality compares shapes and blocks exactly, and the first
 :meth:`AlgebraElement.norm` call stores its value for the later ones.
 :func:`emax`, :func:`epow` and :func:`first_excess` give threshold
-arithmetic that reads the same on a norm and on an array of norms.  Only
-:func:`expm_element` needs scipy, and it imports ``scipy.linalg`` when called.
+arithmetic that reads the same on a norm and on an array of norms.
+:func:`expm_element` takes its exponential from :func:`ginv.linalg.expm`,
+so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     ensure_finite,
+    expm,
     mat_to_realvec,
     realvec_to_mat,
 )
@@ -214,18 +216,22 @@ class AlgebraElement:
 
     def norm(self):
         """C*-norm: the largest operator norm over the blocks; a read-only
-        ``(N,)`` array of them for a stack.  Blocks are finite by
-        construction, so the SVD runs without a second finiteness scan.  The
+        ``(N,)`` array of them for a stack.  A single element runs as a
+        one-row stack, so row ``i`` of a stack's norms is the norm of row
+        ``i`` alone, bit for bit.  Each block's operator norm is ``|a|`` for
+        a 1x1 block, a closed form for a 2x2 one (:func:`_norms_2x2`) and
+        the top singular value of a values-only SVD for larger ones; blocks
+        are finite by construction, so no second finiteness scan runs.  The
         blocks never change, so the first call stores the value and later
         calls return it; it takes no part in equality."""
         value = self.__dict__.get("_norm")
         if value is None:
+            rows = self.blocks if self.is_stack else tuple(b[None] for b in self.blocks)
+            value = functools.reduce(np.maximum, (_operator_norms(b) for b in rows))
             if self.is_stack:
-                value = np.max(
-                    [np.linalg.svd(b, compute_uv=False)[:, 0] for b in self.blocks], axis=0)
                 value.setflags(write=False)
             else:
-                value = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in self.blocks)
+                value = float(value[0])
             object.__setattr__(self, "_norm", value)
         return value
 
@@ -259,6 +265,33 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape})"
+
+
+def _operator_norms(b: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of an ``(N, n, n)`` stack of finite blocks."""
+    n = b.shape[-1]
+    if n == 1:
+        return np.abs(b[:, 0, 0])
+    if n == 2:
+        return _norms_2x2(b)
+    return np.linalg.svd(b, compute_uv=False)[:, 0]
+
+
+def _norms_2x2(b: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of an ``(N, 2, 2)`` stack: with ``m`` the
+    largest entry modulus and ``[[p, q], [conj(q), r]]`` the Gram matrix of
+    the block divided by ``m``, the top singular value is
+    ``m sqrt((p + r) / 2 + hypot((p - r) / 2, |q|))``.  The sum has no
+    cancellation, and the division keeps the squares clear of overflow
+    and underflow; a zero block gives exactly ``0.0``."""
+    m = np.abs(b).max(axis=(-2, -1))
+    # divide the real and imaginary parts: numpy divides a complex by a real
+    # through its reciprocal, which overflows when m is subnormal
+    parts = np.ascontiguousarray(b).view(float) / np.where(m > 0.0, m, 1.0)[:, None, None]
+    c = parts.view(complex)
+    gram = np.swapaxes(c, -1, -2).conj() @ c
+    p, r = gram[:, 0, 0].real, gram[:, 1, 1].real
+    return m * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(gram[:, 0, 1])))
 
 
 def emax(*values):
@@ -308,10 +341,8 @@ def real_dimension(shape: Sequence[int]) -> int:
 
 
 def expm_element(a: AlgebraElement) -> AlgebraElement:
-    """Blockwise matrix exponential."""
-    import scipy.linalg
-
-    return AlgebraElement(a.shape, tuple(scipy.linalg.expm(b) for b in a.blocks))
+    """Blockwise matrix exponential, row by row on a stack (:func:`~ginv.linalg.expm`)."""
+    return AlgebraElement(a.shape, tuple(expm(b) for b in a.blocks))
 
 
 @dataclass(frozen=True)

@@ -112,28 +112,46 @@ def moore_penrose(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> Alge
 def newton_schulz(
     a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 64
 ) -> AlgebraElement:
-    """Iterative pseudo-inverse, the independent cross-check route.
+    """Iterative pseudo-inverse, the independent cross-check route; of one
+    element or row by row of a stack.
 
     Iterates ``X <- X (2*1 - a X)`` from ``X0 = a* / sigma_max(a)^2`` and
     stops when the relative step drops below ``residual_tol``.  Near-rank-
     deficient inputs either settle on the pseudo-inverse of the truncated
     rank (tiny directions grow too slowly to move the stopping test) or
     exhaust ``max_iter`` and raise :class:`ConvergenceError`.
+
+    A stack iterates as one: each row stops on its own test and leaves the
+    active rows, so row ``i`` of the result equals, bit for bit, the call on
+    row ``i`` alone (a single element runs as a one-row stack).  When rows
+    exhaust ``max_iter``, the error is that of the first of them, as its
+    single call raises it.
     """
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
+    single = not a.is_stack
+    if single:
+        a = AlgebraElement(a.shape, tuple(b[None] for b in a.blocks))
     smax = a.norm()
-    if smax == 0.0:
+    if np.any(smax == 0.0):
         raise InputError("newton_schulz needs a nonzero element")
-    x = a.adjoint() * (1.0 / smax**2)
+    out = [np.empty_like(b) for b in a.blocks]
+    active = np.arange(len(smax))
+    x = a.adjoint() * (1.0 / epow(smax, 2))
     two = AlgebraElement.identity(a.shape) * 2.0
     for _ in range(max_iter):
         x_next = x @ (two - a @ x)
         step = (x_next - x).norm()
-        if step <= tol.residual_tol * max(x.norm(), 1e-300):
-            return x_next
+        done = step <= tol.residual_tol * np.maximum(x.norm(), 1e-300)
         x = x_next
-    raise ConvergenceError(step / max(x.norm(), 1e-300), max_iter)
+        for o, b in zip(out, x.blocks):
+            o[active[done]] = b[done]
+        if done.all():
+            return AlgebraElement(a.shape, tuple(o[0] for o in out) if single else tuple(out))
+        if done.any():
+            keep = ~done
+            a, x, step, active = a[keep], x[keep], step[keep], active[keep]
+    raise ConvergenceError(step[0] / max(float(x.norm()[0]), 1e-300), max_iter)
 
 
 def penrose_residuals(a: AlgebraElement, b: AlgebraElement) -> PenroseResidual:

@@ -52,6 +52,7 @@ from .linalg import (
     ToleranceConfig,
     adjoint_matrix,
     block_diag,
+    expm,
     kernel_basis,
     numerical_rank,
     operator_norm,
@@ -626,9 +627,7 @@ class ActionGroupoid(Groupoid):
     def arrow_at(self, x, noise: tuple) -> ActionArrow:
         """The group part is ``expm(w / 2)`` for the Gaussian noise ``w``: a
         well-conditioned invertible matrix."""
-        import scipy.linalg
-
-        return ActionArrow(x, scipy.linalg.expm(0.5 * noise[0]))
+        return ActionArrow(x, expm(0.5 * noise[0]))
 
     def chart_differential(self, g: ActionArrow):
         self._check_structure(g)

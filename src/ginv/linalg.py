@@ -2,9 +2,10 @@
 
 SVD-backed rank and norm with a single relative cutoff (row by row on
 ``(N, rows, cols)`` stacks), the Euclidean norm of vectors or of the rows
-of an ``(N, n)`` stack, joint kernel
-dimensions, the fixed real coordinatization of block matrices (of one
-matrix, or of each matrix of a stack along the last axes) and the exact real
+of an ``(N, n)`` stack, the matrix exponential of a matrix or of each
+matrix of a stack, joint kernel dimensions, the fixed real
+coordinatization of block matrices (of one matrix, or of each matrix of a
+stack along the last axes) and the exact real
 matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
 central-difference Jacobian kept as an independent reference.  Everything
 here is a pure function; matrices are plain ``numpy`` arrays of
@@ -107,6 +108,51 @@ def operator_norm(m: np.ndarray):
     if m.ndim == 3:
         return s[:, 0]
     return float(s[0]) if s.size else 0.0
+
+
+#: numerator coefficients of the degree-13 Pade approximant to exp, divided
+#: by the constant one so that the approximant at zero is exactly the identity
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+#: largest 1-norm at which that approximant is accurate to double precision
+_THETA13 = 5.371920351148152
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of an ``(n, n)`` matrix or of each matrix of an
+    ``(N, n, n)`` stack, real for real input.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 2005): each matrix is scaled by ``2**-s``,
+    with ``s`` the least count that brings its own 1-norm to at most
+    5.3719, and its approximant is squared ``s`` times.  A single matrix is
+    a one-row stack here, so row ``i`` of a stack's result equals, bit for
+    bit, the exponential of matrix ``i`` alone.
+    """
+    m = ensure_finite(m)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise InputError(f"expm takes square matrices or a stack of them, not {m.shape}")
+    a = m.astype(complex if np.iscomplexobj(m) else float).reshape(-1, *m.shape[-2:])
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):  # a zero matrix needs no scaling
+        s = np.maximum(0, np.ceil(np.log2(norms / _THETA13))).astype(int)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        rows = np.flatnonzero(s > k)
+        r[rows] = r[rows] @ r[rows]
+    return r.reshape(m.shape)
 
 
 def vector_norm(x: np.ndarray):

@@ -3,15 +3,16 @@
 Each function returns a :class:`CheckRecord`; the CLI ``suite`` subcommand
 and the acceptance test module both run this battery, so a report and the
 test suite can never drift apart.  Unlike the rest of the package, this
-module loads ``scipy.linalg`` and ``scipy.interpolate`` when imported, so a
-battery's first criterion does not pay for that import.
+module loads ``scipy.linalg`` and ``scipy.interpolate`` when imported, so the
+path criteria do not pay for that import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The criteria call expm and the path splines: load scipy here, not in criterion 01's time.
+# The paths' principal logarithm (a Schur form) and splines need scipy: load it here, not in
+# the first path criterion's time.
 import scipy.interpolate  # noqa: F401
 import scipy.linalg  # noqa: F401
 
@@ -96,16 +97,24 @@ def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
 
 def check_route_agreement(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """SVD and Newton-Schulz pseudo-inverses agree to 1e-7 on full-rank and
-    rank-deficient-by-one elements of size up to 6."""
+    rank-deficient-by-one elements of size up to 6.
+
+    The 100 elements are drawn one at a time, a full-rank and a rank-``n - 1``
+    one per drawn size ``n``; then each size is built, inverted by both
+    routes and measured as one stack."""
     rng = np.random.default_rng(seed)
-    worst, n = 0.0, 0
+    draws: dict = {}  # size -> the drawn noises of that size, in draw order
     for _ in range(50):
         size = int(rng.integers(2, 7))
         for rank in (size, size - 1):
-            a = sampling.well_conditioned_element(rng, (size,), ranks=(rank,))
-            gap = newton_schulz(a, tol).distance(moore_penrose(a, tol))
-            worst = max(worst, gap)
-            n += 1
+            draws.setdefault(size, []).append(
+                sampling.well_conditioned_noise(rng, (size,), ranks=(rank,)))
+    worst = 0.0
+    for noises in draws.values():
+        a = sampling.well_conditioned_from(stack_rows(noises))
+        gap = newton_schulz(a, tol).distance(moore_penrose(a, tol))
+        worst = max(worst, float(np.max(gap)))
+    n = sum(len(noises) for noises in draws.values())
     return _record(
         "02 route agreement",
         "iterative and SVD pseudo-inverses coincide",

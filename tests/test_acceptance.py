@@ -78,31 +78,38 @@ def test_demo_runs_clean(demo):
 
 
 _COLD_PATH = """
-import json, sys
+import json, os, sys
 import ginv, ginv.cli
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.interpolate", "scipy.integrate") if m in sys.modules]
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
 after_import = loaded()
-rc = ginv.cli.main(["pinv", "--in", sys.argv[1], "--no-timestamp"])
+rc = [ginv.cli.main(["pinv", "--in", sys.argv[1], "--no-timestamp"])]
 after_pinv = loaded()
+for kind in ("ginv", "partial_isometry", "action", "pair"):
+    out = os.path.join(sys.argv[2], kind + ".json")
+    rc.append(ginv.cli.main(["check-groupoid", "--kind", kind, "--no-timestamp", "--out", out]))
+after_check = loaded()
 import ginv.suite
-print(json.dumps([rc, after_import, after_pinv, loaded()]))
+suite = [m for m in ("scipy.linalg", "scipy.interpolate", "scipy.integrate") if m in sys.modules]
+print(json.dumps([rc, after_import, after_pinv, after_check, suite]))
 """
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
-    """Importing ``ginv`` and running ``pinv`` load no scipy submodule, and
-    importing ``ginv.suite`` loads the two the battery calls, so the battery
-    pays for them at set-up rather than in its first criterion."""
+    """Importing ``ginv`` and running ``pinv`` and ``check-groupoid`` (every
+    kind; their arrows take numpy's matrix exponential) load no scipy module,
+    and importing ``ginv.suite`` loads the two the battery calls, so the
+    battery pays for them at set-up rather than in a criterion."""
     doc = tmp_path / "a.json"
     rng = np.random.default_rng(0)
     doc.write_text(serialize_element(sampling.well_conditioned_element(rng, (2, 3), ranks=(1, 2))))
-    proc = subprocess.run([sys.executable, "-c", _COLD_PATH, str(doc)], capture_output=True,
-                          text=True, env=child_env())
+    proc = subprocess.run([sys.executable, "-c", _COLD_PATH, str(doc), str(tmp_path)],
+                          capture_output=True, text=True, env=child_env())
     assert proc.stderr == "", proc.stderr
-    rc, after_import, after_pinv, after_suite = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0
-    assert after_import == [] and after_pinv == []
+    rc, after_import, after_pinv, after_check, after_suite = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert rc == [0, 0, 0, 0, 0]
+    assert after_import == [] and after_pinv == [] and after_check == []
     assert after_suite == ["scipy.linalg", "scipy.interpolate"]

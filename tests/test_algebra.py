@@ -239,7 +239,7 @@ class TestNormCache:
         monkeypatch.setattr(np.linalg, "svd", None)  # a second SVD would raise
         assert x.norm() == first and isinstance(first, float)
 
-    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    @pytest.mark.parametrize("shape", STACKS + [(1,), (1, 2, 3)], ids=str)
     def test_stacked_norms_are_read_only_and_equal_each_row(self, rng, shape):
         xs, x = stack_of(rng, shape)
         norms = x.norm()
@@ -253,6 +253,73 @@ class TestNormCache:
         y = AlgebraElement(x.shape, tuple(b.copy() for b in x.blocks))
         x.norm()
         assert x == y and y == x
+
+
+EPS = np.finfo(float).eps
+SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def norms_of_2x2(blocks):
+    """The C*-norm of each ``2x2`` block as a one-block element, single and
+    stacked, checked equal bit for bit."""
+    stacked = AlgebraElement((2,), (blocks,)).norm()
+    assert stacked.tolist() == [AlgebraElement((2,), (b,)).norm() for b in blocks]
+    return stacked
+
+
+def assert_2x2_norms_match_svd(blocks):
+    want = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    got = norms_of_2x2(blocks)
+    # a subnormal norm is itself rounded to the subnormal grid
+    assert np.all(np.abs(got - want) <= np.maximum(8 * EPS * want, SUBNORMAL))
+
+
+class TestClosedFormNorms:
+    def gaussian(self, rng, count=500):
+        return rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+
+    def test_random_and_scaled_blocks(self, rng):
+        blocks = self.gaussian(rng)
+        for scale in (1.0, 1e150, 1e-150, 1e300, 1e-300):
+            assert_2x2_norms_match_svd(blocks * scale)
+        assert_2x2_norms_match_svd(blocks.real.astype(complex))
+
+    def test_scalar_times_unitary(self, rng):
+        blocks = np.linalg.qr(self.gaussian(rng))[0] * rng.uniform(0.1, 10.0, (500, 1, 1))
+        assert_2x2_norms_match_svd(blocks)
+
+    def test_rank_one(self, rng):
+        left = rng.standard_normal((500, 2, 1)) + 1j * rng.standard_normal((500, 2, 1))
+        right = rng.standard_normal((500, 1, 2)) + 1j * rng.standard_normal((500, 1, 2))
+        assert_2x2_norms_match_svd(left @ right)
+
+    def test_subnormal_entries(self, rng):
+        blocks = self.gaussian(rng)
+        mixed = blocks.copy()
+        mixed[:, 0, 1] *= 1e-310
+        mixed[:, 1, 0] = 3e-320
+        assert_2x2_norms_match_svd(mixed)
+        for scale in (1e-310, 1e-315, 1e-320):
+            assert_2x2_norms_match_svd(blocks * scale)
+
+    def test_zero_is_exactly_zero(self):
+        blocks = np.zeros((3, 2, 2), dtype=complex)
+        blocks[1, 0, 0] = SUBNORMAL
+        got = norms_of_2x2(blocks)
+        assert got[0] == 0.0 == got[2] and got[1] == SUBNORMAL
+        assert AlgebraElement.zeros((1, 2, 3)).norm() == 0.0
+
+    def test_one_by_one_is_the_modulus(self, rng):
+        values = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * 10.0 ** rng.integers(
+            -300, 300, 50)
+        norms = AlgebraElement((1,), (values[:, None, None],)).norm()
+        assert norms.tolist() == np.abs(values).tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 2, 3)], ids=str)
+    def test_blocks_take_the_largest(self, rng, shape):
+        for xi in stack_of(rng, shape, count=20)[0]:
+            want = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in xi.blocks)
+            assert abs(xi.norm() - want) <= 8 * EPS * want
 
 
 class TestEquality:

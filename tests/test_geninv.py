@@ -112,6 +112,59 @@ class TestNewtonSchulz:
             assert newton_schulz(a).distance(moore_penrose(a)) <= 1e-7
 
 
+def ns_iterations(a) -> int:
+    """The number of iterations after which ``newton_schulz(a)`` stops."""
+    for k in range(1, 65):
+        try:
+            newton_schulz(a, max_iter=k)
+        except ConvergenceError:
+            continue
+        return k
+    raise AssertionError("no convergence in 64 iterations")
+
+
+def conditioned_rows(rng, shape, sv_ranges):
+    """One well-conditioned element per singular value range, the ranks
+    alternating between full and deficient by one in every block of size 2
+    or more."""
+    return [well_conditioned_element(rng, shape, ranks=tuple(max(1, n - i % 2) for n in shape),
+                                     sv_range=sv) for i, sv in enumerate(sv_ranges)]
+
+
+class TestStackedNewtonSchulz:
+    SV_RANGES = [(0.5, 2.0), (0.05, 1.0), (1.0, 1.0), (1e-3, 3.0), (0.9, 1.1), (0.01, 10.0)]
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (6,), (2, 3)], ids=str)
+    def test_rows_equal_single_calls_bit_for_bit(self, rng, shape):
+        rows = conditioned_rows(rng, shape, self.SV_RANGES)
+        stacked = newton_schulz(AlgebraElement.stack(rows))
+        assert stacked.is_stack
+        for i, a in enumerate(rows):
+            single = newton_schulz(a)
+            assert all(np.array_equal(s[i], b) for s, b in zip(stacked.blocks, single.blocks))
+        if shape != (1,):  # a 1x1 block converges in as many steps at every size
+            assert len({ns_iterations(a) for a in rows}) >= 3
+
+    def test_zero_row_rejected(self, rng):
+        rows = conditioned_rows(rng, (2, 3), self.SV_RANGES[:3])
+        rows[1] = AlgebraElement.zeros((2, 3))
+        with pytest.raises(InputError):
+            newton_schulz(AlgebraElement.stack(rows))
+
+    def test_exhausted_rows_raise_the_first_one_s_single_error(self, rng):
+        rows = conditioned_rows(rng, (3,), [(0.9, 1.1), (0.01, 10.0), (1.0, 1.0), (1e-3, 3.0)])
+        counts = [ns_iterations(a) for a in rows]
+        max_iter = counts[0]  # rows 0 and 2 converge within it, rows 1 and 3 do not
+        assert [k > max_iter for k in counts] == [False, True, False, True]
+        with pytest.raises(ConvergenceError) as single:
+            newton_schulz(rows[1], max_iter=max_iter)
+        with pytest.raises(ConvergenceError) as stacked:
+            newton_schulz(AlgebraElement.stack(rows), max_iter=max_iter)
+        assert str(stacked.value) == str(single.value)
+        assert (stacked.value.residual, stacked.value.iterations) == (
+            single.value.residual, single.value.iterations)
+
+
 class TestPenroseResiduals:
     def test_mp_pair_is_small(self, rng):
         a = well_conditioned_element(rng, (3,), ranks=(2,))

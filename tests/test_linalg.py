@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from ginv.algebra import AlgebraElement, expm_element
 from ginv.errors import EvaluationError, InputError
 from ginv.groupoid import ActionGroupoid
 from ginv.linalg import (
@@ -10,6 +11,7 @@ from ginv.linalg import (
     ToleranceConfig,
     adjoint_matrix,
     block_diag,
+    expm,
     finite_diff_jacobian,
     joint_kernel_dim,
     kernel_basis,
@@ -75,6 +77,87 @@ class TestOperatorNorm:
         norms = operator_norm(stack)
         assert norms.shape == (40,)
         assert norms.tolist() == [operator_norm(m) for m in stack]
+
+
+#: 1-norms that take the scaling count from 0 (up to 5.3719) to 4 (60)
+EXPM_NORMS = (1e-8, 1e-3, 1.0, 5.3, 5.4, 11.0, 22.0, 60.0)
+
+
+def with_norm(m, norm):
+    """``m`` scaled to the given 1-norm."""
+    return m * (norm / np.abs(m).sum(axis=-2).max(axis=-1))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_scipy(self, rng, n):
+        """Real Gaussian, symmetric and skew-symmetric matrices and complex
+        Gaussian ones.  A real matrix is compared with scipy's result on its
+        complex copy: scipy's real path is off by up to about 1e-12 at these
+        norms, where its complex path and this one agree with a 50-digit
+        reference (next test)."""
+        for norm in EXPM_NORMS:
+            g = rng.standard_normal((n, n))
+            for m in (g, g + g.T, g - g.T if n > 1 else g, random_complex(rng, n)):
+                m = with_norm(m, norm)
+                got = expm(m)
+                assert got.dtype == m.dtype
+                assert relative_gap(got, scipy.linalg.expm(m.astype(complex))) <= 1e-13
+
+    def test_real_against_50_digits(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2, 3, 4):
+            for norm in (5.3, 11.0, 30.0, 60.0):
+                g = rng.standard_normal((n, n))
+                for m in (with_norm(g, norm), with_norm(g + g.T, norm)):
+                    with mpmath.workdps(50):
+                        want = mpmath.expm(mpmath.matrix(m.tolist())).tolist()
+                    assert relative_gap(expm(m), np.array(want, dtype=float)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3), (8,)], ids=str)
+    def test_blocks_of_elements_equal_scipy(self, rng, shape):
+        for norm in EXPM_NORMS:
+            a = AlgebraElement.from_blocks(with_norm(random_complex(rng, n), norm) for n in shape)
+            stack = AlgebraElement.stack([a, a * 0.5])
+            for got, stacked, b in zip(expm_element(a).blocks, expm_element(stack).blocks,
+                                       a.blocks):
+                assert relative_gap(got, scipy.linalg.expm(b)) <= 1e-13
+                assert np.array_equal(stacked[0], got)
+
+    def test_real_input_gives_real_output(self, rng):
+        assert expm(np.eye(2, dtype=int)).dtype == np.float64
+        assert expm(rng.standard_normal((5, 3, 3))).dtype == np.float64
+        assert expm(random_complex(rng, 3)).dtype == np.complex128
+        g = ActionGroupoid(3).arrow_at(np.ones(3), (rng.standard_normal((3, 3)),)).g
+        assert g.dtype == np.float64
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_skew_hermitian_gives_unitary(self, rng, n):
+        for norm in EXPM_NORMS:
+            h = random_complex(rng, n)
+            u = expm(with_norm(h - h.conj().T, norm))
+            assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_stack_rows_equal_single_calls_bit_for_bit(self, rng, real):
+        for n in (1, 2, 3, 8):
+            rows = [with_norm(rng.standard_normal((n, n)) if real else random_complex(rng, n),
+                              norm) for norm in EXPM_NORMS + EXPM_NORMS[::-1]]
+            stacked = expm(np.stack(rows))
+            assert stacked.shape == (len(rows), n, n)
+            for got, m in zip(stacked, rows):
+                assert np.array_equal(got, expm(m))
+
+    def test_zero_gives_identity_and_bad_input_is_rejected(self):
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((1, 1, 2, 2)),
+                    np.array([[np.inf]])):
+            with pytest.raises(InputError):
+                expm(bad)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
