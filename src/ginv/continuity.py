@@ -6,12 +6,17 @@ paired map ``a -> (a, a+)`` converges exactly when the source projections
 ``a+ a`` converge.  Families are built analytically (SVD-aligned
 perturbations), so their rank behavior is certain rather than
 probabilistic.
+
+A family is checked on its whole horizon at once: its terms form one
+stacked element, which a family made by :func:`make_family` builds in one
+broadcast from its perturbation, and the experiment inverts and measures
+that stack in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,33 +33,63 @@ TREND_THRESHOLD = 1e-4
 DEFAULT_HORIZON = 64
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SequenceFamily:
     """A sequence ``a_n`` with a declared limit and a finite horizon.
 
-    ``generator`` maps an index ``n >= 1`` to an element.  ``validate``
-    decides whether the declared limit is credible on the horizon prefix:
-    distances must trend down and the final distance must be small either
-    absolutely or relative to the initial distance (families decaying like
-    ``1/n`` are legitimate and must be accepted).
+    ``generator`` maps an index ``n >= 1`` to an element.  A family made by
+    :func:`make_family` also keeps its perturbation: ``directions`` holds,
+    per block of the limit, the direction ``d`` of ``a_n = limit + d / n``,
+    or ``None`` for a block that stays at the limit (every block of a
+    constant family).  ``validate`` decides whether the declared limit is
+    credible on the horizon prefix: distances must trend down and the
+    final distance must be small either absolutely or relative to the
+    initial distance (families decaying like ``1/n`` are legitimate and
+    must be accepted).
     """
 
     kind: str
     generator: Callable[[int], AlgebraElement]
     limit: AlgebraElement
     horizon: int = DEFAULT_HORIZON
+    directions: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InputError(f"unknown family kind {self.kind!r}")
         if self.horizon < 8:
             raise InputError("horizon must be at least 8")
+        if self.directions is not None and len(self.directions) != len(self.limit.blocks):
+            raise InputError("a family needs one direction (or None) per block of its limit")
+
+    def term_stack(self) -> AlgebraElement:
+        """The terms ``a_1 .. a_horizon`` as one stack, ``a_n`` in row ``n - 1``.
+
+        A family with ``directions`` builds each block in one broadcast,
+        ``limit + d / n[:, None, None]``, row ``n - 1`` equal bit for bit to
+        ``generator(n)``; other families stack their generated terms.  Built
+        on the first call and kept.
+        """
+        stack = self.__dict__.get("_term_stack")
+        if stack is None:
+            if self.directions is None:
+                stack = AlgebraElement.stack(
+                    [self.generator(n) for n in range(1, self.horizon + 1)])
+            else:
+                n = np.arange(1, self.horizon + 1)[:, None, None]
+                stack = AlgebraElement(self.limit.shape, tuple(
+                    np.broadcast_to(b, (self.horizon, *b.shape)) if d is None else b + d / n
+                    for b, d in zip(self.limit.blocks, self.directions)))
+            object.__setattr__(self, "_term_stack", stack)
+        return stack
 
     def terms(self) -> list:
-        return [self.generator(n) for n in range(1, self.horizon + 1)]
+        """The terms one by one: the rows of :meth:`term_stack`."""
+        stack = self.term_stack()
+        return [stack[i] for i in range(self.horizon)]
 
     def distances(self) -> np.ndarray:
-        return AlgebraElement.stack(self.terms()).distance(self.limit)
+        return self.term_stack().distance(self.limit)
 
     def validate(self):
         self._validate_distances(self.distances())
@@ -120,7 +155,7 @@ def make_family(
         raise InputError(f"unknown family kind {kind!r}")
 
     if kind == "constant":
-        return SequenceFamily(kind, lambda n: base, base, horizon)
+        return _perturbed_family(kind, base, None, None, horizon)
 
     if base.norm() == 0.0:
         raise InputError(f"{kind} families need a nonzero base")
@@ -134,24 +169,24 @@ def make_family(
         u, s, vh = np.linalg.svd(base.blocks[index])
         r = numerical_rank(base.blocks[index], tol)
         direction = (u[:, :r] * s[:r]) @ vh[:r]  # scaled copy of the rank support
-
-        def gen(n: int, index=index, direction=direction) -> AlgebraElement:
-            blocks = list(base.blocks)
-            blocks[index] = blocks[index] + direction / n
-            return AlgebraElement(base.shape, tuple(blocks))
-
-        return SequenceFamily(kind, gen, base, horizon)
+        return _perturbed_family(kind, base, index, direction, horizon)
 
     index, (u, s, vh) = _svd_of_first_deficient_block(base, tol)
     r = numerical_rank(base.blocks[index], tol)
     direction = np.outer(u[:, r], vh[r].conj())  # fresh singular direction
+    return _perturbed_family(kind, base, index, direction, horizon)
 
-    def gen(n: int, index=index, direction=direction) -> AlgebraElement:
-        blocks = list(base.blocks)
-        blocks[index] = blocks[index] + direction / n
-        return AlgebraElement(base.shape, tuple(blocks))
 
-    return SequenceFamily(kind, gen, base, horizon)
+def _perturbed_family(kind, base, index, direction, horizon) -> SequenceFamily:
+    """The family ``a_n = base + direction / n`` in block ``index`` (every
+    block at ``base`` when ``index`` is ``None``)."""
+    directions = tuple(direction if i == index else None for i in range(len(base.blocks)))
+
+    def gen(n: int) -> AlgebraElement:
+        return AlgebraElement(base.shape, tuple(
+            b if d is None else b + d / n for b, d in zip(base.blocks, directions)))
+
+    return SequenceFamily(kind, gen, base, horizon, directions)
 
 
 def _trend_converges(d: np.ndarray) -> bool:
@@ -179,11 +214,13 @@ def continuity_experiment(
     agree, and a disagreement raises :class:`ConsistencyError` because it
     would falsify the source criterion the experiment exists to check.
 
-    The terms are generated once and stacked: distances, pseudo-inverses,
-    source projections and norms are each one stacked computation, row
-    ``n`` equal bit for bit to the same computation on term ``n`` alone.
+    The terms are read as one stack (:meth:`SequenceFamily.term_stack`, one
+    broadcast for a family made by :func:`make_family`): distances,
+    pseudo-inverses with their rank decisions, source projections and norms
+    are each one stacked computation, row ``n`` equal bit for bit to the
+    same computation on term ``n`` alone.
     """
-    terms = AlgebraElement.stack(fam.terms())
+    terms = fam.term_stack()
     distances = terms.distance(fam.limit)
     fam._validate_distances(distances)
     if fam.limit.norm() == 0.0:

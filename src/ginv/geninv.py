@@ -89,9 +89,8 @@ def _pinv_block(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Pseudo-inverse of one block or of an ``(N, n, n)`` stack of them, each
     row at its own rank; rank-0 rows are exact ``+0.0``."""
     u, s, vh = np.linalg.svd(m)
-    ranks = np.array(
-        [rank_from_singular_values(row, m.shape[-2:], tol) for row in s.reshape(-1, s.shape[-1])]
-    ).reshape(s.shape[:-1])
+    ranks = rank_from_singular_values(s.reshape(-1, s.shape[-1]), m.shape[-2:], tol)
+    ranks = ranks.reshape(s.shape[:-1])
     kept = np.arange(s.shape[-1]) < ranks[..., None]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     out = (np.swapaxes(vh, -1, -2).conj() * inv[..., None, :]) @ np.swapaxes(u, -1, -2).conj()

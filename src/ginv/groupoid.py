@@ -217,6 +217,12 @@ class Groupoid:
 
     def arrow_noise(self, rng: np.random.Generator) -> tuple:
         """The random inputs of one :meth:`arrow_from` draw (kinds with stacks)."""
+        return self.arrow_noises(rng, 1)[0]
+
+    def arrow_noises(self, rng: np.random.Generator, count: int) -> list:
+        """The random inputs of ``count`` :meth:`arrow_from` draws in a row,
+        each what :meth:`arrow_noise` would have drawn in its turn; a kind
+        may make them in fewer generator calls."""
         raise NotImplementedError
 
     def arrow_at(self, x, noise: tuple):
@@ -228,9 +234,10 @@ class Groupoid:
     def chain_noise(self, rng: np.random.Generator) -> tuple:
         """The random inputs of one chain that :func:`verify_axioms` checks:
         the noise of a base point, of three arrows drawn one from the target
-        of the last, and of a loose arrow, in this order."""
-        return (self.base_noise(rng), *(self.arrow_noise(rng) for _ in range(3)),
-                self.sample_noise(rng))
+        of the last (through one :meth:`arrow_noises` draw), and of a loose
+        arrow, in this order.  ``ginv``, ``partial_isometry`` and ``action``
+        draw the three arrows' Gaussian matrices in one generator call."""
+        return (self.base_noise(rng), *self.arrow_noises(rng, 3), self.sample_noise(rng))
 
     def _composability_threshold(self, g1, g2) -> float:
         return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
@@ -386,9 +393,10 @@ class GInvGroupoid(Groupoid):
         self.check_base(x)
         return self.arrow_at(x, self.arrow_noise(rng))
 
-    def arrow_noise(self, rng) -> tuple:
-        return (sampling.element_noise(rng, self.shape, scale=0.35),
-                sampling.element_noise(rng, self.shape, scale=0.35))
+    def arrow_noises(self, rng, count: int) -> list:
+        """Per arrow the Gaussian noise of ``u`` and of ``w0``."""
+        noise = iter(sampling.element_noises(rng, self.shape, 2 * count, scale=0.35))
+        return list(zip(noise, noise))
 
     def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvArrow:
         one = AlgebraElement.identity(self.shape)
@@ -506,9 +514,10 @@ class PartialIsometryGroupoid(Groupoid):
         self.check_base(p)
         return self.arrow_at(p, self.arrow_noise(rng))
 
-    def arrow_noise(self, rng) -> tuple:
-        return (sampling.element_noise(rng, self.shape, scale=0.4),
-                sampling.element_noise(rng, self.shape, scale=0.4))
+    def arrow_noises(self, rng, count: int) -> list:
+        """Per arrow the Gaussian noise of the two Hermitian generators."""
+        noise = iter(sampling.element_noises(rng, self.shape, 2 * count, scale=0.4))
+        return list(zip(noise, noise))
 
     def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
@@ -621,8 +630,8 @@ class ActionGroupoid(Groupoid):
     def arrow_from(self, x, rng) -> ActionArrow:
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
-    def arrow_noise(self, rng) -> tuple:
-        return (rng.standard_normal((self.n, self.n)),)
+    def arrow_noises(self, rng, count: int) -> list:
+        return [(w,) for w in rng.standard_normal((count, self.n, self.n))]
 
     def arrow_at(self, x, noise: tuple) -> ActionArrow:
         """The group part is ``expm(w / 2)`` for the Gaussian noise ``w``: a
@@ -722,8 +731,8 @@ class PairGroupoid(Groupoid):
     def arrow_from(self, x, rng) -> PairArrow:
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
-    def arrow_noise(self, rng) -> tuple:
-        return (self.base_noise(rng),)
+    def arrow_noises(self, rng, count: int) -> list:
+        return [(self.base_noise(rng),) for _ in range(count)]
 
     def arrow_at(self, x, noise: tuple) -> PairArrow:
         return PairArrow(x, noise[0])
@@ -834,7 +843,7 @@ class DisjointUnionGroupoid(Groupoid):
         """As for any kind, with arrow noise from the base point's component."""
         x = self.base_noise(rng)
         part = self.parts[x[0]]
-        return (x, *(part.arrow_noise(rng) for _ in range(3)), self.sample_noise(rng))
+        return (x, *part.arrow_noises(rng, 3), self.sample_noise(rng))
 
     def chart_differential(self, g: TaggedArrow):
         return self._part(g.index).chart_differential(g.inner)

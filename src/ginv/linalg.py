@@ -1,15 +1,15 @@
 """Dense complex matrix primitives.
 
-SVD-backed rank and norm with a single relative cutoff (row by row on
-``(N, rows, cols)`` stacks), the Euclidean norm of vectors or of the rows
-of an ``(N, n)`` stack, the matrix exponential of a matrix or of each
-matrix of a stack, joint kernel dimensions, the fixed real
-coordinatization of block matrices (of one matrix, or of each matrix of a
-stack along the last axes) and the exact real
-matrices of the linear maps ``X -> A X B`` and ``X -> X*`` in it, and a
-central-difference Jacobian kept as an independent reference.  Everything
-here is a pure function; matrices are plain ``numpy`` arrays of
-``complex128`` (or ``float64`` for real-coordinate work).
+SVD-backed rank and norm with a single relative cutoff (one stacked
+decision for all rows of an ``(N, rows, cols)`` stack), the Euclidean norm
+of vectors or of the rows of an ``(N, n)`` stack, the matrix exponential
+of a matrix or of each matrix of a stack, joint kernel dimensions, the
+fixed real coordinatization of block matrices (of one matrix, or of each
+matrix of a stack along the last axes) and the exact real matrices of the
+linear maps ``X -> A X B`` and ``X -> X*`` in it, and a central-difference
+Jacobian kept as an independent reference.  Everything here is a pure
+function; matrices are plain ``numpy`` arrays of ``complex128`` (or
+``float64`` for real-coordinate work).
 """
 
 from __future__ import annotations
@@ -73,10 +73,21 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 def rank_from_singular_values(
     s: np.ndarray, shape, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
-) -> int:
+):
     """Count the singular values ``s`` (descending, of a matrix of the given
     shape) above ``rank_cutoff_factor * max(shape) * max(sigma_max, scale)``;
-    the one place the relative rank cutoff is applied."""
+    the one place the relative rank cutoff is applied.
+
+    ``s`` of shape ``(k,)`` gives an int.  An ``(N, k)`` array, the singular
+    values of ``N`` matrices of that shape, gives the ``(N,)`` ranks, row
+    ``i`` by the same arithmetic as the call on row ``i`` alone.
+    """
+    s = np.asarray(s)
+    if s.ndim == 2:
+        if s.shape[1] == 0:
+            return np.zeros(len(s), dtype=int)
+        cutoff = tol.rank_cutoff_factor * max(shape) * np.maximum(s[:, 0], scale)
+        return np.count_nonzero(s > cutoff[:, None], axis=1)
     if s.size == 0 or s[0] == 0.0:
         return 0
     cutoff = tol.rank_cutoff_factor * max(shape) * max(s[0], scale)
@@ -92,12 +103,14 @@ def numerical_rank(
     piece of a larger linear map passes that map's norm as ``scale``: a piece
     that vanishes up to rounding then has rank 0 instead of reading its own
     rounding noise as rank.  An ``(N, rows, cols)`` stack gives an ``(N,)``
-    array, the rank of each matrix.
+    array, the rank of each matrix, from one stacked SVD and one stacked
+    :func:`rank_from_singular_values` decision.
     """
     m = ensure_finite(m)
     s = singular_values(m)
     if m.ndim == 3:
-        return np.array([rank_from_singular_values(row, m.shape[1:], tol, scale) for row in s])
+        s = s.reshape(len(m), min(m.shape[1:]))
+        return rank_from_singular_values(s, m.shape[1:], tol, scale)
     return rank_from_singular_values(s, m.shape, tol, scale)
 
 

@@ -18,8 +18,13 @@ interpolating spline through the samples (de Boor, *A Practical Guide to
 Splines*): the base velocity, the derivative of a time change and the
 resampled path.  Its error falls like ``h^5`` in the sample spacing and it
 reproduces polynomials of degree up to 5, so a leg of 257 samples suffices.
-The splines (``scipy.interpolate``) and the Schur form behind the principal
-logarithm (``scipy.linalg``) are imported by the functions that call them.
+A path is fitted once: one spline through the real coordinates of its
+bases and lifts side by side, which gives the base velocity and, at the
+query times of a time change, both resampled curves.  The fit treats each
+coordinate column on its own, so a column's values are bit for bit those
+of a spline through that column alone.  The splines
+(``scipy.interpolate``) and the Schur form behind the principal logarithm
+(``scipy.linalg``) are imported by the functions that call them.
 """
 
 from __future__ import annotations
@@ -68,17 +73,20 @@ class APath:
     """Sampled admissible path: base projections plus a fiber lift.
 
     ``bases`` and ``lifts`` are stacked elements of one shape, sample ``i``
-    in row ``i``.  The constructor checks them against ``sample_times`` and
-    computes ``max_lift_residual``: the worst C*-norm of the anchor image of
-    the lift minus the base velocity, taken from the derivative of the
-    quintic spline through the base samples.  That velocity is accurate to
-    O(h^5), so a path needs at least six samples.
+    in row ``i``.  The constructor checks them against ``sample_times``,
+    fits ``spline``, the quintic spline through ``[bases | lifts]`` real
+    coordinates (the columns of ``bases.real_coords()``, then those of
+    ``lifts.real_coords()``), and computes ``max_lift_residual``: the worst
+    C*-norm of the anchor image of the lift minus the base velocity, taken
+    from the derivative of the spline's bases columns.  That velocity is
+    accurate to O(h^5), so a path needs at least six samples.
     """
 
     sample_times: np.ndarray
     bases: AlgebraElement
     lifts: AlgebraElement
     max_lift_residual: float = field(init=False)
+    spline: object = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.array(self.sample_times, dtype=float)
@@ -98,12 +106,15 @@ class APath:
                 f"need at least {_SPLINE_DEGREE + 1} samples for the velocity spline")
         if times[0] < -1e-12 or times[-1] > 1 + 1e-12:
             raise InputError("sample times must lie in [0, 1]")
+        base_coords = bases.real_coords()
+        spline = _spline(times, np.concatenate([base_coords, lifts.real_coords()], axis=1))
         velocity = AlgebraElement.from_real_coords(
-            bases.shape, _spline(times, bases.real_coords()).derivative()(times))
+            bases.shape, spline.derivative()(times)[:, :base_coords.shape[1]])
         residual = (fiber_anchor_image(lifts, bases) - velocity).norm()
         times.setflags(write=False)
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "max_lift_residual", float(np.max(residual)))
+        object.__setattr__(self, "spline", spline)
 
     def __len__(self):
         return len(self.sample_times)
@@ -294,7 +305,9 @@ def reparametrize_lift(path: APath, phi) -> APath:
     of the quintic spline through those values, exact up to rounding when
     ``phi`` is a polynomial of degree at most 5.  The new path is resampled
     on the original grid; values of the old path between samples come from
-    quintic splines through its real coordinates.
+    its stored ``spline``, evaluated once at the query times for bases and
+    lifts together.  So a time change fits two splines: one through the
+    values of ``phi``, and the new path's own.
     """
     times = path.sample_times
     ph = np.asarray([float(phi(t)) for t in times])
@@ -305,8 +318,10 @@ def reparametrize_lift(path: APath, phi) -> APath:
 
     dph = _spline(times, ph).derivative()(times)
     queries = np.clip(ph, times[0], times[-1])
-    base_new = _spline(times, path.bases.real_coords())(queries)
-    lift_new = dph[:, None] * _spline(times, path.lifts.real_coords())(queries)
+    coords = path.spline(queries)
+    half = coords.shape[1] // 2  # bases columns, then as many lifts columns
+    base_new = coords[:, :half]
+    lift_new = dph[:, None] * coords[:, half:]
     shape = path.bases.shape
     return APath(
         times,

@@ -58,8 +58,25 @@ def random_block_ranks(rng: np.random.Generator, shape) -> tuple:
 
 
 def element_noise(rng: np.random.Generator, shape, scale: float = 1.0) -> tuple:
-    """One complex Gaussian matrix per block, scaled by ``scale``."""
-    return tuple(random_matrix(rng, n, scale) for n in validate_shape(shape))
+    """One complex Gaussian matrix per block, scaled by ``scale``: the
+    values of :func:`random_matrix` block by block."""
+    return element_noises(rng, shape, 1, scale)[0]
+
+
+def element_noises(rng: np.random.Generator, shape, count: int, scale: float = 1.0) -> list:
+    """``count`` draws of :func:`element_noise` in a row, through one
+    generator call.  The values, and the state the generator ends in, are
+    those of one :func:`random_matrix` call per block and draw, since the
+    normals of consecutive calls follow one another in the generator's
+    stream."""
+    shape = validate_shape(shape)
+    z = rng.standard_normal((count, sum(2 * n * n for n in shape)))
+    blocks, at = [], 0
+    for n in shape:  # per draw and block: n*n real parts, then n*n imaginary parts
+        re, im = z[:, at:at + n * n], z[:, at + n * n:at + 2 * n * n]
+        blocks.append(scale * (re.reshape(count, n, n) + 1j * im.reshape(count, n, n)))
+        at += 2 * n * n
+    return [tuple(b[i] for b in blocks) for i in range(count)]
 
 
 def well_conditioned_noise(

@@ -56,6 +56,62 @@ class TestMakeFamily:
             fam.validate()
 
 
+def assert_same_bits(got: AlgebraElement, want: AlgebraElement):
+    assert got.shape == want.shape
+    for a, b in zip(got.blocks, want.blocks):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTermStack:
+    @pytest.mark.parametrize("horizon", [8, 64])
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("kind", ["rank_preserving", "rank_dropping", "constant"])
+    def test_stack_equals_stacked_generated_terms_bit_for_bit(self, kind, shape, horizon):
+        rng = np.random.default_rng(sum(shape) * 100 + horizon)
+        # deficient but nonzero ranks, so both perturbation kinds apply
+        ranks = None if kind == "constant" else tuple(max(1, n - 1) for n in shape)
+        base = well_conditioned_element(rng, shape, ranks=ranks)
+        fam = make_family(kind, base, horizon=horizon)
+        stack = fam.term_stack()
+        assert [b.shape[0] for b in stack.blocks] == [horizon] * len(shape)
+        assert_same_bits(stack, AlgebraElement.stack(
+            [fam.generator(n) for n in range(1, horizon + 1)]))
+        assert fam.term_stack() is stack  # built once
+        for n, term in enumerate(fam.terms(), start=1):
+            assert_same_bits(term, fam.generator(n))
+        assert np.array_equal(fam.distances(), stack.distance(base))
+
+    def test_perturbation_is_kept(self):
+        fam = make_family("rank_dropping", BASE)
+        assert fam.directions[0] is not None
+        assert_same_bits(fam.generator(4), diag(1, 0.25))
+        assert make_family("constant", BASE).directions == (None,)
+
+    def test_custom_family_is_generated_once_and_stacked(self):
+        calls = []
+
+        def gen(n):
+            calls.append(n)
+            return diag(1 + 1 / n, 0)
+
+        fam = SequenceFamily("custom", gen, BASE, horizon=16)
+        assert fam.directions is None
+        terms = fam.terms()
+        assert calls == list(range(1, 17))
+        assert_same_bits(fam.term_stack(), AlgebraElement.stack([gen(n) for n in range(1, 17)]))
+        calls.clear()
+        fam.validate()
+        verdict = continuity_experiment(fam)
+        assert calls == []  # distances and the experiment read the stack
+        assert verdict.pair_converges and verdict.source_converges
+        for n, term in enumerate(terms, start=1):
+            assert_same_bits(term, diag(1 + 1 / n, 0))
+
+    def test_directions_must_match_the_blocks(self):
+        with pytest.raises(InputError):
+            SequenceFamily("custom", lambda n: BASE, BASE, directions=(None, None))
+
+
 class TestContinuityExperiment:
     def test_divergent_family(self):
         fam = SequenceFamily("custom", lambda n: diag(1, 1 / n), BASE)

@@ -362,18 +362,21 @@ def arrow_key(g):
 
 class MarksThirdChain:
     """Mixin for a kind with stacks that remembers the first arrow of the
-    third chain: the one built from the 7th ``arrow_noise`` draw, which
-    single and stacked draws make in the same order.  A subclass marks the
-    first arrow of chain ``k`` with ``marked_draw = 3 * k + 1``."""
+    third chain: the one built from the 7th arrow noise draw, which
+    single and stacked draws make in the same order.  Every arrow noise,
+    ``arrow_noise`` included, is drawn through ``arrow_noises``, so that is
+    where draws are counted.  A subclass marks the first arrow of chain
+    ``k`` with ``marked_draw = 3 * k + 1``."""
 
     marked_draw = 7
 
-    def arrow_noise(self, rng):
-        noise = super().arrow_noise(rng)
-        self.drawn = getattr(self, "drawn", 0) + 1
-        if self.drawn == self.marked_draw:
-            self.marked_noise = noise_key(noise)
-        return noise
+    def arrow_noises(self, rng, count):
+        noises = super().arrow_noises(rng, count)
+        for noise in noises:
+            self.drawn = getattr(self, "drawn", 0) + 1
+            if self.drawn == self.marked_draw:
+                self.marked_noise = noise_key(noise)
+        return noises
 
     def arrow_at(self, x, noise):
         g = super().arrow_at(x, noise)
@@ -403,7 +406,7 @@ class ComposeRefusesThirdChain(RefusesMarked, GInvGroupoid):
 
 
 class ActionComposeRefusesChain160(RefusesMarked, ActionGroupoid):
-    marked_draw = 4 * 160 + 1  # the loose arrow's noise is an arrow_noise draw too
+    marked_draw = 4 * 160 + 1  # the loose arrow's noise is an arrow noise draw too
 
 
 class DistanceOffOnThirdChain(MarksThirdChain, GInvGroupoid):
@@ -732,6 +735,71 @@ def holds_element(noise) -> bool:
     if isinstance(noise, tuple):
         return any(holds_element(part) for part in noise)
     return isinstance(noise, AlgebraElement)
+
+
+def flat_arrays(noise):
+    """The arrays of a draw in order, however it nests them."""
+    if isinstance(noise, (tuple, list)):
+        return [a for part in noise for a in flat_arrays(part)]
+    return [np.asarray(noise)]
+
+
+def assert_same_draws(got, want):
+    got, want = flat_arrays(got), flat_arrays(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def arrow_noise_one_call_per_matrix(G, rng):
+    """The noise of one arrow draw made the one-at-a-time way: a generator
+    call for each Gaussian matrix, real part before imaginary part."""
+    if isinstance(G, ActionGroupoid):
+        return (rng.standard_normal((G.n, G.n)),)
+    scale = 0.35 if isinstance(G, GInvGroupoid) else 0.4
+    return tuple(
+        tuple(scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+              for n in G.shape)
+        for _ in range(2))
+
+
+class TestOneDrawPerChain:
+    KINDS = [
+        pytest.param(GInvGroupoid, (2,), id="ginv-2"),
+        pytest.param(GInvGroupoid, (2, 3), id="ginv-2,3"),
+        pytest.param(PartialIsometryGroupoid, (2,), id="partial_isometry-2"),
+        pytest.param(PartialIsometryGroupoid, (2, 3), id="partial_isometry-2,3"),
+        pytest.param(ActionGroupoid, 2, id="action-2"),
+        pytest.param(ActionGroupoid, 3, id="action-3"),
+    ]
+
+    @pytest.mark.parametrize("cls, shape", KINDS)
+    def test_chain_noise_equals_three_sequential_draws(self, cls, shape):
+        G = cls(shape)
+        for seed in range(4):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            chain = G.chain_noise(rng)
+            want = (G.base_noise(reference),
+                    *(arrow_noise_one_call_per_matrix(G, reference) for _ in range(3)),
+                    G.sample_noise(reference))
+            assert_same_draws(chain, want)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.standard_normal() == reference.standard_normal()
+
+    @pytest.mark.parametrize("cls, shape", KINDS)
+    def test_arrow_noise_equals_one_call_per_matrix(self, cls, shape):
+        G = cls(shape)
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            assert_same_draws(G.arrow_noise(rng), arrow_noise_one_call_per_matrix(G, reference))
+        assert rng.standard_normal() == reference.standard_normal()
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_arrow_noises_equal_sequential_arrow_noise(self, cls, shape):
+        G = cls(shape)
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        assert_same_draws(G.arrow_noises(rng, 5), [G.arrow_noise(reference) for _ in range(5)])
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestRawNoise:

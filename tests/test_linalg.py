@@ -17,6 +17,7 @@ from ginv.linalg import (
     kernel_basis,
     numerical_rank,
     operator_norm,
+    rank_from_singular_values,
     sandwich_matrix,
     vector_norm,
 )
@@ -60,6 +61,69 @@ class TestNumericalRank:
         ranks = numerical_rank(stack)
         assert ranks.tolist() == [3, 0, 2]
         assert ranks.tolist() == [numerical_rank(m) for m in stack]
+
+
+class TestStackedRankDecisions:
+    """``rank_from_singular_values`` on an ``(N, k)`` array of singular values
+    equals the call on each row; ``numerical_rank`` on a stack equals the
+    rank of each matrix."""
+
+    @staticmethod
+    def per_row(s, shape, scale=0.0):
+        return [rank_from_singular_values(row, shape, DEFAULT_TOL, scale) for row in s]
+
+    def assert_rows(self, s, shape, scale=0.0):
+        got = rank_from_singular_values(s, shape, DEFAULT_TOL, scale)
+        assert isinstance(got, np.ndarray) and got.shape == (len(s),)
+        assert got.tolist() == self.per_row(s, shape, scale)
+        return got.tolist()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (6, 4)])
+    def test_random_rows(self, rng, shape):
+        k = min(shape)
+        # singular values spread over 17 decades, so rows fall on both sides of the cutoff
+        s = -np.sort(-10.0 ** rng.uniform(-16, 1, size=(40, k)), axis=1)
+        for scale in (0.0, 1e-3, 10.0, 1e3):
+            self.assert_rows(s, shape, scale)
+
+    def test_all_zero_rows(self):
+        s = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert self.assert_rows(s, (3, 3)) == [0, 2, 0]
+        assert self.assert_rows(s, (3, 3), scale=5.0) == [0, 2, 0]
+
+    def test_value_exactly_at_the_cutoff_is_not_counted(self):
+        shape = (3, 3)
+        cutoff = DEFAULT_TOL.rank_cutoff_factor * max(shape) * 2.0
+        s = np.array([
+            [2.0, cutoff, 0.0],
+            [2.0, np.nextafter(cutoff, np.inf), 0.0],
+            [2.0, np.nextafter(cutoff, 0.0), 0.0],
+        ])
+        assert self.assert_rows(s, shape) == [1, 2, 1]
+
+    def test_scale_above_sigma_max(self):
+        s = np.array([[1.0, 1e-10], [1.0, 1e-8], [1e-9, 1e-10]])
+        assert self.assert_rows(s, (2, 2)) == [2, 2, 2]
+        assert self.assert_rows(s, (2, 2), scale=1e3) == [1, 2, 0]
+
+    def test_no_singular_values(self):
+        got = rank_from_singular_values(np.zeros((4, 0)), (0, 3))
+        assert got.shape == (4,) and got.tolist() == [0, 0, 0, 0]
+        assert rank_from_singular_values(np.zeros(0), (0, 3)) == 0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)])
+    def test_numerical_rank_of_a_stack_equals_each_rank(self, rng, shape):
+        rows, cols = shape
+        stack = []
+        for r in range(min(shape) + 1):
+            for tiny in (0.0, 1e-14, 1e-9):
+                m = random_complex(rng, rows, r) @ random_complex(rng, r, cols)
+                stack.append(m + tiny * random_complex(rng, rows, cols))
+        stack = np.stack(stack)
+        for scale in (0.0, 1e4):
+            ranks = numerical_rank(stack, scale=scale)
+            assert ranks.shape == (len(stack),)
+            assert ranks.tolist() == [numerical_rank(m, scale=scale) for m in stack]
 
 
 class TestOperatorNorm:

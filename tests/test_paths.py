@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
+from ginv import paths, suite
 from ginv.algebra import AlgebraElement
 from ginv.errors import (
     DegenerateInterpolationError,
@@ -18,6 +20,7 @@ from ginv.paths import (
     reparametrize_lift,
     smooth_reparametrizer,
 )
+from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import random_projection
 
 
@@ -257,6 +260,83 @@ class TestStackedSamples:
             AlgebraElement.stack([path.lifts[i] for i in range(len(path))]),
         )
         assert rebuilt.max_lift_residual == path.max_lift_residual
+
+
+def reparametrize_with_separate_fits(path, phi):
+    """Bases, lifts and lift residual of ``reparametrize_lift(path, phi)``
+    from separate quintic fits: one through the values of ``phi``, one
+    through the bases and one through the lifts of ``path``, and one
+    through the new bases for their velocity."""
+    def fit(values):
+        return make_interp_spline(times, values, k=5, axis=0)
+
+    times, shape = path.sample_times, path.bases.shape
+    ph = np.asarray([float(phi(t)) for t in times])
+    dph = fit(ph).derivative()(times)
+    queries = np.clip(ph, times[0], times[-1])
+    base_coords = fit(path.bases.real_coords())(queries)
+    bases = AlgebraElement.from_real_coords(shape, base_coords)
+    lifts = AlgebraElement.from_real_coords(
+        shape, dph[:, None] * fit(path.lifts.real_coords())(queries))
+    velocity = AlgebraElement.from_real_coords(shape, fit(base_coords).derivative()(times))
+    return bases, lifts, float(np.max((fiber_anchor_image(lifts, bases) - velocity).norm()))
+
+
+def same_bits(x: AlgebraElement, y: AlgebraElement) -> bool:
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(x.blocks, y.blocks))
+
+
+def antipodal_pair(shape):
+    """Projections of one rank signature whose direct rotation is singular:
+    the first basis vector of each block against the second."""
+    def unit(i):
+        return AlgebraElement.from_blocks([np.diag(np.eye(n)[i]) for n in shape])
+
+    return unit(0), unit(1)
+
+
+class TestSharedSpline:
+    """One quintic fit per path serves its velocity and every time change,
+    with the bytes of separate fits."""
+
+    MAPS = [lambda t: t, lambda t: t * t, lambda t: 3 * t * t - 2 * t**3,
+            smooth_reparametrizer([0.5])]
+
+    @pytest.mark.parametrize("legs", [1, 2])
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 3)])
+    def test_time_changes_equal_separate_fits(self, rng, shape, legs):
+        if legs == 1:
+            ranks = tuple(max(1, n - 1) for n in shape)
+            p, q = (random_projection(rng, shape, ranks=ranks) for _ in range(2))
+        else:
+            p, q = antipodal_pair(shape)
+        path = orbit_path(p, q, steps=16)
+        assert len(path) == 256 * legs + 1
+        velocity = make_interp_spline(
+            path.sample_times, path.bases.real_coords(), k=5, axis=0).derivative()
+        alone = AlgebraElement.from_real_coords(shape, velocity(path.sample_times))
+        residual = (fiber_anchor_image(path.lifts, path.bases) - alone).norm()
+        assert path.max_lift_residual == float(np.max(residual))
+        for phi in self.MAPS:
+            out = reparametrize_lift(path, phi)
+            bases, lifts, residual = reparametrize_with_separate_fits(path, phi)
+            assert same_bits(out.bases, bases) and same_bits(out.lifts, lifts)
+            assert repr(out.max_lift_residual) == repr(residual)
+
+    def test_criterion_11_fits_seven_splines_per_path(self, monkeypatch):
+        fits = []
+        spline = paths._spline
+
+        def counted(times, values):
+            fits.append(values.shape)
+            return spline(times, values)
+
+        monkeypatch.setattr(paths, "_spline", counted)
+        assert suite.check_reparametrization(DEFAULT_TOL, 11).passed
+        # 20 paths: each fitted once, and 3 time changes that each fit phi
+        # and the new path
+        assert len(fits) == 20 * 7 == 140
 
 
 class TestAPathValidation:

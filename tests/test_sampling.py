@@ -145,3 +145,15 @@ def test_given_ranks_draw_no_ranks():
     want = [sampling.random_matrix(reference, n) for n in (2, 3)]
     assert [m.tobytes() for _, m in noise] == [m.tobytes() for m in want]
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("count", [1, 2, 6])
+def test_element_noises_equal_one_draw_at_a_time(shape, count):
+    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+    draws = sampling.element_noises(rng, shape, count, 0.35)
+    assert len(draws) == count and all(arrays_only(d) for d in draws)
+    for draw in draws:
+        want = one_element(reference, shape, 0.35)
+        assert [m.tobytes() for m in draw] == [m.tobytes() for m in want]
+    assert rng.bit_generator.state == reference.bit_generator.state

@@ -70,7 +70,8 @@ def morphism_laws_one_at_a_time(tol, seed):
 
 
 def continuity_one_term_at_a_time(fam, tol=DEFAULT_TOL):
-    terms = fam.terms()
+    # each term from the per-index formula, not a row of the family's stack
+    terms = [fam.generator(n) for n in range(1, fam.horizon + 1)]
     distances = np.array([t.distance(fam.limit) for t in terms])
     fam._validate_distances(distances)
     if fam.limit.norm() == 0.0:
