@@ -68,7 +68,6 @@ from .geometry import (
 from .groupoid import (
     ActionArrow,
     ActionGroupoid,
-    DisjointUnionGroupoid,
     GInvArrow,
     GInvGroupoid,
     Groupoid,
@@ -76,7 +75,6 @@ from .groupoid import (
     PairArrow,
     PairGroupoid,
     PartialIsometryGroupoid,
-    TaggedArrow,
     isometry_to_ginv,
     make_groupoid,
     verify_axioms,

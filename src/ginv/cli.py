@@ -40,7 +40,7 @@ from .algebra import AlgebraElement
 from .continuity import continuity_experiment, make_family
 from .errors import GinvError, InputError
 from .geninv import moore_penrose, penrose_residuals
-from .geometry import fiber_and_anchor, isotropy_tangent_dim, orbit_decompose, submersion_rank_st
+from .geometry import at, orbit_decompose
 from .groupoid import make_groupoid, verify_axioms
 from .linalg import ToleranceConfig
 from .paths import orbit_path, reparametrize_lift
@@ -255,9 +255,8 @@ def _cmd_geometry(args, tol, seed) -> ExperimentReport:
     report = ExperimentReport(suite=f"geometry-{G.kind}",
                               config=_config_echo(args, tol, seed))
     for i in range(args.count):
-        x = G.sample_base_point(rng)
-        data = fiber_and_anchor(G, x, tol)
-        iso = isotropy_tangent_dim(G, x, tol)
+        point = at(G, G.sample_base_point(rng), tol)
+        data, iso = point.anchor, point.isotropy_dim
         base_dim = data.anchor_matrix.shape[0]
         report.add(
             CheckRecord(
@@ -276,8 +275,7 @@ def _cmd_geometry(args, tol, seed) -> ExperimentReport:
                 value=iso,
             )
         )
-        arrow = G.identity_at(x)
-        rank, want = submersion_rank_st(G, arrow, tol)
+        rank, want = point.submersion
         report.add(
             CheckRecord(
                 name=f"point {i} submersion",

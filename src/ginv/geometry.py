@@ -24,24 +24,22 @@ dimensions (at the source and target of an arrow) come from the singular
 values of the kind's linear system alone; only the tangent space itself
 needs a kernel basis.
 
-Every caller asks for several of these quantities at one point, all on the
-same identity arrow.  So the module keeps two small memos.  One holds the
-linearization at the last arrow and tolerance: the chart differential, the
-ambient target differential, the norm, the source kernel, the submersion
-rank and the joint kernel, all built when the entry is made.  The other
-holds the base tangent bases at the last two base points, so that a caller
-may ask for the tangent spaces at two points before it reads the anchors
-there.  Each entry is keyed by a digest of the groupoid's class, its
-defining parameters, the exact bytes of the arrow or point, and the
-tolerance, since both hold rank decisions.  A hit returns the very arrays
-a fresh computation would, so no answer depends on call history; every
-membership and precondition check still runs on every call, and cached
-arrays are read-only.
+The answers at one base point ``x`` are parts of one object, the
+:class:`PointGeometry` that :func:`at` returns: the base tangent basis, the
+fiber and anchor, the isotropy dimension and the submersion rank at
+``1_x``.  It builds the identity arrow, the linearization and the base
+tangent basis once each, on first use, and only when an answer reads them;
+its arrays are read-only.  Callers that ask for several answers hold one
+object per point.  The free functions read the same objects, so :func:`at`
+keeps the last one it made and hands it back when the groupoid's class and
+parameters, the point and the tolerance all equal its own by exact value.
+A point is held only once it has passed the base check, and the object
+handed back is the one a fresh call would build, so no answer depends on
+call history.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -130,73 +128,7 @@ class AnchorData:
             raise InputError("anchor rank exceeds the matrix dimensions")
 
 
-# -- memos -------------------------------------------------------------------------
-
-
-class _LastResult:
-    """The results for the last ``size`` keys computed.
-
-    The entries are one tuple of ``(key, value)`` pairs, newest first, read
-    and replaced whole, so a reader never pairs one key with another key's
-    value.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._entries = ()
-
-    def get(self, key: bytes, compute):
-        for last_key, value in self._entries:
-            if last_key == key:
-                return value
-        value = compute()
-        self._entries = ((key, value), *self._entries[: self.size - 1])
-        return value
-
-
-_LINEARIZATION = _LastResult(1)
-_BASE_TANGENT = _LastResult(2)  # two points, such as a q and a p read in turn
-
-
-def _leaf(h, tag: bytes, data: bytes) -> None:
-    h.update(tag + len(data).to_bytes(8, "little") + data)
-
-
-def _feed(h, item) -> None:
-    """Feed ``item`` to the hash ``h``, each leaf tagged and length-prefixed:
-    arrays and numpy scalars by dtype, shape and bytes, other scalars by
-    their exact ``repr``, dataclasses (arrows, elements, tolerances) by
-    class and fields, and sequences item by item."""
-    if isinstance(item, (np.ndarray, np.generic)):
-        if item.dtype.hasobject:  # its bytes would be addresses, not content
-            raise TypeError("cannot key geometry on an object array")
-        _leaf(h, b"a", f"{item.dtype.str}{item.shape}".encode())
-        _leaf(h, b"b", np.ascontiguousarray(item).tobytes())
-    elif item is None or isinstance(item, (str, int, float)):
-        _leaf(h, b"r", repr(item).encode())
-    elif isinstance(item, (tuple, list)):
-        _leaf(h, b"(", str(len(item)).encode())
-        for part in item:
-            _feed(h, part)
-    elif dataclasses.is_dataclass(item):
-        _leaf(h, b"d", f"{type(item).__module__}.{type(item).__qualname__}".encode())
-        for f in dataclasses.fields(item):
-            _feed(h, getattr(item, f.name))
-    else:
-        raise TypeError(f"cannot key geometry on a {type(item).__name__}")
-
-
-def _digest(G: Groupoid, item, *extra) -> bytes:
-    import hashlib  # here, not at import: it loads OpenSSL, a cost every CLI start would pay
-
-    h = hashlib.blake2b(digest_size=32)
-    _feed(h, (G.geometry_key(item), extra))
-    return h.digest()
-
-
-def _base_tangent(G: Groupoid, x, tol: ToleranceConfig) -> np.ndarray:
-    """``G.base_tangent(x, tol)``, read-only, through its memo."""
-    return _BASE_TANGENT.get(_digest(G, x, tol), lambda: _read_only(G.base_tangent(x, tol)))
+# -- the linearization at an arrow -------------------------------------------------
 
 
 class _Linearization(NamedTuple):
@@ -223,28 +155,138 @@ class _Linearization(NamedTuple):
 
 
 def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
-    """The linearization at ``arrow`` for ``tol``, through the one-entry
-    memo.  ``arrow`` must have passed ``G``'s checks."""
-    def compute():
-        j_arrow, ds, dt = G.chart_differential(arrow)
-        j_s, j_t = ds @ j_arrow, dt @ j_arrow
-        # the top singular value of the stack, from the top eigenvalue of its Gram matrix
-        gram = j_arrow.T @ j_arrow + j_s.T @ j_s + j_t.T @ j_t
-        scale = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-        k_source = kernel_basis(j_s, tol, scale)
-        # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff
-        _, t_singular, t_vh = np.linalg.svd(j_t @ k_source)
-        t_rank = rank_from_singular_values(
-            t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), tol, scale)
-        st_rank = j_s.shape[1] - k_source.shape[1] + t_rank
-        joint = k_source @ t_vh[t_rank:].conj().T
-        j_arrow, dt, k_source, joint = map(_read_only, (j_arrow, dt, k_source, joint))
-        return _Linearization(j_arrow, dt, scale, k_source, st_rank, joint)
-
-    return _LINEARIZATION.get(_digest(G, arrow, tol), compute)
+    """The linearization at ``arrow`` for ``tol``.  ``arrow`` must have
+    passed ``G``'s checks."""
+    j_arrow, ds, dt = G.chart_differential(arrow)
+    j_s, j_t = ds @ j_arrow, dt @ j_arrow
+    # the top singular value of the stack, from the top eigenvalue of its Gram matrix
+    gram = j_arrow.T @ j_arrow + j_s.T @ j_s + j_t.T @ j_t
+    scale = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    k_source = kernel_basis(j_s, tol, scale)
+    # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff
+    _, t_singular, t_vh = np.linalg.svd(j_t @ k_source)
+    t_rank = rank_from_singular_values(
+        t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), tol, scale)
+    st_rank = j_s.shape[1] - k_source.shape[1] + t_rank
+    joint = k_source @ t_vh[t_rank:].conj().T
+    j_arrow, dt, k_source, joint = map(_read_only, (j_arrow, dt, k_source, joint))
+    return _Linearization(j_arrow, dt, scale, k_source, st_rank, joint)
 
 
-# -- tangent spaces of the base manifolds ------------------------------------------
+def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the base tangent space at ``x``: the nullity of the
+    kind's linear system, from its singular values alone."""
+    system = G.base_tangent_system(x)
+    return system.shape[1] - numerical_rank(system, tol)
+
+
+def _submersion(G: Groupoid, g, st_rank: int, tol: ToleranceConfig) -> tuple:
+    """``(st_rank, dim T(base) at s(g) + dim T(base) at t(g))``, ranking
+    the base system once when ``s(g)`` and ``t(g)`` are equal, exactly: at
+    every identity arrow of ``ginv``, and of ``partial_isometry`` where the
+    point is Hermitian bit for bit."""
+    source, target = G.source(g), G.target(g)
+    dim = base_tangent_dim(G, source, tol)
+    if same_value(source, target):
+        return st_rank, 2 * dim
+    return st_rank, dim + base_tangent_dim(G, target, tol)
+
+
+# -- the geometry at a base point ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PointGeometry:
+    """The geometry of ``groupoid`` at the base point ``point`` for ``tol``;
+    each answer is built on first use and kept.  Build it with :func:`at`."""
+
+    groupoid: Groupoid
+    point: object
+    tol: ToleranceConfig
+
+    def _of(self, G: Groupoid, tol: ToleranceConfig) -> bool:
+        """Whether ``G`` is of this groupoid's class, with equal parameters,
+        and ``tol`` is this tolerance, all exactly."""
+        mine, theirs = vars(self.groupoid), vars(G)
+        return (self.tol == tol and type(self.groupoid) is type(G) and mine.keys() == theirs.keys()
+                and all(same_value(value, theirs[name]) for name, value in mine.items()))
+
+    @functools.cached_property
+    def identity(self):
+        """The identity arrow ``1_x``; :class:`PreconditionError` when the
+        groupoid refuses to build it."""
+        try:
+            return self.groupoid.identity_at(self.point)
+        except InputError as exc:
+            raise PreconditionError(str(exc)) from exc
+
+    @functools.cached_property
+    def _lin(self) -> _Linearization:
+        return _linearization(self.groupoid, self.identity, self.tol)
+
+    @functools.cached_property
+    def tangent(self) -> TangentBasis:
+        """Orthonormal basis of the base tangent space at the point."""
+        x = self.point
+        to_vector = (functools.partial(AlgebraElement.from_real_coords, x.shape)
+                     if isinstance(x, AlgebraElement) else np.array)
+        return TangentBasis(base_point=x, coords=self.groupoid.base_tangent(x, self.tol),
+                            to_vector=to_vector)
+
+    @functools.cached_property
+    def anchor(self) -> AnchorData:
+        """Source-fiber tangent space at ``1_x`` and the anchor map (the
+        differential of the target map restricted to that fiber).
+
+        The fiber tangent space is the image, under the chart differential,
+        of the kernel of the source differential; the anchor matrix
+        expresses the target differential on that basis against the
+        orthonormal basis :attr:`tangent`.
+        """
+        lin, tol = self._lin, self.tol
+        fiber_hat = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
+        anchor_matrix = self.tangent.coords.T @ (lin.dt @ fiber_hat)
+        basis = TangentBasis(base_point=self.point, coords=fiber_hat,
+                             to_vector=functools.partial(self.groupoid.tangent_vector,
+                                                         self.identity))
+        return AnchorData(base_point=self.point, fiber_basis=basis, anchor_matrix=anchor_matrix,
+                          anchor_rank=numerical_rank(anchor_matrix, tol, lin.scale))
+
+    @functools.cached_property
+    def isotropy_dim(self) -> int:
+        """Dimension of the joint kernel of the source and target
+        differentials at ``1_x``, measured in ambient arrow coordinates."""
+        lin = self._lin
+        return numerical_rank(lin.j_arrow @ lin.joint_kernel, self.tol, lin.scale)
+
+    @functools.cached_property
+    def submersion(self) -> tuple:
+        """``(rank T(s, t), 2 dim T(base))`` at ``1_x``, as
+        :func:`submersion_rank_st` gives them."""
+        return _submersion(self.groupoid, self.identity, self._lin.st_rank, self.tol)
+
+
+#: The last object :func:`at` made.
+_HELD: PointGeometry | None = None
+
+
+def at(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> PointGeometry:
+    """The geometry of ``G`` at the base point ``x`` for ``tol``;
+    :class:`PreconditionError` when ``x`` fails ``G``'s base check."""
+    global _HELD
+    if _HELD is not None and _HELD._of(G, tol) and same_value(_HELD.point, x):
+        return _HELD
+    if not isinstance(x, AlgebraElement):  # a copy its caller cannot change
+        x = _read_only(np.array(x, dtype=float))
+    try:
+        G.check_base(x)
+    except InputError as exc:
+        raise PreconditionError(str(exc)) from exc
+    _HELD = PointGeometry(G, x, tol)
+    return _HELD
+
+
+# -- the free functions --------------------------------------------------------------
 
 
 def tangent_basis(
@@ -263,57 +305,18 @@ def tangent_basis(
         raise PreconditionError("point is not an idempotent")
     if manifold == "P" and not cls.projection:
         raise PreconditionError("point is not an orthogonal projection")
-
     G = GInvGroupoid(x.shape, tol) if manifold == "Q" else PartialIsometryGroupoid(x.shape, tol)
-    return TangentBasis(base_point=x, coords=_base_tangent(G, x, tol),
-                        to_vector=functools.partial(AlgebraElement.from_real_coords, x.shape))
-
-
-def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the base tangent space at ``x``: the nullity of the
-    kind's linear system, from its singular values alone."""
-    system = G.base_tangent_system(x)
-    return system.shape[1] - numerical_rank(system, tol)
-
-
-# -- fiber, anchor, isotropy, submersion -------------------------------------------
-
-
-def _identity_arrow(G: Groupoid, x):
-    try:
-        return G.identity_at(x)
-    except InputError as exc:
-        raise PreconditionError(str(exc)) from exc
+    return at(G, x, tol).tangent
 
 
 def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> AnchorData:
-    """Source-fiber tangent space at the identity arrow over ``x`` and the
-    anchor map (differential of the target map restricted to that fiber).
-
-    The fiber tangent space is computed as the image, under the chart
-    differential, of the kernel of the source differential; the anchor
-    matrix expresses the target differential on that basis against an
-    orthonormal basis of the base tangent space.
-    """
-    one_x = _identity_arrow(G, x)
-    lin = _linearization(G, one_x, tol)
-    fiber_hat = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
-
-    anchor_matrix = _base_tangent(G, x, tol).T @ (lin.dt @ fiber_hat)
-    anchor_rank = numerical_rank(anchor_matrix, tol, lin.scale)
-
-    basis = TangentBasis(base_point=x, coords=fiber_hat,
-                         to_vector=functools.partial(G.tangent_vector, one_x))
-    return AnchorData(
-        base_point=x, fiber_basis=basis, anchor_matrix=anchor_matrix, anchor_rank=anchor_rank
-    )
+    """:attr:`PointGeometry.anchor` of ``at(G, x, tol)``."""
+    return at(G, x, tol).anchor
 
 
 def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the joint kernel of the source and target differentials
-    at the identity arrow over ``x``, measured in ambient arrow coordinates."""
-    lin = _linearization(G, _identity_arrow(G, x), tol)
-    return numerical_rank(lin.j_arrow @ lin.joint_kernel, tol, lin.scale)
+    """:attr:`PointGeometry.isotropy_dim` of ``at(G, x, tol)``."""
+    return at(G, x, tol).isotropy_dim
 
 
 def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
@@ -322,11 +325,14 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns ``(rank T(s, t) at g, dim T(base) at s(g) + dim T(base) at t(g))``;
     the two agree exactly when the groupoid is locally transitive at ``g``.
+    At the identity arrow of the point :func:`at` holds, once that object
+    has built it, this reads the object's :attr:`PointGeometry.submersion`.
     """
     G.validate_arrow(g)
-    rank = _linearization(G, g, tol).st_rank
-    dims = base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
-    return rank, dims
+    held = _HELD
+    if held is not None and held._of(G, tol) and same_value(vars(held).get("identity"), g):
+        return held.submersion
+    return _submersion(G, g, _linearization(G, g, tol).st_rank, tol)
 
 
 # -- orbits -----------------------------------------------------------------------

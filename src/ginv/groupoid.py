@@ -7,11 +7,10 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 * ``ginv``              -- reflexive generalized-inverse pairs over idempotents;
 * ``partial_isometry``  -- partial isometries over orthogonal projections;
 * ``action``            -- the action groupoid of GL(n, R) acting on R^n;
-* ``pair``              -- the pair groupoid of a Euclidean space;
-* ``disjoint_union``    -- a tagged union of instances, no cross composition.
+* ``pair``              -- the pair groupoid of a Euclidean space.
 
-The structure maps of every kind but ``disjoint_union`` also take stacked
-arrows (see :class:`Groupoid`).  Every random draw is split in two, as in
+The structure maps of every kind also take stacked arrows (see
+:class:`Groupoid`).  Every random draw is split in two, as in
 :mod:`ginv.sampling`: ``base_noise``, ``arrow_noise`` and ``sample_noise``
 make the generator calls and return the raw noise (plain arrays for the
 algebra kinds), and ``base_at``, ``arrow_at`` and ``sample_at`` build the
@@ -112,24 +111,18 @@ class PairArrow(ExactEquality):
         _freeze_floats(self, "x", "y")
 
 
-@dataclass(frozen=True, eq=False)
-class TaggedArrow(ExactEquality):
-    index: int
-    inner: object
-
-
 # -- groupoid instances ---------------------------------------------------------
 
 
 class Groupoid:
     """Common interface; concrete kinds fill in the structure maps.
 
-    Every kind but ``disjoint_union`` also takes *stacked* arrows, ``N``
-    arrows held as one arrow of stacked elements or arrays, such as
-    ``arrow_at`` and ``sample_at`` build from stacked noise; base points
-    stack the same way, as ``base_at`` builds them.  Every structure map,
-    metric and membership check then works row by row, metrics return
-    ``(N,)`` arrays, and a check raises when any row fails.
+    Every kind also takes *stacked* arrows, ``N`` arrows held as one arrow
+    of stacked elements or arrays, such as ``arrow_at`` and ``sample_at``
+    build from stacked noise; base points stack the same way, as
+    ``base_at`` builds them.  Every structure map, metric and membership
+    check then works row by row, metrics return ``(N,)`` arrays, and a
+    check raises when any row fails.
     """
 
     kind: str = "abstract"
@@ -280,13 +273,6 @@ class Groupoid:
     def orbit_signature(self, x, tol: ToleranceConfig):
         """Complete orbit invariant of the base point ``x``."""
         raise NotImplementedError
-
-    def geometry_key(self, item) -> tuple:
-        """Everything the chart differential at the arrow ``item``, or the
-        base tangent space at the point ``item``, depends on: the class, its
-        defining parameters (every attribute but ``tol``) and ``item``."""
-        params = tuple(sorted((k, v) for k, v in vars(self).items() if k != "tol"))
-        return (type(self).__module__, type(self).__qualname__, params, item)
 
 
 def _idempotent_linearization(x: AlgebraElement) -> np.ndarray:
@@ -752,118 +738,6 @@ class PairGroupoid(Groupoid):
         return "all"
 
 
-class DisjointUnionGroupoid(Groupoid):
-    """Disjoint union of groupoids; composition never crosses components.
-
-    Its arrows do not stack, so :func:`verify_axioms` checks one chain per pass.
-    """
-
-    kind = "disjoint_union"
-    axiom_chunk = 1
-
-    def __init__(self, parts: Sequence[Groupoid], tol: ToleranceConfig = DEFAULT_TOL):
-        super().__init__(tol)
-        if not parts:
-            raise InputError("disjoint union needs at least one component")
-        self.parts = list(parts)
-
-    def _part(self, index: int) -> Groupoid:
-        if not 0 <= index < len(self.parts):
-            raise InputError(f"component index {index} out of range")
-        return self.parts[index]
-
-    def source(self, g: TaggedArrow):
-        return (g.index, self._part(g.index).source(g.inner))
-
-    def target(self, g: TaggedArrow):
-        return (g.index, self._part(g.index).target(g.inner))
-
-    def compose(self, g1: TaggedArrow, g2: TaggedArrow) -> TaggedArrow:
-        if g1.index != g2.index:
-            raise CompositionError(
-                float("inf"), "arrows live in different components of the union"
-            )
-        return TaggedArrow(g1.index, self._part(g1.index).compose(g1.inner, g2.inner))
-
-    def invert(self, g: TaggedArrow) -> TaggedArrow:
-        return TaggedArrow(g.index, self._part(g.index).invert(g.inner))
-
-    def identity_at(self, x) -> TaggedArrow:
-        index, point = x
-        return TaggedArrow(index, self._part(index).identity_at(point))
-
-    def validate_arrow(self, g):
-        if not isinstance(g, TaggedArrow):
-            raise InputError(f"foreign arrow of type {type(g).__name__}")
-        self._part(g.index).validate_arrow(g.inner)
-
-    def base_membership_residual(self, x) -> float:
-        index, point = x
-        return self._part(index).base_membership_residual(point)
-
-    def check_base(self, x):
-        index, point = x
-        self._part(index).check_base(point)
-
-    def base_distance(self, x, y) -> float:
-        if x[0] != y[0]:
-            return float("inf")
-        return self._part(x[0]).base_distance(x[1], y[1])
-
-    def arrow_distance(self, g1, g2) -> float:
-        if g1.index != g2.index:
-            return float("inf")
-        return self._part(g1.index).arrow_distance(g1.inner, g2.inner)
-
-    def arrow_scale(self, g) -> float:
-        return self._part(g.index).arrow_scale(g.inner)
-
-    def base_noise(self, rng):
-        index = int(rng.integers(0, len(self.parts)))
-        return (index, self.parts[index].sample_base_point(rng))
-
-    def sample_noise(self, rng) -> tuple:
-        """``(index, noise)``: a component and the noise of its arrow."""
-        index = int(rng.integers(0, len(self.parts)))
-        return index, self.parts[index].sample_noise(rng)
-
-    def sample_at(self, noise: tuple) -> TaggedArrow:
-        index, inner = noise
-        return TaggedArrow(index, self._part(index).sample_at(inner))
-
-    def arrow_from(self, x, rng) -> TaggedArrow:
-        index, point = x
-        return TaggedArrow(index, self._part(index).arrow_from(point, rng))
-
-    def arrow_at(self, x, noise: tuple) -> TaggedArrow:
-        index, point = x
-        return TaggedArrow(index, self._part(index).arrow_at(point, noise))
-
-    def chain_noise(self, rng) -> tuple:
-        """As for any kind, with arrow noise from the base point's component."""
-        x = self.base_noise(rng)
-        part = self.parts[x[0]]
-        return (x, *part.arrow_noises(rng, 3), self.sample_noise(rng))
-
-    def chart_differential(self, g: TaggedArrow):
-        return self._part(g.index).chart_differential(g.inner)
-
-    def tangent_vector(self, g: TaggedArrow, coords):
-        return self._part(g.index).tangent_vector(g.inner, coords)
-
-    def base_tangent_system(self, x):
-        index, point = x
-        return self._part(index).base_tangent_system(point)
-
-    def orbit_signature(self, x, tol):
-        index, point = x
-        return (index, self._part(index).orbit_signature(point, tol))
-
-    def geometry_key(self, item) -> tuple:
-        index, inner = (item.index, item.inner) if isinstance(item, TaggedArrow) else item
-        return self._part(index).geometry_key(inner)
-
-
 def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Groupoid:
     """Factory keyed on the instance kind; configuration is kind-specific."""
     if kind == "ginv":
@@ -877,8 +751,6 @@ def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Gr
             config.get("dim", 3), tol,
             pool_size=config.get("pool_size"), pool_seed=config.get("pool_seed", 0),
         )
-    if kind == "disjoint_union":
-        return DisjointUnionGroupoid(config["parts"], tol)
     raise InputError(f"unknown groupoid kind {kind!r}")
 
 

@@ -26,14 +26,7 @@ from .geninv import (
     newton_schulz,
     penrose_residuals,
 )
-from .geometry import (
-    fiber_and_anchor,
-    isotropy_tangent_dim,
-    orbit_decompose,
-    orbit_signature,
-    submersion_rank_st,
-    tangent_basis,
-)
+from .geometry import at, orbit_decompose, orbit_signature
 from .groupoid import (
     ActionGroupoid,
     GInvArrow,
@@ -269,20 +262,19 @@ def check_dimension_identities(tol: ToleranceConfig, seed: int) -> CheckRecord:
         for r in range(n + 1):
             q = sampling.random_idempotent(rng, (n,), ranks=(r,))
             p = sampling.random_projection(rng, (n,), ranks=(r,))
-            dim_q = tangent_basis("Q", q, tol).real_dim
-            dim_p = tangent_basis("P", p, tol).real_dim
+            at_q, at_p = at(Gq, q, tol), at(Gp, p, tol)
+            dim_q, dim_p = at_q.tangent.real_dim, at_p.tangent.real_dim
             if dim_q != 4 * r * (n - r):
                 failures.append(f"dim T(Q) at n={n} r={r}: {dim_q} != {4*r*(n-r)}")
             if dim_p != 2 * r * (n - r):
                 failures.append(f"dim T(P) at n={n} r={r}: {dim_p} != {2*r*(n-r)}")
-            for G, x, dim_base in ((Gq, q, dim_q), (Gp, p, dim_p)):
-                data = fiber_and_anchor(G, x, tol)
-                iso = isotropy_tangent_dim(G, x, tol)
+            for point, dim_base in ((at_q, dim_q), (at_p, dim_p)):
+                data, iso, kind = point.anchor, point.isotropy_dim, point.groupoid.kind
                 if data.anchor_rank != dim_base:
-                    failures.append(f"{G.kind} anchor rank {data.anchor_rank} != {dim_base}")
+                    failures.append(f"{kind} anchor rank {data.anchor_rank} != {dim_base}")
                 if data.fiber_basis.real_dim - data.anchor_rank != iso:
                     failures.append(
-                        f"{G.kind} fiber {data.fiber_basis.real_dim} - anchor "
+                        f"{kind} fiber {data.fiber_basis.real_dim} - anchor "
                         f"{data.anchor_rank} != isotropy {iso}"
                     )
     return _record(
@@ -300,8 +292,8 @@ def check_isotropy_groups(tol: ToleranceConfig, seed: int) -> CheckRecord:
     failures = []
     for n in (2, 3):
         one = AlgebraElement.identity((n,))
-        d_ginv = isotropy_tangent_dim(GInvGroupoid((n,), tol), one, tol)
-        d_iso = isotropy_tangent_dim(PartialIsometryGroupoid((n,), tol), one, tol)
+        d_ginv = at(GInvGroupoid((n,), tol), one, tol).isotropy_dim
+        d_iso = at(PartialIsometryGroupoid((n,), tol), one, tol).isotropy_dim
         if d_ginv != 2 * n * n:
             failures.append(f"ginv isotropy at unit, n={n}: {d_ginv} != {2*n*n}")
         if d_iso != n * n:
@@ -322,14 +314,14 @@ def check_transitivity_counterexample(tol: ToleranceConfig, seed: int) -> CheckR
     failures = []
     for n in (1, 2, 3):
         G = ActionGroupoid(n, tol)
-        at_zero = fiber_and_anchor(G, np.zeros(n), tol)
+        at_zero = at(G, np.zeros(n), tol).anchor
         if at_zero.anchor_rank != 0:
             failures.append(f"n={n}: anchor rank {at_zero.anchor_rank} at 0, expected 0")
         for _ in range(20):
             x = rng.standard_normal(n)
             while np.linalg.norm(x) < 1e-3:
                 x = rng.standard_normal(n)
-            rank = fiber_and_anchor(G, x, tol).anchor_rank
+            rank = at(G, x, tol).anchor.anchor_rank
             if rank != n:
                 failures.append(f"n={n}: anchor rank {rank} at nonzero point, expected {n}")
     return _record(

@@ -383,16 +383,22 @@ def answer_bytes(data, submersion, tangent, iso):
             data.fiber_basis.coords.tobytes(), *submersion, tangent.coords.tobytes(), iso)
 
 
-def empty_memos(monkeypatch):
-    """Replace the geometry memos by empty ones of the same sizes."""
-    for name in ("_LINEARIZATION", "_BASE_TANGENT"):
-        monkeypatch.setattr(geometry, name, geometry._LastResult(getattr(geometry, name).size))
+def empty_holder(monkeypatch):
+    """Let :func:`geometry.at` hold no point."""
+    monkeypatch.setattr(geometry, "_HELD", None)
+
+
+def alone(monkeypatch, step, G, x):
+    """``step(G, x)`` with no point held before it."""
+    empty_holder(monkeypatch)
+    return step(G, x)
 
 
 @pytest.fixture
-def fresh_memos(monkeypatch):
-    """Empty geometry memos, so that a test sees every computation it causes."""
-    empty_memos(monkeypatch)
+def nothing_held(monkeypatch):
+    """No point held by :func:`geometry.at`, so that a test sees every
+    computation it causes."""
+    empty_holder(monkeypatch)
 
 
 def spy(monkeypatch, cls, name):
@@ -408,9 +414,10 @@ def spy(monkeypatch, cls, name):
     return calls
 
 
-class TestOneEntryReuse:
-    """The linearization and the base tangent bases are reused across the
-    calls at one point, and no answer depends on what was called before."""
+class TestPointReuse:
+    """One :class:`geometry.PointGeometry` serves every answer at its point,
+    the free functions read the points :func:`geometry.at` holds, and no
+    answer depends on what was called before."""
 
     def points(self, rng):
         return [(GInvGroupoid((3,)), random_idempotent(rng, (3,), ranks=(1,))),
@@ -420,18 +427,24 @@ class TestOneEntryReuse:
     def test_answers_do_not_depend_on_call_history(self, rng, monkeypatch):
         cases = self.points(rng)
         in_order = [answer_bytes(*(step(G, x) for step in POINT_STEPS)) for G, x in cases]
-
-        def alone(step, G, x):
-            empty_memos(monkeypatch)
-            return step(G, x)
-
-        assert in_order == [answer_bytes(*(alone(step, G, x) for step in POINT_STEPS))
+        assert in_order == [answer_bytes(*(alone(monkeypatch, step, G, x) for step in POINT_STEPS))
                             for G, x in cases]
         # interleaved: every call at one point comes between calls at the others
         by_step = [[step(G, x) for G, x in cases] for step in POINT_STEPS]
         assert in_order == [answer_bytes(*results) for results in zip(*by_step)]
 
-    def test_one_chart_differential_per_point(self, rng, monkeypatch, fresh_memos):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_at_gives_the_answers_of_the_free_functions(self, workloads, monkeypatch, seed):
+        for p in workloads.geometry_points(seed):
+            G = point_instance(p)
+            free = answer_bytes(*(alone(monkeypatch, step, G, p.x) for step in POINT_STEPS))
+            empty_holder(monkeypatch)
+            point = geometry.at(G, p.x)
+            assert answer_bytes(point.anchor, point.submersion, point.tangent,
+                                point.isotropy_dim) == free, p
+            assert fiber_and_anchor(G, p.x) is point.anchor  # read from the held point
+
+    def test_one_chart_differential_per_point(self, rng, monkeypatch, nothing_held):
         G = GInvGroupoid((3,))
         built = spy(monkeypatch, GInvGroupoid, "chart_differential")
         for expected in (1, 2):
@@ -439,36 +452,79 @@ class TestOneEntryReuse:
             fiber_and_anchor(G, x)
             isotropy_tangent_dim(G, x)
             submersion_rank_st(G, G.identity_at(x))
+            tangent_basis("Q", x)
             assert len(built) == expected
 
-    def test_kinds_at_one_projection_share_no_entry(self, rng, monkeypatch, fresh_memos):
+    def test_at_holds_the_last_point(self, rng, nothing_held):
+        G = GInvGroupoid((2,))
+        x, y = (random_idempotent(rng, (2,), ranks=(1,)) for _ in range(2))
+        first = geometry.at(G, x)
+        twin = AlgebraElement.from_blocks([b.copy() for b in x.blocks])
+        assert geometry.at(GInvGroupoid((2,)), twin) is first  # equal values, other objects
+        second = geometry.at(G, y)
+        assert geometry.at(G, y) is second and geometry.at(G, x) is not first
+
+    def test_held_array_points_are_copies(self):
+        G = ActionGroupoid(2)
+        x = np.ones(2)
+        assert geometry.at(G, x).anchor.anchor_rank == 2
+        x[:] = 0.0  # the caller's array changes; the held point does not
+        assert geometry.at(G, x).anchor.anchor_rank == 0
+
+    def test_answers_are_built_once_and_the_object_is_frozen(self, rng, monkeypatch, nothing_held):
+        from dataclasses import FrozenInstanceError
+
+        G = GInvGroupoid((2,))
+        point = geometry.at(G, random_idempotent(rng, (2,), ranks=(1,)))
+        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        assert point.anchor is point.anchor and point.tangent is point.tangent
+        assert point.isotropy_dim == point.isotropy_dim and point.submersion is point.submersion
+        assert len(built) == 1
+        with pytest.raises(FrozenInstanceError):
+            point.tol = DEFAULT_TOL
+
+    def test_off_identity_arrows_are_not_held(self, rng, monkeypatch, nothing_held):
+        G = GInvGroupoid((2,))
+        x = random_idempotent(rng, (2,), ranks=(1,))
+        point = geometry.at(G, x)
+        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        g = G.arrow_from(x, rng)
+        first = submersion_rank_st(G, g)
+        assert submersion_rank_st(G, g) == first
+        assert len(built) == 2  # linearized at g each time
+        assert geometry._HELD is point
+        with pytest.raises(PreconditionError):  # not a base point: nothing is held
+            geometry.at(G, mat([[1, 1], [1, 1]]))
+        assert geometry._HELD is point
+
+    def test_parameters_of_one_kind_share_no_entry(self, rng, monkeypatch, nothing_held):
+        from ginv.linalg import ToleranceConfig
+
+        x = rng.standard_normal(2)
+        built = [spy(monkeypatch, cls, "chart_differential")
+                 for cls in (ActionGroupoid, PairGroupoid)]
+        assert fiber_and_anchor(ActionGroupoid(2), x).fiber_basis.real_dim == 4  # GL(2)
+        fiber_and_anchor(ActionGroupoid(2), x.copy())  # equal parameters and point do share it
+        assert fiber_and_anchor(PairGroupoid(2), x).fiber_basis.real_dim == 2
+        assert [len(c) for c in built] == [1, 1]
+        coarse = ToleranceConfig(rank_cutoff_factor=1e-6)
+        fiber_and_anchor(ActionGroupoid(2, coarse), x)  # a groupoid parameter, not the call's tol
+        assert [len(c) for c in built] == [2, 1]
+
+    def test_kinds_at_one_projection_share_no_entry(self, rng, monkeypatch, nothing_held):
         p = random_projection(rng, (3,), ranks=(1,))
         built = [spy(monkeypatch, cls, "chart_differential")
                  for cls in (GInvGroupoid, PartialIsometryGroupoid)]
         solved = [spy(monkeypatch, cls, "base_tangent")
                   for cls in (GInvGroupoid, PartialIsometryGroupoid)]
         assert fiber_and_anchor(GInvGroupoid((3,)), p).anchor_rank == 8
+        assert tangent_basis("Q", p).real_dim == 8
         assert fiber_and_anchor(PartialIsometryGroupoid((3,)), p).anchor_rank == 4
-        assert tangent_basis("Q", p).real_dim == 8 and tangent_basis("P", p).real_dim == 4
+        assert tangent_basis("P", p).real_dim == 4
         assert [len(c) for c in built] == [1, 1]
         assert [len(c) for c in solved] == [1, 1]  # each kind's basis at p, solved once
 
-    def test_unions_with_different_parts_share_no_entry(self, rng, monkeypatch, fresh_memos):
-        from ginv.groupoid import DisjointUnionGroupoid
-
-        x = rng.standard_normal(2)
-        action = DisjointUnionGroupoid([ActionGroupoid(2)])
-        pair = DisjointUnionGroupoid([PairGroupoid(2)])
-        built = [spy(monkeypatch, cls, "chart_differential")
-                 for cls in (ActionGroupoid, PairGroupoid)]
-        assert fiber_and_anchor(action, (0, x)).fiber_basis.real_dim == 4  # GL(2)
-        assert fiber_and_anchor(pair, (0, x)).fiber_basis.real_dim == 2
-        assert [len(c) for c in built] == [1, 1]
-        # two unions of equal parts do share it: the key goes through the part
-        fiber_and_anchor(DisjointUnionGroupoid([PairGroupoid(2)]), (0, x))
-        assert [len(c) for c in built] == [1, 1]
-
-    def test_tolerances_share_no_base_tangent(self, rng, monkeypatch, fresh_memos):
+    def test_tolerances_share_no_base_tangent(self, rng, monkeypatch, nothing_held):
         from ginv.linalg import ToleranceConfig
 
         q = random_idempotent(rng, (2,), ranks=(1,))
@@ -476,8 +532,24 @@ class TestOneEntryReuse:
         coarse = ToleranceConfig(rank_cutoff_factor=0.1)
         assert tangent_basis("Q", q).real_dim == 4
         assert tangent_basis("Q", q, coarse).real_dim == 4
-        assert tangent_basis("Q", q).real_dim == 4  # still held beside the coarse entry
-        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse]
+        assert tangent_basis("Q", q, coarse).real_dim == 4  # held
+        assert tangent_basis("Q", q).real_dim == 4  # the coarse entry took its place
+        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse, DEFAULT_TOL]
+
+    def test_equal_ends_are_ranked_once(self, rng, monkeypatch, nothing_held):
+        # p* p and p p* are equal bit for bit only where p is Hermitian bit for bit
+        p = random_projection(rng, (3,), ranks=(1,))
+        p = 0.5 * (p + p.adjoint())
+        for G, x, dims in ((GInvGroupoid((3,)), random_idempotent(rng, (3,), ranks=(1,)), 16),
+                           (PartialIsometryGroupoid((3,)), p, 8)):
+            ranked = spy(monkeypatch, type(G), "base_tangent_system")
+            assert submersion_rank_st(G, G.identity_at(x)) == (dims, dims)
+            assert len(ranked) == 1
+            submersion_rank_st(G, G.arrow_from(x, rng))
+            assert len(ranked) == 3  # at the source and at the target
+            empty_holder(monkeypatch)
+            assert geometry.at(G, x).submersion == submersion_rank_st(G, G.identity_at(x))
+            assert len(ranked) == 4
 
     def test_returned_arrays_are_read_only(self, rng):
         G = GInvGroupoid((2,))
@@ -488,6 +560,18 @@ class TestOneEntryReuse:
                 m[0, 0] = 1.0
         # the second call is a hit and hands out the same, unchanged answer
         assert fiber_and_anchor(G, q).anchor_matrix.tobytes() == data.anchor_matrix.tobytes()
+
+    def test_a_basis_alone_builds_no_identity_arrow(self, monkeypatch, nothing_held):
+        # |x x - x| = 1.9e-8 passes the idempotent bound of classify, 2e-8 at |x| = 1,
+        # but |x x x - x| = 3.8e-8 fails the reflexivity bound of the identity arrow
+        x = mat([[1 + 1.9e-8, 0], [0, 0]])
+        built = spy(monkeypatch, GInvGroupoid, "identity_at")
+        tangent_basis("Q", x)
+        assert built == []
+        for _ in range(2):  # a hit raises again
+            with pytest.raises(PreconditionError):
+                fiber_and_anchor(GInvGroupoid((2,)), x)
+        assert geometry._HELD.point is x
 
     def test_checks_still_run_after_a_hit(self, rng):
         G = PartialIsometryGroupoid((2,))
@@ -561,7 +645,7 @@ class TestFactoredOnce:
             if x is not None:
                 assert isotropy_tangent_dim(G, x) == iso, g
 
-    def test_seed_0_pass_solves_and_factors(self, workloads, monkeypatch, fresh_memos):
+    def test_seed_0_pass_solves_and_factors(self, workloads, monkeypatch, nothing_held):
         import hashlib
         from collections import Counter
 
@@ -603,17 +687,6 @@ class TestFactoredOnce:
                 j_st.add(digest(np.vstack([j_s, j_t])))
         assert len(j_st) > 40 and not any(factored[d] for d in j_st)
         assert len(want) > 40 and {d: factored[d] for d in want} == want
-
-    def test_memo_keeps_the_last_keys(self):
-        memo, computed = geometry._LastResult(3), []
-
-        def compute(key):
-            computed.append(key)
-            return key.upper()
-
-        for key in (b"x", b"s", b"t", b"x", b"s", b"y", b"x", b"t"):
-            assert memo.get(key, lambda: compute(key)) == key.upper()
-        assert computed == [b"x", b"s", b"t", b"y", b"x"]
 
 
 class TestVectorsOnDemand:

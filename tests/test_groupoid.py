@@ -10,7 +10,6 @@ from ginv.geninv import GInvPair, is_ginv_pair, mp_pair, sample_ginv_pairs
 from ginv.groupoid import (
     ActionArrow,
     ActionGroupoid,
-    DisjointUnionGroupoid,
     GInvArrow,
     GInvGroupoid,
     Groupoid,
@@ -18,7 +17,6 @@ from ginv.groupoid import (
     PairArrow,
     PairGroupoid,
     PartialIsometryGroupoid,
-    TaggedArrow,
     isometry_to_ginv,
     _build_chain,
     make_groupoid,
@@ -44,6 +42,14 @@ E11, E12, E21 = mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]), mat([[0, 0], [1, 0
 class TestGInvInstance:
     def setup_method(self):
         self.G = GInvGroupoid((2,))
+
+    def test_check_base_scales_by_the_norm(self):
+        # |x x - x| = 1e-6 passes the ginv bound, scaled by |x|^2 = 1e8
+        x = mat([[1, 1e4], [1e-10, 0]])
+        self.G.check_base(x)
+        assert self.G.base_membership_residual(x) > 2 * self.G.tol.residual_tol
+        with pytest.raises(InputError):  # the same residual at |x| about 1
+            self.G.check_base(mat([[1 + 1e-6, 0], [0, 0]]))
 
     def test_source_target_of_skew_pair(self):
         g = GInvArrow(GInvPair.create(mat([[1, 0], [0, 0]]), mat([[1, 0], [1, 0]])))
@@ -188,35 +194,6 @@ class TestPairInstance:
         b = PairGroupoid(2, pool_size=5)
         rng = np.random.default_rng(0)
         assert np.allclose(a.sample_base_point(rng), b.sample_base_point(np.random.default_rng(0)))
-
-
-class TestDisjointUnion:
-    def setup_method(self):
-        self.G = DisjointUnionGroupoid([PairGroupoid(1), ActionGroupoid(1)])
-
-    def test_within_component(self):
-        g1 = self.G.arrow_from((0, np.array([0.5])), np.random.default_rng(0))
-        assert self.G.source(g1)[0] == 0
-
-    def test_cross_component_composition_fails(self):
-        rng = np.random.default_rng(0)
-        g0 = self.G.arrow_from((0, np.array([0.5])), rng)
-        g1 = self.G.arrow_from((1, np.array([0.5])), rng)
-        with pytest.raises(CompositionError):
-            self.G.compose(g0, g1)
-
-    def test_axioms(self):
-        rep = verify_axioms(self.G, seed=2, n_samples=40)
-        assert rep.all_passed
-
-    def test_check_base_takes_the_part_threshold(self):
-        # |x x - x| = 1e-6 passes the ginv bound, scaled by |x|^2 = 1e8, alone
-        x = mat([[1, 1e4], [1e-10, 0]])
-        G = DisjointUnionGroupoid([GInvGroupoid((2,))])
-        G.parts[0].check_base(x)
-        G.check_base((0, x))
-        with pytest.raises(InputError):  # the unscaled bound of the base class
-            Groupoid.check_base(G, (0, x))
 
 
 class TestMorphism:
@@ -628,8 +605,6 @@ class TestStackedAxioms:
 
 def arrow_bytes(g, row=None):
     """The bytes of every array of an arrow (of one row of a stack)."""
-    if isinstance(g, TaggedArrow):
-        return [g.index, *arrow_bytes(g.inner, row)]
     if isinstance(g, GInvArrow):
         arrays = g.pair.a.blocks + g.pair.b.blocks
     elif isinstance(g, IsometryArrow):
@@ -650,10 +625,6 @@ STACKED_KINDS = [
 ]
 
 
-def two_part_union(_):
-    return DisjointUnionGroupoid([GInvGroupoid((2,)), ActionGroupoid(2)])
-
-
 class TestStackedDraws:
     @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_arrow_at_on_stacks_equals_each_arrow_from(self, cls, shape):
@@ -668,8 +639,7 @@ class TestStackedDraws:
         for i, g in enumerate(singles):
             assert arrow_bytes(stacked, i) == arrow_bytes(g)
 
-    @pytest.mark.parametrize("cls, shape", STACKED_KINDS + [
-        pytest.param(two_part_union, None, id="disjoint_union")])
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_draw_chains_match_single_draws_and_generator_state(self, cls, shape):
         G = cls(shape)
         rng, lazy_rng = np.random.default_rng(4), np.random.default_rng(4)
@@ -679,13 +649,10 @@ class TestStackedDraws:
         for noise, chain in zip(noises, lazy):
             assert [arrow_bytes(g) for g in _build_chain(G, noise)] == [
                 arrow_bytes(g) for g in chain]
-        if G.axiom_chunk > 1:
-            stacked = _build_chain(G, stack_rows(noises))
-            for i, chain in enumerate(lazy):
-                for stacked_arrow, g in zip(stacked, chain):
-                    assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
-        else:  # the draws reach both components
-            assert {g.index for chain in lazy for g in chain[::3]} == {0, 1}
+        stacked = _build_chain(G, stack_rows(noises))
+        for i, chain in enumerate(lazy):
+            for stacked_arrow, g in zip(stacked, chain):
+                assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
 
 
 class TestArrowEquality:
@@ -709,7 +676,7 @@ class TestArrowEquality:
             with pytest.raises(TypeError):
                 hash(g)
         assert draw(0) != draw(0, 4) and draw(0, 4) != draw(0, 5)
-        assert draw(0) != TaggedArrow(0, draw(0)) and draw(0) != "arrow"
+        assert draw(0) != "arrow"
 
     def test_exact_values(self):
         point = np.ones(2)
@@ -724,9 +691,7 @@ class TestArrowEquality:
         assert GInvArrow(pair) != GInvArrow(GInvPair(e, e, pair.residual_aba + 1.0,
                                                     pair.residual_bab))
         assert IsometryArrow(e) == IsometryArrow(mat([[1, 0], [0, 0]]))
-        assert TaggedArrow(1, PairArrow(point, point)) == TaggedArrow(1, PairArrow(point, point))
-        assert TaggedArrow(1, PairArrow(point, point)) != TaggedArrow(0, PairArrow(point, point))
-        for arrow in (GInvArrow(pair), IsometryArrow(e), TaggedArrow(0, IsometryArrow(e))):
+        for arrow in (GInvArrow(pair), IsometryArrow(e)):
             with pytest.raises(TypeError):
                 hash(arrow)
 
@@ -809,24 +774,20 @@ class TestRawNoise:
         rng = np.random.default_rng(0)
         assert not any(holds_element(G.chain_noise(rng)) for _ in range(8))
 
-    @pytest.mark.parametrize("cls, shape", STACKED_KINDS + [
-        pytest.param(two_part_union, None, id="disjoint_union")])
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_base_at_of_base_noise_is_sample_base_point(self, cls, shape):
         G = cls(shape)
         rng, reference = np.random.default_rng(2), np.random.default_rng(2)
         noises = [G.base_noise(rng) for _ in range(6)]
         points = [G.sample_base_point(reference) for _ in range(6)]
         assert rng.bit_generator.state == reference.bit_generator.state
-        if G.axiom_chunk > 1:
-            stacked = G.base_at(stack_rows([(x,) for x in noises])[0])
+        stacked = G.base_at(stack_rows([(x,) for x in noises])[0])
         for i, (noise, x) in enumerate(zip(noises, points)):
             if isinstance(x, AlgebraElement):
                 assert G.base_at(noise) == x
                 assert [b[i].tobytes() for b in stacked.blocks] == [b.tobytes() for b in x.blocks]
-            elif G.axiom_chunk > 1:
-                assert np.array_equal(G.base_at(noise), x) and stacked[i].tobytes() == x.tobytes()
             else:
-                assert G.base_at(noise) is noise and noise[0] == x[0]
+                assert np.array_equal(G.base_at(noise), x) and stacked[i].tobytes() == x.tobytes()
 
 
 class TestLooseDraws:
