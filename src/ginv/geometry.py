@@ -12,6 +12,20 @@ a rank or a dimension and therefore chart-independent.  Each rank decision
 on a piece of a chart differential uses the one relative cutoff, measured
 against the norm of the whole differential.
 
+Each kind builds its differentials in its own coordinates, and they are
+factored as they are.  ``ginv`` is built from products in a complex
+algebra, so its chart, source and target differentials and its base
+tangent system are complex matrices, half the rows and half the columns
+of their real matrices.  ``partial_isometry`` involves the adjoint, so its
+differentials are real; its chart is taken over Hermitian elements, in an
+orthonormal real basis of them (:func:`~ginv.linalg.hermitian_basis`), as
+is its base tangent system.  Dimensions count real dimensions throughout: a
+complex singular value counts as two, decided at the cutoff of the real
+matrix's shape (:func:`~ginv.linalg.map_rank_count`), so every ``ginv``
+decision is the one on the real matrix.  The public bases and the anchor
+matrix are real and orthonormal in the fixed coordinatization: a complex
+orthonormal basis ``V`` realifies to ``[V, iV]``.
+
 The source differential ``j_s`` and the target differential ``j_t`` are
 read through one singular value decomposition of ``j_s`` and one of
 ``j_t K``, the target differential on ``K = ker j_s``.  ``K`` spans the
@@ -53,9 +67,11 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     kernel_basis,
-    numerical_rank,
+    map_rank,
+    map_rank_count,
     orthonormal_range,
-    rank_from_singular_values,
+    real_degree,
+    realify,
 )
 from .reports import CheckRecord, ExperimentReport
 
@@ -133,11 +149,12 @@ class AnchorData:
 
 class _Linearization(NamedTuple):
     """What the answers at one arrow read, for one tolerance, read-only, in
-    the chart unless stated: the chart differential ``j_arrow``, the ambient
-    target differential ``dt``, the norm ``scale`` of the whole chart
-    differential ``[j_arrow; j_s; j_t]`` (the scale of every rank decision
-    on its pieces), the kernel ``source_kernel`` of the source differential
-    ``j_s``, the rank ``st_rank`` of the stacked source and target
+    the chart unless stated, and in the kind's own coordinates (complex for
+    ``ginv``): the chart differential ``j_arrow``, the ambient target
+    differential ``dt``, the norm ``scale`` of the whole chart differential
+    ``[j_arrow; j_s; j_t]`` (the scale of every rank decision on its
+    pieces), the kernel ``source_kernel`` of the source differential
+    ``j_s``, the real rank ``st_rank`` of the stacked source and target
     differentials ``[j_s; j_t]``, and their joint kernel ``joint_kernel``.
 
     With ``K = source_kernel``, ``[j_s; j_t]`` has rank
@@ -160,24 +177,39 @@ def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
     j_arrow, ds, dt = G.chart_differential(arrow)
     j_s, j_t = ds @ j_arrow, dt @ j_arrow
     # the top singular value of the stack, from the top eigenvalue of its Gram matrix
-    gram = j_arrow.T @ j_arrow + j_s.T @ j_s + j_t.T @ j_t
+    gram = sum(m.conj().T @ m for m in (j_arrow, j_s, j_t))
     scale = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
     k_source = kernel_basis(j_s, tol, scale)
-    # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff
-    _, t_singular, t_vh = np.linalg.svd(j_t @ k_source)
-    t_rank = rank_from_singular_values(
-        t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), tol, scale)
-    st_rank = j_s.shape[1] - k_source.shape[1] + t_rank
+    # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff;
+    # its kernel is read from the rows of V* past the rank, as in kernel_basis
+    j_tk = j_t @ k_source
+    _, t_singular, t_vh = np.linalg.svd(j_tk, full_matrices=j_tk.shape[0] < j_tk.shape[1])
+    degree = real_degree(j_s)
+    t_rank = map_rank_count(
+        t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), degree, tol, scale)
+    st_rank = degree * (j_s.shape[1] - k_source.shape[1] + t_rank)
     joint = k_source @ t_vh[t_rank:].conj().T
     j_arrow, dt, k_source, joint = map(_read_only, (j_arrow, dt, k_source, joint))
     return _Linearization(j_arrow, dt, scale, k_source, st_rank, joint)
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the base tangent space at ``x``: the nullity of the
-    kind's linear system, from its singular values alone."""
+    """Dimension of the base tangent space at ``x``: the real nullity of
+    the kind's linear system, from its singular values alone."""
     system = G.base_tangent_system(x)
-    return system.shape[1] - numerical_rank(system, tol)
+    return real_degree(system) * system.shape[1] - map_rank(system, tol)
+
+
+def _real_coords(basis: np.ndarray, x) -> np.ndarray:
+    """The columns of ``basis``, in ambient coordinates at the base point
+    ``x``, as a real orthonormal basis in the fixed coordinatization: a
+    real basis as it is; a complex one (the complex coordinates of
+    elements of ``x``'s shape, or of pairs of them) realified to
+    ``[V, iV]``."""
+    if not np.iscomplexobj(basis):
+        return basis
+    sizes = [n * n for n in x.shape]
+    return realify(basis, sizes * (len(basis) // sum(sizes)))
 
 
 def _submersion(G: Groupoid, g, st_rank: int, tol: ToleranceConfig) -> tuple:
@@ -225,12 +257,18 @@ class PointGeometry:
         return _linearization(self.groupoid, self.identity, self.tol)
 
     @functools.cached_property
+    def _tangent(self) -> np.ndarray:
+        """Orthonormal basis of the base tangent space at the point, in the
+        kind's ambient base coordinates."""
+        return _read_only(self.groupoid.base_tangent(self.point, self.tol))
+
+    @functools.cached_property
     def tangent(self) -> TangentBasis:
         """Orthonormal basis of the base tangent space at the point."""
         x = self.point
         to_vector = (functools.partial(AlgebraElement.from_real_coords, x.shape)
                      if isinstance(x, AlgebraElement) else np.array)
-        return TangentBasis(base_point=x, coords=self.groupoid.base_tangent(x, self.tol),
+        return TangentBasis(base_point=x, coords=_real_coords(self._tangent, x),
                             to_vector=to_vector)
 
     @functools.cached_property
@@ -241,23 +279,27 @@ class PointGeometry:
         The fiber tangent space is the image, under the chart differential,
         of the kernel of the source differential; the anchor matrix
         expresses the target differential on that basis against the
-        orthonormal basis :attr:`tangent`.
+        orthonormal basis :attr:`tangent`.  For a complex linearization
+        both bases realify to ``[V, iV]``, so the anchor matrix is the
+        realified ``[[Re C, -Im C], [Im C, Re C]]`` of the complex one ``C``.
         """
-        lin, tol = self._lin, self.tol
-        fiber_hat = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
-        anchor_matrix = self.tangent.coords.T @ (lin.dt @ fiber_hat)
-        basis = TangentBasis(base_point=self.point, coords=fiber_hat,
+        lin, tol, x = self._lin, self.tol, self.point
+        fiber = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
+        anchor = self._tangent.conj().T @ (lin.dt @ fiber)
+        rank = map_rank(anchor, tol, lin.scale)
+        basis = TangentBasis(base_point=x, coords=_real_coords(fiber, x),
                              to_vector=functools.partial(self.groupoid.tangent_vector,
                                                          self.identity))
-        return AnchorData(base_point=self.point, fiber_basis=basis, anchor_matrix=anchor_matrix,
-                          anchor_rank=numerical_rank(anchor_matrix, tol, lin.scale))
+        anchor_matrix = realify(anchor) if np.iscomplexobj(anchor) else anchor
+        return AnchorData(base_point=x, fiber_basis=basis, anchor_matrix=anchor_matrix,
+                          anchor_rank=rank)
 
     @functools.cached_property
     def isotropy_dim(self) -> int:
         """Dimension of the joint kernel of the source and target
         differentials at ``1_x``, measured in ambient arrow coordinates."""
         lin = self._lin
-        return numerical_rank(lin.j_arrow @ lin.joint_kernel, self.tol, lin.scale)
+        return map_rank(lin.j_arrow @ lin.joint_kernel, self.tol, lin.scale)
 
     @functools.cached_property
     def submersion(self) -> tuple:
@@ -295,8 +337,9 @@ def tangent_basis(
     """Tangent space of the idempotent manifold (``"Q"``) or the projection
     manifold (``"P"``) at ``x``.
 
-    Solves ``{v : xv + vx - v = 0}`` (plus ``v* = v`` for projections) as
-    the kernel of its exact real matrix; the returned basis is orthonormal.
+    Solves ``{v : xv + vx - v = 0}`` as the kernel of its exact matrix:
+    complex for idempotents, real over the Hermitian ``v`` for projections;
+    the returned basis is real and orthonormal.
     """
     if manifold not in ("Q", "P"):
         raise InputError("manifold must be 'Q' or 'P'")

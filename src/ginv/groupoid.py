@@ -51,7 +51,9 @@ from .linalg import (
     ToleranceConfig,
     adjoint_matrix,
     block_diag,
+    complex_sandwich_matrix,
     expm,
+    hermitian_basis,
     kernel_basis,
     numerical_rank,
     operator_norm,
@@ -243,10 +245,12 @@ class Groupoid:
         if mismatch is not None:
             raise CompositionError(mismatch)
 
-    # geometry, in the fixed real coordinates of arrows and base points
+    # geometry, in each kind's own coordinates of arrows and base points: the
+    # complex coordinates of elements for ginv, whose maps are complex-linear,
+    # and the fixed real coordinates for the other kinds
     def chart_differential(self, g):
-        """Exact differentials at the arrow ``g``, as real matrices
-        ``(j_arrow, ds, dt)``.
+        """Exact differentials at the arrow ``g``, as matrices
+        ``(j_arrow, ds, dt)``, all complex or all real.
 
         ``j_arrow`` is the differential at 0 of an exponential chart around
         ``g``: a smooth map from parameters onto a neighbourhood of ``g`` in
@@ -258,16 +262,17 @@ class Groupoid:
         raise NotImplementedError
 
     def tangent_vector(self, g, coords: np.ndarray):
-        """Structured arrow tangent vector at ``g`` from ambient arrow coordinates."""
+        """Structured arrow tangent vector at ``g`` from fixed real arrow coordinates."""
         raise NotImplementedError
 
     def base_tangent_system(self, x) -> np.ndarray:
-        """Real matrix of the linearized defining equations of the base at
-        ``x``, whose kernel is the base tangent space there."""
+        """Matrix of the linearized defining equations of the base at ``x``,
+        whose kernel is the base tangent space there."""
         raise NotImplementedError
 
     def base_tangent(self, x, tol: ToleranceConfig) -> np.ndarray:
-        """Orthonormal basis (columns) of the base tangent space at ``x``."""
+        """Orthonormal basis (columns) of the base tangent space at ``x``,
+        in ambient base coordinates."""
         return kernel_basis(self.base_tangent_system(x), tol)
 
     def orbit_signature(self, x, tol: ToleranceConfig):
@@ -275,16 +280,22 @@ class Groupoid:
         raise NotImplementedError
 
 
-def _idempotent_linearization(x: AlgebraElement) -> np.ndarray:
-    """Real matrix of ``v -> xv + vx - v``, whose kernel is the tangent space
-    of the idempotent manifold at ``x``."""
+def _idempotent_linearization(x: AlgebraElement, sandwich=complex_sandwich_matrix):
+    """Matrix of ``v -> xv + vx - v``, whose kernel is the tangent space of
+    the idempotent manifold at ``x``: complex, or real with
+    ``sandwich=sandwich_matrix``."""
     one = AlgebraElement.identity(x.shape).blocks
-    m = sandwich_matrix(x.blocks, one) + sandwich_matrix(one, x.blocks)
+    m = sandwich(x.blocks, one) + sandwich(one, x.blocks)
     return m - np.eye(m.shape[0])
 
 
 class GInvGroupoid(Groupoid):
-    """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra."""
+    """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra.
+
+    Its geometry is complex-linear: the chart, source and target
+    differentials and the base tangent system are complex matrices, on the
+    complex coordinates of an element (each block's entries row-major,
+    block by block) and of a pair (``a``'s, then ``b``'s)."""
 
     kind = "ginv"
 
@@ -399,13 +410,13 @@ class GInvGroupoid(Groupoid):
         self._check_structure(g)
         a, b = g.pair.a.blocks, g.pair.b.blocks
         one = AlgebraElement.identity(self.shape).blocks
+        sandwich = complex_sandwich_matrix
+        one_a, a_one, b_one, one_b = (sandwich(one, a), sandwich(a, one),
+                                      sandwich(b, one), sandwich(one, b))
         # chart (U, W) -> (e^U a e^W, e^-W b e^-U); at 0: (U a + a W, -W b - b U)
-        j_arrow = np.block([
-            [sandwich_matrix(one, a), sandwich_matrix(a, one)],
-            [-sandwich_matrix(b, one), -sandwich_matrix(one, b)],
-        ])
-        ds = np.hstack([sandwich_matrix(b, one), sandwich_matrix(one, a)])  # b dA + dB a
-        dt = np.hstack([sandwich_matrix(one, b), sandwich_matrix(a, one)])  # dA b + a dB
+        j_arrow = np.block([[one_a, a_one], [-b_one, -one_b]])
+        ds = np.hstack([b_one, one_a])  # b dA + dB a
+        dt = np.hstack([one_b, a_one])  # dA b + a dB
         return j_arrow, ds, dt
 
     def tangent_vector(self, g, coords):
@@ -428,7 +439,12 @@ def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
 
 
 class PartialIsometryGroupoid(Groupoid):
-    """Partial isometries over the orthogonal projections of the algebra."""
+    """Partial isometries over the orthogonal projections of the algebra.
+
+    Its geometry is real-linear only (it involves the adjoint), in the
+    fixed real coordinates.  The chart parameters and the base tangent
+    system run over the Hermitian elements, in the orthonormal basis
+    :func:`~ginv.linalg.hermitian_basis`."""
 
     kind = "partial_isometry"
 
@@ -516,12 +532,11 @@ class PartialIsometryGroupoid(Groupoid):
         self._check_structure(g)
         u, uh = g.u.blocks, g.u.adjoint().blocks
         one = AlgebraElement.identity(self.shape).blocks
-        adj = adjoint_matrix(self.shape)
-        hermitian_part = 0.5 * (np.eye(adj.shape[0]) + adj)
-        # chart (H1, H2) -> e^{iH1} u e^{iH2} over Hermitian parts; at 0: i(H1 u + u H2)
+        adj, hermitian = adjoint_matrix(self.shape), hermitian_basis(self.shape)
+        # chart (H1, H2) -> e^{iH1} u e^{iH2} over Hermitian H1, H2; at 0: i(H1 u + u H2)
         i_one, i_u = [1j * b for b in one], [1j * b for b in u]
-        j_arrow = np.hstack([sandwich_matrix(i_one, u) @ hermitian_part,
-                             sandwich_matrix(i_u, one) @ hermitian_part])
+        j_arrow = np.hstack([sandwich_matrix(i_one, u) @ hermitian,
+                             sandwich_matrix(i_u, one) @ hermitian])
         ds = sandwich_matrix(one, u) @ adj + sandwich_matrix(uh, one)  # du* u + u* du
         dt = sandwich_matrix(one, uh) + sandwich_matrix(u, one) @ adj  # du u* + u du*
         return j_arrow, ds, dt
@@ -530,8 +545,12 @@ class PartialIsometryGroupoid(Groupoid):
         return AlgebraElement.from_real_coords(self.shape, coords)
 
     def base_tangent_system(self, p):
-        adj = adjoint_matrix(self.shape)
-        return np.vstack([_idempotent_linearization(p), adj - np.eye(adj.shape[0])])
+        """``v -> pv + vp - v`` on Hermitian ``v``, whose kernel in the
+        Hermitian basis is the base tangent space."""
+        return _idempotent_linearization(p, sandwich_matrix) @ hermitian_basis(self.shape)
+
+    def base_tangent(self, p, tol):
+        return hermitian_basis(self.shape) @ super().base_tangent(p, tol)
 
     def orbit_signature(self, p, tol):
         return tuple(numerical_rank(b, tol) for b in p.blocks)

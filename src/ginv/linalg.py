@@ -5,11 +5,20 @@ decision for all rows of an ``(N, rows, cols)`` stack), the Euclidean norm
 of vectors or of the rows of an ``(N, n)`` stack, the matrix exponential
 of a matrix or of each matrix of a stack, joint kernel dimensions, the
 fixed real coordinatization of block matrices (of one matrix, or of each
-matrix of a stack along the last axes) and the exact real matrices of the
-linear maps ``X -> A X B`` and ``X -> X*`` in it, and a central-difference
-Jacobian kept as an independent reference.  Everything here is a pure
-function; matrices are plain ``numpy`` arrays of ``complex128`` (or
-``float64`` for real-coordinate work).
+matrix of a stack along the last axes), the matrices of the linear maps
+``X -> A X B`` (complex, and real in that coordinatization) and
+``X -> X*``, an orthonormal real basis of the Hermitian elements, and a
+central-difference Jacobian kept as an independent reference.  Everything
+here is a pure function; matrices are plain ``numpy`` arrays of
+``complex128`` (or ``float64`` for real-coordinate work).
+
+A matrix read as a linear map (:func:`map_rank`, :func:`kernel_basis`,
+:func:`orthonormal_range`) may be complex: it is then the complex-linear
+map, whose real matrix has twice its rows and columns and each of its
+singular values twice.  Each complex singular value counts as two real
+dimensions, decided at the cutoff of that real shape
+(:func:`map_rank_count`), so the decision is the one on the real matrix.
+Ranks of algebra blocks (:func:`numerical_rank`) count complex rank.
 """
 
 from __future__ import annotations
@@ -114,6 +123,35 @@ def numerical_rank(
     return rank_from_singular_values(s, m.shape, tol, scale)
 
 
+def real_degree(m: np.ndarray) -> int:
+    """The real dimensions that one column, or one singular value, of the
+    linear map ``m`` stands for: 2 for a complex ``m``, 1 for a real one."""
+    return 2 if np.iscomplexobj(m) else 1
+
+
+def map_rank_count(
+    s: np.ndarray, shape, degree: int, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
+) -> int:
+    """How many of the singular values ``s`` (descending) of a linear map's
+    matrix count toward its rank; the matrix has ``shape`` and
+    :func:`real_degree` ``degree``; ``scale`` as in :func:`numerical_rank`.
+
+    A complex matrix (degree 2) is a complex-linear map.  Its real matrix
+    has twice the rows and twice the columns, and each of its singular
+    values twice, so every value is decided at the cutoff of that real
+    shape, and each one counted stands for ``degree`` real dimensions.  The
+    one place that rule lives.
+    """
+    return rank_from_singular_values(s, (degree * shape[0], degree * shape[1]), tol, scale)
+
+
+def map_rank(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0) -> int:
+    """Real rank of the linear map ``m``, real or complex (see
+    :func:`map_rank_count`); ``scale`` as in :func:`numerical_rank`."""
+    degree = real_degree(m)
+    return degree * map_rank_count(singular_values(m), m.shape, degree, tol, scale)
+
+
 def operator_norm(m: np.ndarray):
     """Largest singular value; an ``(N,)`` array of them for an
     ``(N, rows, cols)`` stack, row ``i`` bit for bit that of matrix ``i``."""
@@ -185,8 +223,9 @@ def vector_norm(x: np.ndarray):
 def kernel_basis(
     m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a real matrix;
-    ``scale`` as in :func:`numerical_rank`.
+    """Orthonormal basis (columns, of ``m``'s dtype) of the numerical
+    kernel of the linear map ``m``, real or complex, decided as in
+    :func:`map_rank_count`; ``scale`` as in :func:`numerical_rank`.
 
     The kernel is read from the rows of ``V*`` past the rank, so a wide
     matrix needs all of them; a tall one has them all in its thin factors
@@ -194,21 +233,22 @@ def kernel_basis(
     m = ensure_finite(m)
     rows, cols = m.shape
     if m.size == 0:
-        return np.eye(cols)
+        return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    return vh[rank_from_singular_values(s, m.shape, tol, scale):].conj().T
+    return vh[map_rank_count(s, m.shape, real_degree(m), tol, scale):].conj().T
 
 
 def orthonormal_range(
     m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space of a real
-    matrix; ``scale`` as in :func:`numerical_rank`."""
+    """Orthonormal basis (columns, of ``m``'s dtype) of the numerical
+    column space of the linear map ``m``, real or complex, decided as in
+    :func:`map_rank_count`; ``scale`` as in :func:`numerical_rank`."""
     m = ensure_finite(m)
     if m.size == 0:
-        return np.zeros((m.shape[0], 0))
+        return np.zeros((m.shape[0], 0), dtype=m.dtype)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : rank_from_singular_values(s, m.shape, tol, scale)]
+    return u[:, : map_rank_count(s, m.shape, real_degree(m), tol, scale)]
 
 
 def finite_diff_jacobian(
@@ -301,6 +341,52 @@ def block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def realify(m: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
+    """The real matrix ``[[Re m, -Im m], [Im m, Re m]]`` of the complex
+    ``m``: its columns are the real coordinates of the columns of ``m`` and
+    then of those of ``i m``, so an orthonormal complex basis ``V`` gives
+    the orthonormal real basis ``[V, iV]`` of the same space.
+
+    With ``sizes``, the rows of ``m`` are complex coordinates on a direct
+    sum of pieces of ``sizes`` entries each, and those of the result are
+    their fixed real coordinates: each piece's real parts, then its
+    imaginary parts.  Without, all real parts come first, then all
+    imaginary parts.
+    """
+    re, im = m.real, m.imag
+    cols = m.shape[1]
+    out = np.empty((2 * m.shape[0], 2 * cols))
+    at = 0
+    for n in (m.shape[0],) if sizes is None else sizes:
+        piece = slice(at, at + n)
+        real_rows, imag_rows = slice(2 * at, 2 * at + n), slice(2 * at + n, 2 * (at + n))
+        out[real_rows, :cols] = out[imag_rows, cols:] = re[piece]
+        out[imag_rows, :cols] = im[piece]
+        np.negative(im[piece], out=out[real_rows, cols:])
+        at += n
+    return out
+
+
+def _krons(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> list:
+    """``kron(A, B^T)`` for each block's ``A`` and ``B``."""
+    krons = []
+    for a, b in zip(left, right):
+        a, bt = np.asarray(a), np.transpose(b)
+        k = np.multiply(a[:, None, :, None], bt[None, :, None, :])  # the entries of kron(a, bt)
+        krons.append(k.reshape(a.shape[0] * bt.shape[0], a.shape[1] * bt.shape[1]))
+    return krons
+
+
+def complex_sandwich_matrix(
+    left: Sequence[np.ndarray], right: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Complex matrix of ``X -> A X B`` on a direct sum of square blocks, in
+    complex coordinates (each block's entries row-major, block by block):
+    ``kron(A, B^T)`` of each block on the block diagonal.  ``left`` and
+    ``right`` hold one ``A`` and one ``B`` per block."""
+    return block_diag(*_krons(left, right))
+
+
 def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
     """Real matrix of ``X -> A X B`` on a direct sum of square blocks.
 
@@ -310,11 +396,7 @@ def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> 
     ``[[K.real, -K.imag], [K.imag, K.real]]``; each block's is written
     straight into its place on the diagonal.
     """
-    krons = []
-    for a, b in zip(left, right):
-        a, bt = np.asarray(a), np.transpose(b)
-        k = np.multiply(a[:, None, :, None], bt[None, :, None, :])  # the entries of kron(a, bt)
-        krons.append(k.reshape(a.shape[0] * bt.shape[0], a.shape[1] * bt.shape[1]))
+    krons = _krons(left, right)
     rows, cols = 2 * sum(k.shape[0] for k in krons), 2 * sum(k.shape[1] for k in krons)
     out = np.zeros((rows, cols), dtype=np.result_type(*(k.real for k in krons)))
     r = c = 0
@@ -334,3 +416,25 @@ def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:
         transpose = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
         mats.append(block_diag(transpose, -transpose))
     return block_diag(*mats)
+
+
+def hermitian_basis(sizes: Sequence[int]) -> np.ndarray:
+    """Orthonormal real basis (columns) of the Hermitian elements of a
+    direct sum of square blocks of the given sizes, in the fixed
+    coordinatization: per block ``E_kk`` for each ``k``, then
+    ``(E_kl + E_lk) / sqrt 2`` and then ``i (E_kl - E_lk) / sqrt 2`` for each
+    ``k < l``; ``sum(n * n)`` columns in all."""
+    dims = [n * n for n in sizes]
+    out = np.zeros((2 * sum(dims), sum(dims)))
+    r = c = 0
+    for n, d in zip(sizes, dims):
+        k, l = np.divmod(np.arange(d), n)  # entry (k, l) sits at row-major position k n + l
+        k, l = k[k < l], l[k < l]
+        diag, sym, anti = np.arange(n), n + np.arange(len(k)), n + len(k) + np.arange(len(k))
+        block = out[r:r + 2 * d, c:c + d]  # real parts in the first d rows, imaginary after
+        block[diag * (n + 1), diag] = 1.0
+        block[k * n + l, sym] = block[l * n + k, sym] = np.sqrt(0.5)
+        block[d + k * n + l, anti] = np.sqrt(0.5)
+        block[d + l * n + k, anti] = -np.sqrt(0.5)
+        r, c = r + 2 * d, c + d
+    return out

@@ -22,9 +22,13 @@ A path is fitted once: one spline through the real coordinates of its
 bases and lifts side by side, which gives the base velocity and, at the
 query times of a time change, both resampled curves.  The fit treats each
 coordinate column on its own, so a column's values are bit for bit those
-of a spline through that column alone.  The splines
-(``scipy.interpolate``) and the Schur form behind the principal logarithm
-(``scipy.linalg``) are imported by the functions that call them.
+of a spline through that column alone.  A path keeps its sample grid's
+knots and the banded LU factors of the grid's collocation matrix, and a
+time change fits ``phi`` and its new path, on the same grid, with those
+factors: each fit is one banded solve.  The splines
+(``scipy.interpolate``), the banded LAPACK solvers and the Schur form
+behind the principal logarithm (``scipy.linalg``) are imported by the
+functions that call them.
 """
 
 from __future__ import annotations
@@ -51,11 +55,44 @@ _LEG_INTERVALS = 256
 _SPLINE_DEGREE = 5
 
 
-def _spline(times: np.ndarray, values: np.ndarray):
-    """Quintic interpolating spline through ``values`` (first axis) at ``times``."""
-    import scipy.interpolate
+class _Grid:
+    """Quintic interpolation at the sample times ``times``: the not-a-knot
+    knots (de Boor, XIII(12)) and the banded LU factors of the collocation
+    matrix, made once.  Each :meth:`fit` is one banded solve, whose
+    coefficients are bit for bit those of
+    ``scipy.interpolate.make_interp_spline(times, values, k=5, axis=0)``:
+    the same knots, the same B-spline values, and LAPACK's ``gbsv`` is
+    ``gbtrf`` followed by ``gbtrs``."""
 
-    return scipy.interpolate.make_interp_spline(times, values, k=_SPLINE_DEGREE, axis=0)
+    def __init__(self, times: np.ndarray):
+        from scipy.interpolate import BSpline
+        from scipy.linalg import get_lapack_funcs
+
+        k, half = _SPLINE_DEGREE, (_SPLINE_DEGREE + 1) // 2
+        self.times = times
+        self.knots = np.r_[(times[0],) * (k + 1), times[half:-half], (times[-1],) * (k + 1)]
+        design = BSpline.design_matrix(times, self.knots, k).tocoo()
+        # LAPACK band storage with k sub- and k super-diagonals, and k more
+        # rows for the fill-in of the factorization
+        band = np.zeros((3 * k + 1, len(times)), order="F")
+        band[2 * k + design.row - design.col, design.col] = design.data
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+        self._lu, self._pivots, info = gbtrf(band, k, k)
+        if info != 0:
+            raise DegenerateInterpolationError("the collocation matrix is singular")
+
+    def fit(self, values: np.ndarray):
+        """Quintic interpolating spline through ``values`` (first axis) at
+        the grid's times."""
+        from scipy.interpolate import BSpline
+
+        k = _SPLINE_DEGREE
+        rhs = np.ascontiguousarray(values, dtype=float).reshape(len(values), -1)
+        coeffs, info = self._gbtrs(self._lu, k, k, rhs, self._pivots)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of gbtrs")
+        return BSpline.construct_fast(
+            self.knots, np.ascontiguousarray(coeffs.reshape(values.shape)), k, axis=0)
 
 
 def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
@@ -79,12 +116,16 @@ class APath:
     ``lifts.real_coords()``), and computes ``max_lift_residual``: the worst
     C*-norm of the anchor image of the lift minus the base velocity, taken
     from the derivative of the spline's bases columns.  That velocity is
-    accurate to O(h^5), so a path needs at least six samples.
+    accurate to O(h^5), so a path needs at least six samples.  ``grid``
+    holds the factored interpolation of the sample times; one passed in is
+    used when it was made for times equal to ``sample_times``, and a new
+    one is made otherwise.
     """
 
     sample_times: np.ndarray
     bases: AlgebraElement
     lifts: AlgebraElement
+    grid: _Grid | None = field(default=None, repr=False)
     max_lift_residual: float = field(init=False)
     spline: object = field(init=False, repr=False)
 
@@ -106,13 +147,17 @@ class APath:
                 f"need at least {_SPLINE_DEGREE + 1} samples for the velocity spline")
         if times[0] < -1e-12 or times[-1] > 1 + 1e-12:
             raise InputError("sample times must lie in [0, 1]")
+        grid = self.grid
+        if grid is None or not np.array_equal(grid.times, times):
+            grid = _Grid(times)
         base_coords = bases.real_coords()
-        spline = _spline(times, np.concatenate([base_coords, lifts.real_coords()], axis=1))
+        spline = grid.fit(np.concatenate([base_coords, lifts.real_coords()], axis=1))
         velocity = AlgebraElement.from_real_coords(
             bases.shape, spline.derivative()(times)[:, :base_coords.shape[1]])
         residual = (fiber_anchor_image(lifts, bases) - velocity).norm()
         times.setflags(write=False)
         object.__setattr__(self, "sample_times", times)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "max_lift_residual", float(np.max(residual)))
         object.__setattr__(self, "spline", spline)
 
@@ -306,17 +351,18 @@ def reparametrize_lift(path: APath, phi) -> APath:
     ``phi`` is a polynomial of degree at most 5.  The new path is resampled
     on the original grid; values of the old path between samples come from
     its stored ``spline``, evaluated once at the query times for bases and
-    lifts together.  So a time change fits two splines: one through the
-    values of ``phi``, and the new path's own.
+    lifts together.  So a time change fits two splines, both with the
+    path's factored ``grid``: one through the values of ``phi``, and the new
+    path's own.
     """
-    times = path.sample_times
+    times, grid = path.sample_times, path.grid
     ph = np.asarray([float(phi(t)) for t in times])
     if abs(ph[0]) > 1e-9 or abs(ph[-1] - 1.0) > 1e-9:
         raise InputError("phi must map 0 to 0 and 1 to 1")
     if np.any(np.diff(ph) < -1e-12):
         raise InputError("phi is not monotone on the sample grid")
 
-    dph = _spline(times, ph).derivative()(times)
+    dph = grid.fit(ph).derivative()(times)
     queries = np.clip(ph, times[0], times[-1])
     coords = path.spline(queries)
     half = coords.shape[1] // 2  # bases columns, then as many lifts columns
@@ -327,6 +373,7 @@ def reparametrize_lift(path: APath, phi) -> APath:
         times,
         AlgebraElement.from_real_coords(shape, base_new),
         AlgebraElement.from_real_coords(shape, lift_new),
+        grid,
     )
 
 

@@ -79,6 +79,12 @@ def element_noises(rng: np.random.Generator, shape, count: int, scale: float = 1
     return [tuple(b[i] for b in blocks) for i in range(count)]
 
 
+# The draws below make one standard_normal call for the Gaussian matrices of
+# all blocks (after the rank draws), or of one block (after its uniform
+# draw), through element_noise: the values and the generator's final state
+# are those of one random_matrix call per matrix, in the same order.
+
+
 def well_conditioned_noise(
     rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
 ) -> tuple:
@@ -90,7 +96,7 @@ def well_conditioned_noise(
         r = n if r is None else int(r)
         s = np.zeros(n)
         s[:r] = rng.uniform(*sv_range, size=r)
-        blocks.append((s, random_matrix(rng, n), random_matrix(rng, n)))
+        blocks.append((s, *element_noise(rng, (n, n))))
     return tuple(blocks)
 
 
@@ -99,7 +105,8 @@ def projection_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
     shape = validate_shape(shape)
     if ranks is None:
         ranks = random_block_ranks(rng, shape)
-    return tuple((_rank_diagonal(n, r), random_matrix(rng, n)) for n, r in zip(shape, ranks))
+    return tuple((_rank_diagonal(n, r), m)
+                 for n, r, m in zip(shape, ranks, element_noise(rng, shape)))
 
 
 def idempotent_noise(
@@ -109,7 +116,8 @@ def idempotent_noise(
     shape = validate_shape(shape)
     if ranks is None:
         ranks = random_block_ranks(rng, shape)
-    return tuple((_rank_diagonal(n, r), random_matrix(rng, n, skew)) for n, r in zip(shape, ranks))
+    return tuple((_rank_diagonal(n, r), m)
+                 for n, r, m in zip(shape, ranks, element_noise(rng, shape, skew)))
 
 
 def partial_isometry_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
@@ -117,8 +125,8 @@ def partial_isometry_noise(rng: np.random.Generator, shape, ranks=None) -> tuple
     shape = validate_shape(shape)
     if ranks is None:
         ranks = random_block_ranks(rng, shape)
-    return tuple((_rank_diagonal(n, r), random_matrix(rng, n), random_matrix(rng, n))
-                 for n, r in zip(shape, ranks))
+    pairs = iter(element_noise(rng, [n for n in shape for _ in range(2)]))
+    return tuple((_rank_diagonal(n, r), next(pairs), next(pairs)) for n, r in zip(shape, ranks))
 
 
 # -- builds: one draw or a stack of them -------------------------------------------------

@@ -21,7 +21,7 @@ from ginv.groupoid import (
     PairGroupoid,
     PartialIsometryGroupoid,
 )
-from ginv.linalg import DEFAULT_TOL
+from ginv.linalg import DEFAULT_TOL, hermitian_basis, realify
 from ginv.sampling import random_idempotent, random_projection, random_unitary
 
 
@@ -142,6 +142,18 @@ class TestFiberAndAnchor:
             assert data.fiber_basis.real_dim - data.anchor_rank == iso, case
             assert (data.anchor_rank, iso) == (dim_t, dim_iso), case
             assert rank == want == 2 * dim_t, case
+
+    def test_anchor_matrix_is_the_target_differential_between_the_real_bases(self, rng):
+        for G, x in ((GInvGroupoid((2, 3)), random_idempotent(rng, (2, 3), ranks=(1, 2))),
+                     (PartialIsometryGroupoid((3,)), random_projection(rng, (3,), ranks=(1,)))):
+            data = fiber_and_anchor(G, x)
+            tangent = tangent_basis("Q" if G.kind == "ginv" else "P", x).coords
+            fiber = data.fiber_basis.coords
+            dt = real_differentials(G, G.identity_at(x))[2]
+            want = tangent.T @ dt @ fiber
+            assert np.max(np.abs(data.anchor_matrix - want)) <= 1e-12 * np.max(np.abs(want))
+            for basis in (tangent, fiber):
+                assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-13
 
     def test_membership_error(self):
         with pytest.raises(PreconditionError):
@@ -326,15 +338,16 @@ def exponential_chart(G, g):
     if isinstance(G, PartialIsometryGroupoid):
         u0, shape = g.u, G.shape
         d = u0.real_coords().size
+        hermitian = hermitian_basis(shape)
+        h = hermitian.shape[1]
         elem = lambda v: AlgebraElement.from_real_coords(shape, v)  # noqa: E731
 
-        def chart(p):
-            h1, h2 = elem(p[:d]), elem(p[d:])
-            h1, h2 = 0.5 * (h1 + h1.adjoint()), 0.5 * (h2 + h2.adjoint())
+        def chart(p):  # Hermitian parameters, in the orthonormal Hermitian basis
+            h1, h2 = elem(hermitian @ p[:h]), elem(hermitian @ p[h:])
             return (expm_element(1j * h1) @ u0 @ expm_element(1j * h2)).real_coords()
 
         return (chart, lambda v: (elem(v).adjoint() @ elem(v)).real_coords(),
-                lambda v: (elem(v) @ elem(v).adjoint()).real_coords(), 2 * d, d)
+                lambda v: (elem(v) @ elem(v).adjoint()).real_coords(), 2 * h, d)
     if isinstance(G, ActionGroupoid):
         n, x0, g0 = G.n, g.point, g.g
         return (lambda p: np.concatenate([x0 + p[:n], (expm(p[n:].reshape(n, n)) @ g0).ravel()]),
@@ -345,7 +358,46 @@ def exponential_chart(G, g):
     return lambda p: x0 + p, lambda v: v[:k].copy(), lambda v: v[k:].copy(), 2 * k, 2 * k
 
 
+def fixed_real(m, row_sizes, col_sizes):
+    """The real matrix of the complex-linear map ``m`` in the fixed
+    coordinatization, from complex coordinates on pieces of ``col_sizes``
+    entries to those on pieces of ``row_sizes`` entries."""
+    out, order, at = realify(m, row_sizes), [], 0
+    for n in col_sizes:  # a piece's real directions, then its imaginary ones
+        order += [*range(at, at + n), *range(m.shape[1] + at, m.shape[1] + at + n)]
+        at += n
+    return out[:, order]
+
+
+def real_differentials(G, g, products=False):
+    """``(j_arrow, ds, dt)`` at ``g``, or with ``products`` the chart
+    differentials ``(j_arrow, j_s, j_t)`` as the library multiplies them,
+    as real matrices in the fixed coordinatization: the complex ones of
+    ``ginv`` realified, others as they are."""
+    j_arrow, ds, dt = G.chart_differential(g)
+    if products:
+        ds, dt = ds @ j_arrow, dt @ j_arrow
+    if not np.iscomplexobj(j_arrow):
+        return j_arrow, ds, dt
+    element = [n * n for n in G.shape]
+    pair = 2 * element
+    return (fixed_real(j_arrow, pair, pair), fixed_real(ds, element, pair),
+            fixed_real(dt, element, pair))
+
+
 class TestChartDifferentials:
+    def test_kinds_factor_their_own_coordinates(self, rng):
+        # ginv complex, at half the real size; partial_isometry real, over
+        # Hermitian parameters: 2 n^2 columns for n x n blocks
+        for G, complex_, params in ((GInvGroupoid((8,)), True, 128),
+                                    (PartialIsometryGroupoid((8,)), False, 128),
+                                    (PartialIsometryGroupoid((1, 2, 3)), False, 28)):
+            x = G.sample_base_point(rng)
+            j_arrow, ds, dt = G.chart_differential(G.identity_at(x))
+            assert all(np.iscomplexobj(m) == complex_ for m in (j_arrow, ds, dt))
+            assert j_arrow.shape[1] == (ds @ j_arrow).shape[1] == params
+            assert np.iscomplexobj(G.base_tangent_system(x)) == complex_
+
     def test_match_finite_differences(self, rng):
         # the finite-difference Jacobian stays as the independent reference
         from ginv.linalg import finite_diff_jacobian
@@ -358,7 +410,7 @@ class TestChartDifferentials:
             arrows = [G.identity_at(G.sample_base_point(rng)),
                       G.arrow_from(G.sample_base_point(rng), rng), G.sample_arrow(rng)]
             for g in arrows:
-                j_arrow, ds, dt = G.chart_differential(g)
+                j_arrow, ds, dt = real_differentials(G, g)
                 chart, source, target, param_dim, arrow_dim = exponential_chart(G, g)
                 assert j_arrow.shape == (arrow_dim, param_dim)
                 close(j_arrow, finite_diff_jacobian(chart, np.zeros(param_dim)))
@@ -605,13 +657,13 @@ def point_instance(p):
 
 
 def dense_answers(G, g):
-    """The submersion rank, joint-kernel dimension, isotropy dimension and
-    norm at the arrow ``g``, from fresh dense factorizations of the stacked
-    ``[j_s; j_t]`` and ``[j_arrow; j_s; j_t]``."""
+    """The submersion rank, real joint-kernel dimension, isotropy dimension
+    and norm at the arrow ``g``, from fresh dense factorizations of the
+    stacked ``[j_s; j_t]`` and ``[j_arrow; j_s; j_t]``, realified."""
     from ginv.linalg import kernel_basis, numerical_rank, operator_norm
 
-    j_arrow, ds, dt = G.chart_differential(g)
-    j_st = np.vstack([ds @ j_arrow, dt @ j_arrow])
+    j_arrow, j_s, j_t = real_differentials(G, g, products=True)
+    j_st = np.vstack([j_s, j_t])
     scale = operator_norm(np.vstack([j_arrow, j_st]))
     joint = kernel_basis(j_st, DEFAULT_TOL, scale)
     return (numerical_rank(j_st, DEFAULT_TOL, scale), joint.shape[1],
@@ -624,7 +676,7 @@ class TestFactoredOnce:
     of the stacked differentials, and factors each ``j_s`` once."""
 
     def test_ranks_equal_fresh_factorizations(self, workloads):
-        from ginv.linalg import numerical_rank
+        from ginv.linalg import map_rank
 
         rng = np.random.default_rng(0)
         points = (workloads.geometry_points(0) + workloads.conditioned_points(0, 1e4)
@@ -638,9 +690,10 @@ class TestFactoredOnce:
         for G, g, x in arrows:
             rank, joint_dim, iso, scale = dense_answers(G, g)
             lin = geometry._linearization(G, g, DEFAULT_TOL)
+            degree = 2 if np.iscomplexobj(lin.j_arrow) else 1
             assert submersion_rank_st(G, g)[0] == lin.st_rank == rank, g
-            assert lin.joint_kernel.shape[1] == joint_dim, g
-            assert numerical_rank(lin.j_arrow @ lin.joint_kernel, DEFAULT_TOL, lin.scale) == iso
+            assert degree * lin.joint_kernel.shape[1] == joint_dim, g
+            assert map_rank(lin.j_arrow @ lin.joint_kernel, DEFAULT_TOL, lin.scale) == iso
             assert abs(lin.scale - scale) <= 1e-12 * scale, g
             if x is not None:
                 assert isotropy_tangent_dim(G, x) == iso, g
@@ -680,6 +733,7 @@ class TestFactoredOnce:
             G = point_instance(p)
             j_arrow, ds, dt = G.chart_differential(G.identity_at(p.x))
             j_s, j_t = ds @ j_arrow, dt @ j_arrow
+            assert np.iscomplexobj(j_s) == (p.kind == "ginv")  # factored as built
             # the zero j_s and j_st at rank 0 are left out: other products vanish there too
             if j_s.any():
                 want[digest(j_s)] += 1

@@ -13,11 +13,16 @@ from ginv.linalg import (
     block_diag,
     expm,
     finite_diff_jacobian,
+    hermitian_basis,
     joint_kernel_dim,
+    complex_sandwich_matrix,
     kernel_basis,
+    map_rank,
     numerical_rank,
     operator_norm,
+    orthonormal_range,
     rank_from_singular_values,
+    realify,
     sandwich_matrix,
     vector_norm,
 )
@@ -407,3 +412,74 @@ class TestBlockDiag:
         j_arrow = G.chart_differential(g)[0]
         eye = np.eye(n)
         _assert_same(j_arrow, scipy.linalg.block_diag(eye, np.kron(eye, g.g.T)))
+
+
+class TestComplexMaps:
+    """A complex matrix read as a linear map counts real dimensions, decided
+    at the cutoff of its real matrix; the real bases it gives are
+    orthonormal."""
+
+    def test_a_singular_value_counts_twice_at_the_real_cutoff(self, rng):
+        # 4.5e-12 lies above the cutoff 1e-12 * 3 of the complex 2 x 3 shape
+        # and below 1e-12 * 6 of its real 4 x 6 matrix
+        u, _ = np.linalg.qr(random_complex(rng, 2))
+        v, _ = np.linalg.qr(random_complex(rng, 3))
+        m = u @ np.diag([1.0, 4.5e-12]).astype(complex) @ v[:, :2].conj().T
+        assert numerical_rank(m) == 2  # an algebra block's complex rank
+        assert map_rank(m) == numerical_rank(_realify(m)) == 2
+        assert kernel_basis(m).shape == (3, 2) and orthonormal_range(m).shape == (2, 1)
+        assert np.iscomplexobj(kernel_basis(m)) and np.iscomplexobj(orthonormal_range(m))
+        full = random_complex(rng, 3, 5)
+        assert map_rank(full) == numerical_rank(_realify(full)) == 6
+        real = rng.standard_normal((3, 5))
+        assert map_rank(real) == numerical_rank(real) == 3
+        assert map_rank(real, scale=1e13) == 0  # scale as in numerical_rank
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (8,), (2, 3), (1, 2, 3)])
+    def test_hermitian_basis_is_orthonormal_and_spans_the_hermitian_elements(self, rng, shape):
+        basis = hermitian_basis(shape)
+        d = sum(n * n for n in shape)
+        assert basis.shape == (2 * d, d)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(d), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(adjoint_matrix(shape) @ basis, basis)  # Hermitian columns
+        # d orthonormal Hermitian columns span the d-dimensional Hermitian elements
+        x = AlgebraElement.from_blocks([random_complex(rng, n) for n in shape])
+        h = (0.5 * (x + x.adjoint())).real_coords()
+        assert np.max(np.abs(basis @ (basis.T @ h) - h)) <= 1e-14 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("shape", [None, (2,), (2, 3), (1, 2, 3)])
+    def test_realified_complex_basis_is_orthonormal(self, rng, shape):
+        rows = 7 if shape is None else sum(n * n for n in shape)
+        v, _ = np.linalg.qr(random_complex(rng, rows, 3))
+        sizes = None if shape is None else [n * n for n in shape]
+        r = realify(v, sizes)
+        assert r.shape == (2 * rows, 6)
+        np.testing.assert_allclose(r.T @ r, np.eye(6), rtol=0, atol=1e-14)
+        if shape is None:
+            np.testing.assert_array_equal(r, _realify(v))
+            return
+        # the real coordinates of the columns of v, then of those of i v
+
+        def coords(z):
+            at, blocks = np.cumsum([0] + sizes), []
+            for n, a in zip(shape, at):
+                blocks.append(z[a:a + n * n].reshape(n, n))
+            return AlgebraElement.from_blocks(blocks).real_coords()
+
+        want = np.column_stack([coords(z) for z in np.hstack([v, 1j * v]).T])
+        np.testing.assert_array_equal(r, want)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)])
+    def test_complex_and_real_sandwich_matrices(self, rng, shape):
+        left = [random_complex(rng, n) for n in shape]
+        right = [random_complex(rng, n) for n in shape]
+        complex_ = complex_sandwich_matrix(left, right)
+        # X -> A X B on the complex coordinates of X, row-major block by block
+        x = [random_complex(rng, n) for n in shape]
+        got = complex_ @ np.concatenate([b.ravel() for b in x])
+        want = np.concatenate([(a @ b @ c).ravel() for a, b, c in zip(left, x, right)])
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        e = AlgebraElement.from_blocks(x)
+        real = sandwich_matrix(left, right) @ e.real_coords()
+        np.testing.assert_allclose(real, AlgebraElement.from_blocks(
+            [a @ b @ c for a, b, c in zip(left, x, right)]).real_coords(), rtol=1e-13)

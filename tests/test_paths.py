@@ -325,18 +325,43 @@ class TestSharedSpline:
             assert repr(out.max_lift_residual) == repr(residual)
 
     def test_criterion_11_fits_seven_splines_per_path(self, monkeypatch):
-        fits = []
-        spline = paths._spline
+        fits, grids = [], []
+        fit, make = paths._Grid.fit, paths._Grid.__init__
 
-        def counted(times, values):
+        def counted_fit(grid, values):
             fits.append(values.shape)
-            return spline(times, values)
+            return fit(grid, values)
 
-        monkeypatch.setattr(paths, "_spline", counted)
+        def counted_make(grid, times):
+            grids.append(len(times))
+            make(grid, times)
+
+        monkeypatch.setattr(paths._Grid, "fit", counted_fit)
+        monkeypatch.setattr(paths._Grid, "__init__", counted_make)
         assert suite.check_reparametrization(DEFAULT_TOL, 11).passed
         # 20 paths: each fitted once, and 3 time changes that each fit phi
-        # and the new path
+        # and the new path, all on the path's one factored grid
         assert len(fits) == 20 * 7 == 140
+        assert len(grids) == 20 and set(grids) <= {257, 513}
+
+
+class TestFactoredGrid:
+    @pytest.mark.parametrize("count", [7, 257, 513])
+    def test_fits_equal_make_interp_spline_bit_for_bit(self, rng, count):
+        times = np.sort(np.concatenate([[0.0, 1.0], rng.random(count - 2)]))
+        grid = paths._Grid(times)
+        for values in (rng.standard_normal(count), rng.standard_normal((count, 36))):
+            got, want = grid.fit(values), make_interp_spline(times, values, k=5, axis=0)
+            assert got.t.tobytes() == want.t.tobytes() and got.c.tobytes() == want.c.tobytes()
+            assert got(times).tobytes() == want(times).tobytes()
+
+    def test_a_grid_of_other_times_is_not_used(self, rng):
+        path = orbit_path(*antipodal_pair((2,)), steps=8)
+        other = paths._Grid(np.linspace(0.0, 1.0, len(path)) ** 2)
+        again = APath(path.sample_times, path.bases, path.lifts, other)
+        assert again.grid is not other and np.array_equal(again.grid.times, path.sample_times)
+        assert again.spline.c.tobytes() == path.spline.c.tobytes()
+        assert reparametrize_lift(path, lambda t: t).grid is path.grid
 
 
 class TestAPathValidation:

@@ -157,3 +157,33 @@ def test_element_noises_equal_one_draw_at_a_time(shape, count):
         want = one_element(reference, shape, 0.35)
         assert [m.tobytes() for m in draw] == [m.tobytes() for m in want]
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def per_block_noise(rng, kind, shape):
+    """The draws of :mod:`ginv.sampling` with one ``random_matrix`` call per
+    Gaussian matrix, block by block, after the rank (or uniform) draws."""
+    if kind == "well_conditioned":
+        blocks = []
+        for n in shape:
+            s = rng.uniform(0.5, 2.0, size=n)
+            blocks.append((s, sampling.random_matrix(rng, n), sampling.random_matrix(rng, n)))
+        return tuple(blocks)
+    ranks = sampling.random_block_ranks(rng, shape)
+    count, scale = {"projection": (1, 1.0), "idempotent": (1, 0.25),
+                    "partial_isometry": (2, 1.0)}[kind]
+    return tuple((one_diagonal(n, r), *(sampling.random_matrix(rng, n, scale)
+                                        for _ in range(count)))
+                 for n, r in zip(shape, ranks))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 3), (1, 2, 3)], ids=str)
+@pytest.mark.parametrize("kind", ["well_conditioned", "projection", "idempotent",
+                                  "partial_isometry"])
+def test_one_generator_call_per_draw_equals_one_per_block(kind, shape):
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    draw = getattr(sampling, f"{kind}_noise")
+    for _ in range(3):
+        got, want = draw(rng, shape), per_block_noise(reference, kind, shape)
+        assert [[a.tobytes() for a in block] for block in got] == \
+            [[a.tobytes() for a in block] for block in want]
+    assert rng.bit_generator.state == reference.bit_generator.state
