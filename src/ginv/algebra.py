@@ -40,6 +40,7 @@ from .linalg import (
     ensure_finite,
     expm,
     mat_to_realvec,
+    numerical_rank,
     realvec_to_mat,
 )
 
@@ -195,10 +196,6 @@ class AlgebraElement:
         return AlgebraElement(self.shape, tuple(np.swapaxes(b, -1, -2).conj() for b in self.blocks))
 
     @property
-    def h(self) -> "AlgebraElement":
-        return self.adjoint()
-
-    @property
     def is_stack(self) -> bool:
         return self.blocks[0].ndim == 3
 
@@ -259,9 +256,6 @@ class AlgebraElement:
         if pos != v.shape[-1]:
             raise InputError(f"coordinate vectors have {v.shape[-1]} entries, expected {pos}")
         return cls(shape, tuple(blocks))
-
-    def is_close(self, other: "AlgebraElement", atol: float) -> bool:
-        return self.distance(other) <= atol
 
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape})"
@@ -335,11 +329,6 @@ def stack_rows(rows: Sequence) -> tuple:
     return tuple(stack(part) for part in zip(*rows))
 
 
-def real_dimension(shape: Sequence[int]) -> int:
-    """Real dimension of the algebra in the fixed coordinatization."""
-    return sum(2 * n * n for n in validate_shape(shape))
-
-
 def expm_element(a: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix exponential, row by row on a stack (:func:`~ginv.linalg.expm`)."""
     return AlgebraElement(a.shape, tuple(expm(b) for b in a.blocks))
@@ -384,6 +373,12 @@ def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementCl
         partial_isometry=partial_isometry,
         max_residual=max(r_idem, r_sa, r_pi),
     )
+
+
+def block_ranks(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """The numerical rank of each block of ``x``: the complete orbit
+    invariant of idempotents and of projections."""
+    return tuple(numerical_rank(b, tol) for b in x.blocks)
 
 
 def corner_compress(

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import sampling
 from .algebra import AlgebraElement
-from .continuity import continuity_experiment, make_family
+from .continuity import DRAWN_KINDS, continuity_experiment, draw_family
 from .errors import GinvError, InputError
 from .geninv import moore_penrose, penrose_residuals
 from .geometry import at, orbit_decompose
@@ -327,18 +327,8 @@ def _cmd_continuity(args, tol, seed) -> ExperimentReport:
     report = ExperimentReport(suite="mp-continuity", config=_config_echo(args, tol, seed))
     report.config["horizon"] = args.horizon
     for i in range(args.count):
-        for kind in ("rank_preserving", "rank_dropping", "constant"):
-            if kind == "constant":
-                ranks = None  # full rank
-            else:
-                # deficient but nonzero, so both perturbation kinds apply
-                ranks = tuple(max(1, int(rng.integers(1, n))) if n > 1 else 1 for n in shape)
-                if kind == "rank_dropping":
-                    ranks = tuple(min(r, n - 1) if n > 1 else 0 for r, n in zip(ranks, shape))
-                if all(r == 0 for r in ranks):
-                    raise InputError("shape too small for a rank-dropping family")
-            base = sampling.well_conditioned_element(rng, shape, ranks=ranks)
-            fam = make_family(kind, base, horizon=args.horizon, tol=tol)
+        for kind in DRAWN_KINDS:
+            fam = draw_family(rng, shape, kind, args.horizon, tol)
             verdict = continuity_experiment(fam, tol)
             expected = kind != "rank_dropping"
             report.add(

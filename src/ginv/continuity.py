@@ -20,13 +20,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import sampling
 from .algebra import AlgebraElement
 from .errors import ConsistencyError, InputError
 from .geninv import moore_penrose
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from .reports import CheckRecord, ExperimentReport
 
-FAMILY_KINDS = ("rank_preserving", "rank_dropping", "constant", "custom")
+#: the kinds :func:`draw_family` draws, in the order criterion 12 and
+#: ``ginv continuity`` cycle through them
+DRAWN_KINDS = ("rank_preserving", "rank_dropping", "constant")
+FAMILY_KINDS = (*DRAWN_KINDS, "custom")
 
 #: threshold of the convergence trend test, surfaced in every report
 TREND_THRESHOLD = 1e-4
@@ -175,6 +179,32 @@ def make_family(
     r = numerical_rank(base.blocks[index], tol)
     direction = np.outer(u[:, r], vh[r].conj())  # fresh singular direction
     return _perturbed_family(kind, base, index, direction, horizon)
+
+
+def draw_family(
+    rng: np.random.Generator,
+    shape,
+    kind: str,
+    horizon: int = DEFAULT_HORIZON,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> SequenceFamily:
+    """A :func:`make_family` family of ``kind`` at a random well-conditioned
+    base of ``shape``.
+
+    Each block draws a rank ``f`` in ``1..n``.  A constant family keeps
+    those ranks; the perturbed kinds take ``f - 1``, so that every block is
+    deficient.  Where that base is zero, a rank-preserving family redraws
+    at the ranks ``f`` and a rank-dropping one at the ranks ``n - 1``.
+    """
+    full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
+    if kind == "constant":
+        base = sampling.well_conditioned_element(rng, shape, ranks=full)
+    else:
+        base = sampling.well_conditioned_element(rng, shape, ranks=tuple(f - 1 for f in full))
+        if base.norm() == 0.0:
+            redraw = full if kind == "rank_preserving" else tuple(n - 1 for n in shape)
+            base = sampling.well_conditioned_element(rng, shape, ranks=redraw)
+    return make_family(kind, base, horizon, tol)
 
 
 def _perturbed_family(kind, base, index, direction, horizon) -> SequenceFamily:

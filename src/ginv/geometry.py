@@ -33,17 +33,19 @@ source fiber in the chart; the stacked ``[j_s; j_t]`` has rank
 ``rank j_s + rank(j_t K)``, the submersion rank, and kernel
 ``K ker(j_t K)``, the joint kernel that the isotropy dimension is read
 from.  The norm of the whole differential ``[j_arrow; j_s; j_t]`` is the
-square root of the top eigenvalue of its Gram matrix.  Base tangent
-dimensions (at the source and target of an arrow) come from the singular
-values of the kind's linear system alone; only the tangent space itself
-needs a kernel basis.
+square root of the top eigenvalue of its Gram matrix.
 
 The answers at one base point ``x`` are parts of one object, the
 :class:`PointGeometry` that :func:`at` returns: the base tangent basis, the
 fiber and anchor, the isotropy dimension and the submersion rank at
-``1_x``.  It builds the identity arrow, the linearization and the base
-tangent basis once each, on first use, and only when an answer reads them;
-its arrays are read-only.  Callers that ask for several answers hold one
+``1_x``, whose target ``2 dim T_x`` comes from that same tangent basis,
+since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
+once, by the kind's own base check.  The object builds the identity arrow,
+the linearization and the base tangent basis once each, on first use, and
+only when an answer reads them; its arrays are read-only.  Away from the
+identity arrow, the submersion target adds the base tangent dimensions at
+the source and the target of the arrow, from the singular values of the
+kind's linear system alone.  Callers that ask for several answers hold one
 object per point.  The free functions read the same objects, so :func:`at`
 keeps the last one it made and hands it back when the groupoid's class and
 parameters, the point and the tolerance all equal its own by exact value.
@@ -60,7 +62,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, classify, same_value
+from .algebra import AlgebraElement, same_value
 from .errors import InputError, PreconditionError
 from .groupoid import GInvGroupoid, Groupoid, PartialIsometryGroupoid
 from .linalg import (
@@ -212,18 +214,6 @@ def _real_coords(basis: np.ndarray, x) -> np.ndarray:
     return realify(basis, sizes * (len(basis) // sum(sizes)))
 
 
-def _submersion(G: Groupoid, g, st_rank: int, tol: ToleranceConfig) -> tuple:
-    """``(st_rank, dim T(base) at s(g) + dim T(base) at t(g))``, ranking
-    the base system once when ``s(g)`` and ``t(g)`` are equal, exactly: at
-    every identity arrow of ``ginv``, and of ``partial_isometry`` where the
-    point is Hermitian bit for bit."""
-    source, target = G.source(g), G.target(g)
-    dim = base_tangent_dim(G, source, tol)
-    if same_value(source, target):
-        return st_rank, 2 * dim
-    return st_rank, dim + base_tangent_dim(G, target, tol)
-
-
 # -- the geometry at a base point ---------------------------------------------------
 
 
@@ -303,9 +293,10 @@ class PointGeometry:
 
     @functools.cached_property
     def submersion(self) -> tuple:
-        """``(rank T(s, t), 2 dim T(base))`` at ``1_x``, as
-        :func:`submersion_rank_st` gives them."""
-        return _submersion(self.groupoid, self.identity, self._lin.st_rank, self.tol)
+        """``(rank T(s, t), 2 dim T(base))`` at ``1_x``.  Since
+        ``s(1_x) = t(1_x) = x``, the target is twice the real dimension of
+        the tangent space :attr:`tangent` solves."""
+        return self._lin.st_rank, 2 * self.tangent.real_dim
 
 
 #: The last object :func:`at` made.
@@ -339,15 +330,14 @@ def tangent_basis(
 
     Solves ``{v : xv + vx - v = 0}`` as the kernel of its exact matrix:
     complex for idempotents, real over the Hermitian ``v`` for projections;
-    the returned basis is real and orthonormal.
+    the returned basis is real and orthonormal.  ``x`` is a single element
+    that passes the base check of ``GInvGroupoid`` (``"Q"``) or of
+    ``PartialIsometryGroupoid`` (``"P"``) at ``tol``, else
+    :class:`PreconditionError`.
     """
     if manifold not in ("Q", "P"):
         raise InputError("manifold must be 'Q' or 'P'")
-    cls = classify(x, tol)
-    if manifold == "Q" and not cls.idempotent:
-        raise PreconditionError("point is not an idempotent")
-    if manifold == "P" and not cls.projection:
-        raise PreconditionError("point is not an orthogonal projection")
+    x._require_single("tangent_basis")
     G = GInvGroupoid(x.shape, tol) if manifold == "Q" else PartialIsometryGroupoid(x.shape, tol)
     return at(G, x, tol).tangent
 
@@ -369,13 +359,15 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     Returns ``(rank T(s, t) at g, dim T(base) at s(g) + dim T(base) at t(g))``;
     the two agree exactly when the groupoid is locally transitive at ``g``.
     At the identity arrow of the point :func:`at` holds, once that object
-    has built it, this reads the object's :attr:`PointGeometry.submersion`.
+    has built it, this reads the object's :attr:`PointGeometry.submersion`,
+    whose target is ``2 dim T(base)`` at the point itself.
     """
     G.validate_arrow(g)
     held = _HELD
     if held is not None and held._of(G, tol) and same_value(vars(held).get("identity"), g):
         return held.submersion
-    return _submersion(G, g, _linearization(G, g, tol).st_rank, tol)
+    st_rank = _linearization(G, g, tol).st_rank
+    return st_rank, base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
 
 
 # -- orbits -----------------------------------------------------------------------

@@ -31,6 +31,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     ExactEquality,
+    block_ranks,
     emax,
     epow,
     expm_element,
@@ -428,7 +429,7 @@ class GInvGroupoid(Groupoid):
         return _idempotent_linearization(x)
 
     def orbit_signature(self, x, tol):
-        return tuple(numerical_rank(b, tol) for b in x.blocks)
+        return block_ranks(x, tol)
 
 
 def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
@@ -553,7 +554,7 @@ class PartialIsometryGroupoid(Groupoid):
         return hermitian_basis(self.shape) @ super().base_tangent(p, tol)
 
     def orbit_signature(self, p, tol):
-        return tuple(numerical_rank(b, tol) for b in p.blocks)
+        return block_ranks(p, tol)
 
 
 def _vector_membership(x, n: int):

@@ -73,10 +73,11 @@ def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in descending order; empty input gives an empty array."""
+    """Singular values in descending order, one row of them per matrix of
+    an ``(N, rows, cols)`` stack; empty input gives rows of none."""
     m = ensure_finite(m)
     if m.size == 0:
-        return np.zeros(0)
+        return np.zeros((*m.shape[:-2], min(m.shape[-2:])))
     return np.linalg.svd(m, compute_uv=False)
 
 
@@ -92,15 +93,10 @@ def rank_from_singular_values(
     ``i`` by the same arithmetic as the call on row ``i`` alone.
     """
     s = np.asarray(s)
-    if s.ndim == 2:
-        if s.shape[1] == 0:
-            return np.zeros(len(s), dtype=int)
-        cutoff = tol.rank_cutoff_factor * max(shape) * np.maximum(s[:, 0], scale)
-        return np.count_nonzero(s > cutoff[:, None], axis=1)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_cutoff_factor * max(shape) * max(s[0], scale)
-    return int(np.count_nonzero(s > cutoff))
+    rows = np.atleast_2d(s)  # a single set of values is a one-row stack
+    cutoff = tol.rank_cutoff_factor * max(shape) * np.maximum(rows[:, :1], scale)
+    ranks = (rows > cutoff).sum(axis=1)
+    return ranks if s.ndim == 2 else int(ranks[0])
 
 
 def numerical_rank(
@@ -115,12 +111,8 @@ def numerical_rank(
     array, the rank of each matrix, from one stacked SVD and one stacked
     :func:`rank_from_singular_values` decision.
     """
-    m = ensure_finite(m)
-    s = singular_values(m)
-    if m.ndim == 3:
-        s = s.reshape(len(m), min(m.shape[1:]))
-        return rank_from_singular_values(s, m.shape[1:], tol, scale)
-    return rank_from_singular_values(s, m.shape, tol, scale)
+    m = np.asarray(m)
+    return rank_from_singular_values(singular_values(m), m.shape[-2:], tol, scale)
 
 
 def real_degree(m: np.ndarray) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, classify
+from .algebra import AlgebraElement, block_ranks, classify
 from .errors import (
     DegenerateInterpolationError,
     InputError,
@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig
 
 _WAYPOINT_SEED = 0x5EED
 #: Sample intervals per leg of an :func:`orbit_path` at the least.  At 128,
@@ -175,21 +175,25 @@ class APath:
 
 # -- projection retraction and rotations -------------------------------------------
 
+#: half-width of the spectral band where the retraction and the rotation
+#: are ill-defined: around 1/2 in :func:`nearest_projection`, above 0 in
+#: :func:`direct_rotation`
+SPECTRAL_GAP = 1e-6
 
-def nearest_projection(
-    h: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL, gap: float = 1e-6
-) -> AlgebraElement:
+
+def nearest_projection(h: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraElement:
     """Spectral truncation at 1/2: the nearest-projection retraction.
 
-    Rejects inputs with an eigenvalue inside ``(1/2 - gap, 1/2 + gap)``,
-    where the retraction is ill-defined.
+    Rejects inputs with an eigenvalue inside
+    ``(1/2 - SPECTRAL_GAP, 1/2 + SPECTRAL_GAP)``, where the retraction is
+    ill-defined.
     """
     if (h.adjoint() - h).norm() > tol.residual_tol * (1.0 + h.norm()):
         raise InputError("retraction input must be Hermitian")
     blocks = []
     for b in h.blocks:
         evals, vecs = np.linalg.eigh(b)
-        if np.any(np.abs(evals - 0.5) < gap):
+        if np.any(np.abs(evals - 0.5) < SPECTRAL_GAP):
             raise DegenerateInterpolationError(
                 "eigenvalue inside the forbidden band around 1/2"
             )
@@ -198,18 +202,17 @@ def nearest_projection(
     return AlgebraElement(h.shape, tuple(blocks))
 
 
-def direct_rotation(
-    p: AlgebraElement, q: AlgebraElement, gap: float = 1e-6
-) -> AlgebraElement:
+def direct_rotation(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
     """Canonical unitary with ``u p u* = q`` for projections with ``|p - q| < 1``:
-    ``u = (qp + (1-q)(1-p)) (1 - (p-q)^2)^(-1/2)``."""
+    ``u = (qp + (1-q)(1-p)) (1 - (p-q)^2)^(-1/2)``; rejects ``p, q`` where
+    an eigenvalue of ``1 - (p-q)^2`` is below ``SPECTRAL_GAP``."""
     one = AlgebraElement.identity(p.shape)
     blocks = []
     for bp, bq, b1 in zip(p.blocks, q.blocks, one.blocks):
         diff2 = (bp - bq) @ (bp - bq)
         m = b1 - diff2
         evals, vecs = np.linalg.eigh(m)
-        if np.any(evals < gap):
+        if np.any(evals < SPECTRAL_GAP):
             raise DegenerateInterpolationError(
                 "projections are antipodal: 1 - (p - q)^2 is singular"
             )
@@ -236,10 +239,6 @@ def _quintic(t: np.ndarray) -> np.ndarray:
 
 def _quintic_deriv(t: np.ndarray) -> np.ndarray:
     return 30.0 * t**2 * (1.0 - t) ** 2
-
-
-def _rank_signature(x: AlgebraElement, tol: ToleranceConfig) -> tuple:
-    return tuple(numerical_rank(b, tol) for b in x.blocks)
 
 
 def _conjugation_frames(k: AlgebraElement):
@@ -288,10 +287,8 @@ def orbit_path(
             raise PreconditionError(f"{name} is not an orthogonal projection")
     if p.shape != q.shape:
         raise InputError("endpoints live in different algebras")
-    if _rank_signature(p, tol) != _rank_signature(q, tol):
-        raise OrbitError(
-            f"rank signatures differ: {_rank_signature(p, tol)} vs {_rank_signature(q, tol)}"
-        )
+    if block_ranks(p, tol) != block_ranks(q, tol):
+        raise OrbitError(f"rank signatures differ: {block_ranks(p, tol)} vs {block_ranks(q, tol)}")
 
     # waypoints: [p, ..., q]; each consecutive pair joined by a direct rotation
     try:

@@ -63,9 +63,6 @@ class ExperimentReport:
     def add(self, record: CheckRecord):
         self.records.append(record)
 
-    def extend(self, records):
-        self.records.extend(records)
-
     @property
     def n_passed(self) -> int:
         return sum(1 for r in self.records if r.passed)

@@ -17,7 +17,7 @@ import scipy.interpolate  # noqa: F401
 import scipy.linalg  # noqa: F401
 
 from .algebra import AlgebraElement, emax, epow, stack_rows
-from .continuity import continuity_experiment, make_family
+from .continuity import DRAWN_KINDS, continuity_experiment, draw_family
 from .errors import GinvError, OrbitError
 from .geninv import (
     GInvPair,
@@ -429,23 +429,7 @@ def check_source_criterion(tol: ToleranceConfig, seed: int) -> CheckRecord:
     n_families = 0
     for shape in [(2,), (3,), (2, 1)]:
         for i in range(20):
-            full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
-            deficient = tuple(max(0, f - 1) for f in full)
-            if i % 3 == 2:
-                base = sampling.well_conditioned_element(rng, shape, ranks=full)
-                fam = make_family("constant", base, tol=tol)
-            elif i % 3 == 0:
-                base = sampling.well_conditioned_element(rng, shape, ranks=deficient)
-                if base.norm() == 0.0:
-                    base = sampling.well_conditioned_element(rng, shape, ranks=full)
-                fam = make_family("rank_preserving", base, tol=tol)
-            else:
-                base = sampling.well_conditioned_element(rng, shape, ranks=deficient)
-                if base.norm() == 0.0:
-                    base = sampling.well_conditioned_element(
-                        rng, shape, ranks=tuple(max(n - 1, 0) for n in shape)
-                    )
-                fam = make_family("rank_dropping", base, tol=tol)
+            fam = draw_family(rng, shape, DRAWN_KINDS[i % 3], tol=tol)
             try:
                 verdict = continuity_experiment(fam, tol)
             except GinvError as exc:

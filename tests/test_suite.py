@@ -132,6 +132,28 @@ def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
     assert len(compared) == 60
 
 
+def test_criterion_12_and_the_cli_draw_families_alike(monkeypatch, capsys):
+    from ginv import cli, continuity
+
+    calls = {"suite": [], "cli": []}
+
+    def recording(caller):
+        def draw(rng, shape, kind, horizon=continuity.DEFAULT_HORIZON, tol=DEFAULT_TOL):
+            calls[caller].append((rng.bit_generator.state, shape, kind, horizon, tol))
+            return continuity.draw_family(rng, shape, kind, horizon, tol)
+        return draw
+
+    monkeypatch.setattr(suite, "draw_family", recording("suite"))
+    monkeypatch.setattr(cli, "draw_family", recording("cli"))
+    assert suite.check_source_criterion(DEFAULT_TOL, 12).passed
+    assert main(["continuity", "--shape", "2", "--count", "7", "--seed", "12",
+                 "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert len(calls["suite"]) == 60 and len(calls["cli"]) == 21
+    # criterion 12's first shape is (2,): its 20 draws are the command's first 20
+    assert calls["cli"][:20] == calls["suite"][:20]
+
+
 def test_closure_pair_205_at_seed_1003_draws_from_a_large_target():
     # g2's target has norm 14; the unbounded exponent of g1 had norm 348, and
     # building g1 raised "aba = a fails with residual 1.865e+03"
