@@ -5,10 +5,11 @@ Subpackages
 ::
 
  linalg        -- SVD rank/norm with one relative cutoff, exact linear-map
-                  matrices, joint kernels
+                  matrices
  algebra       -- block matrix *-algebras and classification predicates
  geninv        -- Moore-Penrose inversion, reflexive inverse pairs
- groupoid      -- groupoid instances, composition, axiom verification
+ groupoid      -- groupoid instances, composition, arrow chains, axiom
+                  verification
  geometry      -- tangent spaces, anchors, isotropy and orbit decomposition
                   from exact chart differentials
  paths         -- admissible paths on projections, reparametrization
@@ -61,7 +62,6 @@ from .geometry import (
     fiber_and_anchor,
     isotropy_tangent_dim,
     orbit_decompose,
-    orbit_signature,
     submersion_rank_st,
     tangent_basis,
 )
@@ -75,6 +75,7 @@ from .groupoid import (
     PairArrow,
     PairGroupoid,
     PartialIsometryGroupoid,
+    arrow_chain,
     isometry_to_ginv,
     make_groupoid,
     verify_axioms,
@@ -83,7 +84,6 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     finite_diff_jacobian,
-    joint_kernel_dim,
     numerical_rank,
     operator_norm,
 )

@@ -28,6 +28,7 @@ environment variable ``GINV_SEED`` supplies the default seed when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import traceback
@@ -352,14 +353,8 @@ def _cmd_suite(args, tol, seed) -> ExperimentReport:
 
 
 def _config_echo(args, tol: ToleranceConfig, seed: int) -> dict:
-    return {
-        "command": args.command,
-        "seed": seed,
-        "residual_tol": tol.residual_tol,
-        "rank_cutoff_factor": tol.rank_cutoff_factor,
-        "fd_step_scale": tol.fd_step_scale,
-        "format": args.format,
-    }
+    return {"command": args.command, "seed": seed, **dataclasses.asdict(tol),
+            "format": args.format}
 
 
 _HANDLERS = {

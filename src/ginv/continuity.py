@@ -24,7 +24,7 @@ from . import sampling
 from .algebra import AlgebraElement
 from .errors import ConsistencyError, InputError
 from .geninv import moore_penrose
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, rank_from_singular_values
 from .reports import CheckRecord, ExperimentReport
 
 #: the kinds :func:`draw_family` draws, in the order criterion 12 and
@@ -129,14 +129,6 @@ class ContinuityVerdict:
     mp_norms: tuple
 
 
-def _svd_of_first_deficient_block(base: AlgebraElement, tol: ToleranceConfig):
-    """Pick a block with deficient rank; return its index and SVD."""
-    for i, b in enumerate(base.blocks):
-        if numerical_rank(b, tol) < b.shape[0]:
-            return i, np.linalg.svd(b)
-    raise InputError("every block has full rank: no vanishing direction to append")
-
-
 def make_family(
     kind: str,
     base: AlgebraElement,
@@ -152,6 +144,12 @@ def make_family(
                      outside the range of a deficient block: every term has
                      one extra rank, the limit loses it.
     constant         a_n = base.
+
+    The perturbed block is the first of positive rank (rank_preserving) or
+    of deficient rank (rank_dropping).  Each block looked at is factored
+    once: one full SVD, whose singular values also give its rank
+    (:func:`~ginv.linalg.rank_from_singular_values`) and whose singular
+    vectors give the direction.
     """
     if kind == "custom":
         raise InputError("custom families are built directly through SequenceFamily")
@@ -164,21 +162,19 @@ def make_family(
     if base.norm() == 0.0:
         raise InputError(f"{kind} families need a nonzero base")
 
-    if kind == "rank_preserving":
-        index = next(
-            (i for i, b in enumerate(base.blocks) if numerical_rank(b, tol) > 0), None
-        )
-        if index is None:
-            raise InputError("rank-preserving perturbation needs a block of positive rank")
-        u, s, vh = np.linalg.svd(base.blocks[index])
-        r = numerical_rank(base.blocks[index], tol)
-        direction = (u[:, :r] * s[:r]) @ vh[:r]  # scaled copy of the rank support
+    for index, block in enumerate(base.blocks):
+        u, s, vh = np.linalg.svd(block)
+        r = rank_from_singular_values(s, block.shape, tol)
+        if kind == "rank_preserving" and r > 0:
+            direction = (u[:, :r] * s[:r]) @ vh[:r]  # scaled copy of the rank support
+        elif kind == "rank_dropping" and r < block.shape[0]:
+            direction = np.outer(u[:, r], vh[r].conj())  # fresh singular direction
+        else:
+            continue
         return _perturbed_family(kind, base, index, direction, horizon)
-
-    index, (u, s, vh) = _svd_of_first_deficient_block(base, tol)
-    r = numerical_rank(base.blocks[index], tol)
-    direction = np.outer(u[:, r], vh[r].conj())  # fresh singular direction
-    return _perturbed_family(kind, base, index, direction, horizon)
+    if kind == "rank_preserving":
+        raise InputError("rank-preserving perturbation needs a block of positive rank")
+    raise InputError("every block has full rank: no vanishing direction to append")
 
 
 def draw_family(

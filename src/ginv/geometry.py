@@ -373,16 +373,6 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
 # -- orbits -----------------------------------------------------------------------
 
 
-def orbit_signature(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL):
-    """Complete orbit invariant of a base point.
-
-    Per-block numerical rank for the generalized-inverse and partial-
-    isometry instances; zero versus nonzero for the tautological GL(n)
-    action; a single class for the pair groupoid.
-    """
-    return G.orbit_signature(x, tol)
-
-
 def orbit_decompose(
     G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ExperimentReport:
@@ -395,7 +385,7 @@ def orbit_decompose(
 
     classes: dict = {}
     for i, x in enumerate(points):
-        classes.setdefault(orbit_signature(G, x, tol), []).append(i)
+        classes.setdefault(G.orbit_signature(x, tol), []).append(i)
 
     report = ExperimentReport(
         suite=f"orbit-decompose-{G.kind}",

@@ -15,10 +15,11 @@ The structure maps of every kind also take stacked arrows (see
 make the generator calls and return the raw noise (plain arrays for the
 algebra kinds), and ``base_at``, ``arrow_at`` and ``sample_at`` build the
 base point or arrow from it, row by row from stacked noise.
-:func:`verify_axioms` draws the random inputs of each sampled chain once
-and checks up to ``axiom_chunk`` chains in one stacked pass that writes its
-own failure texts; a pass that raises is split into one-row passes over the
-same inputs.
+:func:`arrow_chain` builds composable arrows from such noise, each one at
+the target of the last.  :func:`verify_axioms` draws the random inputs of
+each sampled chain once and checks up to ``axiom_chunk`` chains in one
+stacked pass that writes its own failure texts; a pass that raises is
+split into one-row passes over the same inputs.
 """
 
 from __future__ import annotations
@@ -277,7 +278,10 @@ class Groupoid:
         return kernel_basis(self.base_tangent_system(x), tol)
 
     def orbit_signature(self, x, tol: ToleranceConfig):
-        """Complete orbit invariant of the base point ``x``."""
+        """Complete orbit invariant of the base point ``x``: per-block
+        numerical rank for the generalized-inverse and partial-isometry
+        instances, zero versus nonzero for the tautological GL(n) action, a
+        single class for the pair groupoid."""
         raise NotImplementedError
 
 
@@ -801,18 +805,30 @@ _LAWS = {
 }
 
 
+def arrow_chain(G: Groupoid, x, noises) -> list:
+    """The arrows that :meth:`Groupoid.arrow_at` builds from each of
+    ``noises`` in turn: the first at the base point ``x``, each later one at
+    the target of the one before, so that each arrow composes with the next.
+    Row by row when ``x`` and the noises are stacks.  Every start passes
+    :meth:`Groupoid.check_base` before its arrow is built, else
+    :class:`InputError` (on a stack, when any row fails)."""
+    arrows = []
+    for noise in noises:
+        if arrows:
+            x = G.target(arrows[-1])
+        G.check_base(x)
+        arrows.append(G.arrow_at(x, noise))
+    return arrows
+
+
 def _build_chain(G: Groupoid, noise: tuple) -> tuple:
     """The chain ``g1, g2, g3, loose`` built from the inputs that
     :meth:`Groupoid.chain_noise` drew, or row by row from a stack of them:
-    ``g1`` starts at the drawn base point and each next arrow at the target
-    of the last.  Raises when an arrow (of any row) cannot be built."""
+    the :func:`arrow_chain` of the three arrow noises from the drawn base
+    point, then the loose arrow.  Raises when an arrow (of any row) cannot
+    be built."""
     x_noise, *noises, loose = noise
-    x, arrows = G.base_at(x_noise), []
-    for arrow_noise in noises:
-        G.check_base(x)
-        arrows.append(G.arrow_at(x, arrow_noise))
-        x = G.target(arrows[-1])
-    return (*arrows, G.sample_at(loose))
+    return (*arrow_chain(G, G.base_at(x_noise), noises), G.sample_at(loose))
 
 
 def _check_chain(G: Groupoid, chain: tuple, record, violation):

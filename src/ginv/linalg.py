@@ -3,14 +3,14 @@
 SVD-backed rank and norm with a single relative cutoff (one stacked
 decision for all rows of an ``(N, rows, cols)`` stack), the Euclidean norm
 of vectors or of the rows of an ``(N, n)`` stack, the matrix exponential
-of a matrix or of each matrix of a stack, joint kernel dimensions, the
-fixed real coordinatization of block matrices (of one matrix, or of each
-matrix of a stack along the last axes), the matrices of the linear maps
-``X -> A X B`` (complex, and real in that coordinatization) and
-``X -> X*``, an orthonormal real basis of the Hermitian elements, and a
-central-difference Jacobian kept as an independent reference.  Everything
-here is a pure function; matrices are plain ``numpy`` arrays of
-``complex128`` (or ``float64`` for real-coordinate work).
+of a matrix or of each matrix of a stack, the fixed real
+coordinatization of block matrices (of one matrix, or of each matrix of a
+stack along the last axes), the matrices of the linear maps ``X -> A X B``
+(complex, and real in that coordinatization) and ``X -> X*``, an
+orthonormal real basis of the Hermitian elements, and a central-difference
+Jacobian kept as an independent reference.  Everything here is a pure
+function; matrices are plain ``numpy`` arrays of ``complex128`` (or
+``float64`` for real-coordinate work).
 
 A matrix read as a linear map (:func:`map_rank`, :func:`kernel_basis`,
 :func:`orthonormal_range`) may be complex: it is then the complex-linear
@@ -277,23 +277,6 @@ def finite_diff_jacobian(
     return np.column_stack(cols)
 
 
-def joint_kernel_dim(
-    maps: Sequence[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL
-) -> int:
-    """Dimension of the intersection of kernels of real matrices with a common domain."""
-    if not maps:
-        raise InputError("need at least one matrix")
-    mats = [ensure_finite(np.atleast_2d(np.asarray(m, dtype=float))) for m in maps]
-    cols = mats[0].shape[1]
-    for m in mats[1:]:
-        if m.shape[1] != cols:
-            raise InputError(
-                f"mismatched column counts: {m.shape[1]} != {cols}"
-            )
-    stacked = np.vstack(mats)
-    return cols - numerical_rank(stacked, tol)
-
-
 # -- real coordinatization ---------------------------------------------------
 #
 # The basis order is fixed once and for all: real parts row-major, then
@@ -383,22 +366,11 @@ def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> 
     """Real matrix of ``X -> A X B`` on a direct sum of square blocks.
 
     ``left`` and ``right`` hold one ``A`` and one ``B`` per block.  Row-major
-    vectorization turns ``A X B`` into ``K vec(X)`` with ``K = kron(A, B^T)``,
-    whose real matrix in the fixed coordinatization is
-    ``[[K.real, -K.imag], [K.imag, K.real]]``; each block's is written
-    straight into its place on the diagonal.
+    vectorization turns ``A X B`` into ``K vec(X)`` with ``K = kron(A, B^T)``;
+    each block's :func:`realify` of ``K`` is its real matrix in the fixed
+    coordinatization, and sits on the diagonal.
     """
-    krons = _krons(left, right)
-    rows, cols = 2 * sum(k.shape[0] for k in krons), 2 * sum(k.shape[1] for k in krons)
-    out = np.zeros((rows, cols), dtype=np.result_type(*(k.real for k in krons)))
-    r = c = 0
-    for k in krons:
-        m, n = k.shape
-        out[r:r + m, c:c + n] = out[r + m:r + 2 * m, c + n:c + 2 * n] = k.real
-        out[r + m:r + 2 * m, c:c + n] = k.imag
-        np.negative(k.imag, out=out[r:r + m, c + n:c + 2 * n])
-        r, c = r + 2 * m, c + 2 * n
-    return out
+    return block_diag(*(realify(k) for k in _krons(left, right)))
 
 
 def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:

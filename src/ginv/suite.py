@@ -9,6 +9,8 @@ path criteria do not pay for that import.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 # The paths' principal logarithm (a Schur form) and splines need scipy: load it here, not in
@@ -26,13 +28,14 @@ from .geninv import (
     newton_schulz,
     penrose_residuals,
 )
-from .geometry import at, orbit_decompose, orbit_signature
+from .geometry import at, orbit_decompose
 from .groupoid import (
     ActionGroupoid,
     GInvArrow,
     GInvGroupoid,
     PairGroupoid,
     PartialIsometryGroupoid,
+    arrow_chain,
     isometry_to_ginv,
     verify_axioms,
 )
@@ -117,15 +120,12 @@ def check_route_agreement(tol: ToleranceConfig, seed: int) -> CheckRecord:
     )
 
 
-def _closure_ratios(G: GInvGroupoid, x, noise2, noise1):
+def _closure_ratios(G: GInvGroupoid, x, noises):
     """Idempotency residual/bound of the source and target of ``g1 g2``, where
-    ``g2`` is drawn from ``x`` and ``g1`` from the target of ``g2`` (row by row
-    on stacks).  ``compose`` validates the composite as a reflexive pair."""
-    G.check_base(x)
-    g2 = G.arrow_at(x, noise2)
-    t = G.target(g2)
-    G.check_base(t)
-    g = G.compose(G.arrow_at(t, noise1), g2)
+    ``g2, g1`` is the :func:`arrow_chain` of the two ``noises`` from ``x`` (row
+    by row on stacks).  ``compose`` validates the composite as a reflexive pair."""
+    g2, g1 = arrow_chain(G, x, noises)
+    g = G.compose(g1, g2)
     return emax(*(
         (e @ e - e).norm() / (CLOSURE_TOL * (1.0 + epow(e.norm(), 2)))
         for e in (G.source(g), G.target(g))
@@ -140,13 +140,11 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
     rows = []  # per pair: the noises of the base point, g2 and g1
     for i in range(500):
         G = groupoids[i % len(groupoids)]
-        x = G.base_noise(rng)
-        noise2 = G.arrow_noise(rng)
-        rows.append((x, noise2, G.arrow_noise(rng)))
+        rows.append((G.base_noise(rng), *G.arrow_noises(rng, 2)))
     ratios = []
     for j, G in enumerate(groupoids):
-        x, noise2, noise1 = stack_rows(rows[j::len(groupoids)])
-        ratios.append(_closure_ratios(G, G.base_at(x), noise2, noise1))
+        x, *noises = stack_rows(rows[j::len(groupoids)])
+        ratios.append(_closure_ratios(G, G.base_at(x), noises))
     worst, n = max(float(np.max(r)) for r in ratios), len(rows)
     return _record(
         "03 composition closure",
@@ -198,14 +196,10 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
     U = PartialIsometryGroupoid((2,), tol)
     Gp = GInvGroupoid((2,), tol)
 
-    def residuals(p, noise_v, noise_u):
-        """The law residuals at ``v`` drawn from ``p`` and ``u`` drawn from the
-        target of ``v`` (row by row on stacks)."""
-        U.check_base(p)
-        v = U.arrow_at(p, noise_v)
-        t = U.target(v)
-        U.check_base(t)
-        u = U.arrow_at(t, noise_u)
+    def residuals(p, noises):
+        """The law residuals at the :func:`arrow_chain` ``v, u`` of the two
+        ``noises`` from ``p`` (row by row on stacks)."""
+        v, u = arrow_chain(U, p, noises)
         ju, jv = isometry_to_ginv(u.u, tol), isometry_to_ginv(v.u, tol)
         juv = isometry_to_ginv(U.compose(u, v).u, tol)
         return emax(
@@ -217,13 +211,10 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
             mp_pair(u.u, tol).b.distance(ju.pair.b),
         )
 
-    rows = []  # per isometry: the noises of the base point, v and u
-    for _ in range(200):
-        p = U.base_noise(rng)
-        noise_v = U.arrow_noise(rng)
-        rows.append((p, noise_v, U.arrow_noise(rng)))
-    p, noise_v, noise_u = stack_rows(rows)
-    worst, n = float(np.max(residuals(U.base_at(p), noise_v, noise_u))), len(rows)
+    # per isometry: the noises of the base point, v and u
+    rows = [(U.base_noise(rng), *U.arrow_noises(rng, 2)) for _ in range(200)]
+    p, *noises = stack_rows(rows)
+    worst, n = float(np.max(residuals(U.base_at(p), noises))), len(rows)
     return _record(
         "05 morphism laws",
         "u -> (u, u*) preserves s, t, composition and inversion",
@@ -344,7 +335,7 @@ def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
 
     classes: dict = {}
     for i, p in enumerate(points):
-        classes.setdefault(orbit_signature(G, p, tol), []).append(i)
+        classes.setdefault(G.orbit_signature(p, tol), []).append(i)
     ranks = {sig[0] for sig in classes}
     if not ranks <= {0, 1, 2, 3}:
         failures.append(f"unexpected rank classes {sorted(ranks)}")
@@ -499,12 +490,7 @@ def run_acceptance(tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Experim
     """
     report = ExperimentReport(
         suite="acceptance",
-        config={
-            "seed": seed,
-            "residual_tol": tol.residual_tol,
-            "rank_cutoff_factor": tol.rank_cutoff_factor,
-            "fd_step_scale": tol.fd_step_scale,
-        },
+        config={"seed": seed, **dataclasses.asdict(tol)},
     )
     for k, criterion in enumerate(ALL_CRITERIA, start=1):
         try:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ginv.algebra import AlgebraElement
-from ginv import cli
+from ginv import cli, suite
 from ginv.cli import main
+from ginv.linalg import ToleranceConfig
 from ginv.serialization import serialize_element
 from test_serialization import wire_texts
 
@@ -230,6 +232,49 @@ class TestOtherCommands:
         assert record["name"] == "error" and record["value"] == "InputError"
         assert record["details"].startswith("cannot write ") and "raised at" not in record["details"]
         assert not out_file.exists()
+
+
+class TestToleranceEcho:
+    """Every report's config holds each field of ``ToleranceConfig``, at the
+    value the command line gave or else at its default."""
+
+    FLAGS = [
+        pytest.param([], {}, id="defaults"),
+        pytest.param(["--tol-residual", "3e-7"], {"residual_tol": 3e-7}, id="tol-residual"),
+        pytest.param(["--tol-rank-factor", "2e-11"], {"rank_cutoff_factor": 2e-11},
+                     id="tol-rank-factor"),
+    ]
+
+    @staticmethod
+    def tolerance_items(config):
+        return {f.name: config[f.name] for f in dataclasses.fields(ToleranceConfig)}
+
+    @staticmethod
+    def one_criterion(monkeypatch):
+        """The battery cut to one criterion that passes: the config does not
+        depend on the criteria."""
+        monkeypatch.setattr(suite, "ALL_CRITERIA", (
+            lambda tol, seed: suite._record("stand-in", "a criterion that passes", True, 0.0),))
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["suite"], id="suite"),
+        pytest.param(["geometry", "--kind", "ginv", "--count", "1"], id="geometry"),
+        pytest.param(["check-groupoid", "--samples", "2"], id="check-groupoid"),
+    ])
+    @pytest.mark.parametrize("flags, given", FLAGS)
+    def test_command_reports(self, command, flags, given, capsys, monkeypatch):
+        self.one_criterion(monkeypatch)
+        code, out = run([*command, *flags, "--no-timestamp"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert self.tolerance_items(config) == dataclasses.asdict(ToleranceConfig(**given))
+
+    @pytest.mark.parametrize("given", [{}, {"residual_tol": 3e-7}, {"rank_cutoff_factor": 2e-11}])
+    def test_run_acceptance(self, given, monkeypatch):
+        self.one_criterion(monkeypatch)
+        tol = ToleranceConfig(**given)
+        config = suite.run_acceptance(tol, 0).config
+        assert self.tolerance_items(config) == dataclasses.asdict(tol)
 
 
 class TestScaleLimits:

@@ -62,6 +62,44 @@ def assert_same_bits(got: AlgebraElement, want: AlgebraElement):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestOneFactorPerBlock:
+    """``make_family`` factors each block it looks at once, by one full SVD,
+    and builds its direction from that factorization."""
+
+    @staticmethod
+    def svd_calls(monkeypatch, kind, base):
+        base.norm()  # stored, so only the block factors are counted
+        calls, svd = [], np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        fam = make_family(kind, base)
+        monkeypatch.undo()
+        return fam, len(calls)
+
+    def test_rank_dropping_at_a_deficient_first_block(self, monkeypatch):
+        base = well_conditioned_element(np.random.default_rng(0), (2, 1), ranks=(1, 1))
+        fam, calls = self.svd_calls(monkeypatch, "rank_dropping", base)
+        assert calls == 1
+        u, _, vh = np.linalg.svd(base.blocks[0])
+        r = numerical_rank(base.blocks[0])
+        assert fam.directions[0].tobytes() == np.outer(u[:, r], vh[r].conj()).tobytes()
+        assert fam.directions[1] is None
+
+    def test_rank_preserving_past_a_zero_first_block(self, monkeypatch):
+        base = well_conditioned_element(np.random.default_rng(0), (2, 2), ranks=(0, 1))
+        assert not base.blocks[0].any()
+        fam, calls = self.svd_calls(monkeypatch, "rank_preserving", base)
+        assert calls == 2
+        u, s, vh = np.linalg.svd(base.blocks[1])
+        r = numerical_rank(base.blocks[1])
+        assert fam.directions[0] is None
+        assert fam.directions[1].tobytes() == ((u[:, :r] * s[:r]) @ vh[:r]).tobytes()
+
+
 class TestTermStack:
     @pytest.mark.parametrize("horizon", [8, 64])
     @pytest.mark.parametrize("shape", [(2,), (3,), (2, 1), (1, 2, 3)])

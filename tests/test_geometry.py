@@ -9,7 +9,6 @@ from ginv.geometry import (
     fiber_and_anchor,
     isotropy_tangent_dim,
     orbit_decompose,
-    orbit_signature,
     submersion_rank_st,
     tangent_basis,
 )
@@ -235,7 +234,7 @@ class TestOrbits:
     def test_signatures(self, rng):
         G = PartialIsometryGroupoid((2, 3))
         p = random_projection(rng, (2, 3), ranks=(1, 2))
-        assert orbit_signature(G, p) == (1, 2)
+        assert G.orbit_signature(p, DEFAULT_TOL) == (1, 2)
 
     def test_rank_classes_of_idempotents(self, rng):
         G = GInvGroupoid((2,))

@@ -17,6 +17,7 @@ from ginv.groupoid import (
     PairArrow,
     PairGroupoid,
     PartialIsometryGroupoid,
+    arrow_chain,
     isometry_to_ginv,
     _build_chain,
     make_groupoid,
@@ -653,6 +654,50 @@ class TestStackedDraws:
         for i, chain in enumerate(lazy):
             for stacked_arrow, g in zip(stacked, chain):
                 assert arrow_bytes(stacked_arrow, i) == arrow_bytes(g)
+
+
+def off_base_point(G):
+    """A point that fails ``G.check_base``: twice the unit of an algebra
+    kind, a vector of the wrong length for an array kind."""
+    if isinstance(G, (GInvGroupoid, PartialIsometryGroupoid)):
+        return AlgebraElement.identity(G.shape) * 2.0
+    return np.zeros(G.sample_base_point(np.random.default_rng(0)).shape[-1] + 1)
+
+
+class TestArrowChain:
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_each_arrow_starts_at_the_last_target(self, cls, shape):
+        G = cls(shape)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            x_noise, *noises, _ = G.chain_noise(rng)
+            x = G.base_at(x_noise)
+            arrows = arrow_chain(G, x, noises)
+            assert len(arrows) == 3
+            for start, g in zip([x, *(G.target(g) for g in arrows[:-1])], arrows):
+                # equal up to rounding; exactly for the array kinds
+                assert G.base_distance(G.source(g), start) <= 1e-12 * (1 + G.arrow_scale(g) ** 2)
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_stacked_chain_equals_single_chains(self, cls, shape):
+        G = cls(shape)
+        rng = np.random.default_rng(0)
+        rows = [G.chain_noise(rng)[:4] for _ in range(6)]
+        x_noise, *noises = stack_rows(rows)
+        stacked = arrow_chain(G, G.base_at(x_noise), noises)
+        for i, (x_noise, *noises) in enumerate(rows):
+            single = arrow_chain(G, G.base_at(x_noise), noises)
+            assert [arrow_bytes(g, i) for g in stacked] == [arrow_bytes(g) for g in single]
+
+    @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
+    def test_off_base_start_raises_before_any_arrow(self, cls, shape, monkeypatch):
+        G = cls(shape)
+        _, *noises, _ = G.chain_noise(np.random.default_rng(0))
+        built = []
+        monkeypatch.setattr(G, "arrow_at", lambda x, noise: built.append(x))
+        with pytest.raises(InputError, match="base membership"):
+            arrow_chain(G, off_base_point(G), noises)
+        assert built == []
 
 
 class TestArrowEquality:

@@ -14,7 +14,6 @@ from ginv.linalg import (
     expm,
     finite_diff_jacobian,
     hermitian_basis,
-    joint_kernel_dim,
     complex_sandwich_matrix,
     kernel_basis,
     map_rank,
@@ -304,23 +303,6 @@ class TestFiniteDiffJacobian:
         with pytest.raises(EvaluationError) as err:
             finite_diff_jacobian(f, np.array([0.0, 0.0]))
         assert err.value.coordinate == 1
-
-
-class TestJointKernelDim:
-    def test_identity_has_trivial_kernel(self):
-        assert joint_kernel_dim([np.eye(4)]) == 0
-
-    def test_zero_maps(self):
-        assert joint_kernel_dim([np.zeros((2, 5)), np.zeros((3, 5))]) == 5
-
-    def test_two_projections_cover_plane(self):
-        p1 = np.array([[1.0, 0.0]])
-        p2 = np.array([[0.0, 1.0]])
-        assert joint_kernel_dim([p1, p2]) == 0
-
-    def test_mismatched_columns(self):
-        with pytest.raises(InputError):
-            joint_kernel_dim([np.eye(2), np.eye(3)])
 
 
 def test_kernel_basis_orthonormal(rng):

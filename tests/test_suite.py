@@ -163,7 +163,7 @@ def test_closure_pair_205_at_seed_1003_draws_from_a_large_target():
         G = groupoids[i % len(groupoids)]
         x, noise2, noise1 = G.sample_base_point(rng), G.arrow_noise(rng), G.arrow_noise(rng)
     assert G.target(G.arrow_at(x, noise2)).norm() > 14.0
-    assert suite._closure_ratios(G, x, noise2, noise1) <= 1.0
+    assert suite._closure_ratios(G, x, (noise2, noise1)) <= 1.0
 
 
 def stand_in(tol, seed):
