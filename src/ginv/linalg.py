@@ -23,6 +23,7 @@ Ranks of algebra blocks (:func:`numerical_rank`) count complex rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -387,7 +388,13 @@ def hermitian_basis(sizes: Sequence[int]) -> np.ndarray:
     direct sum of square blocks of the given sizes, in the fixed
     coordinatization: per block ``E_kk`` for each ``k``, then
     ``(E_kl + E_lk) / sqrt 2`` and then ``i (E_kl - E_lk) / sqrt 2`` for each
-    ``k < l``; ``sum(n * n)`` columns in all."""
+    ``k < l``; ``sum(n * n)`` columns in all.  Built once per shape; the
+    array is read-only."""
+    return _hermitian_basis(tuple(int(n) for n in sizes))
+
+
+@functools.lru_cache(maxsize=32)
+def _hermitian_basis(sizes: tuple) -> np.ndarray:
     dims = [n * n for n in sizes]
     out = np.zeros((2 * sum(dims), sum(dims)))
     r = c = 0
@@ -401,4 +408,5 @@ def hermitian_basis(sizes: Sequence[int]) -> np.ndarray:
         block[d + k * n + l, anti] = np.sqrt(0.5)
         block[d + l * n + k, anti] = -np.sqrt(0.5)
         r, c = r + 2 * d, c + d
+    out.setflags(write=False)
     return out

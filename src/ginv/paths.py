@@ -18,21 +18,22 @@ interpolating spline through the samples (de Boor, *A Practical Guide to
 Splines*): the base velocity, the derivative of a time change and the
 resampled path.  Its error falls like ``h^5`` in the sample spacing and it
 reproduces polynomials of degree up to 5, so a leg of 257 samples suffices.
-A path is fitted once: one spline through the real coordinates of its
-bases and lifts side by side, which gives the base velocity and, at the
-query times of a time change, both resampled curves.  The fit treats each
-coordinate column on its own, so a column's values are bit for bit those
-of a spline through that column alone.  A path keeps its sample grid's
-knots and the banded LU factors of the grid's collocation matrix, and a
-time change fits ``phi`` and its new path, on the same grid, with those
-factors: each fit is one banded solve.  The splines
-(``scipy.interpolate``), the banded LAPACK solvers and the Schur form
-behind the principal logarithm (``scipy.linalg``) are imported by the
-functions that call them.
+A sample grid is factored once: the inverse of its collocation matrix,
+and the matrix that maps values to the spline's derivatives at the sample
+times.  Every :func:`orbit_path` with the same number of legs and samples
+per leg has the same grid, and they share one.  A path's velocity and a
+time change's ``phi'`` are then one matrix product each.  A path's spline
+through the real coordinates of its bases and lifts side by side, fitted
+when a time change first resamples it, gives both resampled curves.  Each
+coordinate column is fitted on its own, so a column's values are bit for
+bit those of a spline through that column alone.  The B-splines come from
+the Cox-de Boor recursion and the principal logarithm from the Cayley
+transform, so paths need numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,44 +56,105 @@ _LEG_INTERVALS = 256
 _SPLINE_DEGREE = 5
 
 
+#: offsets, from a point's interval ``i``, of the knots its nonzero
+#: B-splines use (``i-k+1, ..., i+k``) and of those B-splines (``i-k, ..., i``)
+_KNOT_OFFSETS = np.arange(1 - _SPLINE_DEGREE, _SPLINE_DEGREE + 1)[:, None]
+_BASIS_OFFSETS = np.arange(-_SPLINE_DEGREE, 1)[:, None]
+
+
+def _basis(knots: np.ndarray, x: np.ndarray, slope: bool = False):
+    """The Cox-de Boor recursion (de Boor, ch. X), vectorized over ``x``.
+
+    Returns the interval ``i`` of each point (``knots[i] <= x < knots[i + 1]``
+    among the intervals of positive length, the last one closed) and the
+    values at ``x`` of the ``k + 1`` B-splines of degree ``k`` that do not
+    vanish there, ``B_(i-k), ..., B_i``, one row each; with ``slope``, their
+    first derivatives.  Points are columns throughout, so every step acts
+    on contiguous rows."""
+    k = _SPLINE_DEGREE
+    i = k + np.searchsorted(knots[k + 1:-k - 1], x, side="right")
+    t = knots[i + _KNOT_OFFSETS]
+    below, above = x - t[:k], t[k:] - x
+    b = np.ones((1, len(x)))
+    for d in range(1, k + 1):
+        # b holds B_(m, d-1)(x) for m = i-d+1, ..., i; each feeds B_(m-1, d) and B_(m, d)
+        w = b / (t[k:k + d] - t[k - d:k])
+        if slope and d == k:
+            left, right = -k * w, k * w
+        else:
+            left, right = above[:d] * w, below[k - d:] * w
+        b = np.empty((d + 1, len(x)))
+        b[:-1] = left
+        b[-1] = 0.0
+        b[1:] += right
+    return i, b
+
+
+def _combine(i: np.ndarray, b: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``sum_j b[j] coefficients[i - k + j]``: six shifted coefficient rows
+    per point, weighted by the basis rows of :func:`_basis`."""
+    return np.einsum("jm,jm...->m...", b, coefficients[i + _BASIS_OFFSETS])
+
+
+@dataclass(frozen=True, eq=False)
+class _Spline:
+    """A quintic spline: ``knots`` and one coefficient row per B-spline."""
+
+    knots: np.ndarray
+    coefficients: np.ndarray
+
+    def __call__(self, x) -> np.ndarray:
+        """Values at the points ``x`` (a flat array), one row per point."""
+        return _combine(*_basis(self.knots, np.asarray(x, dtype=float)), self.coefficients)
+
+
 class _Grid:
-    """Quintic interpolation at the sample times ``times``: the not-a-knot
-    knots (de Boor, XIII(12)) and the banded LU factors of the collocation
-    matrix, made once.  Each :meth:`fit` is one banded solve, whose
-    coefficients are bit for bit those of
-    ``scipy.interpolate.make_interp_spline(times, values, k=5, axis=0)``:
-    the same knots, the same B-spline values, and LAPACK's ``gbsv`` is
-    ``gbtrf`` followed by ``gbtrs``."""
+    """Quintic interpolation at the sample times ``times``, made once.
+
+    The not-a-knot knots (de Boor, XIII(12)) give a square collocation
+    matrix ``B``, whose entry ``(r, j)`` is the ``j``-th B-spline at
+    ``times[r]``.  It is inverted once, densely: numpy has no banded LU, and
+    at a few hundred samples the inverse costs a few milliseconds, which
+    :func:`orbit_path` pays once per leg layout.  ``fit`` multiplies by
+    ``B^-1``, and ``slopes`` by ``B'(times) B^-1``, the derivative at the
+    sample times of the spline through the values.  Both act on each column
+    of the values on its own."""
 
     def __init__(self, times: np.ndarray):
-        from scipy.interpolate import BSpline
-        from scipy.linalg import get_lapack_funcs
-
         k, half = _SPLINE_DEGREE, (_SPLINE_DEGREE + 1) // 2
-        self.times = times
-        self.knots = np.r_[(times[0],) * (k + 1), times[half:-half], (times[-1],) * (k + 1)]
-        design = BSpline.design_matrix(times, self.knots, k).tocoo()
-        # LAPACK band storage with k sub- and k super-diagonals, and k more
-        # rows for the fill-in of the factorization
-        band = np.zeros((3 * k + 1, len(times)), order="F")
-        band[2 * k + design.row - design.col, design.col] = design.data
-        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-        self._lu, self._pivots, info = gbtrf(band, k, k)
-        if info != 0:
-            raise DegenerateInterpolationError("the collocation matrix is singular")
+        t = np.array(times, dtype=float)
+        knots = np.r_[(t[0],) * (k + 1), t[half:-half], (t[-1],) * (k + 1)]
+        i, b = _basis(knots, t)
+        design = np.zeros((len(t), len(t)))
+        design[np.arange(len(t)), i + _BASIS_OFFSETS] = b
+        try:
+            inverse = np.linalg.inv(design)
+        except np.linalg.LinAlgError:
+            raise DegenerateInterpolationError("the collocation matrix is singular") from None
+        slopes = _combine(*_basis(knots, t, slope=True), inverse)
+        for a in (t, knots, inverse, slopes):  # one grid serves many paths
+            a.setflags(write=False)
+        self.times, self.knots, self._inverse, self._slopes = t, knots, inverse, slopes
 
-    def fit(self, values: np.ndarray):
+    def fit(self, values: np.ndarray) -> _Spline:
         """Quintic interpolating spline through ``values`` (first axis) at
         the grid's times."""
-        from scipy.interpolate import BSpline
+        return _Spline(self.knots, self._inverse @ np.asarray(values, dtype=float))
 
-        k = _SPLINE_DEGREE
-        rhs = np.ascontiguousarray(values, dtype=float).reshape(len(values), -1)
-        coeffs, info = self._gbtrs(self._lu, k, k, rhs, self._pivots)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of gbtrs")
-        return BSpline.construct_fast(
-            self.knots, np.ascontiguousarray(coeffs.reshape(values.shape)), k, axis=0)
+    def slopes(self, values: np.ndarray) -> np.ndarray:
+        """Derivative at the grid's times of the spline through ``values``."""
+        return self._slopes @ np.asarray(values, dtype=float)
+
+
+@functools.lru_cache(maxsize=4)
+def _leg_grid(legs: int, per_leg: int) -> _Grid:
+    """The grid of an :func:`orbit_path` of ``legs`` legs with ``per_leg``
+    sample intervals each: every such path has the same times, so it is
+    built once."""
+    taus = np.linspace(0.0, 1.0, per_leg + 1)
+    # the joint sample of two legs belongs to the earlier one
+    return _Grid(np.concatenate([(j + (taus if j == 0 else taus[1:])) / legs
+                                 for j in range(legs)]))
 
 
 def fiber_anchor_image(alpha: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
@@ -110,16 +172,16 @@ class APath:
     """Sampled admissible path: base projections plus a fiber lift.
 
     ``bases`` and ``lifts`` are stacked elements of one shape, sample ``i``
-    in row ``i``.  The constructor checks them against ``sample_times``,
-    fits ``spline``, the quintic spline through ``[bases | lifts]`` real
-    coordinates (the columns of ``bases.real_coords()``, then those of
-    ``lifts.real_coords()``), and computes ``max_lift_residual``: the worst
-    C*-norm of the anchor image of the lift minus the base velocity, taken
-    from the derivative of the spline's bases columns.  That velocity is
-    accurate to O(h^5), so a path needs at least six samples.  ``grid``
-    holds the factored interpolation of the sample times; one passed in is
-    used when it was made for times equal to ``sample_times``, and a new
-    one is made otherwise.
+    in row ``i``.  The constructor checks them against ``sample_times`` and
+    computes ``max_lift_residual``: the worst C*-norm of the anchor image of
+    the lift minus the base velocity, the derivative of the quintic spline
+    through the bases' real coordinates.  That velocity is accurate to
+    O(h^5), so a path needs at least six samples.  ``grid`` holds the
+    factored interpolation of the sample times; one passed in is used when
+    it was made for times equal to ``sample_times``, and a new one is made
+    otherwise.  ``spline``, the quintic spline through ``[bases | lifts]``
+    real coordinates (the columns of ``bases.real_coords()``, then those of
+    ``lifts.real_coords()``), is fitted on first use.
     """
 
     sample_times: np.ndarray
@@ -127,10 +189,9 @@ class APath:
     lifts: AlgebraElement
     grid: _Grid | None = field(default=None, repr=False)
     max_lift_residual: float = field(init=False)
-    spline: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = np.array(self.sample_times, dtype=float)
+        times = np.asarray(self.sample_times, dtype=float)
         if times.ndim != 1:
             raise InputError("sample times must be a flat sequence")
         bases, lifts = self.bases, self.lifts
@@ -150,16 +211,17 @@ class APath:
         grid = self.grid
         if grid is None or not np.array_equal(grid.times, times):
             grid = _Grid(times)
-        base_coords = bases.real_coords()
-        spline = grid.fit(np.concatenate([base_coords, lifts.real_coords()], axis=1))
         velocity = AlgebraElement.from_real_coords(
-            bases.shape, spline.derivative()(times)[:, :base_coords.shape[1]])
+            bases.shape, grid.slopes(bases.real_coords()))
         residual = (fiber_anchor_image(lifts, bases) - velocity).norm()
-        times.setflags(write=False)
-        object.__setattr__(self, "sample_times", times)
+        object.__setattr__(self, "sample_times", grid.times)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "max_lift_residual", float(np.max(residual)))
-        object.__setattr__(self, "spline", spline)
+
+    @functools.cached_property
+    def spline(self) -> _Spline:
+        return self.grid.fit(
+            np.concatenate([self.bases.real_coords(), self.lifts.real_coords()], axis=1))
 
     def __len__(self):
         return len(self.sample_times)
@@ -222,14 +284,24 @@ def direct_rotation(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
 
 
 def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
-    """Skew-Hermitian principal logarithm of a unitary element."""
-    import scipy.linalg
+    """Skew-Hermitian principal logarithm of a unitary element with no
+    eigenvalue -1.
 
+    The Cayley transform ``H = i (1 - u)(1 + u)^-1`` is Hermitian, with the
+    eigenvectors of ``u`` and eigenvalue ``tan(theta / 2)`` where ``u`` has
+    ``e^(i theta)``, so ``eigh(H)`` gives ``log u = V diag(2i arctan lambda) V*``
+    (Higham, *Functions of Matrices*, ch. 11).  A direct rotation has every
+    ``|theta| < pi / 2``, far from the pole at ``theta = pi``.
+    """
     blocks = []
     for b in u.blocks:
-        t, z = scipy.linalg.schur(b, output="complex")
-        theta = np.angle(np.diagonal(t))
-        blocks.append((z * (1j * theta)) @ z.conj().T)
+        one = np.eye(len(b))
+        try:
+            h = 1j * np.linalg.solve(one + b, one - b)
+        except np.linalg.LinAlgError:
+            raise DegenerateInterpolationError("-1 is an eigenvalue of the unitary") from None
+        evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+        blocks.append((vecs * (2j * np.arctan(evals))) @ vecs.conj().T)
     return AlgebraElement(u.shape, tuple(blocks))
 
 
@@ -318,21 +390,21 @@ def orbit_path(
 
     n_legs = len(generators)
     per_leg = max(_LEG_INTERVALS, int(np.ceil(steps / n_legs)))
-    times, bases, lifts = [], [], []
+    grid = _leg_grid(n_legs, per_leg)
+    taus = np.linspace(0.0, 1.0, per_leg + 1)
+    bases, lifts = [], []
     for j, (start, k) in enumerate(zip(starts, generators)):
-        taus = np.linspace(0.0, 1.0, per_leg + 1)
-        if j > 0:
-            taus = taus[1:]  # the joint sample already belongs to the previous leg
+        leg = taus if j == 0 else taus[1:]  # the joint sample belongs to the earlier leg
         leg_bases, leg_lifts = _sample_leg(
-            start, k, _quintic(taus), n_legs * _quintic_deriv(taus)
+            start, k, _quintic(leg), n_legs * _quintic_deriv(leg)
         )
-        times.append((j + taus) / n_legs)
         bases.append(leg_bases)
         lifts.append(leg_lifts)
     return APath(
-        np.concatenate(times),
+        grid.times,
         AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*bases))),
         AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*lifts))),
+        grid,
     )
 
 
@@ -347,10 +419,9 @@ def reparametrize_lift(path: APath, phi) -> APath:
     of the quintic spline through those values, exact up to rounding when
     ``phi`` is a polynomial of degree at most 5.  The new path is resampled
     on the original grid; values of the old path between samples come from
-    its stored ``spline``, evaluated once at the query times for bases and
-    lifts together.  So a time change fits two splines, both with the
-    path's factored ``grid``: one through the values of ``phi``, and the new
-    path's own.
+    its ``spline``, evaluated once at the query times for bases and lifts
+    together.  The new path keeps the path's factored ``grid``, so ``phi'``
+    and the new velocity are one product each with its slope matrix.
     """
     times, grid = path.sample_times, path.grid
     ph = np.asarray([float(phi(t)) for t in times])
@@ -359,7 +430,7 @@ def reparametrize_lift(path: APath, phi) -> APath:
     if np.any(np.diff(ph) < -1e-12):
         raise InputError("phi is not monotone on the sample grid")
 
-    dph = grid.fit(ph).derivative()(times)
+    dph = grid.slopes(ph)
     queries = np.clip(ph, times[0], times[-1])
     coords = path.spline(queries)
     half = coords.shape[1] // 2  # bases columns, then as many lifts columns
@@ -389,8 +460,6 @@ def smooth_reparametrizer(knots=()):
     if not knots:
         return lambda t: t
 
-    import scipy.interpolate
-
     grid = np.linspace(0.0, 1.0, 8193)
     with np.errstate(divide="ignore", under="ignore"):
         weight = np.ones_like(grid)
@@ -402,12 +471,22 @@ def smooth_reparametrizer(knots=()):
             weight *= w
     trapezoids = np.diff(grid) * (weight[1:] + weight[:-1]) / 2.0
     cumulative = np.concatenate(([0.0], np.cumsum(trapezoids)))
-    cumulative /= cumulative[-1]
-    spline = scipy.interpolate.CubicSpline(grid, cumulative)
+    total = cumulative[-1]
+    cumulative /= total
+    # cubic Hermite interpolation with the exact slopes weight / total: the
+    # two end slopes of each piece average to its secant, so every piece is
+    # monotone (Fritsch and Carlson, SIAM J. Numer. Anal. 17, 1980), and a
+    # piece where the weight vanishes at both ends is constant
+    slopes = weight / total
 
     def phi(t):
         t_arr = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        out = np.clip(spline(t_arr), 0.0, 1.0)
+        j = np.clip(np.searchsorted(grid, t_arr, side="right") - 1, 0, len(grid) - 2)
+        h = grid[j + 1] - grid[j]
+        s = (t_arr - grid[j]) / h
+        rise, a, b = cumulative[j + 1] - cumulative[j], h * slopes[j], h * slopes[j + 1]
+        out = cumulative[j] + s * (a + s * (3 * rise - 2 * a - b + s * (a + b - 2 * rise)))
+        out = np.clip(out, 0.0, 1.0)
         out = np.where(t_arr <= 0.0, 0.0, out)
         out = np.where(t_arr >= 1.0, 1.0, out)
         return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out

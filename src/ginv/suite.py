@@ -2,9 +2,8 @@
 
 Each function returns a :class:`CheckRecord`; the CLI ``suite`` subcommand
 and the acceptance test module both run this battery, so a report and the
-test suite can never drift apart.  Unlike the rest of the package, this
-module loads ``scipy.linalg`` and ``scipy.interpolate`` when imported, so the
-path criteria do not pay for that import.
+test suite can never drift apart.  Like the rest of the package, it needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -12,11 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-# The paths' principal logarithm (a Schur form) and splines need scipy: load it here, not in
-# the first path criterion's time.
-import scipy.interpolate  # noqa: F401
-import scipy.linalg  # noqa: F401
 
 from .algebra import AlgebraElement, emax, epow, stack_rows
 from .continuity import DRAWN_KINDS, continuity_experiment, draw_family

@@ -429,6 +429,11 @@ class TestComplexMaps:
         h = (0.5 * (x + x.adjoint())).real_coords()
         assert np.max(np.abs(basis @ (basis.T @ h) - h)) <= 1e-14 * np.max(np.abs(h))
 
+    def test_hermitian_basis_is_built_once_per_shape(self):
+        basis = hermitian_basis((2, 3))
+        assert hermitian_basis([2, 3]) is basis and not basis.flags.writeable
+        assert hermitian_basis((3, 2)) is not basis
+
     @pytest.mark.parametrize("shape", [None, (2,), (2, 3), (1, 2, 3)])
     def test_realified_complex_basis_is_orthonormal(self, rng, shape):
         rows = 7 if shape is None else sum(n * n for n in shape)
