@@ -23,6 +23,15 @@ from ginv.sampling import random_projection
 
 rng = np.random.default_rng(4)
 G = PartialIsometryGroupoid((3,))
+#: values at rounding level are shown against this bound, not digit by digit
+ROUNDING = 1e-12
+
+
+def against_rounding(value: float) -> str:
+    if value < ROUNDING:
+        return f"below {ROUNDING:.0e}"
+    return f"{value:.2e}, above {ROUNDING:.0e}"
+
 
 print("Orbit classes of 30 random projections in M3 (the rank is everything)")
 points = [random_projection(rng, (3,)) for _ in range(30)]
@@ -36,10 +45,10 @@ print("A maximally distant pair: diag(1,0) to diag(0,1) in M2")
 p = AlgebraElement.from_blocks([np.diag([1.0, 0.0])])
 q = AlgebraElement.from_blocks([np.diag([0.0, 1.0])])
 path = orbit_path(p, q, steps=16)
-print(f"  endpoint error {path.end.distance(q):.2e}, "
+print(f"  endpoint error {against_rounding(path.end.distance(q))}, "
       f"lift residual {path.max_lift_residual:.2e}, {len(path)} samples")
 mid = path.bases[len(path) // 2]
-print(f"  midpoint is itself a projection: |m^2 - m| = {(mid @ mid - mid).norm():.2e}")
+print(f"  midpoint is itself a projection: |m^2 - m| {against_rounding((mid @ mid - mid).norm())}")
 
 print()
 print("Reparametrizing the same path")

@@ -17,7 +17,8 @@ row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
 :func:`stack_rows` stacks rows of drawn inputs (plain arrays, or elements).
 Classification and the wire format stay single-element.  Elements are
 immutable: equality compares shapes and blocks exactly, and the first
-:meth:`AlgebraElement.norm` call stores its value for the later ones.
+:meth:`AlgebraElement.norm` call stores its value for the later ones;
+:func:`norms` takes those of several elements in one stacked call.
 :func:`emax`, :func:`epow` and :func:`first_excess` give threshold
 arithmetic that reads the same on a norm and on an array of norms.
 :func:`expm_element` takes its exponential from :func:`ginv.linalg.expm`,
@@ -223,13 +224,8 @@ class AlgebraElement:
         calls return it; it takes no part in equality."""
         value = self.__dict__.get("_norm")
         if value is None:
-            rows = self.blocks if self.is_stack else tuple(b[None] for b in self.blocks)
-            value = functools.reduce(np.maximum, (_operator_norms(b) for b in rows))
-            if self.is_stack:
-                value.setflags(write=False)
-            else:
-                value = float(value[0])
-            object.__setattr__(self, "_norm", value)
+            _store_norms([self])
+            value = self.__dict__["_norm"]
         return value
 
     def distance(self, other: "AlgebraElement"):
@@ -259,6 +255,42 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape})"
+
+
+def norms(*elements: AlgebraElement) -> tuple:
+    """The :meth:`AlgebraElement.norm` of each of ``elements``, all of one
+    shape, from one stacked call for the elements of each stack height: the
+    residuals and operands of one check are one stack, not one call each.
+    Each element stores its value, as its own ``norm()`` would, bit for bit;
+    an element whose value is stored, or that is an earlier one again, is
+    not computed again."""
+    todo: dict = {}
+    for e in elements:
+        elements[0]._check_shape(e)
+        if "_norm" not in e.__dict__:
+            todo.setdefault(e.blocks[0].shape[:-2], {})[id(e)] = e
+    for group in todo.values():
+        _store_norms(list(group.values()))
+    return tuple(e.__dict__["_norm"] for e in elements)
+
+
+def _store_norms(elements: list):
+    """Compute the norms of ``elements``, of one shape and one stack height,
+    as one stack of rows, and store each element's own."""
+    first = elements[0]
+    height = len(first.blocks[0]) if first.is_stack else 1
+    rows = []
+    for k in range(len(first.shape)):
+        parts = [e.blocks[k] if e.is_stack else e.blocks[k][None] for e in elements]
+        rows.append(np.concatenate(parts) if len(parts) > 1 else parts[0])
+    values = functools.reduce(np.maximum, (_operator_norms(b) for b in rows))
+    for i, e in enumerate(elements):
+        value = values[i * height:(i + 1) * height]
+        if e.is_stack:
+            value.setflags(write=False)
+        else:
+            value = float(value[0])
+        object.__setattr__(e, "_norm", value)
 
 
 def _operator_norms(b: np.ndarray) -> np.ndarray:
@@ -360,10 +392,7 @@ def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementCl
     are not misclassified.
     """
     a._require_single("classify")
-    nrm = a.norm()
-    r_idem = (a @ a - a).norm()
-    r_sa = (a.adjoint() - a).norm()
-    r_pi = (a @ a.adjoint() @ a - a).norm()
+    nrm, r_idem, r_sa, r_pi = norms(a, a @ a - a, a.adjoint() - a, a @ a.adjoint() @ a - a)
     idempotent = r_idem <= tol.residual_tol * (1.0 + nrm**2)
     projection = idempotent and r_sa <= tol.residual_tol * (1.0 + nrm)
     partial_isometry = r_pi <= tol.residual_tol * (1.0 + nrm**3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, ExactEquality, emax, epow, first_excess
+from .algebra import AlgebraElement, ExactEquality, emax, epow, first_excess, norms
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 from .sampling import random_element
@@ -71,12 +71,14 @@ class GInvPair(ExactEquality):
 
 def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
     """``||aba - a||`` and ``||bab - b||`` with the first of each above its
-    norm-scaled bound (``None`` when none is), row by row on stacks."""
+    norm-scaled bound (``None`` when none is), row by row on stacks; the
+    two residuals and the two norms from one stacked call, and the one
+    residual once when ``a is b``."""
     if a.shape != b.shape:
         raise ShapeMismatchError("pair components must share the algebra shape")
-    r_aba = (a @ b @ a - a).norm()
-    r_bab = (b @ a @ b - b).norm()
-    na, nb = a.norm(), b.norm()
+    aba = a @ b @ a - a
+    bab = aba if a is b else b @ a @ b - b
+    r_aba, r_bab, na, nb = norms(aba, bab, a, b)
     return (
         r_aba,
         r_bab,

@@ -8,9 +8,7 @@ groupoid instance builds, at any arrow, the differential of a smooth
 overparametrization of a neighbourhood of the arrow that lands exactly on
 the arrow manifold and is onto the arrow tangent space, together with the
 differentials of its source and target maps.  Every downstream quantity is
-a rank or a dimension and therefore chart-independent.  Each rank decision
-on a piece of a chart differential uses the one relative cutoff, measured
-against the norm of the whole differential.
+a rank or a dimension and therefore chart-independent.
 
 Each kind builds its differentials in its own coordinates, and they are
 factored as they are.  ``ginv`` is built from products in a complex
@@ -26,26 +24,49 @@ decision is the one on the real matrix.  The public bases and the anchor
 matrix are real and orthonormal in the fixed coordinatization: a complex
 orthonormal basis ``V`` realifies to ``[V, iV]``.
 
-The source differential ``j_s`` and the target differential ``j_t`` are
-read through one singular value decomposition of ``j_s`` and one of
-``j_t K``, the target differential on ``K = ker j_s``.  ``K`` spans the
-source fiber in the chart; the stacked ``[j_s; j_t]`` has rank
-``rank j_s + rank(j_t K)``, the submersion rank, and kernel
-``K ker(j_t K)``, the joint kernel that the isotropy dimension is read
-from.  The norm of the whole differential ``[j_arrow; j_s; j_t]`` is the
-square root of the top eigenvalue of its Gram matrix.
+**The model point.**  Conjugation by an invertible element is an
+automorphism of the ``ginv`` groupoid, so every dimension at an idempotent
+``x = C p C^-1`` is the one at ``p``.  Each kind names such a ``p``
+(:meth:`~ginv.groupoid.Groupoid.orthogonal_model`): for ``ginv`` the range
+projection of ``x``, with ``C = 1 - k`` and ``k = x - p``; for every other
+kind the point itself, with no conjugator.  The range is read from the
+singular values of ``x`` at the cutoff 1/2
+(:data:`~ginv.groupoid.RANGE_CUTOFF`), which needs no margin of its own:
+the singular values of an idempotent are 0 or at least 1, at any norm.
+Every rank decision at a base point is then made once, at ``1_p``, where
+``p`` and every differential have norm of order 1, whatever the norm of
+``x``; ranked at ``x`` itself, the cutoff relative to a norm of order
+``|x|^2`` loses small singular values long before ``x`` stops being an
+idempotent.  The public tangent basis, fiber basis and anchor matrix at
+``x`` are those at ``p`` carried by ``Ad_C`` and orthonormalized by a QR,
+which decides no rank.
+
+**The frame.**  At an arrow, one thin singular value decomposition of the
+chart differential ``j_arrow`` gives an orthonormal frame ``Q`` of the arrow
+tangent space: its rank is decided at the cutoff of ``j_arrow``'s shape
+against its own largest singular value, ``scale``, the norm of the chart
+differential.  On the frame, the source differential is ``ds Q``; its
+kernel ``K``, decided at ``ds Q``'s shape, spans the source fiber, and
+``Q K`` is an orthonormal fiber basis.  The target differential on the
+fiber, ``dt Q K``, is decided at the shape of the stack ``[ds Q; dt Q]``:
+that stack has rank ``rank(ds Q) + rank(dt Q K)``, the submersion rank, and
+kernel ``K ker(dt Q K)``, the joint kernel, whose real column count is the
+isotropy dimension.  Each of these decisions, and that of the anchor
+matrix, is measured against ``scale``, so that a piece that vanishes up to
+rounding, such as ``ds Q`` at full rank, has rank 0.
 
 The answers at one base point ``x`` are parts of one object, the
 :class:`PointGeometry` that :func:`at` returns: the base tangent basis, the
 fiber and anchor, the isotropy dimension and the submersion rank at
 ``1_x``, whose target ``2 dim T_x`` comes from that same tangent basis,
 since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
-once, by the kind's own base check.  The object builds the identity arrow,
-the linearization and the base tangent basis once each, on first use, and
-only when an answer reads them; its arrays are read-only.  Away from the
-identity arrow, the submersion target adds the base tangent dimensions at
-the source and the target of the arrow, from the singular values of the
-kind's linear system alone.  Callers that ask for several answers hold one
+once, by the kind's own base check.  The object builds the model, the
+identity arrows, the linearization and the base tangent bases once each, on
+first use, and only when an answer reads them; its arrays are read-only.
+Away from the identity arrow, :func:`submersion_rank_st` linearizes at the
+arrow itself, and its target adds the base tangent dimensions at the source
+and the target of the arrow, from the singular values of the kind's linear
+system alone.  Callers that ask for several answers hold one
 object per point.  The free functions read the same objects, so :func:`at`
 keeps the last one it made and hands it back when the groupoid's class and
 parameters, the point and the tolerance all equal its own by exact value.
@@ -71,7 +92,6 @@ from .linalg import (
     kernel_basis,
     map_rank,
     map_rank_count,
-    orthonormal_range,
     real_degree,
     realify,
 )
@@ -151,24 +171,25 @@ class AnchorData:
 
 class _Linearization(NamedTuple):
     """What the answers at one arrow read, for one tolerance, read-only, in
-    the chart unless stated, and in the kind's own coordinates (complex for
-    ``ginv``): the chart differential ``j_arrow``, the ambient target
-    differential ``dt``, the norm ``scale`` of the whole chart differential
-    ``[j_arrow; j_s; j_t]`` (the scale of every rank decision on its
-    pieces), the kernel ``source_kernel`` of the source differential
-    ``j_s``, the real rank ``st_rank`` of the stacked source and target
-    differentials ``[j_s; j_t]``, and their joint kernel ``joint_kernel``.
+    the kind's own coordinates (complex for ``ginv``): an orthonormal frame
+    ``frame`` of the arrow tangent space in ambient arrow coordinates, the
+    ambient target differential ``dt``, the norm ``scale`` of the chart
+    differential (the scale of every rank decision), the orthonormal fiber
+    basis ``fiber = Q K`` with ``Q = frame`` and ``K`` the kernel of the
+    source differential on the frame, the real rank ``st_rank`` of the
+    stacked source and target differentials, and their joint kernel
+    ``joint_kernel``, in coordinates on the frame.
 
-    With ``K = source_kernel``, ``[j_s; j_t]`` has rank
-    ``rank j_s + rank(j_t K)`` and kernel ``K ker(j_t K)``: the
-    factorizations of ``j_s`` and of ``j_t K`` give all three, and the
-    rank of ``j_t K`` is decided at the cutoff of ``[j_s; j_t]``.  Neither
-    the stack nor any factor past these is kept."""
+    ``[ds Q; dt Q]`` has rank ``rank(ds Q) + rank(dt Q K)`` and kernel
+    ``K ker(dt Q K)``: the factorizations of the chart differential, of
+    ``ds Q`` and of ``dt Q K`` give all of these, and the rank of
+    ``dt Q K`` is decided at the cutoff of ``[ds Q; dt Q]``.  Neither the
+    stack nor any factor past these is kept."""
 
-    j_arrow: np.ndarray
+    frame: np.ndarray
     dt: np.ndarray
     scale: float
-    source_kernel: np.ndarray
+    fiber: np.ndarray
     st_rank: int
     joint_kernel: np.ndarray
 
@@ -177,22 +198,22 @@ def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
     """The linearization at ``arrow`` for ``tol``.  ``arrow`` must have
     passed ``G``'s checks."""
     j_arrow, ds, dt = G.chart_differential(arrow)
-    j_s, j_t = ds @ j_arrow, dt @ j_arrow
-    # the top singular value of the stack, from the top eigenvalue of its Gram matrix
-    gram = sum(m.conj().T @ m for m in (j_arrow, j_s, j_t))
-    scale = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-    k_source = kernel_basis(j_s, tol, scale)
-    # the rank of j_t K is a rank of [j_s; j_t], so it takes that stack's cutoff;
+    degree = real_degree(j_arrow)
+    u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
+    scale = float(s[0]) if s.size else 0.0
+    frame = u[:, :map_rank_count(s, j_arrow.shape, degree, tol)]
+    k_source = kernel_basis(ds @ frame, tol, scale)
+    fiber = frame @ k_source
+    # the rank of dt Q K is a rank of [ds Q; dt Q], so it takes that stack's cutoff;
     # its kernel is read from the rows of V* past the rank, as in kernel_basis
-    j_tk = j_t @ k_source
+    j_tk = dt @ fiber
     _, t_singular, t_vh = np.linalg.svd(j_tk, full_matrices=j_tk.shape[0] < j_tk.shape[1])
-    degree = real_degree(j_s)
     t_rank = map_rank_count(
-        t_singular, (j_s.shape[0] + j_t.shape[0], j_s.shape[1]), degree, tol, scale)
-    st_rank = degree * (j_s.shape[1] - k_source.shape[1] + t_rank)
+        t_singular, (ds.shape[0] + dt.shape[0], frame.shape[1]), degree, tol, scale)
+    st_rank = degree * (frame.shape[1] - k_source.shape[1] + t_rank)
     joint = k_source @ t_vh[t_rank:].conj().T
-    j_arrow, dt, k_source, joint = map(_read_only, (j_arrow, dt, k_source, joint))
-    return _Linearization(j_arrow, dt, scale, k_source, st_rank, joint)
+    frame, dt, fiber, joint = map(_read_only, (frame, dt, fiber, joint))
+    return _Linearization(frame, dt, scale, fiber, st_rank, joint)
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -212,6 +233,21 @@ def _real_coords(basis: np.ndarray, x) -> np.ndarray:
         return basis
     sizes = [n * n for n in x.shape]
     return realify(basis, sizes * (len(basis) // sum(sizes)))
+
+
+def _conjugated(basis: np.ndarray, conjugator: AlgebraElement,
+                inverse: AlgebraElement) -> np.ndarray:
+    """``Ad_C`` of the columns of ``basis``: each column holds the complex
+    coordinates of one element of the conjugator's shape, or of a tuple of
+    them, and each element ``v`` becomes ``C v C^-1``."""
+    out, cols, at = np.empty(basis.shape, dtype=complex), basis.shape[1], 0
+    while at < len(basis):
+        for n, c, c_inv in zip(conjugator.shape, conjugator.blocks, inverse.blocks):
+            piece = slice(at, at + n * n)
+            v = basis[piece].T.reshape(cols, n, n)
+            out[piece] = (c @ v @ c_inv).reshape(cols, n * n).T
+            at += n * n
+    return out
 
 
 # -- the geometry at a base point ---------------------------------------------------
@@ -243,14 +279,39 @@ class PointGeometry:
             raise PreconditionError(str(exc)) from exc
 
     @functools.cached_property
+    def _model(self) -> tuple:
+        """``(p, C, C^-1)`` of :meth:`~ginv.groupoid.Groupoid.orthogonal_model`."""
+        return self.groupoid.orthogonal_model(self.point)
+
+    @functools.cached_property
     def _lin(self) -> _Linearization:
-        return _linearization(self.groupoid, self.identity, self.tol)
+        """The linearization at ``1_p``, once ``1_x`` is built."""
+        model, conjugator, _ = self._model
+        identity = self.identity
+        if conjugator is not None:
+            identity = self.groupoid.identity_at(model)
+        return _linearization(self.groupoid, identity, self.tol)
+
+    @functools.cached_property
+    def _model_tangent(self) -> np.ndarray:
+        """Orthonormal basis of the base tangent space at ``p``, in the
+        kind's ambient base coordinates."""
+        return self.groupoid.base_tangent(self._model[0], self.tol)
 
     @functools.cached_property
     def _tangent(self) -> np.ndarray:
         """Orthonormal basis of the base tangent space at the point, in the
-        kind's ambient base coordinates."""
-        return _read_only(self.groupoid.base_tangent(self.point, self.tol))
+        kind's ambient base coordinates: the one at ``p``, carried by
+        ``Ad_C``."""
+        return _read_only(self._transport(self._model_tangent)[0])
+
+    def _transport(self, basis: np.ndarray) -> tuple:
+        """``(Q, R)`` with ``Q R = Ad_C basis`` and ``Q`` orthonormal; ``Q``
+        is ``basis`` and ``R`` is ``None`` when there is no conjugator."""
+        _, conjugator, inverse = self._model
+        if conjugator is None:
+            return basis, None
+        return np.linalg.qr(_conjugated(basis, conjugator, inverse))
 
     @functools.cached_property
     def tangent(self) -> TangentBasis:
@@ -266,17 +327,25 @@ class PointGeometry:
         """Source-fiber tangent space at ``1_x`` and the anchor map (the
         differential of the target map restricted to that fiber).
 
-        The fiber tangent space is the image, under the chart differential,
-        of the kernel of the source differential; the anchor matrix
-        expresses the target differential on that basis against the
-        orthonormal basis :attr:`tangent`.  For a complex linearization
-        both bases realify to ``[V, iV]``, so the anchor matrix is the
-        realified ``[[Re C, -Im C], [Im C, Re C]]`` of the complex one ``C``.
+        The fiber tangent space is the kernel of the source differential in
+        the tangent space; the anchor matrix expresses the target
+        differential on that basis against the orthonormal basis
+        :attr:`tangent`.  Its rank is decided at ``1_p``.  At ``1_x`` the
+        fiber basis is the one at ``1_p`` carried by ``Ad_C`` and
+        orthonormalized, ``F_x R = Ad_C F_p``, and since the target map
+        commutes with ``Ad_C``, its differential on ``F_x`` is
+        ``Ad_C (dt F_p) R^-1``.  For a complex linearization both bases
+        realify to ``[V, iV]``, so the anchor matrix is the realified
+        ``[[Re M, -Im M], [Im M, Re M]]`` of the complex one ``M``.
         """
-        lin, tol, x = self._lin, self.tol, self.point
-        fiber = orthonormal_range(lin.j_arrow @ lin.source_kernel, tol, lin.scale)
-        anchor = self._tangent.conj().T @ (lin.dt @ fiber)
-        rank = map_rank(anchor, tol, lin.scale)
+        lin, x = self._lin, self.point
+        image = lin.dt @ lin.fiber
+        rank = map_rank(self._model_tangent.conj().T @ image, self.tol, lin.scale)
+        fiber, r = self._transport(lin.fiber)
+        if r is not None:
+            _, conjugator, inverse = self._model
+            image = np.linalg.solve(r.T, _conjugated(image, conjugator, inverse).T).T
+        anchor = self._tangent.conj().T @ image
         basis = TangentBasis(base_point=x, coords=_real_coords(fiber, x),
                              to_vector=functools.partial(self.groupoid.tangent_vector,
                                                          self.identity))
@@ -286,10 +355,11 @@ class PointGeometry:
 
     @functools.cached_property
     def isotropy_dim(self) -> int:
-        """Dimension of the joint kernel of the source and target
-        differentials at ``1_x``, measured in ambient arrow coordinates."""
+        """Real dimension of the joint kernel of the source and target
+        differentials at ``1_x``, read at ``1_p`` on the frame of the arrow
+        tangent space, where it needs no rank of its own."""
         lin = self._lin
-        return map_rank(lin.j_arrow @ lin.joint_kernel, self.tol, lin.scale)
+        return real_degree(lin.frame) * lin.joint_kernel.shape[1]
 
     @functools.cached_property
     def submersion(self) -> tuple:

@@ -37,6 +37,7 @@ from .algebra import (
     epow,
     expm_element,
     first_excess,
+    norms,
     stack_rows,
     validate_shape,
 )
@@ -161,14 +162,14 @@ class Groupoid:
         raise NotImplementedError
 
     def check_base(self, x):
-        res = first_excess(
-            self.base_membership_residual(x), self.tol.residual_tol * (1.0 + self._base_scale(x))
-        )
+        residual, scale = self._membership(x)
+        res = first_excess(residual, self.tol.residual_tol * (1.0 + scale))
         if res is not None:
             raise InputError(f"point fails base membership with residual {res:.3e}")
 
-    def _base_scale(self, x) -> float:
-        return 1.0
+    def _membership(self, x) -> tuple:
+        """The base membership residual of ``x`` and the scale of its bound."""
+        return self.base_membership_residual(x), 1.0
 
     def base_distance(self, x, y) -> float:
         raise NotImplementedError
@@ -277,12 +278,27 @@ class Groupoid:
         in ambient base coordinates."""
         return kernel_basis(self.base_tangent_system(x), tol)
 
+    def orthogonal_model(self, x) -> tuple:
+        """``(p, C, C^-1)``: a base point ``p`` where the geometry at the
+        base point ``x`` is best decided, and an invertible element ``C``
+        whose conjugation ``Ad_C`` is an automorphism of the groupoid that
+        takes ``p`` to ``x``, so that every dimension at ``x`` is the one at
+        ``p``.  By default the point itself and no conjugator (``None``)."""
+        return x, None, None
+
     def orbit_signature(self, x, tol: ToleranceConfig):
         """Complete orbit invariant of the base point ``x``: per-block
         numerical rank for the generalized-inverse and partial-isometry
         instances, zero versus nonzero for the tautological GL(n) action, a
         single class for the pair groupoid."""
         raise NotImplementedError
+
+
+#: The cutoff on singular values that decides the range of an idempotent.  An
+#: idempotent ``e`` with range projection ``p`` is ``p + k`` with ``k = e - p``,
+#: ``pk = k`` and ``kp = 0``, so ``e e* = p + k k*``: its singular values are 0
+#: and values of at least 1, whatever its norm, and 1/2 lies a factor 2 from both.
+RANGE_CUTOFF = 0.5
 
 
 def _idempotent_linearization(x: AlgebraElement, sandwich=complex_sandwich_matrix):
@@ -346,8 +362,9 @@ class GInvGroupoid(Groupoid):
     def base_membership_residual(self, x: AlgebraElement):
         return (x @ x - x).norm()
 
-    def _base_scale(self, x: AlgebraElement):
-        return epow(x.norm(), 2)
+    def _membership(self, x: AlgebraElement) -> tuple:
+        residual, size = norms(x @ x - x, x)
+        return residual, epow(size, 2)
 
     def base_distance(self, x, y):
         return x.distance(y)
@@ -432,6 +449,23 @@ class GInvGroupoid(Groupoid):
     def base_tangent_system(self, x):
         return _idempotent_linearization(x)
 
+    def orthogonal_model(self, x: AlgebraElement) -> tuple:
+        """The range projection ``p`` of the idempotent ``x``, block by block
+        the projection onto the left singular vectors of the block whose
+        singular values exceed :data:`RANGE_CUTOFF`, and the conjugator
+        ``C = 1 - k`` with ``k = x - p``, and ``C^-1 = 1 + k``.  Since
+        ``k^2 = 0``, ``kp = 0`` and ``pk = k``, ``x = C p C^-1``; ``Ad_C``
+        maps each pair ``(a, b)`` to ``(C a C^-1, C b C^-1)``, an automorphism
+        of the groupoid (Corach, Porta & Recht 1990)."""
+        blocks = []
+        for b in x.blocks:
+            u, s, _ = np.linalg.svd(b)
+            u = u[:, :int(np.count_nonzero(s > RANGE_CUTOFF))]
+            blocks.append(u @ u.conj().T)
+        p, one = AlgebraElement(self.shape, tuple(blocks)), AlgebraElement.identity(self.shape)
+        k = x - p
+        return p, one - k, one + k
+
     def orbit_signature(self, x, tol):
         return block_ranks(x, tol)
 
@@ -439,8 +473,8 @@ class GInvGroupoid(Groupoid):
 def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
     """``||u u* u - u||`` when it exceeds ``residual_tol * (1 + ||u||^3)``
     (in the first such row of a stack), else ``None``."""
-    residual = (u @ u.adjoint() @ u - u).norm()
-    return first_excess(residual, tol.residual_tol * (1.0 + epow(u.norm(), 3)))
+    residual, size = norms(u @ u.adjoint() @ u - u, u)
+    return first_excess(residual, tol.residual_tol * (1.0 + epow(size, 3)))
 
 
 class PartialIsometryGroupoid(Groupoid):
@@ -491,10 +525,11 @@ class PartialIsometryGroupoid(Groupoid):
             raise InputError("arrow is not a partial isometry")
 
     def base_membership_residual(self, x: AlgebraElement):
-        return emax((x @ x - x).norm(), (x.adjoint() - x).norm())
+        return emax(*norms(x @ x - x, x.adjoint() - x))
 
-    def _base_scale(self, x: AlgebraElement):
-        return epow(x.norm(), 2)
+    def _membership(self, x: AlgebraElement) -> tuple:
+        idempotent, hermitian, size = norms(x @ x - x, x.adjoint() - x, x)
+        return emax(idempotent, hermitian), epow(size, 2)
 
     def base_distance(self, x, y):
         return x.distance(y)

@@ -12,12 +12,12 @@ Jacobian kept as an independent reference.  Everything here is a pure
 function; matrices are plain ``numpy`` arrays of ``complex128`` (or
 ``float64`` for real-coordinate work).
 
-A matrix read as a linear map (:func:`map_rank`, :func:`kernel_basis`,
-:func:`orthonormal_range`) may be complex: it is then the complex-linear
-map, whose real matrix has twice its rows and columns and each of its
-singular values twice.  Each complex singular value counts as two real
-dimensions, decided at the cutoff of that real shape
-(:func:`map_rank_count`), so the decision is the one on the real matrix.
+A matrix read as a linear map (:func:`map_rank`, :func:`kernel_basis`)
+may be complex: it is then the complex-linear map, whose real matrix has
+twice its rows and columns and each of its singular values twice.  Each
+complex singular value counts as two real dimensions, decided at the
+cutoff of that real shape (:func:`map_rank_count`), so the decision is the
+one on the real matrix.
 Ranks of algebra blocks (:func:`numerical_rank`) count complex rank.
 """
 
@@ -229,19 +229,6 @@ def kernel_basis(
         return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     return vh[map_rank_count(s, m.shape, real_degree(m), tol, scale):].conj().T
-
-
-def orthonormal_range(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
-) -> np.ndarray:
-    """Orthonormal basis (columns, of ``m``'s dtype) of the numerical
-    column space of the linear map ``m``, real or complex, decided as in
-    :func:`map_rank_count`; ``scale`` as in :func:`numerical_rank`."""
-    m = ensure_finite(m)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : map_rank_count(s, m.shape, real_degree(m), tol, scale)]
 
 
 def finite_diff_jacobian(

@@ -248,6 +248,37 @@ class TestNormCache:
             norms[0] = 0.0
         assert norms.tolist() == [xi.norm() for xi in xs]
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_norms_in_one_call_equal_one_call_each(self, rng, shape, stacked, monkeypatch):
+        from ginv.algebra import norms
+
+        def draw():
+            if stacked:
+                return stack_of(rng, shape)[1]
+            return random_element(rng, shape)
+
+        elements = [draw() for _ in range(3)]
+        twins = [AlgebraElement(e.shape, e.blocks) for e in elements]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        got = norms(elements[0], elements[1], elements[0], elements[2])
+        made = len(calls)
+        want = [t.norm() for t in twins]
+        assert [np.asarray(v).tolist() for v in got] == [
+            np.asarray(v).tolist() for v in (want[0], want[1], want[0], want[2])]
+        assert all(e.norm() is v for e, v in zip(elements, (got[0], got[1], got[3])))
+        assert made <= sum(n > 2 for n in shape)  # one stacked call per large block
+        calls.clear()
+        assert norms(*elements)[2] is got[3] and calls == []  # stored: nothing computed
+
+    def test_norms_of_one_shape_only(self, rng):
+        from ginv.algebra import norms
+
+        with pytest.raises(ShapeMismatchError):
+            norms(random_element(rng, (2,)), random_element(rng, (3,)))
+
     def test_norm_takes_no_part_in_equality(self, rng):
         x = random_element(rng, (2,))
         y = AlgebraElement(x.shape, tuple(b.copy() for b in x.blocks))

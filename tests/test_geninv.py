@@ -263,3 +263,23 @@ def test_ginv_pair_validates_on_creation(rng):
     a = well_conditioned_element(rng, (2,))
     with pytest.raises(InputError):
         GInvPair.create(a, AlgebraElement.zeros((2,)))
+
+
+class TestReflexivityNorms:
+    def test_one_stacked_norm_call_and_one_residual_at_an_identity(self, rng, monkeypatch):
+        from ginv.sampling import random_idempotent
+
+        q = random_idempotent(rng, (2, 3), ranks=(1, 2))
+        twin = AlgebraElement(q.shape, q.blocks)
+        separate = GInvPair.create(q, twin)
+        products, norm_calls = [], []
+        matmul, norm = AlgebraElement.__matmul__, AlgebraElement.norm
+        monkeypatch.setattr(AlgebraElement, "__matmul__",
+                            lambda a, b: products.append(1) or matmul(a, b))
+        monkeypatch.setattr(AlgebraElement, "norm", lambda a: norm_calls.append(1) or norm(a))
+        same = GInvPair.create(q, q)  # an identity arrow's pair: a is b
+        assert len(products) == 2 and norm_calls == []  # q q q - q, once
+        # bit for bit the residuals of one norm() call each
+        assert same.residual_aba == same.residual_bab == separate.residual_aba
+        assert separate.residual_bab == (twin @ q @ twin - twin).norm()
+

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginv import geometry
 from ginv.algebra import AlgebraElement
@@ -30,11 +31,12 @@ def mat(entries):
 
 #: (manifold, shape, ranks, condition number of the conjugator or None): every
 #: rank in M2 and M3; rank 1 and 2 idempotents in M3 conjugated by an
-#: ill-conditioned similarity; rank 0 and full rank at 8x8 and on multi-block
-#: shapes.
+#: ill-conditioned similarity, up to norms of about 1e12; rank 0 and full rank
+#: at 8x8 and on multi-block shapes.
+CONDITIONERS = (1e4, 1e5, 1e6, 1e7, 1e8, 1e12)
 DIMENSION_CASES = (
     [(m, (n,), (r,), None) for m in "QP" for n in (2, 3) for r in range(n + 1)]
-    + [("Q", (3,), (r,), cond) for cond in (1e4, 1e5, 1e6) for r in (1, 2)]
+    + [("Q", (3,), (r,), cond) for cond in CONDITIONERS for r in (1, 2)]
     + [(m, shape, ranks, None) for m in "QP" for shape in ((8,), (2, 3), (1, 2, 3))
        for ranks in ((0,) * len(shape), shape)]
 )
@@ -279,6 +281,83 @@ class TestOrbits:
     def test_membership_precondition(self, rng):
         with pytest.raises(PreconditionError):
             orbit_decompose(GInvGroupoid((2,)), [mat([[2, 0], [0, 0]])])
+
+
+class TestOrthogonalModel:
+    """Every geometry rank is decided at the model point ``p`` of ``x``: the
+    range projection for ``ginv``, the point itself for the other kinds."""
+
+    def test_idempotent_is_conjugate_to_its_range_projection(self, rng):
+        cases = [(shape, ranks, None) for shape, ranks in (((2,), (1,)), ((8,), (3,)),
+                                                            ((1, 2, 3), (1, 0, 2)))]
+        cases += [((3,), (r,), cond) for cond in CONDITIONERS for r in (1, 2)]
+        for shape, ranks, cond in cases:
+            x = base_point(rng, "Q", shape, ranks, cond)
+            p, c, c_inv = GInvGroupoid(shape).orthogonal_model(x)
+            size = x.norm()
+            assert (p.adjoint() - p).norm() <= 1e-14 and (p @ p - p).norm() <= 1e-14
+            assert tuple(round(float(np.trace(b).real)) for b in p.blocks) == ranks
+            assert (p @ x - x).norm() <= 1e-12 * size  # x maps into the range of p
+            assert (c @ p @ c_inv - x).norm() <= 1e-12 * size ** 2, cond
+
+    def test_other_kinds_are_their_own_model(self, rng):
+        p = random_projection(rng, (2, 3), ranks=(1, 2))
+        for G, x in ((PartialIsometryGroupoid((2, 3)), p), (ActionGroupoid(2), np.ones(2)),
+                     (PairGroupoid(2), np.zeros(2))):
+            model, c, c_inv = G.orthogonal_model(x)
+            assert model is x and c is None and c_inv is None
+
+    def test_borderline_idempotent_has_its_tangent_space(self):
+        # |x x - x| = 1.9e-8 passes base membership; ranked at x itself, the
+        # tangent system's small singular values fell below the relative cutoff
+        x = mat([[1 + 1.9e-8, 0], [0, 0]])
+        assert tangent_basis("Q", x).real_dim == 4
+
+    def test_bases_at_x_are_carried_from_the_model(self, rng):
+        # Ad_C and a QR carry the bases from 1_p to 1_x without a rank decision;
+        # at |x| of about 1e4 they lie in the kernels at x to about 1e-6 relative
+        for cond in (None, 1e4):
+            G = GInvGroupoid((3,))
+            x = base_point(rng, "Q", (3,), (1,), cond)
+            point = geometry.at(G, x)
+            system = G.base_tangent_system(x)
+            ds = real_differentials(G, point.identity)[1]
+            for m, basis in ((system, point._tangent), (ds, point.anchor.fiber_basis.coords)):
+                assert np.max(np.abs(m @ basis)) <= 1e-5 * np.linalg.norm(m, 2), cond
+
+
+SHAPES_AND_RANKS = st.sampled_from(
+    [((2,), (1,)), ((3,), (1,)), ((3,), (2,)), ((8,), (3,)), ((8,), (5,)), ((1, 2, 3), (1, 1, 2)),
+     ((1, 2, 3), (0, 2, 1))])
+
+
+def dimensions(G, x):
+    point = geometry.at(G, x)
+    data = point.anchor
+    return (point.tangent.real_dim, data.fiber_basis.real_dim, data.anchor_rank,
+            point.isotropy_dim, point.submersion)
+
+
+def conjugated(x: AlgebraElement, mats) -> AlgebraElement:
+    return AlgebraElement(x.shape, tuple(s @ b @ np.linalg.inv(s) for s, b in zip(mats, x.blocks)))
+
+
+@given(st.integers(0, 2**32 - 1), SHAPES_AND_RANKS, st.floats(1.0, 10.0))
+@settings(max_examples=12, deadline=None)
+def test_dimensions_are_invariant_under_conjugation(seed, shape_and_ranks, cond):
+    # conjugation by an invertible s is an automorphism of the ginv groupoid,
+    # and by a unitary u one of both kinds; each keeps every dimension
+    shape, ranks = shape_and_ranks
+    rng = np.random.default_rng(seed)
+    similar = [(random_unitary(rng, n) * np.geomspace(1.0, cond, n)) @ random_unitary(rng, n)
+               for n in shape]  # condition number cond
+    unitary = [random_unitary(rng, n) for n in shape]
+    q, p = random_idempotent(rng, shape, ranks=ranks), random_projection(rng, shape, ranks=ranks)
+    Gq, Gp = GInvGroupoid(shape), PartialIsometryGroupoid(shape)
+    want_q = dimensions(Gq, q)
+    assert dimensions(Gq, conjugated(q, similar)) == want_q
+    assert dimensions(Gq, conjugated(q, unitary)) == want_q
+    assert dimensions(Gp, conjugated(p, unitary)) == dimensions(Gp, p)
 
 
 class TestIsotropyFiberStructure:
@@ -663,46 +742,57 @@ def point_instance(p):
 
 
 def dense_answers(G, g):
-    """The submersion rank, real joint-kernel dimension, isotropy dimension
-    and norm at the arrow ``g``, from fresh dense factorizations of the
-    stacked ``[j_s; j_t]`` and ``[j_arrow; j_s; j_t]``, realified."""
+    """The submersion rank and isotropy dimension at the arrow ``g``, from
+    fresh dense factorizations of the realified stacks ``[j_s; j_t]`` and
+    ``[j_arrow; j_s; j_t]`` at ``g`` itself: the direct route, with no model
+    point and no frame."""
     from ginv.linalg import kernel_basis, numerical_rank, operator_norm
 
     j_arrow, j_s, j_t = real_differentials(G, g, products=True)
     j_st = np.vstack([j_s, j_t])
     scale = operator_norm(np.vstack([j_arrow, j_st]))
     joint = kernel_basis(j_st, DEFAULT_TOL, scale)
-    return (numerical_rank(j_st, DEFAULT_TOL, scale), joint.shape[1],
-            numerical_rank(j_arrow @ joint, DEFAULT_TOL, scale), scale)
+    return numerical_rank(j_st, DEFAULT_TOL, scale), numerical_rank(j_arrow @ joint, DEFAULT_TOL,
+                                                                   scale)
 
 
 class TestFactoredOnce:
-    """The linearization reads every rank from the factorizations of ``j_s``
-    and ``j_t K`` (``K = ker j_s``), with the answers of dense factorizations
-    of the stacked differentials, and factors each ``j_s`` once."""
+    """The linearization reads every rank from the factorizations of the
+    chart differential, of the source differential ``ds Q`` on its frame
+    ``Q``, and of ``dt Q K`` (``K = ker ds Q``), with the answers of dense
+    factorizations of the stacked differentials, and factors each chart
+    differential once."""
 
     def test_ranks_equal_fresh_factorizations(self, workloads):
-        from ginv.linalg import map_rank
+        # the direct route at x decides every rank at the benign points and at
+        # 1e4 with at least two decades of margin; at 1e6 it is right with a
+        # margin of 10^0.00, so a must-agree check there would pass by luck
+        from ginv.linalg import real_degree
 
+        points = workloads.geometry_points(0) + workloads.conditioned_points(0, 1e4)
+        for p in points:
+            G = point_instance(p)
+            point = geometry.at(G, p.x)
+            assert (point.submersion[0], point.isotropy_dim) == dense_answers(G, point.identity), p
         rng = np.random.default_rng(0)
-        points = (workloads.geometry_points(0) + workloads.conditioned_points(0, 1e4)
-                  + workloads.conditioned_points(0, 1e6))
-        # (groupoid, arrow, base point of an identity arrow or None)
-        arrows = [(G, G.identity_at(p.x), p.x) for G, p in ((point_instance(p), p) for p in points)]
         for cls in (GInvGroupoid, PartialIsometryGroupoid):
             for shape in ((2,), (3,), (8,), (2, 3), (1, 2, 3)):
                 G = cls(shape)
-                arrows += [(G, G.arrow_from(G.sample_base_point(rng), rng), None) for _ in range(2)]
-        for G, g, x in arrows:
-            rank, joint_dim, iso, scale = dense_answers(G, g)
-            lin = geometry._linearization(G, g, DEFAULT_TOL)
-            degree = 2 if np.iscomplexobj(lin.j_arrow) else 1
-            assert submersion_rank_st(G, g)[0] == lin.st_rank == rank, g
-            assert degree * lin.joint_kernel.shape[1] == joint_dim, g
-            assert map_rank(lin.j_arrow @ lin.joint_kernel, DEFAULT_TOL, lin.scale) == iso
-            assert abs(lin.scale - scale) <= 1e-12 * scale, g
-            if x is not None:
-                assert isotropy_tangent_dim(G, x) == iso, g
+                for g in (G.arrow_from(G.sample_base_point(rng), rng), G.sample_arrow(rng)):
+                    lin = geometry._linearization(G, g, DEFAULT_TOL)
+                    iso = real_degree(lin.frame) * lin.joint_kernel.shape[1]
+                    assert (lin.st_rank, iso) == dense_answers(G, g), g
+                    assert submersion_rank_st(G, g)[0] == lin.st_rank
+
+    def test_frame_spans_the_chart_image(self, rng):
+        for G in (GInvGroupoid((2, 3)), PartialIsometryGroupoid((3,))):
+            g = G.arrow_from(G.sample_base_point(rng), rng)
+            j_arrow = G.chart_differential(g)[0]
+            frame = geometry._linearization(G, g, DEFAULT_TOL).frame
+            assert np.allclose(frame.conj().T @ frame, np.eye(frame.shape[1]), atol=1e-13)
+            # j_arrow lies in the span of the frame
+            residual = j_arrow - frame @ (frame.conj().T @ j_arrow)
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(j_arrow))
 
     def test_seed_0_pass_solves_and_factors(self, workloads, monkeypatch, nothing_held):
         import hashlib
@@ -716,8 +806,8 @@ class TestFactoredOnce:
             m = np.ascontiguousarray(m)
             return m.shape, hashlib.blake2b(m.tobytes()).digest()
 
-        factored, full_u_of_tall = Counter(), []
-        svd = np.linalg.svd
+        factored, full_u_of_tall, eigensolved = Counter(), [], []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
         def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
             factored[digest(m)] += 1
@@ -725,28 +815,33 @@ class TestFactoredOnce:
                 full_u_of_tall.append(m.shape)
             return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
+        def counted_eigvalsh(m, *args, **kwargs):
+            eigensolved.append(m.shape)
+            return eigvalsh(m, *args, **kwargs)
+
         points = workloads.geometry_points(0)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         for p in points:
             workloads.analyse_point(p, DEFAULT_TOL)
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert len(points) == 60
-        assert sum(map(len, solved)) == 60  # the basis at x; dimensions need none
+        assert sum(map(len, solved)) == 60  # the basis at the model point
         assert sum(map(len, built)) == 60
-        assert full_u_of_tall == []
-        want, j_st = Counter(), set()
+        assert full_u_of_tall == [] and eigensolved == []
+        want, stacked = Counter(), set()
         for p in points:
             G = point_instance(p)
-            j_arrow, ds, dt = G.chart_differential(G.identity_at(p.x))
-            j_s, j_t = ds @ j_arrow, dt @ j_arrow
-            assert np.iscomplexobj(j_s) == (p.kind == "ginv")  # factored as built
-            # the zero j_s and j_st at rank 0 are left out: other products vanish there too
-            if j_s.any():
-                want[digest(j_s)] += 1
-            if j_s.any() or j_t.any():
-                j_st.add(digest(np.vstack([j_s, j_t])))
-        assert len(j_st) > 40 and not any(factored[d] for d in j_st)
+            j_arrow, ds, dt = G.chart_differential(G.identity_at(G.orthogonal_model(p.x)[0]))
+            assert np.iscomplexobj(j_arrow) == (p.kind == "ginv")  # factored as built
+            # the zero charts at rank 0 are left out: other products vanish there too
+            if j_arrow.any():
+                want[digest(j_arrow)] += 1
+                j_s, j_t = ds @ j_arrow, dt @ j_arrow
+                stacked.update((digest(j_s), digest(np.vstack([j_s, j_t]))))
         assert len(want) > 40 and {d: factored[d] for d in want} == want
+        assert len(stacked) > 80 and not any(factored[d] for d in stacked)
 
 
 class TestVectorsOnDemand:

@@ -19,7 +19,6 @@ from ginv.linalg import (
     map_rank,
     numerical_rank,
     operator_norm,
-    orthonormal_range,
     rank_from_singular_values,
     realify,
     sandwich_matrix,
@@ -409,8 +408,7 @@ class TestComplexMaps:
         m = u @ np.diag([1.0, 4.5e-12]).astype(complex) @ v[:, :2].conj().T
         assert numerical_rank(m) == 2  # an algebra block's complex rank
         assert map_rank(m) == numerical_rank(_realify(m)) == 2
-        assert kernel_basis(m).shape == (3, 2) and orthonormal_range(m).shape == (2, 1)
-        assert np.iscomplexobj(kernel_basis(m)) and np.iscomplexobj(orthonormal_range(m))
+        assert kernel_basis(m).shape == (3, 2) and np.iscomplexobj(kernel_basis(m))
         full = random_complex(rng, 3, 5)
         assert map_rank(full) == numerical_rank(_realify(full)) == 6
         real = rng.standard_normal((3, 5))
