@@ -259,18 +259,19 @@ class AlgebraElement:
 
 def norms(*elements: AlgebraElement) -> tuple:
     """The :meth:`AlgebraElement.norm` of each of ``elements``, all of one
-    shape, from one stacked call for the elements of each stack height: the
-    residuals and operands of one check are one stack, not one call each.
-    Each element stores its value, as its own ``norm()`` would, bit for bit;
-    an element whose value is stored, or that is an earlier one again, is
-    not computed again."""
-    todo: dict = {}
+    shape and one stack height, from one stacked call: the residuals and
+    operands of one check are one stack, not one call each.  Each element
+    stores its value, as its own ``norm()`` would, bit for bit; an element
+    whose value is stored, or that is an earlier one again, is not computed
+    again."""
+    first = elements[0]
     for e in elements:
-        elements[0]._check_shape(e)
-        if "_norm" not in e.__dict__:
-            todo.setdefault(e.blocks[0].shape[:-2], {})[id(e)] = e
-    for group in todo.values():
-        _store_norms(list(group.values()))
+        first._check_shape(e)
+        if e.blocks[0].shape[:-2] != first.blocks[0].shape[:-2]:
+            raise ShapeMismatchError("elements of one norms() call share one stack height")
+    todo = {id(e): e for e in elements if "_norm" not in e.__dict__}
+    if todo:
+        _store_norms(list(todo.values()))
     return tuple(e.__dict__["_norm"] for e in elements)
 
 

@@ -258,7 +258,7 @@ def _cmd_geometry(args, tol, seed) -> ExperimentReport:
     for i in range(args.count):
         point = at(G, G.sample_base_point(rng), tol)
         data, iso = point.anchor, point.isotropy_dim
-        base_dim = data.anchor_matrix.shape[0]
+        base_dim = point.tangent.real_dim
         report.add(
             CheckRecord(
                 name=f"point {i} anchor",

@@ -28,18 +28,20 @@ orthonormal basis ``V`` realifies to ``[V, iV]``.
 automorphism of the ``ginv`` groupoid, so every dimension at an idempotent
 ``x = C p C^-1`` is the one at ``p``.  Each kind names such a ``p``
 (:meth:`~ginv.groupoid.Groupoid.orthogonal_model`): for ``ginv`` the range
-projection of ``x``, with ``C = 1 - k`` and ``k = x - p``; for every other
-kind the point itself, with no conjugator.  The range is read from the
-singular values of ``x`` at the cutoff 1/2
-(:data:`~ginv.groupoid.RANGE_CUTOFF`), which needs no margin of its own:
-the singular values of an idempotent are 0 or at least 1, at any norm.
-Every rank decision at a base point is then made once, at ``1_p``, where
-``p`` and every differential have norm of order 1, whatever the norm of
-``x``; ranked at ``x`` itself, the cutoff relative to a norm of order
-``|x|^2`` loses small singular values long before ``x`` stops being an
-idempotent.  The public tangent basis, fiber basis and anchor matrix at
-``x`` are those at ``p`` carried by ``Ad_C`` and orthonormalized by a QR,
-which decides no rank.
+projection of ``x``, conjugated to ``x`` by ``C = 1 - (x - p)``; for every
+other kind the point itself.  The range is read from the singular values
+of ``x`` at the cutoff 1/2 (:data:`~ginv.groupoid.RANGE_CUTOFF`), which
+needs no margin of its own: the singular values of an idempotent are 0 or
+at least 1, at any norm.  Every rank decision at a base point is then made
+once, at ``1_p``, where ``p`` and every differential have norm of order 1,
+whatever the norm of ``x``; ranked at ``x`` itself, the cutoff relative to
+a norm of order ``|x|^2`` loses small singular values long before ``x``
+stops being an idempotent.  The public tangent basis, fiber basis and
+anchor matrix are factored at ``x`` itself, by the same decompositions
+with the column counts decided at ``p``: they are as backward accurate as
+a factorization at ``x`` can be, and no rank is decided there.  Carried
+from ``p`` by ``Ad_C`` instead, they would lose ``|C| |C^-1|``, of order
+``|x|^2``, to rounding.
 
 **The frame.**  At an arrow, one thin singular value decomposition of the
 chart differential ``j_arrow`` gives an orthonormal frame ``Q`` of the arrow
@@ -51,9 +53,10 @@ kernel ``K``, decided at ``ds Q``'s shape, spans the source fiber, and
 fiber, ``dt Q K``, is decided at the shape of the stack ``[ds Q; dt Q]``:
 that stack has rank ``rank(ds Q) + rank(dt Q K)``, the submersion rank, and
 kernel ``K ker(dt Q K)``, the joint kernel, whose real column count is the
-isotropy dimension.  Each of these decisions, and that of the anchor
-matrix, is measured against ``scale``, so that a piece that vanishes up to
-rounding, such as ``ds Q`` at full rank, has rank 0.
+isotropy dimension.  The anchor matrix has the singular values of
+``dt Q K``, so its rank is decided on those, at its own shape.  Each of
+these decisions is measured against ``scale``, so that a piece that
+vanishes up to rounding, such as ``ds Q`` at full rank, has rank 0.
 
 The answers at one base point ``x`` are parts of one object, the
 :class:`PointGeometry` that :func:`at` returns: the base tangent basis, the
@@ -61,12 +64,13 @@ fiber and anchor, the isotropy dimension and the submersion rank at
 ``1_x``, whose target ``2 dim T_x`` comes from that same tangent basis,
 since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
 once, by the kind's own base check.  The object builds the model, the
-identity arrows, the linearization and the base tangent bases once each, on
+identity arrows, the linearization and the base tangent basis once each, on
 first use, and only when an answer reads them; its arrays are read-only.
-Away from the identity arrow, :func:`submersion_rank_st` linearizes at the
-arrow itself, and its target adds the base tangent dimensions at the source
-and the target of the arrow, from the singular values of the kind's linear
-system alone.  Callers that ask for several answers hold one
+At an identity arrow ``1_x``, :func:`submersion_rank_st` reads the object
+at ``x``; away from the identity arrows it linearizes at the arrow itself,
+and its target adds the base tangent dimensions at the source and the
+target of the arrow, from the singular values of the kind's linear system
+alone.  Callers that ask for several answers hold one
 object per point.  The free functions read the same objects, so :func:`at`
 keeps the last one it made and hands it back when the groupoid's class and
 parameters, the point and the tolerance all equal its own by exact value.
@@ -94,6 +98,7 @@ from .linalg import (
     map_rank_count,
     real_degree,
     realify,
+    singular_values,
 )
 from .reports import CheckRecord, ExperimentReport
 
@@ -107,23 +112,21 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TangentBasis:
-    """Orthonormal basis of a real tangent space.
+    """Orthonormal basis of a real tangent space of dimension ``real_dim``.
 
     ``coords`` holds the basis as columns in the fixed real
-    coordinatization.  ``vectors`` holds the same basis as structured
-    tangent vectors (elements, or component tuples for arrow spaces whose
-    points are tuples); ``to_vector`` builds them from the columns of
-    ``coords`` on first access, since most callers need only the dimension.
-    Two bases are equal when their base points and ``coords`` are, exactly;
-    bases are not hashable.
+    coordinatization, and ``vectors`` the same basis as structured tangent
+    vectors (elements, or component tuples for arrow spaces whose points
+    are tuples).  Most callers need only the dimension, so each is built on
+    first access: ``coords`` by ``build``, ``vectors`` from its columns by
+    ``to_vector``.  Two bases are equal when their base points and
+    ``coords`` are, exactly; bases are not hashable.
     """
 
     base_point: object
-    coords: np.ndarray
+    real_dim: int
+    build: Callable = field(repr=False)
     to_vector: Callable = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _read_only(self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, TangentBasis):
@@ -133,37 +136,34 @@ class TangentBasis:
 
     __hash__ = None
 
-    @property
-    def real_dim(self) -> int:
-        return self.coords.shape[1]
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        return _read_only(self.build())
 
     @functools.cached_property
     def vectors(self) -> tuple:
         return tuple(self.to_vector(col) for col in self.coords.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorData:
     """Source-fiber tangent basis and the induced anchor map at a base point.
 
     ``anchor_matrix`` expresses the differential of the target map,
     restricted to the fiber tangent space, against an orthonormal basis of
     the base tangent space: rows index base tangent directions, columns the
-    fiber basis.
+    fiber basis.  Like the bases, it is built on first access, by
+    ``build``; ``anchor_rank`` is its rank.
     """
 
     base_point: object
     fiber_basis: TangentBasis
-    anchor_matrix: np.ndarray
     anchor_rank: int
+    build: Callable = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "anchor_matrix", _read_only(self.anchor_matrix))
-        if self.anchor_matrix.shape[1] != self.fiber_basis.real_dim:
-            raise InputError("anchor matrix columns must match the fiber dimension")
-        rows, cols = self.anchor_matrix.shape
-        if self.anchor_rank > min(rows, cols):
-            raise InputError("anchor rank exceeds the matrix dimensions")
+    @functools.cached_property
+    def anchor_matrix(self) -> np.ndarray:
+        return _read_only(self.build())
 
 
 # -- the linearization at an arrow -------------------------------------------------
@@ -177,8 +177,9 @@ class _Linearization(NamedTuple):
     differential (the scale of every rank decision), the orthonormal fiber
     basis ``fiber = Q K`` with ``Q = frame`` and ``K`` the kernel of the
     source differential on the frame, the real rank ``st_rank`` of the
-    stacked source and target differentials, and their joint kernel
-    ``joint_kernel``, in coordinates on the frame.
+    stacked source and target differentials, the real dimension
+    ``isotropy_dim`` of their joint kernel, and the singular values
+    ``fiber_image`` of the target differential on the fiber, ``dt Q K``.
 
     ``[ds Q; dt Q]`` has rank ``rank(ds Q) + rank(dt Q K)`` and kernel
     ``K ker(dt Q K)``: the factorizations of the chart differential, of
@@ -191,36 +192,55 @@ class _Linearization(NamedTuple):
     scale: float
     fiber: np.ndarray
     st_rank: int
-    joint_kernel: np.ndarray
+    isotropy_dim: int
+    fiber_image: np.ndarray
+
+
+def _fiber_frame(G: Groupoid, arrow, tol: ToleranceConfig, dims: tuple | None = None) -> tuple:
+    """``(Q, K, dt, scale)`` at ``arrow``: the orthonormal frame ``Q`` of the
+    arrow tangent space from one thin singular value decomposition of the
+    chart differential, the kernel ``K`` of the source differential on the
+    frame, ``ds Q``, the ambient target differential and the norm of the
+    chart differential.  The ranks of the chart differential and of
+    ``ds Q`` are decided for ``tol``; given ``dims``, the column counts of
+    ``Q`` and ``K`` decided at a conjugate arrow, they are not decided but
+    taken from there.  ``arrow`` must have passed ``G``'s checks."""
+    j_arrow, ds, dt = G.chart_differential(arrow)
+    u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
+    scale = float(s[0]) if s.size else 0.0
+    frame_dim, kernel_dim = dims or (map_rank_count(s, j_arrow.shape, real_degree(j_arrow), tol),
+                                     None)
+    frame = u[:, :frame_dim]
+    return frame, kernel_basis(ds @ frame, tol, scale, kernel_dim), dt, scale
 
 
 def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
     """The linearization at ``arrow`` for ``tol``.  ``arrow`` must have
     passed ``G``'s checks."""
-    j_arrow, ds, dt = G.chart_differential(arrow)
-    degree = real_degree(j_arrow)
-    u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
-    scale = float(s[0]) if s.size else 0.0
-    frame = u[:, :map_rank_count(s, j_arrow.shape, degree, tol)]
-    k_source = kernel_basis(ds @ frame, tol, scale)
+    frame, k_source, dt, scale = _fiber_frame(G, arrow, tol)
+    degree = real_degree(frame)
     fiber = frame @ k_source
-    # the rank of dt Q K is a rank of [ds Q; dt Q], so it takes that stack's cutoff;
-    # its kernel is read from the rows of V* past the rank, as in kernel_basis
-    j_tk = dt @ fiber
-    _, t_singular, t_vh = np.linalg.svd(j_tk, full_matrices=j_tk.shape[0] < j_tk.shape[1])
-    t_rank = map_rank_count(
-        t_singular, (ds.shape[0] + dt.shape[0], frame.shape[1]), degree, tol, scale)
+    # the rank of dt Q K is a rank of [ds Q; dt Q], so it takes that stack's cutoff
+    # (source and target land in one base, so ds has the rows of dt)
+    t_singular = singular_values(dt @ fiber)
+    t_rank = map_rank_count(t_singular, (2 * dt.shape[0], frame.shape[1]), degree, tol, scale)
     st_rank = degree * (frame.shape[1] - k_source.shape[1] + t_rank)
-    joint = k_source @ t_vh[t_rank:].conj().T
-    frame, dt, fiber, joint = map(_read_only, (frame, dt, fiber, joint))
-    return _Linearization(frame, dt, scale, fiber, st_rank, joint)
+    isotropy = degree * (k_source.shape[1] - t_rank)
+    frame, dt, fiber, t_singular = map(_read_only, (frame, dt, fiber, t_singular))
+    return _Linearization(frame, dt, scale, fiber, st_rank, isotropy, t_singular)
+
+
+def _kernel_columns(m: np.ndarray, tol: ToleranceConfig) -> int:
+    """Column count of the numerical kernel of the linear map ``m``, real
+    or complex, from its singular values alone."""
+    return m.shape[1] - map_rank(m, tol) // real_degree(m)
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the base tangent space at ``x``: the real nullity of
     the kind's linear system, from its singular values alone."""
     system = G.base_tangent_system(x)
-    return real_degree(system) * system.shape[1] - map_rank(system, tol)
+    return real_degree(system) * _kernel_columns(system, tol)
 
 
 def _real_coords(basis: np.ndarray, x) -> np.ndarray:
@@ -233,21 +253,6 @@ def _real_coords(basis: np.ndarray, x) -> np.ndarray:
         return basis
     sizes = [n * n for n in x.shape]
     return realify(basis, sizes * (len(basis) // sum(sizes)))
-
-
-def _conjugated(basis: np.ndarray, conjugator: AlgebraElement,
-                inverse: AlgebraElement) -> np.ndarray:
-    """``Ad_C`` of the columns of ``basis``: each column holds the complex
-    coordinates of one element of the conjugator's shape, or of a tuple of
-    them, and each element ``v`` becomes ``C v C^-1``."""
-    out, cols, at = np.empty(basis.shape, dtype=complex), basis.shape[1], 0
-    while at < len(basis):
-        for n, c, c_inv in zip(conjugator.shape, conjugator.blocks, inverse.blocks):
-            piece = slice(at, at + n * n)
-            v = basis[piece].T.reshape(cols, n, n)
-            out[piece] = (c @ v @ c_inv).reshape(cols, n * n).T
-            at += n * n
-    return out
 
 
 # -- the geometry at a base point ---------------------------------------------------
@@ -279,39 +284,37 @@ class PointGeometry:
             raise PreconditionError(str(exc)) from exc
 
     @functools.cached_property
-    def _model(self) -> tuple:
-        """``(p, C, C^-1)`` of :meth:`~ginv.groupoid.Groupoid.orthogonal_model`."""
+    def _model(self):
+        """The model point ``p`` of
+        :meth:`~ginv.groupoid.Groupoid.orthogonal_model`."""
         return self.groupoid.orthogonal_model(self.point)
 
     @functools.cached_property
     def _lin(self) -> _Linearization:
         """The linearization at ``1_p``, once ``1_x`` is built."""
-        model, conjugator, _ = self._model
         identity = self.identity
-        if conjugator is not None:
-            identity = self.groupoid.identity_at(model)
+        if self._model is not self.point:
+            identity = self.groupoid.identity_at(self._model)
         return _linearization(self.groupoid, identity, self.tol)
 
     @functools.cached_property
-    def _model_tangent(self) -> np.ndarray:
-        """Orthonormal basis of the base tangent space at ``p``, in the
-        kind's ambient base coordinates."""
-        return self.groupoid.base_tangent(self._model[0], self.tol)
+    def _tangent_dims(self) -> tuple:
+        """``(columns, real dimension)`` of the base tangent space, the
+        columns in the kind's coordinates, from the singular values of the
+        kind's system at ``p`` alone."""
+        system = self.groupoid.base_tangent_system(self._model)
+        columns = _kernel_columns(system, self.tol)
+        return columns, real_degree(system) * columns
 
     @functools.cached_property
     def _tangent(self) -> np.ndarray:
         """Orthonormal basis of the base tangent space at the point, in the
-        kind's ambient base coordinates: the one at ``p``, carried by
-        ``Ad_C``."""
-        return _read_only(self._transport(self._model_tangent)[0])
+        kind's ambient base coordinates, factored there with the column
+        count decided at ``p``."""
+        return _read_only(self.groupoid.base_tangent(self.point, self.tol, self._tangent_dims[0]))
 
-    def _transport(self, basis: np.ndarray) -> tuple:
-        """``(Q, R)`` with ``Q R = Ad_C basis`` and ``Q`` orthonormal; ``Q``
-        is ``basis`` and ``R`` is ``None`` when there is no conjugator."""
-        _, conjugator, inverse = self._model
-        if conjugator is None:
-            return basis, None
-        return np.linalg.qr(_conjugated(basis, conjugator, inverse))
+    def _tangent_coords(self) -> np.ndarray:
+        return _real_coords(self._tangent, self.point)
 
     @functools.cached_property
     def tangent(self) -> TangentBasis:
@@ -319,8 +322,29 @@ class PointGeometry:
         x = self.point
         to_vector = (functools.partial(AlgebraElement.from_real_coords, x.shape)
                      if isinstance(x, AlgebraElement) else np.array)
-        return TangentBasis(base_point=x, coords=_real_coords(self._tangent, x),
-                            to_vector=to_vector)
+        return TangentBasis(base_point=x, real_dim=self._tangent_dims[1],
+                            build=self._tangent_coords, to_vector=to_vector)
+
+    @functools.cached_property
+    def _fiber_at_point(self) -> tuple:
+        """``(F, dt)``: the fiber basis at ``1_x`` and the ambient target
+        differential there, in the kind's coordinates.  Away from the
+        model both are factored at ``1_x`` itself, with the column counts
+        of the frame and the kernel decided at ``1_p``."""
+        lin = self._lin
+        if self._model is self.point:
+            return lin.fiber, lin.dt
+        frame, k_source, dt, _ = _fiber_frame(self.groupoid, self.identity, self.tol,
+                                              (lin.frame.shape[1], lin.fiber.shape[1]))
+        return frame @ k_source, dt
+
+    def _fiber_coords(self) -> np.ndarray:
+        return _real_coords(self._fiber_at_point[0], self.point)
+
+    def _anchor_matrix(self) -> np.ndarray:
+        fiber, dt = self._fiber_at_point
+        anchor = self._tangent.conj().T @ (dt @ fiber)
+        return realify(anchor) if np.iscomplexobj(anchor) else anchor
 
     @functools.cached_property
     def anchor(self) -> AnchorData:
@@ -330,42 +354,37 @@ class PointGeometry:
         The fiber tangent space is the kernel of the source differential in
         the tangent space; the anchor matrix expresses the target
         differential on that basis against the orthonormal basis
-        :attr:`tangent`.  Its rank is decided at ``1_p``.  At ``1_x`` the
-        fiber basis is the one at ``1_p`` carried by ``Ad_C`` and
-        orthonormalized, ``F_x R = Ad_C F_p``, and since the target map
-        commutes with ``Ad_C``, its differential on ``F_x`` is
-        ``Ad_C (dt F_p) R^-1``.  For a complex linearization both bases
-        realify to ``[V, iV]``, so the anchor matrix is the realified
-        ``[[Re M, -Im M], [Im M, Re M]]`` of the complex one ``M``.
+        :attr:`tangent`.  The target differential maps the fiber into the
+        tangent space, on which that basis is an isometry, so the anchor
+        matrix has the singular values of ``dt Q K`` at ``1_p``, as many as
+        its shape allows: its rank is decided on those, at that shape.  For
+        a complex linearization both bases realify to ``[V, iV]``, so the
+        anchor matrix is the realified ``[[Re M, -Im M], [Im M, Re M]]`` of
+        the complex one ``M``.
         """
         lin, x = self._lin, self.point
-        image = lin.dt @ lin.fiber
-        rank = map_rank(self._model_tangent.conj().T @ image, self.tol, lin.scale)
-        fiber, r = self._transport(lin.fiber)
-        if r is not None:
-            _, conjugator, inverse = self._model
-            image = np.linalg.solve(r.T, _conjugated(image, conjugator, inverse).T).T
-        anchor = self._tangent.conj().T @ image
-        basis = TangentBasis(base_point=x, coords=_real_coords(fiber, x),
+        degree, shape = real_degree(lin.frame), (self._tangent_dims[0], lin.fiber.shape[1])
+        singular = lin.fiber_image[:min(shape)]  # the anchor matrix has no more
+        rank = degree * map_rank_count(singular, shape, degree, self.tol, lin.scale)
+        basis = TangentBasis(base_point=x, real_dim=degree * lin.fiber.shape[1],
+                             build=self._fiber_coords,
                              to_vector=functools.partial(self.groupoid.tangent_vector,
                                                          self.identity))
-        anchor_matrix = realify(anchor) if np.iscomplexobj(anchor) else anchor
-        return AnchorData(base_point=x, fiber_basis=basis, anchor_matrix=anchor_matrix,
-                          anchor_rank=rank)
+        return AnchorData(base_point=x, fiber_basis=basis, anchor_rank=rank,
+                          build=self._anchor_matrix)
 
     @functools.cached_property
     def isotropy_dim(self) -> int:
         """Real dimension of the joint kernel of the source and target
         differentials at ``1_x``, read at ``1_p`` on the frame of the arrow
         tangent space, where it needs no rank of its own."""
-        lin = self._lin
-        return real_degree(lin.frame) * lin.joint_kernel.shape[1]
+        return self._lin.isotropy_dim
 
     @functools.cached_property
     def submersion(self) -> tuple:
         """``(rank T(s, t), 2 dim T(base))`` at ``1_x``.  Since
         ``s(1_x) = t(1_x) = x``, the target is twice the real dimension of
-        the tangent space :attr:`tangent` solves."""
+        the tangent space :attr:`tangent` spans."""
         return self._lin.st_rank, 2 * self.tangent.real_dim
 
 
@@ -428,14 +447,14 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns ``(rank T(s, t) at g, dim T(base) at s(g) + dim T(base) at t(g))``;
     the two agree exactly when the groupoid is locally transitive at ``g``.
-    At the identity arrow of the point :func:`at` holds, once that object
-    has built it, this reads the object's :attr:`PointGeometry.submersion`,
-    whose target is ``2 dim T(base)`` at the point itself.
+    At an identity arrow ``1_x`` this is :attr:`PointGeometry.submersion`
+    of ``at(G, x, tol)``, decided at the model point, whose target is
+    ``2 dim T(base)`` at ``x`` itself.
     """
     G.validate_arrow(g)
-    held = _HELD
-    if held is not None and held._of(G, tol) and same_value(vars(held).get("identity"), g):
-        return held.submersion
+    x = G.identity_base(g)
+    if x is not None:
+        return at(G, x, tol).submersion
     st_rank = _linearization(G, g, tol).st_rank
     return st_rank, base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
 

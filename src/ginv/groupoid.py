@@ -38,6 +38,7 @@ from .algebra import (
     expm_element,
     first_excess,
     norms,
+    same_value,
     stack_rows,
     validate_shape,
 )
@@ -162,14 +163,14 @@ class Groupoid:
         raise NotImplementedError
 
     def check_base(self, x):
-        residual, scale = self._membership(x)
-        res = first_excess(residual, self.tol.residual_tol * (1.0 + scale))
+        res = first_excess(
+            self.base_membership_residual(x), self.tol.residual_tol * (1.0 + self._base_scale(x))
+        )
         if res is not None:
             raise InputError(f"point fails base membership with residual {res:.3e}")
 
-    def _membership(self, x) -> tuple:
-        """The base membership residual of ``x`` and the scale of its bound."""
-        return self.base_membership_residual(x), 1.0
+    def _base_scale(self, x) -> float:
+        return 1.0
 
     def base_distance(self, x, y) -> float:
         raise NotImplementedError
@@ -273,18 +274,31 @@ class Groupoid:
         whose kernel is the base tangent space there."""
         raise NotImplementedError
 
-    def base_tangent(self, x, tol: ToleranceConfig) -> np.ndarray:
+    def base_tangent(self, x, tol: ToleranceConfig, dim: int | None = None) -> np.ndarray:
         """Orthonormal basis (columns) of the base tangent space at ``x``,
-        in ambient base coordinates."""
-        return kernel_basis(self.base_tangent_system(x), tol)
+        in ambient base coordinates; with ``dim``, of that many (complex)
+        columns, decided elsewhere, as in :func:`~ginv.linalg.kernel_basis`."""
+        return kernel_basis(self.base_tangent_system(x), tol, dim=dim)
 
-    def orthogonal_model(self, x) -> tuple:
-        """``(p, C, C^-1)``: a base point ``p`` where the geometry at the
-        base point ``x`` is best decided, and an invertible element ``C``
-        whose conjugation ``Ad_C`` is an automorphism of the groupoid that
-        takes ``p`` to ``x``, so that every dimension at ``x`` is the one at
-        ``p``.  By default the point itself and no conjugator (``None``)."""
-        return x, None, None
+    def orthogonal_model(self, x):
+        """A base point ``p`` where the geometry at the base point ``x`` is
+        best decided: one that an automorphism of the groupoid takes to
+        ``x``, so that every dimension at ``x`` is the one at ``p``.  By
+        default the point itself."""
+        return x
+
+    def identity_base(self, g):
+        """The base point ``x`` whose identity arrow ``identity_at(x)`` is
+        ``g`` by exact value, or ``None`` when ``g`` is no identity arrow."""
+        x = self._identity_candidate(g)
+        try:
+            return x if same_value(self.identity_at(x), g) else None
+        except InputError:  # not a base point
+            return None
+
+    def _identity_candidate(self, g):
+        """The one base point whose identity arrow ``g`` can be."""
+        return self.source(g)
 
     def orbit_signature(self, x, tol: ToleranceConfig):
         """Complete orbit invariant of the base point ``x``: per-block
@@ -354,17 +368,20 @@ class GInvGroupoid(Groupoid):
         self.check_base(x)
         return GInvArrow(GInvPair.create(x, x, self.tol))
 
+    def _identity_candidate(self, g: GInvArrow) -> AlgebraElement:
+        self._check_structure(g)
+        return g.pair.a
+
     def validate_arrow(self, g):
         self._check_structure(g)
         if not is_ginv_pair(g.pair.a, g.pair.b, self.tol):
             raise InputError("arrow fails the reflexive-pair conditions")
 
     def base_membership_residual(self, x: AlgebraElement):
-        return (x @ x - x).norm()
+        return norms(x @ x - x, x)[0]
 
-    def _membership(self, x: AlgebraElement) -> tuple:
-        residual, size = norms(x @ x - x, x)
-        return residual, epow(size, 2)
+    def _base_scale(self, x: AlgebraElement):
+        return epow(x.norm(), 2)
 
     def base_distance(self, x, y):
         return x.distance(y)
@@ -449,22 +466,20 @@ class GInvGroupoid(Groupoid):
     def base_tangent_system(self, x):
         return _idempotent_linearization(x)
 
-    def orthogonal_model(self, x: AlgebraElement) -> tuple:
+    def orthogonal_model(self, x: AlgebraElement) -> AlgebraElement:
         """The range projection ``p`` of the idempotent ``x``, block by block
         the projection onto the left singular vectors of the block whose
-        singular values exceed :data:`RANGE_CUTOFF`, and the conjugator
-        ``C = 1 - k`` with ``k = x - p``, and ``C^-1 = 1 + k``.  Since
-        ``k^2 = 0``, ``kp = 0`` and ``pk = k``, ``x = C p C^-1``; ``Ad_C``
-        maps each pair ``(a, b)`` to ``(C a C^-1, C b C^-1)``, an automorphism
-        of the groupoid (Corach, Porta & Recht 1990)."""
+        singular values exceed :data:`RANGE_CUTOFF`.  With ``k = x - p``,
+        ``k^2 = 0``, ``kp = 0`` and ``pk = k``, so ``x = C p C^-1`` for
+        ``C = 1 - k``, ``C^-1 = 1 + k``; ``Ad_C`` maps each pair ``(a, b)``
+        to ``(C a C^-1, C b C^-1)``, an automorphism of the groupoid (Corach,
+        Porta & Recht 1990)."""
         blocks = []
         for b in x.blocks:
             u, s, _ = np.linalg.svd(b)
             u = u[:, :int(np.count_nonzero(s > RANGE_CUTOFF))]
             blocks.append(u @ u.conj().T)
-        p, one = AlgebraElement(self.shape, tuple(blocks)), AlgebraElement.identity(self.shape)
-        k = x - p
-        return p, one - k, one + k
+        return AlgebraElement(self.shape, tuple(blocks))
 
     def orbit_signature(self, x, tol):
         return block_ranks(x, tol)
@@ -519,17 +534,20 @@ class PartialIsometryGroupoid(Groupoid):
         self.check_base(x)
         return IsometryArrow(x)
 
+    def _identity_candidate(self, g: IsometryArrow) -> AlgebraElement:
+        self._check_structure(g)
+        return g.u
+
     def validate_arrow(self, g):
         self._check_structure(g)
         if _isometry_excess(g.u, self.tol) is not None:
             raise InputError("arrow is not a partial isometry")
 
     def base_membership_residual(self, x: AlgebraElement):
-        return emax(*norms(x @ x - x, x.adjoint() - x))
+        return emax(*norms(x @ x - x, x.adjoint() - x, x)[:2])
 
-    def _membership(self, x: AlgebraElement) -> tuple:
-        idempotent, hermitian, size = norms(x @ x - x, x.adjoint() - x, x)
-        return emax(idempotent, hermitian), epow(size, 2)
+    def _base_scale(self, x: AlgebraElement):
+        return epow(x.norm(), 2)
 
     def base_distance(self, x, y):
         return x.distance(y)
@@ -589,8 +607,8 @@ class PartialIsometryGroupoid(Groupoid):
         Hermitian basis is the base tangent space."""
         return _idempotent_linearization(p, sandwich_matrix) @ hermitian_basis(self.shape)
 
-    def base_tangent(self, p, tol):
-        return hermitian_basis(self.shape) @ super().base_tangent(p, tol)
+    def base_tangent(self, p, tol, dim=None):
+        return hermitian_basis(self.shape) @ super().base_tangent(p, tol, dim)
 
     def orbit_signature(self, p, tol):
         return block_ranks(p, tol)

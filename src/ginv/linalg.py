@@ -214,11 +214,15 @@ def vector_norm(x: np.ndarray):
 
 
 def kernel_basis(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
+    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0,
+    dim: int | None = None,
 ) -> np.ndarray:
     """Orthonormal basis (columns, of ``m``'s dtype) of the numerical
     kernel of the linear map ``m``, real or complex, decided as in
-    :func:`map_rank_count`; ``scale`` as in :func:`numerical_rank`.
+    :func:`map_rank_count`; ``scale`` as in :func:`numerical_rank`.  With
+    ``dim``, the kernel's column count is not decided here but given: the
+    basis is the ``dim`` right singular vectors of the smallest singular
+    values, which no cutoff is applied to.
 
     The kernel is read from the rows of ``V*`` past the rank, so a wide
     matrix needs all of them; a tall one has them all in its thin factors
@@ -228,7 +232,8 @@ def kernel_basis(
     if m.size == 0:
         return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    return vh[map_rank_count(s, m.shape, real_degree(m), tol, scale):].conj().T
+    rank = map_rank_count(s, m.shape, real_degree(m), tol, scale) if dim is None else cols - dim
+    return vh[rank:].conj().T
 
 
 def finite_diff_jacobian(

@@ -278,6 +278,8 @@ class TestNormCache:
 
         with pytest.raises(ShapeMismatchError):
             norms(random_element(rng, (2,)), random_element(rng, (3,)))
+        with pytest.raises(ShapeMismatchError):  # and of one stack height
+            norms(random_element(rng, (2,)), stack_of(rng, (2,))[1])
 
     def test_norm_takes_no_part_in_equality(self, rng):
         x = random_element(rng, (2,))

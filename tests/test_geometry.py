@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginv import geometry
-from ginv.algebra import AlgebraElement
+from ginv.algebra import AlgebraElement, same_value
 from ginv.errors import InputError, PreconditionError
 from ginv.geometry import (
     base_tangent_dim,
@@ -287,25 +287,28 @@ class TestOrthogonalModel:
     """Every geometry rank is decided at the model point ``p`` of ``x``: the
     range projection for ``ginv``, the point itself for the other kinds."""
 
-    def test_idempotent_is_conjugate_to_its_range_projection(self, rng):
+    def test_idempotent_model_is_its_range_projection(self, rng):
+        # p x = x and x p = p: with k = x - p, pk = k and kp = 0, so C = 1 - k
+        # conjugates p to x, C p C^-1 = p + pk - kp - kpk = x
         cases = [(shape, ranks, None) for shape, ranks in (((2,), (1,)), ((8,), (3,)),
                                                             ((1, 2, 3), (1, 0, 2)))]
         cases += [((3,), (r,), cond) for cond in CONDITIONERS for r in (1, 2)]
         for shape, ranks, cond in cases:
             x = base_point(rng, "Q", shape, ranks, cond)
-            p, c, c_inv = GInvGroupoid(shape).orthogonal_model(x)
+            p = GInvGroupoid(shape).orthogonal_model(x)
             size = x.norm()
             assert (p.adjoint() - p).norm() <= 1e-14 and (p @ p - p).norm() <= 1e-14
             assert tuple(round(float(np.trace(b).real)) for b in p.blocks) == ranks
-            assert (p @ x - x).norm() <= 1e-12 * size  # x maps into the range of p
-            assert (c @ p @ c_inv - x).norm() <= 1e-12 * size ** 2, cond
+            assert (p @ x - x).norm() <= 1e-14 * size, cond  # x maps into the range of p
+            # and is the identity there, as far as x is idempotent: x^2 - x
+            # maps the range of x, whose vectors are x z with |z| <= |x z|, onto x p - p
+            assert (x @ p - p).norm() <= 2 * (x @ x - x).norm() + 1e-14 * size, cond
 
     def test_other_kinds_are_their_own_model(self, rng):
         p = random_projection(rng, (2, 3), ranks=(1, 2))
         for G, x in ((PartialIsometryGroupoid((2, 3)), p), (ActionGroupoid(2), np.ones(2)),
                      (PairGroupoid(2), np.zeros(2))):
-            model, c, c_inv = G.orthogonal_model(x)
-            assert model is x and c is None and c_inv is None
+            assert G.orthogonal_model(x) is x
 
     def test_borderline_idempotent_has_its_tangent_space(self):
         # |x x - x| = 1.9e-8 passes base membership; ranked at x itself, the
@@ -313,17 +316,52 @@ class TestOrthogonalModel:
         x = mat([[1 + 1.9e-8, 0], [0, 0]])
         assert tangent_basis("Q", x).real_dim == 4
 
-    def test_bases_at_x_are_carried_from_the_model(self, rng):
-        # Ad_C and a QR carry the bases from 1_p to 1_x without a rank decision;
-        # at |x| of about 1e4 they lie in the kernels at x to about 1e-6 relative
-        for cond in (None, 1e4):
-            G = GInvGroupoid((3,))
-            x = base_point(rng, "Q", (3,), (1,), cond)
+    @pytest.mark.parametrize("cond", (None,) + CONDITIONERS)
+    def test_bases_at_x_lie_in_the_kernels_at_x(self, rng, cond):
+        # factored at x, with the column counts decided at p, the bases are as
+        # backward accurate as a direct factorization at x: the tangent basis to
+        # rounding, the fiber basis to about 1e-17 cond (the direct route at x
+        # reaches 3e-13 at 1e4 and 3e-11 at 1e6), and right at every conditioner
+        G = GInvGroupoid((3,))
+        for r in (1, 2):
+            x = base_point(rng, "Q", (3,), (r,), cond)
             point = geometry.at(G, x)
+            tangent, fiber = point.tangent, point.anchor.fiber_basis
+            assert (tangent.real_dim, fiber.real_dim) == (8, 8 + 2 * r * r)
             system = G.base_tangent_system(x)
             ds = real_differentials(G, point.identity)[1]
-            for m, basis in ((system, point._tangent), (ds, point.anchor.fiber_basis.coords)):
-                assert np.max(np.abs(m @ basis)) <= 1e-5 * np.linalg.norm(m, 2), cond
+            for m, basis, bound in ((system, point._tangent, 1e-14),
+                                    (ds, fiber.coords, 1e-16 * max(cond or 1.0, 1e2))):
+                assert np.linalg.norm(m @ basis, 2) <= bound * np.linalg.norm(m, 2), (cond, r)
+
+
+    @pytest.mark.parametrize("cond", CONDITIONERS)
+    def test_submersion_at_an_identity_arrow_alone_is_decided_at_the_model(
+            self, rng, monkeypatch, cond):
+        # with no point held, submersion_rank_st at 1_x is at(G, x).submersion,
+        # decided at the model point, and meets the closed form
+        G = GInvGroupoid((3,))
+        for r in (1, 2):
+            x = base_point(rng, "Q", (3,), (r,), cond)
+            dims = 2 * closed_form_dims("Q", (3,), (r,))[0]
+            got = alone(monkeypatch, lambda G, x: submersion_rank_st(G, G.identity_at(x)), G, x)
+            assert got == (dims, dims), (cond, r)
+
+    def test_identity_arrows_are_recognized_by_exact_value(self, rng):
+        from ginv.geninv import GInvPair
+        from ginv.groupoid import GInvArrow
+
+        q = random_idempotent(rng, (2,), ranks=(1,))
+        p = random_projection(rng, (2,), ranks=(1,))
+        v = rng.standard_normal(2)
+        minus = -1.0 * AlgebraElement.identity((2,))
+        for G, x in ((GInvGroupoid((2,)), q), (PartialIsometryGroupoid((2,)), p),
+                     (ActionGroupoid(2), v), (PairGroupoid(2), v)):
+            assert same_value(G.identity_base(G.identity_at(x)), x)
+            assert G.identity_base(G.arrow_from(x, rng)) is None
+        # (-1, -1) is an arrow from 1 to 1, not the identity 1_1 = (1, 1)
+        G = GInvGroupoid((2,))
+        assert G.identity_base(GInvArrow(GInvPair.create(minus, minus))) is None
 
 
 SHAPES_AND_RANKS = st.sampled_from(
@@ -575,6 +613,7 @@ class TestPointReuse:
             assert fiber_and_anchor(G, p.x) is point.anchor  # read from the held point
 
     def test_one_chart_differential_per_point(self, rng, monkeypatch, nothing_held):
+        # at the model point; the dimensions read no basis at the point itself
         G = GInvGroupoid((3,))
         built = spy(monkeypatch, GInvGroupoid, "chart_differential")
         for expected in (1, 2):
@@ -648,9 +687,9 @@ class TestPointReuse:
         solved = [spy(monkeypatch, cls, "base_tangent")
                   for cls in (GInvGroupoid, PartialIsometryGroupoid)]
         assert fiber_and_anchor(GInvGroupoid((3,)), p).anchor_rank == 8
-        assert tangent_basis("Q", p).real_dim == 8
+        assert tangent_basis("Q", p).coords.shape[1] == 8
         assert fiber_and_anchor(PartialIsometryGroupoid((3,)), p).anchor_rank == 4
-        assert tangent_basis("P", p).real_dim == 4
+        assert tangent_basis("P", p).coords.shape[1] == 4
         assert [len(c) for c in built] == [1, 1]
         assert [len(c) for c in solved] == [1, 1]  # each kind's basis at p, solved once
 
@@ -660,14 +699,15 @@ class TestPointReuse:
         q = random_idempotent(rng, (2,), ranks=(1,))
         solved = spy(monkeypatch, GInvGroupoid, "base_tangent")
         coarse = ToleranceConfig(rank_cutoff_factor=0.1)
-        assert tangent_basis("Q", q).real_dim == 4
-        assert tangent_basis("Q", q, coarse).real_dim == 4
-        assert tangent_basis("Q", q, coarse).real_dim == 4  # held
-        assert tangent_basis("Q", q).real_dim == 4  # the coarse entry took its place
+        assert tangent_basis("Q", q).coords.shape[1] == 4
+        assert tangent_basis("Q", q, coarse).coords.shape[1] == 4
+        assert tangent_basis("Q", q, coarse).coords.shape[1] == 4  # held
+        assert tangent_basis("Q", q).coords.shape[1] == 4  # the coarse entry took its place
         assert [args[1] for args in solved] == [DEFAULT_TOL, coarse, DEFAULT_TOL]
 
     def test_one_base_system_per_point(self, rng, monkeypatch, nothing_held):
-        # s(1_x) = t(1_x) = x: the submersion target reads the tangent space at x
+        # s(1_x) = t(1_x) = x: the submersion target reads the tangent space at x,
+        # whose dimension is read at the model point
         for G, x, dims in ((GInvGroupoid((3,)), random_idempotent(rng, (3,), ranks=(1,)), 16),
                            (PartialIsometryGroupoid((3,)), random_projection(rng, (3,), ranks=(1,)),
                             8)):
@@ -780,8 +820,7 @@ class TestFactoredOnce:
                 G = cls(shape)
                 for g in (G.arrow_from(G.sample_base_point(rng), rng), G.sample_arrow(rng)):
                     lin = geometry._linearization(G, g, DEFAULT_TOL)
-                    iso = real_degree(lin.frame) * lin.joint_kernel.shape[1]
-                    assert (lin.st_rank, iso) == dense_answers(G, g), g
+                    assert (lin.st_rank, lin.isotropy_dim) == dense_answers(G, g), g
                     assert submersion_rank_st(G, g)[0] == lin.st_rank
 
     def test_frame_spans_the_chart_image(self, rng):
@@ -800,6 +839,7 @@ class TestFactoredOnce:
 
         kinds = (GInvGroupoid, PartialIsometryGroupoid)
         solved = [spy(monkeypatch, cls, "base_tangent") for cls in kinds]
+        ranked = [spy(monkeypatch, cls, "base_tangent_system") for cls in kinds]
         built = [spy(monkeypatch, cls, "chart_differential") for cls in kinds]
 
         def digest(m):
@@ -827,13 +867,15 @@ class TestFactoredOnce:
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert len(points) == 60
-        assert sum(map(len, solved)) == 60  # the basis at the model point
-        assert sum(map(len, built)) == 60
+        # the pass reads dimensions only: each from one system and one chart
+        # differential at the model point, and no basis is factored
+        assert sum(map(len, ranked)) == sum(map(len, built)) == 60
+        assert sum(map(len, solved)) == 0
         assert full_u_of_tall == [] and eigensolved == []
         want, stacked = Counter(), set()
         for p in points:
             G = point_instance(p)
-            j_arrow, ds, dt = G.chart_differential(G.identity_at(G.orthogonal_model(p.x)[0]))
+            j_arrow, ds, dt = G.chart_differential(G.identity_at(G.orthogonal_model(p.x)))
             assert np.iscomplexobj(j_arrow) == (p.kind == "ginv")  # factored as built
             # the zero charts at rank 0 are left out: other products vanish there too
             if j_arrow.any():
@@ -842,6 +884,25 @@ class TestFactoredOnce:
                 stacked.update((digest(j_s), digest(np.vstack([j_s, j_t]))))
         assert len(want) > 40 and {d: factored[d] for d in want} == want
         assert len(stacked) > 80 and not any(factored[d] for d in stacked)
+
+
+class TestBasesOnDemand:
+    def test_dimensions_factor_no_basis_and_bases_are_factored_once(self, rng, monkeypatch,
+                                                                   nothing_held):
+        G = GInvGroupoid((3,))
+        q = random_idempotent(rng, (3,), ranks=(1,))
+        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        solved = spy(monkeypatch, GInvGroupoid, "base_tangent")
+        point = geometry.at(G, q)
+        data = point.anchor
+        assert (point.tangent.real_dim, data.fiber_basis.real_dim, data.anchor_rank) == (8, 10, 8)
+        assert (len(built), len(solved)) == (1, 0)  # at the model point only
+        assert data.anchor_matrix.shape == (8, 10)  # at q: one chart, one tangent basis
+        assert data.fiber_basis.coords.shape == (18 * 2, 10)
+        assert point.tangent.coords.shape == (18, 8)
+        assert (len(built), len(solved)) == (2, 1)
+        assert data.anchor_matrix is data.anchor_matrix
+        assert np.linalg.matrix_rank(data.anchor_matrix) == data.anchor_rank
 
 
 class TestVectorsOnDemand:
