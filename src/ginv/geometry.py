@@ -230,6 +230,21 @@ def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
     return _Linearization(frame, dt, scale, fiber, st_rank, isotropy, t_singular)
 
 
+def _fiber_at(G: Groupoid, identity, tol: ToleranceConfig, lin: _Linearization,
+              at_model: bool) -> tuple:
+    """``(F, dt)``: the orthonormal fiber basis at the identity arrow
+    ``identity`` of a base point and the ambient target differential there,
+    in the kind's coordinates, given the linearization ``lin`` at the
+    identity arrow of the point's model.  Away from the model both are
+    factored at ``identity`` itself, with the column counts of the frame
+    and the kernel taken from ``lin``."""
+    if at_model:
+        return lin.fiber, lin.dt
+    frame, k_source, dt, _ = _fiber_frame(G, identity, tol,
+                                          (lin.frame.shape[1], lin.fiber.shape[1]))
+    return frame @ k_source, dt
+
+
 def _kernel_columns(m: np.ndarray, tol: ToleranceConfig) -> int:
     """Column count of the numerical kernel of the linear map ``m``, real
     or complex, from its singular values alone."""
@@ -307,44 +322,25 @@ class PointGeometry:
         return columns, real_degree(system) * columns
 
     @functools.cached_property
-    def _tangent(self) -> np.ndarray:
-        """Orthonormal basis of the base tangent space at the point, in the
-        kind's ambient base coordinates, factored there with the column
-        count decided at ``p``."""
-        return _read_only(self.groupoid.base_tangent(self.point, self.tol, self._tangent_dims[0]))
-
-    def _tangent_coords(self) -> np.ndarray:
-        return _real_coords(self._tangent, self.point)
+    def _tangent(self) -> Callable:
+        """A function of no arguments that returns the orthonormal basis of
+        the base tangent space at the point, in the kind's ambient base
+        coordinates, factored there on its first call with the column
+        count decided at ``p``.  Like every builder the answers hold, it
+        holds no reference to this object, which holds the answers: such a
+        cycle would keep the factorizations alive until the garbage
+        collector's next full pass."""
+        G, x, tol, columns = self.groupoid, self.point, self.tol, self._tangent_dims[0]
+        return functools.cache(lambda: _read_only(G.base_tangent(x, tol, columns)))
 
     @functools.cached_property
     def tangent(self) -> TangentBasis:
         """Orthonormal basis of the base tangent space at the point."""
-        x = self.point
+        x, basis = self.point, self._tangent
         to_vector = (functools.partial(AlgebraElement.from_real_coords, x.shape)
                      if isinstance(x, AlgebraElement) else np.array)
         return TangentBasis(base_point=x, real_dim=self._tangent_dims[1],
-                            build=self._tangent_coords, to_vector=to_vector)
-
-    @functools.cached_property
-    def _fiber_at_point(self) -> tuple:
-        """``(F, dt)``: the fiber basis at ``1_x`` and the ambient target
-        differential there, in the kind's coordinates.  Away from the
-        model both are factored at ``1_x`` itself, with the column counts
-        of the frame and the kernel decided at ``1_p``."""
-        lin = self._lin
-        if self._model is self.point:
-            return lin.fiber, lin.dt
-        frame, k_source, dt, _ = _fiber_frame(self.groupoid, self.identity, self.tol,
-                                              (lin.frame.shape[1], lin.fiber.shape[1]))
-        return frame @ k_source, dt
-
-    def _fiber_coords(self) -> np.ndarray:
-        return _real_coords(self._fiber_at_point[0], self.point)
-
-    def _anchor_matrix(self) -> np.ndarray:
-        fiber, dt = self._fiber_at_point
-        anchor = self._tangent.conj().T @ (dt @ fiber)
-        return realify(anchor) if np.iscomplexobj(anchor) else anchor
+                            build=lambda: _real_coords(basis(), x), to_vector=to_vector)
 
     @functools.cached_property
     def anchor(self) -> AnchorData:
@@ -362,16 +358,24 @@ class PointGeometry:
         anchor matrix is the realified ``[[Re M, -Im M], [Im M, Re M]]`` of
         the complex one ``M``.
         """
-        lin, x = self._lin, self.point
+        lin, x, tangent = self._lin, self.point, self._tangent
         degree, shape = real_degree(lin.frame), (self._tangent_dims[0], lin.fiber.shape[1])
         singular = lin.fiber_image[:min(shape)]  # the anchor matrix has no more
         rank = degree * map_rank_count(singular, shape, degree, self.tol, lin.scale)
+        fiber_at = functools.cache(functools.partial(
+            _fiber_at, self.groupoid, self.identity, self.tol, lin, self._model is x))
+
+        def anchor_matrix():
+            fiber, dt = fiber_at()
+            anchor = tangent().conj().T @ (dt @ fiber)
+            return realify(anchor) if np.iscomplexobj(anchor) else anchor
+
         basis = TangentBasis(base_point=x, real_dim=degree * lin.fiber.shape[1],
-                             build=self._fiber_coords,
+                             build=lambda: _real_coords(fiber_at()[0], x),
                              to_vector=functools.partial(self.groupoid.tangent_vector,
                                                          self.identity))
         return AnchorData(base_point=x, fiber_basis=basis, anchor_rank=rank,
-                          build=self._anchor_matrix)
+                          build=anchor_matrix)
 
     @functools.cached_property
     def isotropy_dim(self) -> int:

@@ -330,7 +330,7 @@ class TestOrthogonalModel:
             assert (tangent.real_dim, fiber.real_dim) == (8, 8 + 2 * r * r)
             system = G.base_tangent_system(x)
             ds = real_differentials(G, point.identity)[1]
-            for m, basis, bound in ((system, point._tangent, 1e-14),
+            for m, basis, bound in ((system, point._tangent(), 1e-14),
                                     (ds, fiber.coords, 1e-16 * max(cond or 1.0, 1e2))):
                 assert np.linalg.norm(m @ basis, 2) <= bound * np.linalg.norm(m, 2), (cond, r)
 
@@ -903,6 +903,26 @@ class TestBasesOnDemand:
         assert (len(built), len(solved)) == (2, 1)
         assert data.anchor_matrix is data.anchor_matrix
         assert np.linalg.matrix_rank(data.anchor_matrix) == data.anchor_rank
+
+    def test_a_dropped_point_is_freed_without_the_cycle_collector(self, rng, monkeypatch):
+        # the bases' builders hold no reference to the object that holds them
+        import gc
+        import weakref
+
+        q = random_idempotent(rng, (3,), ranks=(1,))
+        empty_holder(monkeypatch)  # restored after the test
+        gc.collect()
+        gc.disable()
+        try:
+            point = geometry.at(GInvGroupoid((3,)), q)
+            data, tangent = point.anchor, point.tangent
+            gone = weakref.ref(point)
+            geometry._HELD = point = None
+            assert gone() is None
+            assert data.fiber_basis.coords.shape == (36, 10)  # the bases still build
+            assert data.anchor_matrix.shape == (8, 10) and tangent.coords.shape == (18, 8)
+        finally:
+            gc.enable()
 
 
 class TestVectorsOnDemand:
