@@ -276,8 +276,9 @@ class Groupoid:
 
     def base_tangent(self, x, tol: ToleranceConfig, dim: int | None = None) -> np.ndarray:
         """Orthonormal basis (columns) of the base tangent space at ``x``,
-        in ambient base coordinates; with ``dim``, of that many (complex)
-        columns, decided elsewhere, as in :func:`~ginv.linalg.kernel_basis`."""
+        in ambient base coordinates; with ``dim``, a column count of the
+        kind's own (real or complex) system decided elsewhere, not decided
+        here, as in :func:`~ginv.linalg.kernel_basis`."""
         return kernel_basis(self.base_tangent_system(x), tol, dim=dim)
 
     def orthogonal_model(self, x):
