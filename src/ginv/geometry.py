@@ -37,11 +37,11 @@ once, at ``1_p``, where ``p`` and every differential have norm of order 1,
 whatever the norm of ``x``; ranked at ``x`` itself, the cutoff relative to
 a norm of order ``|x|^2`` loses small singular values long before ``x``
 stops being an idempotent.  The public tangent basis, fiber basis and
-anchor matrix are factored at ``x`` itself, by the same decompositions
-with the column counts decided at ``p``: they are as backward accurate as
-a factorization at ``x`` can be, and no rank is decided there.  Carried
-from ``p`` by ``Ad_C`` instead, they would lose ``|C| |C^-1|``, of order
-``|x|^2``, to rounding.
+anchor matrix are built when first read, and factored at ``x`` itself, by
+the same decompositions with the column counts decided at ``p``: they are
+as backward accurate as a factorization at ``x`` can be, and no rank is
+decided there.  Carried from ``p`` by ``Ad_C`` instead, they would lose
+``|C| |C^-1|``, of order ``|x|^2``, to rounding.
 
 **The frame.**  At an arrow, one thin singular value decomposition of the
 chart differential ``j_arrow`` gives an orthonormal frame ``Q`` of the arrow
@@ -61,7 +61,7 @@ vanishes up to rounding, such as ``ds Q`` at full rank, has rank 0.
 The answers at one base point ``x`` are parts of one object, the
 :class:`PointGeometry` that :func:`at` returns: the base tangent basis, the
 fiber and anchor, the isotropy dimension and the submersion rank at
-``1_x``, whose target ``2 dim T_x`` comes from that same tangent basis,
+``1_x``, whose target ``2 dim T_x`` is read from that same tangent space,
 since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
 once, by the kind's own base check.  The object builds the model, the
 identity arrows, the linearization and the base tangent basis once each, on
