@@ -66,17 +66,22 @@ since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
 once, by the kind's own base check.  The object builds the model, the
 identity arrows, the linearization and the base tangent basis once each, on
 first use, and only when an answer reads them; its arrays are read-only.
-At an identity arrow ``1_x``, :func:`submersion_rank_st` reads the object
-at ``x``; away from the identity arrows it linearizes at the arrow itself,
-and its target adds the base tangent dimensions at the source and the
-target of the arrow, from the singular values of the kind's linear system
-alone.  Callers that ask for several answers hold one
-object per point.  The free functions read the same objects, so :func:`at`
-keeps the last one it made and hands it back when the groupoid's class and
-parameters, the point and the tolerance all equal its own by exact value.
-A point is held only once it has passed the base check, and the object
-handed back is the one a fresh call would build, so no answer depends on
-call history.
+Callers that ask for several answers hold one object per point.  The free
+functions read the same objects, so :func:`at` keeps the last one it made
+and hands it back when the groupoid's class and parameters, the point and
+the tolerance all equal its own by exact value.  A point is held only once
+it has passed the base check, and the object handed back is the one a
+fresh call would build, so no answer depends on call history.
+
+**Arrows.**  An identity arrow is recognized by its point's own object:
+each kind names the one base point ``x`` whose identity arrow an arrow
+``g`` can be, and :func:`submersion_rank_st` answers ``g`` from the object
+at ``x`` when that object's identity arrow equals ``g`` by exact value.
+Away from the identity arrows it linearizes at the arrow itself, and its
+target adds the base tangent dimensions at the source and the target of
+the arrow, each decided at the model point of that end
+(:func:`base_tangent_dim`), as the object at that end decides it; the rank
+itself is decided at ``g``.
 """
 
 from __future__ import annotations
@@ -173,13 +178,13 @@ class _Linearization(NamedTuple):
     """What the answers at one arrow read, for one tolerance, read-only, in
     the kind's own coordinates (complex for ``ginv``): an orthonormal frame
     ``frame`` of the arrow tangent space in ambient arrow coordinates, the
-    ambient target differential ``dt``, the norm ``scale`` of the chart
-    differential (the scale of every rank decision), the orthonormal fiber
-    basis ``fiber = Q K`` with ``Q = frame`` and ``K`` the kernel of the
-    source differential on the frame, the real rank ``st_rank`` of the
-    stacked source and target differentials, the real dimension
-    ``isotropy_dim`` of their joint kernel, and the singular values
-    ``fiber_image`` of the target differential on the fiber, ``dt Q K``.
+    norm ``scale`` of the chart differential (the scale of every rank
+    decision), the column count ``fiber_columns`` of the kernel ``K`` of the
+    source differential on the frame, ``Q = frame``, which the orthonormal
+    fiber basis ``Q K`` has, the real rank ``st_rank`` of the stacked source
+    and target differentials, the real dimension ``isotropy_dim`` of their
+    joint kernel, and the singular values ``fiber_image`` of the target
+    differential on the fiber, ``dt Q K``.
 
     ``[ds Q; dt Q]`` has rank ``rank(ds Q) + rank(dt Q K)`` and kernel
     ``K ker(dt Q K)``: the factorizations of the chart differential, of
@@ -188,74 +193,61 @@ class _Linearization(NamedTuple):
     stack nor any factor past these is kept."""
 
     frame: np.ndarray
-    dt: np.ndarray
     scale: float
-    fiber: np.ndarray
+    fiber_columns: int
     st_rank: int
     isotropy_dim: int
     fiber_image: np.ndarray
 
 
 def _fiber_frame(G: Groupoid, arrow, tol: ToleranceConfig, dims: tuple | None = None) -> tuple:
-    """``(Q, K, dt, scale)`` at ``arrow``: the orthonormal frame ``Q`` of the
+    """``(Q, F, dt, scale)`` at ``arrow``: the orthonormal frame ``Q`` of the
     arrow tangent space from one thin singular value decomposition of the
-    chart differential, the kernel ``K`` of the source differential on the
-    frame, ``ds Q``, the ambient target differential and the norm of the
-    chart differential.  The ranks of the chart differential and of
-    ``ds Q`` are decided for ``tol``; given ``dims``, the column counts of
-    ``Q`` and ``K`` decided at a conjugate arrow, they are not decided but
-    taken from there.  ``arrow`` must have passed ``G``'s checks."""
+    chart differential, the orthonormal fiber basis ``F = Q K`` with ``K``
+    the kernel of the source differential on the frame, ``ds Q``, the
+    ambient target differential and the norm of the chart differential.
+    The ranks of the chart differential and of ``ds Q`` are decided for
+    ``tol``; given ``dims``, the column counts of ``Q`` and ``K`` decided at
+    a conjugate arrow, they are not decided but taken from there.  ``arrow``
+    must have passed ``G``'s checks."""
     j_arrow, ds, dt = G.chart_differential(arrow)
     u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
     scale = float(s[0]) if s.size else 0.0
     frame_dim, kernel_dim = dims or (map_rank_count(s, j_arrow.shape, real_degree(j_arrow), tol),
                                      None)
     frame = u[:, :frame_dim]
-    return frame, kernel_basis(ds @ frame, tol, scale, kernel_dim), dt, scale
+    return frame, frame @ kernel_basis(ds @ frame, tol, scale, kernel_dim), dt, scale
 
 
 def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
     """The linearization at ``arrow`` for ``tol``.  ``arrow`` must have
     passed ``G``'s checks."""
-    frame, k_source, dt, scale = _fiber_frame(G, arrow, tol)
-    degree = real_degree(frame)
-    fiber = frame @ k_source
+    frame, fiber, dt, scale = _fiber_frame(G, arrow, tol)
+    degree, (frame_dim, fiber_dim) = real_degree(frame), (frame.shape[1], fiber.shape[1])
     # the rank of dt Q K is a rank of [ds Q; dt Q], so it takes that stack's cutoff
     # (source and target land in one base, so ds has the rows of dt)
     t_singular = singular_values(dt @ fiber)
-    t_rank = map_rank_count(t_singular, (2 * dt.shape[0], frame.shape[1]), degree, tol, scale)
-    st_rank = degree * (frame.shape[1] - k_source.shape[1] + t_rank)
-    isotropy = degree * (k_source.shape[1] - t_rank)
-    frame, dt, fiber, t_singular = map(_read_only, (frame, dt, fiber, t_singular))
-    return _Linearization(frame, dt, scale, fiber, st_rank, isotropy, t_singular)
+    t_rank = map_rank_count(t_singular, (2 * dt.shape[0], frame_dim), degree, tol, scale)
+    st_rank = degree * (frame_dim - fiber_dim + t_rank)
+    isotropy = degree * (fiber_dim - t_rank)
+    return _Linearization(_read_only(frame), scale, fiber_dim, st_rank, isotropy,
+                          _read_only(t_singular))
 
 
-def _fiber_at(G: Groupoid, identity, tol: ToleranceConfig, lin: _Linearization,
-              at_model: bool) -> tuple:
-    """``(F, dt)``: the orthonormal fiber basis at the identity arrow
-    ``identity`` of a base point and the ambient target differential there,
-    in the kind's coordinates, given the linearization ``lin`` at the
-    identity arrow of the point's model.  Away from the model both are
-    factored at ``identity`` itself, with the column counts of the frame
-    and the kernel taken from ``lin``."""
-    if at_model:
-        return lin.fiber, lin.dt
-    frame, k_source, dt, _ = _fiber_frame(G, identity, tol,
-                                          (lin.frame.shape[1], lin.fiber.shape[1]))
-    return frame @ k_source, dt
-
-
-def _kernel_columns(m: np.ndarray, tol: ToleranceConfig) -> int:
-    """Column count of the numerical kernel of the linear map ``m``, real
-    or complex, from its singular values alone."""
-    return m.shape[1] - map_rank(m, tol) // real_degree(m)
+def _tangent_dims_at(G: Groupoid, p, tol: ToleranceConfig) -> tuple:
+    """``(columns, real dimension)`` of the base tangent space at the model
+    point ``p``, the columns in the kind's coordinates: the nullity of the
+    kind's linear system at ``p``, from its singular values alone."""
+    system = G.base_tangent_system(p)
+    columns = system.shape[1] - map_rank(system, tol) // real_degree(system)
+    return columns, real_degree(system) * columns
 
 
 def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the base tangent space at ``x``: the real nullity of
-    the kind's linear system, from its singular values alone."""
-    system = G.base_tangent_system(x)
-    return real_degree(system) * _kernel_columns(system, tol)
+    """Dimension of the base tangent space at ``x``, decided at its model
+    point :meth:`~ginv.groupoid.Groupoid.orthogonal_model`, as
+    :attr:`PointGeometry.tangent` decides it."""
+    return _tangent_dims_at(G, G.orthogonal_model(x), tol)[1]
 
 
 def _real_coords(basis: np.ndarray, x) -> np.ndarray:
@@ -314,12 +306,8 @@ class PointGeometry:
 
     @functools.cached_property
     def _tangent_dims(self) -> tuple:
-        """``(columns, real dimension)`` of the base tangent space, the
-        columns in the kind's coordinates, from the singular values of the
-        kind's system at ``p`` alone."""
-        system = self.groupoid.base_tangent_system(self._model)
-        columns = _kernel_columns(system, self.tol)
-        return columns, real_degree(system) * columns
+        """The base tangent dimensions at ``p``, by :func:`_tangent_dims_at`."""
+        return _tangent_dims_at(self.groupoid, self._model, self.tol)
 
     @functools.cached_property
     def _tangent(self) -> Callable:
@@ -330,8 +318,8 @@ class PointGeometry:
         holds no reference to this object, which holds the answers: such a
         cycle would keep the factorizations alive until the garbage
         collector's next full pass."""
-        G, x, tol, columns = self.groupoid, self.point, self.tol, self._tangent_dims[0]
-        return functools.cache(lambda: _read_only(G.base_tangent(x, tol, columns)))
+        G, x, columns = self.groupoid, self.point, self._tangent_dims[0]
+        return functools.cache(lambda: _read_only(G.base_tangent(x, columns)))
 
     @functools.cached_property
     def tangent(self) -> TangentBasis:
@@ -359,19 +347,20 @@ class PointGeometry:
         the complex one ``M``.
         """
         lin, x, tangent = self._lin, self.point, self._tangent
-        degree, shape = real_degree(lin.frame), (self._tangent_dims[0], lin.fiber.shape[1])
+        degree, shape = real_degree(lin.frame), (self._tangent_dims[0], lin.fiber_columns)
         singular = lin.fiber_image[:min(shape)]  # the anchor matrix has no more
         rank = degree * map_rank_count(singular, shape, degree, self.tol, lin.scale)
-        fiber_at = functools.cache(functools.partial(
-            _fiber_at, self.groupoid, self.identity, self.tol, lin, self._model is x))
+        # factored at 1_x, with the column counts decided at 1_p
+        at_x = functools.cache(functools.partial(
+            _fiber_frame, self.groupoid, self.identity, self.tol, (lin.frame.shape[1], shape[1])))
 
         def anchor_matrix():
-            fiber, dt = fiber_at()
+            _, fiber, dt, _ = at_x()
             anchor = tangent().conj().T @ (dt @ fiber)
             return realify(anchor) if np.iscomplexobj(anchor) else anchor
 
-        basis = TangentBasis(base_point=x, real_dim=degree * lin.fiber.shape[1],
-                             build=lambda: _real_coords(fiber_at()[0], x),
+        basis = TangentBasis(base_point=x, real_dim=degree * lin.fiber_columns,
+                             build=lambda: _real_coords(at_x()[1], x),
                              to_vector=functools.partial(self.groupoid.tangent_vector,
                                                          self.identity))
         return AnchorData(base_point=x, fiber_basis=basis, anchor_rank=rank,
@@ -453,12 +442,18 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     At an identity arrow ``1_x`` this is :attr:`PointGeometry.submersion`
     of ``at(G, x, tol)``, decided at the model point, whose target is
-    ``2 dim T(base)`` at ``x`` itself.
+    ``2 dim T(base)`` at ``x`` itself.  Elsewhere the rank is decided at
+    ``g`` itself, and each base tangent dimension at the model point of
+    its end, by :func:`base_tangent_dim`.
     """
     G.validate_arrow(g)
-    x = G.identity_base(g)
-    if x is not None:
-        return at(G, x, tol).submersion
+    try:  # the one point whose identity arrow g can be
+        point = at(G, G._identity_candidate(g), tol)
+        is_identity = point.identity == g
+    except PreconditionError:  # not a base point, or no identity arrow there
+        is_identity = False
+    if is_identity:
+        return point.submersion
     st_rank = _linearization(G, g, tol).st_rank
     return st_rank, base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
 

@@ -38,7 +38,6 @@ from .algebra import (
     expm_element,
     first_excess,
     norms,
-    same_value,
     stack_rows,
     validate_shape,
 )
@@ -274,12 +273,12 @@ class Groupoid:
         whose kernel is the base tangent space there."""
         raise NotImplementedError
 
-    def base_tangent(self, x, tol: ToleranceConfig, dim: int | None = None) -> np.ndarray:
+    def base_tangent(self, x, dim: int) -> np.ndarray:
         """Orthonormal basis (columns) of the base tangent space at ``x``,
-        in ambient base coordinates; with ``dim``, a column count of the
-        kind's own (real or complex) system decided elsewhere, not decided
-        here, as in :func:`~ginv.linalg.kernel_basis`."""
-        return kernel_basis(self.base_tangent_system(x), tol, dim=dim)
+        in ambient base coordinates, of ``dim`` columns of the kind's own
+        (real or complex) system: a count decided elsewhere, not here, as
+        in :func:`~ginv.linalg.kernel_basis`."""
+        return kernel_basis(self.base_tangent_system(x), dim=dim)
 
     def orthogonal_model(self, x):
         """A base point ``p`` where the geometry at the base point ``x`` is
@@ -287,15 +286,6 @@ class Groupoid:
         ``x``, so that every dimension at ``x`` is the one at ``p``.  By
         default the point itself."""
         return x
-
-    def identity_base(self, g):
-        """The base point ``x`` whose identity arrow ``identity_at(x)`` is
-        ``g`` by exact value, or ``None`` when ``g`` is no identity arrow."""
-        x = self._identity_candidate(g)
-        try:
-            return x if same_value(self.identity_at(x), g) else None
-        except InputError:  # not a base point
-            return None
 
     def _identity_candidate(self, g):
         """The one base point whose identity arrow ``g`` can be."""
@@ -608,8 +598,8 @@ class PartialIsometryGroupoid(Groupoid):
         Hermitian basis is the base tangent space."""
         return _idempotent_linearization(p, sandwich_matrix) @ hermitian_basis(self.shape)
 
-    def base_tangent(self, p, tol, dim=None):
-        return hermitian_basis(self.shape) @ super().base_tangent(p, tol, dim)
+    def base_tangent(self, p, dim):
+        return hermitian_basis(self.shape) @ super().base_tangent(p, dim)
 
     def orbit_signature(self, p, tol):
         return block_ranks(p, tol)
@@ -722,11 +712,17 @@ class ActionGroupoid(Groupoid):
         return "zero" if vector_norm(x) <= tol.residual_tol else "nonzero"
 
 
+#: The seed of the point pool of a :class:`PairGroupoid`: one pool for every
+#: instance of one dimension and pool size.
+POOL_SEED = 0
+
+
 class PairGroupoid(Groupoid):
     """Pair groupoid of R^k: one arrow (x, y) from x to y for every pair.
 
     With ``pool_size`` set, base sampling draws from a fixed finite set of
-    points, which makes all law residuals exactly zero.
+    points, drawn from the seed :data:`POOL_SEED`, which makes all law
+    residuals exactly zero.
     """
 
     kind = "pair"
@@ -736,7 +732,6 @@ class PairGroupoid(Groupoid):
         dim: int,
         tol: ToleranceConfig = DEFAULT_TOL,
         pool_size: Optional[int] = None,
-        pool_seed: int = 0,
     ):
         super().__init__(tol)
         if dim < 1:
@@ -746,7 +741,7 @@ class PairGroupoid(Groupoid):
         if pool_size is not None:
             if pool_size < 1:
                 raise InputError("point pool must be nonempty")
-            pool_rng = np.random.default_rng(pool_seed)
+            pool_rng = np.random.default_rng(POOL_SEED)
             self.pool = pool_rng.standard_normal((int(pool_size), self.dim))
 
     def source(self, g: PairArrow) -> np.ndarray:
@@ -825,10 +820,7 @@ def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Gr
     if kind == "action":
         return ActionGroupoid(config.get("n", 2), tol)
     if kind == "pair":
-        return PairGroupoid(
-            config.get("dim", 3), tol,
-            pool_size=config.get("pool_size"), pool_seed=config.get("pool_seed", 0),
-        )
+        return PairGroupoid(config.get("dim", 3), tol, pool_size=config.get("pool_size"))
     raise InputError(f"unknown groupoid kind {kind!r}")
 
 

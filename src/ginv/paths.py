@@ -283,17 +283,19 @@ def direct_rotation(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(p.shape, tuple(blocks))
 
 
-def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
-    """Skew-Hermitian principal logarithm of a unitary element with no
-    eigenvalue -1.
+def _log_frames(u: AlgebraElement) -> list:
+    """Per block of a unitary element with no eigenvalue -1, ``(theta, V)``:
+    the angles ``theta`` of its eigenvalues ``e^(i theta)``, all in
+    ``(-pi, pi)``, and an orthonormal basis ``V`` of eigenvectors, so that
+    its principal logarithm is ``V diag(i theta) V*``.
 
     The Cayley transform ``H = i (1 - u)(1 + u)^-1`` is Hermitian, with the
     eigenvectors of ``u`` and eigenvalue ``tan(theta / 2)`` where ``u`` has
-    ``e^(i theta)``, so ``eigh(H)`` gives ``log u = V diag(2i arctan lambda) V*``
-    (Higham, *Functions of Matrices*, ch. 11).  A direct rotation has every
-    ``|theta| < pi / 2``, far from the pole at ``theta = pi``.
+    ``e^(i theta)``, so one ``eigh(H)`` gives both (Higham, *Functions of
+    Matrices*, ch. 11).  A direct rotation has every ``|theta| < pi / 2``,
+    far from the pole at ``theta = pi``.
     """
-    blocks = []
+    frames = []
     for b in u.blocks:
         one = np.eye(len(b))
         try:
@@ -301,8 +303,20 @@ def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
         except np.linalg.LinAlgError:
             raise DegenerateInterpolationError("-1 is an eigenvalue of the unitary") from None
         evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-        blocks.append((vecs * (2j * np.arctan(evals))) @ vecs.conj().T)
-    return AlgebraElement(u.shape, tuple(blocks))
+        frames.append((2 * np.arctan(evals), vecs))
+    return frames
+
+
+def _log_from(theta: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V diag(i theta) V*``, the logarithm a frame of :func:`_log_frames` gives."""
+    return (vecs * (1j * theta)) @ vecs.conj().T
+
+
+def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
+    """Skew-Hermitian principal logarithm of a unitary element with no
+    eigenvalue -1, ``V diag(i theta) V*`` from the frames of
+    :func:`_log_frames`."""
+    return AlgebraElement(u.shape, tuple(_log_from(*frame) for frame in _log_frames(u)))
 
 
 def _quintic(t: np.ndarray) -> np.ndarray:
@@ -313,26 +327,18 @@ def _quintic_deriv(t: np.ndarray) -> np.ndarray:
     return 30.0 * t**2 * (1.0 - t) ** 2
 
 
-def _conjugation_frames(k: AlgebraElement):
-    """Eigen-factorizations of a skew-Hermitian generator, one per block."""
-    frames = []
-    for b in k.blocks:
-        evals, vecs = np.linalg.eigh(1j * b)  # Hermitian
-        frames.append((evals, vecs))
-    return frames
-
-
-def _sample_leg(start: AlgebraElement, k: AlgebraElement, phis: np.ndarray,
-                dphis: np.ndarray):
+def _sample_leg(start: AlgebraElement, frames: list, phis: np.ndarray, dphis: np.ndarray):
     """Projections ``e^(phi K) p e^(-phi K)`` and lifts ``phi' K c`` on a grid,
-    as one ``(len(phis), n, n)`` stack per block each."""
+    as one ``(len(phis), n, n)`` stack per block each, for the generator
+    ``K`` whose per-block frames ``(theta, V)`` are ``frames``, as
+    :func:`_log_frames` gives them: ``e^(phi K) = V diag(e^(i phi theta)) V*``."""
     base_blocks, lift_blocks = [], []
-    for bi, (evals, vecs) in enumerate(_conjugation_frames(k)):
-        phases = np.exp(-1j * np.outer(phis, evals))
+    for p, (theta, vecs) in zip(start.blocks, frames):
+        phases = np.exp(1j * np.outer(phis, theta))
         u = (vecs[None, :, :] * phases[:, None, :]) @ vecs.conj().T
-        c = u @ start.blocks[bi][None] @ u.conj().transpose(0, 2, 1)
+        c = u @ p[None] @ u.conj().transpose(0, 2, 1)
         base_blocks.append(c)
-        lift_blocks.append(dphis[:, None, None] * (k.blocks[bi][None] @ c))
+        lift_blocks.append(dphis[:, None, None] * (_log_from(theta, vecs)[None] @ c))
     return base_blocks, lift_blocks
 
 
@@ -364,7 +370,7 @@ def orbit_path(
 
     # waypoints: [p, ..., q]; each consecutive pair joined by a direct rotation
     try:
-        generators = [principal_log_unitary(direct_rotation(p, q))]
+        generators = [_log_frames(direct_rotation(p, q))]
         starts = [p]
     except DegenerateInterpolationError:
         from .sampling import random_unitary
@@ -380,7 +386,7 @@ def orbit_path(
                 u2 = direct_rotation(mid, q)
             except DegenerateInterpolationError:
                 continue
-            generators = [principal_log_unitary(u1), principal_log_unitary(u2)]
+            generators = [_log_frames(u1), _log_frames(u2)]
             starts = [p, mid]
             break
         else:
@@ -393,10 +399,10 @@ def orbit_path(
     grid = _leg_grid(n_legs, per_leg)
     taus = np.linspace(0.0, 1.0, per_leg + 1)
     bases, lifts = [], []
-    for j, (start, k) in enumerate(zip(starts, generators)):
+    for j, (start, frames) in enumerate(zip(starts, generators)):
         leg = taus if j == 0 else taus[1:]  # the joint sample belongs to the earlier leg
         leg_bases, leg_lifts = _sample_leg(
-            start, k, _quintic(leg), n_legs * _quintic_deriv(leg)
+            start, frames, _quintic(leg), n_legs * _quintic_deriv(leg)
         )
         bases.append(leg_bases)
         lifts.append(leg_lifts)

@@ -79,23 +79,29 @@ def element_noises(rng: np.random.Generator, shape, count: int, scale: float = 1
     return [tuple(b[i] for b in blocks) for i in range(count)]
 
 
+#: The interval the nonzero singular values of a well-conditioned element are
+#: drawn from, uniformly.
+SV_RANGE = (0.5, 2.0)
+#: The scale of the Gaussian offset of an idempotent's conjugator from the
+#: identity: small enough that idempotents stay well conditioned, so chart
+#: rank decisions stay clean.
+IDEMPOTENT_SKEW = 0.25
+
 # The draws below make one standard_normal call for the Gaussian matrices of
 # all blocks (after the rank draws), or of one block (after its uniform
 # draw), through element_noise: the values and the generator's final state
 # are those of one random_matrix call per matrix, in the same order.
 
 
-def well_conditioned_noise(
-    rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
-) -> tuple:
-    """Per block: the singular values (zero past the rank) and the Gaussian
-    matrices of the two unitary factors."""
+def well_conditioned_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
+    """Per block: the singular values (uniform in :data:`SV_RANGE`, zero past
+    the rank) and the Gaussian matrices of the two unitary factors."""
     shape = validate_shape(shape)
     blocks = []
     for n, r in zip(shape, [None] * len(shape) if ranks is None else ranks):
         r = n if r is None else int(r)
         s = np.zeros(n)
-        s[:r] = rng.uniform(*sv_range, size=r)
+        s[:r] = rng.uniform(*SV_RANGE, size=r)
         blocks.append((s, *element_noise(rng, (n, n))))
     return tuple(blocks)
 
@@ -109,15 +115,14 @@ def projection_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
                  for n, r, m in zip(shape, ranks, element_noise(rng, shape)))
 
 
-def idempotent_noise(
-    rng: np.random.Generator, shape, ranks=None, skew: float = 0.25
-) -> tuple:
-    """Per block: the rank diagonal and the Gaussian offset of the conjugator."""
+def idempotent_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
+    """Per block: the rank diagonal and the Gaussian offset of the
+    conjugator, scaled by :data:`IDEMPOTENT_SKEW`."""
     shape = validate_shape(shape)
     if ranks is None:
         ranks = random_block_ranks(rng, shape)
     return tuple((_rank_diagonal(n, r), m)
-                 for n, r, m in zip(shape, ranks, element_noise(rng, shape, skew)))
+                 for n, r, m in zip(shape, ranks, element_noise(rng, shape, IDEMPOTENT_SKEW)))
 
 
 def partial_isometry_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
@@ -179,11 +184,9 @@ def random_element(
     return element_from(element_noise(rng, shape, scale))
 
 
-def well_conditioned_element(
-    rng: np.random.Generator, shape, ranks=None, sv_range: tuple = (0.5, 2.0)
-) -> AlgebraElement:
+def well_conditioned_element(rng: np.random.Generator, shape, ranks=None) -> AlgebraElement:
     """Element whose blocks have controlled singular values and optional ranks."""
-    return well_conditioned_from(well_conditioned_noise(rng, shape, ranks, sv_range))
+    return well_conditioned_from(well_conditioned_noise(rng, shape, ranks))
 
 
 def random_projection(
@@ -193,16 +196,10 @@ def random_projection(
     return projection_from(projection_noise(rng, shape, ranks))
 
 
-def random_idempotent(
-    rng: np.random.Generator, shape, ranks=None, skew: float = 0.25
-) -> AlgebraElement:
-    """Idempotent conjugate to a diagonal model by a mildly non-unitary similarity.
-
-    ``skew`` controls how far the conjugator strays from the identity; the
-    default keeps elements well conditioned so chart-based rank computations
-    stay clean.
-    """
-    return idempotent_from(idempotent_noise(rng, shape, ranks, skew))
+def random_idempotent(rng: np.random.Generator, shape, ranks=None) -> AlgebraElement:
+    """Idempotent conjugate to a diagonal model by a mildly non-unitary
+    similarity (see :data:`IDEMPOTENT_SKEW`)."""
+    return idempotent_from(idempotent_noise(rng, shape, ranks))
 
 
 def random_partial_isometry(

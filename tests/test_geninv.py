@@ -15,9 +15,12 @@ from ginv.geninv import (
 )
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import (
+    SV_RANGE,
     random_block_ranks,
     random_partial_isometry,
     well_conditioned_element,
+    well_conditioned_from,
+    well_conditioned_noise,
 )
 
 
@@ -124,11 +127,17 @@ def ns_iterations(a) -> int:
 
 
 def conditioned_rows(rng, shape, sv_ranges):
-    """One well-conditioned element per singular value range, the ranks
-    alternating between full and deficient by one in every block of size 2
-    or more."""
-    return [well_conditioned_element(rng, shape, ranks=tuple(max(1, n - i % 2) for n in shape),
-                                     sv_range=sv) for i, sv in enumerate(sv_ranges)]
+    """One well-conditioned element per singular value range, its drawn
+    singular values mapped affinely from :data:`SV_RANGE` onto the range,
+    the ranks alternating between full and deficient by one in every block
+    of size 2 or more."""
+    (lo, hi), rows = SV_RANGE, []
+    for i, (low, high) in enumerate(sv_ranges):
+        noise = well_conditioned_noise(rng, shape, ranks=tuple(max(1, n - i % 2) for n in shape))
+        rows.append(well_conditioned_from(tuple(
+            (np.where(s > 0, low + (s - lo) * ((high - low) / (hi - lo)), 0.0), *m)
+            for s, *m in noise)))
+    return rows
 
 
 class TestStackedNewtonSchulz:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginv import geometry
-from ginv.algebra import AlgebraElement, same_value
+from ginv.algebra import AlgebraElement
 from ginv.errors import InputError, PreconditionError
 from ginv.geometry import (
     base_tangent_dim,
@@ -347,21 +347,51 @@ class TestOrthogonalModel:
             got = alone(monkeypatch, lambda G, x: submersion_rank_st(G, G.identity_at(x)), G, x)
             assert got == (dims, dims), (cond, r)
 
-    def test_identity_arrows_are_recognized_by_exact_value(self, rng):
+    def test_identity_arrows_are_recognized_by_exact_value(self, rng, monkeypatch, nothing_held):
+        # submersion_rank_st answers an arrow from its point's object exactly
+        # when the arrow is that point's identity arrow; any other arrow is
+        # linearized at itself
         from ginv.geninv import GInvPair
         from ginv.groupoid import GInvArrow
 
-        q = random_idempotent(rng, (2,), ranks=(1,))
-        p = random_projection(rng, (2,), ranks=(1,))
+        linearized, linearization = [], geometry._linearization
+        monkeypatch.setattr(geometry, "_linearization",
+                            lambda G, g, tol: linearized.append(g) or linearization(G, g, tol))
         v = rng.standard_normal(2)
-        minus = -1.0 * AlgebraElement.identity((2,))
-        for G, x in ((GInvGroupoid((2,)), q), (PartialIsometryGroupoid((2,)), p),
-                     (ActionGroupoid(2), v), (PairGroupoid(2), v)):
-            assert same_value(G.identity_base(G.identity_at(x)), x)
-            assert G.identity_base(G.arrow_from(x, rng)) is None
-        # (-1, -1) is an arrow from 1 to 1, not the identity 1_1 = (1, 1)
-        G = GInvGroupoid((2,))
-        assert G.identity_base(GInvArrow(GInvPair.create(minus, minus))) is None
+        one = AlgebraElement.identity((2,))
+        for G, x in ((GInvGroupoid((2,)), random_idempotent(rng, (2,), ranks=(1,))),
+                     (PartialIsometryGroupoid((2,)), random_projection(rng, (2,), ranks=(1,))),
+                     (ActionGroupoid(2), v), (PairGroupoid(2), v), (GInvGroupoid((2,)), one)):
+            submersion = geometry.at(G, x).submersion
+            linearized.clear()
+            assert submersion_rank_st(G, G.identity_at(x)) is submersion and linearized == []
+            arrows = [G.arrow_from(x, rng)]
+            if x is one:  # (-1, -1) is an arrow from 1 to 1, not the identity 1_1 = (1, 1)
+                arrows.append(GInvArrow(GInvPair.create(-1.0 * one, -1.0 * one)))
+            for g in arrows:
+                submersion_rank_st(G, g)
+                assert linearized == [g]
+                linearized.clear()
+
+    def test_base_tangent_dim_meets_the_closed_form_at_conditioned_points(self, workloads):
+        # ranked at x itself, 34 of these 36 points got a wrong dimension at 1e12
+        for cond in (1e4, 1e6, 1e7, 1e8, 1e12):
+            for seed in range(4):
+                for p in workloads.conditioned_points(seed, cond):
+                    want = closed_form_dims("Q", p.shape, p.ranks)[0]
+                    assert base_tangent_dim(GInvGroupoid(p.shape), p.x) == want, (cond, seed, p.ranks)
+
+    def test_submersion_target_off_the_identity_meets_the_closed_form(self, workloads):
+        # s(g) = b a and t(g) = a b are conjugates of x; each tangent dimension is
+        # decided at its model point (ranked at the ends themselves, 12, 35 and 36
+        # of these 36 arrows got a wrong target at 1e6, 1e7 and 1e8)
+        for cond in (1e6, 1e7, 1e8):
+            for seed in range(4):
+                rng = np.random.default_rng(100 + seed)
+                for p in workloads.conditioned_points(seed, cond):
+                    G = GInvGroupoid(p.shape)
+                    want = 2 * closed_form_dims("Q", p.shape, p.ranks)[0]
+                    assert submersion_rank_st(G, G.arrow_from(p.x, rng))[1] == want, (cond, seed)
 
 
 SHAPES_AND_RANKS = st.sampled_from(
@@ -693,17 +723,31 @@ class TestPointReuse:
         assert [len(c) for c in built] == [1, 1]
         assert [len(c) for c in solved] == [1, 1]  # each kind's basis at p, solved once
 
-    def test_tolerances_share_no_base_tangent(self, rng, monkeypatch, nothing_held):
+    def test_tolerances_share_no_point(self, rng, monkeypatch, nothing_held):
         from ginv.linalg import ToleranceConfig
 
         q = random_idempotent(rng, (2,), ranks=(1,))
+        G, coarse = GInvGroupoid((2,)), ToleranceConfig(rank_cutoff_factor=0.1)
         solved = spy(monkeypatch, GInvGroupoid, "base_tangent")
-        coarse = ToleranceConfig(rank_cutoff_factor=0.1)
-        assert tangent_basis("Q", q).coords.shape[1] == 4
-        assert tangent_basis("Q", q, coarse).coords.shape[1] == 4
-        assert tangent_basis("Q", q, coarse).coords.shape[1] == 4  # held
-        assert tangent_basis("Q", q).coords.shape[1] == 4  # the coarse entry took its place
-        assert [args[1] for args in solved] == [DEFAULT_TOL, coarse, DEFAULT_TOL]
+        fine = geometry.at(G, q)
+        rough = geometry.at(G, q, coarse)
+        assert rough is not fine and (fine.tol, rough.tol) == (DEFAULT_TOL, coarse)
+        assert geometry.at(G, q, coarse) is rough  # held
+        again = geometry.at(G, q)  # the coarse point took its place
+        assert again is not rough and again is not fine and again.tol == DEFAULT_TOL
+        for point in (fine, rough, again):
+            assert point.tangent.coords.shape[1] == 4
+        assert len(solved) == 3  # one basis per point
+
+    def test_a_held_identity_arrow_is_not_built_again(self, rng, monkeypatch, nothing_held):
+        # an identity arrow is recognized by the one its point holds, not by a new one
+        for G, x in ((GInvGroupoid((3,)), random_idempotent(rng, (3,), ranks=(1,))),
+                     (PartialIsometryGroupoid((3,)), random_projection(rng, (3,), ranks=(1,)))):
+            point = geometry.at(G, x)
+            g, submersion = point.identity, point.submersion
+            built = spy(monkeypatch, type(G), "identity_at")
+            assert submersion_rank_st(G, g) is submersion
+            assert built == []
 
     def test_one_base_system_per_point(self, rng, monkeypatch, nothing_held):
         # s(1_x) = t(1_x) = x: the submersion target reads the tangent space at x,
