@@ -47,7 +47,22 @@ decided there.  Carried from ``p`` by ``Ad_C`` instead, they would lose
 chart differential ``j_arrow`` gives an orthonormal frame ``Q`` of the arrow
 tangent space: its rank is decided at the cutoff of ``j_arrow``'s shape
 against its own largest singular value, ``scale``, the norm of the chart
-differential.  On the frame, the source differential is ``ds Q``; its
+differential.  At an identity arrow each kind factors ``j_arrow`` from the
+point alone (:meth:`~ginv.groupoid.Groupoid.identity_frame`), at ``1_p``
+for the dimensions and at ``1_x`` for the bases.  For ``ginv`` the chart at
+``1_x = (x, x)``, ``(U, W) -> (U x + x W, -(x U + W x))``, splits: in the
+orthogonal coordinates ``S = (U + W) / sqrt 2``, ``D = (U - W) / sqrt 2``
+of the parameters and ``(A - B) / sqrt 2``, ``(A + B) / sqrt 2`` of the
+image it is ``S -> S x + x S`` beside ``D -> D x - x D``.  One stacked
+decomposition of these two ``n^2 x n^2`` blocks, in place of the
+``2n^2 x 2n^2`` one, gives the singular values, their union in descending
+order, and the frame; the ranks are decided at ``j_arrow``'s shape and
+norm as before.  So the model arrow ``1_p`` is never built: ``p`` passes
+the base check, which bounds the reflexivity residual of ``(p, p)`` as
+well, ``|p p p - p| <= (1 + |p|) |p p - p|``.  Arrows that are not identity
+arrows, and the identity arrows of the other kinds, take the dense
+decomposition of :meth:`~ginv.groupoid.Groupoid.chart_differential`.  On
+the frame, the source differential is ``ds Q``; its
 kernel ``K``, decided at ``ds Q``'s shape, spans the source fiber, and
 ``Q K`` is an orthonormal fiber basis.  The target differential on the
 fiber, ``dt Q K``, is decided at the shape of the stack ``[ds Q; dt Q]``:
@@ -64,8 +79,9 @@ fiber and anchor, the isotropy dimension and the submersion rank at
 ``1_x``, whose target ``2 dim T_x`` is read from that same tangent space,
 since ``s(1_x) = t(1_x) = x``.  Whether ``x`` is a base point is decided
 once, by the kind's own base check.  The object builds the model, the
-identity arrows, the linearization and the base tangent basis once each, on
-first use, and only when an answer reads them; its arrays are read-only.
+identity arrow ``1_x``, the linearization and the base tangent basis once
+each, on first use, and only when an answer reads them; its arrays are
+read-only.
 Callers that ask for several answers hold one object per point.  The free
 functions read the same objects, so :func:`at` keeps the last one it made
 and hands it back when the groupoid's class and parameters, the point and
@@ -94,7 +110,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, same_value
 from .errors import InputError, PreconditionError
-from .groupoid import GInvGroupoid, Groupoid, PartialIsometryGroupoid
+from .groupoid import ChartFrame, GInvGroupoid, Groupoid, PartialIsometryGroupoid
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -200,29 +216,34 @@ class _Linearization(NamedTuple):
     fiber_image: np.ndarray
 
 
-def _fiber_frame(G: Groupoid, arrow, tol: ToleranceConfig, dims: tuple | None = None) -> tuple:
-    """``(Q, F, dt, scale)`` at ``arrow``: the orthonormal frame ``Q`` of the
-    arrow tangent space from one thin singular value decomposition of the
-    chart differential, the orthonormal fiber basis ``F = Q K`` with ``K``
-    the kernel of the source differential on the frame, ``ds Q``, the
-    ambient target differential and the norm of the chart differential.
+def _fiber_frame(chart: ChartFrame, tol: ToleranceConfig, dims: tuple | None = None) -> tuple:
+    """``(Q, F, dt, scale)`` at the arrow of the factored chart differential
+    ``chart``: the orthonormal frame ``Q`` of the arrow tangent space, its
+    leading left singular vectors, the orthonormal fiber basis ``F = Q K``
+    with ``K`` the kernel of the source differential on the frame, ``ds Q``,
+    the ambient target differential and the norm of the chart differential.
     The ranks of the chart differential and of ``ds Q`` are decided for
     ``tol``; given ``dims``, the column counts of ``Q`` and ``K`` decided at
-    a conjugate arrow, they are not decided but taken from there.  ``arrow``
-    must have passed ``G``'s checks."""
-    j_arrow, ds, dt = G.chart_differential(arrow)
-    u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
+    a conjugate arrow, they are not decided but taken from there."""
+    s = chart.s
     scale = float(s[0]) if s.size else 0.0
-    frame_dim, kernel_dim = dims or (map_rank_count(s, j_arrow.shape, real_degree(j_arrow), tol),
+    frame_dim, kernel_dim = dims or (map_rank_count(s, chart.shape, real_degree(chart.u), tol),
                                      None)
-    frame = u[:, :frame_dim]
-    return frame, frame @ kernel_basis(ds @ frame, tol, scale, kernel_dim), dt, scale
+    frame = chart.u[:, :frame_dim]
+    return frame, frame @ kernel_basis(chart.ds @ frame, tol, scale, kernel_dim), chart.dt, scale
 
 
 def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
-    """The linearization at ``arrow`` for ``tol``.  ``arrow`` must have
-    passed ``G``'s checks."""
-    frame, fiber, dt, scale = _fiber_frame(G, arrow, tol)
+    """The linearization at ``arrow`` for ``tol``, from the dense
+    factorization of its chart differential.  ``arrow`` must have passed
+    ``G``'s checks."""
+    return _linearize(G.chart_frame(arrow), tol)
+
+
+def _linearize(chart: ChartFrame, tol: ToleranceConfig) -> _Linearization:
+    """The linearization for ``tol`` at the arrow of the factored chart
+    differential ``chart``."""
+    frame, fiber, dt, scale = _fiber_frame(chart, tol)
     degree, (frame_dim, fiber_dim) = real_degree(frame), (frame.shape[1], fiber.shape[1])
     # the rank of dt Q K is a rank of [ds Q; dt Q], so it takes that stack's cutoff
     # (source and target land in one base, so ds has the rows of dt)
@@ -298,11 +319,15 @@ class PointGeometry:
 
     @functools.cached_property
     def _lin(self) -> _Linearization:
-        """The linearization at ``1_p``, once ``1_x`` is built."""
-        identity = self.identity
-        if self._model is not self.point:
-            identity = self.groupoid.identity_at(self._model)
-        return _linearization(self.groupoid, identity, self.tol)
+        """The linearization at ``1_p``, once ``1_x`` is built, from the
+        chart differential that the kind factors at ``p``
+        (:meth:`~ginv.groupoid.Groupoid.identity_frame`) once ``p`` has
+        passed the base check."""
+        self.identity
+        G, p = self.groupoid, self._model
+        if p is not self.point:
+            G.check_base(p)
+        return _linearize(G.identity_frame(p), self.tol)
 
     @functools.cached_property
     def _tangent_dims(self) -> tuple:
@@ -351,8 +376,8 @@ class PointGeometry:
         singular = lin.fiber_image[:min(shape)]  # the anchor matrix has no more
         rank = degree * map_rank_count(singular, shape, degree, self.tol, lin.scale)
         # factored at 1_x, with the column counts decided at 1_p
-        at_x = functools.cache(functools.partial(
-            _fiber_frame, self.groupoid, self.identity, self.tol, (lin.frame.shape[1], shape[1])))
+        G, tol, dims = self.groupoid, self.tol, (lin.frame.shape[1], shape[1])
+        at_x = functools.cache(lambda: _fiber_frame(G.identity_frame(x), tol, dims))
 
         def anchor_matrix():
             _, fiber, dt, _ = at_x()

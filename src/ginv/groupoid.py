@@ -25,7 +25,7 @@ split into one-row passes over the same inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -114,6 +114,21 @@ class PairArrow(ExactEquality):
 
     def __post_init__(self):
         _freeze_floats(self, "x", "y")
+
+
+class ChartFrame(NamedTuple):
+    """The chart differential ``j_arrow`` at an arrow, factored: its left
+    singular vectors ``u`` (thin, columns in ambient arrow coordinates) and
+    singular values ``s``, both in descending order of ``s``, its ``shape``,
+    at whose cutoff its rank is decided, and the source and target
+    differentials ``ds`` and ``dt`` in ambient arrow coordinates, as
+    :meth:`Groupoid.chart_differential` gives them."""
+
+    u: np.ndarray
+    s: np.ndarray
+    shape: tuple
+    ds: np.ndarray
+    dt: np.ndarray
 
 
 # -- groupoid instances ---------------------------------------------------------
@@ -263,6 +278,21 @@ class Groupoid:
         ``dt @ j_arrow`` are the source and target differentials in the chart.
         """
         raise NotImplementedError
+
+    def chart_frame(self, g) -> ChartFrame:
+        """:meth:`chart_differential` at ``g``, its ``j_arrow`` factored by
+        one thin singular value decomposition."""
+        j_arrow, ds, dt = self.chart_differential(g)
+        u, s, _ = np.linalg.svd(j_arrow, full_matrices=False)
+        return ChartFrame(u, s, j_arrow.shape, ds, dt)
+
+    def identity_frame(self, x) -> ChartFrame:
+        """:meth:`chart_frame` at the identity arrow ``1_x``, from a base
+        point ``x`` that has passed :meth:`check_base`.  A kind may build it
+        without the checks of :meth:`identity_at`, and factor it otherwise:
+        to the same singular values up to rounding, and left singular
+        vectors that span the same subspaces."""
+        return self.chart_frame(self.identity_at(x))
 
     def tangent_vector(self, g, coords: np.ndarray):
         """Structured arrow tangent vector at ``g`` from fixed real arrow coordinates."""
@@ -449,6 +479,28 @@ class GInvGroupoid(Groupoid):
         dt = np.hstack([one_b, a_one])  # dA b + a dB
         return j_arrow, ds, dt
 
+    def identity_frame(self, x: AlgebraElement) -> ChartFrame:
+        """At ``1_x = (x, x)`` the chart splits.  In the parameters
+        ``S = (U + W) / sqrt 2``, ``D = (U - W) / sqrt 2`` and the image
+        coordinates ``(A - B) / sqrt 2``, ``(A + B) / sqrt 2``, both
+        orthogonal changes of coordinates, ``(U, W) -> (U x + x W, -(x U + W x))``
+        is ``S -> S x + x S`` beside ``D -> D x - x D``, exactly, for every
+        ``x``.  So ``j_arrow`` has the singular values of these two
+        ``n^2 x n^2`` blocks, from one stacked factorization, and their left
+        singular vectors, carried back to the coordinates ``(A, B)``.  No
+        arrow is built: the base check of ``x`` bounds the reflexivity
+        residual of ``(x, x)`` too, ``|x x x - x| <= (1 + |x|) |x x - x|``."""
+        one = AlgebraElement.identity(self.shape).blocks
+        left, right = complex_sandwich_matrix(x.blocks, one), complex_sandwich_matrix(one, x.blocks)
+        u, s, _ = np.linalg.svd(np.stack([right + left, right - left]), full_matrices=False)
+        d = left.shape[0]
+        order = np.argsort(-s.ravel(), kind="stable")
+        cols = np.sqrt(0.5) * np.hstack(u)[:, order]
+        # an S column is (u, -u) / sqrt 2 in (A, B), a D column (u, u) / sqrt 2
+        frame = np.vstack([cols, np.where(order < d, -1.0, 1.0) * cols])
+        return ChartFrame(frame, s.ravel()[order], (2 * d, 2 * d),
+                          np.hstack([left, right]), np.hstack([right, left]))
+
     def tangent_vector(self, g, coords):
         d = coords.size // 2
         return (AlgebraElement.from_real_coords(self.shape, coords[:d]),
@@ -589,6 +641,9 @@ class PartialIsometryGroupoid(Groupoid):
         ds = sandwich_matrix(one, u) @ adj + sandwich_matrix(uh, one)  # du* u + u* du
         dt = sandwich_matrix(one, uh) + sandwich_matrix(u, one) @ adj  # du u* + u du*
         return j_arrow, ds, dt
+
+    def identity_frame(self, p: AlgebraElement) -> ChartFrame:
+        return self.chart_frame(IsometryArrow(p))  # 1_p is p itself
 
     def tangent_vector(self, g, coords):
         return AlgebraElement.from_real_coords(self.shape, coords)

@@ -367,12 +367,20 @@ def sandwich_matrix(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> 
 
 
 def adjoint_matrix(sizes: Sequence[int]) -> np.ndarray:
-    """Real matrix of ``X -> X*`` on a direct sum of square blocks of the given sizes."""
+    """Real matrix of ``X -> X*`` on a direct sum of square blocks of the
+    given sizes.  Built once per shape; the array is read-only."""
+    return _adjoint_matrix(tuple(int(n) for n in sizes))
+
+
+@functools.lru_cache(maxsize=32)
+def _adjoint_matrix(sizes: tuple) -> np.ndarray:
     mats = []
     for n in sizes:
         transpose = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
         mats.append(block_diag(transpose, -transpose))
-    return block_diag(*mats)
+    out = block_diag(*mats)
+    out.setflags(write=False)
+    return out
 
 
 def hermitian_basis(sizes: Sequence[int]) -> np.ndarray:

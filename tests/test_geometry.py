@@ -643,16 +643,18 @@ class TestPointReuse:
             assert fiber_and_anchor(G, p.x) is point.anchor  # read from the held point
 
     def test_one_chart_differential_per_point(self, rng, monkeypatch, nothing_held):
-        # at the model point; the dimensions read no basis at the point itself
+        # at the model point, factored from the point by the kind's identity
+        # frame, with no dense chart; the dimensions read no basis at the point itself
         G = GInvGroupoid((3,))
-        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        built = spy(monkeypatch, GInvGroupoid, "identity_frame")
+        dense = spy(monkeypatch, GInvGroupoid, "chart_differential")
         for expected in (1, 2):
             x = random_idempotent(rng, (3,), ranks=(1,))
             fiber_and_anchor(G, x)
             isotropy_tangent_dim(G, x)
             submersion_rank_st(G, G.identity_at(x))
             tangent_basis("Q", x)
-            assert len(built) == expected
+            assert len(built) == expected and dense == []
 
     def test_at_holds_the_last_point(self, rng, nothing_held):
         G = GInvGroupoid((2,))
@@ -675,7 +677,7 @@ class TestPointReuse:
 
         G = GInvGroupoid((2,))
         point = geometry.at(G, random_idempotent(rng, (2,), ranks=(1,)))
-        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        built = spy(monkeypatch, GInvGroupoid, "identity_frame")
         assert point.anchor is point.anchor and point.tangent is point.tangent
         assert point.isotropy_dim == point.isotropy_dim and point.submersion is point.submersion
         assert len(built) == 1
@@ -712,7 +714,7 @@ class TestPointReuse:
 
     def test_kinds_at_one_projection_share_no_entry(self, rng, monkeypatch, nothing_held):
         p = random_projection(rng, (3,), ranks=(1,))
-        built = [spy(monkeypatch, cls, "chart_differential")
+        built = [spy(monkeypatch, cls, "identity_frame")
                  for cls in (GInvGroupoid, PartialIsometryGroupoid)]
         solved = [spy(monkeypatch, cls, "base_tangent")
                   for cls in (GInvGroupoid, PartialIsometryGroupoid)]
@@ -884,7 +886,8 @@ class TestFactoredOnce:
         kinds = (GInvGroupoid, PartialIsometryGroupoid)
         solved = [spy(monkeypatch, cls, "base_tangent") for cls in kinds]
         ranked = [spy(monkeypatch, cls, "base_tangent_system") for cls in kinds]
-        built = [spy(monkeypatch, cls, "chart_differential") for cls in kinds]
+        built = [spy(monkeypatch, cls, "identity_frame") for cls in kinds]
+        dense = [spy(monkeypatch, cls, "chart_differential") for cls in kinds]
 
         def digest(m):
             m = np.ascontiguousarray(m)
@@ -912,22 +915,73 @@ class TestFactoredOnce:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert len(points) == 60
         # the pass reads dimensions only: each from one system and one chart
-        # differential at the model point, and no basis is factored
+        # differential at the model point, and no basis is factored; a ginv
+        # chart is factored as its two split blocks, with no dense chart built
         assert sum(map(len, ranked)) == sum(map(len, built)) == 60
+        assert [len(calls) for calls in dense] == [0, 30]
         assert sum(map(len, solved)) == 0
         assert full_u_of_tall == [] and eigensolved == []
-        want, stacked = Counter(), set()
+        want, stacked, split = Counter(), set(), set()
         for p in points:
             G = point_instance(p)
             j_arrow, ds, dt = G.chart_differential(G.identity_at(G.orthogonal_model(p.x)))
             assert np.iscomplexobj(j_arrow) == (p.kind == "ginv")  # factored as built
             # the zero charts at rank 0 are left out: other products vanish there too
-            if j_arrow.any():
+            if not j_arrow.any():
+                continue
+            if p.kind == "ginv":  # j_arrow = [[R, L], [-L, -R]], split to R + L and R - L
+                d = j_arrow.shape[0] // 2
+                right, left = j_arrow[:d, :d], j_arrow[:d, d:]
+                want[digest(np.stack([right + left, right - left]))] += 1
+                split.add(digest(j_arrow))
+            else:
                 want[digest(j_arrow)] += 1
-                j_s, j_t = ds @ j_arrow, dt @ j_arrow
-                stacked.update((digest(j_s), digest(np.vstack([j_s, j_t]))))
+            j_s, j_t = ds @ j_arrow, dt @ j_arrow
+            stacked.update((digest(j_s), digest(np.vstack([j_s, j_t]))))
         assert len(want) > 40 and {d: factored[d] for d in want} == want
+        assert len(split) > 20 and not any(factored[d] for d in split)
         assert len(stacked) > 80 and not any(factored[d] for d in stacked)
+
+
+class TestSplitIdentityFrame:
+    """At an identity arrow ``1_y`` of ``ginv`` the chart differential splits
+    into two ``n^2 x n^2`` blocks; factored so, it is the dense factorization
+    of :meth:`~ginv.groupoid.Groupoid.chart_frame`, up to rounding, at the
+    model point ``p`` and at the point ``x`` alike."""
+
+    def test_split_agrees_with_the_dense_factorization(self, workloads):
+        from ginv.linalg import map_rank_count
+
+        points = [p for seed in range(6) for p in workloads.geometry_points(seed)
+                  if p.kind == "ginv"]
+        points += [p for cond in (1e4, 1e6, 1e7, 1e8, 1e12) for seed in range(4)
+                   for p in workloads.conditioned_points(seed, cond)]
+        for p in points:
+            G = point_instance(p)
+            model = G.orthogonal_model(p.x)
+            columns = None  # the frame's column count, decided at p and taken at x
+            for y in (model, p.x):
+                split, dense = G.identity_frame(y), G.chart_frame(G.identity_at(y))
+                assert split.shape == dense.shape
+                for got, want in ((split.ds, dense.ds), (split.dt, dense.dt)):
+                    np.testing.assert_array_equal(got, want)
+                scale = dense.s[0]
+                assert np.max(np.abs(split.s - dense.s)) <= 1e-14 * scale, (p, y is model)
+                columns = columns or map_rank_count(dense.s, dense.shape, 2, DEFAULT_TOL)
+                # the frames span one space, to the rounding that any
+                # factorization leaves in it: eps |J| over the gap s_k (Wedin)
+                q, r = split.u[:, :columns], dense.u[:, :columns]
+                angle = np.linalg.norm(q - r @ (r.conj().T @ q), 2)
+                assert angle <= 1e-13 * scale / max(dense.s[columns - 1], 1e-300), (p, y is model)
+                # ranked at x itself, answers have margin up to 1e4 only (see
+                # test_ranks_equal_fresh_factorizations); the library ranks at p
+                if y is model or p.slice in ("benign", "cond1e+04"):
+                    lin, ref = (geometry._linearize(c, DEFAULT_TOL) for c in (split, dense))
+                    answers = (lin.frame.shape[1], lin.fiber_columns, lin.st_rank,
+                               lin.isotropy_dim)
+                    assert answers == (ref.frame.shape[1], ref.fiber_columns, ref.st_rank,
+                                       ref.isotropy_dim), (p, y is model)
+                    assert answers[2:] == dense_answers(G, G.identity_at(y)), (p, y is model)
 
 
 class TestBasesOnDemand:
@@ -935,7 +989,7 @@ class TestBasesOnDemand:
                                                                    nothing_held):
         G = GInvGroupoid((3,))
         q = random_idempotent(rng, (3,), ranks=(1,))
-        built = spy(monkeypatch, GInvGroupoid, "chart_differential")
+        built = spy(monkeypatch, GInvGroupoid, "identity_frame")
         solved = spy(monkeypatch, GInvGroupoid, "base_tangent")
         point = geometry.at(G, q)
         data = point.anchor

@@ -432,6 +432,11 @@ class TestComplexMaps:
         assert hermitian_basis([2, 3]) is basis and not basis.flags.writeable
         assert hermitian_basis((3, 2)) is not basis
 
+    def test_adjoint_matrix_is_built_once_per_shape(self):
+        adjoint = adjoint_matrix((2, 3))
+        assert adjoint_matrix([2, 3]) is adjoint and not adjoint.flags.writeable
+        assert adjoint_matrix((3, 2)) is not adjoint
+
     @pytest.mark.parametrize("shape", [None, (2,), (2, 3), (1, 2, 3)])
     def test_realified_complex_basis_is_orthonormal(self, rng, shape):
         rows = 7 if shape is None else sum(n * n for n in shape)
