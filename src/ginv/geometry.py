@@ -323,7 +323,7 @@ class PointGeometry:
         chart differential that the kind factors at ``p``
         (:meth:`~ginv.groupoid.Groupoid.identity_frame`) once ``p`` has
         passed the base check."""
-        self.identity
+        self.identity  # PreconditionError when the kind refuses 1_x
         G, p = self.groupoid, self._model
         if p is not self.point:
             G.check_base(p)
