@@ -23,6 +23,10 @@ configuration (including ``--seed``) produces byte-identical reports;
 ``--no-timestamp`` suppresses the only non-deterministic field.  The
 environment variable ``GINV_SEED`` supplies the default seed when
 ``--seed`` is not given.
+
+Each handler imports the library modules it runs when it runs, so that a
+command loads only those; the module itself needs ``errors``, ``linalg``
+and ``reports``.
 """
 
 from __future__ import annotations
@@ -36,17 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sampling
-from .algebra import AlgebraElement
-from .continuity import DRAWN_KINDS, continuity_experiment, draw_family
 from .errors import GinvError, InputError
-from .geninv import moore_penrose, penrose_residuals
-from .geometry import at, orbit_decompose
-from .groupoid import make_groupoid, verify_axioms
 from .linalg import ToleranceConfig
-from .paths import orbit_path, reparametrize_lift
 from .reports import CheckRecord, ExperimentReport
-from .serialization import element_to_dict, parse_element
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -190,7 +186,9 @@ def _resolve_tol(args) -> ToleranceConfig:
     return ToleranceConfig(**kwargs)
 
 
-def _read_element(path: Path) -> AlgebraElement:
+def _read_element(path: Path):
+    from .serialization import parse_element
+
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
@@ -201,6 +199,8 @@ def _read_element(path: Path) -> AlgebraElement:
 
 
 def _instance(args, tol: ToleranceConfig):
+    from .groupoid import make_groupoid
+
     kind = args.kind
     if kind in ("ginv", "partial_isometry"):
         return make_groupoid(kind, tol, shape=_parse_shape(args.shape))
@@ -213,6 +213,9 @@ def _instance(args, tol: ToleranceConfig):
 
 
 def _cmd_pinv(args, tol, seed) -> ExperimentReport:
+    from .geninv import moore_penrose, penrose_residuals
+    from .serialization import element_to_dict
+
     a = _read_element(args.infile)
     dagger = moore_penrose(a, tol)
     res = penrose_residuals(a, dagger)
@@ -235,6 +238,8 @@ def _cmd_pinv(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_check_groupoid(args, tol, seed) -> ExperimentReport:
+    from .groupoid import verify_axioms
+
     G = _instance(args, tol)
     report = verify_axioms(G, seed=seed, n_samples=args.samples)
     report.config.update(_config_echo(args, tol, seed))
@@ -242,6 +247,8 @@ def _cmd_check_groupoid(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_orbits(args, tol, seed) -> ExperimentReport:
+    from .geometry import orbit_decompose
+
     G = _instance(args, tol)
     rng = np.random.default_rng(seed)
     points = [G.sample_base_point(rng) for _ in range(args.count)]
@@ -251,6 +258,8 @@ def _cmd_orbits(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_geometry(args, tol, seed) -> ExperimentReport:
+    from .geometry import at
+
     G = _instance(args, tol)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(suite=f"geometry-{G.kind}",
@@ -290,7 +299,8 @@ def _cmd_geometry(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_path(args, tol, seed) -> ExperimentReport:
-    from .suite import ENDPOINT_TOL, LIFT_TOL, reparametrized_bound
+    from . import sampling
+    from .paths import ENDPOINT_TOL, LIFT_TOL, orbit_path, reparametrize_lift, reparametrized_bound
 
     if (args.p_file is None) != (args.q_file is None):
         raise InputError("--p and --q must be given together")
@@ -323,6 +333,8 @@ def _cmd_path(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_continuity(args, tol, seed) -> ExperimentReport:
+    from .continuity import DRAWN_KINDS, continuity_experiment, draw_family
+
     shape = _parse_shape(args.shape)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(suite="mp-continuity", config=_config_echo(args, tol, seed))

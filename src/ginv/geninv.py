@@ -16,7 +16,6 @@ import numpy as np
 from .algebra import AlgebraElement, ExactEquality, emax, epow, first_excess, norms
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
-from .sampling import random_element
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,8 @@ def sample_ginv_pairs(
     independent standard normal real and imaginary parts, drawn block by
     block, ``u`` first.  Deterministic for a fixed seed.
     """
+    from .sampling import random_element
+
     if count < 1:
         raise InputError("count must be >= 1")
     rng = np.random.default_rng(seed)

@@ -54,6 +54,16 @@ _WAYPOINT_SEED = 0x5EED
 #: falls below the resampling error of a time change.
 _LEG_INTERVALS = 256
 _SPLINE_DEGREE = 5
+#: Largest gap between a path's last base and the requested endpoint, and
+#: largest lift residual of a path, that ``ginv path`` and criterion 10 pass.
+ENDPOINT_TOL = 1e-6
+LIFT_TOL = 1e-4
+
+
+def reparametrized_bound(path_residual: float) -> float:
+    """Largest lift residual a time change may leave on a path whose own lift
+    residual is ``path_residual``."""
+    return 10.0 * path_residual + 1e-6
 
 
 #: offsets, from a point's interval ``i``, of the knots its nonzero

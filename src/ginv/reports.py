@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 
 def _strict(value):
@@ -80,6 +78,8 @@ class ExperimentReport:
         return max(vals) if vals else 0.0
 
     def stamp(self):
+        from datetime import datetime, timezone
+
         self.timestamp = datetime.now(timezone.utc).isoformat()
 
     def sorted_records(self) -> list:
@@ -112,6 +112,8 @@ class ExperimentReport:
 
     def to_csv_text(self) -> str:
         """Flat report: one check per row (suite, check, anchor, verdict, value)."""
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "check", "anchor", "verdict", "value"])

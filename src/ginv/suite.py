@@ -34,7 +34,14 @@ from .groupoid import (
     verify_axioms,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .paths import orbit_path, reparametrize_lift, smooth_reparametrizer
+from .paths import (
+    ENDPOINT_TOL,
+    LIFT_TOL,
+    orbit_path,
+    reparametrize_lift,
+    reparametrized_bound,
+    smooth_reparametrizer,
+)
 from .reports import CheckRecord, ExperimentReport
 from . import sampling
 
@@ -43,15 +50,7 @@ ROUTE_TOL = 1e-7
 CLOSURE_TOL = 1e-8
 MORPHISM_TOL = 1e-10
 ISOMETRY_MP_TOL = 1e-8
-ENDPOINT_TOL = 1e-6
-LIFT_TOL = 1e-4
 KNOT_DERIV_TOL = 1e-8
-
-
-def reparametrized_bound(path_residual: float) -> float:
-    """Largest lift residual a time change may leave on a path whose own lift
-    residual is ``path_residual``."""
-    return 10.0 * path_residual + 1e-6
 
 
 def _record(name, anchor, passed, value, details=""):

@@ -5,8 +5,9 @@ threads only spin: two concurrent ``ginv check-groupoid`` runs on a 2-CPU
 host took 19.1 s wall with the default threads against 5.0 s with one.
 OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when numpy loads, so this
 module sets it before anything imports numpy, and only when the user has
-not set it.  It lives outside the ``ginv`` package because importing the
-package loads numpy.  ``python -m ginv.cli`` runs the same CLI unpinned.
+not set it.  It lives outside the ``ginv`` package because importing
+``ginv.cli`` loads numpy (through ``ginv.linalg``).  ``python -m ginv.cli``
+runs the same CLI unpinned.
 """
 
 import os

@@ -79,37 +79,68 @@ def test_demo_runs_clean(demo):
 
 _COLD_PATH = """
 import json, os, sys
-import ginv, ginv.cli
+import ginv
 
-def loaded():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+def record(step):
+    after[step] = {
+        "ginv": sorted(m for m in sys.modules if m.startswith("ginv")),
+        "scipy": [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")],
+    }
 
 def run(*argv):
     out = os.path.join(sys.argv[2], argv[0] + ".json")
     rc.append(ginv.cli.main([*argv, "--no-timestamp", "--out", out]))
 
-rc = []
-after = {"import": loaded()}
+def alone(step, *runs):
+    # run, record, then unload the ginv modules the runs loaded, so that the
+    # next step starts where this one did
+    before = set(sys.modules)
+    for argv in runs:
+        run(*argv)
+    record(step)
+    for name in set(sys.modules) - before:
+        if name.startswith("ginv."):
+            del sys.modules[name]
+            delattr(ginv, name.removeprefix("ginv."))
+
+rc, after = [], {}
+record("import ginv")
+import ginv.cli
+record("import ginv.cli")
 rc.append(ginv.cli.main(["pinv", "--in", sys.argv[1], "--no-timestamp"]))
-after["pinv"] = loaded()
-for kind in ("ginv", "partial_isometry", "action", "pair"):
+record("pinv")
+alone("path", ["path", "--seed", "0"])
+alone("continuity", ["continuity", "--count", "1"])
+run("check-groupoid", "--kind", "ginv")
+for kind in ("partial_isometry", "action", "pair"):
     run("check-groupoid", "--kind", kind)
-after["check-groupoid"] = loaded()
+record("check-groupoid")
+alone("orbits", ["orbits", "--count", "2"])
+alone("geometry", ["geometry", "--count", "1"])
 import ginv.suite
-after["import ginv.suite"] = loaded()
-run("path", "--seed", "0")
-after["path"] = loaded()
+record("import ginv.suite")
 run("suite", "--seed", "0")
-after["suite"] = loaded()
+record("suite")
 print(json.dumps([rc, after]))
 """
 
+#: The ``ginv`` modules loaded after each step of the child: every command
+#: runs with those of ``pinv`` already loaded.
+_LOADED = {"import ginv": {"ginv"}, "import ginv.cli": {"ginv", "cli", "errors", "linalg", "reports"}}
+_LOADED["pinv"] = _LOADED["import ginv.cli"] | {"algebra", "geninv", "serialization"}
+_LOADED["path"] = _LOADED["pinv"] | {"paths", "sampling"}
+_LOADED["continuity"] = _LOADED["pinv"] | {"continuity", "sampling"}
+_LOADED["check-groupoid"] = _LOADED["pinv"] | {"groupoid", "sampling"}
+_LOADED["orbits"] = _LOADED["geometry"] = _LOADED["check-groupoid"] | {"geometry"}
+_LOADED["import ginv.suite"] = _LOADED["suite"] = (
+    _LOADED["geometry"] | {"continuity", "paths", "suite"})
 
-def test_cold_path_loads_no_scipy(tmp_path):
-    """Importing ``ginv`` and ``ginv.suite`` and running ``pinv``,
-    ``check-groupoid`` (every kind; their arrows take numpy's matrix
-    exponential), ``path`` and ``suite`` (paths take numpy splines and the
-    Cayley logarithm) load no scipy module."""
+
+@pytest.fixture(scope="module")
+def cold_path(tmp_path_factory):
+    """Return codes and, after each step, the ``ginv`` and scipy modules
+    loaded, from one child that imports ``ginv`` and runs every command."""
+    tmp_path = tmp_path_factory.mktemp("cold")
     doc = tmp_path / "a.json"
     rng = np.random.default_rng(0)
     doc.write_text(serialize_element(sampling.well_conditioned_element(rng, (2, 3), ranks=(1, 2))))
@@ -117,9 +148,25 @@ def test_cold_path_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.stderr == "", proc.stderr
     rc, after = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == [0] * 7
-    assert after == {step: [] for step in (
-        "import", "pinv", "check-groupoid", "import ginv.suite", "path", "suite")}
+    assert rc == [0] * 10
+    return after
+
+
+def test_cold_path_loads_no_scipy(cold_path):
+    """Importing ``ginv`` and ``ginv.suite`` and running each command,
+    ``check-groupoid`` for every kind (their arrows take numpy's matrix
+    exponential), ``path`` and ``suite`` (paths take numpy splines and the
+    Cayley logarithm) among them, load no scipy module."""
+    assert {step: loaded["scipy"] for step, loaded in cold_path.items()} == {
+        step: [] for step in _LOADED}
+
+
+def test_each_command_loads_only_the_modules_it_runs(cold_path):
+    """``import ginv`` loads no submodule; ``pinv`` loads no groupoid,
+    geometry, paths, continuity or sampling, and ``path`` no suite."""
+    assert {step: loaded["ginv"] for step, loaded in cold_path.items()} == {
+        step: sorted("ginv" if m == "ginv" else f"ginv.{m}" for m in modules)
+        for step, modules in _LOADED.items()}
 
 
 _NO_SCIPY = """

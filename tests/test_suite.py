@@ -133,18 +133,20 @@ def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
 
 
 def test_criterion_12_and_the_cli_draw_families_alike(monkeypatch, capsys):
-    from ginv import cli, continuity
+    from ginv import continuity
 
     calls = {"suite": [], "cli": []}
+    draw_family = continuity.draw_family
 
     def recording(caller):
         def draw(rng, shape, kind, horizon=continuity.DEFAULT_HORIZON, tol=DEFAULT_TOL):
             calls[caller].append((rng.bit_generator.state, shape, kind, horizon, tol))
-            return continuity.draw_family(rng, shape, kind, horizon, tol)
+            return draw_family(rng, shape, kind, horizon, tol)
         return draw
 
     monkeypatch.setattr(suite, "draw_family", recording("suite"))
-    monkeypatch.setattr(cli, "draw_family", recording("cli"))
+    # the CLI imports draw_family from continuity when the command runs
+    monkeypatch.setattr(continuity, "draw_family", recording("cli"))
     assert suite.check_source_criterion(DEFAULT_TOL, 12).passed
     assert main(["continuity", "--shape", "2", "--count", "7", "--seed", "12",
                  "--no-timestamp"]) == 0

@@ -44,11 +44,16 @@ def test_tracer_binds_the_geometry_layer_and_restores_it(perfbench):
         algebra, cli, continuity, geninv, geometry, groupoid, linalg, paths, reports,
         sampling, serialization, suite)
 
+    import ginv
+
     before = bindings()
+    exported = {name: getattr(ginv, name) for name in ginv.__all__}
     tracer = tracing.Tracer()
     try:
         tracer.install()
         during = bindings()
+        # the package namespace reads each name from its submodule, wrapped or not
+        assert ginv.tangent_basis is geometry.tangent_basis is not exported["tangent_basis"]
         workloads.analyse_point(workloads.geometry_points(0)[0], DEFAULT_TOL)
         spans, counts = tracer.take()
     finally:
@@ -62,6 +67,7 @@ def test_tracer_binds_the_geometry_layer_and_restores_it(perfbench):
             ("ginv.geometry", "isotropy_tangent_dim"),
             ("ginv.geometry", "submersion_rank_st")} <= rebound
     assert [key for key in rebound if after.get(key) is not before[key]] == []
+    assert [name for name in ginv.__all__ if getattr(ginv, name) is not exported[name]] == []
     names = {span[0] for span in spans}
     assert {"geometry.tangent_basis", "geometry.fiber_and_anchor", "geometry.isotropy",
             "geometry.submersion"} <= names, names
