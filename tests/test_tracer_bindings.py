@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ginv
 from ginv.linalg import DEFAULT_TOL
 
 
@@ -43,8 +44,6 @@ def test_tracer_binds_the_geometry_layer_and_restores_it(perfbench):
     from ginv import (  # noqa: F401  (every module the tracer rebinds in)
         algebra, cli, continuity, geninv, geometry, groupoid, linalg, paths, reports,
         sampling, serialization, suite)
-
-    import ginv
 
     before = bindings()
     exported = {name: getattr(ginv, name) for name in ginv.__all__}
