@@ -59,15 +59,15 @@ decomposition of these two ``n^2 x n^2`` blocks, in place of the
 order, and the frame; the ranks are decided at ``j_arrow``'s shape and
 norm as before.  So the model arrow ``1_p`` is never built: ``p`` passes
 the base check, which bounds the reflexivity residual of ``(p, p)`` as
-well, ``|p p p - p| <= (1 + |p|) |p p - p|``.  Arrows that are not identity
-arrows, and the identity arrows of the other kinds, take the dense
-decomposition of :meth:`~ginv.groupoid.Groupoid.chart_differential`.  On
-the frame, the source differential is ``ds Q``; its
-kernel ``K``, decided at ``ds Q``'s shape, spans the source fiber, and
-``Q K`` is an orthonormal fiber basis.  The target differential on the
-fiber, ``dt Q K``, is decided at the shape of the stack ``[ds Q; dt Q]``:
-that stack has rank ``rank(ds Q) + rank(dt Q K)``, the submersion rank, and
-kernel ``K ker(dt Q K)``, the joint kernel, whose real column count is the
+well, ``|p p p - p| <= (1 + |p|) |p p - p|``.  The identity arrows of the
+other kinds take the dense decomposition of
+:meth:`~ginv.groupoid.Groupoid.chart_differential`.  On the frame, the
+source differential is ``ds Q``; its kernel ``K``, decided at ``ds Q``'s
+shape, spans the source fiber, and ``Q K`` is an orthonormal fiber basis.
+The target differential on the fiber, ``dt Q K``, is decided at the shape
+of the stack ``[ds Q; dt Q]``: that stack has rank
+``rank(ds Q) + rank(dt Q K)``, the submersion rank, and kernel
+``K ker(dt Q K)``, the joint kernel, whose real column count is the
 isotropy dimension.  The anchor matrix has the singular values of
 ``dt Q K``, so its rank is decided on those, at its own shape.  Each of
 these decisions is measured against ``scale``, so that a piece that
@@ -89,15 +89,19 @@ the tolerance all equal its own by exact value.  A point is held only once
 it has passed the base check, and the object handed back is the one a
 fresh call would build, so no answer depends on call history.
 
-**Arrows.**  An identity arrow is recognized by its point's own object:
-each kind names the one base point ``x`` whose identity arrow an arrow
-``g`` can be, and :func:`submersion_rank_st` answers ``g`` from the object
-at ``x`` when that object's identity arrow equals ``g`` by exact value.
-Away from the identity arrows it linearizes at the arrow itself, and its
-target adds the base tangent dimensions at the source and the target of
-the arrow, each decided at the model point of that end
-(:func:`base_tangent_dim`), as the object at that end decides it; the rank
-itself is decided at ``g``.
+**Arrows.**  A local bisection through an arrow ``g: x -> y`` defines a
+left translation: a local diffeomorphism of the arrow manifold that
+carries ``1_x`` to ``g``, keeps the source map, and moves the target map
+by a local diffeomorphism of the base (Mackenzie, *General Theory of Lie
+Groupoids and Lie Algebroids*, 2005, on admissible sections).  So the
+rank of ``T(s, t)`` at ``g`` is its rank at ``1_x``, and
+:func:`submersion_rank_st` answers ``g`` from the objects at its ends:
+the rank of the one at ``x = s(g)``, and the tangent dimensions of both.
+An identity arrow is answered from its own point's object instead: each
+kind names the one base point ``x`` whose identity arrow an arrow ``g``
+can be, and ``g`` is ``1_x`` when the object's identity arrow equals it
+by exact value.  Since ``s(1_x)`` is ``x`` only up to rounding, its
+translation would build the object at ``x`` again.
 """
 
 from __future__ import annotations
@@ -233,13 +237,6 @@ def _fiber_frame(chart: ChartFrame, tol: ToleranceConfig, dims: tuple | None = N
     return frame, frame @ kernel_basis(chart.ds @ frame, tol, scale, kernel_dim), chart.dt, scale
 
 
-def _linearization(G: Groupoid, arrow, tol: ToleranceConfig) -> _Linearization:
-    """The linearization at ``arrow`` for ``tol``, from the dense
-    factorization of its chart differential.  ``arrow`` must have passed
-    ``G``'s checks."""
-    return _linearize(G.chart_frame(arrow), tol)
-
-
 def _linearize(chart: ChartFrame, tol: ToleranceConfig) -> _Linearization:
     """The linearization for ``tol`` at the arrow of the factored chart
     differential ``chart``."""
@@ -253,22 +250,6 @@ def _linearize(chart: ChartFrame, tol: ToleranceConfig) -> _Linearization:
     isotropy = degree * (fiber_dim - t_rank)
     return _Linearization(_read_only(frame), scale, fiber_dim, st_rank, isotropy,
                           _read_only(t_singular))
-
-
-def _tangent_dims_at(G: Groupoid, p, tol: ToleranceConfig) -> tuple:
-    """``(columns, real dimension)`` of the base tangent space at the model
-    point ``p``, the columns in the kind's coordinates: the nullity of the
-    kind's linear system at ``p``, from its singular values alone."""
-    system = G.base_tangent_system(p)
-    columns = system.shape[1] - map_rank(system, tol) // real_degree(system)
-    return columns, real_degree(system) * columns
-
-
-def base_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the base tangent space at ``x``, decided at its model
-    point :meth:`~ginv.groupoid.Groupoid.orthogonal_model`, as
-    :attr:`PointGeometry.tangent` decides it."""
-    return _tangent_dims_at(G, G.orthogonal_model(x), tol)[1]
 
 
 def _real_coords(basis: np.ndarray, x) -> np.ndarray:
@@ -331,8 +312,12 @@ class PointGeometry:
 
     @functools.cached_property
     def _tangent_dims(self) -> tuple:
-        """The base tangent dimensions at ``p``, by :func:`_tangent_dims_at`."""
-        return _tangent_dims_at(self.groupoid, self._model, self.tol)
+        """``(columns, real dimension)`` of the base tangent space at ``p``,
+        the columns in the kind's coordinates: the nullity of the kind's
+        linear system at ``p``, from its singular values alone."""
+        system = self.groupoid.base_tangent_system(self._model)
+        columns = system.shape[1] - map_rank(system, self.tol) // real_degree(system)
+        return columns, real_degree(system) * columns
 
     @functools.cached_property
     def _tangent(self) -> Callable:
@@ -467,9 +452,12 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
     the two agree exactly when the groupoid is locally transitive at ``g``.
     At an identity arrow ``1_x`` this is :attr:`PointGeometry.submersion`
     of ``at(G, x, tol)``, decided at the model point, whose target is
-    ``2 dim T(base)`` at ``x`` itself.  Elsewhere the rank is decided at
-    ``g`` itself, and each base tangent dimension at the model point of
-    its end, by :func:`base_tangent_dim`.
+    ``2 dim T(base)`` at ``x`` itself.  At any other arrow the rank is the
+    one at ``1_{s(g)}``, which a left translation carries to ``g``, and
+    each base tangent dimension is that of the object at its end, so every
+    rank is decided at a model point.  :class:`PreconditionError` when an
+    end of such an arrow fails ``G``'s base check, or ``G`` refuses the
+    identity arrow at its source.
     """
     G.validate_arrow(g)
     try:  # the one point whose identity arrow g can be
@@ -479,8 +467,9 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
         is_identity = False
     if is_identity:
         return point.submersion
-    st_rank = _linearization(G, g, tol).st_rank
-    return st_rank, base_tangent_dim(G, G.source(g), tol) + base_tangent_dim(G, G.target(g), tol)
+    source = at(G, G.source(g), tol)
+    return (source.submersion[0],
+            source.tangent.real_dim + at(G, G.target(g), tol).tangent.real_dim)
 
 
 # -- orbits -----------------------------------------------------------------------
