@@ -12,6 +12,10 @@ scalar multiples and adjoints act row by row (and broadcast a single
 element against a stack), and :meth:`AlgebraElement.norm` returns an
 ``(N,)`` array of C*-norms.  Row ``i`` of every result equals, bit for bit,
 the result of the same operation on the single elements of row ``i``.
+Products hold to that because each block's product comes from
+:func:`ginv.linalg.product`, which computes each row's product on its
+own: entry by entry on 2x2 blocks, where a stacked ``@`` is slow, and by
+``@`` on the others.
 The coordinates of a stack are an ``(N, D)`` array in the same fixed order,
 row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
 :func:`stack_rows` stacks rows of drawn inputs (plain arrays, or elements).
@@ -42,6 +46,7 @@ from .linalg import (
     expm,
     mat_to_realvec,
     numerical_rank,
+    product,
     realvec_to_mat,
 )
 
@@ -191,7 +196,8 @@ class AlgebraElement:
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_shape(other)
-        return AlgebraElement(self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(
+            self.shape, tuple(product(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.shape, tuple(np.swapaxes(b, -1, -2).conj() for b in self.blocks))
@@ -310,13 +316,15 @@ def _norms_2x2(b: np.ndarray) -> np.ndarray:
     the block divided by ``m``, the top singular value is
     ``m sqrt((p + r) / 2 + hypot((p - r) / 2, |q|))``.  The sum has no
     cancellation, and the division keeps the squares clear of overflow
-    and underflow; a zero block gives exactly ``0.0``."""
+    and underflow; a zero block gives exactly ``0.0``.  The Gram matrix is
+    taken by :func:`ginv.linalg.product`, entry by entry, so each row's
+    norm is that of the block alone, bit for bit."""
     m = np.abs(b).max(axis=(-2, -1))
     # divide the real and imaginary parts: numpy divides a complex by a real
     # through its reciprocal, which overflows when m is subnormal
     parts = np.ascontiguousarray(b).view(float) / np.where(m > 0.0, m, 1.0)[:, None, None]
     c = parts.view(complex)
-    gram = np.swapaxes(c, -1, -2).conj() @ c
+    gram = product(np.swapaxes(c, -1, -2).conj(), c)
     p, r = gram[:, 0, 0].real, gram[:, 1, 1].real
     return m * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(gram[:, 0, 1])))
 

@@ -19,10 +19,11 @@ Input past the desk scale is bad input: block sizes and ``--dim`` above
 8, more than 8 blocks, and the counts outside :data:`SCALE_LIMITS`, such
 as a ``--count`` of 0, which would check nothing.  So is an ``--out``
 path that cannot be written; that record goes to stdout.  Identical
-configuration (including ``--seed``) produces byte-identical reports;
-``--no-timestamp`` suppresses the only non-deterministic field.  The
-environment variable ``GINV_SEED`` supplies the default seed when
-``--seed`` is not given.
+configuration (including ``--seed``) produces byte-identical reports,
+and each report's ``config`` echoes that configuration, the subcommand's
+own arguments included; ``--no-timestamp`` suppresses the only
+non-deterministic field.  The environment variable ``GINV_SEED``
+supplies the default seed when ``--seed`` is not given.
 
 Each handler imports the library modules it runs when it runs, so that a
 command loads only those; the module itself needs ``errors``, ``linalg``
@@ -71,12 +72,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="ginv",
-        description="Generalized-inverse groupoids: pseudo-inversion, groupoid "
-        "law checks and numerical geometry reports.",
-    )
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes; the rest are its own."""
     common = _ArgumentParser(add_help=False)
     common.add_argument("--tol-residual", type=float, default=None,
                         help="override the residual tolerance (default 1e-8)")
@@ -88,7 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=None, help="write the report here")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp so reports are byte-reproducible")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="ginv",
+        description="Generalized-inverse groupoids: pseudo-inversion, groupoid "
+        "law checks and numerical geometry reports.",
+    )
+    common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pinv", parents=[common], help="pseudo-inverse with residual report")
@@ -338,7 +344,6 @@ def _cmd_continuity(args, tol, seed) -> ExperimentReport:
     shape = _parse_shape(args.shape)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(suite="mp-continuity", config=_config_echo(args, tol, seed))
-    report.config["horizon"] = args.horizon
     for i in range(args.count):
         for kind in DRAWN_KINDS:
             fam = draw_family(rng, shape, kind, args.horizon, tol)
@@ -365,8 +370,14 @@ def _cmd_suite(args, tol, seed) -> ExperimentReport:
 
 
 def _config_echo(args, tol: ToleranceConfig, seed: int) -> dict:
+    """The command, its seed and tolerances as resolved, the format, and each
+    of the subcommand's own arguments, as given or at its default, under its
+    ``argparse`` name; an input file is echoed as its path text."""
+    shared = vars(_common_parser().parse_args([]))
+    own = {name: str(value) if isinstance(value, Path) else value
+           for name, value in vars(args).items() if name not in shared and name != "command"}
     return {"command": args.command, "seed": seed, **dataclasses.asdict(tol),
-            "format": args.format}
+            "format": args.format, **own}
 
 
 _HANDLERS = {

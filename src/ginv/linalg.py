@@ -1,7 +1,9 @@
 """Dense complex matrix primitives.
 
 SVD-backed rank and norm with a single relative cutoff (one stacked
-decision for all rows of an ``(N, rows, cols)`` stack), the Euclidean norm
+decision for all rows of an ``(N, rows, cols)`` stack), the product of
+square blocks or of stacks of them (entry by entry for 2x2 blocks, where a
+stacked ``matmul`` is slow), the Euclidean norm
 of vectors or of the rows of an ``(N, n)`` stack, the matrix exponential
 of a matrix or of each matrix of a stack, the fixed real
 coordinatization of block matrices (of one matrix, or of each matrix of a
@@ -154,6 +156,21 @@ def operator_norm(m: np.ndarray):
     return float(s[0]) if s.size else 0.0
 
 
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product ``a @ b`` of square ``(n, n)`` blocks or ``(N, n, n)``
+    stacks of them, broadcast as ``@`` broadcasts.
+
+    A stacked ``matmul`` takes a 2x2 stack one small matrix at a time, so for
+    ``n == 2`` the product is the sum of two broadcast outer products, column
+    ``k`` of ``a`` times row ``k`` of ``b``; other sizes go to ``@``.  Either
+    way every entry is computed on its own, so row ``i`` of a stack's product
+    equals, bit for bit, the product of the matrices of row ``i`` alone.
+    """
+    if a.shape[-1] == 2:
+        return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+    return a @ b
+
+
 #: numerator coefficients of the degree-13 Pade approximant to exp, divided
 #: by the constant one so that the approximant at zero is exactly the identity
 _PADE13 = tuple(c / 64764752532480000.0 for c in (
@@ -171,9 +188,11 @@ def expm(m: np.ndarray) -> np.ndarray:
     Scaling and squaring with the degree-13 Pade approximant (Higham, SIAM
     J. Matrix Anal. Appl. 26, 2005): each matrix is scaled by ``2**-s``,
     with ``s`` the least count that brings its own 1-norm to at most
-    5.3719, and its approximant is squared ``s`` times.  A single matrix is
-    a one-row stack here, so row ``i`` of a stack's result equals, bit for
-    bit, the exponential of matrix ``i`` alone.
+    5.3719, and its approximant is squared ``s`` times.  The six products
+    of the approximant and the squarings go through :func:`product`, entry
+    by entry for 2x2 blocks.  A single matrix is a one-row stack here, so
+    row ``i`` of a stack's result equals, bit for bit, the exponential of
+    matrix ``i`` alone.
     """
     m = ensure_finite(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -185,17 +204,17 @@ def expm(m: np.ndarray) -> np.ndarray:
     a = a * np.ldexp(1.0, -s)[:, None, None]
     b = _PADE13
     ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+    a2 = product(a, a)
+    a4 = product(a2, a2)
+    a6 = product(a4, a2)
+    u = product(a, product(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (product(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
     for k in range(int(s.max(initial=0))):
         rows = np.flatnonzero(s > k)
-        r[rows] = r[rows] @ r[rows]
+        r[rows] = product(r[rows], r[rows])
     return r.reshape(m.shape)
 
 

@@ -198,9 +198,11 @@ class TestStacks:
     @pytest.mark.parametrize("shape", STACKS, ids=str)
     def test_single_broadcasts_against_stack(self, rng, shape):
         xs, x = stack_of(rng, shape)
-        one = AlgebraElement.identity(shape)
+        one, y = AlgebraElement.identity(shape), random_element(rng, shape)
         for i, xi in enumerate(xs):
             assert same_bits(row(one - x, i), one - xi)
+            assert same_bits(row(y @ x, i), y @ xi)
+            assert same_bits(row(x @ y, i), xi @ y)
 
     def test_mixed_leading_shapes_rejected(self, rng):
         with pytest.raises(InputError):

@@ -277,6 +277,67 @@ class TestToleranceEcho:
         assert self.tolerance_items(config) == dataclasses.asdict(tol)
 
 
+class TestConfigEcho:
+    """Every command's config echoes its own arguments as given, so that two
+    reports from different arguments never share a config."""
+
+    @pytest.mark.parametrize("command, own", [
+        pytest.param(["check-groupoid", "--kind", "pair", "--samples", "2"],
+                     {"kind": "pair", "shape": "2", "dim": 2, "points": None, "samples": 2},
+                     id="check-groupoid"),
+        pytest.param(["orbits", "--kind", "pair", "--dim", "3", "--count", "2"],
+                     {"kind": "pair", "shape": "3", "dim": 3, "count": 2}, id="orbits"),
+        pytest.param(["geometry", "--kind", "ginv", "--shape", "1,2", "--count", "1"],
+                     {"kind": "ginv", "shape": "1,2", "dim": 2, "count": 1}, id="geometry"),
+        pytest.param(["path", "--shape", "2", "--steps", "8"],
+                     {"p_file": None, "q_file": None, "shape": "2", "steps": 8}, id="path"),
+        pytest.param(["continuity", "--count", "1", "--horizon", "16"],
+                     {"shape": "2", "count": 1, "horizon": 16}, id="continuity"),
+    ])
+    def test_own_arguments(self, command, own, capsys):
+        code, out = run([*command, "--no-timestamp"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert {name: config[name] for name in own} == own
+
+    def test_two_shapes_give_two_configs(self, capsys):
+        configs = []
+        for shape in ("2", "3"):
+            code, out = run(["geometry", "--kind", "ginv", "--shape", shape, "--count", "1",
+                             "--no-timestamp"], capsys)
+            assert code == 0
+            configs.append(json.loads(out)["config"])
+        assert {k for k in configs[0] if configs[0][k] != configs[1][k]} == {"shape"}
+
+    def test_input_files_as_given(self, element_file, tmp_path, capsys):
+        code, out = run(["pinv", "--in", str(element_file), "--no-timestamp"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["infile"] == str(element_file)
+        p = AlgebraElement.from_blocks([np.diag([1.0, 0.0])])
+        p_file, q_file = tmp_path / "p.json", tmp_path / "q.json"
+        p_file.write_text(serialize_element(p))
+        q_file.write_text(serialize_element(p))
+        code, out = run(["path", "--p", str(p_file), "--q", str(q_file), "--no-timestamp"],
+                        capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["p_file"], config["q_file"]) == (str(p_file), str(q_file))
+
+    def test_csv_echoes_the_same_keys(self, capsys):
+        code, out = run(["continuity", "--count", "1", "--horizon", "16", "--format", "csv",
+                         "--no-timestamp"], capsys)
+        assert code == 0
+        rows = {row[1]: row[4] for row in csv.reader(io.StringIO(out)) if row[0] == "#config"}
+        assert (rows["shape"], rows["count"], rows["horizon"]) == ("'2'", "1", "16")
+
+    def test_suite_config_is_unchanged(self, capsys, monkeypatch):
+        TestToleranceEcho.one_criterion(monkeypatch)
+        code, out = run(["suite", "--no-timestamp"], capsys)
+        assert code == 0
+        tolerances = {f.name for f in dataclasses.fields(ToleranceConfig)}
+        assert set(json.loads(out)["config"]) == {"command", "seed", "format", *tolerances}
+
+
 class TestScaleLimits:
     """Each limit is tested by its rejection message; no oversized case runs."""
 

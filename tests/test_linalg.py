@@ -19,6 +19,7 @@ from ginv.linalg import (
     map_rank,
     numerical_rank,
     operator_norm,
+    product,
     rank_from_singular_values,
     realify,
     sandwich_matrix,
@@ -157,6 +158,49 @@ def with_norm(m, norm):
 
 def relative_gap(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestProduct:
+    """The 2x2 kernel of :func:`product` against ``matmul``; other sizes are ``@``."""
+
+    @staticmethod
+    def draw(rng, dtype, lead=(), scale=1.0):
+        m = rng.standard_normal((*lead, 2, 2))
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal((*lead, 2, 2))
+        return scale * m
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize("dtypes", [(complex, complex), (float, float), (float, complex),
+                                        (complex, float)], ids=str)
+    def test_2x2_equals_matmul_to_rounding(self, rng, dtypes, scale):
+        """Each entry of either product lies within 2 eps (|a| |b|) of the
+        exact one (a complex dot product of length 2), so the two lie within
+        4 eps of each other."""
+        a, b = (self.draw(rng, t, (500,), scale) for t in dtypes)
+        got = product(a, b)
+        assert got.dtype == np.result_type(a, b)
+        assert np.all(np.abs(got - a @ b) <= 4 * EPS * (np.abs(a) @ np.abs(b)))
+
+    @pytest.mark.parametrize("dtype", [complex, float], ids=str)
+    def test_2x2_rows_and_broadcasts_equal_single_products_bit_for_bit(self, rng, dtype):
+        a, b = self.draw(rng, dtype, (257,)), self.draw(rng, dtype, (257,))
+        stacked, left, right = product(a, b), product(a[0], b), product(a, b[0])
+        assert stacked.shape == left.shape == right.shape == (257, 2, 2)
+        for i in range(len(a)):
+            assert np.array_equal(stacked[i], product(a[i], b[i]))
+            assert np.array_equal(left[i], product(a[0], b[i]))
+            assert np.array_equal(right[i], product(a[i], b[0]))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_other_sizes_are_matmul_bit_for_bit(self, rng, n):
+        a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        b = rng.standard_normal((5, n, n))
+        for x, y in ((a, b), (a[0], b), (a, b[0]), (a[1], b[1])):
+            assert np.array_equal(product(x, y), x @ y)
 
 
 class TestExpm:
