@@ -248,6 +248,7 @@ def _cmd_check_groupoid(args, tol, seed) -> ExperimentReport:
 
     G = _instance(args, tol)
     report = verify_axioms(G, seed=seed, n_samples=args.samples)
+    del report.config["n_samples"]  # echoed as ``samples``
     report.config.update(_config_echo(args, tol, seed))
     return report
 
@@ -259,6 +260,7 @@ def _cmd_orbits(args, tol, seed) -> ExperimentReport:
     rng = np.random.default_rng(seed)
     points = [G.sample_base_point(rng) for _ in range(args.count)]
     report = orbit_decompose(G, points, tol)
+    del report.config["n_points"]  # echoed as ``count``
     report.config.update(_config_echo(args, tol, seed))
     return report
 

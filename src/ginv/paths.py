@@ -11,7 +11,9 @@ A sampled path stores its base samples and its lift samples as two stacked
 elements (see :mod:`ginv.algebra`), sample ``i`` in row ``i``.  Path
 construction, the lift residual and reparametrization work on these stacks
 (and on their ``(N, D)`` real coordinates) throughout; ``path.bases[i]`` is
-the base projection at sample ``i``.
+the base projection at sample ``i``.  A path keeps only its worst lift
+residual, from :func:`ginv.algebra.max_norm`: the C*-norms of the few
+residual rows whose largest entry can reach the maximum, not of all rows.
 
 Every derivative and every value between samples comes from a quintic
 interpolating spline through the samples (de Boor, *A Practical Guide to
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, block_ranks, classify
+from .algebra import AlgebraElement, block_ranks, classify, max_norm
 from .errors import (
     DegenerateInterpolationError,
     InputError,
@@ -186,8 +188,11 @@ class APath:
     computes ``max_lift_residual``: the worst C*-norm of the anchor image of
     the lift minus the base velocity, the derivative of the quintic spline
     through the bases' real coordinates.  That velocity is accurate to
-    O(h^5), so a path needs at least six samples.  ``grid`` holds the
-    factored interpolation of the sample times; one passed in is used when
+    O(h^5), so a path needs at least six samples.  The worst norm comes
+    from :func:`~ginv.algebra.max_norm`, which factors only the residual
+    rows whose largest entry modulus can reach it and equals the largest
+    row norm bit for bit.  ``grid`` holds the factored interpolation of
+    the sample times; one passed in is used when
     it was made for times equal to ``sample_times``, and a new one is made
     otherwise.  ``spline``, the quintic spline through ``[bases | lifts]``
     real coordinates (the columns of ``bases.real_coords()``, then those of
@@ -223,10 +228,10 @@ class APath:
             grid = _Grid(times)
         velocity = AlgebraElement.from_real_coords(
             bases.shape, grid.slopes(bases.real_coords()))
-        residual = (fiber_anchor_image(lifts, bases) - velocity).norm()
+        residual = max_norm(fiber_anchor_image(lifts, bases) - velocity)
         object.__setattr__(self, "sample_times", grid.times)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "max_lift_residual", float(np.max(residual)))
+        object.__setattr__(self, "max_lift_residual", residual)
 
     @functools.cached_property
     def spline(self) -> _Spline:

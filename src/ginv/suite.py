@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import AlgebraElement, emax, epow, stack_rows
+from .algebra import AlgebraElement, emax, epow, max_norm, stack_rows
 from .continuity import DRAWN_KINDS, continuity_experiment, draw_family
 from .errors import GinvError, OrbitError
 from .geninv import (
@@ -101,8 +101,7 @@ def check_route_agreement(tol: ToleranceConfig, seed: int) -> CheckRecord:
     worst = 0.0
     for noises in draws.values():
         a = sampling.well_conditioned_from(stack_rows(noises))
-        gap = newton_schulz(a, tol).distance(moore_penrose(a, tol))
-        worst = max(worst, float(np.max(gap)))
+        worst = max(worst, max_norm(newton_schulz(a, tol) - moore_penrose(a, tol)))
     n = sum(len(noises) for noises in draws.values())
     return _record(
         "02 route agreement",
@@ -225,7 +224,7 @@ def check_isometry_pseudoinverse(tol: ToleranceConfig, seed: int) -> CheckRecord
     worst = 0.0
     for j in range(len(shapes)):
         u = sampling.partial_isometry_from(stack_rows(noises[j::len(shapes)]))
-        worst = max(worst, float(np.max(moore_penrose(u, tol).distance(u.adjoint()))))
+        worst = max(worst, max_norm(moore_penrose(u, tol) - u.adjoint()))
     return _record(
         "06 isometry pseudo-inverse",
         "u+ = u* on partial isometries",

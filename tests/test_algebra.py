@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginv.algebra import AlgebraElement, classify, corner_compress
+from ginv import algebra
+from ginv.algebra import AlgebraElement, classify, corner_compress, max_norm
 from ginv.errors import InputError, PreconditionError, ShapeMismatchError
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import random_element
@@ -355,6 +356,82 @@ class TestClosedFormNorms:
         for xi in stack_of(rng, shape, count=20)[0]:
             want = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in xi.blocks)
             assert abs(xi.norm() - want) <= 8 * EPS * want
+
+
+def spread_stack(rng, shape, height, scale):
+    """A stack of ``height`` random rows whose sizes spread over twelve
+    decades, times ``scale``: at 1e-300 the small rows are subnormal."""
+    sizes = 10.0 ** rng.uniform(-12.0, 0.0, (height, 1, 1))
+    return AlgebraElement(shape, tuple(
+        (rng.standard_normal((height, n, n)) + 1j * rng.standard_normal((height, n, n)))
+        * sizes * scale for n in shape))
+
+
+def largest_norm(x):
+    """``float(np.max(x.norm()))`` on a twin of ``x``, so that ``x`` keeps
+    no stored norm."""
+    return float(np.max(AlgebraElement(x.shape, x.blocks).norm()))
+
+
+class TestMaxNorm:
+    """``max_norm`` equals the largest row norm bit for bit, whichever rows
+    its entry screen factors."""
+
+    @pytest.mark.parametrize("height", [1, 2, 257])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e-300])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (8,), (2, 3), (1, 2, 3)], ids=str)
+    def test_equals_the_largest_row_norm(self, rng, shape, scale, height):
+        x = spread_stack(rng, shape, height, scale)
+        assert max_norm(x) == largest_norm(x)
+        assert "_norm" not in x.__dict__
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 3)], ids=str)
+    def test_single_element_is_its_norm(self, rng, shape):
+        x = random_element(rng, shape)
+        got = max_norm(x)
+        assert isinstance(got, float) and got == x.norm()
+
+    def factored_rows(self, monkeypatch):
+        rows = []
+        operator_norms = algebra._operator_norms
+        monkeypatch.setattr(algebra, "_operator_norms",
+                            lambda b: rows.append(len(b)) or operator_norms(b))
+        return rows
+
+    def test_zero_stack_factors_one_row(self, monkeypatch):
+        x = AlgebraElement((2, 3), (np.zeros((9, 2, 2)), np.zeros((9, 3, 3))))
+        assert largest_norm(x) == 0.0
+        rows = self.factored_rows(monkeypatch)
+        assert max_norm(x) == 0.0 and rows == [1, 1]  # one row of each block
+
+    @pytest.mark.parametrize("shape", [(2,), (3,)], ids=str)
+    def test_one_nonzero_row(self, rng, shape, monkeypatch):
+        n = shape[0]
+        blocks = np.zeros((257, n, n), dtype=complex)
+        blocks[100] = rng.standard_normal((n, n)) * 1e-300
+        x = AlgebraElement(shape, (blocks,))
+        want = largest_norm(x)
+        rows = self.factored_rows(monkeypatch)
+        assert max_norm(x) == want > 0.0 and rows == [1]
+
+    @pytest.mark.parametrize("s", [1.0, 0.7, 1e150, 1e-300, 1e-320])
+    def test_edge_of_the_screen(self, s):
+        """Rows ``t E11`` and ``s J3``: ``n max|a_jk|`` of the second is
+        ``3s``, so at ``t = 3s`` the screen decides on equal bounds."""
+        for t in (np.nextafter(3.0 * s, 0.0), 3.0 * s, np.nextafter(3.0 * s, np.inf)):
+            blocks = np.full((2, 3, 3), s, dtype=complex)
+            blocks[0] = 0.0
+            blocks[0, 0, 0] = t
+            x = AlgebraElement((3,), (blocks,))
+            assert max_norm(x) == largest_norm(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape_index=st.integers(0, len(SHAPES) - 1), height=st.integers(1, 40),
+           decades=st.integers(-320, 300), seed=st.integers(0, 2**32 - 1))
+    def test_random_stacks(self, shape_index, height, decades, seed):
+        rng = np.random.default_rng(seed)
+        x = spread_stack(rng, SHAPES[shape_index], height, 10.0 ** decades)
+        assert max_norm(x) == largest_norm(x)
 
 
 class TestEquality:

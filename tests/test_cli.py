@@ -300,6 +300,17 @@ class TestConfigEcho:
         config = json.loads(out)["config"]
         assert {name: config[name] for name in own} == own
 
+    @pytest.mark.parametrize("command, echoed, dropped", [
+        (["check-groupoid", "--kind", "pair", "--samples", "3"], "samples", "n_samples"),
+        (["orbits", "--kind", "pair", "--count", "2"], "count", "n_points"),
+    ])
+    def test_one_key_per_count(self, command, echoed, dropped, capsys):
+        """The library's own count key is dropped for the echoed argument."""
+        code, out = run([*command, "--no-timestamp"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config[echoed] == int(command[-1]) and dropped not in config
+
     def test_two_shapes_give_two_configs(self, capsys):
         configs = []
         for shape in ("2", "3"):

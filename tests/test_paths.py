@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
-from ginv import paths, suite
+from ginv import algebra, paths, suite
 from ginv.algebra import AlgebraElement
 from ginv.errors import (
     DegenerateInterpolationError,
@@ -174,6 +174,19 @@ class TestOrbitPath:
         for a, b in ((p, q), (P0, P1)):
             assert len(orbit_path(a, b, steps=1000)) >= 1000
             assert len(orbit_path(a, b, steps=1001)) >= 1001
+
+    def test_worst_residual_factors_few_rows(self, rng, monkeypatch):
+        """The worst lift residual comes from an entry screen: the C*-norms of
+        the 257 residual rows are not all taken."""
+        p = random_projection(rng, (3,), ranks=(1,))
+        q = random_projection(rng, (3,), ranks=(1,))
+        rows = []
+        operator_norms = algebra._operator_norms
+        monkeypatch.setattr(algebra, "_operator_norms",
+                            lambda b: rows.append(len(b)) or operator_norms(b))
+        path = orbit_path(p, q)
+        assert len(path) == 257 and path.max_lift_residual > 0.0
+        assert sum(rows) < len(path)
 
 
 class TestReparametrize:
