@@ -7,22 +7,30 @@ paired map ``a -> (a, a+)`` converges exactly when the source projections
 perturbations), so their rank behavior is certain rather than
 probabilistic.
 
-A family is checked on its whole horizon at once: its terms form one
-stacked element, which a family made by :func:`make_family` builds in one
-broadcast from its perturbation, and the experiment inverts and measures
-that stack in one pass.
+Families are checked as stacks.  A family's terms form one stacked
+element, which a family made by :func:`make_family` builds in one broadcast
+from its perturbation.  :func:`continuity_experiments` puts the term stacks
+of many families of one shape on top of each other, in chunks of whole
+families of at most :data:`EXPERIMENT_ROWS` rows, and inverts and measures
+each chunk in one pass; :func:`draw_families` draws a shape's families in
+the order :func:`draw_family` draws them one by one, and builds their
+bases and directions in one pass.  Each row is computed on its own, so
+every family's outcome equals, bit for bit, that of the family alone:
+:func:`continuity_experiment` and :func:`draw_family` are the one-family
+case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement
-from .errors import ConsistencyError, InputError
+from .algebra import AlgebraElement, norms, stack_rows
+from .errors import ConsistencyError, GinvError, InputError
 from .geninv import moore_penrose
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, rank_from_singular_values
 from .reports import CheckRecord, ExperimentReport
@@ -35,6 +43,10 @@ FAMILY_KINDS = (*DRAWN_KINDS, "custom")
 #: threshold of the convergence trend test, surfaced in every report
 TREND_THRESHOLD = 1e-4
 DEFAULT_HORIZON = 64
+#: the most term rows :func:`continuity_experiments` inverts in one stacked
+#: pass: the 20 families of one shape of criterion 12 at the default horizon.
+#: A family with a longer horizon runs alone.
+EXPERIMENT_ROWS = 1280
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +88,23 @@ class SequenceFamily:
         """
         stack = self.__dict__.get("_term_stack")
         if stack is None:
-            if self.directions is None:
-                stack = AlgebraElement.stack(
-                    [self.generator(n) for n in range(1, self.horizon + 1)])
-            else:
-                n = np.arange(1, self.horizon + 1)[:, None, None]
-                stack = AlgebraElement(self.limit.shape, tuple(
-                    np.broadcast_to(b, (self.horizon, *b.shape)) if d is None else b + d / n
-                    for b, d in zip(self.limit.blocks, self.directions)))
+            stack = AlgebraElement(self.limit.shape, self._term_blocks())
             object.__setattr__(self, "_term_stack", stack)
         return stack
+
+    def _term_blocks(self) -> tuple:
+        """The blocks of :meth:`term_stack`: those of the kept stack, or
+        built afresh and not kept, so that an experiment over many families
+        holds the terms of one chunk at a time."""
+        stack = self.__dict__.get("_term_stack")
+        if stack is not None:
+            return stack.blocks
+        if self.directions is None:
+            return AlgebraElement.stack(
+                [self.generator(n) for n in range(1, self.horizon + 1)]).blocks
+        n = np.arange(1, self.horizon + 1)[:, None, None]
+        return tuple(np.broadcast_to(b, (self.horizon, *b.shape)) if d is None else b + d / n
+                     for b, d in zip(self.limit.blocks, self.directions))
 
     def terms(self) -> list:
         """The terms one by one: the rows of :meth:`term_stack`."""
@@ -120,6 +139,7 @@ class ContinuityVerdict:
 
     For a nonzero limit the two flags must agree; a disagreeing pair is a
     broken invariant, not a valid verdict, and is never returned.
+    ``final_distance`` is the distance of the last term to the limit.
     """
 
     pair_converges: bool
@@ -127,6 +147,7 @@ class ContinuityVerdict:
     distances_pair: tuple
     distances_source: tuple
     mp_norms: tuple
+    final_distance: float
 
 
 def make_family(
@@ -151,30 +172,57 @@ def make_family(
     (:func:`~ginv.linalg.rank_from_singular_values`) and whose singular
     vectors give the direction.
     """
-    if kind == "custom":
-        raise InputError("custom families are built directly through SequenceFamily")
-    if kind not in FAMILY_KINDS:
-        raise InputError(f"unknown family kind {kind!r}")
+    one = AlgebraElement(base.shape, tuple(b[None] for b in base.blocks))
+    return _make_families([kind], [base], one, horizon, tol)[0]
 
-    if kind == "constant":
-        return _perturbed_family(kind, base, None, None, horizon)
 
-    if base.norm() == 0.0:
-        raise InputError(f"{kind} families need a nonzero base")
+def _make_families(kinds, bases, stack, horizon, tol) -> list:
+    """The :func:`make_family` family of ``kinds[i]`` at ``bases[i]``, row
+    ``i`` of ``stack``; the error of the first family whose
+    :func:`make_family` call raises.
 
-    for index, block in enumerate(base.blocks):
-        u, s, vh = np.linalg.svd(block)
-        r = rank_from_singular_values(s, block.shape, tol)
-        if kind == "rank_preserving" and r > 0:
-            direction = (u[:, :r] * s[:r]) @ vh[:r]  # scaled copy of the rank support
-        elif kind == "rank_dropping" and r < block.shape[0]:
-            direction = np.outer(u[:, r], vh[r].conj())  # fresh singular direction
-        else:
+    Block by block, the rows still looking for their block are factored by
+    one stacked SVD, and each row's rank and direction are taken from its
+    own factors, so each family equals its :func:`make_family` bit for bit.
+    """
+    nonzero = functools.reduce(np.logical_or, (b.any(axis=(-2, -1)) for b in stack.blocks))
+    chosen = {}  # family -> (block index, direction)
+    todo = [i for i, kind in enumerate(kinds)
+            if kind in ("rank_preserving", "rank_dropping") and nonzero[i]]
+    for index, block in enumerate(stack.blocks):
+        if not todo:
+            break
+        n = block.shape[-1]
+        u, s, vh = np.linalg.svd(block[todo])
+        ranks = rank_from_singular_values(s, (n, n), tol)
+        left = []
+        for j, (i, r) in enumerate(zip(todo, ranks.tolist())):
+            if kinds[i] == "rank_preserving" and r > 0:
+                # scaled copy of the rank support
+                chosen[i] = index, (u[j, :, :r] * s[j, :r]) @ vh[j, :r]
+            elif kinds[i] == "rank_dropping" and r < n:
+                chosen[i] = index, np.outer(u[j, :, r], vh[j, r].conj())  # fresh direction
+            else:
+                left.append(i)
+        todo = left
+
+    families = []
+    for i, (kind, base) in enumerate(zip(kinds, bases)):
+        if kind == "custom":
+            raise InputError("custom families are built directly through SequenceFamily")
+        if kind not in FAMILY_KINDS:
+            raise InputError(f"unknown family kind {kind!r}")
+        if kind == "constant":
+            families.append(_perturbed_family(kind, base, None, None, horizon))
             continue
-        return _perturbed_family(kind, base, index, direction, horizon)
-    if kind == "rank_preserving":
-        raise InputError("rank-preserving perturbation needs a block of positive rank")
-    raise InputError("every block has full rank: no vanishing direction to append")
+        if not nonzero[i]:
+            raise InputError(f"{kind} families need a nonzero base")
+        if i not in chosen:
+            if kind == "rank_preserving":
+                raise InputError("rank-preserving perturbation needs a block of positive rank")
+            raise InputError("every block has full rank: no vanishing direction to append")
+        families.append(_perturbed_family(kind, base, *chosen[i], horizon))
+    return families
 
 
 def draw_family(
@@ -192,15 +240,41 @@ def draw_family(
     deficient.  Where that base is zero, a rank-preserving family redraws
     at the ranks ``f`` and a rank-dropping one at the ranks ``n - 1``.
     """
-    full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
-    if kind == "constant":
-        base = sampling.well_conditioned_element(rng, shape, ranks=full)
-    else:
-        base = sampling.well_conditioned_element(rng, shape, ranks=tuple(f - 1 for f in full))
-        if base.norm() == 0.0:
-            redraw = full if kind == "rank_preserving" else tuple(n - 1 for n in shape)
-            base = sampling.well_conditioned_element(rng, shape, ranks=redraw)
-    return make_family(kind, base, horizon, tol)
+    return draw_families(rng, shape, [kind], horizon, tol)[0]
+
+
+def draw_families(
+    rng: np.random.Generator,
+    shape,
+    kinds: Sequence[str],
+    horizon: int = DEFAULT_HORIZON,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list:
+    """The families of successive :func:`draw_family` calls, one per kind of
+    ``kinds``, in one pass.
+
+    The generator calls are those of the successive calls, in their order.
+    The zero-base redraw is decided from the drawn ranks: a base is zero
+    exactly when every block's rank is 0, since nonzero singular values
+    start at 0.5 (:data:`~ginv.sampling.SV_RANGE`); a zero base is drawn
+    and never built.  All bases are built in one stacked
+    :func:`~ginv.sampling.well_conditioned_from` and their directions found
+    as :func:`make_family` finds them, block stack by block stack.  Where a
+    family's :func:`make_family` call would raise, the first such error is
+    raised.
+    """
+    noises = []
+    for kind in kinds:
+        full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
+        ranks = full if kind == "constant" else tuple(f - 1 for f in full)
+        if kind != "constant" and not any(ranks):
+            sampling.well_conditioned_noise(rng, shape, ranks)  # the zero base
+            ranks = full if kind == "rank_preserving" else tuple(n - 1 for n in shape)
+        noises.append(sampling.well_conditioned_noise(rng, shape, ranks))
+    if not noises:
+        return []
+    stack = sampling.well_conditioned_from(stack_rows(noises))
+    return _make_families(kinds, [stack[i] for i in range(len(noises))], stack, horizon, tol)
 
 
 def _perturbed_family(kind, base, index, direction, horizon) -> SequenceFamily:
@@ -239,28 +313,92 @@ def continuity_experiment(
     Returns the two convergence verdicts; for nonzero limits they must
     agree, and a disagreement raises :class:`ConsistencyError` because it
     would falsify the source criterion the experiment exists to check.
-
-    The terms are read as one stack (:meth:`SequenceFamily.term_stack`, one
-    broadcast for a family made by :func:`make_family`): distances,
-    pseudo-inverses with their rank decisions, source projections and norms
-    are each one stacked computation, row ``n`` equal bit for bit to the
-    same computation on term ``n`` alone.
+    This is :func:`continuity_experiments` on one family, raising its error.
     """
-    terms = fam.term_stack()
-    distances = terms.distance(fam.limit)
-    fam._validate_distances(distances)
-    if fam.limit.norm() == 0.0:
-        raise InputError("the experiment requires a nonzero limit")
-    if np.any(terms.norm() == 0.0):
-        raise InputError("family terms must stay nonzero")
-    limit_dagger = moore_penrose(fam.limit, tol)
-    limit_source = limit_dagger @ fam.limit
+    (outcome,) = continuity_experiments([fam], tol)
+    if isinstance(outcome, GinvError):
+        raise outcome
+    return outcome
 
+
+def continuity_experiments(families: Sequence[SequenceFamily],
+                           tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """The outcome of :func:`continuity_experiment` on each family: its
+    :class:`ContinuityVerdict`, or the :class:`~ginv.errors.GinvError` it
+    raises.
+
+    Successive families of one shape go in chunks of whole families of at
+    most :data:`EXPERIMENT_ROWS` term rows (a longer family alone).  A
+    chunk's term stacks (:meth:`SequenceFamily.term_stack`, one broadcast
+    for a family made by :func:`make_family`) are stacked with each
+    family's limit repeated along its terms, and the distances, the
+    pseudo-inverses with their rank decisions, the source projections and
+    the norms are each one stacked computation, row ``n`` equal bit for
+    bit to the same computation on that term alone.  A zero term is told
+    by its entries.  A chunk whose stacked pass raises is checked again
+    family by family, so each family meets its own error.
+    """
+    outcomes, chunk, rows = [], [], 0
+    for fam in families:
+        if chunk and (fam.limit.shape != chunk[0].limit.shape
+                      or rows + fam.horizon > EXPERIMENT_ROWS):
+            outcomes += _chunk_outcomes(chunk, tol)
+            chunk, rows = [], 0
+        chunk.append(fam)
+        rows += fam.horizon
+    if chunk:
+        outcomes += _chunk_outcomes(chunk, tol)
+    return outcomes
+
+
+def _chunk_outcomes(chunk: list, tol: ToleranceConfig) -> list:
+    try:
+        return _stacked_outcomes(chunk, tol)
+    except GinvError as exc:
+        if len(chunk) == 1:
+            return [exc]
+        return [outcome for fam in chunk for outcome in _chunk_outcomes([fam], tol)]
+
+
+def _stacked_outcomes(chunk: list, tol: ToleranceConfig) -> list:
+    """The outcomes of one chunk of families of one shape, in one pass."""
+    shape = chunk[0].limit.shape
+    horizons = [fam.horizon for fam in chunk]
+    terms = AlgebraElement(shape, tuple(
+        np.concatenate(parts) for parts in zip(*(fam._term_blocks() for fam in chunk))))
+    limits = AlgebraElement.stack([fam.limit for fam in chunk])
+    limit_norms = norms(*(fam.limit for fam in chunk))
+    limit_daggers = moore_penrose(limits, tol)
+    limit_sources = limit_daggers @ limits
+
+    def along_terms(x: AlgebraElement) -> AlgebraElement:
+        return AlgebraElement(shape, tuple(np.repeat(b, horizons, axis=0) for b in x.blocks))
+
+    distances = terms.distance(along_terms(limits))
+    nonzero = functools.reduce(np.logical_or, (b.any(axis=(-2, -1)) for b in terms.blocks))
     daggers = moore_penrose(terms, tol)
-    d_pair = np.maximum(distances, daggers.distance(limit_dagger))
-    d_source = (daggers @ terms).distance(limit_source)
+    d_pair = np.maximum(distances, daggers.distance(along_terms(limit_daggers)))
+    d_source = (daggers @ terms).distance(along_terms(limit_sources))
     mp_norms = daggers.norm()
 
+    outcomes, first = [], 0
+    for fam, limit_norm in zip(chunk, limit_norms):
+        rows = slice(first, first + fam.horizon)
+        first += fam.horizon
+        try:
+            fam._validate_distances(distances[rows])
+            if limit_norm == 0.0:
+                raise InputError("the experiment requires a nonzero limit")
+            if not nonzero[rows].all():
+                raise InputError("family terms must stay nonzero")
+            outcomes.append(_verdict(fam, d_pair[rows], d_source[rows], mp_norms[rows],
+                                     float(distances[rows][-1])))
+        except GinvError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _verdict(fam, d_pair, d_source, mp_norms, final_distance) -> ContinuityVerdict:
     pair_ok = _trend_converges(d_pair)
     source_ok = _trend_converges(d_source)
     if pair_ok != source_ok:
@@ -274,6 +412,7 @@ def continuity_experiment(
         distances_pair=tuple(d_pair.tolist()),
         distances_source=tuple(d_source.tolist()),
         mp_norms=tuple(mp_norms.tolist()),
+        final_distance=final_distance,
     )
 
 
@@ -298,8 +437,12 @@ def discontinuity_demo(
             "trend_threshold": TREND_THRESHOLD,
         },
     )
-    preserving = make_family("rank_preserving", base, tol=tol)
-    verdict_p = continuity_experiment(preserving, tol)
+    families = [make_family(kind, base, tol=tol) for kind in ("rank_preserving", "rank_dropping")]
+    outcomes = continuity_experiments(families, tol)
+    for outcome in outcomes:
+        if isinstance(outcome, GinvError):
+            raise outcome
+    verdict_p, verdict_d = outcomes
     report.add(
         CheckRecord(
             name="rank-preserving trace",
@@ -309,16 +452,15 @@ def discontinuity_demo(
             details=f"pair distances {_fmt(verdict_p.distances_pair)}",
         )
     )
-    dropping = make_family("rank_dropping", base, tol=tol)
-    verdict_d = continuity_experiment(dropping, tol)
-    norms = np.array(verdict_d.mp_norms)
-    diverges = norms[-1] > 10.0 * norms[0] and bool(np.all(np.diff(norms[len(norms) // 2 :]) > 0))
+    mp_norms = np.array(verdict_d.mp_norms)
+    diverges = (mp_norms[-1] > 10.0 * mp_norms[0]
+                and bool(np.all(np.diff(mp_norms[len(mp_norms) // 2 :]) > 0)))
     report.add(
         CheckRecord(
             name="rank-dropping trace",
             anchor="a rank drop in the limit blows up |a_n+|",
             passed=(not verdict_d.pair_converges) and diverges,
-            value=float(norms[-1]),
+            value=float(mp_norms[-1]),
             details=f"pseudo-inverse norms {_fmt(verdict_d.mp_norms)}",
         )
     )

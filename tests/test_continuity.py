@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from test_suite import continuity_one_term_at_a_time
 
+from ginv import continuity, sampling
 from ginv.algebra import AlgebraElement
 from ginv.continuity import (
+    DRAWN_KINDS,
     SequenceFamily,
     continuity_experiment,
+    continuity_experiments,
     discontinuity_demo,
+    draw_families,
+    draw_family,
     make_family,
 )
-from ginv.errors import InputError
+from ginv.errors import GinvError, InputError
 from ginv.linalg import numerical_rank
 from ginv.sampling import well_conditioned_element
 
@@ -183,6 +189,160 @@ class TestContinuityExperiment:
                 verdict = continuity_experiment(make_family(kind, base))
                 assert verdict.pair_converges == verdict.source_converges
                 assert verdict.pair_converges == (kind == "rank_preserving")
+
+
+def one_by_one(rng, shape, kinds):
+    """Successive ``draw_family`` calls, up to the first that raises."""
+    families = []
+    for kind in kinds:
+        try:
+            families.append(draw_family(rng, shape, kind))
+        except GinvError as exc:
+            return families, exc
+    return families, None
+
+
+def assert_same_family(got, want):
+    assert (got.kind, got.horizon) == (want.kind, want.horizon)
+    assert_same_bits(got.limit, want.limit)
+    assert len(got.directions) == len(want.directions)
+    for d, e in zip(got.directions, want.directions):
+        assert (d is None and e is None) or d.tobytes() == e.tobytes()
+    assert_same_bits(got.term_stack(), want.term_stack())
+
+
+class TestDrawFamilies:
+    """``draw_families`` is successive ``draw_family`` calls in one pass."""
+
+    @pytest.mark.parametrize("shape, seed", [((2,), 0), ((3,), 1), ((2, 1), 2), ((8,), 3)])
+    def test_equals_successive_draws_bit_for_bit(self, monkeypatch, shape, seed):
+        kinds = [DRAWN_KINDS[i % 3] for i in range(20)]
+        want, error = one_by_one(np.random.default_rng(seed), shape, kinds)
+        assert error is None
+        noises, noise = [], sampling.well_conditioned_noise
+
+        def counting(*args, **kwargs):
+            noises.append(args)
+            return noise(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "well_conditioned_noise", counting)
+        rng = np.random.default_rng(seed)
+        got = draw_families(rng, shape, kinds)
+        monkeypatch.undo()
+        assert len(noises) > len(kinds)  # some zero bases were drawn again
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_family(g, w)
+        reference = np.random.default_rng(seed)
+        one_by_one(reference, shape, kinds)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_no_kinds_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        assert draw_families(rng, (2,), []) == []
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("shape, kinds", [
+        # a 1x1 rank-dropping base is zero even when drawn again
+        ((1,), ["constant", "rank_preserving", "rank_dropping", "rank_dropping"]),
+        ((2,), ["rank_preserving", "custom", "rank_dropping"]),
+        ((2,), ["constant", "no such kind"]),
+    ])
+    def test_raises_the_error_of_the_first_family_that_raises(self, shape, kinds):
+        families, error = one_by_one(np.random.default_rng(3), shape, kinds)
+        assert error is not None
+        with pytest.raises(type(error)) as raised:
+            draw_families(np.random.default_rng(3), shape, kinds)
+        assert str(raised.value) == str(error)
+
+
+def as_outcome(outcome):
+    if isinstance(outcome, GinvError):
+        return ("raised", type(outcome).__name__, str(outcome))
+    return outcome
+
+
+def alone(fam, experiment=continuity_experiment):
+    try:
+        return experiment(fam)
+    except GinvError as exc:
+        return as_outcome(exc)
+
+
+class TestContinuityExperiments:
+    """Each family's outcome in a stack equals its experiment alone."""
+
+    @staticmethod
+    def mixed_families():
+        rng = np.random.default_rng(21)
+        kinds = [DRAWN_KINDS[i % 3] for i in range(6)]
+        tiny = diag(1e-20, 0)  # small enough that the zero term keeps the distances decreasing
+        raising = [
+            SequenceFamily("custom", lambda n: diag(1, n % 2), BASE),  # distances go up and down
+            SequenceFamily("custom", lambda n: tiny * (0.0 if n == 40 else 1 + 1 / n), tiny),
+            # the pseudo-inverse of a subnormal limit overflows
+            SequenceFamily("custom", lambda n: diag(1e-320 * (1 + 1 / n), 0), diag(1e-320, 0)),
+        ]
+        families = draw_families(rng, (2,), kinds)
+        return (families[:2] + raising[:1] + families[2:4] + raising[:0:-1]
+                + draw_families(rng, (3,), kinds) + families[4:])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_only_the_raising_families_fail_with_their_own_errors(self):
+        families = self.mixed_families()
+        outcomes = continuity_experiments(families)
+        assert len(outcomes) == len(families)
+        failed = [i for i, o in enumerate(outcomes) if isinstance(o, GinvError)]
+        assert failed == [2, 5, 6]
+        messages = [str(outcomes[i]) for i in failed]
+        assert messages[0] == "distances to the declared limit are not decreasing"
+        assert "non-finite" in messages[1]
+        assert messages[2] == "family terms must stay nonzero"
+        for fam, got in zip(families, outcomes):
+            assert as_outcome(got) == alone(fam)
+            assert as_outcome(got) == alone(fam, continuity_one_term_at_a_time)
+
+    def test_terms_are_not_kept_on_the_families(self):
+        families = draw_families(np.random.default_rng(4), (2,), DRAWN_KINDS)
+        continuity_experiments(families)
+        assert all("_term_stack" not in fam.__dict__ for fam in families)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_chunks_of_whole_families_within_the_row_bound(self, monkeypatch):
+        families = self.mixed_families()
+        want = [as_outcome(o) for o in continuity_experiments(families)]
+        chunks, stacked = [], continuity._stacked_outcomes
+
+        def recording(chunk, tol):
+            chunks.append(chunk)
+            return stacked(chunk, tol)
+
+        monkeypatch.setattr(continuity, "_stacked_outcomes", recording)
+        monkeypatch.setattr(continuity, "EXPERIMENT_ROWS", 150)  # two families of 64 terms
+        assert [as_outcome(o) for o in continuity_experiments(families)] == want
+        # a chunk holds one shape; the chunk [4, 5] raises as a whole and is
+        # checked again family by family
+        ids = {id(f): i for i, f in enumerate(families)}
+        assert [[ids[id(f)] for f in chunk] for chunk in chunks] == [
+            [0, 1], [2, 3], [4, 5], [4], [5], [6], [7, 8], [9, 10], [11, 12], [13, 14]]
+        chunks.clear()
+        long = make_family("rank_dropping", BASE, horizon=200)
+        outcomes = continuity_experiments([families[0], long, families[1]])
+        assert [[f.horizon for f in chunk] for chunk in chunks] == [[64], [200], [64]]
+        assert outcomes[1] == continuity_experiment(long)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 1)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-310, 5e-324, 0.0])
+    def test_zero_terms_by_entries_agree_with_the_norm(self, shape, scale):
+        x = sampling.random_element(np.random.default_rng(7), shape)
+        x = x * (1.0 / max(np.abs(b).max() for b in x.blocks))  # largest entry modulus 1
+        rows = AlgebraElement.stack([x * scale, x * 0.0, x * (scale * 0.5)])
+        by_entries = np.logical_or.reduce([b.any(axis=(-2, -1)) for b in rows.blocks])
+        assert np.array_equal(by_entries, rows.norm() != 0.0)
+        if 0.0 < scale < 1e-300:
+            assert by_entries[0]  # subnormal entries: not zero, and neither is the norm
 
 
 class TestDiscontinuityDemo:

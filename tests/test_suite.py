@@ -14,7 +14,7 @@ import pytest
 
 from ginv import suite
 from ginv.cli import main
-from ginv.continuity import ContinuityVerdict, _trend_converges, continuity_experiment
+from ginv.continuity import ContinuityVerdict, _trend_converges
 from ginv.errors import ConsistencyError, GinvError, InputError
 from ginv.geninv import is_ginv_pair, moore_penrose, mp_pair
 from ginv.groupoid import GInvGroupoid, PartialIsometryGroupoid, isometry_to_ginv
@@ -90,7 +90,8 @@ def continuity_one_term_at_a_time(fam, tol=DEFAULT_TOL):
     source_ok = _trend_converges(np.array(d_source))
     if pair_ok != source_ok:
         raise ConsistencyError("paired convergence and source convergence disagree")
-    return ContinuityVerdict(pair_ok, source_ok, tuple(d_pair), tuple(d_source), tuple(mp_norms))
+    return ContinuityVerdict(pair_ok, source_ok, tuple(d_pair), tuple(d_source), tuple(mp_norms),
+                             float(distances[-1]))
 
 
 def outcome(criterion, seed):
@@ -118,42 +119,59 @@ def test_morphism_laws_equal_one_at_a_time(seed):
 @pytest.mark.parametrize("seed", [12, 1012])
 def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
     compared = []
+    experiments = suite.continuity_experiments
 
-    def both(fam, tol):
-        stacked = continuity_experiment(fam, tol)
-        assert stacked == continuity_one_term_at_a_time(fam, tol)
-        assert all(type(v) is float for v in stacked.distances_pair + stacked.mp_norms)
-        compared.append(fam.kind)
-        return stacked
+    def both(families, tol):
+        outcomes = experiments(families, tol)
+        for fam, stacked in zip(families, outcomes):
+            assert stacked == continuity_one_term_at_a_time(fam, tol)
+            assert all(type(v) is float for v in stacked.distances_pair + stacked.mp_norms)
+            # the rank-drop test reads the last term's distance from the experiment
+            rebuilt = fam.generator(fam.horizon).distance(fam.limit)
+            assert stacked.final_distance.hex() == rebuilt.hex()
+            compared.append(fam.kind)
+        return outcomes
 
     stacked = outcome(suite.check_source_criterion, seed)
-    monkeypatch.setattr(suite, "continuity_experiment", both)
+    monkeypatch.setattr(suite, "continuity_experiments", both)
     assert outcome(suite.check_source_criterion, seed) == stacked
     assert len(compared) == 60
+
+
+def drawn(fam):
+    """A drawn family as comparable values: kind, horizon, limit and directions."""
+    return (fam.kind, fam.horizon, [b.tobytes() for b in fam.limit.blocks],
+            [None if d is None else d.tobytes() for d in fam.directions])
 
 
 def test_criterion_12_and_the_cli_draw_families_alike(monkeypatch, capsys):
     from ginv import continuity
 
     calls = {"suite": [], "cli": []}
-    draw_family = continuity.draw_family
+    draw_families = continuity.draw_families
 
     def recording(caller):
-        def draw(rng, shape, kind, horizon=continuity.DEFAULT_HORIZON, tol=DEFAULT_TOL):
-            calls[caller].append((rng.bit_generator.state, shape, kind, horizon, tol))
-            return draw_family(rng, shape, kind, horizon, tol)
+        def draw(rng, shape, kinds, horizon=continuity.DEFAULT_HORIZON, tol=DEFAULT_TOL):
+            state = rng.bit_generator.state
+            families = draw_families(rng, shape, kinds, horizon, tol)
+            calls[caller].append((state, tuple(shape), horizon, tol, [drawn(f) for f in families]))
+            return families
         return draw
 
-    monkeypatch.setattr(suite, "draw_family", recording("suite"))
-    # the CLI imports draw_family from continuity when the command runs
-    monkeypatch.setattr(continuity, "draw_family", recording("cli"))
+    monkeypatch.setattr(suite, "draw_families", recording("suite"))
+    # the CLI imports draw_families from continuity when the command runs
+    monkeypatch.setattr(continuity, "draw_families", recording("cli"))
     assert suite.check_source_criterion(DEFAULT_TOL, 12).passed
     assert main(["continuity", "--shape", "2", "--count", "7", "--seed", "12",
                  "--no-timestamp"]) == 0
     capsys.readouterr()
-    assert len(calls["suite"]) == 60 and len(calls["cli"]) == 21
+    assert [len(call[-1]) for call in calls["suite"]] == [20, 20, 20]
+    # the command draws in passes of whole counts, 18 families of 64 terms each
+    assert [len(call[-1]) for call in calls["cli"]] == [18, 3]
     # criterion 12's first shape is (2,): its 20 draws are the command's first 20
-    assert calls["cli"][:20] == calls["suite"][:20]
+    first = calls["suite"][0]
+    assert calls["cli"][0][:4] == first[:4]
+    assert [f for call in calls["cli"] for f in call[-1]][:20] == first[4]
 
 
 def test_closure_pair_205_at_seed_1003_draws_from_a_large_target():
