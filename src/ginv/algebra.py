@@ -17,8 +17,7 @@ Products hold to that because each block's product comes from
 own: entry by entry on 2x2 blocks, where a stacked ``@`` is slow, and by
 ``@`` on the others.
 The coordinates of a stack are an ``(N, D)`` array in the same fixed order,
-row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself;
-:func:`stack_rows` stacks rows of drawn inputs (plain arrays, or elements).
+row ``i`` holding those of row ``i``, and ``x[i]`` is row ``i`` itself.
 Classification and the wire format stay single-element.  Elements are
 immutable: equality compares shapes and blocks exactly, and the first
 :meth:`AlgebraElement.norm` call stores its value for the later ones;
@@ -379,20 +378,6 @@ def first_excess(residual, bound):
         over = np.flatnonzero(residual > bound)
         return float(residual[over[0]]) if over.size else None
     return residual if residual > bound else None
-
-
-def stack_rows(rows: Sequence) -> tuple:
-    """Rows of single elements or arrays, or of nested tuples of them such as
-    arrow noise, as one row of stacks: part ``j`` stacks part ``j`` of every
-    row (an array part along a new leading axis)."""
-    def stack(part):
-        if isinstance(part[0], AlgebraElement):
-            return AlgebraElement.stack(part)
-        if isinstance(part[0], np.ndarray):
-            return np.stack(part)
-        return stack_rows(part)
-
-    return tuple(stack(part) for part in zip(*rows))
 
 
 def expm_element(a: AlgebraElement) -> AlgebraElement:

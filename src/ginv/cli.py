@@ -341,13 +341,14 @@ def _cmd_path(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_continuity(args, tol, seed) -> ExperimentReport:
-    from .continuity import DRAWN_KINDS, EXPERIMENT_ROWS, continuity_experiments, draw_families
+    from .continuity import (DRAWN_KINDS, EXPERIMENT_ENTRIES, continuity_experiments,
+                             draw_families, term_entries)
 
     shape = _parse_shape(args.shape)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(suite="mp-continuity", config=_config_echo(args, tol, seed))
-    # each pass draws, inverts and measures at most one stacked experiment's rows
-    per_pass = max(1, EXPERIMENT_ROWS // (3 * args.horizon))
+    # each pass draws, inverts and measures at most one stacked experiment's entries
+    per_pass = max(1, EXPERIMENT_ENTRIES // (3 * args.horizon * term_entries(shape)))
     for first in range(0, args.count, per_pass):
         kinds = DRAWN_KINDS * min(per_pass, args.count - first)
         families = draw_families(rng, shape, kinds, args.horizon, tol)

@@ -11,7 +11,7 @@ Families are checked as stacks.  A family's terms form one stacked
 element, which a family made by :func:`make_family` builds in one broadcast
 from its perturbation.  :func:`continuity_experiments` puts the term stacks
 of many families of one shape on top of each other, in chunks of whole
-families of at most :data:`EXPERIMENT_ROWS` rows, and inverts and measures
+families of at most :data:`EXPERIMENT_ENTRIES` entries, and inverts and measures
 each chunk in one pass; :func:`draw_families` draws a shape's families in
 the order :func:`draw_family` draws them one by one, and builds their
 bases and directions in one pass.  Each row is computed on its own, so
@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, norms, stack_rows
+from .algebra import AlgebraElement, norms
 from .errors import ConsistencyError, GinvError, InputError
 from .geninv import moore_penrose
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, rank_from_singular_values
@@ -43,10 +43,11 @@ FAMILY_KINDS = (*DRAWN_KINDS, "custom")
 #: threshold of the convergence trend test, surfaced in every report
 TREND_THRESHOLD = 1e-4
 DEFAULT_HORIZON = 64
-#: the most term rows :func:`continuity_experiments` inverts in one stacked
-#: pass: the 20 families of one shape of criterion 12 at the default horizon.
-#: A family with a longer horizon runs alone.
-EXPERIMENT_ROWS = 1280
+#: the most term entries, term rows times the ``sum(n * n)`` entries of a
+#: term, that :func:`continuity_experiments` inverts in one stacked pass: the
+#: 20 families of criterion 12's largest shape, (3,), at the default horizon.
+#: A family with more entries runs alone.
+EXPERIMENT_ENTRIES = 1280 * 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,18 +264,20 @@ def draw_families(
     family's :func:`make_family` call would raise, the first such error is
     raised.
     """
-    noises = []
-    for kind in kinds:
-        full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
+    if not kinds:
+        return []
+    rows = sampling.WellConditionedRows(shape, len(kinds))
+    for i, kind in enumerate(kinds):
+        full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in rows.shape)
         ranks = full if kind == "constant" else tuple(f - 1 for f in full)
         if kind != "constant" and not any(ranks):
-            sampling.well_conditioned_noise(rng, shape, ranks)  # the zero base
-            ranks = full if kind == "rank_preserving" else tuple(n - 1 for n in shape)
-        noises.append(sampling.well_conditioned_noise(rng, shape, ranks))
-    if not noises:
-        return []
-    stack = sampling.well_conditioned_from(stack_rows(noises))
-    return _make_families(kinds, [stack[i] for i in range(len(noises))], stack, horizon, tol)
+            # the zero base: drawn into row i, which writes no singular value
+            # there, and overwritten by the redraw
+            rows.draw(rng, i, ranks)
+            ranks = full if kind == "rank_preserving" else tuple(n - 1 for n in rows.shape)
+        rows.draw(rng, i, ranks)
+    stack = sampling.well_conditioned_from(rows.noise())
+    return _make_families(kinds, [stack[i] for i in range(len(kinds))], stack, horizon, tol)
 
 
 def _perturbed_family(kind, base, index, direction, horizon) -> SequenceFamily:
@@ -321,6 +324,11 @@ def continuity_experiment(
     return outcome
 
 
+def term_entries(shape) -> int:
+    """The entries ``sum(n * n)`` of one term of an algebra of ``shape``."""
+    return sum(n * n for n in shape)
+
+
 def continuity_experiments(families: Sequence[SequenceFamily],
                            tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """The outcome of :func:`continuity_experiment` on each family: its
@@ -328,7 +336,7 @@ def continuity_experiments(families: Sequence[SequenceFamily],
     raises.
 
     Successive families of one shape go in chunks of whole families of at
-    most :data:`EXPERIMENT_ROWS` term rows (a longer family alone).  A
+    most :data:`EXPERIMENT_ENTRIES` term entries (a larger family alone).  A
     chunk's term stacks (:meth:`SequenceFamily.term_stack`, one broadcast
     for a family made by :func:`make_family`) are stacked with each
     family's limit repeated along its terms, and the distances, the
@@ -338,14 +346,15 @@ def continuity_experiments(families: Sequence[SequenceFamily],
     by its entries.  A chunk whose stacked pass raises is checked again
     family by family, so each family meets its own error.
     """
-    outcomes, chunk, rows = [], [], 0
+    outcomes, chunk, entries = [], [], 0
     for fam in families:
+        size = fam.horizon * term_entries(fam.limit.shape)
         if chunk and (fam.limit.shape != chunk[0].limit.shape
-                      or rows + fam.horizon > EXPERIMENT_ROWS):
+                      or entries + size > EXPERIMENT_ENTRIES):
             outcomes += _chunk_outcomes(chunk, tol)
-            chunk, rows = [], 0
+            chunk, entries = [], 0
         chunk.append(fam)
-        rows += fam.horizon
+        entries += size
     if chunk:
         outcomes += _chunk_outcomes(chunk, tol)
     return outcomes

@@ -11,15 +11,19 @@ Arrows compose like functions: ``compose(g1, g2)`` is defined when
 
 The structure maps of every kind also take stacked arrows (see
 :class:`Groupoid`).  Every random draw is split in two, as in
-:mod:`ginv.sampling`: ``base_noise``, ``arrow_noise`` and ``sample_noise``
-make the generator calls and return the raw noise (plain arrays for the
-algebra kinds), and ``base_at``, ``arrow_at`` and ``sample_at`` build the
-base point or arrow from it, row by row from stacked noise.
-:func:`arrow_chain` builds composable arrows from such noise, each one at
-the target of the last.  :func:`verify_axioms` draws the random inputs of
-each sampled chain once and checks up to ``axiom_chunk`` chains in one
-stacked pass that writes its own failure texts; a pass that raises is
-split into one-row passes over the same inputs.
+:mod:`ginv.sampling`.  ``base_noises``, ``arrow_noises``,
+``sample_noises`` and ``chain_noises`` make the generator calls of
+``count`` draws in a row and return them as stacked raw noise (plain
+arrays, written into preallocated ``(count, ...)`` arrays), with the
+generator calls and generator state of drawing them one at a time;
+``base_noise`` and the other single draws are row 0 of ``count = 1``.
+``base_at``, ``arrow_at`` and ``sample_at`` build the base point or arrow
+from noise, row by row from stacked noise.  :func:`arrow_chain` builds
+composable arrows from such noise, each one at the target of the last.
+:func:`verify_axioms` draws each chunk of up to ``axiom_chunk`` chains by
+one ``chain_noises`` call and checks it in one stacked pass that writes
+its own failure texts; a pass that raises is split into one-row passes
+over the rows of the same arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .algebra import (
     expm_element,
     first_excess,
     norms,
-    stack_rows,
     validate_shape,
 )
 from .errors import (
@@ -196,13 +199,19 @@ class Groupoid:
         """Norm scale of an arrow, used to normalize law residuals."""
         return 1.0
 
-    # sampling
+    # sampling: each kind draws ``count`` inputs at once, stacked (the
+    # ``*_noises`` methods); a single draw is the one row of ``count = 1``
     def sample_base_point(self, rng: np.random.Generator):
         """Random base point."""
         return self.base_at(self.base_noise(rng))
 
     def base_noise(self, rng: np.random.Generator):
         """The random inputs of one :meth:`sample_base_point` draw."""
+        return sampling.noise_row(self.base_noises(rng, 1), 0)
+
+    def base_noises(self, rng: np.random.Generator, count: int):
+        """The random inputs of ``count`` :meth:`sample_base_point` draws in
+        a row, stacked."""
         raise NotImplementedError
 
     def base_at(self, noise):
@@ -215,9 +224,14 @@ class Groupoid:
         return self.sample_at(self.sample_noise(rng))
 
     def sample_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one :meth:`sample_arrow` draw; by default a
-        base point and the noise of an arrow from it."""
-        return (self.sample_base_point(rng), *self.arrow_noise(rng))
+        """The random inputs of one :meth:`sample_arrow` draw."""
+        return sampling.noise_row(self.sample_noises(rng, 1), 0)
+
+    def sample_noises(self, rng: np.random.Generator, count: int) -> tuple:
+        """The random inputs of ``count`` :meth:`sample_arrow` draws in a
+        row, stacked; for the array kinds a base point and the noise of an
+        arrow from it."""
+        raise NotImplementedError
 
     def sample_at(self, noise: tuple):
         """The arrow :meth:`sample_arrow` builds from ``noise``; row by row
@@ -229,13 +243,12 @@ class Groupoid:
         raise NotImplementedError
 
     def arrow_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one :meth:`arrow_from` draw (kinds with stacks)."""
-        return self.arrow_noises(rng, 1)[0]
+        """The random inputs of one :meth:`arrow_from` draw."""
+        return sampling.noise_row(self.arrow_noises(rng, 1), 0)
 
-    def arrow_noises(self, rng: np.random.Generator, count: int) -> list:
+    def arrow_noises(self, rng: np.random.Generator, count: int) -> tuple:
         """The random inputs of ``count`` :meth:`arrow_from` draws in a row,
-        each what :meth:`arrow_noise` would have drawn in its turn; a kind
-        may make them in fewer generator calls."""
+        stacked."""
         raise NotImplementedError
 
     def arrow_at(self, x, noise: tuple):
@@ -245,12 +258,24 @@ class Groupoid:
         raise NotImplementedError
 
     def chain_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one chain that :func:`verify_axioms` checks:
-        the noise of a base point, of three arrows drawn one from the target
-        of the last (through one :meth:`arrow_noises` draw), and of a loose
-        arrow, in this order.  ``ginv``, ``partial_isometry`` and ``action``
-        draw the three arrows' Gaussian matrices in one generator call."""
-        return (self.base_noise(rng), *self.arrow_noises(rng, 3), self.sample_noise(rng))
+        """The random inputs of one chain that :func:`verify_axioms` checks."""
+        return sampling.noise_row(self.chain_noises(rng, 1), 0)
+
+    def chain_noises(self, rng: np.random.Generator, count: int, arrows: int = 3,
+                     loose: bool = True) -> tuple:
+        """The random inputs of ``count`` chains in a row, stacked: per chain
+        the noise of a base point, of ``arrows`` arrows drawn one from the
+        target of the last, and (with ``loose``) of a loose arrow, in this
+        order, drawn as :meth:`base_noise`, ``arrows`` :meth:`arrow_noise`
+        and :meth:`sample_noise` calls draw them, chain after chain.  By
+        default the chains of :meth:`chain_rows`, row by row."""
+        return _drawn(self.chain_rows(count, arrows, loose), rng, count)
+
+    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
+        """The rows of :meth:`chain_noises`, written one at a time by
+        ``draw(rng, i)`` into preallocated arrays, for a caller whose chains
+        interleave with other draws; ``noise()`` is the draw of them all."""
+        raise NotImplementedError
 
     def _composability_threshold(self, g1, g2) -> float:
         return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
@@ -345,6 +370,93 @@ def _idempotent_linearization(x: AlgebraElement, sandwich=complex_sandwich_matri
     return m - np.eye(m.shape[0])
 
 
+def _drawn(rows, rng: np.random.Generator, count: int) -> tuple:
+    """The draw of ``count`` rows of ``rows``, written one after another."""
+    for i in range(count):
+        rows.draw(rng, i)
+    return rows.noise()
+
+
+def _normal_parts(rng: np.random.Generator, count: int, shapes) -> list:
+    """Per row, arrays of the given shapes filled in turn with standard
+    normals, for ``count`` rows in one call: a ``(count, *shape)`` stack each."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    z, at, parts = rng.standard_normal((count, sum(sizes))), 0, []
+    for shape, size in zip(shapes, sizes):
+        parts.append(np.ascontiguousarray(z[:, at:at + size]).reshape(count, *shape))
+        at += size
+    return parts
+
+
+def _array_chain(parts: list, arrows: int) -> tuple:
+    """The chain noise of an array kind from its parts in draw order: a base
+    point, one part per arrow, then the loose arrow's two parts, if any."""
+    x, *rest = parts
+    loose = (tuple(rest[arrows:]),) if rest[arrows:] else ()
+    return (x, *((w,) for w in rest[:arrows]), *loose)
+
+
+def _element_arrow_noises(rng, shape, count: int, scale: float) -> tuple:
+    """The arrow noise of an element kind: per arrow two Gaussian elements
+    scaled by ``scale``, ``count`` arrows in one call."""
+    z = rng.standard_normal((count, 2 * sampling.gaussian_size(shape)))
+    return _gaussian_pairs(z, shape, scale)[0]
+
+
+def _gaussian_pairs(z: np.ndarray, shape, scale: float) -> list:
+    """The arrow noises that the rows of ``z`` hold one after another: per
+    arrow the blocks of two Gaussian elements, scaled by ``scale``."""
+    size = sampling.gaussian_size(shape)
+    w = [sampling.gaussian_blocks(z[:, k:k + size], shape, scale)
+         for k in range(0, z.shape[1], size)]
+    return list(zip(w[::2], w[1::2]))
+
+
+class _ElementChainRows:
+    """The rows of :meth:`Groupoid.chain_noises` of an element kind
+    (``ginv``, ``partial_isometry``).  Per row the base point's rank draws,
+    then one ``standard_normal`` call for the Gaussian matrices of the base
+    point (scaled by ``base_scale``) and of every arrow (scaled by
+    ``arrow_scale``), then the draws of the ``loose`` rows, if any."""
+
+    def __init__(self, shape, count: int, arrows: int, base_scale: float,
+                 arrow_scale: float, loose):
+        self.walk = sampling.RankedRows(shape, count, 1, base_scale,
+                                        extra=2 * arrows * sampling.gaussian_size(shape))
+        self.arrow_scale, self.loose = arrow_scale, loose
+
+    def draw(self, rng: np.random.Generator, i: int):
+        self.walk.draw(rng, i)
+        if self.loose is not None:
+            self.loose.draw(rng, i)
+
+    def noise(self) -> tuple:
+        arrows = _gaussian_pairs(self.walk.extra, self.walk.shape, self.arrow_scale)
+        loose = () if self.loose is None else (self.loose.noise(),)
+        return (self.walk.noise(), *arrows, *loose)
+
+
+class _GInvLooseRows:
+    """The rows of :meth:`GInvGroupoid.sample_noises`, the draws of ``(a, u,
+    v)``: an element ``a`` of random block ranks, and the noise that
+    :func:`~ginv.geninv.sample_ginv_pairs` draws for one pair of ``a`` from
+    a seed drawn here; zeros, and no seed, when ``a`` is 0."""
+
+    def __init__(self, shape, count: int):
+        self.a = sampling.WellConditionedRows(shape, count)
+        self.uv = np.zeros((count, 2 * sampling.gaussian_size(shape)))
+
+    def draw(self, rng: np.random.Generator, i: int):
+        if any(self.a.draw(rng, i, sampling.random_block_ranks(rng, self.a.shape))):
+            pair_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
+            pair_rng.standard_normal(out=self.uv[i])
+
+    def noise(self) -> tuple:
+        size, shape = self.uv.shape[1] // 2, self.a.shape
+        return (self.a.noise(), sampling.gaussian_blocks(self.uv[:, :size], shape),
+                sampling.gaussian_blocks(self.uv[:, size:], shape))
+
+
 class GInvGroupoid(Groupoid):
     """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra.
 
@@ -413,25 +525,18 @@ class GInvGroupoid(Groupoid):
     def arrow_scale(self, g):
         return epow(emax(g.pair.a.norm(), g.pair.b.norm()), 2)
 
-    def base_noise(self, rng) -> tuple:
-        return sampling.idempotent_noise(rng, self.shape)
+    #: the scale of the Gaussian noise of an arrow's ``u`` and ``w0``
+    _arrow_skew = 0.35
+
+    def base_noises(self, rng, count: int) -> tuple:
+        return sampling.idempotent_noises(rng, self.shape, count)
 
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.idempotent_from(noise)
 
-    def sample_noise(self, rng) -> tuple:
-        """The draws of ``(a, u, v)``: an element ``a`` of random block ranks,
-        and the noise that :func:`~ginv.geninv.sample_ginv_pairs` draws for
-        one pair of ``a`` from a seed drawn here; zeros, and no seed, when
-        ``a`` is 0."""
-        ranks = sampling.random_block_ranks(rng, self.shape)
-        a = sampling.well_conditioned_noise(rng, self.shape, ranks=ranks)
-        if not any(ranks):
-            zero = tuple(np.zeros((n, n), dtype=complex) for n in self.shape)
-            return a, zero, zero
-        pair_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
-        return (a, sampling.element_noise(pair_rng, self.shape),
-                sampling.element_noise(pair_rng, self.shape))
+    def sample_noises(self, rng, count: int) -> tuple:
+        """The draws of ``(a, u, v)`` (see :class:`_GInvLooseRows`)."""
+        return _drawn(_GInvLooseRows(self.shape, count), rng, count)
 
     def sample_at(self, noise: tuple) -> GInvArrow:
         a = sampling.well_conditioned_from(noise[0])
@@ -450,10 +555,14 @@ class GInvGroupoid(Groupoid):
         self.check_base(x)
         return self.arrow_at(x, self.arrow_noise(rng))
 
-    def arrow_noises(self, rng, count: int) -> list:
+    def arrow_noises(self, rng, count: int) -> tuple:
         """Per arrow the Gaussian noise of ``u`` and of ``w0``."""
-        noise = iter(sampling.element_noises(rng, self.shape, 2 * count, scale=0.35))
-        return list(zip(noise, noise))
+        return _element_arrow_noises(rng, self.shape, count, self._arrow_skew)
+
+    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
+        return _ElementChainRows(self.shape, count, arrows, sampling.IDEMPOTENT_SKEW,
+                                 self._arrow_skew,
+                                 _GInvLooseRows(self.shape, count) if loose else None)
 
     def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvArrow:
         one = AlgebraElement.identity(self.shape)
@@ -601,26 +710,33 @@ class PartialIsometryGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(g.u.norm(), 1.0)
 
-    def base_noise(self, rng) -> tuple:
-        return sampling.projection_noise(rng, self.shape)
+    #: the scale of the Gaussian noise of an arrow's two Hermitian generators
+    _arrow_skew = 0.4
+
+    def base_noises(self, rng, count: int) -> tuple:
+        return sampling.projection_noises(rng, self.shape, count)
 
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.projection_from(noise)
 
-    def sample_noise(self, rng) -> tuple:
-        return (sampling.partial_isometry_noise(rng, self.shape),)
+    def sample_noises(self, rng, count: int) -> tuple:
+        """The draw of a partial isometry of random block ranks."""
+        return sampling.partial_isometry_noises(rng, self.shape, count)
 
     def sample_at(self, noise: tuple) -> IsometryArrow:
-        return IsometryArrow(sampling.partial_isometry_from(noise[0]))
+        return IsometryArrow(sampling.partial_isometry_from(noise))
 
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
         return self.arrow_at(p, self.arrow_noise(rng))
 
-    def arrow_noises(self, rng, count: int) -> list:
+    def arrow_noises(self, rng, count: int) -> tuple:
         """Per arrow the Gaussian noise of the two Hermitian generators."""
-        noise = iter(sampling.element_noises(rng, self.shape, 2 * count, scale=0.4))
-        return list(zip(noise, noise))
+        return _element_arrow_noises(rng, self.shape, count, self._arrow_skew)
+
+    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
+        return _ElementChainRows(self.shape, count, arrows, 1.0, self._arrow_skew,
+                                 sampling.RankedRows(self.shape, count, 2) if loose else None)
 
     def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
@@ -733,14 +849,23 @@ class ActionGroupoid(Groupoid):
     def arrow_scale(self, g):
         return emax(vector_norm(g.point), operator_norm(g.g))
 
-    def base_noise(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.n)
+    def base_noises(self, rng, count: int) -> np.ndarray:
+        return rng.standard_normal((count, self.n))
 
     def arrow_from(self, x, rng) -> ActionArrow:
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
-    def arrow_noises(self, rng, count: int) -> list:
-        return [(w,) for w in rng.standard_normal((count, self.n, self.n))]
+    def arrow_noises(self, rng, count: int) -> tuple:
+        return (rng.standard_normal((count, self.n, self.n)),)
+
+    def sample_noises(self, rng, count: int) -> tuple:
+        return tuple(_normal_parts(rng, count, [(self.n,), (self.n, self.n)]))
+
+    def chain_noises(self, rng, count: int, arrows: int = 3, loose: bool = True) -> tuple:
+        """Every draw is of standard normals, so ``count`` chains are one call."""
+        n = self.n
+        shapes = [(n,)] + [(n, n)] * arrows + [(n,), (n, n)] * loose
+        return _array_chain(_normal_parts(rng, count, shapes), arrows)
 
     def arrow_at(self, x, noise: tuple) -> ActionArrow:
         """The group part is ``expm(w / 2)`` for the Gaussian noise ``w``: a
@@ -837,16 +962,31 @@ class PairGroupoid(Groupoid):
     def arrow_distance(self, g1, g2):
         return emax(vector_norm(g1.x - g2.x), vector_norm(g1.y - g2.y))
 
-    def base_noise(self, rng) -> np.ndarray:
+    def _points(self, rng, count: int, k: int) -> list:
+        """``k`` points per row for ``count`` rows, drawn row by row in one
+        call: indices into the pool, or standard normals; per point a
+        ``(count, dim)`` stack."""
         if self.pool is not None:
-            return self.pool[int(rng.integers(0, len(self.pool)))]
-        return rng.standard_normal(self.dim)
+            points = self.pool[rng.integers(0, len(self.pool), size=(count, k))]
+        else:
+            points = rng.standard_normal((count, k, self.dim))
+        return [np.ascontiguousarray(points[:, j]) for j in range(k)]
+
+    def base_noises(self, rng, count: int) -> np.ndarray:
+        return self._points(rng, count, 1)[0]
 
     def arrow_from(self, x, rng) -> PairArrow:
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
-    def arrow_noises(self, rng, count: int) -> list:
-        return [(self.base_noise(rng),) for _ in range(count)]
+    def arrow_noises(self, rng, count: int) -> tuple:
+        return tuple(self._points(rng, count, 1))
+
+    def sample_noises(self, rng, count: int) -> tuple:
+        return tuple(self._points(rng, count, 2))
+
+    def chain_noises(self, rng, count: int, arrows: int = 3, loose: bool = True) -> tuple:
+        """Every draw is a point, so ``count`` chains are one call."""
+        return _array_chain(self._points(rng, count, 1 + arrows + 2 * loose), arrows)
 
     def arrow_at(self, x, noise: tuple) -> PairArrow:
         return PairArrow(x, noise[0])
@@ -1000,16 +1140,16 @@ def verify_axioms(
     not failed.  ``extra_arrows`` lets a caller inject deliberately
     corrupted arrows as a negative control.
 
-    Samples go in chunks of at most ``G.axiom_chunk``.  Each chain's random
-    inputs are drawn once (:meth:`Groupoid.chain_noise`), and a chunk's
-    chains are built and checked in one pass on stacks, which records every
-    row's residuals and writes a failure text for every row that breaks a
-    law.  When that pass raises or an arrow of it fails validation, its
-    rows are checked again from the same inputs, each as a one-row pass on
-    single elements: there a failed validation is a failure text and the
-    chain's other checks go on, and an error ends only its own chain.  So
-    the report equals, byte for byte, the one that checking every sample
-    alone would give.
+    Samples go in chunks of at most ``G.axiom_chunk``.  A chunk's random
+    inputs are drawn once, by one :meth:`Groupoid.chain_noises` call into
+    stacked arrays, and its chains are built and checked in one pass on
+    stacks, which records every row's residuals and writes a failure text
+    for every row that breaks a law.  When that pass raises or an arrow of
+    it fails validation, its rows are checked again, each as a one-row pass
+    on single elements built from row ``i`` of the same arrays: there a
+    failed validation is a failure text and the chain's other checks go on,
+    and an error ends only its own chain.  So the report equals, byte for
+    byte, the one that checking every sample alone would give.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -1019,10 +1159,11 @@ def verify_axioms(
     failures: list[str] = []
     sample_errors: list[str] = []
 
-    def check_pass(first: int, noises: list):
+    def check_pass(first: int, noise: tuple, count: Optional[int] = None):
         """Build and check the chains of samples ``first, first + 1, ...``
-        from their drawn ``noises``, stacked when there is more than one."""
-        stacked = len(noises) > 1
+        from their drawn ``noise``: ``count`` stacked rows, or one row of
+        single elements when ``count`` is ``None``."""
+        stacked = count is not None
         seen, texts = dict.fromkeys(_LAWS, 0.0), []
 
         def violation(exc):
@@ -1031,13 +1172,13 @@ def verify_axioms(
             texts.append((0, f"G1 base membership violated at sample {first}: {exc}"))
 
         try:
-            chain = _build_chain(G, stack_rows(noises) if stacked else noises[0])
+            chain = _build_chain(G, noise)
             _check_chain(G, chain, _recorder(seen, texts, lambda i: f"sample {first + i}"),
                          violation)
         except GinvError as exc:
             if stacked:
-                for i, noise in enumerate(noises):
-                    check_pass(first + i, [noise])
+                for i in range(count):
+                    check_pass(first + i, sampling.noise_row(noise, i))
                 return
             sample_errors.append(f"sample {first}: {type(exc).__name__}: {exc}")
         for law, value in seen.items():
@@ -1046,7 +1187,11 @@ def verify_axioms(
 
     for first in range(0, n_samples, G.axiom_chunk):
         count = min(G.axiom_chunk, n_samples - first)
-        check_pass(first, [G.chain_noise(rng) for _ in range(count)])
+        noise = G.chain_noises(rng, count)
+        if count > 1:
+            check_pass(first, noise, count)
+        else:
+            check_pass(first, sampling.noise_row(noise, 0))
 
     injected_failures: list[str] = []
     for j, g in enumerate(extra_arrows or []):

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import AlgebraElement, emax, epow, max_norm, stack_rows
+from .algebra import AlgebraElement, emax, epow, max_norm
 from .continuity import DRAWN_KINDS, continuity_experiments, draw_families
 from .errors import GinvError, OrbitError
 from .geninv import (
@@ -64,11 +64,10 @@ def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     shapes = [(2,), (3,), (8,), (2, 3)]
     worst, n = 0.0, 0
     for shape in shapes:
-        a = sampling.well_conditioned_from(stack_rows([
-            sampling.well_conditioned_noise(
-                rng, shape, ranks=sampling.random_block_ranks(rng, shape))
-            for _ in range(50)
-        ]))
+        rows = sampling.WellConditionedRows(shape, 50)
+        for i in range(50):
+            rows.draw(rng, i, sampling.random_block_ranks(rng, shape))
+        a = sampling.well_conditioned_from(rows.noise())
         dagger = moore_penrose(a, tol)
         bound = PENROSE_TOL * (1.0 + a.norm())
         res = penrose_residuals(a, dagger).max()
@@ -89,20 +88,22 @@ def check_route_agreement(tol: ToleranceConfig, seed: int) -> CheckRecord:
     rank-deficient-by-one elements of size up to 6.
 
     The 100 elements are drawn one at a time, a full-rank and a rank-``n - 1``
-    one per drawn size ``n``; then each size is built, inverted by both
-    routes and measured as one stack."""
+    one per drawn size ``n``, into the rows of their size; then each size
+    is built, inverted by both routes and measured as one stack."""
     rng = np.random.default_rng(seed)
-    draws: dict = {}  # size -> the drawn noises of that size, in draw order
+    rows: dict = {}  # size -> its rows, in draw order, and how many are drawn
     for _ in range(50):
         size = int(rng.integers(2, 7))
+        drawn, count = rows.get(size) or (sampling.WellConditionedRows((size,), 100), 0)
         for rank in (size, size - 1):
-            draws.setdefault(size, []).append(
-                sampling.well_conditioned_noise(rng, (size,), ranks=(rank,)))
+            drawn.draw(rng, count, (rank,))
+            count += 1
+        rows[size] = drawn, count
     worst = 0.0
-    for noises in draws.values():
-        a = sampling.well_conditioned_from(stack_rows(noises))
+    for drawn, count in rows.values():
+        a = sampling.well_conditioned_from(sampling.noise_row(drawn.noise(), slice(count)))
         worst = max(worst, max_norm(newton_schulz(a, tol) - moore_penrose(a, tol)))
-    n = sum(len(noises) for noises in draws.values())
+    n = sum(count for _, count in rows.values())
     return _record(
         "02 route agreement",
         "iterative and SVD pseudo-inverses coincide",
@@ -129,15 +130,18 @@ def check_closure(tol: ToleranceConfig, seed: int) -> CheckRecord:
     and targets are idempotent at 1e-8 scaled."""
     rng = np.random.default_rng(seed)
     groupoids = [GInvGroupoid(shape, tol) for shape in [(2,), (3,), (2, 3)]]
-    rows = []  # per pair: the noises of the base point, g2 and g1
-    for i in range(500):
-        G = groupoids[i % len(groupoids)]
-        rows.append((G.base_noise(rng), *G.arrow_noises(rng, 2)))
+    n = 500
+    # per pair: the noises of the base point, g2 and g1, pair i in the rows of
+    # groupoid i % 3
+    rows = [G.chain_rows(len(range(j, n, 3)), arrows=2, loose=False)
+            for j, G in enumerate(groupoids)]
+    for i in range(n):
+        rows[i % 3].draw(rng, i // 3)
     ratios = []
-    for j, G in enumerate(groupoids):
-        x, *noises = stack_rows(rows[j::len(groupoids)])
+    for G, drawn in zip(groupoids, rows):
+        x, *noises = drawn.noise()
         ratios.append(_closure_ratios(G, G.base_at(x), noises))
-    worst, n = max(float(np.max(r)) for r in ratios), len(rows)
+    worst = max(float(np.max(r)) for r in ratios)
     return _record(
         "03 composition closure",
         "(ab)^2 = ab and (ba)^2 = ba for composed pairs",
@@ -204,9 +208,9 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
         )
 
     # per isometry: the noises of the base point, v and u
-    rows = [(U.base_noise(rng), *U.arrow_noises(rng, 2)) for _ in range(200)]
-    p, *noises = stack_rows(rows)
-    worst, n = float(np.max(residuals(U.base_at(p), noises))), len(rows)
+    n = 200
+    p, *noises = U.chain_noises(rng, n, arrows=2, loose=False)
+    worst = float(np.max(residuals(U.base_at(p), noises)))
     return _record(
         "05 morphism laws",
         "u -> (u, u*) preserves s, t, composition and inversion",
@@ -220,10 +224,13 @@ def check_isometry_pseudoinverse(tol: ToleranceConfig, seed: int) -> CheckRecord
     """For partial isometries the pseudo-inverse is the adjoint (<= 1e-8)."""
     rng = np.random.default_rng(seed)
     shapes = [(2,), (3,), (2, 3)]
-    noises = [sampling.partial_isometry_noise(rng, shapes[i % 3]) for i in range(100)]
+    rows = [sampling.RankedRows(shape, len(range(j, 100, 3)), matrices=2)
+            for j, shape in enumerate(shapes)]
+    for i in range(100):  # isometry i in the rows of shape i % 3
+        rows[i % 3].draw(rng, i // 3)
     worst = 0.0
-    for j in range(len(shapes)):
-        u = sampling.partial_isometry_from(stack_rows(noises[j::len(shapes)]))
+    for drawn in rows:
+        u = sampling.partial_isometry_from(drawn.noise())
         worst = max(worst, max_norm(moore_penrose(u, tol) - u.adjoint()))
     return _record(
         "06 isometry pseudo-inverse",
@@ -321,7 +328,8 @@ def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     points within a class and refuse to cross classes."""
     rng = np.random.default_rng(seed)
     G = PartialIsometryGroupoid((3,), tol)
-    points = [sampling.random_projection(rng, (3,)) for _ in range(100)]
+    drawn = sampling.projection_from(sampling.projection_noises(rng, (3,), 100))
+    points = [drawn[i] for i in range(100)]
     report = orbit_decompose(G, points, tol)
     failures = []
 

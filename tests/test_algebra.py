@@ -123,10 +123,11 @@ class TestClassify:
         assert classify(AlgebraElement.from_blocks([q])).idempotent
 
     def test_gram_of_isometry_is_projection(self, rng):
-        from ginv.sampling import random_partial_isometry
+        from ginv.sampling import partial_isometry_from, partial_isometry_noises
 
-        for _ in range(10):
-            u = random_partial_isometry(rng, (3,))
+        isometries = partial_isometry_from(partial_isometry_noises(rng, (3,), 10))
+        for i in range(10):
+            u = isometries[i]
             assert classify(u).partial_isometry
             assert classify(u @ u.adjoint()).projection
             assert classify(u.adjoint() @ u).projection

@@ -1,4 +1,5 @@
 import numpy as np
+import per_row_draws
 import pytest
 from test_suite import continuity_one_term_at_a_time
 
@@ -202,6 +203,24 @@ def one_by_one(rng, shape, kinds):
     return families, None
 
 
+def per_row_bases(rng, shape, kinds):
+    """The bases of ``draw_families(rng, shape, kinds)``, drawn family by
+    family through the per-row reference draws and built as one stack."""
+    noises = []
+    for kind in kinds:
+        full = tuple(min(n, 1 + int(rng.integers(0, n))) for n in shape)
+        ranks = full if kind == "constant" else tuple(f - 1 for f in full)
+        if kind != "constant" and not any(ranks):
+            per_row_draws.well_conditioned_noise(rng, shape, ranks)  # the zero base
+            ranks = full if kind == "rank_preserving" else tuple(n - 1 for n in shape)
+        noises.append(per_row_draws.well_conditioned_noise(rng, shape, ranks))
+    return sampling.well_conditioned_from(per_row_draws.stack_rows(noises))
+
+
+def block_bytes(x: AlgebraElement, row=None) -> list:
+    return [(b if row is None else b[row]).tobytes() for b in x.blocks]
+
+
 def assert_same_family(got, want):
     assert (got.kind, got.horizon) == (want.kind, want.horizon)
     assert_same_bits(got.limit, want.limit)
@@ -219,22 +238,24 @@ class TestDrawFamilies:
         kinds = [DRAWN_KINDS[i % 3] for i in range(20)]
         want, error = one_by_one(np.random.default_rng(seed), shape, kinds)
         assert error is None
-        noises, noise = [], sampling.well_conditioned_noise
+        rows, draw = [], sampling.WellConditionedRows.draw
 
-        def counting(*args, **kwargs):
-            noises.append(args)
-            return noise(*args, **kwargs)
+        def counting(self, rng, i, ranks=None):
+            rows.append(i)
+            return draw(self, rng, i, ranks)
 
-        monkeypatch.setattr(sampling, "well_conditioned_noise", counting)
+        monkeypatch.setattr(sampling.WellConditionedRows, "draw", counting)
         rng = np.random.default_rng(seed)
         got = draw_families(rng, shape, kinds)
         monkeypatch.undo()
-        assert len(noises) > len(kinds)  # some zero bases were drawn again
+        assert len(rows) > len(kinds)  # some zero bases were drawn again
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_family(g, w)
         reference = np.random.default_rng(seed)
-        one_by_one(reference, shape, kinds)
+        bases = per_row_bases(reference, shape, kinds)
+        assert [block_bytes(fam.limit) for fam in got] == [
+            block_bytes(bases, i) for i in range(len(kinds))]
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_no_kinds_draw_nothing(self):
@@ -310,7 +331,7 @@ class TestContinuityExperiments:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    def test_chunks_of_whole_families_within_the_row_bound(self, monkeypatch):
+    def test_chunks_of_whole_families_within_the_entry_bound(self, monkeypatch):
         families = self.mixed_families()
         want = [as_outcome(o) for o in continuity_experiments(families)]
         chunks, stacked = [], continuity._stacked_outcomes
@@ -320,18 +341,24 @@ class TestContinuityExperiments:
             return stacked(chunk, tol)
 
         monkeypatch.setattr(continuity, "_stacked_outcomes", recording)
-        monkeypatch.setattr(continuity, "EXPERIMENT_ROWS", 150)  # two families of 64 terms
+        # four families of 64 terms of 4 entries, or two of 64 terms of 9
+        monkeypatch.setattr(continuity, "EXPERIMENT_ENTRIES", 1200)
         assert [as_outcome(o) for o in continuity_experiments(families)] == want
-        # a chunk holds one shape; the chunk [4, 5] raises as a whole and is
-        # checked again family by family
+        # a chunk holds one shape; the chunk [4, 5, 6] raises as a whole and
+        # is checked again family by family
         ids = {id(f): i for i, f in enumerate(families)}
         assert [[ids[id(f)] for f in chunk] for chunk in chunks] == [
-            [0, 1], [2, 3], [4, 5], [4], [5], [6], [7, 8], [9, 10], [11, 12], [13, 14]]
+            [0, 1, 2, 3], [4, 5, 6], [4], [5], [6], [7, 8], [9, 10], [11, 12], [13, 14]]
         chunks.clear()
-        long = make_family("rank_dropping", BASE, horizon=200)
+        long = make_family("rank_dropping", BASE, horizon=400)
         outcomes = continuity_experiments([families[0], long, families[1]])
-        assert [[f.horizon for f in chunk] for chunk in chunks] == [[64], [200], [64]]
+        assert [[f.horizon for f in chunk] for chunk in chunks] == [[64], [400], [64]]
         assert outcomes[1] == continuity_experiment(long)
+
+    def test_criterion_12_keeps_one_chunk_per_shape(self):
+        entries = [20 * continuity.DEFAULT_HORIZON * continuity.term_entries(shape)
+                   for shape in [(2,), (3,), (2, 1)]]
+        assert max(entries) == continuity.EXPERIMENT_ENTRIES
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 1)])
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-310, 5e-324, 0.0])

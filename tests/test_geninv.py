@@ -16,8 +16,9 @@ from ginv.geninv import (
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import (
     SV_RANGE,
+    partial_isometry_from,
+    partial_isometry_noises,
     random_block_ranks,
-    random_partial_isometry,
     well_conditioned_element,
     well_conditioned_from,
     well_conditioned_noise,
@@ -262,8 +263,9 @@ class TestPairing:
             assert mp_pair(a).a is a
 
     def test_isometry_inverse_is_adjoint(self, rng):
-        for _ in range(20):
-            u = random_partial_isometry(rng, (3,))
+        isometries = partial_isometry_from(partial_isometry_noises(rng, (3,), 20))
+        for i in range(20):
+            u = isometries[i]
             assert classify(u).partial_isometry
             assert moore_penrose(u).distance(u.adjoint()) <= 1e-8
 

@@ -445,14 +445,14 @@ class TestIsotropyFiberStructure:
         # two arrows in one source fiber with equal targets differ by exactly
         # one isotropy arrow: k = inv(g) h, recoverable by a direct solve
         from ginv.algebra import expm_element
-        from ginv.sampling import random_hermitian_element
+        from ginv.sampling import element_noises, hermitian_from
 
         G = PartialIsometryGroupoid((3,))
         one = AlgebraElement.identity((3,))
         for _ in range(10):
             p = random_projection(rng, (3,), ranks=(2,))
             g = G.arrow_from(p, rng)
-            h0 = random_hermitian_element(rng, (3,), scale=0.4)
+            h0 = hermitian_from(element_noises(rng, (3,), 1, scale=0.4))[0]
             k = IsometryArrow(expm_element(1j * (p @ h0 @ p)) @ p)
             assert G.source(k).distance(p) <= 1e-10
             assert G.target(k).distance(p) <= 1e-10

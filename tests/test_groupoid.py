@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginv.algebra import AlgebraElement, stack_rows
+import per_row_draws
+from per_row_draws import stack_rows
+
+from ginv import sampling
+from ginv.algebra import AlgebraElement
 from ginv.errors import CompositionError, InputError, PreconditionError
 from ginv.geninv import GInvPair, is_ginv_pair, mp_pair, sample_ginv_pairs
 from ginv.groupoid import (
@@ -26,7 +30,6 @@ from ginv.groupoid import (
 from ginv.sampling import (
     random_block_ranks,
     random_idempotent,
-    random_partial_isometry,
     random_projection,
     random_unitary,
     well_conditioned_element,
@@ -145,7 +148,8 @@ class TestIsometryInstance:
         g = IsometryArrow(w)
         assert self.G.source(g).distance(one) <= 1e-12
         assert self.G.target(g).distance(one) <= 1e-12
-        v = random_partial_isometry(rng, (2,), ranks=(1,))
+        v = sampling.partial_isometry_from(
+            sampling.partial_isometry_noises(rng, (2,), 1, ranks=[(1,)]))[0]
         assert self.G.source(IsometryArrow(v)).distance(one) > 0.4
 
     def test_base_membership(self):
@@ -280,9 +284,9 @@ class TestVerifyAxioms:
         class RefusesThirdSample(PairGroupoid):
             axiom_chunk = 1  # each chain is checked before the next is drawn
 
-            def sample_noise(self, rng):  # drawn once per chain
-                self.sampled = getattr(self, "sampled", 0) + 1
-                return super().sample_noise(rng)
+            def chain_noises(self, rng, count, *args, **kwargs):  # one chain per call
+                self.sampled = getattr(self, "sampled", 0) + count
+                return super().chain_noises(rng, count, *args, **kwargs)
 
             def compose(self, g1, g2):
                 if self.sampled == 3:
@@ -340,21 +344,20 @@ def arrow_key(g):
 
 class MarksThirdChain:
     """Mixin for a kind with stacks that remembers the first arrow of the
-    third chain: the one built from the 7th arrow noise draw, which
-    single and stacked draws make in the same order.  Every arrow noise,
-    ``arrow_noise`` included, is drawn through ``arrow_noises``, so that is
-    where draws are counted.  A subclass marks the first arrow of chain
-    ``k`` with ``marked_draw = 3 * k + 1``."""
+    third chain (chain 2): the one built from the first arrow noise of that
+    chain, which chunks of any size draw in the same order.  Every chain is
+    drawn through ``chain_noises``, so that is where chains are counted.  A
+    subclass marks the first arrow of chain ``k`` with ``marked_chain = k``."""
 
-    marked_draw = 7
+    marked_chain = 2
 
-    def arrow_noises(self, rng, count):
-        noises = super().arrow_noises(rng, count)
-        for noise in noises:
-            self.drawn = getattr(self, "drawn", 0) + 1
-            if self.drawn == self.marked_draw:
-                self.marked_noise = noise_key(noise)
-        return noises
+    def chain_noises(self, rng, count, *args, **kwargs):
+        noise = super().chain_noises(rng, count, *args, **kwargs)
+        first = getattr(self, "drawn", 0)
+        self.drawn = first + count
+        if first <= self.marked_chain < self.drawn:
+            self.marked_noise = noise_key(sampling.noise_row(noise[1], self.marked_chain - first))
+        return noise
 
     def arrow_at(self, x, noise):
         g = super().arrow_at(x, noise)
@@ -384,7 +387,7 @@ class ComposeRefusesThirdChain(RefusesMarked, GInvGroupoid):
 
 
 class ActionComposeRefusesChain160(RefusesMarked, ActionGroupoid):
-    marked_draw = 4 * 160 + 1  # the loose arrow's noise is an arrow noise draw too
+    marked_chain = 160
 
 
 class DistanceOffOnThirdChain(MarksThirdChain, GInvGroupoid):
@@ -407,13 +410,13 @@ class ValidationRefusesThirdChain(DistanceOffOnThirdChain):
 
 
 class ComposeRefusesChain20(ComposeRefusesThirdChain):
-    marked_draw = 3 * 20 + 1
+    marked_chain = 20
 
 
 class DrawFailsAtChain26(MarksThirdChain, GInvGroupoid):
     """The first arrow of chain 26 cannot be built."""
 
-    marked_draw = 3 * 26 + 1
+    marked_chain = 26
 
     def arrow_at(self, x, noise):
         marked = getattr(self, "marked_noise", None)
@@ -712,7 +715,7 @@ class TestArrowEquality:
             rng = np.random.default_rng(seed)
             if count is None:
                 return G.sample_arrow(rng)
-            return G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(count)]))
+            return G.sample_at(G.sample_noises(rng, count))
 
         for count in (None, 4):
             g, twin, other = draw(0, count), draw(0, count), draw(1, count)
@@ -808,7 +811,8 @@ class TestOneDrawPerChain:
     def test_arrow_noises_equal_sequential_arrow_noise(self, cls, shape):
         G = cls(shape)
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        assert_same_draws(G.arrow_noises(rng, 5), [G.arrow_noise(reference) for _ in range(5)])
+        assert_same_draws(G.arrow_noises(rng, 5),
+                          stack_rows([G.arrow_noise(reference) for _ in range(5)]))
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -841,7 +845,7 @@ class TestLooseDraws:
     def test_stacked_ginv_arrows_equal_each_draw(self, shape, seed):
         G = GInvGroupoid(shape)
         rng = np.random.default_rng(seed)
-        stacked = G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(12)]))
+        stacked = G.sample_at(G.sample_noises(rng, 12))
         single_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         zero_rows = []
         for i in range(12):
@@ -874,7 +878,164 @@ class TestLooseDraws:
     )
     def test_stacked_arrows_equal_each_sample_arrow(self, G):
         rng, single_rng = np.random.default_rng(0), np.random.default_rng(0)
-        stacked = G.sample_at(stack_rows([G.sample_noise(rng) for _ in range(12)]))
+        stacked = G.sample_at(G.sample_noises(rng, 12))
         for i in range(12):
             assert arrow_bytes(stacked, i) == arrow_bytes(G.sample_arrow(single_rng))
         assert single_rng.bit_generator.state == rng.bit_generator.state
+
+
+# -- chunk draws against the per-row reference -------------------------------------------
+
+
+def kind_id(G):
+    shape = getattr(G, "shape", None) or (G.n if isinstance(G, ActionGroupoid) else G.dim,)
+    pool = "-pool" if getattr(G, "pool", None) is not None else ""
+    return f"{G.kind}-{','.join(map(str, shape))}{pool}"
+
+
+CHUNK_KINDS = per_row_draws.kinds()
+
+
+def draw_per_row(monkeypatch):
+    """Let every kind draw each chunk of chains row by row through the
+    per-row reference draws, stacked: the draws of the kinds before chunk
+    draws wrote into preallocated arrays.  A subclass that wraps
+    ``chain_noises`` wraps these."""
+    def chain_noises(self, rng, count, arrows=3, loose=True):
+        return stack_rows([per_row_draws.chain_noise(self, rng, arrows, loose)
+                           for _ in range(count)])
+
+    for cls in (GInvGroupoid, PartialIsometryGroupoid, ActionGroupoid, PairGroupoid):
+        monkeypatch.setattr(cls, "chain_noises", chain_noises)
+
+
+@pytest.mark.parametrize("G", CHUNK_KINDS, ids=kind_id)
+class TestChunkDraws:
+    @pytest.mark.parametrize("arrows, loose", [(3, True), (2, False)])
+    @pytest.mark.parametrize("count", [1, 13])
+    def test_chain_noises_equal_the_per_row_chains(self, G, count, arrows, loose):
+        for seed in range(4):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = G.chain_noises(rng, count, arrows, loose)
+            want = stack_rows([per_row_draws.chain_noise(G, reference, arrows, loose)
+                               for _ in range(count)])
+            assert_same_draws(got, want)
+            assert all(a.flags.c_contiguous for a in flat_arrays(got))
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_base_arrow_and_sample_noises_equal_the_per_row_draws(self, G):
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        assert_same_draws(G.base_noises(rng, 6),
+                          stack_rows([(per_row_draws.base_noise(G, reference),)
+                                      for _ in range(6)])[0])
+        assert_same_draws(G.arrow_noises(rng, 6),
+                          stack_rows(per_row_draws.arrow_noises(G, reference, 6)))
+        assert_same_draws(G.sample_noises(rng, 6),
+                          stack_rows([per_row_draws.sample_noise(G, reference)
+                                      for _ in range(6)]))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_single_draws_are_row_0_of_a_chunk_of_one(self, G):
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        assert_same_draws(G.chain_noise(rng), per_row_draws.chain_noise(G, reference))
+        assert_same_draws(G.base_noise(rng), per_row_draws.base_noise(G, reference))
+        assert_same_draws(G.arrow_noise(rng), per_row_draws.arrow_noises(G, reference, 1)[0])
+        assert_same_draws(G.sample_noise(rng), per_row_draws.sample_noise(G, reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_reports_equal_those_of_the_per_row_draws(self, G, monkeypatch):
+        n = 10 if getattr(G, "shape", None) == (8,) else 40
+        monkeypatch.setattr(G, "axiom_chunk", 16)
+        got = verify_axioms(G, seed=3, n_samples=n).to_json_bytes()
+        draw_per_row(monkeypatch)
+        assert got == verify_axioms(G, seed=3, n_samples=n).to_json_bytes()
+
+
+def test_chain_rows_interleave_as_the_per_row_draws_do():
+    # criterion 03's draw: rows of three kinds in turn, each written into its own rows
+    groupoids = [GInvGroupoid((2,)), GInvGroupoid((3,)), PartialIsometryGroupoid((2, 3))]
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    rows = [G.chain_rows(4, arrows=2, loose=j == 2) for j, G in enumerate(groupoids)]
+    want = [[], [], []]
+    for i in range(12):
+        rows[i % 3].draw(rng, i // 3)
+        want[i % 3].append(per_row_draws.chain_noise(groupoids[i % 3], reference, 2, i % 3 == 2))
+    for drawn, rows_of_kind in zip(rows, want):
+        assert_same_draws(drawn.noise(), stack_rows(rows_of_kind))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("shape, seed", [((2,), 0), ((1, 2), 1)])
+def test_ginv_rows_of_rank_zero_draw_no_seed(shape, seed, monkeypatch):
+    G = GInvGroupoid(shape)
+    ranks, seeds = [], []
+    draw, default_rng = sampling.WellConditionedRows.draw, np.random.default_rng
+
+    def recording_draw(self, rng, i, r=None):
+        ranks.append(tuple(r))
+        return draw(self, rng, i, r)
+
+    def recording_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(sampling.WellConditionedRows, "draw", recording_draw)
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    rng = default_rng(seed)
+    a, u, v = G.chain_noises(rng, 12)[-1]
+    monkeypatch.undo()
+    zero = [i for i, r in enumerate(ranks) if not any(r)]
+    assert zero and len(seeds) == 12 - len(zero)
+    for i in zero:
+        assert all(not np.any(b[i]) for b in u + v)
+        assert all(not np.any(s[i]) for s, _, _ in a)
+    reference = np.random.default_rng(seed)
+    per_row = stack_rows([per_row_draws.chain_noise(G, reference) for _ in range(12)])[-1]
+    assert_same_draws((a, u, v), per_row)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestRaisingChunk:
+    """A chunk whose stacked pass raises is checked again row by row, from
+    rows of the same arrays; the report is that of the per-row draws."""
+
+    @pytest.mark.parametrize("cls, shape, n_samples, details", [
+        pytest.param(chunked(ComposeRefusesChain20), (3,), 40, "sample 20: CompositionError",
+                     id="ginv-3-compose"),
+        pytest.param(chunked(DrawFailsAtChain26), (3,), 40, "sample 26: InputError: injected",
+                     id="ginv-3-draw"),
+        pytest.param(ActionComposeRefusesChain160, 2, 300, "sample 160: CompositionError",
+                     id="action-2-compose"),
+    ])
+    def test_reruns_give_the_report_of_the_per_row_draws(
+            self, cls, shape, n_samples, details, monkeypatch):
+        rep = verify_axioms(cls(shape), seed=1, n_samples=n_samples)
+        failing = [r for r in rep.records if not r.passed]
+        assert [r.name for r in failing] == ["law evaluation"]
+        assert failing[0].details.startswith(details)
+        draw_per_row(monkeypatch)
+        per_row = verify_axioms(cls(shape), seed=1, n_samples=n_samples)
+        assert rep.to_json_bytes() == per_row.to_json_bytes()
+
+    def test_one_draw_per_chunk_and_reruns_take_its_rows(self, monkeypatch):
+        G = chunked(ComposeRefusesChain20)((3,))
+        counts, drawn, rows = [], [], []
+        chain_noises = type(G).chain_noises
+        noise_row = sampling.noise_row
+
+        def counting(self, rng, count, *args, **kwargs):
+            counts.append(count)
+            noise = chain_noises(self, rng, count, *args, **kwargs)
+            drawn.append(noise)
+            return noise
+
+        def recording(noise, i):
+            if any(noise is chunk for chunk in drawn):  # a row of a whole chunk's draw
+                rows.append(i)
+            return noise_row(noise, i)
+
+        monkeypatch.setattr(type(G), "chain_noises", counting)
+        monkeypatch.setattr(sampling, "noise_row", recording)
+        verify_axioms(G, seed=1, n_samples=40)
+        assert counts == [16, 16, 8]
+        assert rows == list(range(16))  # the second chunk, which holds sample 20

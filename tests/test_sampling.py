@@ -1,8 +1,9 @@
 import numpy as np
+import per_row_draws
 import pytest
 
 from ginv import sampling
-from ginv.algebra import AlgebraElement, stack_rows
+from ginv.algebra import AlgebraElement
 
 SHAPES = [(1,), (2,), (3,), (8,), (2, 3), (1, 2, 3)]
 
@@ -62,13 +63,23 @@ def ranked(rng, shape):
     return sampling.random_block_ranks(rng, shape)
 
 
+def element_noise(rng, shape, scale):
+    return sampling.noise_row(sampling.element_noises(rng, shape, 1, scale), 0)
+
+
+def chunk_build(chunk, build):
+    """A sampler of one element as the build of a chunk draw of one row."""
+    return lambda rng, s: build(chunk(rng, s, 1))[0]
+
+
 #: (name, draw, build, sampler, one-at-a-time formula)
 SAMPLERS = [
-    ("element", lambda rng, s: sampling.element_noise(rng, s, 0.35), sampling.element_from,
+    ("element", lambda rng, s: element_noise(rng, s, 0.35), sampling.element_from,
      lambda rng, s: sampling.random_element(rng, s, 0.35),
      lambda rng, s: one_element(rng, s, 0.35)),
-    ("hermitian", lambda rng, s: sampling.element_noise(rng, s, 0.4), sampling.hermitian_from,
-     lambda rng, s: sampling.random_hermitian_element(rng, s, 0.4),
+    ("hermitian", lambda rng, s: element_noise(rng, s, 0.4), sampling.hermitian_from,
+     chunk_build(lambda rng, s, count: sampling.element_noises(rng, s, count, 0.4),
+                 sampling.hermitian_from),
      lambda rng, s: one_hermitian(rng, s, 0.4)),
     ("well_conditioned", sampling.well_conditioned_noise, sampling.well_conditioned_from,
      sampling.well_conditioned_element, one_well_conditioned),
@@ -82,7 +93,8 @@ SAMPLERS = [
     ("idempotent", sampling.idempotent_noise, sampling.idempotent_from,
      sampling.random_idempotent, one_idempotent),
     ("partial_isometry", sampling.partial_isometry_noise, sampling.partial_isometry_from,
-     sampling.random_partial_isometry, one_partial_isometry),
+     chunk_build(sampling.partial_isometry_noises, sampling.partial_isometry_from),
+     one_partial_isometry),
 ]
 
 
@@ -113,7 +125,7 @@ class TestDrawThenBuild:
 
     def test_stacked_build_equals_each_draw(self, name, draw, build, sampler, one, shape):
         rng, reference = np.random.default_rng(6), np.random.default_rng(6)
-        stacked = build(stack_rows([draw(rng, shape) for _ in range(16)]))
+        stacked = build(per_row_draws.stack_rows([draw(rng, shape) for _ in range(16)]))
         assert stacked.is_stack and stacked.blocks[0].shape[0] == 16
         for i in range(16):
             assert block_bytes(stacked, i) == [b.tobytes() for b in one(reference, shape)]
@@ -152,10 +164,10 @@ def test_given_ranks_draw_no_ranks():
 def test_element_noises_equal_one_draw_at_a_time(shape, count):
     rng, reference = np.random.default_rng(4), np.random.default_rng(4)
     draws = sampling.element_noises(rng, shape, count, 0.35)
-    assert len(draws) == count and all(arrays_only(d) for d in draws)
-    for draw in draws:
+    assert arrays_only(draws) and all(m.shape == (count, n, n) for m, n in zip(draws, shape))
+    for i in range(count):
         want = one_element(reference, shape, 0.35)
-        assert [m.tobytes() for m in draw] == [m.tobytes() for m in want]
+        assert [m[i].tobytes() for m in draws] == [m.tobytes() for m in want]
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -187,3 +199,158 @@ def test_one_generator_call_per_draw_equals_one_per_block(kind, shape):
         assert [[a.tobytes() for a in block] for block in got] == \
             [[a.tobytes() for a in block] for block in want]
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# -- chunk draws against the per-row reference -------------------------------------------
+
+CHUNK_SHAPES = [(2,), (3,), (8,), (2, 3), (1, 2, 3)]
+
+
+def flat_arrays(noise) -> list:
+    if isinstance(noise, tuple):
+        return [a for part in noise for a in flat_arrays(part)]
+    return [noise]
+
+
+def assert_same_stack(got, want):
+    """Equal nesting, and arrays of equal dtype, shape and bytes; the chunk
+    draw's arrays are C-contiguous, as stacked rows are."""
+    assert len(flat_arrays(got)) == len(flat_arrays(want))
+    for a, b in zip(flat_arrays(got), flat_arrays(want)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous
+
+
+def given_ranks(shape, count):
+    return [tuple((i + b) % (n + 1) for b, n in enumerate(shape)) for i in range(count)]
+
+
+#: (name, chunk draw, per-row reference draw), each taking (rng, shape, count)
+CHUNK_DRAWS = [
+    ("element", lambda rng, s, c: sampling.element_noises(rng, s, c, 0.35),
+     lambda rng, s, c: per_row_draws.element_noises(rng, s, c, 0.35)),
+    ("well_conditioned", sampling.well_conditioned_noises,
+     lambda rng, s, c: [per_row_draws.well_conditioned_noise(rng, s) for _ in range(c)]),
+    ("well_conditioned_ranked",
+     lambda rng, s, c: sampling.well_conditioned_noises(rng, s, c, given_ranks(s, c)),
+     lambda rng, s, c: [per_row_draws.well_conditioned_noise(rng, s, r)
+                        for r in given_ranks(s, c)]),
+]
+for kind in ("projection", "idempotent", "partial_isometry"):
+    CHUNK_DRAWS += [
+        (kind, getattr(sampling, f"{kind}_noises"),
+         lambda rng, s, c, kind=kind: [getattr(per_row_draws, f"{kind}_noise")(rng, s)
+                                       for _ in range(c)]),
+        (f"{kind}_ranked",
+         lambda rng, s, c, kind=kind: getattr(sampling, f"{kind}_noises")(
+             rng, s, c, given_ranks(s, c)),
+         lambda rng, s, c, kind=kind: [getattr(per_row_draws, f"{kind}_noise")(rng, s, r)
+                                       for r in given_ranks(s, c)]),
+    ]
+
+
+@pytest.mark.parametrize("shape", CHUNK_SHAPES, ids=str)
+@pytest.mark.parametrize("name, chunk, per_row", CHUNK_DRAWS, ids=[d[0] for d in CHUNK_DRAWS])
+class TestChunkDraws:
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_chunk_equals_the_per_row_draws(self, name, chunk, per_row, shape, count):
+        for seed in range(3):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = chunk(rng, shape, count)
+            assert_same_stack(got, per_row_draws.stack_rows(per_row(reference, shape, count)))
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_single_draw_is_row_0_of_a_chunk_of_one(self, name, chunk, per_row, shape):
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        got = sampling.noise_row(chunk(rng, shape, 1), 0)
+        want = per_row(reference, shape, 1)[0]
+        assert [a.tobytes() for a in flat_arrays(got)] == [a.tobytes() for a in flat_arrays(want)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_rows_written_one_at_a_time_equal_the_chunk():
+    shape, count = (2, 3), 5
+    rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+    ranked = sampling.RankedRows(shape, count, matrices=2)
+    conditioned = sampling.WellConditionedRows(shape, count)
+    for i in range(count):  # rows of two samplers, interleaved
+        ranked.draw(rng, i)
+        conditioned.draw(rng, i, given_ranks(shape, count)[i])
+    isometries, elements = [], []
+    for r in given_ranks(shape, count):
+        isometries.append(per_row_draws.partial_isometry_noise(reference, shape))
+        elements.append(per_row_draws.well_conditioned_noise(reference, shape, r))
+    assert_same_stack(ranked.noise(), per_row_draws.stack_rows(isometries))
+    assert_same_stack(conditioned.noise(), per_row_draws.stack_rows(elements))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_extra_normals_follow_the_matrices_in_one_call():
+    rng, reference = np.random.default_rng(13), np.random.default_rng(13)
+    rows = sampling.RankedRows((2,), 3, extra=5)
+    for i in range(3):
+        rows.draw(rng, i)
+    for i in range(3):
+        want = per_row_draws.projection_noise(reference, (2,))
+        assert_same_stack(sampling.noise_row(rows.noise(), slice(i, i + 1)),
+                          per_row_draws.stack_rows([want]))
+        assert rows.extra[i].tobytes() == reference.standard_normal(5).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["projection", "idempotent", "partial_isometry"])
+def test_given_ranks_take_every_row_in_one_normal_call(kind, monkeypatch):
+    rng = np.random.default_rng(14)
+    calls = []
+    normal = rng.standard_normal
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(args)
+            return normal(*args, **kwargs)
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("given ranks are not drawn")
+
+    getattr(sampling, f"{kind}_noises")(Spy(), (2, 3), 7, given_ranks((2, 3), 7))
+    assert len(calls) == 1
+
+
+# -- the merge assumption: k values in one call are k calls of one value -------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda rng, size: rng.integers(0, 3, size=size), id="integers-small"),
+    pytest.param(lambda rng, size: rng.integers(0, 2**63, size=size), id="integers-seed"),
+    pytest.param(lambda rng, size: rng.uniform(*sampling.SV_RANGE, size=size), id="uniform"),
+    pytest.param(lambda rng, size: rng.standard_normal(size), id="standard_normal"),
+])
+def test_one_call_of_k_values_equals_k_calls_of_one(call, k):
+    """Every chunk draw rests on this: if a numpy upgrade breaks it, the
+    chunk draws no longer equal the per-row draws, and this says why."""
+    for seed in range(3):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        merged = call(rng, k)
+        single = np.array([call(reference, None) for _ in range(k)])
+        assert merged.tobytes() == single.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_normals_written_into_rows_equal_one_call():
+    rng, reference = np.random.default_rng(15), np.random.default_rng(15)
+    out = np.empty((4, 6))
+    for row in out:
+        rng.standard_normal(out=row)
+    assert out.tobytes() == reference.standard_normal((4, 6)).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_an_empty_uniform_draw_leaves_the_generator_alone():
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    assert rng.uniform(*sampling.SV_RANGE, size=0).size == 0
+    assert rng.bit_generator.state == state

@@ -162,12 +162,13 @@ def test_criterion_12_and_the_cli_draw_families_alike(monkeypatch, capsys):
     # the CLI imports draw_families from continuity when the command runs
     monkeypatch.setattr(continuity, "draw_families", recording("cli"))
     assert suite.check_source_criterion(DEFAULT_TOL, 12).passed
-    assert main(["continuity", "--shape", "2", "--count", "7", "--seed", "12",
+    assert main(["continuity", "--shape", "2", "--count", "17", "--seed", "12",
                  "--no-timestamp"]) == 0
     capsys.readouterr()
     assert [len(call[-1]) for call in calls["suite"]] == [20, 20, 20]
-    # the command draws in passes of whole counts, 18 families of 64 terms each
-    assert [len(call[-1]) for call in calls["cli"]] == [18, 3]
+    # the command draws in passes of whole counts, 45 families of 64 terms of
+    # 4 entries each
+    assert [len(call[-1]) for call in calls["cli"]] == [45, 6]
     # criterion 12's first shape is (2,): its 20 draws are the command's first 20
     first = calls["suite"][0]
     assert calls["cli"][0][:4] == first[:4]
