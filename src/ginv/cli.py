@@ -341,30 +341,24 @@ def _cmd_path(args, tol, seed) -> ExperimentReport:
 
 
 def _cmd_continuity(args, tol, seed) -> ExperimentReport:
-    from .continuity import (DRAWN_KINDS, EXPERIMENT_ENTRIES, continuity_experiments,
-                             draw_families, term_entries)
+    from .continuity import DRAWN_KINDS, drawn_experiments
 
     shape = _parse_shape(args.shape)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(suite="mp-continuity", config=_config_echo(args, tol, seed))
-    # each pass draws, inverts and measures at most one stacked experiment's entries
-    per_pass = max(1, EXPERIMENT_ENTRIES // (3 * args.horizon * term_entries(shape)))
-    for first in range(0, args.count, per_pass):
-        kinds = DRAWN_KINDS * min(per_pass, args.count - first)
-        families = draw_families(rng, shape, kinds, args.horizon, tol)
-        for j, verdict in enumerate(continuity_experiments(families, tol), 3 * first):
-            if isinstance(verdict, GinvError):
-                raise verdict
-            kind = DRAWN_KINDS[j % 3]
-            report.add(
-                CheckRecord(
-                    name=f"family {j // 3} {kind}",
-                    anchor="(a_n, a_n+) converges iff a_n+ a_n does",
-                    passed=verdict.pair_converges == (kind != "rank_dropping"),
-                    value=float(verdict.distances_pair[-1]),
-                    details=f"pair={verdict.pair_converges} source={verdict.source_converges}",
-                )
+    kinds = DRAWN_KINDS * args.count
+    for j, (fam, verdict) in enumerate(drawn_experiments(rng, shape, kinds, args.horizon, tol)):
+        if isinstance(verdict, GinvError):
+            raise verdict
+        report.add(
+            CheckRecord(
+                name=f"family {j // 3} {fam.kind}",
+                anchor="(a_n, a_n+) converges iff a_n+ a_n does",
+                passed=verdict.pair_converges == (fam.kind != "rank_dropping"),
+                value=float(verdict.distances_pair[-1]),
+                details=f"pair={verdict.pair_converges} source={verdict.source_converges}",
             )
+        )
     return report
 
 

@@ -14,7 +14,9 @@ of many families of one shape on top of each other, in chunks of whole
 families of at most :data:`EXPERIMENT_ENTRIES` entries, and inverts and measures
 each chunk in one pass; :func:`draw_families` draws a shape's families in
 the order :func:`draw_family` draws them one by one, and builds their
-bases and directions in one pass.  Each row is computed on its own, so
+bases and directions in one pass.  :func:`drawn_experiments` draws and
+checks a shape's families in passes of that size, for criterion 12 and
+``ginv continuity`` alike.  Each row is computed on its own, so
 every family's outcome equals, bit for bit, that of the family alone:
 :func:`continuity_experiment` and :func:`draw_family` are the one-family
 case.
@@ -358,6 +360,28 @@ def continuity_experiments(families: Sequence[SequenceFamily],
     if chunk:
         outcomes += _chunk_outcomes(chunk, tol)
     return outcomes
+
+
+def drawn_experiments(
+    rng: np.random.Generator,
+    shape,
+    kinds: Sequence[str],
+    horizon: int = DEFAULT_HORIZON,
+    tol: ToleranceConfig = DEFAULT_TOL,
+):
+    """Yield ``(family, outcome)`` for the families of :func:`draw_families`
+    on ``kinds``, with the outcomes of :func:`continuity_experiments`.
+
+    The families are drawn and checked in passes of at most
+    :data:`EXPERIMENT_ENTRIES` term entries, one family at the least, so
+    the memory of a pass does not grow with ``len(kinds)``.  The generator
+    calls are those of one :func:`draw_families` call on all of ``kinds``,
+    and each outcome is that of its family alone.
+    """
+    per_pass = max(1, EXPERIMENT_ENTRIES // (horizon * term_entries(shape)))
+    for first in range(0, len(kinds), per_pass):
+        families = draw_families(rng, shape, kinds[first:first + per_pass], horizon, tol)
+        yield from zip(families, continuity_experiments(families, tol))
 
 
 def _chunk_outcomes(chunk: list, tol: ToleranceConfig) -> list:

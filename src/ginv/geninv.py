@@ -38,38 +38,36 @@ class PenroseResidual:
 
 @dataclass(frozen=True, eq=False)
 class GInvPair(ExactEquality):
-    """An ordered pair (a, b) with aba = a and bab = b, residuals attached.
+    """An ordered pair (a, b) with aba = a and bab = b.
 
     Construct through :meth:`create`, which enforces both reflexivity
     residuals; the raw constructor is reserved for deliberately invalid
-    pairs in negative-control tests.  Two pairs are equal when their
-    elements and residuals are, exactly; pairs are not hashable.
+    pairs in negative controls.  Two pairs are equal when their elements
+    are, exactly; pairs are not hashable.
     """
 
     a: AlgebraElement
     b: AlgebraElement
-    residual_aba: float
-    residual_bab: float
 
     @classmethod
     def create(
         cls, a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
     ) -> "GInvPair":
-        """Validated pair; on stacks of ``a`` and ``b`` a stack of pairs whose
-        residuals are ``(N,)`` arrays, raising when any row fails."""
-        r_aba, r_bab, excess_aba, excess_bab = _reflexivity(a, b, tol)
+        """Validated pair; on stacks of ``a`` and ``b`` a stack of pairs,
+        raising when any row fails."""
+        excess_aba, excess_bab = _reflexivity(a, b, tol)
         if excess_aba is not None:
             raise InputError(f"aba = a fails with residual {excess_aba:.3e}")
         if excess_bab is not None:
             raise InputError(f"bab = b fails with residual {excess_bab:.3e}")
-        return cls(a, b, r_aba, r_bab)
+        return cls(a, b)
 
     def swap(self) -> "GInvPair":
-        return GInvPair(self.b, self.a, self.residual_bab, self.residual_aba)
+        return GInvPair(self.b, self.a)
 
 
 def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
-    """``||aba - a||`` and ``||bab - b||`` with the first of each above its
+    """The first ``||aba - a||`` and the first ``||bab - b||`` above its
     norm-scaled bound (``None`` when none is), row by row on stacks; the
     two residuals and the two norms from one stacked call, and the one
     residual once when ``a is b``."""
@@ -79,8 +77,6 @@ def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
     bab = aba if a is b else b @ a @ b - b
     r_aba, r_bab, na, nb = norms(aba, bab, a, b)
     return (
-        r_aba,
-        r_bab,
         first_excess(r_aba, tol.residual_tol * (1.0 + epow(na, 2) * nb)),
         first_excess(r_bab, tol.residual_tol * (1.0 + epow(nb, 2) * na)),
     )
@@ -177,7 +173,7 @@ def is_ginv_pair(
     """
     if a.shape != b.shape:
         raise ShapeMismatchError("operands must share the algebra shape")
-    _, _, excess_aba, excess_bab = _reflexivity(a, b, tol)
+    excess_aba, excess_bab = _reflexivity(a, b, tol)
     return excess_aba is None and excess_bab is None
 
 

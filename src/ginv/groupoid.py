@@ -319,10 +319,6 @@ class Groupoid:
         vectors that span the same subspaces."""
         return self.chart_frame(self.identity_at(x))
 
-    def tangent_vector(self, g, coords: np.ndarray):
-        """Structured arrow tangent vector at ``g`` from fixed real arrow coordinates."""
-        raise NotImplementedError
-
     def base_tangent_system(self, x) -> np.ndarray:
         """Matrix of the linearized defining equations of the base at ``x``,
         whose kernel is the base tangent space there."""
@@ -610,11 +606,6 @@ class GInvGroupoid(Groupoid):
         return ChartFrame(frame, s.ravel()[order], (2 * d, 2 * d),
                           np.hstack([left, right]), np.hstack([right, left]))
 
-    def tangent_vector(self, g, coords):
-        d = coords.size // 2
-        return (AlgebraElement.from_real_coords(self.shape, coords[:d]),
-                AlgebraElement.from_real_coords(self.shape, coords[d:]))
-
     def base_tangent_system(self, x):
         return _idempotent_linearization(x)
 
@@ -761,9 +752,6 @@ class PartialIsometryGroupoid(Groupoid):
     def identity_frame(self, p: AlgebraElement) -> ChartFrame:
         return self.chart_frame(IsometryArrow(p))  # 1_p is p itself
 
-    def tangent_vector(self, g, coords):
-        return AlgebraElement.from_real_coords(self.shape, coords)
-
     def base_tangent_system(self, p):
         """``v -> pv + vp - v`` on Hermitian ``v``, whose kernel in the
         Hermitian basis is the base tangent space."""
@@ -881,10 +869,6 @@ class ActionGroupoid(Groupoid):
         dt = np.hstack([h, np.kron(eye, x[None, :])])  # h dx + dh x
         return j_arrow, ds, dt
 
-    def tangent_vector(self, g, coords):
-        n = self.n
-        return coords[:n].copy(), coords[n:].reshape(n, n).copy()
-
     def base_tangent_system(self, x):
         return np.zeros((0, self.n))  # an open subset of R^n
 
@@ -995,9 +979,6 @@ class PairGroupoid(Groupoid):
         self.validate_arrow(g)
         eye, zero = np.eye(self.dim), np.zeros((self.dim, self.dim))
         return np.eye(2 * self.dim), np.hstack([eye, zero]), np.hstack([zero, eye])
-
-    def tangent_vector(self, g, coords):
-        return coords[: self.dim].copy(), coords[self.dim :].copy()
 
     def base_tangent_system(self, x):
         return np.zeros((0, self.dim))  # all of R^k

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .algebra import AlgebraElement, emax, epow, max_norm
-from .continuity import DRAWN_KINDS, continuity_experiments, draw_families
+from .continuity import DRAWN_KINDS, drawn_experiments
 from .errors import GinvError, OrbitError
 from .geninv import (
     GInvPair,
@@ -171,7 +171,7 @@ def check_axioms(tol: ToleranceConfig, seed: int) -> CheckRecord:
     rng = np.random.default_rng(seed)
     good = G.arrow_from(G.sample_base_point(rng), rng)
     shift = AlgebraElement.identity((2,)) * 0.1
-    bad = GInvArrow(GInvPair(good.pair.a, good.pair.b + shift, 0.0, 0.0))
+    bad = GInvArrow(GInvPair(good.pair.a, good.pair.b + shift))
     control = verify_axioms(G, seed=seed, n_samples=2, extra_arrows=[bad])
     detected = any(r.name == "injected-arrow control" and r.passed for r in control.records)
     if not detected:
@@ -415,30 +415,29 @@ def check_source_criterion(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """Across 20+ families per shape: paired convergence iff the source
     projections converge; rank-stable families converge; rank drops blow up
     the pseudo-inverse norm faster than the distance shrinks.  Each shape's
-    families are drawn in one pass and checked as one stack."""
+    families are drawn and checked by
+    :func:`~ginv.continuity.drawn_experiments`, in one stacked pass."""
     rng = np.random.default_rng(seed)
     failures = []
     n_families = 0
-    shapes = [(2,), (3,), (2, 1)]
     kinds = [DRAWN_KINDS[i % 3] for i in range(20)]
-    families = [fam for shape in shapes for fam in draw_families(rng, shape, kinds, tol=tol)]
-    for j, (fam, verdict) in enumerate(zip(families, continuity_experiments(families, tol))):
-        shape, i = shapes[j // 20], j % 20
-        if isinstance(verdict, GinvError):
-            failures.append(f"{shape} family {i} ({fam.kind}): {verdict}")
-            continue
-        n_families += 1
-        if verdict.pair_converges != verdict.source_converges:
-            failures.append(f"{shape} family {i}: paired and source verdicts differ")
-        if fam.kind in ("rank_preserving", "constant") and not verdict.pair_converges:
-            failures.append(f"{shape} family {i} ({fam.kind}): expected convergence")
-        if fam.kind == "rank_dropping":
-            norms = np.array(verdict.mp_norms)
-            tail = norms[len(norms) // 2 :]
-            if verdict.pair_converges or np.any(np.diff(tail) <= 0):
-                failures.append(f"{shape} family {i}: norm trace not diverging")
-            if norms[-1] * verdict.final_distance < 1e-2:
-                failures.append(f"{shape} family {i}: norms grow slower than 1/distance")
+    for shape in [(2,), (3,), (2, 1)]:
+        for i, (fam, verdict) in enumerate(drawn_experiments(rng, shape, kinds, tol=tol)):
+            if isinstance(verdict, GinvError):
+                failures.append(f"{shape} family {i} ({fam.kind}): {verdict}")
+                continue
+            n_families += 1
+            if verdict.pair_converges != verdict.source_converges:
+                failures.append(f"{shape} family {i}: paired and source verdicts differ")
+            if fam.kind in ("rank_preserving", "constant") and not verdict.pair_converges:
+                failures.append(f"{shape} family {i} ({fam.kind}): expected convergence")
+            if fam.kind == "rank_dropping":
+                norms = np.array(verdict.mp_norms)
+                tail = norms[len(norms) // 2 :]
+                if verdict.pair_converges or np.any(np.diff(tail) <= 0):
+                    failures.append(f"{shape} family {i}: norm trace not diverging")
+                if norms[-1] * verdict.final_distance < 1e-2:
+                    failures.append(f"{shape} family {i}: norms grow slower than 1/distance")
     return _record(
         "12 source criterion",
         "(a_n, a_n+) converges iff a_n+ a_n does; rank drops force |a_n+| -> inf",

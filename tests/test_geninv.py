@@ -290,7 +290,9 @@ class TestReflexivityNorms:
         monkeypatch.setattr(AlgebraElement, "norm", lambda a: norm_calls.append(1) or norm(a))
         same = GInvPair.create(q, q)  # an identity arrow's pair: a is b
         assert len(products) == 2 and norm_calls == []  # q q q - q, once
-        # bit for bit the residuals of one norm() call each
-        assert same.residual_aba == same.residual_bab == separate.residual_aba
-        assert separate.residual_bab == (twin @ q @ twin - twin).norm()
+        assert same == separate and is_ginv_pair(q, q) and is_ginv_pair(q, twin)
+        off = q * 1.5  # (1.5 q)^3 - 1.5 q = 1.875 q
+        assert not is_ginv_pair(off, off)
+        with pytest.raises(InputError, match="aba = a fails"):
+            GInvPair.create(off, off)
 

@@ -119,7 +119,9 @@ def test_morphism_laws_equal_one_at_a_time(seed):
 @pytest.mark.parametrize("seed", [12, 1012])
 def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
     compared = []
-    experiments = suite.continuity_experiments
+    from ginv import continuity
+
+    experiments = continuity.continuity_experiments
 
     def both(families, tol):
         outcomes = experiments(families, tol)
@@ -133,7 +135,7 @@ def test_source_criterion_verdicts_equal_one_term_at_a_time(seed, monkeypatch):
         return outcomes
 
     stacked = outcome(suite.check_source_criterion, seed)
-    monkeypatch.setattr(suite, "continuity_experiments", both)
+    monkeypatch.setattr(continuity, "continuity_experiments", both)
     assert outcome(suite.check_source_criterion, seed) == stacked
     assert len(compared) == 60
 
@@ -158,15 +160,15 @@ def test_criterion_12_and_the_cli_draw_families_alike(monkeypatch, capsys):
             return families
         return draw
 
-    monkeypatch.setattr(suite, "draw_families", recording("suite"))
-    # the CLI imports draw_families from continuity when the command runs
-    monkeypatch.setattr(continuity, "draw_families", recording("cli"))
+    # both draw through continuity.drawn_experiments
+    monkeypatch.setattr(continuity, "draw_families", recording("suite"))
     assert suite.check_source_criterion(DEFAULT_TOL, 12).passed
+    monkeypatch.setattr(continuity, "draw_families", recording("cli"))
     assert main(["continuity", "--shape", "2", "--count", "17", "--seed", "12",
                  "--no-timestamp"]) == 0
     capsys.readouterr()
     assert [len(call[-1]) for call in calls["suite"]] == [20, 20, 20]
-    # the command draws in passes of whole counts, 45 families of 64 terms of
+    # the command draws in passes of whole families, 45 families of 64 terms of
     # 4 entries each
     assert [len(call[-1]) for call in calls["cli"]] == [45, 6]
     # criterion 12's first shape is (2,): its 20 draws are the command's first 20
