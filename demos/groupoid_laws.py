@@ -14,7 +14,6 @@ import numpy as np
 from ginv import (
     ActionGroupoid,
     AlgebraElement,
-    GInvArrow,
     GInvGroupoid,
     GInvPair,
     PairGroupoid,
@@ -40,7 +39,7 @@ print("-" * 60)
 G = GInvGroupoid((2,))
 rng = np.random.default_rng(1)
 good = G.arrow_from(G.sample_base_point(rng), rng)
-bad = GInvArrow(GInvPair(good.pair.a, good.pair.b + 0.1 * AlgebraElement.identity((2,))))
+bad = GInvPair(good.a, good.b + 0.1 * AlgebraElement.identity((2,)))
 report = verify_axioms(G, seed=0, n_samples=5, extra_arrows=[bad])
 for record in report.records:
     if record.name == "injected-arrow control":

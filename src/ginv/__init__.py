@@ -82,7 +82,6 @@ _EXPORTS = {
     "groupoid": (
         "ActionArrow",
         "ActionGroupoid",
-        "GInvArrow",
         "GInvGroupoid",
         "Groupoid",
         "IsometryArrow",

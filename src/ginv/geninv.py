@@ -38,7 +38,9 @@ class PenroseResidual:
 
 @dataclass(frozen=True, eq=False)
 class GInvPair(ExactEquality):
-    """An ordered pair (a, b) with aba = a and bab = b.
+    """An ordered pair (a, b) with aba = a and bab = b: an arrow of the
+    ``ginv`` groupoid (:class:`~ginv.groupoid.GInvGroupoid`), from ``ba``
+    to ``ab``.
 
     Construct through :meth:`create`, which enforces both reflexivity
     residuals; the raw constructor is reserved for deliberately invalid

@@ -2,12 +2,16 @@
 
 Arrows compose like functions: ``compose(g1, g2)`` is defined when
 ``source(g1) = target(g2)`` and the result runs from ``source(g2)`` to
-``target(g1)``.  The instances are
+``target(g1)``.  The instances come in two families, each with one shared
+implementation; with the class of their arrows, they are
 
-* ``ginv``              -- reflexive generalized-inverse pairs over idempotents;
-* ``partial_isometry``  -- partial isometries over orthogonal projections;
-* ``action``            -- the action groupoid of GL(n, R) acting on R^n;
-* ``pair``              -- the pair groupoid of a Euclidean space.
+* the element kinds, over the algebra: ``ginv``, reflexive generalized-inverse
+  pairs over idempotents (:class:`~ginv.geninv.GInvPair`), and
+  ``partial_isometry``, partial isometries over orthogonal projections
+  (:class:`IsometryArrow`);
+* the vector kinds, over R^n: ``action``, the action groupoid of GL(n, R)
+  acting on R^n (:class:`ActionArrow`), and ``pair``, the pair groupoid of a
+  Euclidean space (:class:`PairArrow`).
 
 The structure maps of every kind also take stacked arrows (see
 :class:`Groupoid`).  Every random draw is split in two, as in
@@ -74,11 +78,6 @@ from . import sampling
 #
 # Two arrows are equal when they are of one class and their fields are equal,
 # exactly (stacked arrows row for row); arrows are not hashable.
-
-
-@dataclass(frozen=True, eq=False)
-class GInvArrow(ExactEquality):
-    pair: GInvPair
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +280,8 @@ class Groupoid:
         return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
 
     def require_composable(self, g1, g2):
+        """Raise unless ``source(g1) = target(g2)``; those two calls make the
+        structure checks of ``g1`` and then ``g2``, for every ``compose``."""
         mismatch = first_excess(
             self.base_distance(self.source(g1), self.target(g2)),
             self._composability_threshold(g1, g2),
@@ -392,13 +393,6 @@ def _array_chain(parts: list, arrows: int) -> tuple:
     return (x, *((w,) for w in rest[:arrows]), *loose)
 
 
-def _element_arrow_noises(rng, shape, count: int, scale: float) -> tuple:
-    """The arrow noise of an element kind: per arrow two Gaussian elements
-    scaled by ``scale``, ``count`` arrows in one call."""
-    z = rng.standard_normal((count, 2 * sampling.gaussian_size(shape)))
-    return _gaussian_pairs(z, shape, scale)[0]
-
-
 def _gaussian_pairs(z: np.ndarray, shape, scale: float) -> list:
     """The arrow noises that the rows of ``z`` hold one after another: per
     arrow the blocks of two Gaussian elements, scaled by ``scale``."""
@@ -453,61 +447,32 @@ class _GInvLooseRows:
                 sampling.gaussian_blocks(self.uv[:, size:], shape))
 
 
-class GInvGroupoid(Groupoid):
-    """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra.
+# One base class per family; ``compose`` and ``arrow_from`` stay on each kind,
+# where the benchmark's tracer (``perfbench/tracing.py``) wraps them.
 
-    Its geometry is complex-linear: the chart, source and target
-    differentials and the base tangent system are complex matrices, on the
-    complex coordinates of an element (each block's entries row-major,
-    block by block) and of a pair (``a``'s, then ``b``'s)."""
 
-    kind = "ginv"
+class _ElementGroupoid(Groupoid):
+    """The kinds whose base points are elements of the algebra of ``shape``.
+    Each names its ``arrow_type`` and the element ``_element(g)`` that sets
+    an arrow's algebra and is the base point of an identity arrow, and
+    draws with ``_base_skew`` (a chain's base point), ``_arrow_skew`` (an
+    arrow's two Gaussian elements) and the rows ``_loose_rows(count)``."""
+
+    _base_skew = 1.0
 
     def __init__(self, shape, tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(tol)
         self.shape = validate_shape(shape)
 
     def _check_structure(self, g):
-        if not isinstance(g, GInvArrow):
+        if not isinstance(g, self.arrow_type):
             raise InputError(f"foreign arrow of type {type(g).__name__}")
-        if g.pair.a.shape != self.shape:
+        if self._element(g).shape != self.shape:
             raise InputError("arrow belongs to an algebra of a different shape")
 
-    def source(self, g: GInvArrow) -> AlgebraElement:
+    def _identity_candidate(self, g) -> AlgebraElement:
         self._check_structure(g)
-        return g.pair.b @ g.pair.a
-
-    def target(self, g: GInvArrow) -> AlgebraElement:
-        self._check_structure(g)
-        return g.pair.a @ g.pair.b
-
-    def compose(self, g1: GInvArrow, g2: GInvArrow) -> GInvArrow:
-        self._check_structure(g1)
-        self._check_structure(g2)
-        self.require_composable(g1, g2)
-        a = g1.pair.a @ g2.pair.a
-        b = g2.pair.b @ g1.pair.b
-        return GInvArrow(GInvPair.create(a, b, self.tol))
-
-    def invert(self, g: GInvArrow) -> GInvArrow:
-        self._check_structure(g)
-        return GInvArrow(g.pair.swap())
-
-    def identity_at(self, x: AlgebraElement) -> GInvArrow:
-        self.check_base(x)
-        return GInvArrow(GInvPair.create(x, x, self.tol))
-
-    def _identity_candidate(self, g: GInvArrow) -> AlgebraElement:
-        self._check_structure(g)
-        return g.pair.a
-
-    def validate_arrow(self, g):
-        self._check_structure(g)
-        if not is_ginv_pair(g.pair.a, g.pair.b, self.tol):
-            raise InputError("arrow fails the reflexive-pair conditions")
-
-    def base_membership_residual(self, x: AlgebraElement):
-        return norms(x @ x - x, x)[0]
+        return self._element(g)
 
     def _base_scale(self, x: AlgebraElement):
         return epow(x.norm(), 2)
@@ -515,14 +480,74 @@ class GInvGroupoid(Groupoid):
     def base_distance(self, x, y):
         return x.distance(y)
 
-    def arrow_distance(self, g1, g2):
-        return emax(g1.pair.a.distance(g2.pair.a), g1.pair.b.distance(g2.pair.b))
+    def arrow_noises(self, rng, count: int) -> tuple:
+        """Per arrow two Gaussian elements scaled by ``_arrow_skew``,
+        ``count`` arrows in one call."""
+        z = rng.standard_normal((count, 2 * sampling.gaussian_size(self.shape)))
+        return _gaussian_pairs(z, self.shape, self._arrow_skew)[0]
 
-    def arrow_scale(self, g):
-        return epow(emax(g.pair.a.norm(), g.pair.b.norm()), 2)
+    def sample_noises(self, rng, count: int) -> tuple:
+        return _drawn(self._loose_rows(count), rng, count)
 
+    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
+        return _ElementChainRows(self.shape, count, arrows, self._base_skew, self._arrow_skew,
+                                 self._loose_rows(count) if loose else None)
+
+    def orbit_signature(self, x, tol):
+        return block_ranks(x, tol)
+
+
+class GInvGroupoid(_ElementGroupoid):
+    """Pairs (a, b) with aba = a, bab = b over the idempotents of the algebra,
+    whose arrows are the pairs themselves, :class:`~ginv.geninv.GInvPair`.
+
+    Its geometry is complex-linear: the chart, source and target
+    differentials and the base tangent system are complex matrices, on the
+    complex coordinates of an element (each block's entries row-major,
+    block by block) and of a pair (``a``'s, then ``b``'s)."""
+
+    kind = "ginv"
+    arrow_type = GInvPair
+    _base_skew = sampling.IDEMPOTENT_SKEW
     #: the scale of the Gaussian noise of an arrow's ``u`` and ``w0``
     _arrow_skew = 0.35
+
+    def _element(self, g: GInvPair) -> AlgebraElement:
+        return g.a
+
+    def source(self, g: GInvPair) -> AlgebraElement:
+        self._check_structure(g)
+        return g.b @ g.a
+
+    def target(self, g: GInvPair) -> AlgebraElement:
+        self._check_structure(g)
+        return g.a @ g.b
+
+    def compose(self, g1: GInvPair, g2: GInvPair) -> GInvPair:
+        self.require_composable(g1, g2)
+        return GInvPair.create(g1.a @ g2.a, g2.b @ g1.b, self.tol)
+
+    def invert(self, g: GInvPair) -> GInvPair:
+        self._check_structure(g)
+        return g.swap()
+
+    def identity_at(self, x: AlgebraElement) -> GInvPair:
+        self.check_base(x)
+        return GInvPair.create(x, x, self.tol)
+
+    def validate_arrow(self, g):
+        self._check_structure(g)
+        if not is_ginv_pair(g.a, g.b, self.tol):
+            raise InputError("arrow fails the reflexive-pair conditions")
+
+    def base_membership_residual(self, x: AlgebraElement):
+        return norms(x @ x - x, x)[0]
+
+    def arrow_distance(self, g1, g2):
+        return emax(g1.a.distance(g2.a), g1.b.distance(g2.b))
+
+    def arrow_scale(self, g):
+        return epow(emax(g.a.norm(), g.b.norm()), 2)
 
     def base_noises(self, rng, count: int) -> tuple:
         return sampling.idempotent_noises(rng, self.shape, count)
@@ -530,11 +555,11 @@ class GInvGroupoid(Groupoid):
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.idempotent_from(noise)
 
-    def sample_noises(self, rng, count: int) -> tuple:
+    def _loose_rows(self, count: int) -> _GInvLooseRows:
         """The draws of ``(a, u, v)`` (see :class:`_GInvLooseRows`)."""
-        return _drawn(_GInvLooseRows(self.shape, count), rng, count)
+        return _GInvLooseRows(self.shape, count)
 
-    def sample_at(self, noise: tuple) -> GInvArrow:
+    def sample_at(self, noise: tuple) -> GInvPair:
         a = sampling.well_conditioned_from(noise[0])
         u, v = (sampling.element_from(w) for w in noise[1:])
         b = reflexive_inverse(a, moore_penrose(a, self.tol), u, v)
@@ -543,24 +568,15 @@ class GInvGroupoid(Groupoid):
         b = AlgebraElement(self.shape, tuple(
             np.where(zero, x, y) for x, y in zip(a.blocks, b.blocks)))
         try:
-            return GInvArrow(GInvPair.create(a, b, self.tol))
+            return GInvPair.create(a, b, self.tol)
         except InputError as exc:
             raise ConsistencyError(f"sampled reflexive inverse failed validation: {exc}") from exc
 
-    def arrow_from(self, x: AlgebraElement, rng) -> GInvArrow:
+    def arrow_from(self, x: AlgebraElement, rng) -> GInvPair:
         self.check_base(x)
         return self.arrow_at(x, self.arrow_noise(rng))
 
-    def arrow_noises(self, rng, count: int) -> tuple:
-        """Per arrow the Gaussian noise of ``u`` and of ``w0``."""
-        return _element_arrow_noises(rng, self.shape, count, self._arrow_skew)
-
-    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
-        return _ElementChainRows(self.shape, count, arrows, sampling.IDEMPOTENT_SKEW,
-                                 self._arrow_skew,
-                                 _GInvLooseRows(self.shape, count) if loose else None)
-
-    def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvArrow:
+    def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvPair:
         one = AlgebraElement.identity(self.shape)
         u, w0 = (sampling.element_from(w) for w in noise)
         w = x @ w0 @ x + (one - x) @ w0 @ (one - x)  # commutes with x
@@ -569,11 +585,11 @@ class GInvGroupoid(Groupoid):
         w = w * np.minimum(1.0, w0.norm() / np.maximum(w.norm(), np.finfo(float).tiny))
         a = expm_element(u) @ x @ expm_element(w)
         b = expm_element(-1.0 * w) @ x @ expm_element(-1.0 * u)
-        return GInvArrow(GInvPair.create(a, b, self.tol))
+        return GInvPair.create(a, b, self.tol)
 
-    def chart_differential(self, g: GInvArrow):
+    def chart_differential(self, g: GInvPair):
         self._check_structure(g)
-        a, b = g.pair.a.blocks, g.pair.b.blocks
+        a, b = g.a.blocks, g.b.blocks
         one = AlgebraElement.identity(self.shape).blocks
         sandwich = complex_sandwich_matrix
         one_a, a_one, b_one, one_b = (sandwich(one, a), sandwich(a, one),
@@ -624,9 +640,6 @@ class GInvGroupoid(Groupoid):
             blocks.append(u @ u.conj().T)
         return AlgebraElement(self.shape, tuple(blocks))
 
-    def orbit_signature(self, x, tol):
-        return block_ranks(x, tol)
-
 
 def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
     """``||u u* u - u||`` when it exceeds ``residual_tol * (1 + ||u||^3)``
@@ -635,7 +648,7 @@ def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
     return first_excess(residual, tol.residual_tol * (1.0 + epow(size, 3)))
 
 
-class PartialIsometryGroupoid(Groupoid):
+class PartialIsometryGroupoid(_ElementGroupoid):
     """Partial isometries over the orthogonal projections of the algebra.
 
     Its geometry is real-linear only (it involves the adjoint), in the
@@ -644,16 +657,12 @@ class PartialIsometryGroupoid(Groupoid):
     :func:`~ginv.linalg.hermitian_basis`."""
 
     kind = "partial_isometry"
+    arrow_type = IsometryArrow
+    #: the scale of the Gaussian noise of an arrow's two Hermitian generators
+    _arrow_skew = 0.4
 
-    def __init__(self, shape, tol: ToleranceConfig = DEFAULT_TOL):
-        super().__init__(tol)
-        self.shape = validate_shape(shape)
-
-    def _check_structure(self, g):
-        if not isinstance(g, IsometryArrow):
-            raise InputError(f"foreign arrow of type {type(g).__name__}")
-        if g.u.shape != self.shape:
-            raise InputError("arrow belongs to an algebra of a different shape")
+    def _element(self, g: IsometryArrow) -> AlgebraElement:
+        return g.u
 
     def source(self, g: IsometryArrow) -> AlgebraElement:
         self._check_structure(g)
@@ -664,8 +673,6 @@ class PartialIsometryGroupoid(Groupoid):
         return g.u @ g.u.adjoint()
 
     def compose(self, g1: IsometryArrow, g2: IsometryArrow) -> IsometryArrow:
-        self._check_structure(g1)
-        self._check_structure(g2)
         self.require_composable(g1, g2)
         return IsometryArrow(g1.u @ g2.u)
 
@@ -677,10 +684,6 @@ class PartialIsometryGroupoid(Groupoid):
         self.check_base(x)
         return IsometryArrow(x)
 
-    def _identity_candidate(self, g: IsometryArrow) -> AlgebraElement:
-        self._check_structure(g)
-        return g.u
-
     def validate_arrow(self, g):
         self._check_structure(g)
         if _isometry_excess(g.u, self.tol) is not None:
@@ -689,20 +692,11 @@ class PartialIsometryGroupoid(Groupoid):
     def base_membership_residual(self, x: AlgebraElement):
         return emax(*norms(x @ x - x, x.adjoint() - x, x)[:2])
 
-    def _base_scale(self, x: AlgebraElement):
-        return epow(x.norm(), 2)
-
-    def base_distance(self, x, y):
-        return x.distance(y)
-
     def arrow_distance(self, g1, g2):
         return g1.u.distance(g2.u)
 
     def arrow_scale(self, g):
         return emax(g.u.norm(), 1.0)
-
-    #: the scale of the Gaussian noise of an arrow's two Hermitian generators
-    _arrow_skew = 0.4
 
     def base_noises(self, rng, count: int) -> tuple:
         return sampling.projection_noises(rng, self.shape, count)
@@ -710,9 +704,9 @@ class PartialIsometryGroupoid(Groupoid):
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.projection_from(noise)
 
-    def sample_noises(self, rng, count: int) -> tuple:
-        """The draw of a partial isometry of random block ranks."""
-        return sampling.partial_isometry_noises(rng, self.shape, count)
+    def _loose_rows(self, count: int) -> sampling.RankedRows:
+        """The draws of a partial isometry of random block ranks."""
+        return sampling.RankedRows(self.shape, count, 2)
 
     def sample_at(self, noise: tuple) -> IsometryArrow:
         return IsometryArrow(sampling.partial_isometry_from(noise))
@@ -720,14 +714,6 @@ class PartialIsometryGroupoid(Groupoid):
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
         return self.arrow_at(p, self.arrow_noise(rng))
-
-    def arrow_noises(self, rng, count: int) -> tuple:
-        """Per arrow the Gaussian noise of the two Hermitian generators."""
-        return _element_arrow_noises(rng, self.shape, count, self._arrow_skew)
-
-    def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
-        return _ElementChainRows(self.shape, count, arrows, 1.0, self._arrow_skew,
-                                 sampling.RankedRows(self.shape, count, 2) if loose else None)
 
     def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
@@ -760,21 +746,35 @@ class PartialIsometryGroupoid(Groupoid):
     def base_tangent(self, p, dim):
         return hermitian_basis(self.shape) @ super().base_tangent(p, dim)
 
-    def orbit_signature(self, p, tol):
-        return block_ranks(p, tol)
+
+class _VectorGroupoid(Groupoid):
+    """The kinds whose base points are the points of R^dim, ``(dim,)``
+    arrays or ``(N, dim)`` stacks of them (``action``, ``pair``)."""
+
+    def __init__(self, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
+        super().__init__(tol)
+        if dim < 1:
+            raise InputError(f"the {self.kind} groupoid needs dimension >= 1")
+        self.dim = int(dim)
+
+    def base_membership_residual(self, x):
+        """0 for a point of R^dim, else inf; row by row, as an ``(N,)``
+        array, for an ``(N, dim)`` stack."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == self.dim:
+            return np.zeros(len(x))
+        return 0.0 if x.shape == (self.dim,) else float("inf")
+
+    def base_distance(self, x, y):
+        return vector_norm(np.asarray(x) - np.asarray(y))
+
+    def base_tangent_system(self, x):
+        return np.zeros((0, self.dim))  # all of R^dim, or an open subset of it
 
 
-def _vector_membership(x, n: int):
-    """0 for a point of R^n, else inf; row by row, as an ``(N,)`` array, for
-    an ``(N, n)`` stack."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and x.shape[1] == n:
-        return np.zeros(len(x))
-    return 0.0 if x.shape == (n,) else float("inf")
-
-
-class ActionGroupoid(Groupoid):
-    """Action groupoid of the tautological GL(n, R) action on R^n.
+class ActionGroupoid(_VectorGroupoid):
+    """Action groupoid of the tautological GL(n, R) action on R^n, ``n``
+    held as ``dim``.
 
     Arrows are pairs (x, g) with source x and target g.x; composition of
     (y, h) after (x, g) requires y = g.x and yields (x, hg).
@@ -783,17 +783,13 @@ class ActionGroupoid(Groupoid):
     kind = "action"
 
     def __init__(self, n: int, tol: ToleranceConfig = DEFAULT_TOL):
-        super().__init__(tol)
-        if n < 1:
-            raise InputError("the action groupoid needs dimension >= 1")
-        self.n = int(n)
+        super().__init__(n, tol)
 
     def _check_structure(self, g):
         if not isinstance(g, ActionArrow):
             raise InputError(f"foreign arrow of type {type(g).__name__}")
-        n = self.n
-        if (g.point.ndim not in (1, 2) or g.point.shape[-1:] != (n,)
-                or g.g.shape != g.point.shape[:-1] + (n, n)):
+        if (g.point.ndim not in (1, 2) or g.point.shape[-1:] != (self.dim,)
+                or g.g.shape != g.point.shape[:-1] + (self.dim, self.dim)):
             raise InputError("arrow dimensions do not match the configured action")
 
     def source(self, g: ActionArrow) -> np.ndarray:
@@ -807,29 +803,24 @@ class ActionGroupoid(Groupoid):
         return g.g @ g.point
 
     def compose(self, g1: ActionArrow, g2: ActionArrow) -> ActionArrow:
-        self._check_structure(g1)
-        self._check_structure(g2)
         self.require_composable(g1, g2)
         return ActionArrow(g2.point, g1.g @ g2.g)
 
     def invert(self, g: ActionArrow) -> ActionArrow:
-        return ActionArrow(self.target(g), np.linalg.inv(g.g))
+        try:
+            return ActionArrow(self.target(g), np.linalg.inv(g.g))
+        except np.linalg.LinAlgError:
+            raise InputError("group component is numerically singular") from None
 
     def identity_at(self, x) -> ActionArrow:
-        x = np.asarray(x, dtype=float)
+        x, n = np.asarray(x, dtype=float), self.dim
         self.check_base(x)
-        return ActionArrow(x, np.broadcast_to(np.eye(self.n), x.shape[:-1] + (self.n, self.n)))
+        return ActionArrow(x, np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)))
 
     def validate_arrow(self, g):
         self._check_structure(g)
-        if np.any(numerical_rank(g.g, self.tol) < self.n):
+        if np.any(numerical_rank(g.g, self.tol) < self.dim):
             raise InputError("group component is numerically singular")
-
-    def base_membership_residual(self, x):
-        return _vector_membership(x, self.n)
-
-    def base_distance(self, x, y):
-        return vector_norm(np.asarray(x) - np.asarray(y))
 
     def arrow_distance(self, g1, g2):
         return emax(vector_norm(g1.point - g2.point), operator_norm(g1.g - g2.g))
@@ -838,20 +829,20 @@ class ActionGroupoid(Groupoid):
         return emax(vector_norm(g.point), operator_norm(g.g))
 
     def base_noises(self, rng, count: int) -> np.ndarray:
-        return rng.standard_normal((count, self.n))
+        return rng.standard_normal((count, self.dim))
 
     def arrow_from(self, x, rng) -> ActionArrow:
         return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
 
     def arrow_noises(self, rng, count: int) -> tuple:
-        return (rng.standard_normal((count, self.n, self.n)),)
+        return (rng.standard_normal((count, self.dim, self.dim)),)
 
     def sample_noises(self, rng, count: int) -> tuple:
-        return tuple(_normal_parts(rng, count, [(self.n,), (self.n, self.n)]))
+        return tuple(_normal_parts(rng, count, [(self.dim,), (self.dim, self.dim)]))
 
     def chain_noises(self, rng, count: int, arrows: int = 3, loose: bool = True) -> tuple:
         """Every draw is of standard normals, so ``count`` chains are one call."""
-        n = self.n
+        n = self.dim
         shapes = [(n,)] + [(n, n)] * arrows + [(n,), (n, n)] * loose
         return _array_chain(_normal_parts(rng, count, shapes), arrows)
 
@@ -862,15 +853,12 @@ class ActionGroupoid(Groupoid):
 
     def chart_differential(self, g: ActionArrow):
         self._check_structure(g)
-        x, h, eye = g.point, g.g, np.eye(self.n)
+        x, h, eye = g.point, g.g, np.eye(self.dim)
         # chart (dx, V) -> (x + dx, e^V h); at 0: (dx, V h), row-major in V
         j_arrow = block_diag(eye, np.kron(eye, h.T))
-        ds = np.hstack([eye, np.zeros((self.n, self.n * self.n))])
+        ds = np.hstack([eye, np.zeros((self.dim, self.dim * self.dim))])
         dt = np.hstack([h, np.kron(eye, x[None, :])])  # h dx + dh x
         return j_arrow, ds, dt
-
-    def base_tangent_system(self, x):
-        return np.zeros((0, self.n))  # an open subset of R^n
 
     def orbit_signature(self, x, tol):
         return "zero" if vector_norm(x) <= tol.residual_tol else "nonzero"
@@ -881,7 +869,7 @@ class ActionGroupoid(Groupoid):
 POOL_SEED = 0
 
 
-class PairGroupoid(Groupoid):
+class PairGroupoid(_VectorGroupoid):
     """Pair groupoid of R^k: one arrow (x, y) from x to y for every pair.
 
     With ``pool_size`` set, base sampling draws from a fixed finite set of
@@ -897,10 +885,7 @@ class PairGroupoid(Groupoid):
         tol: ToleranceConfig = DEFAULT_TOL,
         pool_size: Optional[int] = None,
     ):
-        super().__init__(tol)
-        if dim < 1:
-            raise InputError("the pair groupoid needs dimension >= 1")
-        self.dim = int(dim)
+        super().__init__(dim, tol)
         self.pool = None
         if pool_size is not None:
             if pool_size < 1:
@@ -917,8 +902,6 @@ class PairGroupoid(Groupoid):
         return g.y
 
     def compose(self, g1: PairArrow, g2: PairArrow) -> PairArrow:
-        self.validate_arrow(g1)
-        self.validate_arrow(g2)
         self.require_composable(g1, g2)
         return PairArrow(g2.x, g1.y)
 
@@ -936,12 +919,6 @@ class PairGroupoid(Groupoid):
             raise InputError(f"foreign arrow of type {type(g).__name__}")
         if g.x.ndim not in (1, 2) or g.x.shape[-1:] != (self.dim,) or g.y.shape != g.x.shape:
             raise InputError("arrow dimensions do not match the configured space")
-
-    def base_membership_residual(self, x):
-        return _vector_membership(x, self.dim)
-
-    def base_distance(self, x, y):
-        return vector_norm(np.asarray(x) - np.asarray(y))
 
     def arrow_distance(self, g1, g2):
         return emax(vector_norm(g1.x - g2.x), vector_norm(g1.y - g2.y))
@@ -980,9 +957,6 @@ class PairGroupoid(Groupoid):
         eye, zero = np.eye(self.dim), np.zeros((self.dim, self.dim))
         return np.eye(2 * self.dim), np.hstack([eye, zero]), np.hstack([zero, eye])
 
-    def base_tangent_system(self, x):
-        return np.zeros((0, self.dim))  # all of R^k
-
     def orbit_signature(self, x, tol):
         return "all"
 
@@ -1000,9 +974,10 @@ def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Gr
     raise InputError(f"unknown groupoid kind {kind!r}")
 
 
-def isometry_to_ginv(u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> GInvArrow:
-    """Embed a partial isometry as the reflexive pair (u, u*); row by row,
-    into a stack of pairs, for a stack of partial isometries.
+def isometry_to_ginv(u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> GInvPair:
+    """Embed a partial isometry as the reflexive pair (u, u*), an arrow of
+    ``ginv``; row by row, into a stack of pairs, for a stack of partial
+    isometries.
 
     This map is an injective groupoid morphism: it commutes with source,
     target, composition and inversion.  ``u`` passes the same test as a
@@ -1011,7 +986,7 @@ def isometry_to_ginv(u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> G
     """
     if _isometry_excess(u, tol) is not None:
         raise PreconditionError("isometry_to_ginv needs a partial isometry")
-    return GInvArrow(GInvPair.create(u, u.adjoint(), tol))
+    return GInvPair.create(u, u.adjoint(), tol)
 
 
 # -- axiom verification ----------------------------------------------------------

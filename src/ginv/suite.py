@@ -25,7 +25,6 @@ from .geninv import (
 from .geometry import at, orbit_decompose
 from .groupoid import (
     ActionGroupoid,
-    GInvArrow,
     GInvGroupoid,
     PairGroupoid,
     PartialIsometryGroupoid,
@@ -171,7 +170,7 @@ def check_axioms(tol: ToleranceConfig, seed: int) -> CheckRecord:
     rng = np.random.default_rng(seed)
     good = G.arrow_from(G.sample_base_point(rng), rng)
     shift = AlgebraElement.identity((2,)) * 0.1
-    bad = GInvArrow(GInvPair(good.pair.a, good.pair.b + shift))
+    bad = GInvPair(good.a, good.b + shift)
     control = verify_axioms(G, seed=seed, n_samples=2, extra_arrows=[bad])
     detected = any(r.name == "injected-arrow control" and r.passed for r in control.records)
     if not detected:
@@ -204,7 +203,7 @@ def check_morphism_laws(tol: ToleranceConfig, seed: int) -> CheckRecord:
             Gp.target(ju).distance(U.target(u)),
             Gp.arrow_distance(Gp.invert(ju), isometry_to_ginv(U.invert(u).u, tol)),
             # the pseudo-inverse pairing restricted to isometries is the same morphism
-            mp_pair(u.u, tol).b.distance(ju.pair.b),
+            mp_pair(u.u, tol).b.distance(ju.b),
         )
 
     # per isometry: the noises of the base point, v and u

@@ -100,7 +100,7 @@ def base_noise(G, rng):
     if isinstance(G, PartialIsometryGroupoid):
         return projection_noise(rng, G.shape)
     if isinstance(G, ActionGroupoid):
-        return rng.standard_normal(G.n)
+        return rng.standard_normal(G.dim)
     if G.pool is not None:
         return G.pool[int(rng.integers(0, len(G.pool)))]
     return rng.standard_normal(G.dim)
@@ -113,7 +113,7 @@ def arrow_noises(G, rng, count: int) -> list:
         noise = iter(element_noises(rng, G.shape, 2 * count, scale))
         return list(zip(noise, noise))
     if isinstance(G, ActionGroupoid):
-        return [(w,) for w in rng.standard_normal((count, G.n, G.n))]
+        return [(w,) for w in rng.standard_normal((count, G.dim, G.dim))]
     return [(base_noise(G, rng),) for _ in range(count)]
 
 

@@ -2,8 +2,8 @@
 
 The workloads call library names and read library fields directly; if the
 library drops or renames one, every benchmark round fails.  These tests run
-one round of the ``battery`` and ``geometry`` workloads in process and
-check that every operation succeeds.
+one round of the ``battery``, ``geometry`` and ``cli`` workloads in process
+and check that every operation succeeds.
 """
 
 from pathlib import Path
@@ -34,3 +34,13 @@ def test_geometry_round_gets_every_dimension_right(workloads):
     assert len(rnd.ops) == 60
     assert all(op.ok for op in rnd.ops), [op.detail for op in rnd.ops if not op.ok]
     assert sum(op.wrong_dims for op in rnd.ops) == 0
+
+
+def test_cli_round_passes_its_output_checks(workloads, monkeypatch, tmp_path):
+    # each invocation's exit code agrees with its failed count, and each
+    # reported pseudo-inverse passes the four Penrose equations
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    rnd = workloads.Cli(0, in_process=True).run_round()
+    assert [op.label for op in rnd.ops] == ["pinv"] * 4 + [
+        "check-groupoid", "path", "geometry", "continuity", "orbits"]
+    assert all(op.ok for op in rnd.ops), [op.detail for op in rnd.ops if not op.ok]

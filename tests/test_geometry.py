@@ -354,7 +354,6 @@ class TestOrthogonalModel:
         # translated to the identity arrow at its source, and no chart is
         # factored at the arrow itself
         from ginv.geninv import GInvPair
-        from ginv.groupoid import GInvArrow
 
         dense = [spy(monkeypatch, cls, name)
                  for cls in (GInvGroupoid, PartialIsometryGroupoid, ActionGroupoid, PairGroupoid)
@@ -370,7 +369,7 @@ class TestOrthogonalModel:
             assert submersion_rank_st(G, G.identity_at(x)) is submersion and not any(dense)
             arrows = [G.arrow_from(x, rng)]
             if x is one:  # (-1, -1) is an arrow from 1 to 1, not the identity 1_1 = (1, 1)
-                arrows.append(GInvArrow(GInvPair.create(-1.0 * one, -1.0 * one)))
+                arrows.append(GInvPair.create(-1.0 * one, -1.0 * one))
             for g in arrows:
                 submersion_rank_st(G, g)
                 # the kinds other than ginv factor their identity frames densely
@@ -478,7 +477,7 @@ def exponential_chart(G, g):
     from scipy.linalg import expm
 
     if isinstance(G, GInvGroupoid):
-        a0, b0, shape = g.pair.a, g.pair.b, G.shape
+        a0, b0, shape = g.a, g.b, G.shape
         d = a0.real_coords().size
         elem = lambda v: AlgebraElement.from_real_coords(shape, v)  # noqa: E731
 
@@ -509,7 +508,7 @@ def exponential_chart(G, g):
         return (chart, lambda v: (elem(v).adjoint() @ elem(v)).real_coords(),
                 lambda v: (elem(v) @ elem(v).adjoint()).real_coords(), 2 * h, d)
     if isinstance(G, ActionGroupoid):
-        n, x0, g0 = G.n, g.point, g.g
+        n, x0, g0 = G.dim, g.point, g.g
         return (lambda p: np.concatenate([x0 + p[:n], (expm(p[n:].reshape(n, n)) @ g0).ravel()]),
                 lambda v: v[:n].copy(),
                 lambda v: v[n:].reshape(n, n) @ v[:n], n + n * n, n + n * n)

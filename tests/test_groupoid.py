@@ -14,7 +14,6 @@ from ginv.geninv import GInvPair, is_ginv_pair, mp_pair, sample_ginv_pairs
 from ginv.groupoid import (
     ActionArrow,
     ActionGroupoid,
-    GInvArrow,
     GInvGroupoid,
     Groupoid,
     IsometryArrow,
@@ -56,7 +55,7 @@ class TestGInvInstance:
             self.G.check_base(mat([[1 + 1e-6, 0], [0, 0]]))
 
     def test_source_target_of_skew_pair(self):
-        g = GInvArrow(GInvPair.create(mat([[1, 0], [0, 0]]), mat([[1, 0], [1, 0]])))
+        g = GInvPair.create(mat([[1, 0], [0, 0]]), mat([[1, 0], [1, 0]]))
         assert self.G.source(g).distance(mat([[1, 0], [1, 0]])) == 0.0
         assert self.G.target(g).distance(mat([[1, 0], [0, 0]])) == 0.0
 
@@ -68,12 +67,12 @@ class TestGInvInstance:
     def test_identity_arrow_is_valid_pair(self):
         q = mat([[1, 0], [0, 0]])
         e = self.G.identity_at(q)
-        assert is_ginv_pair(e.pair.a, e.pair.b)
+        assert is_ginv_pair(e.a, e.b)
 
     def test_inversion_swaps(self, rng):
         g = self.G.arrow_from(random_idempotent(rng, (2,)), rng)
         gi = self.G.invert(g)
-        assert gi.pair.a.distance(g.pair.b) == 0.0
+        assert gi.a.distance(g.b) == 0.0
         left = self.G.compose(g, gi)
         target = self.G.identity_at(self.G.target(g))
         assert self.G.arrow_distance(left, target) <= 1e-8
@@ -93,15 +92,14 @@ class TestGInvInstance:
         one = AlgebraElement.identity((2,))
         a = well_conditioned_element(rng, (2,))
         inv = AlgebraElement((2,), (np.linalg.inv(a.blocks[0]),))
-        iso = GInvArrow(GInvPair.create(a, inv))
+        iso = GInvPair.create(a, inv)
         assert self.G.source(iso).distance(one) <= 1e-10
         assert self.G.target(iso).distance(one) <= 1e-10
         # a singular element admits no reflexive pair with source/target the unit
         sing = well_conditioned_element(rng, (2,), ranks=(1,))
         from ginv.geninv import sample_ginv_pairs
 
-        for pair in sample_ginv_pairs(sing, seed=11, count=6):
-            g = GInvArrow(pair)
+        for g in sample_ginv_pairs(sing, seed=11, count=6):
             assert self.G.source(g).distance(one) > 0.4
             assert self.G.target(g).distance(one) > 0.4
 
@@ -118,7 +116,7 @@ def test_arrow_from_skewed_idempotent_is_a_reflexive_pair(seed, n, log_skew):
     k = p @ y @ (np.eye(n) - p)
     x = AlgebraElement((n,), (p + k * (10.0**log_skew / np.linalg.norm(k, 2)),))
     g = GInvGroupoid((n,)).arrow_from(x, rng)
-    GInvPair.create(g.pair.a, g.pair.b)
+    GInvPair.create(g.a, g.b)
 
 
 class TestIsometryInstance:
@@ -201,6 +199,86 @@ class TestPairInstance:
         assert np.allclose(a.sample_base_point(rng), b.sample_base_point(np.random.default_rng(0)))
 
 
+class SingularActions(ActionGroupoid):
+    """Every arrow it builds has the group component 0."""
+
+    def arrow_at(self, x, noise):
+        return ActionArrow(x, np.zeros(np.shape(x) + (self.dim,)))
+
+
+class TestSingularInverse:
+    """Inverting a singular group component raises the library's error, the
+    text of ``validate_arrow``, and not numpy's ``LinAlgError``."""
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(ActionArrow(np.ones(2), np.zeros((2, 2))), id="single"),
+        pytest.param(ActionArrow(np.ones((3, 2)), np.stack([np.eye(2), np.zeros((2, 2)),
+                                                            np.eye(2)])), id="stacked"),
+    ])
+    def test_invert_raises_input_error(self, g):
+        with pytest.raises(InputError) as err:
+            ActionGroupoid(2).invert(g)
+        assert str(err.value) == "group component is numerically singular"
+
+    def test_verify_axioms_reports_it(self):
+        # each one-row rerun records the failed validation, then fails at the inverse
+        rep = verify_axioms(SingularActions(2), seed=0, n_samples=3)
+        failed = {r.name: r for r in rep.records if not r.passed}
+        assert set(failed) == {"G1 base membership", "law evaluation"}
+        assert failed["law evaluation"].value == 3
+        assert failed["law evaluation"].details.startswith(
+            "sample 0: InputError: group component is numerically singular")
+
+
+ONE_2, ONE_3 = AlgebraElement.identity((2,)), AlgebraElement.identity((3,))
+SHAPE_TEXT = "arrow belongs to an algebra of a different shape"
+#: per kind: the groupoid, a base point of it, and the bad arrows, each with
+#: the text of the InputError every structure map raises on it
+STRUCTURE_CASES = [
+    (GInvGroupoid((2,)), ONE_2, [
+        (PartialIsometryGroupoid((2,)).identity_at(ONE_2), "foreign arrow of type IsometryArrow"),
+        (GInvGroupoid((3,)).identity_at(ONE_3), SHAPE_TEXT)]),
+    (PartialIsometryGroupoid((2,)), ONE_2, [
+        (PairGroupoid(2).identity_at(np.ones(2)), "foreign arrow of type PairArrow"),
+        (PartialIsometryGroupoid((3,)).identity_at(ONE_3), SHAPE_TEXT)]),
+    (ActionGroupoid(2), np.ones(2), [
+        (PairGroupoid(2).identity_at(np.ones(2)), "foreign arrow of type PairArrow"),
+        (ActionGroupoid(3).identity_at(np.ones(3)),
+         "arrow dimensions do not match the configured action")]),
+    (PairGroupoid(2), np.ones(2), [
+        (ActionGroupoid(2).identity_at(np.ones(2)), "foreign arrow of type ActionArrow"),
+        (PairGroupoid(3).identity_at(np.ones(3)),
+         "arrow dimensions do not match the configured space")]),
+]
+STRUCTURE_MAPS = {
+    "source": lambda G, good, bad: G.source(bad),
+    "target": lambda G, good, bad: G.target(bad),
+    "invert": lambda G, good, bad: G.invert(bad),
+    "validate_arrow": lambda G, good, bad: G.validate_arrow(bad),
+    "compose-g1": lambda G, good, bad: G.compose(bad, good),
+    "compose-g2": lambda G, good, bad: G.compose(good, bad),
+}
+
+
+@pytest.mark.parametrize("G, x, bad", [
+    pytest.param(G, x, bad, id=f"{G.kind}-{'foreign' if k == 0 else 'shape'}")
+    for G, x, cases in STRUCTURE_CASES for k, bad in enumerate(cases)])
+@pytest.mark.parametrize("name", STRUCTURE_MAPS)
+def test_structure_errors(G, x, bad, name):
+    arrow, text = bad
+    with pytest.raises(InputError) as err:
+        STRUCTURE_MAPS[name](G, G.identity_at(x), arrow)
+    assert type(err.value) is InputError and str(err.value) == text
+
+
+@pytest.mark.parametrize("make, kind", [(ActionGroupoid, "action"), (PairGroupoid, "pair")])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dimension_below_one_is_refused(make, kind, dim):
+    with pytest.raises(InputError) as err:
+        make(dim)
+    assert str(err.value) == f"the {kind} groupoid needs dimension >= 1"
+
+
 class TestMorphism:
     def test_unitary_maps_to_invertible_pair(self, rng):
         w = AlgebraElement((2,), (random_unitary(rng, 2),))
@@ -212,13 +290,13 @@ class TestMorphism:
 
     def test_shift(self):
         arrow = isometry_to_ginv(E12)
-        assert arrow.pair.a.distance(E12) == 0.0
-        assert arrow.pair.b.distance(E21) == 0.0
+        assert arrow.a.distance(E12) == 0.0
+        assert arrow.b.distance(E21) == 0.0
 
     def test_projection_fixed(self):
         p = mat([[1, 0], [0, 0]])
         arrow = isometry_to_ginv(p)
-        assert arrow.pair.b.distance(p) == 0.0
+        assert arrow.b.distance(p) == 0.0
 
     def test_rejects_non_isometry(self, rng):
         with pytest.raises(PreconditionError):
@@ -240,7 +318,7 @@ class TestMorphism:
         G = GInvGroupoid((2,))
         for _ in range(20):
             a = well_conditioned_element(rng, (2,))
-            G.validate_arrow(GInvArrow(mp_pair(a)))
+            G.validate_arrow(mp_pair(a))
 
 
 class TestVerifyAxioms:
@@ -272,7 +350,7 @@ class TestVerifyAxioms:
     def test_corrupted_arrow_detected(self, rng):
         G = GInvGroupoid((2,))
         good = G.arrow_from(random_idempotent(rng, (2,), ranks=(1,)), rng)
-        bad = GInvArrow(GInvPair(good.pair.a, good.pair.b + 0.1 * AlgebraElement.identity((2,))))
+        bad = GInvPair(good.a, good.b + 0.1 * AlgebraElement.identity((2,)))
         rep = verify_axioms(G, seed=0, n_samples=2, extra_arrows=[bad])
         control = [r for r in rep.records if r.name == "injected-arrow control"]
         assert control and control[0].passed
@@ -300,7 +378,7 @@ class TestVerifyAxioms:
 
 def test_make_groupoid_factory():
     assert make_groupoid("ginv", shape=(2,)).kind == "ginv"
-    assert make_groupoid("action", n=3).n == 3
+    assert make_groupoid("action", n=3).dim == 3
     assert make_groupoid("pair", dim=2, pool_size=4).pool.shape == (4, 2)
     with pytest.raises(InputError):
         make_groupoid("nope")
@@ -337,7 +415,7 @@ def noise_key(noise):
 
 def arrow_key(g):
     """The matrix (or stack of them) that identifies a ``ginv`` or ``action`` arrow."""
-    return g.pair.a.blocks[0] if isinstance(g, GInvArrow) else g.g
+    return g.a.blocks[0] if isinstance(g, GInvPair) else g.g
 
 
 class MarksThirdChain:
@@ -607,8 +685,8 @@ class TestStackedAxioms:
 
 def arrow_bytes(g, row=None):
     """The bytes of every array of an arrow (of one row of a stack)."""
-    if isinstance(g, GInvArrow):
-        arrays = g.pair.a.blocks + g.pair.b.blocks
+    if isinstance(g, GInvPair):
+        arrays = g.a.blocks + g.b.blocks
     elif isinstance(g, IsometryArrow):
         arrays = g.u.blocks
     elif isinstance(g, ActionArrow):
@@ -733,12 +811,12 @@ class TestArrowEquality:
         assert PairArrow(point, point) != ActionArrow(point, np.eye(2))
         e = mat([[1, 0], [0, 0]])
         pair = GInvPair.create(e, e)
-        assert GInvArrow(pair) == GInvArrow(GInvPair.create(e, e))
+        assert pair == GInvPair.create(e, e)
         ulp = e.blocks[0].copy()
         ulp[0, 0] = np.nextafter(1.0, 2.0)  # b one ulp off
-        assert GInvArrow(pair) != GInvArrow(GInvPair(e, AlgebraElement.from_blocks([ulp])))
+        assert pair != GInvPair(e, AlgebraElement.from_blocks([ulp]))
         assert IsometryArrow(e) == IsometryArrow(mat([[1, 0], [0, 0]]))
-        for arrow in (GInvArrow(pair), IsometryArrow(e)):
+        for arrow in (pair, IsometryArrow(e)):
             with pytest.raises(TypeError):
                 hash(arrow)
 
@@ -767,7 +845,7 @@ def arrow_noise_one_call_per_matrix(G, rng):
     """The noise of one arrow draw made the one-at-a-time way: a generator
     call for each Gaussian matrix, real part before imaginary part."""
     if isinstance(G, ActionGroupoid):
-        return (rng.standard_normal((G.n, G.n)),)
+        return (rng.standard_normal((G.dim, G.dim)),)
     scale = 0.35 if isinstance(G, GInvGroupoid) else 0.4
     return tuple(
         tuple(scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -857,10 +935,10 @@ class TestLooseDraws:
                 zero_rows.append(i)
             else:
                 pair = sample_ginv_pairs(a, int(reference_rng.integers(0, 2**63)), 1)[0]
-            assert arrow_bytes(stacked, i) == arrow_bytes(GInvArrow(pair))
+            assert arrow_bytes(stacked, i) == arrow_bytes(pair)
         assert zero_rows
         for i in zero_rows:
-            assert all(not np.any(b[i]) for b in stacked.pair.b.blocks)
+            assert all(not np.any(b[i]) for b in stacked.b.blocks)
         assert single_rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -884,7 +962,7 @@ class TestLooseDraws:
 
 
 def kind_id(G):
-    shape = getattr(G, "shape", None) or (G.n if isinstance(G, ActionGroupoid) else G.dim,)
+    shape = getattr(G, "shape", None) or (G.dim,)
     pool = "-pool" if getattr(G, "pool", None) is not None else ""
     return f"{G.kind}-{','.join(map(str, shape))}{pool}"
 

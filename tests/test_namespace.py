@@ -21,7 +21,7 @@ EXPORTS = {
                "newton_schulz", "penrose_residuals", "sample_ginv_pairs"),
     "geometry": ("AnchorData", "TangentBasis", "fiber_and_anchor", "isotropy_tangent_dim",
                  "orbit_decompose", "submersion_rank_st", "tangent_basis"),
-    "groupoid": ("ActionArrow", "ActionGroupoid", "GInvArrow", "GInvGroupoid", "Groupoid",
+    "groupoid": ("ActionArrow", "ActionGroupoid", "GInvGroupoid", "Groupoid",
                  "IsometryArrow", "PairArrow", "PairGroupoid", "PartialIsometryGroupoid",
                  "arrow_chain", "isometry_to_ginv", "make_groupoid", "verify_axioms"),
     "linalg": ("DEFAULT_TOL", "ToleranceConfig", "finite_diff_jacobian", "numerical_rank",
