@@ -11,7 +11,7 @@ Families are checked as stacks.  A family's terms form one stacked
 element, which a family made by :func:`make_family` builds in one broadcast
 from its perturbation.  :func:`continuity_experiments` puts the term stacks
 of many families of one shape on top of each other, in chunks of whole
-families of at most :data:`EXPERIMENT_ENTRIES` entries, and inverts and measures
+families of at most :data:`~ginv.linalg.PASS_ENTRIES` entries, and inverts and measures
 each chunk in one pass; :func:`draw_families` draws a shape's families in
 the order :func:`draw_family` draws them one by one, and builds their
 bases and directions in one pass.  :func:`drawn_experiments` draws and
@@ -30,11 +30,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import linalg, sampling
 from .algebra import AlgebraElement, norms
 from .errors import ConsistencyError, GinvError, InputError
 from .geninv import moore_penrose
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, rank_from_singular_values
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    numerical_rank,
+    pass_size,
+    rank_from_singular_values,
+)
 from .reports import CheckRecord, ExperimentReport
 
 #: the kinds :func:`draw_family` draws, in the order criterion 12 and
@@ -45,11 +51,6 @@ FAMILY_KINDS = (*DRAWN_KINDS, "custom")
 #: threshold of the convergence trend test, surfaced in every report
 TREND_THRESHOLD = 1e-4
 DEFAULT_HORIZON = 64
-#: the most term entries, term rows times the ``sum(n * n)`` entries of a
-#: term, that :func:`continuity_experiments` inverts in one stacked pass: the
-#: 20 families of criterion 12's largest shape, (3,), at the default horizon.
-#: A family with more entries runs alone.
-EXPERIMENT_ENTRIES = 1280 * 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +339,8 @@ def continuity_experiments(families: Sequence[SequenceFamily],
     raises.
 
     Successive families of one shape go in chunks of whole families of at
-    most :data:`EXPERIMENT_ENTRIES` term entries (a larger family alone).  A
+    most :data:`~ginv.linalg.PASS_ENTRIES` term entries (a larger family
+    alone), term rows times the ``sum(n * n)`` entries of a term.  A
     chunk's term stacks (:meth:`SequenceFamily.term_stack`, one broadcast
     for a family made by :func:`make_family`) are stacked with each
     family's limit repeated along its terms, and the distances, the
@@ -352,7 +354,7 @@ def continuity_experiments(families: Sequence[SequenceFamily],
     for fam in families:
         size = fam.horizon * term_entries(fam.limit.shape)
         if chunk and (fam.limit.shape != chunk[0].limit.shape
-                      or entries + size > EXPERIMENT_ENTRIES):
+                      or entries + size > linalg.PASS_ENTRIES):
             outcomes += _chunk_outcomes(chunk, tol)
             chunk, entries = [], 0
         chunk.append(fam)
@@ -373,12 +375,12 @@ def drawn_experiments(
     on ``kinds``, with the outcomes of :func:`continuity_experiments`.
 
     The families are drawn and checked in passes of at most
-    :data:`EXPERIMENT_ENTRIES` term entries, one family at the least, so
+    :data:`~ginv.linalg.PASS_ENTRIES` term entries, one family at the least, so
     the memory of a pass does not grow with ``len(kinds)``.  The generator
     calls are those of one :func:`draw_families` call on all of ``kinds``,
     and each outcome is that of its family alone.
     """
-    per_pass = max(1, EXPERIMENT_ENTRIES // (horizon * term_entries(shape)))
+    per_pass = pass_size(horizon, shape)
     for first in range(0, len(kinds), per_pass):
         families = draw_families(rng, shape, kinds[first:first + per_pass], horizon, tol)
         yield from zip(families, continuity_experiments(families, tol))

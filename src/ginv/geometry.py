@@ -467,23 +467,48 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
 # -- orbits -----------------------------------------------------------------------
 
 
+def orbit_classes(G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """The orbit classes of the base points ``points``: each signature of
+    :meth:`~ginv.groupoid.Groupoid.orbit_signature`, in order of first
+    appearance, with the indices of its points.
+
+    The points are stacked, checked by one ``check_base`` and classified by
+    one ``orbit_signature`` call.  When the stacked check fails, the points
+    are checked one by one, so that the first failing point is named.
+    """
+    if len(points) == 0:
+        return {}
+    try:
+        stack = G.stack_bases(points)
+        G.check_base(stack)
+    except InputError:
+        for i, x in enumerate(points):
+            try:
+                G.check_base(x)
+            except InputError as exc:
+                raise PreconditionError(f"point {i} fails base membership: {exc}") from exc
+        raise
+    classes: dict = {}
+    for i, sig in enumerate(G.orbit_signature(stack, tol)):
+        classes.setdefault(sig, []).append(i)
+    return classes
+
+
 def orbit_decompose(
     G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ExperimentReport:
-    """Partition base points into orbit classes by the complete invariant."""
-    for i, x in enumerate(points):
-        try:
-            G.check_base(x)
-        except InputError as exc:
-            raise PreconditionError(f"point {i} fails base membership: {exc}") from exc
+    """Partition base points into orbit classes by the complete invariant
+    (:func:`orbit_classes`), as a report."""
+    return orbit_report(G, orbit_classes(G, points, tol), len(points), tol)
 
-    classes: dict = {}
-    for i, x in enumerate(points):
-        classes.setdefault(G.orbit_signature(x, tol), []).append(i)
 
+def orbit_report(G: Groupoid, classes: dict, n_points: int,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> ExperimentReport:
+    """The report of :func:`orbit_decompose` on ``n_points`` base points whose
+    :func:`orbit_classes` are ``classes``."""
     report = ExperimentReport(
         suite=f"orbit-decompose-{G.kind}",
-        config={"kind": G.kind, "n_points": len(points), "residual_tol": tol.residual_tol},
+        config={"kind": G.kind, "n_points": n_points, "residual_tol": tol.residual_tol},
     )
     for sig in sorted(classes, key=repr):
         members = classes[sig]
@@ -500,7 +525,7 @@ def orbit_decompose(
         CheckRecord(
             name="zz class count",
             anchor="the base partitions into orbit classes",
-            passed=sum(len(v) for v in classes.values()) == len(points),
+            passed=sum(len(v) for v in classes.values()) == n_points,
             value=len(classes),
         )
     )

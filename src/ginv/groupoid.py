@@ -347,8 +347,18 @@ class Groupoid:
         """Complete orbit invariant of the base point ``x``: per-block
         numerical rank for the generalized-inverse and partial-isometry
         instances, zero versus nonzero for the tautological GL(n) action, a
-        single class for the pair groupoid."""
+        single class for the pair groupoid.  A list of them, one per row,
+        for a stack of base points, each equal to that of its row alone."""
         raise NotImplementedError
+
+    def stack_bases(self, points):
+        """The base points ``points`` as one stack, row ``i`` being
+        ``points[i]``; :class:`InputError` when they do not stack.  By
+        default an ``(N, dim)`` array of vectors."""
+        try:
+            return np.stack([np.asarray(x, dtype=float) for x in points])
+        except ValueError as exc:
+            raise InputError(f"base points do not stack: {exc}") from None
 
 
 #: The cutoff on singular values that decides the range of an idempotent.  An
@@ -494,7 +504,11 @@ class _ElementGroupoid(Groupoid):
                                  self._loose_rows(count) if loose else None)
 
     def orbit_signature(self, x, tol):
-        return block_ranks(x, tol)
+        ranks = block_ranks(x, tol)
+        return list(zip(*(r.tolist() for r in ranks))) if x.is_stack else ranks
+
+    def stack_bases(self, points) -> AlgebraElement:
+        return AlgebraElement.stack(points)
 
 
 class GInvGroupoid(_ElementGroupoid):
@@ -807,10 +821,10 @@ class ActionGroupoid(_VectorGroupoid):
         return ActionArrow(g2.point, g1.g @ g2.g)
 
     def invert(self, g: ActionArrow) -> ActionArrow:
-        try:
-            return ActionArrow(self.target(g), np.linalg.inv(g.g))
-        except np.linalg.LinAlgError:
-            raise InputError("group component is numerically singular") from None
+        """Refuses what :meth:`validate_arrow` refuses: a group component of
+        rank below ``dim`` has no inverse worth returning."""
+        self.validate_arrow(g)
+        return ActionArrow(self.target(g), np.linalg.inv(g.g))
 
     def identity_at(self, x) -> ActionArrow:
         x, n = np.asarray(x, dtype=float), self.dim
@@ -861,7 +875,10 @@ class ActionGroupoid(_VectorGroupoid):
         return j_arrow, ds, dt
 
     def orbit_signature(self, x, tol):
-        return "zero" if vector_norm(x) <= tol.residual_tol else "nonzero"
+        zero = vector_norm(x) <= tol.residual_tol
+        if np.ndim(zero):
+            return ["zero" if z else "nonzero" for z in zero]
+        return "zero" if zero else "nonzero"
 
 
 #: The seed of the point pool of a :class:`PairGroupoid`: one pool for every
@@ -958,7 +975,7 @@ class PairGroupoid(_VectorGroupoid):
         return np.eye(2 * self.dim), np.hstack([eye, zero]), np.hstack([zero, eye])
 
     def orbit_signature(self, x, tol):
-        return "all"
+        return ["all"] * len(x) if np.ndim(x) == 2 else "all"
 
 
 def make_groupoid(kind: str, tol: ToleranceConfig = DEFAULT_TOL, **config) -> Groupoid:

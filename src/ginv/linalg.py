@@ -67,6 +67,18 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+#: The most entries that one stacked pass holds: its rows times the
+#: ``sum(n * n)`` entries of one element of an algebra of block sizes ``n``.
+#: Criterion 12's 20 families of shape (3,) at the default horizon, 1280
+#: terms, fill one pass; so do 4 paths of 257 samples in M3, or 11 in M2.
+PASS_ENTRIES = 1280 * 9
+
+
+def pass_size(rows: int, shape) -> int:
+    """How many items of ``rows`` rows each, of an algebra of ``shape``, one
+    pass of at most :data:`PASS_ENTRIES` entries holds: one at the least."""
+    return max(1, PASS_ENTRIES // (rows * sum(n * n for n in shape)))
+
 
 def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m)

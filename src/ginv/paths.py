@@ -26,11 +26,20 @@ times.  Every :func:`orbit_path` with the same number of legs and samples
 per leg has the same grid, and they share one.  A path's velocity and a
 time change's ``phi'`` are then one matrix product each.  A path's spline
 through the real coordinates of its bases and lifts side by side, fitted
-when a time change first resamples it, gives both resampled curves.  Each
-coordinate column is fitted on its own, so a column's values are bit for
-bit those of a spline through that column alone.  The B-splines come from
-the Cox-de Boor recursion and the principal logarithm from the Cayley
-transform, so paths need numpy alone.
+when a time change first resamples it, gives both resampled curves.  Its
+values equal those of separate fits through the bases and through the
+lifts up to rounding, not bit for bit: how a matrix product rounds depends
+on how many columns it has.
+
+The paths of one shape are built, checked and resampled as stacks, in
+passes of at most :data:`~ginv.linalg.PASS_ENTRIES` entries
+(:func:`orbit_paths`, :func:`reparametrize_lifts`).  Each product with a
+grid's matrices is a batched ``(L, L) @ (N, L, D)``: one product per path,
+of the shape of the product for that path alone, so every path's bases,
+lifts and worst residual are bit for bit those of the path alone;
+:func:`orbit_path` and :func:`reparametrize_lift` are the one-path case.
+The B-splines come from the Cox-de Boor recursion and the principal
+logarithm from the Cayley transform, so paths need numpy alone.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, pass_size
 
 _WAYPOINT_SEED = 0x5EED
 #: Sample intervals per leg of an :func:`orbit_path` at the least.  At 128,
@@ -129,8 +138,11 @@ class _Grid:
     at a few hundred samples the inverse costs a few milliseconds, which
     :func:`orbit_path` pays once per leg layout.  ``fit`` multiplies by
     ``B^-1``, and ``slopes`` by ``B'(times) B^-1``, the derivative at the
-    sample times of the spline through the values.  Both act on each column
-    of the values on its own."""
+    sample times of the spline through the values.  Values are ``(L,)``,
+    ``(L, D)``, or ``(N, L, D)`` for ``N`` paths: a batched product, each
+    path's bit for bit its product alone.  A product over more columns is
+    not bit for bit that over fewer, so the paths are not put side by side
+    as one ``(L, N D)`` product."""
 
     def __init__(self, times: np.ndarray):
         k, half = _SPLINE_DEGREE, (_SPLINE_DEGREE + 1) // 2
@@ -149,8 +161,8 @@ class _Grid:
         self.times, self.knots, self._inverse, self._slopes = t, knots, inverse, slopes
 
     def fit(self, values: np.ndarray) -> _Spline:
-        """Quintic interpolating spline through ``values`` (first axis) at
-        the grid's times."""
+        """Quintic interpolating spline through ``values`` (first axis, or
+        second for ``N`` paths) at the grid's times."""
         return _Spline(self.knots, self._inverse @ np.asarray(values, dtype=float))
 
     def slopes(self, values: np.ndarray) -> np.ndarray:
@@ -226,17 +238,16 @@ class APath:
         grid = self.grid
         if grid is None or not np.array_equal(grid.times, times):
             grid = _Grid(times)
-        velocity = AlgebraElement.from_real_coords(
-            bases.shape, grid.slopes(bases.real_coords()))
-        residual = max_norm(fiber_anchor_image(lifts, bases) - velocity)
+        (residual,) = _worst_residuals(grid, bases, lifts, 1)
         object.__setattr__(self, "sample_times", grid.times)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "max_lift_residual", residual)
 
-    @functools.cached_property
+    @property
     def spline(self) -> _Spline:
-        return self.grid.fit(
-            np.concatenate([self.bases.real_coords(), self.lifts.real_coords()], axis=1))
+        if "_spline" not in self.__dict__:
+            _fit_splines([self])
+        return self.__dict__["_spline"]
 
     def __len__(self):
         return len(self.sample_times)
@@ -248,6 +259,51 @@ class APath:
     @property
     def end(self) -> AlgebraElement:
         return self.bases[-1]
+
+
+def _worst_residuals(grid: _Grid, bases: AlgebraElement, lifts: AlgebraElement,
+                     count: int) -> list:
+    """The worst lift residual of each of ``count`` paths on ``grid`` whose
+    samples ``bases`` and ``lifts`` hold, path after path: one stacked
+    anchor image and one batched slope product for all of them, then one
+    :func:`~ginv.algebra.max_norm` screen per path."""
+    rows = len(grid.times)
+    velocity = grid.slopes(bases.real_coords().reshape(count, rows, -1)).reshape(count * rows, -1)
+    residual = fiber_anchor_image(lifts, bases) - AlgebraElement.from_real_coords(
+        bases.shape, velocity)
+    return [max_norm(residual[k * rows:(k + 1) * rows]) for k in range(count)]
+
+
+def _checked_paths(grid: _Grid, bases: AlgebraElement, lifts: AlgebraElement,
+                   count: int) -> list:
+    """The :class:`APath` of each of ``count`` paths on ``grid`` whose samples
+    ``bases`` and ``lifts`` hold, path after path, checked together by
+    :func:`_worst_residuals`: each equal to the path its constructor makes
+    from the same samples and grid, which would check it again."""
+    rows = len(grid.times)
+    out = []
+    for k, residual in enumerate(_worst_residuals(grid, bases, lifts, count)):
+        path = object.__new__(APath)
+        for name, value in (("sample_times", grid.times), ("grid", grid),
+                            ("bases", bases[k * rows:(k + 1) * rows]),
+                            ("lifts", lifts[k * rows:(k + 1) * rows]),
+                            ("max_lift_residual", residual)):
+            object.__setattr__(path, name, value)
+        out.append(path)
+    return out
+
+
+def _fit_splines(paths: list):
+    """Fit the ``spline`` of each of ``paths``, of one grid and one shape,
+    that has none yet, by one batched product."""
+    todo = [path for path in paths if "_spline" not in path.__dict__]
+    if not todo:
+        return
+    values = np.stack([np.concatenate([path.bases.real_coords(), path.lifts.real_coords()],
+                                      axis=1) for path in todo])
+    spline = todo[0].grid.fit(values)
+    for path, coefficients in zip(todo, spline.coefficients):
+        path.__dict__["_spline"] = _Spline(spline.knots, coefficients)
 
 
 # -- projection retraction and rotations -------------------------------------------
@@ -282,27 +338,43 @@ def nearest_projection(h: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) ->
 def direct_rotation(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
     """Canonical unitary with ``u p u* = q`` for projections with ``|p - q| < 1``:
     ``u = (qp + (1-q)(1-p)) (1 - (p-q)^2)^(-1/2)``; rejects ``p, q`` where
-    an eigenvalue of ``1 - (p-q)^2`` is below ``SPECTRAL_GAP``."""
+    an eigenvalue of ``1 - (p-q)^2`` is below ``SPECTRAL_GAP``.  Row by row
+    on stacks, rejecting them when any row is rejected."""
+    u, antipodal = _rotations(p, q)
+    if np.any(antipodal):
+        raise DegenerateInterpolationError(
+            "projections are antipodal: 1 - (p - q)^2 is singular"
+        )
+    return u
+
+
+def _rotations(p: AlgebraElement, q: AlgebraElement):
+    """:func:`direct_rotation` row by row, and which rows it rejects (a bool,
+    or an ``(N,)`` array on stacks): those rows of the unitary are no
+    rotation."""
     one = AlgebraElement.identity(p.shape)
-    blocks = []
+    blocks, antipodal = [], False
     for bp, bq, b1 in zip(p.blocks, q.blocks, one.blocks):
         diff2 = (bp - bq) @ (bp - bq)
-        m = b1 - diff2
-        evals, vecs = np.linalg.eigh(m)
-        if np.any(evals < SPECTRAL_GAP):
-            raise DegenerateInterpolationError(
-                "projections are antipodal: 1 - (p - q)^2 is singular"
-            )
-        inv_sqrt = (vecs * (evals**-0.5)) @ vecs.conj().T
+        evals, vecs = np.linalg.eigh(b1 - diff2)
+        antipodal = antipodal | np.any(evals < SPECTRAL_GAP, axis=-1)
+        # a rejected row's power is taken at the gap, so that it stays finite
+        inv_sqrt = (vecs * (np.maximum(evals, SPECTRAL_GAP)[..., None, :] ** -0.5)) @ _adjoint(vecs)
         blocks.append((bq @ bp + (b1 - bq) @ (b1 - bp)) @ inv_sqrt)
-    return AlgebraElement(p.shape, tuple(blocks))
+    return AlgebraElement(p.shape, tuple(blocks)), antipodal
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def _log_frames(u: AlgebraElement) -> list:
     """Per block of a unitary element with no eigenvalue -1, ``(theta, V)``:
     the angles ``theta`` of its eigenvalues ``e^(i theta)``, all in
     ``(-pi, pi)``, and an orthonormal basis ``V`` of eigenvectors, so that
-    its principal logarithm is ``V diag(i theta) V*``.
+    its principal logarithm is ``V diag(i theta) V*``; row by row, as
+    ``(N, n)`` and ``(N, n, n)`` stacks, for a stack of unitaries.
 
     The Cayley transform ``H = i (1 - u)(1 + u)^-1`` is Hermitian, with the
     eigenvectors of ``u`` and eigenvalue ``tan(theta / 2)`` where ``u`` has
@@ -312,19 +384,20 @@ def _log_frames(u: AlgebraElement) -> list:
     """
     frames = []
     for b in u.blocks:
-        one = np.eye(len(b))
+        one = np.eye(b.shape[-1])
         try:
             h = 1j * np.linalg.solve(one + b, one - b)
         except np.linalg.LinAlgError:
             raise DegenerateInterpolationError("-1 is an eigenvalue of the unitary") from None
-        evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+        evals, vecs = np.linalg.eigh((h + _adjoint(h)) / 2)
         frames.append((2 * np.arctan(evals), vecs))
     return frames
 
 
 def _log_from(theta: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``V diag(i theta) V*``, the logarithm a frame of :func:`_log_frames` gives."""
-    return (vecs * (1j * theta)) @ vecs.conj().T
+    """``V diag(i theta) V*``, the logarithm a frame of :func:`_log_frames`
+    gives; row by row on stacked frames."""
+    return (vecs * (1j * theta)[..., None, :]) @ _adjoint(vecs)
 
 
 def principal_log_unitary(u: AlgebraElement) -> AlgebraElement:
@@ -344,17 +417,124 @@ def _quintic_deriv(t: np.ndarray) -> np.ndarray:
 
 def _sample_leg(start: AlgebraElement, frames: list, phis: np.ndarray, dphis: np.ndarray):
     """Projections ``e^(phi K) p e^(-phi K)`` and lifts ``phi' K c`` on a grid,
-    as one ``(len(phis), n, n)`` stack per block each, for the generator
-    ``K`` whose per-block frames ``(theta, V)`` are ``frames``, as
-    :func:`_log_frames` gives them: ``e^(phi K) = V diag(e^(i phi theta)) V*``."""
+    for ``N`` legs at once: ``start`` is the stack of their starting
+    projections ``p``, and ``frames`` the per-block stacked frames
+    ``(theta, V)`` of their generators ``K``, as :func:`_log_frames` gives
+    them, so that ``e^(phi K) = V diag(e^(i phi theta)) V*``.  Per block one
+    ``(N, len(phis), n, n)`` stack each."""
     base_blocks, lift_blocks = [], []
     for p, (theta, vecs) in zip(start.blocks, frames):
-        phases = np.exp(1j * np.outer(phis, theta))
-        u = (vecs[None, :, :] * phases[:, None, :]) @ vecs.conj().T
-        c = u @ p[None] @ u.conj().transpose(0, 2, 1)
+        phases = np.exp(1j * (phis[None, :, None] * theta[:, None, :]))
+        u = (vecs[:, None] * phases[:, :, None, :]) @ _adjoint(vecs)[:, None]
+        c = u @ p[:, None] @ _adjoint(u)
         base_blocks.append(c)
-        lift_blocks.append(dphis[:, None, None] * (_log_from(theta, vecs)[None] @ c))
+        lift_blocks.append(dphis[None, :, None, None] * (_log_from(theta, vecs)[:, None] @ c))
     return base_blocks, lift_blocks
+
+
+def _check_endpoints(p: AlgebraElement, q: AlgebraElement, tol: ToleranceConfig):
+    """Raise unless ``p`` and ``q`` are projections of one algebra and one
+    rank signature."""
+    for name, x in (("p", p), ("q", q)):
+        if not classify(x, tol).projection:
+            raise PreconditionError(f"{name} is not an orthogonal projection")
+    if p.shape != q.shape:
+        raise InputError("endpoints live in different algebras")
+    if block_ranks(p, tol) != block_ranks(q, tol):
+        raise OrbitError(f"rank signatures differ: {block_ranks(p, tol)} vs {block_ranks(q, tol)}")
+
+
+def _waypoint(p: AlgebraElement, q: AlgebraElement) -> tuple:
+    """A seeded random same-signature waypoint ``mid`` between antipodal
+    projections, and the direct rotations ``p -> mid`` and ``mid -> q``."""
+    from .sampling import random_unitary
+
+    rng = np.random.default_rng(_WAYPOINT_SEED)
+    for _ in range(16):
+        w = AlgebraElement(
+            p.shape, tuple(random_unitary(rng, n) for n in p.shape)
+        )
+        mid = w @ p @ w.adjoint()
+        try:
+            return mid, direct_rotation(p, mid), direct_rotation(mid, q)
+        except DegenerateInterpolationError:
+            continue
+    raise DegenerateInterpolationError(
+        "no usable waypoint found between the endpoints"
+    )
+
+
+def orbit_paths(ps, qs, steps: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """The :func:`orbit_path` from ``ps[i]`` to ``qs[i]`` for each ``i``, for
+    sequences of single projections of one shape.
+
+    Each pair is checked as :func:`orbit_path` checks it, and the first pair
+    that fails raises the error it raises alone.  The direct rotations and
+    their logarithms are stacked computations.  Paths of one leg layout
+    (one leg, or two legs through a waypoint for antipodal pairs) are
+    sampled as ``(N, L, n, n)`` stacks and checked by one stacked anchor
+    image and one batched slope product, in passes of at most
+    :data:`~ginv.linalg.PASS_ENTRIES` sample entries (one path at the
+    least).  Every path equals, bit for bit, the path of its pair alone.
+    """
+    if steps < 2:
+        raise InputError("steps must be >= 2")
+    if len(ps) != len(qs):
+        raise InputError("every start needs one end")
+    for p, q in zip(ps, qs):
+        _check_endpoints(p, q, tol)
+    if not ps:
+        return []
+
+    # waypoints: [p, ..., q]; each consecutive pair joined by a direct rotation
+    p, q = AlgebraElement.stack(ps), AlgebraElement.stack(qs)
+    u, antipodal = _rotations(p, q)
+    direct, routed = np.flatnonzero(~antipodal), np.flatnonzero(antipodal)
+    layouts = []  # (rows, leg starts, leg generators)
+    if direct.size:
+        layouts.append((direct, [p[direct]], [_log_frames(u[direct])]))
+    if routed.size:
+        mids, firsts, seconds = zip(*(_waypoint(ps[i], qs[i]) for i in routed))
+        layouts.append((routed, [p[routed], AlgebraElement.stack(mids)],
+                        [_log_frames(AlgebraElement.stack(firsts)),
+                         _log_frames(AlgebraElement.stack(seconds))]))
+    paths = [None] * len(ps)
+    for rows, starts, frames in layouts:
+        for i, path in zip(rows, _leg_paths(starts, frames, steps)):
+            paths[i] = path
+    return paths
+
+
+def _leg_paths(starts: list, frames: list, steps: int) -> list:
+    """The paths whose legs start at the stacks ``starts`` and follow the
+    generators of the stacked ``frames``, leg by leg, in passes of at most
+    :data:`~ginv.linalg.PASS_ENTRIES` sample entries."""
+    shape, count, n_legs = starts[0].shape, len(starts[0].blocks[0]), len(starts)
+    per_leg = max(_LEG_INTERVALS, int(np.ceil(steps / n_legs)))
+    grid = _leg_grid(n_legs, per_leg)
+    taus = np.linspace(0.0, 1.0, per_leg + 1)
+    # the joint sample of two legs belongs to the earlier leg
+    profiles = [(_quintic(leg), n_legs * _quintic_deriv(leg))
+                for leg in [taus] + [taus[1:]] * (n_legs - 1)]
+    size, paths = pass_size(len(grid.times), shape), []
+    for first in range(0, count, size):
+        part = slice(first, first + size)
+        bases, lifts = _joined_legs(shape, [
+            _sample_leg(start[part], [(theta[part], vecs[part]) for theta, vecs in frame],
+                        *profile)
+            for start, frame, profile in zip(starts, frames, profiles)])
+        paths += _checked_paths(grid, bases, lifts, min(size, count - first))
+    return paths
+
+
+def _joined_legs(shape, sampled: list) -> tuple:
+    """The bases and the lifts of :func:`_sample_leg` on each leg, per block
+    the legs' ``(N, L_j, n, n)`` samples joined along the time axis, as
+    stacks of ``N L`` rows."""
+    return tuple(
+        AlgebraElement(shape, tuple(np.concatenate(legs, axis=1).reshape(-1, n, n)
+                                    for n, legs in zip(shape, zip(*per_leg))))
+        for per_leg in zip(*sampled))
 
 
 def orbit_path(
@@ -371,62 +551,10 @@ def orbit_path(
     seeded random same-signature waypoint.  ``steps`` is a lower bound on
     the sample grid; each leg has at least 256 sample intervals, which keeps
     the lift residual of the spline velocity near 1e-8 (257 samples for one
-    leg, 513 for two).
+    leg, 513 for two).  The one-pair case of :func:`orbit_paths`.
     """
-    if steps < 2:
-        raise InputError("steps must be >= 2")
-    for name, x in (("p", p), ("q", q)):
-        if not classify(x, tol).projection:
-            raise PreconditionError(f"{name} is not an orthogonal projection")
-    if p.shape != q.shape:
-        raise InputError("endpoints live in different algebras")
-    if block_ranks(p, tol) != block_ranks(q, tol):
-        raise OrbitError(f"rank signatures differ: {block_ranks(p, tol)} vs {block_ranks(q, tol)}")
-
-    # waypoints: [p, ..., q]; each consecutive pair joined by a direct rotation
-    try:
-        generators = [_log_frames(direct_rotation(p, q))]
-        starts = [p]
-    except DegenerateInterpolationError:
-        from .sampling import random_unitary
-
-        rng = np.random.default_rng(_WAYPOINT_SEED)
-        for _ in range(16):
-            w = AlgebraElement(
-                p.shape, tuple(random_unitary(rng, n) for n in p.shape)
-            )
-            mid = w @ p @ w.adjoint()
-            try:
-                u1 = direct_rotation(p, mid)
-                u2 = direct_rotation(mid, q)
-            except DegenerateInterpolationError:
-                continue
-            generators = [_log_frames(u1), _log_frames(u2)]
-            starts = [p, mid]
-            break
-        else:
-            raise DegenerateInterpolationError(
-                "no usable waypoint found between the endpoints"
-            )
-
-    n_legs = len(generators)
-    per_leg = max(_LEG_INTERVALS, int(np.ceil(steps / n_legs)))
-    grid = _leg_grid(n_legs, per_leg)
-    taus = np.linspace(0.0, 1.0, per_leg + 1)
-    bases, lifts = [], []
-    for j, (start, frames) in enumerate(zip(starts, generators)):
-        leg = taus if j == 0 else taus[1:]  # the joint sample belongs to the earlier leg
-        leg_bases, leg_lifts = _sample_leg(
-            start, frames, _quintic(leg), n_legs * _quintic_deriv(leg)
-        )
-        bases.append(leg_bases)
-        lifts.append(leg_lifts)
-    return APath(
-        grid.times,
-        AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*bases))),
-        AlgebraElement(p.shape, tuple(np.concatenate(legs) for legs in zip(*lifts))),
-        grid,
-    )
+    (path,) = orbit_paths([p], [q], steps, tol)
+    return path
 
 
 # -- reparametrization ---------------------------------------------------------------
@@ -442,28 +570,63 @@ def reparametrize_lift(path: APath, phi) -> APath:
     on the original grid; values of the old path between samples come from
     its ``spline``, evaluated once at the query times for bases and lifts
     together.  The new path keeps the path's factored ``grid``, so ``phi'``
-    and the new velocity are one product each with its slope matrix.
+    and the new velocity are one product each with its slope matrix.  The
+    one-path case of :func:`reparametrize_lifts`.
     """
-    times, grid = path.sample_times, path.grid
-    ph = np.asarray([float(phi(t)) for t in times])
-    if abs(ph[0]) > 1e-9 or abs(ph[-1] - 1.0) > 1e-9:
-        raise InputError("phi must map 0 to 0 and 1 to 1")
-    if np.any(np.diff(ph) < -1e-12):
-        raise InputError("phi is not monotone on the sample grid")
+    (out,) = reparametrize_lifts([path], phi)
+    return out
 
-    dph = grid.slopes(ph)
-    queries = np.clip(ph, times[0], times[-1])
-    coords = path.spline(queries)
-    half = coords.shape[1] // 2  # bases columns, then as many lifts columns
-    base_new = coords[:, :half]
-    lift_new = dph[:, None] * coords[:, half:]
-    shape = path.bases.shape
-    return APath(
-        times,
-        AlgebraElement.from_real_coords(shape, base_new),
-        AlgebraElement.from_real_coords(shape, lift_new),
-        grid,
-    )
+
+def reparametrize_lifts(paths, phi) -> list:
+    """The :func:`reparametrize_lift` of each of ``paths`` by one time change
+    ``phi``, each equal bit for bit to that of the path alone.
+
+    What depends only on a grid is done once per grid: the values of
+    ``phi``, called once per sample time, and their checks (the first path
+    whose grid fails raises), ``phi'``, and the spline basis at the query
+    times.  The paths of one grid and one shape are then fitted (those not
+    fitted yet), resampled and checked in passes of at most
+    :data:`~ginv.linalg.PASS_ENTRIES` sample entries, each pass by batched
+    products.
+    """
+    groups: dict = {}  # per grid, the indices of its paths by shape
+    for k, path in enumerate(paths):
+        grid, by_shape = groups.setdefault(id(path.grid), (path.grid, {}))
+        by_shape.setdefault(path.bases.shape, []).append(k)
+    out = [None] * len(paths)
+    for grid, by_shape in groups.values():
+        times = grid.times
+        ph = np.asarray([float(phi(t)) for t in times])
+        if abs(ph[0]) > 1e-9 or abs(ph[-1] - 1.0) > 1e-9:
+            raise InputError("phi must map 0 to 0 and 1 to 1")
+        if np.any(np.diff(ph) < -1e-12):
+            raise InputError("phi is not monotone on the sample grid")
+        dph = grid.slopes(ph)
+        basis = _basis(grid.knots, np.clip(ph, times[0], times[-1]))
+        for shape, members in by_shape.items():
+            size = pass_size(len(times), shape)
+            for first in range(0, len(members), size):
+                rows = members[first:first + size]
+                part = [paths[k] for k in rows]
+                bases, lifts = _resampled(part, basis, dph)
+                for k, new in zip(rows, _checked_paths(grid, bases, lifts, len(part))):
+                    out[k] = new
+    return out
+
+
+def _resampled(paths: list, basis: tuple, dph: np.ndarray) -> tuple:
+    """The new bases ``c . phi`` and lifts ``(alpha . phi) phi'`` of ``paths``,
+    of one grid and one shape, stacked path after path: their splines
+    (fitted by :func:`_fit_splines` where not yet) at the query times, whose
+    B-spline ``basis`` is :func:`_basis`'s, and the slopes ``dph`` of
+    ``phi``."""
+    _fit_splines(paths)
+    coords = np.stack([_combine(*basis, path.spline.coefficients) for path in paths])
+    half = coords.shape[-1] // 2  # bases columns, then as many lifts columns
+    shape = paths[0].bases.shape
+    return (AlgebraElement.from_real_coords(shape, coords[..., :half].reshape(-1, half)),
+            AlgebraElement.from_real_coords(
+                shape, (dph[:, None] * coords[..., half:]).reshape(-1, half)))
 
 
 def smooth_reparametrizer(knots=()):

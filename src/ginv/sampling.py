@@ -182,12 +182,13 @@ def well_conditioned_noises(rng: np.random.Generator, shape, count: int, ranks=N
     return rows.noise()
 
 
-def _ranked_noises(rng, shape, count, ranks, matrices, scale) -> tuple:
+def _ranked_noises(rng, shape, count, ranks, scale) -> tuple:
+    """``count`` rows of one rank diagonal and one Gaussian matrix per block."""
     if ranks is not None:  # no rank draws between the rows: their normals in one call
         shape = validate_shape(shape)
-        z = rng.standard_normal((count, matrices * gaussian_size(shape)))
-        return _ranked_noise(ranks, z, shape, matrices, scale)
-    rows = RankedRows(shape, count, matrices, scale)
+        z = rng.standard_normal((count, gaussian_size(shape)))
+        return _ranked_noise(ranks, z, shape, 1, scale)
+    rows = RankedRows(shape, count, 1, scale)
     for i in range(count):
         rows.draw(rng, i)
     return rows.noise()
@@ -196,20 +197,14 @@ def _ranked_noises(rng, shape, count, ranks, matrices, scale) -> tuple:
 def projection_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
     """Per block: the rank diagonal and the Gaussian matrix of the unitary,
     at random ranks (drawn row by row) or at the per-row ``ranks``."""
-    return _ranked_noises(rng, shape, count, ranks, 1, 1.0)
+    return _ranked_noises(rng, shape, count, ranks, 1.0)
 
 
 def idempotent_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
     """Per block: the rank diagonal and the Gaussian offset of the
     conjugator, scaled by :data:`IDEMPOTENT_SKEW`; ranks as in
     :func:`projection_noises`."""
-    return _ranked_noises(rng, shape, count, ranks, 1, IDEMPOTENT_SKEW)
-
-
-def partial_isometry_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
-    """Per block: the rank diagonal and the Gaussian matrices of the two
-    unitaries; ranks as in :func:`projection_noises`."""
-    return _ranked_noises(rng, shape, count, ranks, 2, 1.0)
+    return _ranked_noises(rng, shape, count, ranks, IDEMPOTENT_SKEW)
 
 
 def _one(ranks):
@@ -226,10 +221,6 @@ def projection_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
 
 def idempotent_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
     return noise_row(idempotent_noises(rng, shape, 1, _one(ranks)), 0)
-
-
-def partial_isometry_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
-    return noise_row(partial_isometry_noises(rng, shape, 1, _one(ranks)), 0)
 
 
 # -- builds: one draw or a stack of them -------------------------------------------------
@@ -269,6 +260,10 @@ def idempotent_from(noise: tuple) -> AlgebraElement:
 
 
 def partial_isometry_from(noise: tuple) -> AlgebraElement:
+    """The partial isometries ``W1 diag(d) W2*`` of a draw with a rank
+    diagonal ``d`` and two Gaussian matrices per block, the unitaries ``W1``
+    and ``W2`` built from them: the rows of :class:`RankedRows` with
+    ``matrices = 2``."""
     return AlgebraElement.from_blocks(
         (unitary_from(m1) * d[..., None, :]) @ _adjoint(unitary_from(m2)) for d, m1, m2 in noise)
 

@@ -22,7 +22,7 @@ from .geninv import (
     newton_schulz,
     penrose_residuals,
 )
-from .geometry import at, orbit_decompose
+from .geometry import at, orbit_classes, orbit_report
 from .groupoid import (
     ActionGroupoid,
     GInvGroupoid,
@@ -37,7 +37,8 @@ from .paths import (
     ENDPOINT_TOL,
     LIFT_TOL,
     orbit_path,
-    reparametrize_lift,
+    orbit_paths,
+    reparametrize_lifts,
     reparametrized_bound,
     smooth_reparametrizer,
 )
@@ -324,17 +325,17 @@ def check_transitivity_counterexample(tol: ToleranceConfig, seed: int) -> CheckR
 
 def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """100 random projections split into classes exactly by rank; paths join
-    points within a class and refuse to cross classes."""
+    points within a class and refuse to cross classes.  The points are
+    classified as one stack, and the paths within classes are built by one
+    :func:`~ginv.paths.orbit_paths` call."""
     rng = np.random.default_rng(seed)
     G = PartialIsometryGroupoid((3,), tol)
     drawn = sampling.projection_from(sampling.projection_noises(rng, (3,), 100))
     points = [drawn[i] for i in range(100)]
-    report = orbit_decompose(G, points, tol)
+    classes = orbit_classes(G, points, tol)
+    report = orbit_report(G, classes, len(points), tol)
     failures = []
 
-    classes: dict = {}
-    for i, p in enumerate(points):
-        classes.setdefault(G.orbit_signature(p, tol), []).append(i)
     ranks = {sig[0] for sig in classes}
     if not ranks <= {0, 1, 2, 3}:
         failures.append(f"unexpected rank classes {sorted(ranks)}")
@@ -342,12 +343,11 @@ def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     if len(class_records) != len(classes):
         failures.append("report classes disagree with the invariant partition")
 
-    for sig, members in sorted(classes.items()):
-        if len(members) < 2:
-            continue
-        p, q = points[members[0]], points[members[1]]
-        path = orbit_path(p, q, steps=16, tol=tol)
-        endpoint = path.end.distance(q)
+    joined = [(sig, members) for sig, members in sorted(classes.items()) if len(members) >= 2]
+    within = orbit_paths([points[members[0]] for _, members in joined],
+                         [points[members[1]] for _, members in joined], steps=16, tol=tol)
+    for (sig, members), path in zip(joined, within):
+        endpoint = path.end.distance(points[members[1]])
         if endpoint > ENDPOINT_TOL:
             failures.append(f"class {sig}: endpoint error {endpoint:.2e}")
         if path.max_lift_residual > LIFT_TOL:
@@ -375,7 +375,9 @@ def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
 def check_reparametrization(tol: ToleranceConfig, seed: int) -> CheckRecord:
     """20 constructed paths keep their lift residual within 10x + 1e-6 under
     the time changes t, t^2 and smoothstep; the flat reparametrizer has
-    vanishing derivatives at its knots."""
+    vanishing derivatives at its knots.  Each shape's paths are built by one
+    :func:`~ginv.paths.orbit_paths` call and reparametrized by one
+    :func:`~ginv.paths.reparametrize_lifts` call per time change."""
     rng = np.random.default_rng(seed)
     failures = []
     maps = [
@@ -383,17 +385,26 @@ def check_reparametrization(tol: ToleranceConfig, seed: int) -> CheckRecord:
         ("square", lambda t: t * t),
         ("smoothstep", lambda t: 3 * t * t - 2 * t**3),
     ]
+    pairs: dict = {2: [], 3: []}
     for i in range(20):
         n = 2 if i % 2 == 0 else 3
         r = int(rng.integers(1, n))
         p = sampling.random_projection(rng, (n,), ranks=(r,))
         q = sampling.random_projection(rng, (n,), ranks=(r,))
-        path = orbit_path(p, q, steps=16, tol=tol)
-        bound = reparametrized_bound(path.max_lift_residual)
-        for name, phi in maps:
-            res = reparametrize_lift(path, phi).max_lift_residual
-            if res > bound:
-                failures.append(f"path {i} under {name}: {res:.2e} > {bound:.2e}")
+        pairs[n].append((i, p, q))
+    # one shape at a time, so that only one shape's paths, splines and
+    # reparametrized paths are held at once
+    found: dict = {}
+    for drawn in pairs.values():
+        index, ps, qs = zip(*drawn)
+        paths = orbit_paths(ps, qs, steps=16, tol=tol)
+        residuals = [[out.max_lift_residual for out in reparametrize_lifts(paths, phi)]
+                     for _, phi in maps]
+        for k, (i, path) in enumerate(zip(index, paths)):
+            bound = reparametrized_bound(path.max_lift_residual)
+            found[i] = [f"path {i} under {name}: {res[k]:.2e} > {bound:.2e}"
+                        for (name, _), res in zip(maps, residuals) if res[k] > bound]
+    failures += [text for i in range(20) for text in found[i]]
 
     phi = smooth_reparametrizer([0.5])
     h = 1e-5

@@ -123,9 +123,12 @@ class TestClassify:
         assert classify(AlgebraElement.from_blocks([q])).idempotent
 
     def test_gram_of_isometry_is_projection(self, rng):
-        from ginv.sampling import partial_isometry_from, partial_isometry_noises
+        from ginv.sampling import RankedRows, partial_isometry_from
 
-        isometries = partial_isometry_from(partial_isometry_noises(rng, (3,), 10))
+        rows = RankedRows((3,), 10, 2)
+        for i in range(10):
+            rows.draw(rng, i)
+        isometries = partial_isometry_from(rows.noise())
         for i in range(10):
             u = isometries[i]
             assert classify(u).partial_isometry

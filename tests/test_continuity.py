@@ -3,7 +3,7 @@ import per_row_draws
 import pytest
 from test_suite import continuity_one_term_at_a_time
 
-from ginv import continuity, sampling
+from ginv import continuity, linalg, sampling
 from ginv.algebra import AlgebraElement
 from ginv.continuity import (
     DRAWN_KINDS,
@@ -342,7 +342,7 @@ class TestContinuityExperiments:
 
         monkeypatch.setattr(continuity, "_stacked_outcomes", recording)
         # four families of 64 terms of 4 entries, or two of 64 terms of 9
-        monkeypatch.setattr(continuity, "EXPERIMENT_ENTRIES", 1200)
+        monkeypatch.setattr(linalg, "PASS_ENTRIES", 1200)
         assert [as_outcome(o) for o in continuity_experiments(families)] == want
         # a chunk holds one shape; the chunk [4, 5, 6] raises as a whole and
         # is checked again family by family
@@ -358,7 +358,7 @@ class TestContinuityExperiments:
     def test_criterion_12_keeps_one_chunk_per_shape(self):
         entries = [20 * continuity.DEFAULT_HORIZON * continuity.term_entries(shape)
                    for shape in [(2,), (3,), (2, 1)]]
-        assert max(entries) == continuity.EXPERIMENT_ENTRIES
+        assert max(entries) == linalg.PASS_ENTRIES
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 1)])
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-310, 5e-324, 0.0])

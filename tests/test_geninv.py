@@ -16,8 +16,8 @@ from ginv.geninv import (
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import (
     SV_RANGE,
+    RankedRows,
     partial_isometry_from,
-    partial_isometry_noises,
     random_block_ranks,
     well_conditioned_element,
     well_conditioned_from,
@@ -263,7 +263,10 @@ class TestPairing:
             assert mp_pair(a).a is a
 
     def test_isometry_inverse_is_adjoint(self, rng):
-        isometries = partial_isometry_from(partial_isometry_noises(rng, (3,), 20))
+        rows = RankedRows((3,), 20, 2)
+        for i in range(20):
+            rows.draw(rng, i)
+        isometries = partial_isometry_from(rows.noise())
         for i in range(20):
             u = isometries[i]
             assert classify(u).partial_isometry

@@ -284,6 +284,78 @@ class TestOrbits:
             orbit_decompose(GInvGroupoid((2,)), [mat([[2, 0], [0, 0]])])
 
 
+def per_point_classes(G, points):
+    """The orbit classes of ``points`` from one ``check_base`` and one
+    ``orbit_signature`` call per point."""
+    for i, x in enumerate(points):
+        try:
+            G.check_base(x)
+        except InputError as exc:
+            raise PreconditionError(f"point {i} fails base membership: {exc}") from exc
+    classes = {}
+    for i, x in enumerate(points):
+        classes.setdefault(G.orbit_signature(x, DEFAULT_TOL), []).append(i)
+    return classes
+
+
+def orbit_points(kind, rng):
+    """A groupoid of ``kind`` and 40 base points of every class it has, and
+    a point it refuses."""
+    if kind == "ginv":
+        G = GInvGroupoid((2, 3))
+        return G, [random_idempotent(rng, (2, 3)) for _ in range(40)], mat([[2, 0], [0, 0]])
+    if kind == "partial_isometry":
+        G = PartialIsometryGroupoid((3,))
+        nilpotent = AlgebraElement.from_blocks([np.diag([1.0, 0.0, 0.0]) + np.eye(3, k=1)])
+        return G, [random_projection(rng, (3,)) for _ in range(40)], nilpotent
+    G = ActionGroupoid(2) if kind == "action" else PairGroupoid(2)
+    # zero, nonzero and near the zero cutoff of the action's signature
+    points = [rng.standard_normal(2) * scale for scale in (0.0, 1.0, 1e-9, 2e-8) * 10]
+    return G, points, np.ones(3)
+
+
+class TestStackedOrbits:
+    """The points of :func:`orbit_decompose` are checked and classified as
+    one stack, with the classes and report of one point at a time."""
+
+    KINDS = ["ginv", "partial_isometry", "action", "pair"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_classes_and_report_equal_one_point_at_a_time(self, kind, rng, monkeypatch):
+        G, points, _ = orbit_points(kind, rng)
+        want = per_point_classes(G, points)
+        assert len(want) == {"ginv": 12, "partial_isometry": 4, "action": 2, "pair": 1}[kind]
+        checks = []
+        check = type(G).check_base
+        monkeypatch.setattr(type(G), "check_base", lambda self, x: checks.append(x) or check(self, x))
+        assert geometry.orbit_classes(G, points) == want
+        report = orbit_decompose(G, points)
+        assert len(checks) == 2  # one per call, of the stacked points
+        assert report.to_json_bytes() == geometry.orbit_report(G, want, len(points)).to_json_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_signatures_row_by_row(self, kind, rng):
+        G, points, _ = orbit_points(kind, rng)
+        stacked = G.orbit_signature(G.stack_bases(points), DEFAULT_TOL)
+        assert stacked == [G.orbit_signature(x, DEFAULT_TOL) for x in points]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_failing_point_is_named(self, kind, rng):
+        G, points, bad = orbit_points(kind, rng)
+        points[3] = bad
+        with pytest.raises(PreconditionError) as want:
+            per_point_classes(G, points)
+        with pytest.raises(PreconditionError) as got:
+            orbit_decompose(G, points)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("point 3 fails base membership: ")
+
+    def test_no_points(self):
+        report = orbit_decompose(PairGroupoid(2), [])
+        assert [(r.name, r.value, r.passed) for r in report.records] == [
+            ("zz class count", 0, True)]
+
+
 class TestOrthogonalModel:
     """Every geometry rank is decided at the model point ``p`` of ``x``: the
     range projection for ``ginv``, the point itself for the other kinds."""

@@ -146,8 +146,9 @@ class TestIsometryInstance:
         g = IsometryArrow(w)
         assert self.G.source(g).distance(one) <= 1e-12
         assert self.G.target(g).distance(one) <= 1e-12
-        v = sampling.partial_isometry_from(
-            sampling.partial_isometry_noises(rng, (2,), 1, ranks=[(1,)]))[0]
+        # a rank-1 draw: the rank diagonal and the two Gaussian matrices
+        m1, m2 = sampling.element_noises(rng, (2, 2), 1)
+        v = sampling.partial_isometry_from(((np.array([[1.0, 0.0]]), m1, m2),))[0]
         assert self.G.source(IsometryArrow(v)).distance(one) > 0.4
 
     def test_base_membership(self):
@@ -206,19 +207,29 @@ class SingularActions(ActionGroupoid):
         return ActionArrow(x, np.zeros(np.shape(x) + (self.dim,)))
 
 
+NEARLY_SINGULAR = np.diag([1.0, 1e-300])
+
+
 class TestSingularInverse:
     """Inverting a singular group component raises the library's error, the
-    text of ``validate_arrow``, and not numpy's ``LinAlgError``."""
+    text of ``validate_arrow``, and not numpy's ``LinAlgError``; so does one
+    that ``validate_arrow`` refuses though numpy would invert it."""
 
     @pytest.mark.parametrize("g", [
         pytest.param(ActionArrow(np.ones(2), np.zeros((2, 2))), id="single"),
         pytest.param(ActionArrow(np.ones((3, 2)), np.stack([np.eye(2), np.zeros((2, 2)),
                                                             np.eye(2)])), id="stacked"),
+        pytest.param(ActionArrow(np.ones(2), NEARLY_SINGULAR), id="single-nearly"),
+        pytest.param(ActionArrow(np.ones((3, 2)), np.stack([np.eye(2), NEARLY_SINGULAR,
+                                                            np.eye(2)])), id="stacked-nearly"),
     ])
     def test_invert_raises_input_error(self, g):
         with pytest.raises(InputError) as err:
+            ActionGroupoid(2).validate_arrow(g)
+        refused = str(err.value)
+        with pytest.raises(InputError) as err:
             ActionGroupoid(2).invert(g)
-        assert str(err.value) == "group component is numerically singular"
+        assert str(err.value) == refused == "group component is numerically singular"
 
     def test_verify_axioms_reports_it(self):
         # each one-row rerun records the failed validation, then fails at the inverse

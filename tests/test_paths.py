@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
-from ginv import algebra, paths, suite
+from ginv import algebra, linalg, paths, suite
 from ginv.algebra import AlgebraElement
 from ginv.errors import (
     DegenerateInterpolationError,
+    GinvError,
     InputError,
     OrbitError,
     PreconditionError,
@@ -450,12 +451,18 @@ class TestSharedSpline:
         monkeypatch.setattr(paths._Grid, "__init__", counted_make)
         paths._leg_grid.cache_clear()
         assert suite.check_reparametrization(DEFAULT_TOL, 11).passed
-        # 20 one-leg paths on one grid.  Each path's velocity, and per time
-        # change phi' and the new velocity: 7 slope products per path.  Only
-        # the 20 resampled paths fit their spline.
+        # 20 one-leg paths on one grid, one shape at a time: 10 in M2, one
+        # pass of up to 11, then 10 in M3, three passes of up to 4.  Each
+        # pass's velocities are one batched slope product; per shape and
+        # time change, phi' is one more, and so is each pass's new
+        # velocity: 1 + 3 * (1 + 1) = 7 for M2, 3 + 3 * (1 + 3) = 15 for
+        # M3.  The first time change fits the splines, one batched product
+        # per pass.
         assert grids == [257]
-        assert len(slopes) == 20 * 7 == 140
-        assert len(fits) == 20
+        two, three = [(10, 257, 8)], [(4, 257, 18), (4, 257, 18), (2, 257, 18)]
+        assert slopes == two + 3 * ([(257,)] + two) + three + 3 * ([(257,)] + three)
+        assert len(slopes) == 7 + 15 == 22
+        assert fits == [(n, 257, 2 * d) for n, _, d in two + three]
 
     def test_orbit_paths_of_one_layout_share_a_grid(self, rng):
         one = orbit_path(*path_pair(rng, (2,), 1))
@@ -467,6 +474,132 @@ class TestSharedSpline:
         times = np.linspace(0.0, 1.0, len(one)) ** 2
         fresh = APath(times, one.bases, one.lifts)
         assert fresh.grid is not one.grid and np.array_equal(fresh.grid.times, times)
+
+
+def same_path(got: APath, want: APath) -> bool:
+    """Bases, lifts, times and worst residual equal bit for bit."""
+    return (same_bits(got.bases, want.bases) and same_bits(got.lifts, want.lifts)
+            and got.sample_times.tobytes() == want.sample_times.tobytes()
+            and repr(got.max_lift_residual) == repr(want.max_lift_residual))
+
+
+def stacked_pairs(rng, shape, count=5, antipodal=2):
+    """``count`` endpoint pairs of rank 1 in every block, the pair at index
+    ``antipodal`` (if any) antipodal: the first basis vector of each block
+    of at least two against the second."""
+    ranks = (1,) * len(shape)
+    ps = [random_projection(rng, shape, ranks=ranks) for _ in range(count)]
+    qs = [random_projection(rng, shape, ranks=ranks) for _ in range(count)]
+    if antipodal is not None:
+        ps[antipodal], qs[antipodal] = (
+            AlgebraElement.from_blocks([np.diag(np.eye(n)[min(i, n - 1)]) for n in shape])
+            for i in (0, 1))
+    return ps, qs
+
+
+class TestStackedPaths:
+    """:func:`orbit_paths` and :func:`reparametrize_lifts` give every path
+    the bits of :func:`orbit_path` and :func:`reparametrize_lift` alone."""
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (1, 2), (2, 3)], ids=str)
+    def test_stack_equals_each_path_alone(self, rng, shape, monkeypatch):
+        ps, qs = stacked_pairs(rng, shape)
+        alone = [orbit_path(p, q, steps=16) for p, q in zip(ps, qs)]
+        assert [len(path) for path in alone] == [257, 257, 513, 257, 257]
+        checked = []
+        worst = paths._worst_residuals
+
+        def counted(grid, bases, lifts, count):
+            checked.append(count)
+            return worst(grid, bases, lifts, count)
+
+        monkeypatch.setattr(paths, "_worst_residuals", counted)
+        # passes of two one-leg paths, or of one two-leg path
+        monkeypatch.setattr(linalg, "PASS_ENTRIES", 2 * 257 * sum(n * n for n in shape))
+        stacked = paths.orbit_paths(ps, qs, steps=16)
+        assert all(same_path(got, want) for got, want in zip(stacked, alone))
+        assert max(checked) == 2 and len(checked) > 2
+        for phi in TestSharedSpline.MAPS:
+            checked.clear()
+            outs = paths.reparametrize_lifts(stacked, phi)
+            assert max(checked) == 2 and len(checked) > 2
+            assert all(same_path(got, reparametrize_lift(path, phi))
+                       for got, path in zip(outs, alone))
+
+    def test_default_passes(self, rng):
+        """Passes of the default bound hold 4 paths of 257 samples in M3 and
+        11 in M2; the 12th M2 path starts a second pass."""
+        assert [linalg.pass_size(257, shape) for shape in [(3,), (2,), (1, 2)]] == [4, 11, 8]
+        ps, qs = stacked_pairs(rng, (2,), count=12, antipodal=None)
+        stacked = paths.orbit_paths(ps, qs)
+        assert all(same_path(got, orbit_path(p, q)) for got, p, q in zip(stacked, ps, qs))
+
+    def test_shapes_and_grids_in_one_call(self, rng):
+        """One time change over paths of two shapes and two grids: ``phi``
+        is called once per sample time of each grid."""
+        pairs = [stacked_pairs(rng, shape, count=3, antipodal=1) for shape in [(2,), (3,)]]
+        built = [path for ps, qs in pairs for path in paths.orbit_paths(ps, qs, steps=16)]
+        assert sorted({len(path) for path in built}) == [257, 513]
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return t * t
+
+        outs = paths.reparametrize_lifts(built, phi)
+        assert len(calls) == 257 + 513
+        assert all(same_path(got, reparametrize_lift(path, lambda t: t * t))
+                   for got, path in zip(outs, built))
+
+    def test_no_pairs(self):
+        assert paths.orbit_paths([], []) == [] and paths.reparametrize_lifts([], abs) == []
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(GinvError) as err:
+            call()
+        return type(err.value), str(err.value)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("case", ["p", "q", "algebras", "ranks"])
+    def test_offending_row_raises_its_own_error(self, rng, case, row):
+        ps, qs = stacked_pairs(rng, (2,), count=4, antipodal=None)
+        bad = {"p": (mat([[1, 0], [1, 0]]), qs[row]), "q": (ps[row], mat([[1, 1], [0, 0]])),
+               "algebras": (ps[row], random_projection(rng, (3,), ranks=(1,))),
+               "ranks": (ps[row], random_projection(rng, (2,), ranks=(2,)))}[case]
+        ps[row], qs[row] = bad
+        want = self.raised(lambda: orbit_path(*bad))
+        assert want[0] is {"p": PreconditionError, "q": PreconditionError,
+                           "algebras": InputError, "ranks": OrbitError}[case]
+        assert self.raised(lambda: paths.orbit_paths(ps, qs)) == want
+
+    def test_steps_and_phi_errors(self, rng):
+        ps, qs = stacked_pairs(rng, (2,), count=3, antipodal=1)
+        assert self.raised(lambda: paths.orbit_paths(ps, qs, steps=1)) == self.raised(
+            lambda: orbit_path(ps[0], qs[0], steps=1)) == (InputError, "steps must be >= 2")
+        built = paths.orbit_paths(ps, qs, steps=16)
+        for phi, text in [(lambda t: 0.5 * t, "phi must map 0 to 0 and 1 to 1"),
+                          (lambda t: t + 0.1 * np.sin(4 * np.pi * t),
+                           "phi is not monotone on the sample grid")]:
+            for path in built:
+                assert self.raised(lambda: reparametrize_lift(path, phi)) == (InputError, text)
+            assert self.raised(lambda: paths.reparametrize_lifts(built, phi)) == (InputError, text)
+
+    def test_monotone_on_one_grid_only(self, rng):
+        """``phi`` dips below its value at 1/2 at 1/2 + 1/512, a sample time
+        of the two-leg path's grid and none of the one-leg paths' grid: only
+        the first grid refuses it, and so does the stack that holds both."""
+        ps, qs = stacked_pairs(rng, (2,), count=3, antipodal=1)
+        built = paths.orbit_paths(ps, qs, steps=16)
+        dip = 0.5 + 1.0 / 512
+
+        def phi(t):
+            return 0.5 - 1e-3 if t == dip else t
+
+        assert reparametrize_lift(built[0], phi).max_lift_residual < 1e-4
+        text = "phi is not monotone on the sample grid"
+        assert self.raised(lambda: reparametrize_lift(built[1], phi)) == (InputError, text)
+        assert self.raised(lambda: paths.reparametrize_lifts(built, phi)) == (InputError, text)
 
 
 class TestFactoredGrid:

@@ -72,6 +72,27 @@ def chunk_build(chunk, build):
     return lambda rng, s: build(chunk(rng, s, 1))[0]
 
 
+def isometry_noises(rng, shape, count):
+    """``count`` partial-isometry draws, written row by row by
+    ``RankedRows(shape, count, 2)``, as the ``partial_isometry`` kind draws
+    its loose arrows."""
+    rows = sampling.RankedRows(shape, count, 2)
+    for i in range(count):
+        rows.draw(rng, i)
+    return rows.noise()
+
+
+def isometry_noise(rng, shape):
+    return sampling.noise_row(isometry_noises(rng, shape, 1), 0)
+
+
+#: the single draws of the samplers with a rank (or uniform) draw
+SINGLE_DRAWS = {"well_conditioned": sampling.well_conditioned_noise,
+                "projection": sampling.projection_noise,
+                "idempotent": sampling.idempotent_noise,
+                "partial_isometry": isometry_noise}
+
+
 #: (name, draw, build, sampler, one-at-a-time formula)
 SAMPLERS = [
     ("element", lambda rng, s: element_noise(rng, s, 0.35), sampling.element_from,
@@ -92,9 +113,8 @@ SAMPLERS = [
      sampling.random_projection, one_projection),
     ("idempotent", sampling.idempotent_noise, sampling.idempotent_from,
      sampling.random_idempotent, one_idempotent),
-    ("partial_isometry", sampling.partial_isometry_noise, sampling.partial_isometry_from,
-     chunk_build(sampling.partial_isometry_noises, sampling.partial_isometry_from),
-     one_partial_isometry),
+    ("partial_isometry", isometry_noise, sampling.partial_isometry_from,
+     chunk_build(isometry_noises, sampling.partial_isometry_from), one_partial_isometry),
 ]
 
 
@@ -193,7 +213,7 @@ def per_block_noise(rng, kind, shape):
                                   "partial_isometry"])
 def test_one_generator_call_per_draw_equals_one_per_block(kind, shape):
     rng, reference = np.random.default_rng(8), np.random.default_rng(8)
-    draw = getattr(sampling, f"{kind}_noise")
+    draw = SINGLE_DRAWS[kind]
     for _ in range(3):
         got, want = draw(rng, shape), per_block_noise(reference, kind, shape)
         assert [[a.tobytes() for a in block] for block in got] == \
@@ -236,7 +256,11 @@ CHUNK_DRAWS = [
      lambda rng, s, c: [per_row_draws.well_conditioned_noise(rng, s, r)
                         for r in given_ranks(s, c)]),
 ]
-for kind in ("projection", "idempotent", "partial_isometry"):
+CHUNK_DRAWS += [
+    ("partial_isometry", isometry_noises,
+     lambda rng, s, c: [per_row_draws.partial_isometry_noise(rng, s) for _ in range(c)]),
+]
+for kind in ("projection", "idempotent"):
     CHUNK_DRAWS += [
         (kind, getattr(sampling, f"{kind}_noises"),
          lambda rng, s, c, kind=kind: [getattr(per_row_draws, f"{kind}_noise")(rng, s)
@@ -298,7 +322,7 @@ def test_extra_normals_follow_the_matrices_in_one_call():
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", ["projection", "idempotent", "partial_isometry"])
+@pytest.mark.parametrize("kind", ["projection", "idempotent"])
 def test_given_ranks_take_every_row_in_one_normal_call(kind, monkeypatch):
     rng = np.random.default_rng(14)
     calls = []
