@@ -387,10 +387,12 @@ class PointGeometry:
 _HELD: PointGeometry | None = None
 
 
-def at(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> PointGeometry:
-    """The geometry of ``G`` at the base point ``x`` for ``tol``;
+def at(G: Groupoid, x, tol: ToleranceConfig | None = None) -> PointGeometry:
+    """The geometry of ``G`` at the base point ``x`` for ``tol``, by default
+    ``G.tol`` (as for every function below that takes ``G``);
     :class:`PreconditionError` when ``x`` fails ``G``'s base check."""
     global _HELD
+    tol = G.tol if tol is None else tol
     if _HELD is not None and _HELD._of(G, tol) and same_value(_HELD.point, x):
         return _HELD
     if not isinstance(x, AlgebraElement):  # a copy its caller cannot change
@@ -426,17 +428,17 @@ def tangent_basis(
     return at(G, x, tol).tangent
 
 
-def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> AnchorData:
+def fiber_and_anchor(G: Groupoid, x, tol: ToleranceConfig | None = None) -> AnchorData:
     """:attr:`PointGeometry.anchor` of ``at(G, x, tol)``."""
     return at(G, x, tol).anchor
 
 
-def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def isotropy_tangent_dim(G: Groupoid, x, tol: ToleranceConfig | None = None) -> int:
     """:attr:`PointGeometry.isotropy_dim` of ``at(G, x, tol)``."""
     return at(G, x, tol).isotropy_dim
 
 
-def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
+def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig | None = None):
     """Rank of the combined source-target differential at an arrow, paired
     with the dimension it must reach for local transitivity.
 
@@ -467,7 +469,7 @@ def submersion_rank_st(G: Groupoid, g, tol: ToleranceConfig = DEFAULT_TOL):
 # -- orbits -----------------------------------------------------------------------
 
 
-def orbit_classes(G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def orbit_classes(G: Groupoid, points: Sequence, tol: ToleranceConfig | None = None) -> dict:
     """The orbit classes of the base points ``points``: each signature of
     :meth:`~ginv.groupoid.Groupoid.orbit_signature`, in order of first
     appearance, with the indices of its points.
@@ -489,13 +491,13 @@ def orbit_classes(G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_
                 raise PreconditionError(f"point {i} fails base membership: {exc}") from exc
         raise
     classes: dict = {}
-    for i, sig in enumerate(G.orbit_signature(stack, tol)):
+    for i, sig in enumerate(G.orbit_signature(stack, G.tol if tol is None else tol)):
         classes.setdefault(sig, []).append(i)
     return classes
 
 
 def orbit_decompose(
-    G: Groupoid, points: Sequence, tol: ToleranceConfig = DEFAULT_TOL
+    G: Groupoid, points: Sequence, tol: ToleranceConfig | None = None
 ) -> ExperimentReport:
     """Partition base points into orbit classes by the complete invariant
     (:func:`orbit_classes`), as a report."""
@@ -503,9 +505,10 @@ def orbit_decompose(
 
 
 def orbit_report(G: Groupoid, classes: dict, n_points: int,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> ExperimentReport:
+                 tol: ToleranceConfig | None = None) -> ExperimentReport:
     """The report of :func:`orbit_decompose` on ``n_points`` base points whose
     :func:`orbit_classes` are ``classes``."""
+    tol = G.tol if tol is None else tol
     report = ExperimentReport(
         suite=f"orbit-decompose-{G.kind}",
         config={"kind": G.kind, "n_points": n_points, "residual_tol": tol.residual_tol},

@@ -19,10 +19,13 @@ The structure maps of every kind also take stacked arrows (see
 ``sample_noises`` and ``chain_noises`` make the generator calls of
 ``count`` draws in a row and return them as stacked raw noise (plain
 arrays, written into preallocated ``(count, ...)`` arrays), with the
-generator calls and generator state of drawing them one at a time;
-``base_noise`` and the other single draws are row 0 of ``count = 1``.
+generator calls and generator state of drawing them one at a time; the
+element kinds write their rows through the writers of
+:mod:`ginv.sampling` and :func:`~ginv.sampling.draw_rows`.
 ``base_at``, ``arrow_at`` and ``sample_at`` build the base point or arrow
-from noise, row by row from stacked noise.  :func:`arrow_chain` builds
+from noise, row by row from stacked noise; ``sample_base_point``,
+``arrow_from`` and ``sample_arrow`` build row 0 of a draw of
+``count = 1``.  :func:`arrow_chain` builds
 composable arrows from such noise, each one at the target of the last.
 :func:`verify_axioms` draws each chunk of up to ``axiom_chunk`` chains by
 one ``chain_noises`` call and checks it in one stacked pass that writes
@@ -202,11 +205,7 @@ class Groupoid:
     # ``*_noises`` methods); a single draw is the one row of ``count = 1``
     def sample_base_point(self, rng: np.random.Generator):
         """Random base point."""
-        return self.base_at(self.base_noise(rng))
-
-    def base_noise(self, rng: np.random.Generator):
-        """The random inputs of one :meth:`sample_base_point` draw."""
-        return sampling.noise_row(self.base_noises(rng, 1), 0)
+        return self.base_at(sampling.noise_row(self.base_noises(rng, 1), 0))
 
     def base_noises(self, rng: np.random.Generator, count: int):
         """The random inputs of ``count`` :meth:`sample_base_point` draws in
@@ -220,11 +219,7 @@ class Groupoid:
 
     def sample_arrow(self, rng: np.random.Generator):
         """Random arrow, anywhere in the groupoid."""
-        return self.sample_at(self.sample_noise(rng))
-
-    def sample_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one :meth:`sample_arrow` draw."""
-        return sampling.noise_row(self.sample_noises(rng, 1), 0)
+        return self.sample_at(sampling.noise_row(self.sample_noises(rng, 1), 0))
 
     def sample_noises(self, rng: np.random.Generator, count: int) -> tuple:
         """The random inputs of ``count`` :meth:`sample_arrow` draws in a
@@ -241,10 +236,6 @@ class Groupoid:
         """Random arrow whose source is exactly ``x``."""
         raise NotImplementedError
 
-    def arrow_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one :meth:`arrow_from` draw."""
-        return sampling.noise_row(self.arrow_noises(rng, 1), 0)
-
     def arrow_noises(self, rng: np.random.Generator, count: int) -> tuple:
         """The random inputs of ``count`` :meth:`arrow_from` draws in a row,
         stacked."""
@@ -256,19 +247,16 @@ class Groupoid:
         ``x`` is taken as a base point, unchecked."""
         raise NotImplementedError
 
-    def chain_noise(self, rng: np.random.Generator) -> tuple:
-        """The random inputs of one chain that :func:`verify_axioms` checks."""
-        return sampling.noise_row(self.chain_noises(rng, 1), 0)
-
     def chain_noises(self, rng: np.random.Generator, count: int, arrows: int = 3,
                      loose: bool = True) -> tuple:
         """The random inputs of ``count`` chains in a row, stacked: per chain
         the noise of a base point, of ``arrows`` arrows drawn one from the
         target of the last, and (with ``loose``) of a loose arrow, in this
-        order, drawn as :meth:`base_noise`, ``arrows`` :meth:`arrow_noise`
-        and :meth:`sample_noise` calls draw them, chain after chain.  By
-        default the chains of :meth:`chain_rows`, row by row."""
-        return _drawn(self.chain_rows(count, arrows, loose), rng, count)
+        order, drawn as :meth:`sample_base_point`, ``arrows``
+        :meth:`arrow_from` and :meth:`sample_arrow` calls draw them, chain
+        after chain.  By default the chains of :meth:`chain_rows`, row by
+        row."""
+        return sampling.draw_rows(self.chain_rows(count, arrows, loose), rng, count)
 
     def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
         """The rows of :meth:`chain_noises`, written one at a time by
@@ -377,13 +365,6 @@ def _idempotent_linearization(x: AlgebraElement, sandwich=complex_sandwich_matri
     return m - np.eye(m.shape[0])
 
 
-def _drawn(rows, rng: np.random.Generator, count: int) -> tuple:
-    """The draw of ``count`` rows of ``rows``, written one after another."""
-    for i in range(count):
-        rows.draw(rng, i)
-    return rows.noise()
-
-
 def _normal_parts(rng: np.random.Generator, count: int, shapes) -> list:
     """Per row, arrays of the given shapes filled in turn with standard
     normals, for ``count`` rows in one call: a ``(count, *shape)`` stack each."""
@@ -465,8 +446,8 @@ class _ElementGroupoid(Groupoid):
     """The kinds whose base points are elements of the algebra of ``shape``.
     Each names its ``arrow_type`` and the element ``_element(g)`` that sets
     an arrow's algebra and is the base point of an identity arrow, and
-    draws with ``_base_skew`` (a chain's base point), ``_arrow_skew`` (an
-    arrow's two Gaussian elements) and the rows ``_loose_rows(count)``."""
+    draws with ``_base_skew`` (a base point), ``_arrow_skew`` (an arrow's
+    two Gaussian elements) and the rows ``_loose_rows(count)``."""
 
     _base_skew = 1.0
 
@@ -490,6 +471,12 @@ class _ElementGroupoid(Groupoid):
     def base_distance(self, x, y):
         return x.distance(y)
 
+    def base_noises(self, rng, count: int) -> tuple:
+        """Per point a rank diagonal and one Gaussian matrix per block,
+        scaled by ``_base_skew``: the draw that ``base_at`` builds."""
+        return sampling.draw_rows(sampling.RankedRows(self.shape, count, 1, self._base_skew),
+                                  rng, count)
+
     def arrow_noises(self, rng, count: int) -> tuple:
         """Per arrow two Gaussian elements scaled by ``_arrow_skew``,
         ``count`` arrows in one call."""
@@ -497,7 +484,7 @@ class _ElementGroupoid(Groupoid):
         return _gaussian_pairs(z, self.shape, self._arrow_skew)[0]
 
     def sample_noises(self, rng, count: int) -> tuple:
-        return _drawn(self._loose_rows(count), rng, count)
+        return sampling.draw_rows(self._loose_rows(count), rng, count)
 
     def chain_rows(self, count: int, arrows: int = 3, loose: bool = True):
         return _ElementChainRows(self.shape, count, arrows, self._base_skew, self._arrow_skew,
@@ -563,9 +550,6 @@ class GInvGroupoid(_ElementGroupoid):
     def arrow_scale(self, g):
         return epow(emax(g.a.norm(), g.b.norm()), 2)
 
-    def base_noises(self, rng, count: int) -> tuple:
-        return sampling.idempotent_noises(rng, self.shape, count)
-
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.idempotent_from(noise)
 
@@ -588,7 +572,7 @@ class GInvGroupoid(_ElementGroupoid):
 
     def arrow_from(self, x: AlgebraElement, rng) -> GInvPair:
         self.check_base(x)
-        return self.arrow_at(x, self.arrow_noise(rng))
+        return self.arrow_at(x, sampling.noise_row(self.arrow_noises(rng, 1), 0))
 
     def arrow_at(self, x: AlgebraElement, noise: tuple) -> GInvPair:
         one = AlgebraElement.identity(self.shape)
@@ -712,9 +696,6 @@ class PartialIsometryGroupoid(_ElementGroupoid):
     def arrow_scale(self, g):
         return emax(g.u.norm(), 1.0)
 
-    def base_noises(self, rng, count: int) -> tuple:
-        return sampling.projection_noises(rng, self.shape, count)
-
     def base_at(self, noise: tuple) -> AlgebraElement:
         return sampling.projection_from(noise)
 
@@ -727,7 +708,7 @@ class PartialIsometryGroupoid(_ElementGroupoid):
 
     def arrow_from(self, p: AlgebraElement, rng) -> IsometryArrow:
         self.check_base(p)
-        return self.arrow_at(p, self.arrow_noise(rng))
+        return self.arrow_at(p, sampling.noise_row(self.arrow_noises(rng, 1), 0))
 
     def arrow_at(self, p: AlgebraElement, noise: tuple) -> IsometryArrow:
         one = AlgebraElement.identity(self.shape)
@@ -772,12 +753,12 @@ class _VectorGroupoid(Groupoid):
         self.dim = int(dim)
 
     def base_membership_residual(self, x):
-        """0 for a point of R^dim, else inf; row by row, as an ``(N,)``
-        array, for an ``(N, dim)`` stack."""
+        """0 for a finite point of R^dim, else inf; row by row, as an
+        ``(N,)`` array, for an ``(N, dim)`` stack."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and x.shape[1] == self.dim:
-            return np.zeros(len(x))
-        return 0.0 if x.shape == (self.dim,) else float("inf")
+            return np.where(np.isfinite(x).all(axis=1), 0.0, np.inf)
+        return 0.0 if x.shape == (self.dim,) and np.isfinite(x).all() else float("inf")
 
     def base_distance(self, x, y):
         return vector_norm(np.asarray(x) - np.asarray(y))
@@ -846,7 +827,9 @@ class ActionGroupoid(_VectorGroupoid):
         return rng.standard_normal((count, self.dim))
 
     def arrow_from(self, x, rng) -> ActionArrow:
-        return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
+        x = np.asarray(x, dtype=float)
+        self.check_base(x)
+        return self.arrow_at(x, sampling.noise_row(self.arrow_noises(rng, 1), 0))
 
     def arrow_noises(self, rng, count: int) -> tuple:
         return (rng.standard_normal((count, self.dim, self.dim)),)
@@ -954,7 +937,9 @@ class PairGroupoid(_VectorGroupoid):
         return self._points(rng, count, 1)[0]
 
     def arrow_from(self, x, rng) -> PairArrow:
-        return self.arrow_at(np.asarray(x, dtype=float), self.arrow_noise(rng))
+        x = np.asarray(x, dtype=float)
+        self.check_base(x)
+        return self.arrow_at(x, sampling.noise_row(self.arrow_noises(rng, 1), 0))
 
     def arrow_noises(self, rng, count: int) -> tuple:
         return tuple(self._points(rng, count, 1))
@@ -1037,10 +1022,10 @@ def arrow_chain(G: Groupoid, x, noises) -> list:
 
 def _build_chain(G: Groupoid, noise: tuple) -> tuple:
     """The chain ``g1, g2, g3, loose`` built from the inputs that
-    :meth:`Groupoid.chain_noise` drew, or row by row from a stack of them:
-    the :func:`arrow_chain` of the three arrow noises from the drawn base
-    point, then the loose arrow.  Raises when an arrow (of any row) cannot
-    be built."""
+    :meth:`Groupoid.chain_noises` drew, one row or a stack of them: the
+    :func:`arrow_chain` of the three arrow noises from the drawn base point,
+    then the loose arrow.  Raises when an arrow (of any row) cannot be
+    built."""
     x_noise, *noises, loose = noise
     return (*arrow_chain(G, G.base_at(x_noise), noises), G.sample_at(loose))
 

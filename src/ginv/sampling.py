@@ -3,33 +3,36 @@
 Everything takes an explicit ``numpy.random.Generator`` so callers control
 determinism; nothing here keeps state.
 
-Each sampler is two steps.  The *draw* (``*_noises``) makes the sampler's
-generator calls for ``count`` elements, row by row in a fixed order, and
-writes them into preallocated ``(count, ...)`` arrays: per block a tuple
-of stacked plain arrays.  The *build* (``*_from``) turns a draw into the
-element: the QR with phase fix, the products, the inverse or the
-Hermitian part.  A build takes a draw of one element (every array without
-the leading axis, as :func:`noise_row` takes it from a draw) or of ``N``,
-and row ``i`` of a stacked build equals, bit for bit, the build of row
-``i`` alone.
+Each sampler is two steps.  The *draw* makes the sampler's generator calls
+for ``count`` elements, row by row in a fixed order, and writes them into
+preallocated ``(count, ...)`` arrays: per block a tuple of stacked plain
+arrays.  The *build* (``*_from``) turns a draw into the element: the QR
+with phase fix, the products, the inverse or the Hermitian part.  A build
+takes a draw of one element (every array without the leading axis, as
+:func:`noise_row` takes it from a draw) or of ``N``, and row ``i`` of a
+stacked build equals, bit for bit, the build of row ``i`` alone.
 
-A draw makes exactly the generator calls of drawing its rows one at a
-time, in their order, where consecutive calls of one kind may be one
-call: ``k`` values from one ``standard_normal``, ``uniform`` or
-``integers`` call are the values, and leave the generator in the state,
-of ``k`` calls of one value each.  So a row's Gaussian matrices, of all
-its blocks, come from one ``standard_normal`` call, and rows whose ranks
-are not drawn take all their normals in one call.  Callers whose rows
-interleave with other draws write them one at a time through
-:class:`RankedRows` and :class:`WellConditionedRows`.  The single draws
-(``*_noise``) and the samplers ``random_*`` are the ``count = 1`` case.
+Every draw with a rank or a uniform draw is written by a rows writer,
+:class:`RankedRows` (projections, idempotents, partial isometries) or
+:class:`WellConditionedRows`, whose ``draw(rng, i, ranks=None)`` writes
+row ``i``; :func:`draw_rows` fills all rows in turn, and a caller whose
+rows interleave with other draws calls ``draw`` itself.  A row's Gaussian
+matrices, of all its blocks, come from one ``standard_normal`` call: ``k``
+values from one ``standard_normal``, ``uniform`` or ``integers`` call are
+the values, and leave the generator in the state, of ``k`` calls of one
+value each.  :func:`element_noises`, which draws no ranks, is one call.
+The samplers ``random_*`` and :func:`well_conditioned_element` build the
+one row of a writer of ``count = 1``, at ranks they check.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .algebra import AlgebraElement, validate_shape
+from .errors import InputError
 
 
 def random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -96,29 +99,14 @@ def gaussian_blocks(z: np.ndarray, shape, scale: float = 1.0) -> tuple:
     return tuple(blocks)
 
 
-def _rank_diagonals(ranks, shape) -> tuple:
-    """Per block the ``(count, n)`` diagonals of ones up to each row's rank,
-    from ``(count, len(shape))`` ranks."""
-    ranks = np.asarray(ranks, dtype=int).reshape(-1, len(shape))
-    return tuple((np.arange(n) < ranks[:, b, None]).astype(float) for b, n in enumerate(shape))
-
-
-def _ranked_noise(ranks, z: np.ndarray, shape, matrices: int, scale: float) -> tuple:
-    """The draw of a sampler with a rank diagonal from its rows' ranks and
-    normals: per block the rank diagonal, then ``matrices`` Gaussian
-    matrices, which each row's first normals hold block by block."""
-    blocks = gaussian_blocks(z, [n for n in shape for _ in range(matrices)], scale)
-    return tuple(zip(_rank_diagonals(ranks, shape),
-                     *(blocks[k::matrices] for k in range(matrices))))
-
-
 class RankedRows:
     """``count`` rows of a draw with a rank diagonal (``matrices`` Gaussian
     matrices per block, scaled by ``scale``), written one at a time:
     :meth:`draw` makes row ``i``'s rank draws, then one ``standard_normal``
     call for its matrices and for ``extra`` further normals, which a caller
     that merges its own draws into that call reads from :attr:`extra`.
-    :meth:`noise` is the draw of all rows."""
+    :meth:`noise` is the draw of all rows: per block the rank diagonal, then
+    the ``matrices`` Gaussian matrices."""
 
     def __init__(self, shape, count: int, matrices: int = 1, scale: float = 1.0,
                  extra: int = 0):
@@ -127,8 +115,10 @@ class RankedRows:
         self.ranks = np.empty((count, len(self.shape)), dtype=int)
         self.z = np.empty((count, matrices * gaussian_size(self.shape) + extra))
 
-    def draw(self, rng: np.random.Generator, i: int):
-        self.ranks[i] = random_block_ranks(rng, self.shape)
+    def draw(self, rng: np.random.Generator, i: int, ranks=None):
+        """Row ``i`` at random ranks, or at the given per-block ``ranks``,
+        which draw nothing."""
+        self.ranks[i] = random_block_ranks(rng, self.shape) if ranks is None else ranks
         rng.standard_normal(out=self.z[i])
 
     @property
@@ -136,12 +126,18 @@ class RankedRows:
         return self.z[:, self.matrices * gaussian_size(self.shape):]
 
     def noise(self) -> tuple:
-        return _ranked_noise(self.ranks, self.z, self.shape, self.matrices, self.scale)
+        k = self.matrices
+        diagonals = ((np.arange(n) < self.ranks[:, b, None]).astype(float)
+                     for b, n in enumerate(self.shape))
+        blocks = gaussian_blocks(self.z, [n for n in self.shape for _ in range(k)], self.scale)
+        return tuple(zip(diagonals, *(blocks[j::k] for j in range(k))))
 
 
 class WellConditionedRows:
-    """``count`` rows of :func:`well_conditioned_noises`, written one at a
-    time by :meth:`draw`; :meth:`noise` is the draw of them all."""
+    """``count`` rows of a well-conditioned draw, written one at a time by
+    :meth:`draw`: per block the singular values (uniform in
+    :data:`SV_RANGE`, zero past the rank) and the Gaussian matrices of the
+    two unitary factors.  :meth:`noise` is the draw of them all."""
 
     def __init__(self, shape, count: int):
         self.shape = validate_shape(shape)
@@ -149,13 +145,12 @@ class WellConditionedRows:
         self.z = [np.zeros((count, 4 * n * n)) for n in self.shape]
 
     def draw(self, rng: np.random.Generator, i: int, ranks=None):
-        """Row ``i`` at ``ranks`` (full, or full in a block whose rank is
-        ``None``), block by block: the nonzero singular values in one
-        ``uniform`` call, then the normals of both Gaussian matrices in one
-        ``standard_normal`` call.  Returns ``ranks``."""
-        for n, r, s, z in zip(self.shape, (None,) * len(self.shape) if ranks is None else ranks,
-                              self.s, self.z):
-            r = n if r is None else int(r)
+        """Row ``i`` at full rank or at the per-block ``ranks``, block by
+        block: the nonzero singular values in one ``uniform`` call, then the
+        normals of both Gaussian matrices in one ``standard_normal`` call.
+        Returns ``ranks``."""
+        for b, (n, s, z) in enumerate(zip(self.shape, self.s, self.z)):
+            r = n if ranks is None else int(ranks[b])
             s[i, :r] = rng.uniform(*SV_RANGE, size=r)
             rng.standard_normal(out=z[i])
         return ranks
@@ -172,55 +167,32 @@ def element_noises(rng: np.random.Generator, shape, count: int, scale: float = 1
     return gaussian_blocks(rng.standard_normal((count, gaussian_size(shape))), shape, scale)
 
 
-def well_conditioned_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
-    """Per block: the singular values (uniform in :data:`SV_RANGE`, zero past
-    the rank) and the Gaussian matrices of the two unitary factors, of
-    ``count`` elements at full rank or at the per-row ``ranks``."""
-    rows = WellConditionedRows(shape, count)
-    for i in range(count):
-        rows.draw(rng, i, None if ranks is None else ranks[i])
-    return rows.noise()
-
-
-def _ranked_noises(rng, shape, count, ranks, scale) -> tuple:
-    """``count`` rows of one rank diagonal and one Gaussian matrix per block."""
-    if ranks is not None:  # no rank draws between the rows: their normals in one call
-        shape = validate_shape(shape)
-        z = rng.standard_normal((count, gaussian_size(shape)))
-        return _ranked_noise(ranks, z, shape, 1, scale)
-    rows = RankedRows(shape, count, 1, scale)
+def draw_rows(rows, rng: np.random.Generator, count: int) -> tuple:
+    """The draw of ``count`` rows of the writer ``rows``, written one after
+    another."""
     for i in range(count):
         rows.draw(rng, i)
     return rows.noise()
 
 
-def projection_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
-    """Per block: the rank diagonal and the Gaussian matrix of the unitary,
-    at random ranks (drawn row by row) or at the per-row ``ranks``."""
-    return _ranked_noises(rng, shape, count, ranks, 1.0)
+def _checked_ranks(ranks, shape) -> tuple:
+    """``ranks`` as one integer rank ``0 <= r <= n`` per block of ``shape``,
+    else :class:`InputError`."""
+    try:
+        checked = tuple(operator.index(r) for r in ranks)
+    except TypeError:
+        checked = ()
+    if len(checked) != len(shape) or not all(0 <= r <= n for r, n in zip(checked, shape)):
+        raise InputError(f"ranks {ranks!r} need one integer rank 0 <= r <= n "
+                         f"per block of shape {shape}")
+    return checked
 
 
-def idempotent_noises(rng: np.random.Generator, shape, count: int, ranks=None) -> tuple:
-    """Per block: the rank diagonal and the Gaussian offset of the
-    conjugator, scaled by :data:`IDEMPOTENT_SKEW`; ranks as in
-    :func:`projection_noises`."""
-    return _ranked_noises(rng, shape, count, ranks, IDEMPOTENT_SKEW)
-
-
-def _one(ranks):
-    return None if ranks is None else [ranks]
-
-
-def well_conditioned_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
-    return noise_row(well_conditioned_noises(rng, shape, 1, _one(ranks)), 0)
-
-
-def projection_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
-    return noise_row(projection_noises(rng, shape, 1, _one(ranks)), 0)
-
-
-def idempotent_noise(rng: np.random.Generator, shape, ranks=None) -> tuple:
-    return noise_row(idempotent_noises(rng, shape, 1, _one(ranks)), 0)
+def _one_row(rows, rng: np.random.Generator, ranks) -> tuple:
+    """The draw of the one row of the writer ``rows``, at its default ranks
+    or at the checked ``ranks``."""
+    rows.draw(rng, 0, None if ranks is None else _checked_ranks(ranks, rows.shape))
+    return noise_row(rows.noise(), 0)
 
 
 # -- builds: one draw or a stack of them -------------------------------------------------
@@ -279,17 +251,17 @@ def random_element(
 
 def well_conditioned_element(rng: np.random.Generator, shape, ranks=None) -> AlgebraElement:
     """Element whose blocks have controlled singular values and optional ranks."""
-    return well_conditioned_from(well_conditioned_noise(rng, shape, ranks))
+    return well_conditioned_from(_one_row(WellConditionedRows(shape, 1), rng, ranks))
 
 
 def random_projection(
     rng: np.random.Generator, shape, ranks=None
 ) -> AlgebraElement:
     """Orthogonal projection with the given (or random) per-block ranks."""
-    return projection_from(projection_noise(rng, shape, ranks))
+    return projection_from(_one_row(RankedRows(shape, 1), rng, ranks))
 
 
 def random_idempotent(rng: np.random.Generator, shape, ranks=None) -> AlgebraElement:
     """Idempotent conjugate to a diagonal model by a mildly non-unitary
     similarity (see :data:`IDEMPOTENT_SKEW`)."""
-    return idempotent_from(idempotent_noise(rng, shape, ranks))
+    return idempotent_from(_one_row(RankedRows(shape, 1, scale=IDEMPOTENT_SKEW), rng, ranks))

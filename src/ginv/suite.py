@@ -330,7 +330,7 @@ def check_orbit_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
     :func:`~ginv.paths.orbit_paths` call."""
     rng = np.random.default_rng(seed)
     G = PartialIsometryGroupoid((3,), tol)
-    drawn = sampling.projection_from(sampling.projection_noises(rng, (3,), 100))
+    drawn = G.base_at(G.base_noises(rng, 100))
     points = [drawn[i] for i in range(100)]
     classes = orbit_classes(G, points, tol)
     report = orbit_report(G, classes, len(points), tol)

@@ -1,4 +1,5 @@
 import numpy as np
+import per_row_draws
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,6 @@ from ginv.sampling import (
     random_block_ranks,
     well_conditioned_element,
     well_conditioned_from,
-    well_conditioned_noise,
 )
 
 
@@ -134,7 +134,8 @@ def conditioned_rows(rng, shape, sv_ranges):
     of size 2 or more."""
     (lo, hi), rows = SV_RANGE, []
     for i, (low, high) in enumerate(sv_ranges):
-        noise = well_conditioned_noise(rng, shape, ranks=tuple(max(1, n - i % 2) for n in shape))
+        ranks = tuple(max(1, n - i % 2) for n in shape)
+        noise = per_row_draws.well_conditioned_noise(rng, shape, ranks=ranks)
         rows.append(well_conditioned_from(tuple(
             (np.where(s > 0, low + (s - lo) * ((high - low) / (hi - lo)), 0.0), *m)
             for s, *m in noise)))

@@ -8,7 +8,9 @@ from ginv.errors import InputError, PreconditionError
 from ginv.geometry import (
     fiber_and_anchor,
     isotropy_tangent_dim,
+    orbit_classes,
     orbit_decompose,
+    orbit_report,
     submersion_rank_st,
     tangent_basis,
 )
@@ -20,7 +22,7 @@ from ginv.groupoid import (
     PairGroupoid,
     PartialIsometryGroupoid,
 )
-from ginv.linalg import DEFAULT_TOL, hermitian_basis, realify
+from ginv.linalg import DEFAULT_TOL, ToleranceConfig, hermitian_basis, realify
 from ginv.sampling import random_idempotent, random_projection, random_unitary
 
 
@@ -238,6 +240,31 @@ class TestOrbits:
         G = PartialIsometryGroupoid((2, 3))
         p = random_projection(rng, (2, 3), ranks=(1, 2))
         assert G.orbit_signature(p, DEFAULT_TOL) == (1, 2)
+
+    def test_without_tol_the_groupoids_own_is_used(self):
+        G = ActionGroupoid(2, ToleranceConfig(residual_tol=1e-2))
+        x = np.array([1e-3, 0.0])  # zero at G's tolerance, not at the default
+        assert G.orbit_signature(x, G.tol) == "zero"
+        assert orbit_classes(G, [x]) == {"zero": [0]}
+        report = orbit_decompose(G, [x])
+        assert report.config["residual_tol"] == 1e-2
+        assert [r.name for r in report.records] == ["class zero", "zz class count"]
+        assert orbit_report(G, {"zero": [0]}, 1).to_json_bytes() == report.to_json_bytes()
+
+    @pytest.mark.parametrize("G", [ActionGroupoid(2), PairGroupoid(2)], ids=["action", "pair"])
+    def test_non_finite_vector_points_have_no_geometry(self, G):
+        with pytest.raises(PreconditionError, match="base membership"):
+            geometry.at(G, [np.nan, 0.0])
+
+    def test_geometry_without_tol_is_that_of_the_groupoids_own(self, rng):
+        tol = ToleranceConfig(residual_tol=1e-6)
+        G = GInvGroupoid((2,), tol)
+        q = random_idempotent(rng, (2,), ranks=(1,))
+        point = geometry.at(G, q)
+        assert point.tol is tol and geometry.at(G, q, tol) is point
+        assert fiber_and_anchor(G, q) is point.anchor
+        assert isotropy_tangent_dim(G, q) == point.isotropy_dim
+        assert submersion_rank_st(G, G.identity_at(q)) == point.submersion
 
     def test_rank_classes_of_idempotents(self, rng):
         G = GInvGroupoid((2,))

@@ -39,6 +39,11 @@ def mat(entries):
     return AlgebraElement.from_blocks([np.array(entries, dtype=complex)])
 
 
+def row_0(draw, rng):
+    """Row 0 of ``draw(rng, 1)``: the noise of one draw."""
+    return sampling.noise_row(draw(rng, 1), 0)
+
+
 E11, E12, E21 = mat([[1, 0], [0, 0]]), mat([[0, 1], [0, 0]]), mat([[0, 0], [1, 0]])
 
 
@@ -198,6 +203,37 @@ class TestPairInstance:
         b = PairGroupoid(2, pool_size=5)
         rng = np.random.default_rng(0)
         assert np.allclose(a.sample_base_point(rng), b.sample_base_point(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("G", [ActionGroupoid(2), PairGroupoid(2), PairGroupoid(2, pool_size=3)],
+                         ids=["action", "pair", "pair-pool"])
+class TestVectorBasePoints:
+    """A base point of a vector kind is a finite point of R^dim."""
+
+    def test_non_finite_points_fail_the_base_check(self, G):
+        for bad in ([np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]):
+            assert G.base_membership_residual(bad) == np.inf
+            with pytest.raises(InputError, match="base membership"):
+                G.check_base(bad)
+        stack = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+        assert G.base_membership_residual(stack).tolist() == [0.0, np.inf, 0.0]
+        with pytest.raises(InputError, match="base membership"):
+            G.check_base(stack)
+
+    def test_finite_points_keep_residual_zero(self, G):
+        points = G.base_noises(np.random.default_rng(0), 5)
+        assert G.base_membership_residual(points).tolist() == [0.0] * 5
+        assert G.base_membership_residual(points[0]) == 0.0
+        assert G.base_membership_residual([1e308, -1e308]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), [np.nan, 0.0], np.zeros((2, 2, 2))],
+                             ids=["wrong-length", "nan", "wrong-rank"])
+    def test_arrow_from_checks_its_base_point_before_any_draw(self, G, bad):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InputError, match="base membership"):
+            G.arrow_from(bad, rng)
+        assert rng.bit_generator.state == state
 
 
 class SingularActions(ActionGroupoid):
@@ -694,6 +730,11 @@ class TestStackedAxioms:
             G.validate_arrow(bad)
 
 
+def base_bytes(x) -> list:
+    """The bytes of every array of a single base point."""
+    return [b.tobytes() for b in (x.blocks if isinstance(x, AlgebraElement) else (x,))]
+
+
 def arrow_bytes(g, row=None):
     """The bytes of every array of an arrow (of one row of a stack)."""
     if isinstance(g, GInvPair):
@@ -725,7 +766,7 @@ class TestStackedDraws:
         state = rng.bit_generator.state
         singles = [G.arrow_from(x, rng) for x in points]
         rng.bit_generator.state = state
-        x, noise = stack_rows([(x, G.arrow_noise(rng)) for x in points])
+        x, noise = stack_rows([(x, row_0(G.arrow_noises, rng)) for x in points])
         stacked = G.arrow_at(x, noise)
         for i, g in enumerate(singles):
             assert arrow_bytes(stacked, i) == arrow_bytes(g)
@@ -734,7 +775,7 @@ class TestStackedDraws:
     def test_draw_chains_match_single_draws_and_generator_state(self, cls, shape):
         G = cls(shape)
         rng, lazy_rng = np.random.default_rng(4), np.random.default_rng(4)
-        noises = [G.chain_noise(rng) for _ in range(12)]
+        noises = [row_0(G.chain_noises, rng) for _ in range(12)]
         lazy = [draw_chain(G, lazy_rng) for _ in range(12)]
         assert rng.bit_generator.state == lazy_rng.bit_generator.state
         for noise, chain in zip(noises, lazy):
@@ -760,7 +801,7 @@ class TestArrowChain:
         G = cls(shape)
         rng = np.random.default_rng(0)
         for _ in range(6):
-            x_noise, *noises, _ = G.chain_noise(rng)
+            x_noise, *noises, _ = row_0(G.chain_noises, rng)
             x = G.base_at(x_noise)
             arrows = arrow_chain(G, x, noises)
             assert len(arrows) == 3
@@ -772,7 +813,7 @@ class TestArrowChain:
     def test_stacked_chain_equals_single_chains(self, cls, shape):
         G = cls(shape)
         rng = np.random.default_rng(0)
-        rows = [G.chain_noise(rng)[:4] for _ in range(6)]
+        rows = [row_0(G.chain_noises, rng)[:4] for _ in range(6)]
         x_noise, *noises = stack_rows(rows)
         stacked = arrow_chain(G, G.base_at(x_noise), noises)
         for i, (x_noise, *noises) in enumerate(rows):
@@ -782,7 +823,7 @@ class TestArrowChain:
     @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_off_base_start_raises_before_any_arrow(self, cls, shape, monkeypatch):
         G = cls(shape)
-        _, *noises, _ = G.chain_noise(np.random.default_rng(0))
+        _, *noises, _ = row_0(G.chain_noises, np.random.default_rng(0))
         built = []
         monkeypatch.setattr(G, "arrow_at", lambda x, noise: built.append(x))
         with pytest.raises(InputError, match="base membership"):
@@ -879,10 +920,10 @@ class TestOneDrawPerChain:
         G = cls(shape)
         for seed in range(4):
             rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            chain = G.chain_noise(rng)
-            want = (G.base_noise(reference),
+            chain = row_0(G.chain_noises, rng)
+            want = (row_0(G.base_noises, reference),
                     *(arrow_noise_one_call_per_matrix(G, reference) for _ in range(3)),
-                    G.sample_noise(reference))
+                    row_0(G.sample_noises, reference))
             assert_same_draws(chain, want)
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.standard_normal() == reference.standard_normal()
@@ -892,7 +933,7 @@ class TestOneDrawPerChain:
         G = cls(shape)
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(3):
-            assert_same_draws(G.arrow_noise(rng), arrow_noise_one_call_per_matrix(G, reference))
+            assert_same_draws(row_0(G.arrow_noises, rng), arrow_noise_one_call_per_matrix(G, reference))
         assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
@@ -900,7 +941,7 @@ class TestOneDrawPerChain:
         G = cls(shape)
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
         assert_same_draws(G.arrow_noises(rng, 5),
-                          stack_rows([G.arrow_noise(reference) for _ in range(5)]))
+                          stack_rows([row_0(G.arrow_noises, reference) for _ in range(5)]))
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -909,13 +950,13 @@ class TestRawNoise:
     def test_chain_noise_holds_plain_arrays(self, cls, shape):
         G = cls(shape)
         rng = np.random.default_rng(0)
-        assert not any(holds_element(G.chain_noise(rng)) for _ in range(8))
+        assert not any(holds_element(row_0(G.chain_noises, rng)) for _ in range(8))
 
     @pytest.mark.parametrize("cls, shape", STACKED_KINDS)
     def test_base_at_of_base_noise_is_sample_base_point(self, cls, shape):
         G = cls(shape)
         rng, reference = np.random.default_rng(2), np.random.default_rng(2)
-        noises = [G.base_noise(rng) for _ in range(6)]
+        noises = [row_0(G.base_noises, rng) for _ in range(6)]
         points = [G.sample_base_point(reference) for _ in range(6)]
         assert rng.bit_generator.state == reference.bit_generator.state
         stacked = G.base_at(stack_rows([(x,) for x in noises])[0])
@@ -1020,13 +1061,23 @@ class TestChunkDraws:
                                       for _ in range(6)]))
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_single_draws_are_row_0_of_a_chunk_of_one(self, G):
-        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
-        assert_same_draws(G.chain_noise(rng), per_row_draws.chain_noise(G, reference))
-        assert_same_draws(G.base_noise(rng), per_row_draws.base_noise(G, reference))
-        assert_same_draws(G.arrow_noise(rng), per_row_draws.arrow_noises(G, reference, 1)[0])
-        assert_same_draws(G.sample_noise(rng), per_row_draws.sample_noise(G, reference))
-        assert rng.bit_generator.state == reference.bit_generator.state
+    def test_single_draws_build_row_0_of_a_chunk_of_one(self, G):
+        """``sample_base_point``, ``arrow_from`` and ``sample_arrow`` build
+        row 0 of a draw of ``count = 1``, and the per-row draw."""
+        single, chunk, reference = (np.random.default_rng(8) for _ in range(3))
+        x = G.sample_base_point(single)
+        for noise in (row_0(G.base_noises, chunk), per_row_draws.base_noise(G, reference)):
+            assert base_bytes(G.base_at(noise)) == base_bytes(x)
+        g = G.arrow_from(x, single)
+        for noise in (row_0(G.arrow_noises, chunk), per_row_draws.arrow_noises(G, reference, 1)[0]):
+            assert arrow_bytes(G.arrow_at(x, noise)) == arrow_bytes(g)
+        g = G.sample_arrow(single)
+        for noise in (row_0(G.sample_noises, chunk), per_row_draws.sample_noise(G, reference)):
+            assert arrow_bytes(G.sample_at(noise)) == arrow_bytes(g)
+        assert single.bit_generator.state == chunk.bit_generator.state == \
+            reference.bit_generator.state
+        assert_same_draws(row_0(G.chain_noises, chunk), per_row_draws.chain_noise(G, reference))
+        assert chunk.bit_generator.state == reference.bit_generator.state
 
     def test_reports_equal_those_of_the_per_row_draws(self, G, monkeypatch):
         n = 10 if getattr(G, "shape", None) == (8,) else 40

@@ -4,6 +4,7 @@ import pytest
 
 from ginv import sampling
 from ginv.algebra import AlgebraElement
+from ginv.errors import InputError
 
 SHAPES = [(1,), (2,), (3,), (8,), (2, 3), (1, 2, 3)]
 
@@ -72,25 +73,41 @@ def chunk_build(chunk, build):
     return lambda rng, s: build(chunk(rng, s, 1))[0]
 
 
-def isometry_noises(rng, shape, count):
-    """``count`` partial-isometry draws, written row by row by
-    ``RankedRows(shape, count, 2)``, as the ``partial_isometry`` kind draws
-    its loose arrows."""
-    rows = sampling.RankedRows(shape, count, 2)
-    for i in range(count):
-        rows.draw(rng, i)
-    return rows.noise()
+def writer_draw(writer):
+    """The chunk draw ``(rng, shape, count, ranks=None)`` that the rows writer
+    ``writer(shape, count)`` makes: :func:`sampling.draw_rows`, or row by row
+    at the per-row ``ranks``."""
+    def draw(rng, shape, count, ranks=None):
+        rows = writer(shape, count)
+        if ranks is None:
+            return sampling.draw_rows(rows, rng, count)
+        for i in range(count):
+            rows.draw(rng, i, ranks[i])
+        return rows.noise()
+
+    return draw
 
 
-def isometry_noise(rng, shape):
-    return sampling.noise_row(isometry_noises(rng, shape, 1), 0)
+#: the chunk draws of the samplers with a rank (or uniform) draw, as the
+#: library makes them
+CHUNKS = {
+    "well_conditioned": writer_draw(sampling.WellConditionedRows),
+    "projection": writer_draw(sampling.RankedRows),
+    "idempotent": writer_draw(
+        lambda shape, count: sampling.RankedRows(shape, count, scale=sampling.IDEMPOTENT_SKEW)),
+    # as the ``partial_isometry`` kind draws its loose arrows
+    "partial_isometry": writer_draw(lambda shape, count: sampling.RankedRows(shape, count, 2)),
+}
+
+
+def single_draw(chunk):
+    """Row 0 of a chunk draw of one row, at ``ranks`` when given."""
+    return lambda rng, shape, ranks=None: sampling.noise_row(
+        chunk(rng, shape, 1, None if ranks is None else [ranks]), 0)
 
 
 #: the single draws of the samplers with a rank (or uniform) draw
-SINGLE_DRAWS = {"well_conditioned": sampling.well_conditioned_noise,
-                "projection": sampling.projection_noise,
-                "idempotent": sampling.idempotent_noise,
-                "partial_isometry": isometry_noise}
+SINGLE_DRAWS = {kind: single_draw(chunk) for kind, chunk in CHUNKS.items()}
 
 
 #: (name, draw, build, sampler, one-at-a-time formula)
@@ -102,19 +119,20 @@ SAMPLERS = [
      chunk_build(lambda rng, s, count: sampling.element_noises(rng, s, count, 0.4),
                  sampling.hermitian_from),
      lambda rng, s: one_hermitian(rng, s, 0.4)),
-    ("well_conditioned", sampling.well_conditioned_noise, sampling.well_conditioned_from,
+    ("well_conditioned", SINGLE_DRAWS["well_conditioned"], sampling.well_conditioned_from,
      sampling.well_conditioned_element, one_well_conditioned),
     ("well_conditioned_ranked",
-     lambda rng, s: sampling.well_conditioned_noise(rng, s, ranked(rng, s)),
+     lambda rng, s: SINGLE_DRAWS["well_conditioned"](rng, s, ranked(rng, s)),
      sampling.well_conditioned_from,
      lambda rng, s: sampling.well_conditioned_element(rng, s, ranked(rng, s)),
      lambda rng, s: one_well_conditioned(rng, s, ranked(rng, s))),
-    ("projection", sampling.projection_noise, sampling.projection_from,
+    ("projection", SINGLE_DRAWS["projection"], sampling.projection_from,
      sampling.random_projection, one_projection),
-    ("idempotent", sampling.idempotent_noise, sampling.idempotent_from,
+    ("idempotent", SINGLE_DRAWS["idempotent"], sampling.idempotent_from,
      sampling.random_idempotent, one_idempotent),
-    ("partial_isometry", isometry_noise, sampling.partial_isometry_from,
-     chunk_build(isometry_noises, sampling.partial_isometry_from), one_partial_isometry),
+    ("partial_isometry", SINGLE_DRAWS["partial_isometry"], sampling.partial_isometry_from,
+     chunk_build(CHUNKS["partial_isometry"], sampling.partial_isometry_from),
+     one_partial_isometry),
 ]
 
 
@@ -172,7 +190,7 @@ class TestUnitaryFrom:
 
 def test_given_ranks_draw_no_ranks():
     rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    noise = sampling.projection_noise(rng, (2, 3), ranks=(1, 2))
+    noise = SINGLE_DRAWS["projection"](rng, (2, 3), ranks=(1, 2))
     assert [d.tolist() for d, _ in noise] == [[1.0, 0.0], [1.0, 1.0, 0.0]]
     want = [sampling.random_matrix(reference, n) for n in (2, 3)]
     assert [m.tobytes() for _, m in noise] == [m.tobytes() for m in want]
@@ -249,25 +267,22 @@ def given_ranks(shape, count):
 CHUNK_DRAWS = [
     ("element", lambda rng, s, c: sampling.element_noises(rng, s, c, 0.35),
      lambda rng, s, c: per_row_draws.element_noises(rng, s, c, 0.35)),
-    ("well_conditioned", sampling.well_conditioned_noises,
+    ("well_conditioned", CHUNKS["well_conditioned"],
      lambda rng, s, c: [per_row_draws.well_conditioned_noise(rng, s) for _ in range(c)]),
     ("well_conditioned_ranked",
-     lambda rng, s, c: sampling.well_conditioned_noises(rng, s, c, given_ranks(s, c)),
+     lambda rng, s, c: CHUNKS["well_conditioned"](rng, s, c, given_ranks(s, c)),
      lambda rng, s, c: [per_row_draws.well_conditioned_noise(rng, s, r)
                         for r in given_ranks(s, c)]),
-]
-CHUNK_DRAWS += [
-    ("partial_isometry", isometry_noises,
+    ("partial_isometry", CHUNKS["partial_isometry"],
      lambda rng, s, c: [per_row_draws.partial_isometry_noise(rng, s) for _ in range(c)]),
 ]
 for kind in ("projection", "idempotent"):
     CHUNK_DRAWS += [
-        (kind, getattr(sampling, f"{kind}_noises"),
+        (kind, CHUNKS[kind],
          lambda rng, s, c, kind=kind: [getattr(per_row_draws, f"{kind}_noise")(rng, s)
                                        for _ in range(c)]),
         (f"{kind}_ranked",
-         lambda rng, s, c, kind=kind: getattr(sampling, f"{kind}_noises")(
-             rng, s, c, given_ranks(s, c)),
+         lambda rng, s, c, kind=kind: CHUNKS[kind](rng, s, c, given_ranks(s, c)),
          lambda rng, s, c, kind=kind: [getattr(per_row_draws, f"{kind}_noise")(rng, s, r)
                                        for r in given_ranks(s, c)]),
     ]
@@ -322,25 +337,69 @@ def test_extra_normals_follow_the_matrices_in_one_call():
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", ["projection", "idempotent"])
-def test_given_ranks_take_every_row_in_one_normal_call(kind, monkeypatch):
-    rng = np.random.default_rng(14)
-    calls = []
-    normal = rng.standard_normal
+@pytest.mark.parametrize("kind", list(CHUNKS))
+def test_rows_at_given_ranks_equal_the_per_row_draws(kind):
+    """Rows at given ranks draw no ranks: row by row they make the per-row
+    reference's generator calls, with its values and its final state."""
+    shape, count = (2, 3), 7
+    rng, reference = np.random.default_rng(14), np.random.default_rng(14)
 
-    class Spy:
+    class NoRankDraws:
         def __getattr__(self, name):
             return getattr(rng, name)
-
-        def standard_normal(self, *args, **kwargs):
-            calls.append(args)
-            return normal(*args, **kwargs)
 
         def integers(self, *args, **kwargs):
             raise AssertionError("given ranks are not drawn")
 
-    getattr(sampling, f"{kind}_noises")(Spy(), (2, 3), 7, given_ranks((2, 3), 7))
-    assert len(calls) == 1
+    got = CHUNKS[kind](NoRankDraws(), shape, count, given_ranks(shape, count))
+    per_row = getattr(per_row_draws, f"{kind}_noise")
+    assert_same_stack(got, per_row_draws.stack_rows(
+        [per_row(reference, shape, r) for r in given_ranks(shape, count)]))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+#: (sampler, build, per-row reference draw) of the samplers that take ranks
+RANKED_SAMPLERS = {
+    "well_conditioned": (sampling.well_conditioned_element, sampling.well_conditioned_from,
+                         per_row_draws.well_conditioned_noise),
+    "projection": (sampling.random_projection, sampling.projection_from,
+                   per_row_draws.projection_noise),
+    "idempotent": (sampling.random_idempotent, sampling.idempotent_from,
+                   per_row_draws.idempotent_noise),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("given", [False, True], ids=["drawn", "given"])
+@pytest.mark.parametrize("kind", list(RANKED_SAMPLERS))
+def test_samplers_build_row_0_of_a_chunk_of_one_and_the_per_row_draw(kind, given, shape):
+    sampler, build, per_row = RANKED_SAMPLERS[kind]
+    ranks = given_ranks(shape, 2)[1] if given else None
+    rngs = [np.random.default_rng(17) for _ in range(3)]
+    for _ in range(3):
+        got = block_bytes(sampler(rngs[0], shape, ranks=ranks))
+        assert got == block_bytes(build(SINGLE_DRAWS[kind](rngs[1], shape, ranks)))
+        assert got == block_bytes(build(per_row(rngs[2], shape, ranks)))
+    assert len({repr(r.bit_generator.state) for r in rngs}) == 1
+
+
+@pytest.mark.parametrize("ranks", [(1,), (1, 2, 3), (5, 1), (-1, 2), (0.5, 1), (1, None), 1],
+                         ids=repr)
+@pytest.mark.parametrize("kind", list(RANKED_SAMPLERS))
+def test_malformed_ranks_raise_input_error_before_any_draw(kind, ranks):
+    rng = np.random.default_rng(18)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match="one integer rank 0 <= r <= n per block"):
+        RANKED_SAMPLERS[kind][0](rng, (2, 3), ranks=ranks)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", list(RANKED_SAMPLERS))
+def test_ranks_of_any_integer_type_are_taken(kind):
+    sampler = RANKED_SAMPLERS[kind][0]
+    want = block_bytes(sampler(np.random.default_rng(19), (2, 3), ranks=(0, 3)))
+    for ranks in (np.array([0, 3]), [np.int64(0), np.int32(3)]):
+        assert block_bytes(sampler(np.random.default_rng(19), (2, 3), ranks=ranks)) == want
 
 
 # -- the merge assumption: k values in one call are k calls of one value -------------------
