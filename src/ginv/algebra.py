@@ -24,8 +24,10 @@ immutable: equality compares shapes and blocks exactly, and the first
 :func:`norms` takes those of several elements in one stacked call, and
 :func:`max_norm` the largest norm of a stack, factoring only the rows
 whose largest entry modulus can reach it.
-:func:`emax`, :func:`epow` and :func:`first_excess` give threshold
-arithmetic that reads the same on a norm and on an array of norms.
+:func:`emax` and :func:`epow` give threshold arithmetic that reads the
+same on a norm and on an array of norms.  Every membership and law check
+is one rule, ``residual <= tol * (1 + scale)``: :func:`residual_bound`
+gives its bound and :func:`verdict` its outcome, row by row on stacks.
 :func:`expm_element` takes its exponential from :func:`ginv.linalg.expm`,
 so nothing here needs scipy.
 """
@@ -34,8 +36,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -372,12 +375,36 @@ def epow(x, k: int):
     return x**k
 
 
-def first_excess(residual, bound):
-    """The first residual above its bound (row by row on stacks), or ``None``."""
-    if isinstance(residual, np.ndarray):
-        over = np.flatnonzero(residual > bound)
-        return float(residual[over[0]]) if over.size else None
-    return residual if residual > bound else None
+def residual_bound(tol: float, *scales):
+    """The bound ``tol * (1 + s1 + s2 + ...)`` of a residual whose check
+    scales with ``scales``, row by row once any of them is the ``(N,)``
+    array of a stack.  The sum runs left to right, ``(1 + s1) + s2``, as
+    the checks have always written it, so every bound keeps its bits;
+    ``sum`` does not promise that rounding."""
+    return tol * functools.reduce(operator.add, scales, 1.0)
+
+
+class Verdict(NamedTuple):
+    """The outcome of :func:`verdict`: the first residual not within its
+    bound, or ``None``, and the indices of all such rows."""
+
+    excess: Optional[float]
+    rows: Sequence[int]
+
+    @property
+    def passed(self) -> bool:
+        return self.excess is None
+
+
+def verdict(residual, bound) -> Verdict:
+    """Whether ``residual <= bound``, row by row once either is the ``(N,)``
+    array of a stack: the one test of every membership and law check.  A
+    NaN residual is within no bound."""
+    if isinstance(residual, np.ndarray) or isinstance(bound, np.ndarray):
+        rows = (~(residual <= bound)).nonzero()[0]
+        excess = float(np.broadcast_arrays(residual, bound)[0].flat[rows[0]]) if rows.size else None
+        return Verdict(excess, rows)
+    return Verdict(None, ()) if residual <= bound else Verdict(residual, (0,))
 
 
 def expm_element(a: AlgebraElement) -> AlgebraElement:
@@ -412,15 +439,11 @@ def classify(a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> ElementCl
     """
     a._require_single("classify")
     nrm, r_idem, r_sa, r_pi = norms(a, a @ a - a, a.adjoint() - a, a @ a.adjoint() @ a - a)
-    idempotent = r_idem <= tol.residual_tol * (1.0 + nrm**2)
-    projection = idempotent and r_sa <= tol.residual_tol * (1.0 + nrm)
-    partial_isometry = r_pi <= tol.residual_tol * (1.0 + nrm**3)
-    return ElementClass(
-        idempotent=idempotent,
-        projection=projection,
-        partial_isometry=partial_isometry,
-        max_residual=max(r_idem, r_sa, r_pi),
-    )
+    idempotent = verdict(r_idem, residual_bound(tol.residual_tol, epow(nrm, 2))).passed
+    projection = idempotent and verdict(r_sa, residual_bound(tol.residual_tol, nrm)).passed
+    partial_isometry = verdict(r_pi, residual_bound(tol.residual_tol, epow(nrm, 3))).passed
+    return ElementClass(idempotent=idempotent, projection=projection,
+                        partial_isometry=partial_isometry, max_residual=max(r_idem, r_sa, r_pi))
 
 
 def block_ranks(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:

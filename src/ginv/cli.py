@@ -219,18 +219,19 @@ def _instance(args, tol: ToleranceConfig):
 
 
 def _cmd_pinv(args, tol, seed) -> ExperimentReport:
+    from .algebra import residual_bound, verdict
     from .geninv import moore_penrose, penrose_residuals
     from .serialization import element_to_dict
 
     a = _read_element(args.infile)
     dagger = moore_penrose(a, tol)
     res = penrose_residuals(a, dagger)
-    bound = tol.residual_tol * (1.0 + a.norm())
+    bound = residual_bound(tol.residual_tol, a.norm())
     report = ExperimentReport(suite="pinv", config=_config_echo(args, tol, seed))
     names = ("aba = a", "bab = b", "(ba)* = ba", "(ab)* = ab")
     for name, value in zip(names, (res.r1, res.r2, res.r3, res.r4)):
         report.add(CheckRecord(name=f"residual {name}", anchor=name,
-                               passed=value <= bound, value=value))
+                               passed=verdict(value, bound).passed, value=value))
     report.add(
         CheckRecord(
             name="zz pseudo-inverse",

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg, sampling
-from .algebra import AlgebraElement, norms
+from .algebra import AlgebraElement, norms, residual_bound, verdict
 from .errors import ConsistencyError, GinvError, InputError
 from .geninv import moore_penrose
 from .linalg import (
@@ -130,8 +130,8 @@ class SequenceFamily:
         increases = np.sum(np.diff(d) > 0.05 * dmax + 1e-12)
         if increases > 0:
             raise InputError("distances to the declared limit are not decreasing")
-        final_ok = d[-1] <= max(1e-6 * (1.0 + self.limit.norm()), 4.0 * dmax / self.horizon)
-        if not final_ok:
+        bound = max(residual_bound(1e-6, self.limit.norm()), 4.0 * dmax / self.horizon)
+        if not verdict(d[-1], bound).passed:
             raise InputError(
                 f"final distance {d[-1]:.3e} is inconsistent with convergence to the limit"
             )

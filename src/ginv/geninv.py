@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, ExactEquality, emax, epow, first_excess, norms
+from .algebra import AlgebraElement, ExactEquality, emax, epow, norms, residual_bound, verdict
 from .errors import ConsistencyError, ConvergenceError, InputError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 
@@ -57,11 +57,9 @@ class GInvPair(ExactEquality):
     ) -> "GInvPair":
         """Validated pair; on stacks of ``a`` and ``b`` a stack of pairs,
         raising when any row fails."""
-        excess_aba, excess_bab = _reflexivity(a, b, tol)
-        if excess_aba is not None:
-            raise InputError(f"aba = a fails with residual {excess_aba:.3e}")
-        if excess_bab is not None:
-            raise InputError(f"bab = b fails with residual {excess_bab:.3e}")
+        for law, excess in zip(("aba = a", "bab = b"), _reflexivity(a, b, tol)):
+            if excess is not None:
+                raise InputError(f"{law} fails with residual {excess:.3e}")
         return cls(a, b)
 
     def swap(self) -> "GInvPair":
@@ -79,8 +77,8 @@ def _reflexivity(a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig):
     bab = aba if a is b else b @ a @ b - b
     r_aba, r_bab, na, nb = norms(aba, bab, a, b)
     return (
-        first_excess(r_aba, tol.residual_tol * (1.0 + epow(na, 2) * nb)),
-        first_excess(r_bab, tol.residual_tol * (1.0 + epow(nb, 2) * na)),
+        verdict(r_aba, residual_bound(tol.residual_tol, epow(na, 2) * nb)).excess,
+        verdict(r_bab, residual_bound(tol.residual_tol, epow(nb, 2) * na)).excess,
     )
 
 
@@ -173,10 +171,7 @@ def is_ginv_pair(
     The two symmetry conditions are deliberately not required: the set of
     reflexive pairs is strictly larger than the Moore-Penrose graph.
     """
-    if a.shape != b.shape:
-        raise ShapeMismatchError("operands must share the algebra shape")
-    excess_aba, excess_bab = _reflexivity(a, b, tol)
-    return excess_aba is None and excess_bab is None
+    return all(excess is None for excess in _reflexivity(a, b, tol))
 
 
 def reflexive_inverse(

@@ -47,9 +47,10 @@ from .algebra import (
     emax,
     epow,
     expm_element,
-    first_excess,
     norms,
+    residual_bound,
     validate_shape,
+    verdict,
 )
 from .errors import (
     CompositionError,
@@ -182,9 +183,8 @@ class Groupoid:
         raise NotImplementedError
 
     def check_base(self, x):
-        res = first_excess(
-            self.base_membership_residual(x), self.tol.residual_tol * (1.0 + self._base_scale(x))
-        )
+        res = verdict(self.base_membership_residual(x),
+                      residual_bound(self.tol.residual_tol, self._base_scale(x))).excess
         if res is not None:
             raise InputError(f"point fails base membership with residual {res:.3e}")
 
@@ -264,16 +264,12 @@ class Groupoid:
         interleave with other draws; ``noise()`` is the draw of them all."""
         raise NotImplementedError
 
-    def _composability_threshold(self, g1, g2) -> float:
-        return self.tol.residual_tol * (1.0 + self.arrow_scale(g1) + self.arrow_scale(g2))
-
     def require_composable(self, g1, g2):
         """Raise unless ``source(g1) = target(g2)``; those two calls make the
         structure checks of ``g1`` and then ``g2``, for every ``compose``."""
-        mismatch = first_excess(
-            self.base_distance(self.source(g1), self.target(g2)),
-            self._composability_threshold(g1, g2),
-        )
+        distance = self.base_distance(self.source(g1), self.target(g2))
+        mismatch = verdict(distance, residual_bound(
+            self.tol.residual_tol, self.arrow_scale(g1), self.arrow_scale(g2))).excess
         if mismatch is not None:
             raise CompositionError(mismatch)
 
@@ -643,7 +639,7 @@ def _isometry_excess(u: AlgebraElement, tol: ToleranceConfig):
     """``||u u* u - u||`` when it exceeds ``residual_tol * (1 + ||u||^3)``
     (in the first such row of a stack), else ``None``."""
     residual, size = norms(u @ u.adjoint() @ u - u, u)
-    return first_excess(residual, tol.residual_tol * (1.0 + epow(size, 3)))
+    return verdict(residual, residual_bound(tol.residual_tol, epow(size, 3))).excess
 
 
 class PartialIsometryGroupoid(_ElementGroupoid):
@@ -1035,7 +1031,7 @@ def _check_chain(G: Groupoid, chain: tuple, record, violation):
     residual, threshold)`` for every residual, ``violation(exc)`` for every
     arrow that fails validation."""
     scale = emax(*(G.arrow_scale(g) for g in chain))
-    thr = G.tol.residual_tol * (1.0 + epow(scale, 3))
+    thr = residual_bound(G.tol.residual_tol, epow(scale, 3))
 
     for g in chain:
         try:
@@ -1074,7 +1070,7 @@ def _recorder(worst: dict, texts: list, where):
         residual, threshold = np.broadcast_arrays(np.ravel(residual), np.ravel(threshold))
         # a NaN residual breaks its law, and makes the law's worst value NaN
         worst[law] = float(np.maximum.reduce(residual, initial=worst[law]))
-        for i in np.flatnonzero(~(residual <= threshold)):
+        for i in verdict(residual, threshold).rows:
             texts.append((i, f"{law} violated ({residual[i]:.3e} > {threshold[i]:.3e}) "
                              f"at {where(i)}"))
 
@@ -1159,7 +1155,7 @@ def verify_axioms(
         try:
             G.validate_arrow(g)
             s, t = G.source(g), G.target(g)
-            thr = G.tol.residual_tol * (1.0 + G.arrow_scale(g) ** 3)
+            thr = residual_bound(G.tol.residual_tol, epow(G.arrow_scale(g), 3))
             record("G1 base membership",
                    max(G.base_membership_residual(s), G.base_membership_residual(t)), thr)
             record("G3 right identity", G.arrow_distance(G.compose(g, G.identity_at(s)), g), thr)

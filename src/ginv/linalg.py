@@ -47,8 +47,11 @@ class ToleranceConfig:
         rank when it exceeds ``rank_cutoff_factor * max(rows, cols) * sigma_max``
         (or times the norm of the enclosing map, see :func:`numerical_rank`).
     residual_tol
-        Baseline for all residual tests (scaled by powers of the operand
-        norms at each call site).
+        The ``tol`` of every membership and law check, ``residual <= tol *
+        (1 + s1 + s2 + ...)``, where each check names its scales: powers
+        and products of its operands' norms
+        (:func:`ginv.algebra.residual_bound` and
+        :func:`ginv.algebra.verdict`).
     fd_step_scale
         Central-difference step of :func:`finite_diff_jacobian`, its only
         reader: ``fd_step_scale * (1 + |x|_inf)``.

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, block_ranks, classify, max_norm
+from .algebra import AlgebraElement, block_ranks, classify, max_norm, residual_bound, verdict
 from .errors import (
     DegenerateInterpolationError,
     InputError,
@@ -321,7 +321,7 @@ def nearest_projection(h: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) ->
     ``(1/2 - SPECTRAL_GAP, 1/2 + SPECTRAL_GAP)``, where the retraction is
     ill-defined.
     """
-    if (h.adjoint() - h).norm() > tol.residual_tol * (1.0 + h.norm()):
+    if not verdict((h.adjoint() - h).norm(), residual_bound(tol.residual_tol, h.norm())).passed:
         raise InputError("retraction input must be Hermitian")
     blocks = []
     for b in h.blocks:
@@ -440,8 +440,9 @@ def _check_endpoints(p: AlgebraElement, q: AlgebraElement, tol: ToleranceConfig)
             raise PreconditionError(f"{name} is not an orthogonal projection")
     if p.shape != q.shape:
         raise InputError("endpoints live in different algebras")
-    if block_ranks(p, tol) != block_ranks(q, tol):
-        raise OrbitError(f"rank signatures differ: {block_ranks(p, tol)} vs {block_ranks(q, tol)}")
+    ranks_p, ranks_q = block_ranks(p, tol), block_ranks(q, tol)
+    if ranks_p != ranks_q:
+        raise OrbitError(f"rank signatures differ: {ranks_p} vs {ranks_q}")
 
 
 def _waypoint(p: AlgebraElement, q: AlgebraElement) -> tuple:

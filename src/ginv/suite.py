@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import AlgebraElement, emax, epow, max_norm
+from .algebra import AlgebraElement, emax, epow, max_norm, residual_bound
 from .continuity import DRAWN_KINDS, drawn_experiments
 from .errors import GinvError, OrbitError
 from .geninv import (
@@ -69,7 +69,7 @@ def check_penrose_suite(tol: ToleranceConfig, seed: int) -> CheckRecord:
             rows.draw(rng, i, sampling.random_block_ranks(rng, shape))
         a = sampling.well_conditioned_from(rows.noise())
         dagger = moore_penrose(a, tol)
-        bound = PENROSE_TOL * (1.0 + a.norm())
+        bound = residual_bound(PENROSE_TOL, a.norm())
         res = penrose_residuals(a, dagger).max()
         invol = moore_penrose(dagger, tol).distance(a)
         worst = max(worst, float(np.max(res / bound)), float(np.max(invol / bound)))
@@ -120,7 +120,7 @@ def _closure_ratios(G: GInvGroupoid, x, noises):
     g2, g1 = arrow_chain(G, x, noises)
     g = G.compose(g1, g2)
     return emax(*(
-        (e @ e - e).norm() / (CLOSURE_TOL * (1.0 + epow(e.norm(), 2)))
+        (e @ e - e).norm() / residual_bound(CLOSURE_TOL, epow(e.norm(), 2))
         for e in (G.source(g), G.target(g))
     ))
 

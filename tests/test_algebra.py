@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginv import algebra
-from ginv.algebra import AlgebraElement, classify, corner_compress, max_norm
+from ginv.algebra import (AlgebraElement, classify, corner_compress, epow, max_norm,
+                          residual_bound, verdict)
 from ginv.errors import InputError, PreconditionError, ShapeMismatchError
 from ginv.linalg import DEFAULT_TOL
 from ginv.sampling import random_element
@@ -436,6 +437,57 @@ class TestMaxNorm:
         rng = np.random.default_rng(seed)
         x = spread_stack(rng, SHAPES[shape_index], height, 10.0 ** decades)
         assert max_norm(x) == largest_norm(x)
+
+
+class TestResidualBound:
+    """``residual_bound`` is ``tol * (1 + s1 + s2 + ...)``, summed left to
+    right, and row by row on stacks."""
+
+    def test_sums_left_to_right_as_the_composability_bound(self):
+        # 1 + 2^-53 rounds to 1 (ties to even) twice, but 2^-53 + 2^-53 is exact
+        s1 = s2 = 2.0**-53
+        assert 1.0 + s1 + s2 != 1.0 + (s1 + s2)
+        for tol in (1e-8, 1e-6, 0.3):
+            assert residual_bound(tol, s1, s2) == tol * (1.0 + s1 + s2)
+            assert residual_bound(tol, s1, s2) != tol * (1.0 + (s1 + s2))
+
+    def test_random_scales_keep_their_bits(self, rng):
+        s1, s2 = epow(10.0 ** rng.uniform(-20, 20, 500), 2), 10.0 ** rng.uniform(-20, 20, 500)
+        want = 1e-8 * (1.0 + s1 + s2)
+        assert np.array_equal(residual_bound(1e-8, s1, s2), want)
+        assert [residual_bound(1e-8, a, b) for a, b in zip(s1.tolist(), s2.tolist())] == want.tolist()
+
+    def test_no_scale_is_the_tolerance(self):
+        assert residual_bound(1e-8) == 1e-8
+        assert residual_bound(1e-8, 2.0) == 1e-8 * (1.0 + 2.0)
+
+
+class TestVerdict:
+    def test_single_residual(self):
+        assert verdict(1.0, 1.0) == (None, ()) and verdict(1.0, 1.0).passed
+        over = np.nextafter(1.0, 2.0)
+        assert verdict(over, 1.0) == (over, (0,)) and not verdict(over, 1.0).passed
+
+    def test_first_excess_is_the_first_failing_row(self):
+        got = verdict(np.array([0.5, 3.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0, 1.5]))
+        assert got.excess == 3.0 and isinstance(got.excess, float)
+        assert got.rows.tolist() == [1, 3]
+        assert verdict(np.array([0.5, 1.0]), 1.0).excess is None
+
+    def test_nan_fails(self):
+        assert not verdict(np.nan, 1.0).passed and verdict(np.nan, np.inf).rows == (0,)
+        got = verdict(np.array([0.0, np.nan, 2.0]), 1.0)
+        assert np.isnan(got.excess) and got.rows.tolist() == [1, 2]
+
+    def test_a_stacked_row_is_the_single_call(self, rng):
+        residual, scale = 10.0 ** rng.uniform(-10, -6, 200), 10.0 ** rng.uniform(-2, 2, 200)
+        bound = residual_bound(1e-8, scale)
+        assert bound.tolist() == [residual_bound(1e-8, s) for s in scale.tolist()]
+        stacked = verdict(residual, bound)
+        singles = [verdict(r, b) for r, b in zip(residual.tolist(), bound.tolist())]
+        assert 0 < stacked.rows.size < 200
+        assert stacked.rows.tolist() == [i for i, v in enumerate(singles) if not v.passed]
+        assert stacked.excess == next(v.excess for v in singles if not v.passed)
 
 
 class TestEquality:

@@ -210,6 +210,10 @@ class TestIsGinvPair:
         a = well_conditioned_element(rng, (2,))
         assert not is_ginv_pair(a, AlgebraElement.zeros((2,)))
 
+    def test_shapes_must_match(self, rng):
+        with pytest.raises(ShapeMismatchError, match="pair components must share the algebra shape"):
+            is_ginv_pair(well_conditioned_element(rng, (2,)), well_conditioned_element(rng, (3,)))
+
 
 class TestSampleGinvPairs:
     def test_invertible_has_unique_inverse(self, rng):

@@ -183,6 +183,16 @@ class TestActionInstance:
         with pytest.raises(InputError):
             self.G.validate_arrow(ActionArrow(np.array([1.0]), np.array([[0.0]])))
 
+    def test_nan_residuals_fail(self):
+        """A NaN membership residual or end distance is within no bound."""
+        self.G.base_membership_residual = lambda x: float("nan")
+        with pytest.raises(InputError, match="residual nan"):
+            self.G.check_base(np.array([1.0]))
+        self.G.base_distance = lambda x, y: float("nan")
+        g = ActionArrow(np.array([1.0]), np.array([[2.0]]))
+        with pytest.raises(CompositionError):
+            self.G.require_composable(g, g)
+
 
 class TestPairInstance:
     def test_source_target(self):

@@ -139,11 +139,15 @@ class TestOrbitPath:
         assert (mid @ mid - mid).norm() <= 1e-10
         assert (mid.adjoint() - mid).norm() <= 1e-10
 
-    def test_rank_mismatch(self, rng):
-        p = random_projection(rng, (2,), ranks=(1,))
-        q = random_projection(rng, (2,), ranks=(2,))
-        with pytest.raises(OrbitError):
+    def test_rank_mismatch(self, rng, monkeypatch):
+        p = random_projection(rng, (2, 3), ranks=(1, 2))
+        q = random_projection(rng, (2, 3), ranks=(2, 2))
+        calls = []
+        block_ranks = paths.block_ranks
+        monkeypatch.setattr(paths, "block_ranks", lambda x, tol: calls.append(x) or block_ranks(x, tol))
+        with pytest.raises(OrbitError, match=r"^rank signatures differ: \(1, 2\) vs \(2, 2\)$"):
             orbit_path(p, q)
+        assert calls == [p, q]  # each endpoint's ranks once
 
     def test_rejects_non_projections(self, rng):
         with pytest.raises(PreconditionError):
